@@ -281,9 +281,8 @@ pub fn array_conv_grep(
 /// the grepper module, and runs `passes` grep passes, streaming each
 /// pass's count through the fleet merge port.
 ///
-/// The workload mirrors the wallclock bench's in-sim array soak, so
-/// the two regimes are directly comparable; `tests/parallel.rs` and
-/// the `par_soak` bench rows both drive this function. The merged
+/// `tests/parallel.rs` and `biscuit-perf`'s `array_scan` workload both
+/// drive this function. The merged
 /// counts (and, when enabled, trace/metrics exports) are byte-identical
 /// for a given `cfg.seed` across every thread policy.
 ///

@@ -75,23 +75,10 @@ where
     R: Send + 'static,
     F: FnOnce(&Ctx) -> R + Send + 'static,
 {
-    let (r, snap, _events) = run_sim(name, true, f);
-    (r, snap)
+    run_sim(name, true, f)
 }
 
-/// Like [`simulate_metered`], but additionally returns the number of DES
-/// events the kernel processed — the numerator of the wall-clock bench's
-/// sim-events/sec figure. Set `metered: false` to measure the
-/// instrumentation-disabled hot path.
-pub fn simulate_profiled<R, F>(name: &str, metered: bool, f: F) -> (R, MetricsSnapshot, u64)
-where
-    R: Send + 'static,
-    F: FnOnce(&Ctx) -> R + Send + 'static,
-{
-    run_sim(name, metered, f)
-}
-
-fn run_sim<R, F>(name: &str, metered: bool, f: F) -> (R, MetricsSnapshot, u64)
+fn run_sim<R, F>(name: &str, metered: bool, f: F) -> (R, MetricsSnapshot)
 where
     R: Send + 'static,
     F: FnOnce(&Ctx) -> R + Send + 'static,
@@ -124,8 +111,7 @@ where
         .lock()
         .take()
         .unwrap_or_else(|| panic!("bench '{name}': fiber exited without producing a result"));
-    let events = sim_report.events_processed;
-    (result, sim_report.metrics, events)
+    (result, sim_report.metrics)
 }
 
 /// A host + Biscuit SSD pair sharing one PCIe link.

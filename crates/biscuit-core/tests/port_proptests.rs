@@ -76,7 +76,7 @@ fn identity_module() -> SsdletModule {
 /// ns between gets, so each case explores a different interleaving of host
 /// fibers, device fibers, and link DMA events. Returns the received values
 /// and the virtual completion time.
-fn run_chain(
+fn run_ssdlet_chain(
     values: &[u64],
     gaps: &[u16],
     stages: usize,
@@ -143,7 +143,7 @@ proptest! {
         stages in 1usize..4,
         reader_gap in 0u16..2_000,
     ) {
-        let (got, _) = run_chain(&values, &gaps, stages, reader_gap, None);
+        let (got, _) = run_ssdlet_chain(&values, &gaps, stages, reader_gap, None);
         prop_assert_eq!(got, values);
     }
 
@@ -162,7 +162,7 @@ proptest! {
             link_corrupt_rate: rate,
             ..FaultConfig::default()
         });
-        let (got, _) = run_chain(&values, &gaps, stages, reader_gap, Some(&plan));
+        let (got, _) = run_ssdlet_chain(&values, &gaps, stages, reader_gap, Some(&plan));
         prop_assert_eq!(got, values);
         prop_assert_eq!(plan.recovered_total(), plan.injected_total());
     }
@@ -176,9 +176,9 @@ proptest! {
         stages in 1usize..4,
         seed in any::<u64>(),
     ) {
-        let (clean, clean_at) = run_chain(&values, &gaps, stages, 0, None);
+        let (clean, clean_at) = run_ssdlet_chain(&values, &gaps, stages, 0, None);
         let plan = FaultPlan::seeded(seed, FaultConfig::default());
-        let (armed, armed_at) = run_chain(&values, &gaps, stages, 0, Some(&plan));
+        let (armed, armed_at) = run_ssdlet_chain(&values, &gaps, stages, 0, Some(&plan));
         prop_assert_eq!(clean, armed);
         prop_assert_eq!(clean_at, armed_at);
         prop_assert_eq!(plan.injected_total(), 0);

@@ -141,9 +141,9 @@ impl<T> FleetReport<T> {
 
     /// One JSON document holding every shard's metrics snapshot in shard
     /// order: `{"shards":[<metrics>,<metrics>,...]}`. Byte-identical for
-    /// the same seed across all thread policies and both `BISCUIT_FUSE`
-    /// settings: engine-variant meters (dispatch-path counters that
-    /// legitimately change with fusion and lookahead windows, see
+    /// the same seed across all thread policies and both
+    /// `Simulation::set_fuse` settings: engine-variant meters
+    /// (dispatch-path counters that legitimately change with them, see
     /// [`biscuit_sim::fuse::VARIANT_METRICS`]) are excluded here; read
     /// them from the per-shard reports when you want the raw engine view.
     pub fn metrics_json(&self) -> String {

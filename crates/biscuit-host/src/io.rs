@@ -15,11 +15,11 @@
 //! too. All of those recoveries are data-transparent — only latency
 //! changes — which the tests below pin down.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use biscuit_fs::{File, FsError, FsResult};
 use biscuit_proto::HostLink;
-use biscuit_sim::fuse::{ChainDesc, StageKind};
 use biscuit_sim::qprof::Stage;
 use biscuit_sim::time::SimTime;
 use biscuit_sim::Ctx;
@@ -61,41 +61,32 @@ impl ConvIo {
             base.as_secs_f64() * load.latency_slowdown(&self.cfg),
         );
         let t0 = ctx.now();
-        ctx.advance(scaled);
+        ctx.sleep(scaled);
         ctx.qprof().record(Stage::HostCompute, t0, ctx.now(), 0, 0);
     }
 
     /// Issues one read request for `(lpn, bytes)` page spans and returns
     /// `(completion, data)` without waiting: internal page reads pipeline
-    /// into per-page DMAs over the shared link. The NAND/bus/DMA stages are
-    /// recorded into `chain` (de-fused if an ECC retry was drawn) so the
-    /// caller completes the request with [`Ctx::run_chain`].
+    /// into per-page DMAs over the shared link.
     fn issue_request(
         &self,
         ctx: &Ctx,
         spans: &[(u64, usize)],
-        chain: &mut ChainDesc,
     ) -> FsResult<(SimTime, Vec<biscuit_ssd::PageBuf>)> {
         let dev_start = self.device.charge_request_overhead(ctx.now());
-        let epoch = self.device.fault_epoch();
         let mut end = dev_start;
         let mut pages = Vec::with_capacity(spans.len());
         for &(lpn, bytes) in spans {
             let (internal_done, buf) = self
                 .device
-                .enqueue_read_chained(dev_start, lpn, bytes, Some(&mut *chain))
+                .enqueue_read(dev_start, lpn, bytes)
                 .map_err(FsError::Device)?;
             let dma_done = self.link.enqueue_dma_to_host(internal_done, bytes as u64);
             ctx.qprof()
                 .record(Stage::Link, internal_done, dma_done, bytes as u64, 0);
-            chain.push(StageKind::LinkDma, internal_done, dma_done);
             end = end.max(dma_done);
             pages.push(buf);
         }
-        if self.device.fault_epoch() != epoch {
-            chain.defuse();
-        }
-        chain.set_completion(end);
         Ok((end, pages))
     }
 
@@ -133,10 +124,9 @@ impl ConvIo {
         let spans = self.spans_for(file, offset, len)?;
         let slot = self.link.acquire_slot(ctx);
         self.charge_host(ctx, link_cfg.host_submit, load);
-        ctx.advance(link_cfg.device_command);
-        let mut chain = ChainDesc::new();
-        let (_, pages) = self.issue_request(ctx, &spans, &mut chain)?;
-        ctx.run_chain(chain);
+        ctx.sleep(link_cfg.device_command);
+        let (done, pages) = self.issue_request(ctx, &spans)?;
+        ctx.sleep_until(done);
         self.charge_host(ctx, link_cfg.host_complete, load);
         self.link.release_slot(ctx, slot);
         self.device
@@ -175,23 +165,21 @@ impl ConvIo {
         let page_size = self.device.config().page_size as u64;
         let spans = self.spans_for(file, offset, len)?;
         let pages_per_request = (request_bytes / page_size).max(1) as usize;
-        let mut inflight: std::collections::VecDeque<ChainDesc> = Default::default();
+        let mut inflight: VecDeque<SimTime> = VecDeque::new();
         let mut all_pages = Vec::with_capacity(spans.len());
         for chunk in spans.chunks(pages_per_request) {
             if inflight.len() >= queue_depth {
-                let earliest = inflight.pop_front().expect("nonempty");
-                ctx.run_chain(earliest);
+                ctx.sleep_until(inflight.pop_front().expect("nonempty"));
                 self.charge_host(ctx, link_cfg.host_complete, load);
             }
             self.charge_host(ctx, link_cfg.host_submit, load);
-            ctx.advance(link_cfg.device_command);
-            let mut chain = ChainDesc::new();
-            let (_, pages) = self.issue_request(ctx, chunk, &mut chain)?;
-            inflight.push_back(chain);
+            ctx.sleep(link_cfg.device_command);
+            let (done, pages) = self.issue_request(ctx, chunk)?;
+            inflight.push_back(done);
             all_pages.extend(pages);
         }
-        while let Some(chain) = inflight.pop_front() {
-            ctx.run_chain(chain);
+        while let Some(done) = inflight.pop_front() {
+            ctx.sleep_until(done);
             self.charge_host(ctx, link_cfg.host_complete, load);
         }
         self.device
@@ -229,23 +217,21 @@ impl ConvIo {
         let byte_len = page_count * page_size as u64;
         let lpns = file.lpns_for_range(page_start * page_size as u64, byte_len)?;
         let spans: Vec<(u64, usize)> = lpns.into_iter().map(|l| (l, page_size)).collect();
-        let mut inflight: std::collections::VecDeque<ChainDesc> = Default::default();
+        let mut inflight: VecDeque<SimTime> = VecDeque::new();
         let mut all_pages = Vec::with_capacity(spans.len());
         for chunk in spans.chunks(request_pages) {
             if inflight.len() >= queue_depth {
-                let earliest = inflight.pop_front().expect("nonempty");
-                ctx.run_chain(earliest);
+                ctx.sleep_until(inflight.pop_front().expect("nonempty"));
                 self.charge_host(ctx, link_cfg.host_complete, load);
             }
             self.charge_host(ctx, link_cfg.host_submit, load);
-            ctx.advance(link_cfg.device_command);
-            let mut chain = ChainDesc::new();
-            let (_, pages) = self.issue_request(ctx, chunk, &mut chain)?;
-            inflight.push_back(chain);
+            ctx.sleep(link_cfg.device_command);
+            let (done, pages) = self.issue_request(ctx, chunk)?;
+            inflight.push_back(done);
             all_pages.extend(pages);
         }
-        while let Some(chain) = inflight.pop_front() {
-            ctx.run_chain(chain);
+        while let Some(done) = inflight.pop_front() {
+            ctx.sleep_until(done);
             self.charge_host(ctx, link_cfg.host_complete, load);
         }
         Ok(all_pages)

@@ -1,415 +1,65 @@
-//! Fused event-chain execution (`BISCUIT_FUSE`).
+//! The engine's dispatch-path meters, and the benchmark's replay shim.
 //!
-//! The hot device datapath — NAND sense → channel bus transfer → pattern
-//! match (→ DMA / program / journal) — has fixed, calibrated stage rates,
-//! so the whole chain's schedule is an analytic function of its input. The
-//! unfused kernel still discovers that schedule one hop at a time: each
-//! stage boundary is a heap event plus a fiber park/resume handshake (two
-//! cross-thread rendezvous). This module lets the datapath *declare* the
-//! chain up front as a [`ChainDesc`] and execute it to completion inline,
-//! skipping the heap and the handshakes whenever that is provably
-//! equivalent.
-//!
-//! ## Determinism contract
-//!
-//! Fusion is a wall-clock optimization only. At the same seed, a fused run
-//! and an unfused run produce **byte-identical** trace, metrics, and qprof
-//! exports — including under fault injection and every `BISCUIT_PAR`
-//! policy. The kernel guarantees this by construction:
-//!
-//! - a hop advances inline only when no pending wake (stale ones included)
-//!   exists at or before the hop's target time, and only within the current
-//!   `run_until` window (a fused chain never crosses a PDES lookahead
-//!   barrier — it defers to the scheduler, which pauses exactly like the
-//!   unfused path; see `docs/PARALLEL.md`);
-//! - equal timestamps de-fuse, preserving `(time, seq)` dispatch order;
-//! - every fused hop mirrors the scheduler's accounting: `events_processed`
-//!   (and the event cap), `sim_context_switches_total`, the runnable-depth
-//!   gauge, qprof switch attribution, and the FiberBlock/FiberResume trace
-//!   pair at the same virtual timestamps.
-//!
-//! The only values that legitimately differ across `BISCUIT_FUSE` settings
-//! are the engine's own dispatch-path meters, listed in
-//! [`VARIANT_METRICS`]; comparisons filter them with
-//! [`MetricsSnapshot::without`](crate::metrics::MetricsSnapshot::without).
-//!
-//! ## De-fuse rules
-//!
-//! A chain executes unfused (hop by hop through the scheduler) when:
-//!
-//! - `BISCUIT_FUSE=0` (or [`Simulation::set_fuse`](crate::Simulation::set_fuse)
-//!   turned fusion off) — every hop parks, exactly as before this module
-//!   existed;
-//! - the builder marked it [`ChainDesc::defuse`]d — e.g. the SSD datapath
-//!   de-fuses a request whose build drew an ECC retry or uncorrectable
-//!   fault from the [`FaultPlan`](crate::fault::FaultPlan), which is itself
-//!   a deterministic, seeded decision;
-//! - a hop would cross the active `run_until` horizon or land at/after a
-//!   pending wake — the hop (and the chain's remaining hops, if any wake
-//!   intervenes) falls back to a normal sleep.
-//!
-//! Either way the observable schedule is identical; de-fusing only gives up
-//! the wall-clock win.
+//! [`Ctx::sleep`] advances the clock inline when that is unobservable (see
+//! `docs/PERF.md`). The only values that differ between that engine and
+//! the always-park reference ([`crate::Simulation::set_fuse`]) are the
+//! meters in [`VARIANT_METRICS`].
 
 use crate::kernel::Ctx;
 use crate::time::SimTime;
 
-/// Metric names whose values legitimately differ between `BISCUIT_FUSE`
-/// settings: they meter the engine's dispatch path, not the simulated
+/// Metric names that meter the engine's dispatch path, not the simulated
 /// model. Determinism comparisons filter them out via
 /// [`MetricsSnapshot::without`](crate::metrics::MetricsSnapshot::without).
 pub const VARIANT_METRICS: &[&str] = &[
     "sim_events_heap_total",
     "sim_events_at_now_total",
-    "sim_chains_fused_total",
     "sim_fiber_switches_total",
     "sim_fiber_threads_reused_total",
 ];
 
-/// Reads the `BISCUIT_FUSE` policy knob. Fusion defaults **on**; `0`,
-/// `off`, `false`, and `no` disable it.
-pub fn from_env() -> bool {
-    match std::env::var("BISCUIT_FUSE") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false" | "no"),
-        Err(_) => true,
-    }
-}
+// Replay shim: everything below is what the frozen
+// `crates/biscuit-perf/src/replay.rs` calls and nothing else does. The next
+// `benchmark` PR re-points that file at `Ctx::sleep_until` and drops it.
 
-/// The hardware stage a chain entry models (labels for traces, docs, and
-/// debugging; the kernel treats all kinds identically).
+/// Stage labels of the replay shim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageKind {
-    /// NAND page sense on a die server (including ECC retry re-senses).
+    /// NAND page sense.
     NandSense,
-    /// Flash-channel transfer into device DRAM.
+    /// Flash-channel transfer.
     BusTransfer,
-    /// Per-channel pattern-matcher scan at the matcher stream rate.
+    /// Pattern-matcher scan.
     MatcherScan,
-    /// Device DRAM staging/assembly work.
-    DramStage,
-    /// Host link (PCIe) DMA of a completed page.
-    LinkDma,
-    /// NAND program or journal append on the write path.
-    ProgramJournal,
-    /// Host-side CPU charge tied to the request.
-    HostCompute,
-    /// An untyped wait (composite completion padding).
-    Wait,
 }
 
-type Effect = Box<dyn FnOnce(&Ctx) + Send>;
-
-/// One stage of a chain: a labeled `[start, end]` occupancy on some modeled
-/// resource, optionally carrying a side effect to run when its result is
-/// available.
-pub struct Stage {
-    /// Which hardware stage this entry models.
-    pub kind: StageKind,
-    /// When the stage starts occupying its resource.
-    pub start: SimTime,
-    /// When the stage's result is available.
-    pub end: SimTime,
-    effect: Option<Effect>,
-}
-
-impl std::fmt::Debug for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Stage")
-            .field("kind", &self.kind)
-            .field("start", &self.start)
-            .field("end", &self.end)
-            .field("effect", &self.effect.is_some())
-            .finish()
-    }
-}
-
-/// A chain descriptor: the declared schedule of one datapath request.
-///
-/// Builders (the SSD device, the host I/O path) compute every stage's
-/// `[start, end]` through the same resource reservations as always —
-/// [`crate::resource::ServerBank::enqueue_span`] and friends run at build
-/// time in both modes — then submit the descriptor with
-/// [`Ctx::run_chain`]. Stages without effects are schedule annotations:
-/// the executing fiber only touches virtual time at effect boundaries and
-/// at the composite completion ([`ChainDesc::complete_at`]), exactly where
-/// the unfused path would park.
-pub struct ChainDesc {
-    stages: Vec<Stage>,
-    complete_at: SimTime,
-    defused: bool,
-}
-
-impl std::fmt::Debug for ChainDesc {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChainDesc")
-            .field("stages", &self.stages)
-            .field("complete_at", &self.complete_at)
-            .field("defused", &self.defused)
-            .finish()
-    }
-}
-
-impl Default for ChainDesc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Accumulates the latest stage end of one request.
+#[derive(Debug, Default)]
+pub struct ChainDesc(SimTime);
 
 impl ChainDesc {
-    /// An empty chain completing immediately.
+    /// A request completing immediately.
     pub fn new() -> Self {
-        Self::with_capacity(4)
+        ChainDesc(SimTime::ZERO)
     }
 
-    /// An empty chain with room for `n` stages.
-    pub fn with_capacity(n: usize) -> Self {
-        ChainDesc {
-            stages: Vec::with_capacity(n),
-            complete_at: SimTime::ZERO,
-            defused: false,
-        }
-    }
-
-    /// Appends a schedule-annotation stage (no side effect). Extends the
-    /// composite completion to cover `end`.
-    pub fn push(&mut self, kind: StageKind, start: SimTime, end: SimTime) {
-        debug_assert!(end >= start, "stage ends before it starts");
-        self.stages.push(Stage {
-            kind,
-            start,
-            end,
-            effect: None,
-        });
-        self.complete_at = self.complete_at.max(end);
-    }
-
-    /// Appends a stage whose `effect` runs when the stage's result is
-    /// available (virtual time `end`). Effects run in push order.
-    pub fn push_effect(
-        &mut self,
-        kind: StageKind,
-        start: SimTime,
-        end: SimTime,
-        effect: impl FnOnce(&Ctx) + Send + 'static,
-    ) {
-        debug_assert!(end >= start, "stage ends before it starts");
-        self.stages.push(Stage {
-            kind,
-            start,
-            end,
-            effect: Some(Box::new(effect)),
-        });
-        self.complete_at = self.complete_at.max(end);
-    }
-
-    /// Extends the composite completion time to at least `at` (for
-    /// requests whose completion outlives their last stage, or that carry
-    /// no stages at all).
-    pub fn set_completion(&mut self, at: SimTime) {
-        self.complete_at = self.complete_at.max(at);
-    }
-
-    /// The composite completion time: when [`Ctx::run_chain`] returns.
-    pub fn complete_at(&self) -> SimTime {
-        self.complete_at
-    }
-
-    /// Marks the chain to execute unfused (every hop parks). Builders call
-    /// this when a deterministic mid-chain disruption — e.g. an ECC retry
-    /// drawn from the fault plan — makes run-to-completion inappropriate.
-    pub fn defuse(&mut self) {
-        self.defused = true;
-    }
-
-    /// Whether [`ChainDesc::defuse`] was called.
-    pub fn is_defused(&self) -> bool {
-        self.defused
-    }
-
-    /// The declared stages, in push order.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
-    }
-
-    /// Number of declared stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// True when no stages were declared.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
+    /// Extends the completion time to cover a stage ending at `end`.
+    pub fn push(&mut self, _kind: StageKind, _start: SimTime, end: SimTime) {
+        self.0 = self.0.max(end);
     }
 }
 
 impl Ctx {
-    /// Executes a chain descriptor: advances to each effect boundary (in
-    /// push order), runs the effect, then advances to the composite
-    /// completion time. With fusion on, each hop runs inline when legal
-    /// (see [`Ctx::advance_to`]); with fusion off or a
-    /// [`ChainDesc::defuse`]d chain, every hop is a plain
-    /// [`Ctx::sleep_until`] — byte-identical schedules either way.
-    ///
-    /// Returns `true` when every hop ran fused (counted in
-    /// `sim_chains_fused_total`).
-    pub fn run_chain(&self, chain: ChainDesc) -> bool {
-        let ChainDesc {
-            stages,
-            complete_at,
-            defused,
-        } = chain;
-        let mut fused = !defused;
-        for stage in stages {
-            if let Some(effect) = stage.effect {
-                fused &= self.chain_hop(stage.end, defused);
-                effect(self);
-            }
-        }
-        fused &= self.chain_hop(complete_at, defused);
-        if fused {
-            self.note_chain_fused();
-        }
-        fused
-    }
-
-    fn chain_hop(&self, at: SimTime, defused: bool) -> bool {
-        if defused {
-            self.sleep_until(at);
-            false
-        } else {
-            self.advance_to(at)
-        }
+    /// `sleep_until` the chain's completion time.
+    pub fn run_chain(&self, chain: ChainDesc) {
+        self.sleep_until(chain.0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
     use crate::Simulation;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
-
-    fn us(n: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_micros(n)
-    }
-
-    #[test]
-    fn chain_builder_tracks_completion() {
-        let mut c = ChainDesc::new();
-        assert!(c.is_empty());
-        c.push(StageKind::NandSense, us(0), us(75));
-        c.push(StageKind::BusTransfer, us(75), us(80));
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.complete_at(), us(80));
-        c.set_completion(us(100));
-        assert_eq!(c.complete_at(), us(100));
-        assert!(!c.is_defused());
-        c.defuse();
-        assert!(c.is_defused());
-    }
-
-    #[test]
-    fn run_chain_reaches_completion_in_both_modes() {
-        for fuse in [false, true] {
-            let sim = Simulation::new(0);
-            sim.set_fuse(fuse);
-            let end = Arc::new(Mutex::new(0u64));
-            let e = Arc::clone(&end);
-            sim.spawn("chain", move |ctx| {
-                let mut c = ChainDesc::new();
-                c.push(StageKind::NandSense, us(0), us(75));
-                c.push(StageKind::MatcherScan, us(75), us(79));
-                let fused = ctx.run_chain(c);
-                assert_eq!(fused, fuse, "sole fiber: fusion succeeds iff on");
-                *e.lock() = ctx.now().as_micros();
-            });
-            let report = sim.run();
-            report.assert_quiescent();
-            assert_eq!(*end.lock(), 79);
-            assert_eq!(report.end_time.as_micros(), 79);
-        }
-    }
-
-    #[test]
-    fn effects_run_at_their_stage_end_times() {
-        for fuse in [false, true] {
-            let sim = Simulation::new(0);
-            sim.set_fuse(fuse);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let l = Arc::clone(&log);
-            sim.spawn("chain", move |ctx| {
-                let mut c = ChainDesc::new();
-                let l1 = Arc::clone(&l);
-                c.push_effect(StageKind::NandSense, us(0), us(10), move |ctx| {
-                    l1.lock().push(("sense", ctx.now().as_micros()));
-                });
-                let l2 = Arc::clone(&l);
-                c.push_effect(StageKind::BusTransfer, us(10), us(14), move |ctx| {
-                    l2.lock().push(("bus", ctx.now().as_micros()));
-                });
-                c.set_completion(us(20));
-                ctx.run_chain(c);
-                l.lock().push(("done", ctx.now().as_micros()));
-            });
-            sim.run().assert_quiescent();
-            assert_eq!(
-                *log.lock(),
-                vec![("sense", 10), ("bus", 14), ("done", 20)],
-                "fuse={fuse}"
-            );
-        }
-    }
-
-    #[test]
-    fn defused_chain_still_completes_and_is_not_counted() {
-        let sim = Simulation::new(0);
-        sim.enable_metrics();
-        sim.set_fuse(true);
-        sim.spawn("chain", |ctx| {
-            let mut c = ChainDesc::new();
-            c.push(StageKind::NandSense, us(0), us(50));
-            c.defuse();
-            assert!(!ctx.run_chain(c));
-            assert_eq!(ctx.now().as_micros(), 50);
-        });
-        let report = sim.run();
-        report.assert_quiescent();
-        assert_eq!(
-            report.metrics.counter_value("sim_chains_fused_total", &[]),
-            Some(0)
-        );
-    }
-
-    #[test]
-    fn pending_peer_wake_defuses_the_hop() {
-        // A peer fiber wakes mid-chain: the chain's hop past that wake must
-        // go through the scheduler so the peer runs at its correct time.
-        for fuse in [false, true] {
-            let sim = Simulation::new(0);
-            sim.set_fuse(fuse);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let l1 = Arc::clone(&log);
-            sim.spawn("chain", move |ctx| {
-                let mut c = ChainDesc::new();
-                c.push(StageKind::NandSense, us(0), us(100));
-                let fused = ctx.run_chain(c);
-                assert!(!fused, "peer wake at 40us must de-fuse");
-                l1.lock().push(("chain-done", ctx.now().as_micros()));
-            });
-            let l2 = Arc::clone(&log);
-            sim.spawn("peer", move |ctx| {
-                ctx.sleep(SimDuration::from_micros(40));
-                l2.lock().push(("peer", ctx.now().as_micros()));
-            });
-            sim.run().assert_quiescent();
-            assert_eq!(
-                *log.lock(),
-                vec![("peer", 40), ("chain-done", 100)],
-                "fuse={fuse}"
-            );
-        }
-    }
 
     #[test]
     fn variant_metrics_list_matches_registered_names() {

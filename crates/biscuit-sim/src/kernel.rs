@@ -129,13 +129,13 @@ struct KernelInner {
     fibers: Vec<FiberSlot>,
     rng: SmallRng,
     events_processed: u64,
-    /// Livelock backstop shared by the dispatcher and the fused-advance
-    /// path (see [`Simulation::set_max_events`]).
+    /// Livelock backstop shared by the dispatcher and inline sleeps (see
+    /// [`Simulation::set_max_events`]).
     max_events: u64,
     /// Horizon of the `run_until` window currently driving this kernel.
-    /// A fused advance may never move `now` past it — crossing the barrier
+    /// An inline sleep may never move `now` past it — crossing the barrier
     /// must go through the scheduler so windowed (PDES) runs pause exactly
-    /// where the unfused path would.
+    /// where a parked sleep would.
     run_limit: SimTime,
     /// Dispatch-path meters (clones of the scheduler's counters, so
     /// `push_event` can attribute each wake to the heap or the at-now FIFO).
@@ -216,12 +216,10 @@ struct SchedMetrics {
     events_heap: metrics::Counter,
     /// Wakes routed to the at-now FIFO fast path.
     events_at_now: metrics::Counter,
-    /// Chain descriptors whose every hop ran fused (see [`crate::fuse`]).
-    chains_fused: metrics::Counter,
     /// Real fiber dispatches: cross-thread resume handshakes actually paid.
     /// `sim_context_switches_total` counts *logical* switches (mirrored by
-    /// the fused path so exports match across `BISCUIT_FUSE` settings);
-    /// the difference between the two is the fusion win.
+    /// inline sleeps so exports match the always-park reference engine);
+    /// the difference between the two is the hand-offs fusion saved.
     fiber_switches: metrics::Counter,
     /// Fiber spawns served by a parked worker thread from the free list.
     threads_reused: metrics::Counter,
@@ -235,7 +233,6 @@ impl SchedMetrics {
             runnable: registry.gauge("sim_runnable_queue_depth", &[]),
             events_heap: registry.counter("sim_events_heap_total", &[]),
             events_at_now: registry.counter("sim_events_at_now_total", &[]),
-            chains_fused: registry.counter("sim_chains_fused_total", &[]),
             fiber_switches: registry.counter("sim_fiber_switches_total", &[]),
             threads_reused: registry.counter("sim_fiber_threads_reused_total", &[]),
         }
@@ -251,8 +248,9 @@ pub struct Kernel {
     metrics: MetricsRegistry,
     qprof: QueryProfiler,
     sched: SchedMetrics,
-    /// `BISCUIT_FUSE` policy: when on, [`Ctx::advance_to`] may run a hop
-    /// inline instead of parking. Never changes observable behavior.
+    /// When on (the default), [`Ctx::sleep`] advances the clock inline
+    /// instead of parking whenever that is unobservable; off is the
+    /// always-park reference engine (see [`Simulation::set_fuse`]).
     fuse_enabled: AtomicBool,
     pool: Mutex<ThreadPool>,
 }
@@ -292,47 +290,37 @@ impl Kernel {
         &self.qprof
     }
 
-    /// Schedules a wake event for `(pid, gen)` at absolute time `at`.
-    fn schedule_wake(&self, at: SimTime, pid: Pid, gen: u64) {
-        self.inner.lock().push_event(at, pid, gen);
-    }
-
-    /// Whether fused-chain execution is on for this kernel (the
-    /// `BISCUIT_FUSE` policy knob; see [`crate::fuse`]).
-    pub fn fuse_enabled(&self) -> bool {
-        self.fuse_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Attempts to advance virtual time to `at` on behalf of the *running*
-    /// fiber `pid` without a park/dispatch round-trip. Succeeds only when
-    /// the hop is provably equivalent to an unfused sleep: `at` lies within
-    /// the current `run_until` window and no pending wake (stale ones
-    /// included — the dispatcher would pop and discard them, and equal
-    /// timestamps would dispatch first by sequence) exists at or before
-    /// `at`. On success every piece of scheduler accounting the unfused
-    /// path would perform — `events_processed`, the event cap, the
-    /// context-switch counter, the runnable gauge, qprof attribution, and
-    /// the FiberBlock/FiberResume trace pair — is mirrored exactly, so all
-    /// exports stay byte-identical across `BISCUIT_FUSE` settings.
-    pub(crate) fn try_fuse_advance(&self, pid: Pid, at: SimTime) -> bool {
-        let (old_now, pending) = {
+    /// The wait behind [`Ctx::sleep`]/[`Ctx::sleep_until`]: moves the
+    /// *running* fiber `pid` towards `wake(now)` under one lock acquisition.
+    /// Returns `true` when the fiber must park (its wake is then already
+    /// queued) and `false` when the wait is already over.
+    ///
+    /// The inline advance is taken only when provably equivalent to a
+    /// park: fusion is on, the target lies within the current `run_until`
+    /// window, and no pending wake (stale ones included — the dispatcher
+    /// would pop and discard them, and equal timestamps would dispatch
+    /// first by sequence) exists at or before it. It then mirrors every
+    /// piece of accounting the dispatcher would perform —
+    /// `events_processed`, the event cap, the context-switch counter, the
+    /// runnable gauge, qprof attribution, and the FiberBlock/FiberResume
+    /// trace pair — so all exports stay byte-identical to the always-park
+    /// engine.
+    fn begin_sleep(&self, pid: Pid, wake: impl FnOnce(SimTime) -> SimTime) -> bool {
+        let (old_now, at, pending) = {
             let mut inner = self.inner.lock();
-            if at <= inner.now {
-                // Zero-length hop: the unfused path would not park either.
-                return true;
-            }
-            if at > inner.run_limit {
-                // The hop would cross the window barrier; defer to the
-                // scheduler so the windowed run pauses exactly like an
-                // unfused one.
+            let old_now = inner.now;
+            let at = wake(old_now);
+            if at <= old_now {
                 return false;
             }
-            if let Some(t) = inner.peek_event_time() {
-                if t <= at {
-                    return false;
-                }
+            let blocked = !self.fuse_enabled.load(Ordering::Relaxed)
+                || at > inner.run_limit
+                || inner.peek_event_time().is_some_and(|t| t <= at);
+            if blocked {
+                let gen = inner.fibers[pid].park_gen + 1;
+                inner.push_event(at, pid, gen);
+                return true;
             }
-            let old_now = inner.now;
             inner.now = at;
             inner.events_processed += 1;
             if inner.events_processed > inner.max_events {
@@ -341,18 +329,18 @@ impl Kernel {
                 // `first_panic`, and `finish` re-raises it.
                 panic!("simulation exceeded event cap");
             }
-            (old_now, inner.pending_events())
+            (old_now, at, inner.pending_events())
         };
         self.sched.context_switches.inc();
         self.sched.runnable.set(pending as i64);
         self.qprof.on_switch(pid);
-        // The unfused pair is adjacent in the trace too: the fiber emits
+        // The parked pair is adjacent in the trace too: the fiber emits
         // FiberBlock before its Parked handshake and the scheduler (blocked
         // until then) emits FiberResume next.
         self.tracer
             .emit(|| TraceEvent::FiberBlock { at: old_now, pid });
         self.tracer.emit(|| TraceEvent::FiberResume { at, pid });
-        true
+        false
     }
 
     fn spawn_fiber<F>(self: &Arc<Self>, name: String, f: F) -> Pid
@@ -497,55 +485,22 @@ impl Ctx {
     }
 
     /// Suspends the fiber for `d` of virtual time.
+    ///
+    /// When no other fiber could run before the wake, the clock advances
+    /// inline — no park, no cross-thread hand-off. The two are
+    /// observationally identical (virtual timestamps, event counts, traces,
+    /// metrics, qprof attribution); see `docs/PERF.md`.
     pub fn sleep(&self, d: SimDuration) {
-        if d.is_zero() {
-            return;
+        if self.kernel.begin_sleep(self.pid, |now| now + d) {
+            self.park();
         }
-        {
-            let mut inner = self.kernel.inner.lock();
-            let at = inner.now + d;
-            let gen = inner.fibers[self.pid].park_gen + 1;
-            inner.push_event(at, self.pid, gen);
-        }
-        self.park();
     }
 
     /// Suspends the fiber until absolute time `at` (no-op if `at` has passed).
     pub fn sleep_until(&self, at: SimTime) {
-        let now = self.now();
-        if at > now {
-            self.sleep(at - now);
+        if self.kernel.begin_sleep(self.pid, |_| at) {
+            self.park();
         }
-    }
-
-    /// Fused [`Ctx::sleep_until`]: when the `BISCUIT_FUSE` policy is on and
-    /// no other fiber could legally run in `(now, at]`, advances the clock
-    /// inline — no park, no cross-thread handshake — and returns `true`.
-    /// Otherwise falls back to [`Ctx::sleep_until`] and returns `false`.
-    /// Observable behavior (virtual timestamps, event counts, traces,
-    /// metrics, qprof attribution) is identical either way; only wall-clock
-    /// cost differs. See [`crate::fuse`] for the chain-descriptor layer on
-    /// top of this primitive.
-    pub fn advance_to(&self, at: SimTime) -> bool {
-        if self.kernel.fuse_enabled() && self.kernel.try_fuse_advance(self.pid, at) {
-            return true;
-        }
-        self.sleep_until(at);
-        false
-    }
-
-    /// Fused [`Ctx::sleep`]: `advance_to(now + d)`.
-    pub fn advance(&self, d: SimDuration) -> bool {
-        if d.is_zero() {
-            return true;
-        }
-        let at = self.now() + d;
-        self.advance_to(at)
-    }
-
-    /// Counts a chain whose every hop ran fused (see [`crate::fuse`]).
-    pub(crate) fn note_chain_fused(&self) {
-        self.kernel.sched.chains_fused.inc();
     }
 
     /// Yields to other fibers runnable at the current instant.
@@ -606,7 +561,7 @@ impl Ctx {
     /// registration; whichever wake fires first wins and the loser goes
     /// stale via the generation check.
     pub(crate) fn wake_at(&self, at: SimTime, pid: Pid, gen: u64) {
-        self.kernel.schedule_wake(at, pid, gen);
+        self.kernel.inner.lock().push_event(at, pid, gen);
     }
 
     /// Parks the calling fiber until a matching wake event fires.
@@ -807,7 +762,7 @@ impl Simulation {
             metrics,
             qprof: QueryProfiler::new(),
             sched,
-            fuse_enabled: AtomicBool::new(crate::fuse::from_env()),
+            fuse_enabled: AtomicBool::new(true),
             pool: Mutex::new(ThreadPool {
                 idle: Vec::new(),
                 workers: Vec::new(),
@@ -828,10 +783,10 @@ impl Simulation {
         self.kernel.inner.lock().max_events = max;
     }
 
-    /// Overrides the `BISCUIT_FUSE` policy for this simulation (the env
-    /// knob sets the default). Fusion is a wall-clock optimization only:
-    /// both settings produce byte-identical exports at the same seed (see
-    /// [`crate::fuse`] and `docs/PERF.md`).
+    /// `set_fuse(false)` selects the always-park reference engine: every
+    /// [`Ctx::sleep`] goes through the event queue and a fiber hand-off.
+    /// Tests compare it against the default, which must export the same
+    /// bytes at the same seed (see `docs/PERF.md`).
     pub fn set_fuse(&self, on: bool) {
         self.kernel.fuse_enabled.store(on, Ordering::Relaxed);
     }
@@ -931,7 +886,7 @@ impl Simulation {
         if self.first_panic.is_some() {
             return RunStatus::Panicked;
         }
-        // Publish the window horizon: a fused advance may not cross it.
+        // Publish the window horizon: an inline sleep may not cross it.
         self.kernel.inner.lock().run_limit = limit;
         loop {
             // Pop the next valid event at or before the horizon.
@@ -967,7 +922,7 @@ impl Simulation {
             };
             self.kernel.sched.context_switches.inc();
             // A real dispatch (cross-thread handshake), as opposed to the
-            // logical switches the fused path mirrors.
+            // logical switches inline sleeps mirror.
             self.kernel.sched.fiber_switches.inc();
             self.kernel.sched.runnable.set(pending as i64);
             self.kernel.qprof.on_switch(pid);
@@ -1009,8 +964,8 @@ impl Simulation {
         self.kernel.inner.lock().peek_event_time()
     }
 
-    /// Wake events processed so far (the wall-clock bench's sim-events
-    /// numerator, readable mid-run when driving windows).
+    /// Wake events processed so far (readable mid-run when driving
+    /// windows).
     pub fn events_processed(&self) -> u64 {
         self.kernel.inner.lock().events_processed
     }
@@ -1362,41 +1317,38 @@ mod tests {
 
     #[test]
     fn event_cap_aborts() {
-        let mut sim = Simulation::new(0);
-        sim.set_max_events(10);
-        sim.spawn("spin", |ctx| loop {
-            ctx.sleep(SimDuration::from_nanos(1));
-        });
-        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(msg.contains("event cap"));
+        // The cap binds on parked and inline sleeps alike.
+        for fuse in [false, true] {
+            let mut sim = Simulation::new(0);
+            sim.set_max_events(10);
+            sim.set_fuse(fuse);
+            sim.spawn("spin", |ctx| loop {
+                ctx.sleep(SimDuration::from_nanos(1));
+            });
+            let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("event cap"), "fuse={fuse} got: {msg}");
+        }
     }
 
+    /// A sole fiber's sleeps never leave its thread: N sleeps are N + 1
+    /// logical switches (the spawn wake plus one per sleep) but one real
+    /// hand-off, and everything except the dispatch meters in
+    /// `crate::fuse::VARIANT_METRICS` matches the always-park engine.
     #[test]
-    fn event_cap_aborts_fused_advances_too() {
-        let mut sim = Simulation::new(0);
-        sim.set_max_events(10);
-        sim.set_fuse(true);
-        sim.spawn("spin", |ctx| loop {
-            ctx.advance(SimDuration::from_nanos(1));
-        });
-        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(msg.contains("event cap"), "got: {msg}");
-    }
-
-    /// `advance` and `sleep` are observationally identical: same end time,
-    /// same event count, same legacy scheduler metrics. Only the dispatch
-    /// meters in `crate::fuse::VARIANT_METRICS` may differ.
-    #[test]
-    fn fused_advance_mirrors_sleep_accounting() {
+    fn sole_fiber_sleeps_run_inline() {
+        const N: u64 = 50;
         fn run(fuse: bool) -> (SimReport, String) {
             let sim = Simulation::new(5);
             sim.enable_metrics();
             sim.set_fuse(fuse);
             sim.spawn("hopper", |ctx| {
-                for _ in 0..50 {
-                    ctx.advance(SimDuration::from_micros(3));
+                for i in 0..N {
+                    if i % 2 == 0 {
+                        ctx.sleep(SimDuration::from_micros(3));
+                    } else {
+                        ctx.sleep_until(ctx.now() + SimDuration::from_micros(3));
+                    }
                 }
             });
             let report = sim.run();
@@ -1407,33 +1359,24 @@ mod tests {
                 .to_json();
             (report, json)
         }
-        let (unfused, unfused_json) = run(false);
-        let (fused, fused_json) = run(true);
-        assert_eq!(unfused.end_time, fused.end_time);
-        assert_eq!(unfused.events_processed, fused.events_processed);
-        assert_eq!(unfused_json, fused_json);
-        // The fused run dispatched fewer real fiber switches.
-        let real = |r: &SimReport| {
-            r.metrics
-                .counter_value("sim_fiber_switches_total", &[])
-                .unwrap()
-        };
-        assert!(real(&fused) < real(&unfused));
-        assert_eq!(
-            fused
-                .metrics
-                .counter_value("sim_context_switches_total", &[]),
-            unfused
-                .metrics
-                .counter_value("sim_context_switches_total", &[]),
-        );
+        let (parked, parked_json) = run(false);
+        let (inline, inline_json) = run(true);
+        assert_eq!(parked.end_time, inline.end_time);
+        assert_eq!(parked.events_processed, inline.events_processed);
+        assert_eq!(parked_json, inline_json);
+        let count = |r: &SimReport, name| r.metrics.counter_value(name, &[]).unwrap();
+        for r in [&parked, &inline] {
+            assert_eq!(count(r, "sim_context_switches_total"), N + 1);
+        }
+        assert_eq!(count(&parked, "sim_fiber_switches_total"), N + 1);
+        assert_eq!(count(&inline, "sim_fiber_switches_total"), 1);
     }
 
-    /// A fused advance may not cross the `run_until` horizon: the kernel
-    /// pauses at the same points, with the same `Paused { next }`, as an
-    /// unfused run — windows never change the schedule.
+    /// An inline sleep may not cross the `run_until` horizon: the kernel
+    /// pauses at the same points, with the same `Paused { next }`, as the
+    /// always-park engine — windows never change the schedule.
     #[test]
-    fn fused_advance_respects_window_barriers() {
+    fn inline_sleep_respects_window_barriers() {
         fn run(fuse: bool, windowed: bool) -> (Vec<u64>, SimReport) {
             let sim = Simulation::new(1);
             sim.set_fuse(fuse);
@@ -1441,7 +1384,7 @@ mod tests {
             let l = Arc::clone(&log);
             sim.spawn("hopper", move |ctx| {
                 for step in 0..6u64 {
-                    ctx.advance(SimDuration::from_micros(4 + step));
+                    ctx.sleep(SimDuration::from_micros(4 + step));
                     l.lock().push(ctx.now().as_micros());
                 }
             });

@@ -10,10 +10,8 @@
 //! ## Layout
 //!
 //! - [`kernel`] — the event loop, fibers, and the [`Ctx`] handle.
-//! - [`fuse`] — fused event-chain execution: the hot datapath declares a
-//!   whole stage chain up front and runs it inline, skipping the event
-//!   heap and fiber handshakes when provably equivalent (`BISCUIT_FUSE`,
-//!   see `docs/PERF.md`).
+//! - [`fuse`] — the dispatch-path meters that differ between inline and
+//!   parked sleeps (see `docs/PERF.md`).
 //! - [`par`] — conservative parallel DES: drive N independent shard
 //!   kernels on real OS threads with a canonical cross-thread merge port
 //!   (see `docs/PARALLEL.md`).

@@ -598,8 +598,8 @@ impl MetricsSnapshot {
     /// A copy of the snapshot without samples whose *name* is in `names`.
     /// Used by determinism comparisons to drop metrics that legitimately
     /// vary with an engine policy — e.g. the dispatch-path meters in
-    /// [`crate::fuse::VARIANT_METRICS`], which differ across
-    /// `BISCUIT_FUSE` settings while everything else stays byte-identical.
+    /// [`crate::fuse::VARIANT_METRICS`], which differ between inline and
+    /// parked sleeps while everything else stays byte-identical.
     pub fn without(&self, names: &[&str]) -> MetricsSnapshot {
         MetricsSnapshot {
             horizon_ps: self.horizon_ps,

@@ -32,12 +32,9 @@
 //!   Windows only decide when control returns to the driver — the event
 //!   order inside each shard never changes (see
 //!   [`Simulation::run_until`]).
-//! - **Fusion never crosses a window barrier.** With `BISCUIT_FUSE` on,
-//!   shard fibers run hot event chains inline (see [`crate::fuse`]), but
-//!   a fused hop is only taken up to the window's `run_until` horizon —
-//!   a chain reaching past the barrier de-fuses, parks, and resumes in a
-//!   later window exactly where the unfused schedule would, so lookahead
-//!   windows still bound memory without changing a single exported byte.
+//! - **Inline sleeps never cross a window barrier.** A sleep reaching
+//!   past the window's `run_until` horizon parks and resumes in a later
+//!   window (the rule is in `docs/PERF.md`).
 //! - **Merge lanes are unbounded.** A bounded cross-thread lane plus
 //!   canonical-order consumption can deadlock when fewer worker threads
 //!   than shards exist (the worker that owns the lane the consumer waits
@@ -112,26 +109,39 @@ pub enum ParMode {
 }
 
 impl ParMode {
-    /// Reads the `BISCUIT_PAR` environment variable: `0` → [`Single`],
-    /// unset or empty → [`PerShard`], `n > 0` → [`Threads(n)`].
+    /// Parses a `BISCUIT_PAR` value: `0` → [`Single`], unset or empty →
+    /// [`PerShard`], `n > 0` → [`Threads(n)`].
     ///
     /// [`Single`]: ParMode::Single
     /// [`PerShard`]: ParMode::PerShard
     /// [`Threads(n)`]: ParMode::Threads
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a non-integer value.
-    pub fn from_env() -> ParMode {
-        match std::env::var("BISCUIT_PAR") {
-            Err(_) => ParMode::PerShard,
-            Ok(v) if v.is_empty() => ParMode::PerShard,
-            Ok(v) => match v.parse::<usize>() {
-                Ok(0) => ParMode::Single,
-                Ok(n) => ParMode::Threads(n),
-                Err(_) => panic!("BISCUIT_PAR must be an integer, got {v:?}"),
+    /// Returns a message naming the variable and the accepted forms when
+    /// the value is not a non-negative integer.
+    pub fn parse(value: Option<&str>) -> Result<ParMode, String> {
+        match value {
+            None | Some("") => Ok(ParMode::PerShard),
+            Some(v) => match v.parse::<usize>() {
+                Ok(0) => Ok(ParMode::Single),
+                Ok(n) => Ok(ParMode::Threads(n)),
+                Err(_) => Err(format!(
+                    "BISCUIT_PAR must be unset or empty (one thread per shard), \
+                     0 (single thread) or a thread count, got {v:?}"
+                )),
             },
         }
+    }
+
+    /// Reads the `BISCUIT_PAR` environment variable (see [`ParMode::parse`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`ParMode::parse`]'s message on a malformed value.
+    pub fn from_env() -> ParMode {
+        let value = std::env::var("BISCUIT_PAR").ok();
+        ParMode::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Worker threads used for a fleet of `shards` kernels (0 for
@@ -762,68 +772,25 @@ mod tests {
         assert_eq!(count, 203);
     }
 
-    /// BISCUIT_PAR parsing. Runs in one test (not four) because env vars
-    /// are process-global and tests run concurrently.
     #[test]
-    fn par_mode_from_env_parses() {
-        // Not using std::env::set_var (unsafe in edition 2021 threads);
-        // exercise the parse paths via the match arms directly.
-        let parse = |v: Option<&str>| match v {
-            None => ParMode::PerShard,
-            Some("") => ParMode::PerShard,
-            Some(s) => match s.parse::<usize>() {
-                Ok(0) => ParMode::Single,
-                Ok(n) => ParMode::Threads(n),
-                Err(_) => panic!("bad"),
-            },
-        };
-        assert_eq!(parse(None), ParMode::PerShard);
-        assert_eq!(parse(Some("")), ParMode::PerShard);
-        assert_eq!(parse(Some("0")), ParMode::Single);
-        assert_eq!(parse(Some("3")), ParMode::Threads(3));
+    fn par_mode_parse_accepts_counts_and_names_the_variable() {
+        assert_eq!(ParMode::parse(None), Ok(ParMode::PerShard));
+        assert_eq!(ParMode::parse(Some("")), Ok(ParMode::PerShard));
+        assert_eq!(ParMode::parse(Some("0")), Ok(ParMode::Single));
+        assert_eq!(ParMode::parse(Some("3")), Ok(ParMode::Threads(3)));
+        for bad in ["two", "-1", "1.5", " 2"] {
+            let err = ParMode::parse(Some(bad)).unwrap_err();
+            assert!(err.contains("BISCUIT_PAR") && err.contains(bad), "{err}");
+        }
     }
 
     /// Windowed parallel execution preserves each shard kernel's internal
-    /// schedule: log the per-shard (time, value) stream and compare to
-    /// the single-threaded run.
+    /// schedule under both engines: sleeps that end inside the 7 us window
+    /// run inline, sleeps that straddle it park on the barrier and resume
+    /// in a later window, and every `(mode, fuse)` combination logs the
+    /// same per-shard `(time, value)` stream.
     #[test]
-    fn per_shard_schedules_are_mode_invariant() {
-        fn run(mode: ParMode) -> Vec<Vec<(u64, u64)>> {
-            let logs: Vec<Arc<PlMutex<Vec<(u64, u64)>>>> =
-                (0..3).map(|_| Arc::new(PlMutex::new(Vec::new()))).collect();
-            let (txs, mut rx) = merge_port::<()>(3);
-            let mut shards = Vec::new();
-            for (i, tx) in txs.into_iter().enumerate() {
-                let sim = Simulation::new(shard_seed(5, i));
-                let log = Arc::clone(&logs[i]);
-                sim.spawn(format!("s{i}"), move |ctx| {
-                    for _ in 0..10 {
-                        let jitter = ctx.with_rng(|r| r.random_range(1..5u64));
-                        ctx.sleep(SimDuration::from_micros(jitter));
-                        log.lock().push((ctx.now().as_micros(), jitter));
-                    }
-                    tx.close();
-                });
-                shards.push(sim);
-            }
-            let cfg = ParConfig {
-                mode,
-                lookahead: Some(SimDuration::from_micros(7)),
-            };
-            run_fleet(shards, &cfg, move || while rx.recv().is_some() {});
-            logs.iter().map(|l| l.lock().clone()).collect()
-        }
-        assert_eq!(run(ParMode::Single), run(ParMode::PerShard));
-    }
-
-    /// Fused chain execution composes with PDES lookahead windows: a chain
-    /// whose completion lies beyond the current window barrier de-fuses and
-    /// parks exactly like an unfused sleep, so every `(mode, fuse)` combo
-    /// yields the same per-shard observation stream.
-    #[test]
-    fn fused_chains_respect_window_barriers_across_modes() {
-        use crate::fuse::{ChainDesc, StageKind};
-
+    fn fused_sleeps_respect_window_barriers_across_modes() {
         fn run(mode: ParMode, fuse: bool) -> Vec<Vec<(u64, u64)>> {
             let logs: Vec<Arc<PlMutex<Vec<(u64, u64)>>>> =
                 (0..3).map(|_| Arc::new(PlMutex::new(Vec::new()))).collect();
@@ -834,17 +801,12 @@ mod tests {
                 sim.set_fuse(fuse);
                 let log = Arc::clone(&logs[i]);
                 sim.spawn(format!("s{i}"), move |ctx| {
-                    for pass in 0..8u64 {
-                        // Chain lengths straddle the 7us lookahead window,
-                        // so some hops fuse and some must park on the
-                        // barrier and resume in a later window.
-                        let d = SimDuration::from_micros(2 + (pass + i as u64) % 9);
-                        let mut chain = ChainDesc::new();
-                        let t = ctx.now();
-                        chain.push(StageKind::NandSense, t, t + d);
-                        chain.push(StageKind::BusTransfer, t + d, t + d + d);
-                        ctx.run_chain(chain);
-                        log.lock().push((ctx.now().as_micros(), pass));
+                    for pass in 0..10u64 {
+                        let jitter = ctx.with_rng(|r| r.random_range(1..5u64));
+                        ctx.sleep(SimDuration::from_micros(jitter));
+                        let long = 2 * (2 + (pass + i as u64) % 9);
+                        ctx.sleep_until(ctx.now() + SimDuration::from_micros(long));
+                        log.lock().push((ctx.now().as_micros(), jitter));
                     }
                     tx.close();
                 });

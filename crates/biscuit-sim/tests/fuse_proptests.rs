@@ -1,104 +1,105 @@
-//! Property-based determinism tests for fused event-chain execution.
+//! Property-based determinism tests for inline sleeps.
 //!
-//! The load-bearing contract of `biscuit_sim::fuse` (see `docs/PERF.md`):
-//! with the same seed and workload, a simulation produces **byte-identical**
-//! exports — Chrome trace, metrics (minus the engine's own dispatch-path
-//! meters, [`biscuit_sim::fuse::VARIANT_METRICS`]), end time, and event
-//! count — whether `BISCUIT_FUSE` is on or off, whether the driver runs
-//! free or in PDES lookahead windows, and whether chains were de-fused by
-//! builders. These properties randomize the chain shapes, stage latencies,
-//! peer-fiber interleavings, and window sizes; the device-level variants
-//! (faults, `BISCUIT_PAR` policies) live in `tests/fuse.rs` at the repo
-//! root.
+//! The load-bearing contract of `Ctx::sleep` (see `docs/PERF.md`): with the
+//! same seed and workload, a simulation produces **byte-identical** exports
+//! — Chrome trace, query profiles, metrics (minus the engine's own
+//! dispatch-path meters, [`biscuit_sim::fuse::VARIANT_METRICS`]), end time,
+//! and event count — whether sleeps may advance inline or always park
+//! (`Simulation::set_fuse`), and whether the driver runs free or in PDES
+//! lookahead windows. These properties randomize each fiber's mix of
+//! `sleep`, `sleep_until`, `yield_now`, queue pushes and deadline pops, on
+//! a coarse time grid so peer wakes land on equal timestamps; the
+//! device-level variants (faults, fleet thread policies) live in
+//! `tests/fuse.rs` at the repo root.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
-use biscuit_sim::fuse::{ChainDesc, StageKind, VARIANT_METRICS};
+use biscuit_sim::fuse::VARIANT_METRICS;
 use biscuit_sim::kernel::RunStatus;
 use biscuit_sim::queue::SimQueue;
 use biscuit_sim::time::{SimDuration, SimTime};
-use biscuit_sim::{Simulation, TraceConfig};
+use biscuit_sim::{Simulation, Stage, TraceConfig};
+
+/// One step of a fiber's program. Times are in microseconds.
+#[derive(Debug, Clone)]
+enum Op {
+    Sleep(u64),
+    /// Absolute target on a 5 us grid (a no-op once it has passed), so
+    /// several fibers wake at the same timestamp.
+    SleepUntil(u64),
+    Yield,
+    /// Non-blocking push: wakes a peer parked in `PopDeadline`, if any.
+    Push,
+    /// Pop giving up after this long: arms a timeout wake that goes stale
+    /// when a push arrives first.
+    PopDeadline(u64),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0u64..7).prop_map(Op::Sleep),
+        (0u64..12).prop_map(|slot| Op::SleepUntil(slot * 5)),
+        Just(Op::Yield),
+        Just(Op::Push),
+        (0u64..9).prop_map(Op::PopDeadline),
+    ]
+}
 
 /// Complete observable surface of one run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Observed {
     end_time_ps: u64,
     events: u64,
-    log: Vec<(usize, u64, u64)>,
+    log: Vec<(usize, usize, u64)>,
     trace: String,
+    profiles: String,
     metrics: String,
 }
 
-/// Runs `fibers` chain-executing fibers plus one queue ping-pong pair (the
-/// peer wakes force hop-level de-fusion at random points), under the given
-/// fuse setting and optional lookahead window.
-fn run_workload(
-    seed: u64,
-    fibers: usize,
-    passes: usize,
-    stages: usize,
-    defuse_mask: u32,
-    fuse: bool,
-    window_us: Option<u64>,
-) -> Observed {
-    let sim = Simulation::new(seed);
+/// Runs one fiber per program over a shared two-slot queue, each inside its
+/// own profiled query, under the given engine and optional lookahead window.
+fn run_workload(programs: &[Vec<Op>], fuse: bool, window_us: Option<u64>) -> Observed {
+    let sim = Simulation::new(0);
     sim.set_fuse(fuse);
     sim.enable_metrics();
     sim.enable_trace(TraceConfig::default());
-    let log: Arc<Mutex<Vec<(usize, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    sim.enable_qprof();
+    let q: SimQueue<u64> = SimQueue::new(2);
+    q.set_trace(sim.tracer().clone(), "q");
+    q.set_metrics(sim.metrics(), "q");
+    let log: Arc<Mutex<Vec<(usize, usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
 
-    for i in 0..fibers {
-        let l = Arc::clone(&log);
-        sim.spawn(format!("chains{i}"), move |ctx| {
-            for pass in 0..passes {
-                let mut chain = ChainDesc::new();
-                let mut t = ctx.now();
-                for s in 0..stages {
-                    let d = 1 + (seed + i as u64 * 5 + pass as u64 * 3 + s as u64) % 6;
-                    let end = t + SimDuration::from_micros(d);
-                    chain.push(
-                        if s % 2 == 0 {
-                            StageKind::NandSense
-                        } else {
-                            StageKind::BusTransfer
-                        },
-                        t,
-                        end,
-                    );
-                    t = end;
+    for (i, program) in programs.iter().cloned().enumerate() {
+        let (q, log) = (q.clone(), Arc::clone(&log));
+        sim.spawn(format!("f{i}"), move |ctx| {
+            let span = ctx.qprof().begin_query(ctx, i as u32);
+            for (step, op) in program.into_iter().enumerate() {
+                let t0 = ctx.now();
+                match op {
+                    Op::Sleep(us) => ctx.sleep(SimDuration::from_micros(us)),
+                    Op::SleepUntil(us) => {
+                        ctx.sleep_until(SimTime::ZERO + SimDuration::from_micros(us))
+                    }
+                    Op::Yield => ctx.yield_now(),
+                    Op::Push => {
+                        let _ = q.try_push(ctx, step as u64);
+                    }
+                    Op::PopDeadline(us) => {
+                        let _ = q.pop_deadline(ctx, t0 + SimDuration::from_micros(us));
+                    }
                 }
-                if defuse_mask & (1 << (pass % 32)) != 0 {
-                    // Builders de-fuse chains on rare paths (ECC retry);
-                    // model that here and require identical observables.
-                    chain.defuse();
-                }
-                ctx.run_chain(chain);
-                l.lock().push((i, pass as u64, ctx.now().as_micros()));
+                ctx.qprof()
+                    .record(Stage::HostCompute, t0, ctx.now(), 0, i as u32);
+                log.lock().push((i, step, ctx.now().as_micros()));
+            }
+            if let Some(sc) = span {
+                ctx.qprof().end_query(ctx, sc);
             }
         });
     }
-
-    // Queue ping-pong: wakes land between other fibers' chain hops, so
-    // the fuse guard must fall back to the heap to keep dispatch order.
-    let q = SimQueue::new(2);
-    let tx = q.clone();
-    sim.spawn("pinger", move |ctx| {
-        for v in 0..(passes as u32 * 2) {
-            ctx.sleep(SimDuration::from_micros(3));
-            tx.push(ctx, v).unwrap();
-        }
-        tx.close(ctx);
-    });
-    let l = Arc::clone(&log);
-    sim.spawn("ponger", move |ctx| {
-        while let Some(v) = q.pop(ctx) {
-            ctx.sleep(SimDuration::from_micros(2));
-            l.lock().push((usize::MAX, v as u64, ctx.now().as_micros()));
-        }
-    });
 
     let report = match window_us {
         None => sim.run(),
@@ -125,40 +126,39 @@ fn run_workload(
         events: report.events_processed,
         log,
         trace: report.trace.to_chrome_json(),
+        profiles: report.profiles.to_json(),
         metrics: report.metrics.without(VARIANT_METRICS).to_json(),
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+fn programs() -> impl Strategy<Value = Vec<Vec<Op>>> {
+    prop::collection::vec(prop::collection::vec(op(), 1..14), 1..5)
+}
 
-    /// Fused and unfused runs of the same randomized workload are
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Inline and always-park runs of the same randomized workload are
     /// byte-identical on every export, free-running or windowed.
     #[test]
     fn fuse_is_observationally_invisible(
-        seed in 0u64..1_000,
-        fibers in 1usize..4,
-        passes in 1usize..6,
-        stages in 1usize..5,
-        defuse_mask in any::<u32>(),
+        programs in programs(),
         window_us in prop::option::of(1u64..40),
     ) {
-        let unfused = run_workload(seed, fibers, passes, stages, defuse_mask, false, window_us);
-        let fused = run_workload(seed, fibers, passes, stages, defuse_mask, true, window_us);
-        prop_assert_eq!(&fused, &unfused);
+        let parked = run_workload(&programs, false, window_us);
+        let inline = run_workload(&programs, true, window_us);
+        prop_assert_eq!(&inline, &parked);
     }
 
-    /// Window size is a memory bound, not a behavior knob: under fusion,
-    /// every window size matches the free-running run byte for byte.
+    /// Window size is a memory bound, not a behavior knob: with inline
+    /// sleeps, every window size matches the free-running run byte for byte.
     #[test]
     fn fused_windows_never_change_artifacts(
-        seed in 0u64..1_000,
-        passes in 1usize..6,
-        stages in 1usize..5,
+        programs in programs(),
         window_us in 1u64..40,
     ) {
-        let free = run_workload(seed, 2, passes, stages, 0, true, None);
-        let windowed = run_workload(seed, 2, passes, stages, 0, true, Some(window_us));
+        let free = run_workload(&programs, true, None);
+        let windowed = run_workload(&programs, true, Some(window_us));
         prop_assert_eq!(&windowed, &free);
     }
 }

@@ -15,7 +15,6 @@
 //!   Biscuit bandwidth (Fig. 7), while only matching pages surface.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -23,7 +22,6 @@ use parking_lot::Mutex;
 use biscuit_proto::{Buf, BufPool};
 
 use biscuit_sim::fault::{FaultPlan, FaultSite};
-use biscuit_sim::fuse::{ChainDesc, StageKind};
 use biscuit_sim::metrics::{self, MetricsRegistry};
 use biscuit_sim::power::{ComponentId, PowerMeter};
 use biscuit_sim::qprof::{QueryProfiler, Stage};
@@ -276,12 +274,6 @@ pub struct SsdDevice {
     metrics: OnceLock<DeviceInstruments>,
     qprof: OnceLock<QueryProfiler>,
     fault: OnceLock<FaultPlan>,
-    /// Bumped whenever the armed fault plan draws a NAND read fault.
-    /// Chain builders snapshot it around a request's reservations: a bump
-    /// means an ECC retry (or block retirement) landed mid-chain, and the
-    /// request de-fuses — deterministically, since the draw itself comes
-    /// from the seeded plan at build time.
-    fault_epoch: AtomicU64,
     zero_page: PageBuf,
     synth_cache: Mutex<SynthCache>,
     pool: BufPool,
@@ -335,7 +327,6 @@ impl SsdDevice {
             metrics: OnceLock::new(),
             qprof: OnceLock::new(),
             fault: OnceLock::new(),
-            fault_epoch: AtomicU64::new(0),
             storage: Mutex::new(Storage { nand, ftl }),
             zero_page,
             synth_cache: Mutex::new(SynthCache::default()),
@@ -608,13 +599,6 @@ impl SsdDevice {
         ppa.die_index(self.cfg.ways)
     }
 
-    /// Current NAND-read-fault epoch (see the `fault_epoch` field). Chain
-    /// builders — including the host I/O path — compare snapshots taken
-    /// around a request's reservations to decide whether to de-fuse.
-    pub fn fault_epoch(&self) -> u64 {
-        self.fault_epoch.load(Ordering::Relaxed)
-    }
-
     /// Fetches page contents and its physical location without timing.
     fn fetch(&self, lpn: u64) -> DeviceResult<(Ppa, Option<PageData>)> {
         if let Some(m) = self.instruments() {
@@ -725,9 +709,6 @@ impl SsdDevice {
         let Some(f) = plan.nand_read_fault() else {
             return die_end;
         };
-        // Mid-chain disruption: whoever is building a chain descriptor
-        // around this sense must de-fuse (see `fault_epoch`).
-        self.fault_epoch.fetch_add(1, Ordering::Relaxed);
         plan.record_injected(
             die_end,
             FaultSite::NandRead,
@@ -798,19 +779,6 @@ impl SsdDevice {
         lpn: u64,
         bytes: usize,
     ) -> DeviceResult<(SimTime, PageBuf)> {
-        self.enqueue_read_chained(start, lpn, bytes, None)
-    }
-
-    /// [`SsdDevice::enqueue_read`], additionally recording the page's
-    /// NAND-sense and bus-transfer stages into a chain descriptor (the host
-    /// I/O path builds its per-request chains this way).
-    pub fn enqueue_read_chained(
-        &self,
-        start: SimTime,
-        lpn: u64,
-        bytes: usize,
-        mut chain: Option<&mut ChainDesc>,
-    ) -> DeviceResult<(SimTime, PageBuf)> {
         let (ppa, data) = self.fetch(lpn)?;
         let buf = match data {
             Some(d) => self.materialize_counted(&d),
@@ -825,10 +793,6 @@ impl SsdDevice {
         let (bus_start, bus_end) = self
             .buses
             .enqueue_span(die_done, ppa.channel as usize, xfer);
-        if let Some(chain) = chain.as_deref_mut() {
-            chain.push(StageKind::NandSense, die_start, die_done);
-            chain.push(StageKind::BusTransfer, bus_start, bus_end);
-        }
         if let Some(tracer) = self.trace() {
             tracer.emit(|| TraceEvent::NandOp {
                 kind: NandOpKind::Read,
@@ -881,18 +845,6 @@ impl SsdDevice {
         lpn: u64,
         pattern: &PatternSet,
     ) -> DeviceResult<(SimTime, Option<PageBuf>)> {
-        self.enqueue_scan_chained(start, lpn, pattern, None)
-    }
-
-    /// [`SsdDevice::enqueue_scan`] recording the page's sense and matcher
-    /// stages into a chain descriptor.
-    fn enqueue_scan_chained(
-        &self,
-        start: SimTime,
-        lpn: u64,
-        pattern: &PatternSet,
-        mut chain: Option<&mut ChainDesc>,
-    ) -> DeviceResult<(SimTime, Option<PageBuf>)> {
         let (ppa, data) = self.fetch(lpn)?;
         let (die_start, die_end) =
             self.dies
@@ -902,10 +854,6 @@ impl SsdDevice {
         let (bus_start, bus_end) = self
             .buses
             .enqueue_span(die_done, ppa.channel as usize, xfer);
-        if let Some(chain) = chain.as_deref_mut() {
-            chain.push(StageKind::NandSense, die_start, die_done);
-            chain.push(StageKind::MatcherScan, bus_start, bus_end);
-        }
         self.stats.pages_scanned.add(1);
         let hit = match data {
             Some(d) => {
@@ -978,24 +926,14 @@ impl SsdDevice {
 
     fn read_pages_inner(&self, ctx: &Ctx, lpns: &[u64]) -> DeviceResult<Vec<PageBuf>> {
         let start = self.charge_request_overhead(ctx.now());
-        let epoch = self.fault_epoch();
-        let mut chain = ChainDesc::new();
         let mut out = Vec::with_capacity(lpns.len());
         let mut end = start;
         for &lpn in lpns {
-            let (t, buf) =
-                self.enqueue_read_chained(start, lpn, self.cfg.page_size, Some(&mut chain))?;
+            let (t, buf) = self.enqueue_read(start, lpn, self.cfg.page_size)?;
             end = end.max(t);
             out.push(buf);
         }
-        // An ECC retry was drawn while building this request: de-fuse so the
-        // perturbed completion goes through the event heap like any other
-        // rare-path wake.
-        if self.fault_epoch() != epoch {
-            chain.defuse();
-        }
-        chain.set_completion(end);
-        ctx.run_chain(chain);
+        ctx.sleep_until(end);
         Ok(out)
     }
 
@@ -1010,20 +948,14 @@ impl SsdDevice {
         self.power_busy(ctx.now());
         let result = (|| {
             let start = self.charge_request_overhead(ctx.now());
-            let epoch = self.fault_epoch();
-            let mut chain = ChainDesc::new();
             let mut out = Vec::with_capacity(spans.len());
             let mut end = start;
             for &(lpn, bytes) in spans {
-                let (t, buf) = self.enqueue_read_chained(start, lpn, bytes, Some(&mut chain))?;
+                let (t, buf) = self.enqueue_read(start, lpn, bytes)?;
                 end = end.max(t);
                 out.push(buf);
             }
-            if self.fault_epoch() != epoch {
-                chain.defuse();
-            }
-            chain.set_completion(end);
-            ctx.run_chain(chain);
+            ctx.sleep_until(end);
             Ok(out)
         })();
         self.power_idle(ctx.now());
@@ -1051,37 +983,24 @@ impl SsdDevice {
         self.power_busy(ctx.now());
         let result = (|| {
             let mut out = Vec::with_capacity(lpns.len());
-            let mut inflight: std::collections::VecDeque<ChainDesc> = Default::default();
+            let mut inflight: VecDeque<SimTime> = VecDeque::new();
             for chunk in lpns.chunks(request_pages) {
                 if inflight.len() >= queue_depth {
-                    let earliest = inflight.pop_front().expect("inflight nonempty");
-                    ctx.run_chain(earliest);
+                    ctx.sleep_until(inflight.pop_front().expect("inflight nonempty"));
                 }
                 let start = self.charge_request_overhead(ctx.now());
-                let epoch = self.fault_epoch();
-                let mut chain = ChainDesc::new();
                 let mut end = start;
                 for &lpn in chunk {
-                    let (t, buf) = self.enqueue_read_chained(
-                        start,
-                        lpn,
-                        self.cfg.page_size,
-                        Some(&mut chain),
-                    )?;
+                    let (t, buf) = self.enqueue_read(start, lpn, self.cfg.page_size)?;
                     end = end.max(t);
                     out.push(buf);
                 }
-                if self.fault_epoch() != epoch {
-                    chain.defuse();
-                }
-                chain.set_completion(end);
-                inflight.push_back(chain);
+                inflight.push_back(end);
             }
-            // Only the newest in-flight request gates batch completion (its
-            // completion time dominates); the rest are dropped unexecuted,
-            // exactly as their wake times were dropped unslept before.
-            if let Some(chain) = inflight.pop_back() {
-                ctx.run_chain(chain);
+            // Only the newest in-flight request gates batch completion: its
+            // completion time dominates the ones still queued.
+            if let Some(end) = inflight.pop_back() {
+                ctx.sleep_until(end);
             }
             Ok(out)
         })();
@@ -1111,11 +1030,10 @@ impl SsdDevice {
         self.power_busy(ctx.now());
         let result = (|| {
             let mut out = Vec::new();
-            let mut inflight: std::collections::VecDeque<ChainDesc> = Default::default();
+            let mut inflight: VecDeque<SimTime> = VecDeque::new();
             for chunk in lpns.chunks(request_pages) {
                 if inflight.len() >= queue_depth {
-                    let earliest = inflight.pop_front().expect("inflight nonempty");
-                    ctx.run_chain(earliest);
+                    ctx.sleep_until(inflight.pop_front().expect("inflight nonempty"));
                 }
                 // IP setup costs software time on a core per request.
                 let (core, _) = self.cores.least_loaded();
@@ -1125,25 +1043,18 @@ impl SsdDevice {
                 if let Some(q) = self.qprof() {
                     q.record(Stage::SsdletCompute, ctx.now(), start, 0, core as u32);
                 }
-                let epoch = self.fault_epoch();
-                let mut chain = ChainDesc::new();
                 let mut end = start;
                 for &lpn in chunk {
-                    let (t, hit) =
-                        self.enqueue_scan_chained(start, lpn, pattern, Some(&mut chain))?;
+                    let (t, hit) = self.enqueue_scan(start, lpn, pattern)?;
                     end = end.max(t);
                     if let Some(buf) = hit {
                         out.push((lpn, buf));
                     }
                 }
-                if self.fault_epoch() != epoch {
-                    chain.defuse();
-                }
-                chain.set_completion(end);
-                inflight.push_back(chain);
+                inflight.push_back(end);
             }
-            if let Some(chain) = inflight.pop_back() {
-                ctx.run_chain(chain);
+            if let Some(end) = inflight.pop_back() {
+                ctx.sleep_until(end);
             }
             Ok(out)
         })();
@@ -1191,14 +1102,6 @@ impl SsdDevice {
                     + self.cfg.t_erase * outcome.erased_blocks;
                 end += gc_time;
             }
-            let mut chain = ChainDesc::new();
-            chain.push(StageKind::ProgramJournal, die_start, die_end);
-            chain.push(StageKind::BusTransfer, bus_start, bus_end);
-            if end > bus_end {
-                // GC relocations + erase ride the same chain as a tail stage.
-                chain.push(StageKind::ProgramJournal, bus_end, end);
-            }
-            chain.set_completion(end);
             if let Some(tracer) = self.trace() {
                 tracer.emit(|| TraceEvent::NandOp {
                     kind: NandOpKind::Program,
@@ -1252,7 +1155,7 @@ impl SsdDevice {
                 }
             }
             self.stats.pages_written.add(1);
-            ctx.run_chain(chain);
+            ctx.sleep_until(end);
             Ok(())
         })();
         self.power_idle(ctx.now());
@@ -1282,7 +1185,7 @@ impl SsdDevice {
         self.power_busy(ctx.now());
         let result = (|| {
             let mut gc_penalty = SimDuration::ZERO;
-            let mut inflight: std::collections::VecDeque<ChainDesc> = Default::default();
+            let mut inflight: VecDeque<SimTime> = VecDeque::new();
             for (lpn, data) in pages {
                 if data.len() > self.cfg.page_size {
                     return Err(DeviceError::BadWriteSize {
@@ -1302,8 +1205,8 @@ impl SsdDevice {
                     &mut gc_penalty,
                 )?;
             }
-            if let Some(chain) = inflight.pop_back() {
-                ctx.run_chain(chain);
+            if let Some(end) = inflight.pop_back() {
+                ctx.sleep_until(end);
             }
             self.charge_gc_penalty(ctx, gc_penalty);
             Ok(())
@@ -1336,7 +1239,7 @@ impl SsdDevice {
         self.power_busy(ctx.now());
         let result = (|| {
             let mut gc_penalty = SimDuration::ZERO;
-            let mut inflight: std::collections::VecDeque<ChainDesc> = Default::default();
+            let mut inflight: VecDeque<SimTime> = VecDeque::new();
             for (lpn, buf) in pages {
                 if buf.len() != self.cfg.page_size {
                     return Err(DeviceError::BadWriteSize {
@@ -1353,8 +1256,8 @@ impl SsdDevice {
                     &mut gc_penalty,
                 )?;
             }
-            if let Some(chain) = inflight.pop_back() {
-                ctx.run_chain(chain);
+            if let Some(end) = inflight.pop_back() {
+                ctx.sleep_until(end);
             }
             self.charge_gc_penalty(ctx, gc_penalty);
             Ok(())
@@ -1370,13 +1273,12 @@ impl SsdDevice {
         ctx: &Ctx,
         lpn: u64,
         data: PageData,
-        inflight: &mut std::collections::VecDeque<ChainDesc>,
+        inflight: &mut VecDeque<SimTime>,
         queue_depth: usize,
         gc_penalty: &mut SimDuration,
     ) -> DeviceResult<()> {
         if inflight.len() >= queue_depth {
-            let earliest = inflight.pop_front().expect("nonempty");
-            ctx.run_chain(earliest);
+            ctx.sleep_until(inflight.pop_front().expect("nonempty"));
         }
         let outcome = self.ftl_write(ctx.now(), lpn, data)?;
         let ppa = self
@@ -1430,11 +1332,7 @@ impl SsdDevice {
         *gc_penalty += (self.cfg.t_read + self.cfg.t_program) * outcome.relocated
             + self.cfg.t_erase * outcome.erased_blocks;
         self.stats.pages_written.add(1);
-        let mut chain = ChainDesc::new();
-        chain.push(StageKind::ProgramJournal, die_start, die_end);
-        chain.push(StageKind::BusTransfer, bus_start, end);
-        chain.set_completion(end);
-        inflight.push_back(chain);
+        inflight.push_back(end);
         Ok(())
     }
 
@@ -1442,7 +1340,7 @@ impl SsdDevice {
     /// batch (a flush absorbing the stall), attributing it as die time.
     fn charge_gc_penalty(&self, ctx: &Ctx, gc_penalty: SimDuration) {
         let start = ctx.now();
-        ctx.advance(gc_penalty);
+        ctx.sleep(gc_penalty);
         if gc_penalty > SimDuration::ZERO {
             if let Some(q) = self.qprof() {
                 q.record(Stage::NandRead, start, ctx.now(), 0, 0);

@@ -150,8 +150,8 @@ impl PatternSet {
 
     /// Time for the matcher to stream `bytes` off the channel at `rate`
     /// bytes/sec. The IP runs at line rate regardless of key count (§IV-A),
-    /// so the scan stage of a fused chain is a pure function of page size
-    /// and the channel's pattern-match rate.
+    /// so the scan stage is a pure function of page size and the channel's
+    /// pattern-match rate.
     pub fn scan_time(&self, bytes: u64, rate: f64) -> biscuit_sim::time::SimDuration {
         biscuit_sim::time::SimDuration::for_bytes(bytes, rate)
     }

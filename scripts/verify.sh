@@ -45,16 +45,6 @@ if ! $docs_only; then
     BISCUIT_PAR=2 cargo test -q --test faults power_loss
     WRITEPATH_SMOKE=1 cargo bench -p biscuit-bench --bench writepath
     cargo run --release -q -p biscuit-bench --bin bench_check -- --only writepath
-    echo "== fusion: device/fault suites byte-identical under both engines"
-    cargo test -q --test fuse
-    cargo test -q -p biscuit-sim --test fuse_proptests
-    BISCUIT_FUSE=0 cargo test -q -p biscuit-ssd
-    BISCUIT_FUSE=1 cargo test -q -p biscuit-ssd
-    BISCUIT_FUSE=0 cargo test -q --test faults
-    BISCUIT_FUSE=1 cargo test -q --test faults
-    echo "== wall-clock smoke: throughput bench + 2x regression gate"
-    WALLCLOCK_SMOKE=1 WALLCLOCK_BASELINE=benchmarks/wallclock_baseline.json \
-        cargo bench -p biscuit-bench --bench wallclock
     echo "== lint: clippy, warnings as errors"
     cargo clippy --workspace --all-targets -- -D warnings
 fi

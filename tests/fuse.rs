@@ -1,14 +1,13 @@
-//! Fused event-chain execution is observationally invisible at full stack.
+//! Inline sleeps are observationally invisible at full stack.
 //!
-//! `BISCUIT_FUSE` (see `docs/PERF.md`) lets the hot NAND→bus→match pipeline
-//! run to completion inside one fiber activation instead of bouncing every
-//! hop through the event heap. These tests pin the contract that makes the
-//! optimisation safe to default on: for the same seed and workload, the
-//! fused and unfused engines export **byte-identical** artifacts — match
-//! counts, virtual end times, event counts, Chrome traces, metrics (minus
-//! the engine's own dispatch-path meters), and query profiles — including
-//! under injected faults (an ECC retry de-fuses its chain) and under every
-//! `BISCUIT_PAR` thread policy.
+//! `Ctx::sleep` advances the clock inline whenever no other fiber could
+//! run first (see `docs/PERF.md`). These tests pin the contract that makes
+//! that safe: for the same seed and workload, the default engine and the
+//! always-park reference (`Simulation::set_fuse(false)`) export
+//! **byte-identical** artifacts — match counts, virtual end times, event
+//! counts, Chrome traces, metrics (minus the engine's own dispatch-path
+//! meters), and query profiles — including under injected faults and under
+//! every fleet thread policy.
 
 use std::sync::Arc;
 
@@ -18,7 +17,9 @@ use biscuit::apps::search::{biscuit_grep, conv_grep, load_grep_module};
 use biscuit::apps::weblog::{WeblogGen, NEEDLE};
 use biscuit::core::{CoreConfig, Ssd};
 use biscuit::fs::{Fs, Mode};
-use biscuit::host::{ConvIo, HostConfig, HostLoad};
+use biscuit::host::array::ArrayShard;
+use biscuit::host::fleet::FleetConfig;
+use biscuit::host::{ConvIo, HostConfig, HostLoad, SsdArray};
 use biscuit::sim::fault::{FaultConfig, FaultPlan};
 use biscuit::sim::fuse::VARIANT_METRICS;
 use biscuit::sim::par::{ParConfig, ParMode};
@@ -35,28 +36,36 @@ struct Observed {
     trace: String,
     metrics: String,
     profiles: String,
-    chains_fused: u64,
+    /// Logical switches (mirrored by inline sleeps) and real hand-offs.
+    context_switches: u64,
+    fiber_switches: u64,
 }
 
-/// Greps a synthetic web log both ways (Conv read path and device-side
-/// offload) on one drive, with trace/metrics/qprof all on, optionally
-/// under an armed fault plan.
-fn grep_run(fuse: bool, plan: Option<&FaultPlan>) -> Observed {
+/// One fresh drive holding a `pages`-page synthetic web log named "log".
+fn drive(id: usize, gen_seed: u64, pages: u64) -> ArrayShard {
     let device = Arc::new(SsdDevice::new(SsdConfig {
         logical_capacity: 64 << 20,
         ..SsdConfig::paper_default()
     }));
     let fs = Fs::format(Arc::clone(&device));
     let page = device.config().page_size as u64;
-    fs.create_synthetic("log", 256 * page, Arc::new(WeblogGen::new(7, 300)))
+    fs.create_synthetic("log", pages * page, Arc::new(WeblogGen::new(gen_seed, 300)))
         .unwrap();
-    let file = fs.open("log", Mode::ReadOnly).unwrap();
     let ssd = Ssd::new(fs, CoreConfig::paper_default());
     let conv = ConvIo::new(
         Arc::clone(ssd.device()),
         Arc::clone(ssd.link()),
         HostConfig::paper_default(),
     );
+    ArrayShard { id, ssd, conv }
+}
+
+/// Greps a synthetic web log both ways (Conv read path and device-side
+/// offload) on one drive, with trace/metrics/qprof all on, optionally
+/// under an armed fault plan.
+fn grep_run(fuse: bool, plan: Option<&FaultPlan>) -> Observed {
+    let ArrayShard { ssd, conv, .. } = drive(0, 7, 256);
+    let file = ssd.fs().open("log", Mode::ReadOnly).unwrap();
     if let Some(p) = plan {
         ssd.device().set_fault_plan(p);
         ssd.link().set_fault_plan(p);
@@ -89,33 +98,47 @@ fn grep_run(fuse: bool, plan: Option<&FaultPlan>) -> Observed {
         trace: report.trace.to_chrome_json(),
         metrics: report.metrics.without(VARIANT_METRICS).to_json(),
         profiles: report.profiles.to_json(),
-        chains_fused: report.metrics.counter_sum("sim_chains_fused_total"),
+        context_switches: report.metrics.counter_sum("sim_context_switches_total"),
+        fiber_switches: report.metrics.counter_sum("sim_fiber_switches_total"),
     }
 }
 
-/// The core contract: toggling fusion changes no exported byte, and the
-/// fused engine actually fused chains (the run is not vacuously unfused).
-#[test]
-fn fuse_toggle_is_byte_identical_full_stack() {
-    let unfused = grep_run(false, None);
-    let fused = grep_run(true, None);
-    assert!(unfused.conv_count > 0, "the corpus plants needles");
-    assert_eq!(unfused.chains_fused, 0, "unfused engine counts no chains");
+/// Every export matches, the reference engine parked on every switch, and
+/// the default engine ran some of them inline (so the comparison is not
+/// vacuously park-vs-park).
+fn assert_same_exports(parked: Observed, inline: Observed) {
+    assert_eq!(parked.fiber_switches, parked.context_switches);
     assert!(
-        fused.chains_fused > 0,
-        "the fused engine must take the fused path"
+        inline.fiber_switches < inline.context_switches,
+        "ports, link and datapath sleeps must run inline: {} of {}",
+        inline.fiber_switches,
+        inline.context_switches
     );
-    // Compare everything except the intentionally different engine meter.
-    let (mut a, mut b) = (unfused, fused);
-    a.chains_fused = 0;
-    b.chains_fused = 0;
-    assert_eq!(a, b);
+    assert_eq!(
+        Observed {
+            fiber_switches: 0,
+            ..parked
+        },
+        Observed {
+            fiber_switches: 0,
+            ..inline
+        }
+    );
 }
 
-/// Under a saturating fault plan every read request draws an ECC retry,
-/// which de-fuses its chain — and the exports still match byte for byte.
+/// The core contract: toggling the engine changes no exported byte.
 #[test]
-fn faulted_runs_stay_byte_identical_and_defuse() {
+fn fuse_toggle_is_byte_identical_full_stack() {
+    let parked = grep_run(false, None);
+    assert!(parked.conv_count > 0, "the corpus plants needles");
+    assert_same_exports(parked, grep_run(true, None));
+}
+
+/// Under a saturating fault plan every read request draws an ECC retry;
+/// its stretched completion is one more sleep, inline when legal, and the
+/// exports still match byte for byte.
+#[test]
+fn faulted_runs_stay_byte_identical() {
     let plan = || {
         FaultPlan::seeded(
             11,
@@ -128,22 +151,15 @@ fn faulted_runs_stay_byte_identical_and_defuse() {
         )
     };
     let (pa, pb) = (plan(), plan());
-    let unfused = grep_run(false, Some(&pa));
-    let fused = grep_run(true, Some(&pb));
+    let parked = grep_run(false, Some(&pa));
+    let inline = grep_run(true, Some(&pb));
     assert!(pa.injected_total() >= 1, "the plan actually fired");
     assert_eq!(pa.injected_total(), pb.injected_total());
-    assert_eq!(
-        fused.chains_fused, 0,
-        "every read chain drew an ECC retry and must de-fuse"
-    );
-    let (mut a, mut b) = (unfused, fused);
-    a.chains_fused = 0;
-    b.chains_fused = 0;
-    assert_eq!(a, b);
+    assert_same_exports(parked, inline);
 }
 
-/// A small write-then-read workload (program + journal hop from the write
-/// path, then the read pipeline) is equally invariant under fusion.
+/// A small write-then-read workload (program + journal wait from the write
+/// path, then the read pipeline) is equally invariant.
 #[test]
 fn write_path_is_fuse_invariant() {
     let run = |fuse: bool| -> (u64, u64, String) {
@@ -177,58 +193,57 @@ fn write_path_is_fuse_invariant() {
     assert_eq!(run(false), run(true));
 }
 
-/// Fusion composes with the parallel fleet: every `BISCUIT_PAR` policy
-/// times both fuse settings merges the same items and exports the same
-/// bytes as the single-threaded unfused reference.
+/// The engines agree on the parallel fleet too: every thread policy, with
+/// and without lookahead windows, merges the same items and exports the
+/// same bytes as the single-threaded always-park reference. The shard
+/// builder's `&Simulation` selects the engine.
 #[test]
 fn fleet_policies_and_fuse_agree() {
-    use biscuit::apps::search::{fleet_grep, fleet_grep_expected};
-    use biscuit::host::fleet::FleetConfig;
-
-    let (drives, pages, rarity, passes) = (2usize, 24u64, 150u64, 2usize);
-    let expected = fleet_grep_expected(drives, pages, rarity, passes);
-    assert!(expected > 0);
-
-    let run = |mode: ParMode, fuse: &str| {
-        // `Simulation::new` samples BISCUIT_FUSE at construction; scope the
-        // override to this closure (the other tests in this file always
-        // call `set_fuse` explicitly, so they are insensitive to it).
-        std::env::set_var("BISCUIT_FUSE", fuse);
+    let run = |mode: ParMode, lookahead: Option<SimDuration>, fuse: bool| {
         let cfg = FleetConfig {
-            drives,
+            drives: 2,
             seed: 7,
             metrics: true,
             trace: Some(TraceConfig::default()),
-            qprof: false,
-            par: ParConfig {
-                mode,
-                lookahead: Some(SimDuration::from_micros(200)),
-            },
+            qprof: true,
+            par: ParConfig { mode, lookahead },
         };
-        let report = fleet_grep(&cfg, pages, rarity, passes);
-        std::env::remove_var("BISCUIT_FUSE");
+        let report = SsdArray::scatter_parallel::<u64, _, _>(
+            &cfg,
+            move |i, sim| {
+                sim.set_fuse(fuse);
+                drive(i, 100 + i as u64, 24)
+            },
+            |ctx, shard, tx| {
+                let mid = load_grep_module(ctx, &shard.ssd).unwrap();
+                let file = shard.ssd.fs().open("log", Mode::ReadOnly).unwrap();
+                for _ in 0..2 {
+                    let span = ctx.qprof().begin_query(ctx, shard.id as u32);
+                    tx.send(biscuit_grep(ctx, &shard.ssd, mid, &file, NEEDLE.as_bytes()).unwrap());
+                    if let Some(sc) = span {
+                        ctx.qprof().end_query(ctx, sc);
+                    }
+                }
+            },
+        );
         report.assert_quiescent();
         (
             report.items.clone(),
             report.trace_json(),
             report.metrics_json(),
+            report.profiles_json(),
             report.events_processed(),
         )
     };
 
-    let reference = run(ParMode::Single, "0");
-    assert_eq!(
-        reference.0.iter().map(|(_, c)| *c).sum::<u64>(),
-        expected,
-        "fleet count"
-    );
+    let reference = run(ParMode::Single, None, false);
+    assert!(reference.0.iter().all(|(_, count)| *count > 0));
     for mode in [ParMode::Single, ParMode::PerShard, ParMode::Threads(2)] {
-        for fuse in ["0", "1"] {
-            let got = run(mode, fuse);
-            assert_eq!(got.0, reference.0, "{mode:?}/fuse={fuse}: merged items");
-            assert_eq!(got.1, reference.1, "{mode:?}/fuse={fuse}: trace export");
-            assert_eq!(got.2, reference.2, "{mode:?}/fuse={fuse}: metrics export");
-            assert_eq!(got.3, reference.3, "{mode:?}/fuse={fuse}: event count");
+        for lookahead in [None, Some(SimDuration::from_micros(200))] {
+            for fuse in [false, true] {
+                let got = run(mode, lookahead, fuse);
+                assert_eq!(got, reference, "{mode:?}/{lookahead:?}/fuse={fuse}");
+            }
         }
     }
 }
