@@ -94,12 +94,8 @@ struct Grep {
 
 impl Ssdlet for Grep {
     fn run(&mut self, ctx: &mut TaskCtx<'_>) {
-        let limits = PatternLimits {
-            max_keys: ctx.device().config().pm_max_keys,
-            max_key_len: ctx.device().config().pm_max_key_len,
-        };
-        let pattern = PatternSet::new(vec![self.args.needle.clone()], limits)
-            .expect("needle validated by caller");
+        let pattern = needle_pattern(ctx.device().config(), &self.args.needle)
+            .expect("needle validated before the application started");
         let hits = self
             .args
             .file
@@ -116,12 +112,30 @@ impl Ssdlet for Grep {
     }
 }
 
+/// The one-key matcher configuration for `needle` on a drive configured as
+/// `config`.
+///
+/// # Errors
+///
+/// Returns [`BiscuitError::BadArgument`] for a needle the drive's matcher
+/// cannot hold (empty, or longer than `pm_max_key_len`).
+fn needle_pattern(config: &SsdConfig, needle: &[u8]) -> BiscuitResult<PatternSet> {
+    let limits = PatternLimits {
+        max_keys: config.pm_max_keys,
+        max_key_len: config.pm_max_key_len,
+    };
+    PatternSet::new(vec![needle.to_vec()], limits)
+        .map_err(|e| BiscuitError::BadArgument(format!("grep needle: {e}")))
+}
+
 /// Device-side `grep` over the Biscuit framework: returns the occurrence
 /// count. `module` is the pre-loaded [`grep_module`].
 ///
 /// # Errors
 ///
-/// Returns framework errors.
+/// Returns [`BiscuitError::BadArgument`] for a needle the matcher cannot
+/// hold, [`BiscuitError::SsdletPanicked`] if the grep SSDlet died, and
+/// other framework errors.
 pub fn biscuit_grep(
     ctx: &Ctx,
     ssd: &Ssd,
@@ -129,6 +143,7 @@ pub fn biscuit_grep(
     file: &File,
     needle: &[u8],
 ) -> BiscuitResult<u64> {
+    needle_pattern(ssd.device().config(), needle)?;
     let app = Application::new(ssd, "grep");
     let g = app.ssdlet_with(
         module,
@@ -141,7 +156,7 @@ pub fn biscuit_grep(
     let rx = app.connect_to::<u64>(g.out(0))?;
     app.start(ctx)?;
     let count = rx.get(ctx).unwrap_or(0);
-    app.join(ctx);
+    app.join_checked(ctx)?;
     Ok(count)
 }
 
@@ -185,7 +200,9 @@ impl ArrayGrep {
     ///
     /// # Errors
     ///
-    /// Returns filesystem/framework errors from the fallback path.
+    /// Returns [`BiscuitError::BadArgument`] for a needle some drive's
+    /// matcher cannot hold, and filesystem/framework errors from the
+    /// fallback path.
     pub fn run(
         &self,
         ctx: &Ctx,
@@ -194,6 +211,9 @@ impl ArrayGrep {
         needle: &[u8],
         load: HostLoad,
     ) -> BiscuitResult<u64> {
+        for shard in array.shards() {
+            needle_pattern(shard.ssd.device().config(), needle)?;
+        }
         let modules = self.modules.clone();
         let job_path = path.to_string();
         let job_needle = needle.to_vec();
@@ -410,6 +430,46 @@ mod tests {
         assert!(expected > 0);
         assert_eq!(results[0], expected, "conv count");
         assert_eq!(results[1], expected, "biscuit count");
+    }
+
+    #[test]
+    fn needles_the_matcher_cannot_hold_are_errors_not_zero_counts() {
+        use biscuit_host::array::{ArrayConfig, SsdArray};
+
+        let (ssd, _conv, file, _) = setup(8);
+        let array = SsdArray::new(
+            vec![ssd.clone()],
+            HostConfig::paper_default(),
+            ArrayConfig::default(),
+        );
+        let sim = Simulation::new(0);
+        let results = Arc::new(Mutex::new(Vec::new()));
+        let r = Arc::clone(&results);
+        sim.spawn("host", move |ctx| {
+            let module = load_grep_module(ctx, &ssd).unwrap();
+            let grep = ArrayGrep::prepare(ctx, &array).unwrap();
+            let mut got = Vec::new();
+            for needle in [&b""[..], &[b'x'; 17][..]] {
+                got.push(biscuit_grep(ctx, &ssd, module, &file, needle));
+                got.push(grep.run(ctx, &array, "weblog", needle, HostLoad::IDLE));
+            }
+            // The longest key the matcher holds is still accepted.
+            got.push(biscuit_grep(ctx, &ssd, module, &file, &[b'x'; 16]));
+            *r.lock() = got;
+        });
+        sim.run().assert_quiescent();
+        let results = results.lock();
+        for r in &results[..4] {
+            assert!(
+                matches!(r, Err(BiscuitError::BadArgument(_))),
+                "invalid needle gave {r:?}"
+            );
+        }
+        assert!(
+            matches!(results[4], Ok(0)),
+            "16-byte needle gave {:?}",
+            results[4]
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ const PATHS: [&str; 8] = [
     "/health",
     "/search?q=biscuit",
 ];
-const CODES: [u32; 6] = [200, 200, 200, 304, 404, 500];
+const CODES: [&str; 6] = ["200", "200", "200", "304", "404", "500"];
 
 /// Deterministic page-aligned web-log generator.
 ///
@@ -43,31 +43,40 @@ impl WeblogGen {
         WeblogGen { seed, needle_every }
     }
 
-    fn line(&self, rng: &mut SmallRng, global_line: u64) -> String {
-        let ip = format!(
-            "{}.{}.{}.{}",
-            rng.random_range(1..255),
-            rng.random_range(0..255),
-            rng.random_range(0..255),
-            rng.random_range(1..255)
-        );
-        let tag =
-            if self.needle_every > 0 && global_line % self.needle_every == self.needle_every / 2 {
-                format!(" {NEEDLE}")
-            } else {
-                String::new()
-            };
-        format!(
-            "{ip} - - [17/Jan/1995:{:02}:{:02}:{:02}] \"{} {} HTTP/1.1\" {} {}{}\n",
-            rng.random_range(0..24),
-            rng.random_range(0..60),
-            rng.random_range(0..60),
-            METHODS[rng.random_range(0..METHODS.len())],
-            PATHS[rng.random_range(0..PATHS.len())],
-            CODES[rng.random_range(0..CODES.len())],
-            rng.random_range(64..65_536),
-            tag
-        )
+    /// Replaces `line` with log line number `global_line`.
+    ///
+    /// The draws keep the order and the integer types (`i32` except the
+    /// three table indices) that page contents have always been sampled
+    /// with: `rand` samples each type its own way, so changing either would
+    /// change every page.
+    fn write_line(&self, rng: &mut SmallRng, global_line: u64, line: &mut Vec<u8>) {
+        line.clear();
+        push_dec(line, rng.random_range(1..255i32));
+        line.push(b'.');
+        push_dec(line, rng.random_range(0..255i32));
+        line.push(b'.');
+        push_dec(line, rng.random_range(0..255i32));
+        line.push(b'.');
+        push_dec(line, rng.random_range(1..255i32));
+        line.extend_from_slice(b" - - [17/Jan/1995:");
+        push_2d(line, rng.random_range(0..24i32));
+        line.push(b':');
+        push_2d(line, rng.random_range(0..60i32));
+        line.push(b':');
+        push_2d(line, rng.random_range(0..60i32));
+        line.extend_from_slice(b"] \"");
+        line.extend_from_slice(METHODS[rng.random_range(0..METHODS.len())].as_bytes());
+        line.push(b' ');
+        line.extend_from_slice(PATHS[rng.random_range(0..PATHS.len())].as_bytes());
+        line.extend_from_slice(b" HTTP/1.1\" ");
+        line.extend_from_slice(CODES[rng.random_range(0..CODES.len())].as_bytes());
+        line.push(b' ');
+        push_dec(line, rng.random_range(64..65_536i32));
+        if self.needle_every > 0 && global_line % self.needle_every == self.needle_every / 2 {
+            line.push(b' ');
+            line.extend_from_slice(NEEDLE.as_bytes());
+        }
+        line.push(b'\n');
     }
 
     /// Generates `total_bytes` of log as contiguous pages (for materialized
@@ -107,10 +116,82 @@ impl PageGen for WeblogGen {
         // Lines per page vary with line lengths; assign deterministic global
         // line numbers by reserving a fixed per-page budget.
         let line_budget = (page_size / 96) as u64;
+        // Exactly `page_size`: the device keeps every cached page, so a
+        // roomier buffer truncated to size would grow the resident set.
         let mut page = Vec::with_capacity(page_size);
+        let mut line = Vec::with_capacity(128);
+        for i in 0..line_budget {
+            self.write_line(&mut rng, lpn * line_budget + i, &mut line);
+            if page.len() + line.len() > page_size {
+                break;
+            }
+            page.extend_from_slice(&line);
+        }
+        page.resize(page_size, b'\n');
+        page
+    }
+}
+
+/// Appends a non-negative `v` in decimal.
+fn push_dec(out: &mut Vec<u8>, v: i32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut v = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `v` in `0..100` as two decimal digits.
+fn push_2d(out: &mut Vec<u8>, v: i32) {
+    out.extend_from_slice(&[b'0' + (v / 10) as u8, b'0' + (v % 10) as u8]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `format!`-based builder `generate` had before it wrote bytes in
+    /// place, kept as the reference its pages must equal byte for byte.
+    fn reference_line(g: &WeblogGen, rng: &mut SmallRng, global_line: u64) -> String {
+        let ip = format!(
+            "{}.{}.{}.{}",
+            rng.random_range(1..255),
+            rng.random_range(0..255),
+            rng.random_range(0..255),
+            rng.random_range(1..255)
+        );
+        let tag = if g.needle_every > 0 && global_line % g.needle_every == g.needle_every / 2 {
+            format!(" {NEEDLE}")
+        } else {
+            String::new()
+        };
+        format!(
+            "{ip} - - [17/Jan/1995:{:02}:{:02}:{:02}] \"{} {} HTTP/1.1\" {} {}{}\n",
+            rng.random_range(0..24),
+            rng.random_range(0..60),
+            rng.random_range(0..60),
+            METHODS[rng.random_range(0..METHODS.len())],
+            PATHS[rng.random_range(0..PATHS.len())],
+            CODES[rng.random_range(0..CODES.len())],
+            rng.random_range(64..65_536),
+            tag
+        )
+    }
+
+    fn reference_page(g: &WeblogGen, lpn: u64, page_size: usize) -> Vec<u8> {
+        let mut rng = SmallRng::seed_from_u64(g.seed ^ (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let line_budget = (page_size / 96) as u64;
+        let mut page = Vec::new();
         let mut i = 0u64;
         loop {
-            let line = self.line(&mut rng, lpn * line_budget + i);
+            let line = reference_line(g, &mut rng, lpn * line_budget + i);
             if page.len() + line.len() > page_size || i >= line_budget {
                 break;
             }
@@ -120,11 +201,35 @@ impl PageGen for WeblogGen {
         page.resize(page_size, b'\n');
         page
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn pages_equal_the_format_reference() {
+        // 97 has a one-line budget; the small pages, and 4096 when every
+        // line carries the needle, stop at a line that does not fit; the
+        // rest run out of budget first.
+        for seed in [0, 7, 0xB15C, u64::MAX] {
+            for needle_every in [0, 1, 50, 1000] {
+                let g = WeblogGen::new(seed, needle_every);
+                for page_size in [97, 200, 4096, 16384] {
+                    for lpn in (0..60).chain([1 << 20, 1 << 40, u64::MAX / 200, 12345]) {
+                        assert_eq!(
+                            g.generate(lpn, page_size),
+                            reference_page(&g, lpn, page_size),
+                            "seed {seed} needle_every {needle_every} page {page_size} lpn {lpn}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_buffer_is_not_over_allocated() {
+        let g = WeblogGen::new(1, 50);
+        for page_size in [97, 4096, 16 << 10] {
+            assert_eq!(g.generate(3, page_size).capacity(), page_size);
+        }
+    }
 
     #[test]
     fn pages_are_deterministic() {

@@ -65,9 +65,21 @@ impl BoyerMoore {
         if m > n || from > n - m {
             return None;
         }
-        let mut s = from;
-        while s <= n - m {
-            let mut j = m;
+        let last = self.pattern[m - 1];
+        // `end` is the text index under the pattern's last byte.
+        let mut end = from + m - 1;
+        while end < n {
+            // Skip loop (Horspool, as in GNU grep): most windows end in a
+            // byte that is not the pattern's last, and then the
+            // bad-character distance of that one byte is a safe shift that
+            // needs neither the right-to-left verify nor the shift maths.
+            let c = text[end];
+            if c != last {
+                end += self.bad_char[c as usize];
+                continue;
+            }
+            let s = end + 1 - m;
+            let mut j = m - 1;
             while j > 0 && self.pattern[j - 1] == text[s + j - 1] {
                 j -= 1;
             }
@@ -77,7 +89,7 @@ impl BoyerMoore {
             let bc = self.bad_char[text[s + j - 1] as usize];
             let bc_shift = bc.saturating_sub(m - j).max(1);
             let gs_shift = self.good_suffix[j];
-            s += bc_shift.max(gs_shift);
+            end += bc_shift.max(gs_shift);
         }
         None
     }

@@ -50,7 +50,11 @@ impl Buf {
         }
     }
 
-    /// Wraps a vector without copying it.
+    /// Takes over a vector's bytes. No copy is *modelled* (nothing is charged
+    /// to the simulated data path), but the simulator does make one: an
+    /// `Arc<[u8]>` keeps its reference counts in the same allocation as the
+    /// bytes, so `Arc::from(Box<[u8]>)` allocates that block, memcpys the
+    /// vector into it and frees the vector. Clones and slices then share it.
     pub fn from_vec(v: Vec<u8>) -> Buf {
         let data: Arc<[u8]> = Arc::from(v.into_boxed_slice());
         let len = data.len();

@@ -181,22 +181,43 @@ impl PatternSet {
     }
 }
 
-/// Substring search used by the matcher model. A straightforward memcmp scan
-/// is plenty here: the *timing* of matching is modeled by the channel-rate
-/// shaper in the device datapath, not by host CPU cycles.
+/// Haystack positions examined per step of [`find_sub`]'s pair filter.
+const BLOCK: usize = 32;
+
+/// Substring search used by the matcher model. Virtual *timing* comes from
+/// the channel-rate shaper in the device datapath, but every scanned page
+/// really runs through here, and a byte-at-a-time walk made this the
+/// simulator's hottest loop. So candidates are filtered a block at a time:
+/// position `i` can start a hit only if `haystack[i]` is the needle's first
+/// byte and `haystack[i + m - 1]` its last. Comparing `BLOCK` positions of
+/// both lanes and OR-ing the results into one flag has fixed-size,
+/// branch-free inner loops that LLVM turns into vector compares on every
+/// baseline target; only a flagged block is verified byte by byte.
 fn find_sub(haystack: &[u8], needle: &[u8]) -> Option<usize> {
-    if needle.is_empty() || needle.len() > haystack.len() {
+    let m = needle.len();
+    if m == 0 || m > haystack.len() {
         return None;
     }
-    let first = needle[0];
-    let mut i = 0;
-    while i + needle.len() <= haystack.len() {
-        if haystack[i] == first && &haystack[i..i + needle.len()] == needle {
-            return Some(i);
+    let (first, last) = (needle[0], needle[m - 1]);
+    // One entry per candidate start: its first byte, and its last byte.
+    let firsts = &haystack[..=haystack.len() - m];
+    let lasts = &haystack[m - 1..];
+    let verify = |mut range: std::ops::Range<usize>| {
+        range.find(|&i| firsts[i] == first && lasts[i] == last && &haystack[i..i + m] == needle)
+    };
+    let blocks = firsts.chunks_exact(BLOCK).zip(lasts.chunks_exact(BLOCK));
+    for (b, (f, l)) in blocks.enumerate() {
+        let mut flag = false;
+        for (&x, &y) in f.iter().zip(l) {
+            flag |= (x == first) & (y == last);
         }
-        i += 1;
+        if flag {
+            if let Some(i) = verify(b * BLOCK..(b + 1) * BLOCK) {
+                return Some(i);
+            }
+        }
     }
-    None
+    verify(firsts.len() / BLOCK * BLOCK..firsts.len())
 }
 
 #[cfg(test)]
