@@ -13,6 +13,7 @@
 //!    the join order, which multiplies the win on block nested-loop joins
 //!    (the paper's Q14 effect).
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -34,7 +35,7 @@ use crate::offload::{scan_module, AggArgs, ScanArgs, AGGREGATE_ID, SCAN_FILTER_I
 use crate::schema::{Catalog, Schema, TableMeta};
 use crate::spec::{ExecMode, SelectSpec};
 use crate::table;
-use crate::value::Row;
+use crate::value::{Row, Value};
 
 /// Engine tuning parameters.
 #[derive(Debug, Clone)]
@@ -151,6 +152,32 @@ pub struct QueryOutput {
     pub rows: Vec<Row>,
     /// Execution statistics.
     pub stats: QueryStats,
+}
+
+/// One scan's result without a copy: a shared row snapshot and the indices
+/// of the rows that qualify (`None`: all of them). A Conv scan selects out
+/// of the row cache; an NDP scan owns the rows the device sent.
+struct Selection {
+    rows: Arc<Vec<Row>>,
+    sel: Option<Vec<u32>>,
+}
+
+impl Selection {
+    fn len(&self) -> usize {
+        self.sel.as_ref().map_or(self.rows.len(), Vec::len)
+    }
+
+    /// The qualifying rows, in table order.
+    fn iter(&self) -> impl Iterator<Item = &Row> {
+        let (picked, all): (&[u32], &[Row]) = match &self.sel {
+            Some(sel) => (sel, &[]),
+            None => (&[], &self.rows),
+        };
+        picked
+            .iter()
+            .map(|&i| &self.rows[i as usize])
+            .chain(all.iter())
+    }
 }
 
 /// The mini DB engine (the MariaDB/XtraDB stand-in).
@@ -293,14 +320,12 @@ impl Db {
             return Ok(Arc::clone(rows));
         }
         let mut rows = Vec::with_capacity(meta.rows as usize);
-        for lpn_idx in 0..meta.pages {
-            let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
-            let lpns =
-                file.lpns_for_range(lpn_idx * self.page_size() as u64, self.page_size() as u64)?;
+        let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
+        for lpn in file.lpns_for_range(0, meta.pages * self.page_size() as u64)? {
             let page = self
                 .ssd
                 .device()
-                .peek_page(lpns[0])
+                .peek_page(lpn)
                 .map_err(|e| DbError::Fs(biscuit_fs::FsError::Device(e)))?;
             rows.extend(table::parse_page(&meta.schema, &meta.name, &page)?);
         }
@@ -451,7 +476,7 @@ impl Db {
         spec: &SelectSpec,
         plans: &[ScanPlan],
         load: HostLoad,
-    ) -> DbResult<Vec<Row>> {
+    ) -> DbResult<Selection> {
         let scan = &spec.scans[scan_idx];
         let meta = self.meta(&scan.table)?;
         match &plans[scan_idx].offload_keys {
@@ -461,14 +486,21 @@ impl Db {
     }
 
     /// Conventional scan: stream the whole table over the link, parse and
-    /// filter on the host. I/O and CPU pipeline (single reader thread).
+    /// filter on the host.
     fn scan_conv(
         &self,
         ctx: &Ctx,
         meta: &TableMeta,
         predicate: Option<&Expr>,
         load: HostLoad,
-    ) -> DbResult<Vec<Row>> {
+    ) -> DbResult<Selection> {
+        self.charge_conv_scan(ctx, meta, load)?;
+        self.select_rows(meta, predicate)
+    }
+
+    /// Timing half of a Conv scan: the reads and the host CPU that parses and
+    /// filters behind them. I/O and CPU pipeline (single reader thread).
+    fn charge_conv_scan(&self, ctx: &Ctx, meta: &TableMeta, load: HostLoad) -> DbResult<()> {
         let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
         let ps = self.page_size() as u64;
         let chunk_pages = (self.cfg.scan_request_pages * self.cfg.scan_queue_depth) as u64;
@@ -497,12 +529,15 @@ impl Db {
         let t_cpu = ctx.now();
         ctx.sleep(cpu_backlog);
         ctx.qprof().record(Stage::HostCompute, t_cpu, ctx.now(), 0, 0);
-        // Functional result (cached parse; the timing above covers it).
-        let all = self.table_rows(meta)?;
-        match predicate {
-            None => Ok(all.as_ref().clone()),
-            Some(p) => exec::filter_ref(p, &all),
-        }
+        Ok(())
+    }
+
+    /// Functional half of a Conv scan (cached parse; [`Db::charge_conv_scan`]
+    /// covers its time): which of the table's rows pass the local predicate.
+    fn select_rows(&self, meta: &TableMeta, predicate: Option<&Expr>) -> DbResult<Selection> {
+        let rows = self.table_rows(meta)?;
+        let sel = predicate.map(|p| exec::select(p, &rows)).transpose()?;
+        Ok(Selection { rows, sel })
     }
 
     /// NDP scan: dispatch the scan-filter SSDlet via the Biscuit framework
@@ -514,7 +549,7 @@ impl Db {
         predicate: &Expr,
         keys: &[Vec<u8>],
         load: HostLoad,
-    ) -> DbResult<Vec<Row>> {
+    ) -> DbResult<Selection> {
         let mid = self.ensure_scan_module(ctx)?;
         let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
         let app = Application::new(&self.ssd, format!("scan-{}", meta.name));
@@ -576,7 +611,6 @@ impl Db {
             // re-run the scan on the host path. Results stay byte-identical
             // because both paths evaluate the same predicate over the same
             // cached rows.
-            rows.clear();
             if let Some(registry) = self.ssd.metrics() {
                 if registry.is_enabled() {
                     registry
@@ -605,7 +639,10 @@ impl Db {
             }
             return recovered;
         }
-        Ok(rows)
+        Ok(Selection {
+            rows: Arc::new(rows),
+            sel: None,
+        })
     }
 
     /// Extension: scan + aggregate entirely on the device. The scan SSDlet
@@ -873,7 +910,33 @@ impl Db {
             }
         }
 
-        let order = self.join_order(spec, &plans)?;
+        let rows = self.join_and_shape(ctx, spec, &plans, load)?;
+        let stats = QueryStats {
+            offloaded_tables: spec
+                .scans
+                .iter()
+                .zip(&plans)
+                .filter(|(_, p)| p.offload_keys.is_some())
+                .map(|(s, _)| s.table.clone())
+                .collect(),
+            link_bytes_to_host: self.ssd.link().bytes_to_host() - link0,
+            device_pages_scanned: self.ssd.device().stats().pages_scanned.get() - dev0,
+            rows_out: rows.len(),
+            elapsed: ctx.now() - t0,
+        };
+        Ok(QueryOutput { rows, stats })
+    }
+
+    /// Scans the tables in join order, joins them block by block, and shapes
+    /// the result.
+    fn join_and_shape(
+        &self,
+        ctx: &Ctx,
+        spec: &SelectSpec,
+        plans: &[ScanPlan],
+        load: HostLoad,
+    ) -> DbResult<Vec<Row>> {
+        let order = self.join_order(spec, plans)?;
 
         // Global flat row layout.
         let mut offsets = Vec::with_capacity(spec.scans.len());
@@ -883,10 +946,23 @@ impl Db {
             width += self.meta(&scan.table)?.schema.len();
         }
 
-        // First table.
+        // First table. A single-scan query's global row *is* the table
+        // row, so shaping runs straight off the selection's references.
         let first = order[0];
-        let local = self.scan_local(ctx, first, spec, &plans, load)?;
-        let mut acc = exec::widen(local, offsets[first], width);
+        let local = self.scan_local(ctx, first, spec, plans, load)?;
+        if order.len() == 1 {
+            return self.shape(ctx, spec, load, local.iter().collect(), Row::clone);
+        }
+        // Joins clone the first table's cells once, directly into the global
+        // flat row.
+        let mut acc: Vec<Row> = local
+            .iter()
+            .map(|r| {
+                let mut wide = vec![Value::Int(0); width];
+                wide[offsets[first]..][..r.len()].clone_from_slice(r);
+                wide
+            })
+            .collect();
         let mut joined: HashSet<usize> = [first].into();
 
         // Subsequent tables: block nested-loop with inner re-scans.
@@ -902,69 +978,85 @@ impl Db {
                     edges_out.push(offsets[e.left] + e.left_col);
                 }
             }
-            let mut out = Vec::new();
-            if acc.is_empty() {
-                // No outer rows: the BNL join performs no inner scans.
+            // A host-scanned inner selects the same rows for every block:
+            // compute the selection once (never for an empty outer, which
+            // performs no inner scan) and replay only the scan's time per
+            // block. An offloaded inner runs its SSDlet per block — there
+            // data and timing are one thing.
+            let scan = &spec.scans[next];
+            let meta = self.meta(&scan.table)?;
+            let conv_inner = if plans[next].offload_keys.is_none() && !acc.is_empty() {
+                Some(self.select_rows(meta, scan.predicate.as_ref())?)
             } else {
-                for block in acc.chunks(self.cfg.bnl_block_rows.max(1)) {
-                    // Re-scan the inner table for every outer block — the
-                    // I/O amplification that makes join order matter.
-                    let inner = self.scan_local(ctx, next, spec, &plans, load)?;
-                    // Probe cost on the host.
-                    self.charge_host_rows(ctx, (inner.len() * 16) as u64, load);
-                    if edges_in.is_empty() {
-                        exec::cross_block(block, &inner, offsets[next], &mut out);
-                    } else {
-                        exec::hash_probe_block(
-                            block,
-                            &edges_out,
-                            &inner,
-                            &edges_in,
-                            offsets[next],
-                            &mut out,
-                        );
+                None
+            };
+            let mut out = Vec::new();
+            for block in acc.chunks(self.cfg.bnl_block_rows.max(1)) {
+                // Re-scan the inner table for every outer block — the
+                // I/O amplification that makes join order matter.
+                let ndp_inner;
+                let inner = match &conv_inner {
+                    Some(selection) => {
+                        self.charge_conv_scan(ctx, meta, load)?;
+                        selection
                     }
+                    None => {
+                        ndp_inner = self.scan_local(ctx, next, spec, plans, load)?;
+                        &ndp_inner
+                    }
+                };
+                // Probe cost on the host.
+                self.charge_host_rows(ctx, (inner.len() * 16) as u64, load);
+                if edges_in.is_empty() {
+                    exec::cross_block(block, inner.iter(), offsets[next], &mut out);
+                } else {
+                    exec::hash_probe_block(
+                        block,
+                        &edges_out,
+                        inner.iter(),
+                        &edges_in,
+                        offsets[next],
+                        &mut out,
+                    );
                 }
             }
             acc = out;
             joined.insert(next);
         }
 
+        self.shape(ctx, spec, load, acc, std::convert::identity)
+    }
+
+    /// Residual predicate, aggregation or projection, ORDER BY and LIMIT over
+    /// the joined rows — owned wide rows, or references into a scan's
+    /// snapshot that `own` copies out only if the query returns them as is.
+    fn shape<R: Borrow<Row>>(
+        &self,
+        ctx: &Ctx,
+        spec: &SelectSpec,
+        load: HostLoad,
+        mut acc: Vec<R>,
+        own: impl Fn(R) -> Row,
+    ) -> DbResult<Vec<Row>> {
         // Residual predicate over the full row.
         if let Some(res) = &spec.residual {
             self.charge_host_rows(ctx, (acc.len() * 16) as u64, load);
             acc = exec::filter(res, acc)?;
         }
-
-        // Shaping.
         let mut rows = if !spec.aggregates.is_empty() {
             self.charge_host_rows(ctx, (acc.len() * 16) as u64, load);
-            let mut out = exec::aggregate(spec, &acc)?;
+            let mut out = exec::aggregate(spec, acc.iter().map(R::borrow))?;
             if let Some(h) = &spec.having {
                 out = exec::filter(h, out)?;
             }
             out
         } else if !spec.projection.is_empty() {
-            exec::project(&spec.projection, &acc)?
+            exec::project(&spec.projection, acc.iter().map(R::borrow))?
         } else {
-            acc
+            acc.into_iter().map(own).collect()
         };
         exec::order_and_limit(&mut rows, &spec.order_by, spec.limit);
-
-        let stats = QueryStats {
-            offloaded_tables: spec
-                .scans
-                .iter()
-                .zip(&plans)
-                .filter(|(_, p)| p.offload_keys.is_some())
-                .map(|(s, _)| s.table.clone())
-                .collect(),
-            link_bytes_to_host: self.ssd.link().bytes_to_host() - link0,
-            device_pages_scanned: self.ssd.device().stats().pages_scanned.get() - dev0,
-            rows_out: rows.len(),
-            elapsed: ctx.now() - t0,
-        };
-        Ok(QueryOutput { rows, stats })
+        Ok(rows)
     }
 }
 

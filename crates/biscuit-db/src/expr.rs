@@ -11,7 +11,7 @@
 //! Fig. 10.
 
 use crate::error::{DbError, DbResult};
-use crate::value::{format_date, Row, Value};
+use crate::value::{format_date, year_of, Row, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,13 +181,7 @@ impl Expr {
                 Ok(Value::Float(r))
             }
             Expr::Year(x) => match x.eval_cow(row)?.as_ref() {
-                Value::Date(d) => {
-                    let text = format_date(*d);
-                    let year: i64 = text[..4]
-                        .parse()
-                        .map_err(|_| DbError::TypeError("bad year".into()))?;
-                    Ok(Value::Int(year))
-                }
+                Value::Date(d) => Ok(Value::Int(i64::from(year_of(*d)))),
                 other => Err(DbError::TypeError(format!("YEAR of non-date {other:?}"))),
             },
             Expr::Case(cond, then, otherwise) => {
@@ -217,7 +211,7 @@ impl Expr {
     /// # Errors
     ///
     /// Returns [`DbError::TypeError`] as for [`Expr::eval`].
-    fn eval_cow<'a>(&'a self, row: &'a Row) -> DbResult<std::borrow::Cow<'a, Value>> {
+    pub(crate) fn eval_cow<'a>(&'a self, row: &'a Row) -> DbResult<std::borrow::Cow<'a, Value>> {
         match self {
             Expr::Col(i) => row
                 .get(*i)

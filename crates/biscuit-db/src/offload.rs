@@ -90,7 +90,7 @@ impl Ssdlet for Aggregator {
             .args
             .aggs
             .iter()
-            .map(|_| crate::exec::AggState::new())
+            .map(|(fun, _)| crate::exec::AggState::new(*fun))
             .collect();
         while let Some(batch) = ctx.recv::<Vec<Row>>(0).expect("typed input") {
             ctx.compute_bytes((batch.len() * 16 * self.args.aggs.len()) as u64);
@@ -102,13 +102,7 @@ impl Ssdlet for Aggregator {
                 }
             }
         }
-        let row: Row = self
-            .args
-            .aggs
-            .iter()
-            .zip(states.iter())
-            .map(|((fun, _), st)| st.finish(*fun))
-            .collect();
+        let row: Row = states.iter().map(crate::exec::AggState::finish).collect();
         ctx.send(0, vec![row]).expect("host port open");
     }
 }

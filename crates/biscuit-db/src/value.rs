@@ -103,12 +103,28 @@ impl Value {
 
     /// The on-flash text form of this value (what the pattern matcher sees).
     pub fn to_text(&self) -> String {
-        match self {
-            Value::Int(v) => v.to_string(),
-            Value::Float(v) => format!("{v:.2}"),
-            Value::Str(s) => s.clone(),
-            Value::Date(d) => format_date(*d),
-        }
+        let mut s = String::new();
+        self.write_text(&mut s);
+        s
+    }
+
+    /// Appends [`Value::to_text`] to `out` — for per-row callers that reuse
+    /// one buffer instead of allocating a `String` per cell.
+    pub fn write_text(&self, out: &mut String) {
+        use std::fmt::Write;
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Value::Int(v) => write!(out, "{v}"),
+            Value::Float(v) => write!(out, "{v:.2}"),
+            Value::Str(s) => {
+                out.push_str(s);
+                Ok(())
+            }
+            Value::Date(d) => {
+                let (y, m, d) = civil_from_days(*d);
+                write!(out, "{y:04}-{m:02}-{d:02}")
+            }
+        };
     }
 
     /// Parses the text form back, guided by the column type.
@@ -172,8 +188,13 @@ pub fn parse_date(s: &str) -> Option<i32> {
 
 /// `YYYY-MM-DD` for a days-since-epoch value.
 pub fn format_date(days: i32) -> String {
-    let (y, m, d) = civil_from_days(days);
-    format!("{y:04}-{m:02}-{d:02}")
+    Value::Date(days).to_text()
+}
+
+/// Calendar year of a days-since-epoch value (the `YYYY` of
+/// [`format_date`], without the text).
+pub fn year_of(days: i32) -> i32 {
+    civil_from_days(days).0
 }
 
 // Howard Hinnant's civil-days algorithms.
@@ -257,6 +278,38 @@ mod tests {
         assert_eq!(parse_date("1970-01-01"), Some(0));
         assert_eq!(parse_date("1970-01-02"), Some(1));
         assert_eq!(parse_date("1969-12-31"), Some(-1));
+    }
+
+    #[test]
+    fn year_of_is_the_formatted_year() {
+        for s in [
+            "1970-01-01",
+            "1995-01-17",
+            "1998-12-01",
+            "2000-02-29",
+            "1992-12-31",
+            "1969-12-31",
+            "1900-03-01",
+        ] {
+            let d = parse_date(s).unwrap();
+            assert_eq!(year_of(d), s[..4].parse::<i32>().unwrap(), "date {s}");
+            assert_eq!(format_date(d), s, "date {s}");
+        }
+    }
+
+    #[test]
+    fn write_text_appends_the_text_form() {
+        let mut buf = String::from(">");
+        for v in [
+            Value::Int(-42),
+            Value::Float(2.5),
+            Value::Str("a b".into()),
+            Value::date("1995-09-14"),
+        ] {
+            v.write_text(&mut buf);
+            buf.push('|');
+        }
+        assert_eq!(buf, ">-42|2.50|a b|1995-09-14|");
     }
 
     #[test]

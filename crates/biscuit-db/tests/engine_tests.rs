@@ -16,12 +16,16 @@ use biscuit_sim::Simulation;
 use biscuit_ssd::{SsdConfig, SsdDevice};
 
 fn make_db() -> Db {
+    make_db_with(DbConfig::paper_default())
+}
+
+fn make_db_with(cfg: DbConfig) -> Db {
     let dev = Arc::new(SsdDevice::new(SsdConfig {
         logical_capacity: 256 << 20,
         ..SsdConfig::paper_default()
     }));
     let ssd = Ssd::new(Fs::format(dev), CoreConfig::paper_default());
-    Db::new(ssd, HostConfig::paper_default(), DbConfig::paper_default())
+    Db::new(ssd, HostConfig::paper_default(), cfg)
 }
 
 /// items(id INT, category STR, price FLOAT, ship DATE): `rows` rows with a
@@ -431,4 +435,152 @@ fn host_timeout_falls_back_to_host_scan() {
         plan.recovered_at(FaultSite::Ssdlet) >= 1,
         "host fallback must be recorded as a recovery"
     );
+}
+
+// ---------- row executor: selections, one per join, re-scan still paid ----------
+
+/// owners(id INT, name STR): the outer side of the join tests.
+fn load_owners(db: &mut Db, rows: usize) {
+    let schema = Schema::new(&[("id", ColumnType::Int), ("name", ColumnType::Str)]);
+    let data: Vec<Row> = (0..rows)
+        .map(|i| vec![Value::Int(i as i64), Value::Str(format!("owner{i:05}"))])
+        .collect();
+    db.create_table("owners", schema, &data).unwrap();
+}
+
+/// owners ⋈ items on owners.id = items.id, items filtered on price.
+fn owners_items_join(owner_pred: Option<Expr>) -> SelectSpec {
+    let mut spec = SelectSpec::new("owners-items");
+    let owners = spec.scan("owners", owner_pred);
+    let items = spec.scan(
+        "items",
+        Some(Expr::col_cmp(2, CmpOp::Lt, Value::Float(50.0))),
+    );
+    spec.join(owners, 0, items, 0);
+    spec
+}
+
+/// A Conv join over `outer_rows` owners with `block_rows`-row blocks:
+/// its output and the pages the device read for it.
+fn run_conv_join(outer_rows: usize, block_rows: usize, spec: SelectSpec) -> (QueryOutput, u64, Db) {
+    let mut db = make_db_with(DbConfig {
+        bnl_block_rows: block_rows,
+        ..DbConfig::paper_default()
+    });
+    load_items(&mut db, 4_000, 500);
+    load_owners(&mut db, outer_rows);
+    let db = Arc::new(db);
+    let before = db.ssd().device().stats().pages_read.get();
+    let out = run_query(Arc::clone(&db), spec, ExecMode::Conv);
+    let pages = db.ssd().device().stats().pages_read.get() - before;
+    let db = Arc::try_unwrap(db).expect("query finished");
+    (out, pages, db)
+}
+
+#[test]
+fn inner_rescan_is_paid_once_per_outer_block() {
+    // 300 owners (one page set, smaller than items, so owners leads) in
+    // blocks of 100 rows: three blocks, three inner scans.
+    let (three, pages_three, db) = run_conv_join(300, 100, owners_items_join(None));
+    let (one, pages_one, _) = run_conv_join(300, 300, owners_items_join(None));
+    let outer_pages = db.catalog().table("owners").unwrap().pages;
+    let inner_pages = db.catalog().table("items").unwrap().pages;
+    assert!(inner_pages > outer_pages);
+    assert_eq!(pages_three, outer_pages + 3 * inner_pages);
+    assert_eq!(pages_one, outer_pages + inner_pages);
+
+    // Same rows either way: the selection is computed once, not per block.
+    assert_eq!(three.rows, one.rows);
+    assert_eq!(three.rows.len(), 150, "ids 0..300 with price < 50");
+
+    // What one inner scan costs on its own (on a drive nothing has used).
+    let mut scan_only = SelectSpec::new("items-only");
+    scan_only.scan(
+        "items",
+        Some(Expr::col_cmp(2, CmpOp::Lt, Value::Float(50.0))),
+    );
+    let mut fresh = make_db();
+    load_items(&mut fresh, 4_000, 500);
+    let inner_scan = run_query(Arc::new(fresh), scan_only, ExecMode::Conv);
+
+    let extra_link = three.stats.link_bytes_to_host - one.stats.link_bytes_to_host;
+    assert_eq!(extra_link, 2 * inner_scan.stats.link_bytes_to_host);
+    let extra_time = three.stats.elapsed - one.stats.elapsed;
+    let two_scans = inner_scan.stats.elapsed + inner_scan.stats.elapsed;
+    assert!(
+        extra_time >= two_scans,
+        "two more inner scans ({two_scans}) must cost at least their time, got {extra_time}"
+    );
+    assert!(
+        extra_time < two_scans + inner_scan.stats.elapsed,
+        "only the scans and their probes are extra: {extra_time} vs {two_scans}"
+    );
+}
+
+#[test]
+fn empty_outer_performs_no_inner_scan() {
+    let nobody = Expr::col_cmp(0, CmpOp::Lt, Value::Int(0));
+    let (out, pages, db) = run_conv_join(300, 100, owners_items_join(Some(nobody)));
+    assert!(out.rows.is_empty());
+    assert_eq!(pages, db.catalog().table("owners").unwrap().pages);
+}
+
+#[test]
+fn plain_scan_returns_owned_copies_of_the_loaded_rows() {
+    let schema = Schema::new(&[("id", ColumnType::Int), ("tag", ColumnType::Str)]);
+    let loaded: Vec<Row> = (0..2_000)
+        .map(|i| vec![Value::Int(i), Value::Str(format!("tag{:02}", i % 13))])
+        .collect();
+    let mut db = make_db();
+    db.create_table("tags", schema, &loaded).unwrap();
+    let db = Arc::new(db);
+
+    let pred = Expr::col_eq(1, Value::Str("tag07".into()));
+    let mut filtered = SelectSpec::new("filtered");
+    filtered.scan("tags", Some(pred.clone()));
+    let expected: Vec<Row> = loaded
+        .iter()
+        .filter(|r| pred.eval_bool(r).unwrap())
+        .cloned()
+        .collect();
+    let mut out = run_query(Arc::clone(&db), filtered.clone(), ExecMode::Conv);
+    assert_eq!(out.rows, expected);
+
+    // The result is the caller's: changing it does not reach the engine's
+    // cached snapshot.
+    out.rows[0][1] = Value::Str("scribbled".into());
+    assert_eq!(
+        run_query(Arc::clone(&db), filtered, ExecMode::Conv).rows,
+        expected
+    );
+
+    let mut everything = SelectSpec::new("everything");
+    everything.scan("tags", None);
+    assert_eq!(run_query(db, everything, ExecMode::Conv).rows, loaded);
+}
+
+/// The timed-out offload's fallback goes through the selection path: it must
+/// return exactly what a Conv run of the same query returns.
+#[test]
+fn host_timeout_fallback_returns_the_conv_rows() {
+    use biscuit_sim::fault::FaultConfig;
+    use biscuit_sim::time::SimDuration;
+    use biscuit_sim::FaultPlan;
+
+    let mut db = make_db();
+    load_items(&mut db, 30_000, 500);
+    let plan = FaultPlan::seeded(
+        7,
+        FaultConfig {
+            host_timeout: Some(SimDuration::from_nanos(50)),
+            ..FaultConfig::default()
+        },
+    );
+    db.ssd().attach_fault_plan(&plan);
+    let db = Arc::new(db);
+    let conv = run_query(Arc::clone(&db), selective_spec(), ExecMode::Conv);
+    let faulty = run_query(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
+    assert!(plan.failed_total() >= 1, "the offload must have timed out");
+    assert_eq!(faulty.rows.len(), 60);
+    assert_eq!(faulty.rows, conv.rows);
 }

@@ -1,0 +1,345 @@
+//! The row executor's hashed, allocation-free join and group keys must
+//! reproduce the `String`-keyed operators they replaced — the same output
+//! *sequence*, not just the same set, because downstream float sums add in
+//! that order. The replaced operators are kept below as references.
+
+use std::collections::HashMap;
+
+use proptest::prelude::*;
+
+use biscuit_db::exec;
+use biscuit_db::expr::{ArithOp, CmpOp, Expr};
+use biscuit_db::spec::{AggFun, SelectSpec};
+use biscuit_db::{Row, Value};
+
+// ---------- references: the operators as they were before ----------
+
+fn ref_text_key(row: &[Value], cols: &[usize]) -> String {
+    let mut s = String::new();
+    for &c in cols {
+        s.push_str(&row[c].to_text());
+        s.push('\u{1f}');
+    }
+    s
+}
+
+fn ref_hash_probe_block(
+    outer_block: &[Row],
+    outer_cols: &[usize],
+    inner_local: &[Row],
+    inner_cols: &[usize],
+    offset: usize,
+    out: &mut Vec<Row>,
+) {
+    let mut table: HashMap<String, Vec<usize>> = HashMap::new();
+    for (i, row) in outer_block.iter().enumerate() {
+        table
+            .entry(ref_text_key(row, outer_cols))
+            .or_default()
+            .push(i);
+    }
+    for inner in inner_local {
+        if let Some(matches) = table.get(&ref_text_key(inner, inner_cols)) {
+            for &oi in matches {
+                let mut merged = outer_block[oi].clone();
+                merged[offset..offset + inner.len()].clone_from_slice(inner);
+                out.push(merged);
+            }
+        }
+    }
+}
+
+struct RefAggState {
+    sum: f64,
+    count: u64,
+    min: Option<Value>,
+    max: Option<Value>,
+}
+
+impl RefAggState {
+    fn new() -> Self {
+        RefAggState {
+            sum: 0.0,
+            count: 0,
+            min: None,
+            max: None,
+        }
+    }
+
+    fn update(&mut self, v: &Value) {
+        self.count += 1;
+        if let Some(x) = v.as_f64() {
+            self.sum += x;
+        }
+        let better_min = self
+            .min
+            .as_ref()
+            .map(|m| v.compare(m).map(|o| o.is_lt()).unwrap_or(false))
+            .unwrap_or(true);
+        if better_min {
+            self.min = Some(v.clone());
+        }
+        let better_max = self
+            .max
+            .as_ref()
+            .map(|m| v.compare(m).map(|o| o.is_gt()).unwrap_or(false))
+            .unwrap_or(true);
+        if better_max {
+            self.max = Some(v.clone());
+        }
+    }
+
+    fn finish(&self, fun: AggFun) -> Value {
+        match fun {
+            AggFun::Sum => Value::Float(self.sum),
+            AggFun::Count => Value::Int(self.count as i64),
+            AggFun::Avg => {
+                if self.count == 0 {
+                    Value::Float(0.0)
+                } else {
+                    Value::Float(self.sum / self.count as f64)
+                }
+            }
+            AggFun::Min => self.min.clone().unwrap_or(Value::Int(0)),
+            AggFun::Max => self.max.clone().unwrap_or(Value::Int(0)),
+        }
+    }
+}
+
+fn ref_aggregate(spec: &SelectSpec, rows: &[Row]) -> Vec<Row> {
+    let new_states = || spec.aggregates.iter().map(|_| RefAggState::new()).collect();
+    let mut groups: HashMap<String, (Row, Vec<RefAggState>)> = HashMap::new();
+    for row in rows {
+        let gvals: Row = spec.group_by.iter().map(|e| e.eval(row).unwrap()).collect();
+        let entry = groups
+            .entry(exec::key_of(&gvals))
+            .or_insert_with(|| (gvals.clone(), new_states()));
+        for ((_, expr), st) in spec.aggregates.iter().zip(entry.1.iter_mut()) {
+            st.update(&expr.eval(row).unwrap());
+        }
+    }
+    if groups.is_empty() && spec.group_by.is_empty() {
+        groups.insert(String::new(), (Vec::new(), new_states()));
+    }
+    let mut out: Vec<Row> = groups
+        .into_values()
+        .map(|(gvals, states)| {
+            let mut row = gvals;
+            for ((fun, _), st) in spec.aggregates.iter().zip(states.iter()) {
+                row.push(st.finish(*fun));
+            }
+            row
+        })
+        .collect();
+    out.sort_by_key(|row| exec::key_of(row));
+    out
+}
+
+// ---------- inputs ----------
+
+/// Local row layout. Every domain is small, so keys repeat on both sides.
+const WIDTH: usize = 6;
+const C_INT: usize = 0;
+const C_FLOAT: usize = 1;
+const C_DATE: usize = 2;
+const C_STR: usize = 3;
+/// `Int` 41..=43 and the same numbers spelled as `Str` (plus a near miss).
+const C_NUM: usize = 4;
+const C_NUMTEXT: usize = 5;
+
+fn row_strategy() -> impl Strategy<Value = Row> {
+    (
+        0i64..6,
+        // Some of these differ only past the two decimals a key keeps.
+        proptest::sample::select(vec![
+            0.0, -0.0, 0.001, 0.004, 0.006, 1.25, 1.254, 1.256, 7.5,
+        ]),
+        -2i32..4,
+        proptest::sample::select(vec!["", "a", "b", "ab", "42", "MAIL"]),
+        41i64..44,
+        proptest::sample::select(vec!["41", "42", "43", "042"]),
+    )
+        .prop_map(|(i, f, d, s, n, t)| {
+            vec![
+                Value::Int(i),
+                Value::Float(f),
+                Value::Date(d),
+                Value::Str(s.to_owned()),
+                Value::Int(n),
+                Value::Str(t.to_owned()),
+            ]
+        })
+}
+
+fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
+    proptest::collection::vec(row_strategy(), 0..40)
+}
+
+/// One to three `(outer column, inner column)` join edges, including an
+/// `Int` column met by a `Str` column in both directions.
+fn edges_strategy() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    proptest::collection::vec(
+        proptest::sample::select(vec![
+            (C_INT, C_INT),
+            (C_FLOAT, C_FLOAT),
+            (C_DATE, C_DATE),
+            (C_STR, C_STR),
+            (C_NUM, C_NUM),
+            (C_NUM, C_NUMTEXT),
+            (C_NUMTEXT, C_NUM),
+            (C_STR, C_NUMTEXT),
+        ]),
+        1..4,
+    )
+}
+
+fn col(i: usize) -> Box<Expr> {
+    Box::new(Expr::Col(i))
+}
+
+fn group_expr_strategy() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        (0usize..WIDTH).prop_map(Expr::Col),
+        // Computed group values (owned, not borrowed from the row).
+        Just(Expr::Year(col(C_DATE))),
+        Just(Expr::Prefix(col(C_STR), 1)),
+    ]
+}
+
+fn agg_strategy() -> impl Strategy<Value = (AggFun, Expr)> {
+    (
+        proptest::sample::select(vec![
+            AggFun::Sum,
+            AggFun::Count,
+            AggFun::Avg,
+            AggFun::Min,
+            AggFun::Max,
+        ]),
+        prop_oneof![
+            (0usize..WIDTH).prop_map(Expr::Col),
+            Just(Expr::Lit(Value::Int(1))),
+            Just(Expr::Arith(ArithOp::Mul, col(C_FLOAT), col(C_INT))),
+        ],
+    )
+}
+
+/// Bit-exact, order-exact comparison: `Debug` spells `-0.0` and every
+/// distinct finite float differently.
+fn spelled(rows: &[Row]) -> String {
+    format!("{rows:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hash_probe_equals_string_keyed_reference(
+        outer_local in rows_strategy(),
+        inner in rows_strategy(),
+        edges in edges_strategy(),
+        inner_first in any::<bool>(),
+    ) {
+        // Global rows are `outer ++ inner` or `inner ++ outer` wide.
+        let (outer_at, inner_at) = if inner_first { (WIDTH, 0) } else { (0, WIDTH) };
+        let outer: Vec<Row> = outer_local
+            .iter()
+            .map(|r| {
+                let mut wide = vec![Value::Int(0); 2 * WIDTH];
+                wide[outer_at..outer_at + WIDTH].clone_from_slice(r);
+                wide
+            })
+            .collect();
+        let outer_cols: Vec<usize> = edges.iter().map(|&(o, _)| outer_at + o).collect();
+        let inner_cols: Vec<usize> = edges.iter().map(|&(_, i)| i).collect();
+
+        let mut expected = Vec::new();
+        ref_hash_probe_block(&outer, &outer_cols, &inner, &inner_cols, inner_at, &mut expected);
+
+        let mut owned = Vec::new();
+        exec::hash_probe_block(&outer, &outer_cols, &inner, &inner_cols, inner_at, &mut owned);
+        prop_assert_eq!(spelled(&owned), spelled(&expected));
+
+        let outer_refs: Vec<&Row> = outer.iter().collect();
+        let inner_refs: Vec<&Row> = inner.iter().collect();
+        let mut borrowed = Vec::new();
+        exec::hash_probe_block(
+            outer_refs,
+            &outer_cols,
+            inner_refs,
+            &inner_cols,
+            inner_at,
+            &mut borrowed,
+        );
+        prop_assert_eq!(spelled(&borrowed), spelled(&expected));
+    }
+
+    #[test]
+    fn aggregate_equals_string_keyed_reference(
+        rows in rows_strategy(),
+        group_by in proptest::collection::vec(group_expr_strategy(), 0..4),
+        aggregates in proptest::collection::vec(agg_strategy(), 1..6),
+    ) {
+        let mut spec = SelectSpec::new("prop");
+        spec.group_by = group_by;
+        spec.aggregates = aggregates;
+        let expected = ref_aggregate(&spec, &rows);
+
+        let owned = exec::aggregate(&spec, &rows).unwrap();
+        prop_assert_eq!(spelled(&owned), spelled(&expected));
+
+        let refs: Vec<&Row> = rows.iter().collect();
+        let borrowed = exec::aggregate(&spec, refs).unwrap();
+        prop_assert_eq!(spelled(&borrowed), spelled(&expected));
+    }
+
+    #[test]
+    fn selection_filters_agree(rows in rows_strategy(), bound in 0i64..6) {
+        let pred = Expr::col_cmp(C_INT, CmpOp::Lt, Value::Int(bound));
+        let expected: Vec<Row> = rows
+            .iter()
+            .filter(|r| pred.eval_bool(r).unwrap())
+            .cloned()
+            .collect();
+        let sel = exec::select(&pred, &rows).unwrap();
+        let picked: Vec<Row> = sel.iter().map(|&i| rows[i as usize].clone()).collect();
+        prop_assert_eq!(&picked, &expected);
+        prop_assert_eq!(&exec::filter_ref(&pred, &rows).unwrap(), &expected);
+        prop_assert_eq!(&exec::filter(&pred, rows.clone()).unwrap(), &expected);
+        let kept: Vec<Row> = exec::filter(&pred, rows.iter().collect::<Vec<&Row>>())
+            .unwrap()
+            .into_iter()
+            .cloned()
+            .collect();
+        prop_assert_eq!(&kept, &expected);
+    }
+}
+
+/// Where the new operators *must* differ from the references: two key
+/// tuples whose `\u{1f}`-joined texts coincide although their cells differ.
+#[test]
+fn references_merge_separator_twins_the_operators_do_not() {
+    let st = |s: &str| Value::Str(s.to_owned());
+    let left: Row = vec![st("a\u{1f}b"), st("c"), st(""), st("")];
+    let right: Row = vec![st("a"), st("b\u{1f}c")];
+
+    let mut joined = Vec::new();
+    ref_hash_probe_block(
+        std::slice::from_ref(&left),
+        &[0, 1],
+        std::slice::from_ref(&right),
+        &[0, 1],
+        2,
+        &mut joined,
+    );
+    assert_eq!(joined.len(), 1, "the reference no longer shows the bug");
+    joined.clear();
+    exec::hash_probe_block([&left], &[0, 1], [&right], &[0, 1], 2, &mut joined);
+    assert!(joined.is_empty());
+
+    let mut spec = SelectSpec::new("twins");
+    spec.group_by = vec![Expr::Col(0), Expr::Col(1)];
+    spec.aggregates = vec![(AggFun::Count, Expr::Lit(Value::Int(1)))];
+    let rows = vec![left[..2].to_vec(), right];
+    assert_eq!(ref_aggregate(&spec, &rows).len(), 1);
+    assert_eq!(exec::aggregate(&spec, &rows).unwrap().len(), 2);
+}
