@@ -356,39 +356,20 @@ impl Fs {
     ///
     /// Returns [`FsError::NotFound`] or [`FsError::NoSpace`].
     pub fn append_untimed(&self, path: &str, data: &[u8]) -> FsResult<()> {
-        let ps = self.inner.page_size as u64;
-        let (start_offset, lpn_writes) = {
-            let mut st = self.inner.state.lock();
-            let start = st
-                .files
-                .get(path)
-                .ok_or_else(|| FsError::NotFound(path.to_owned()))?
-                .size;
-            Self::grow_locked(&mut st, path, start + data.len() as u64, ps)?;
-            let inode = st.files.get_mut(path).expect("checked");
-            inode.size = start + data.len() as u64;
-            // Collect (lpn, page_offset_in_file) pairs touched by the append.
-            let first_page = start / ps;
-            let last_page = (start + data.len() as u64).div_ceil(ps);
-            let writes: Vec<(u64, u64)> = (first_page..last_page)
-                .map(|pi| (inode.lpn_of(pi), pi))
-                .collect();
-            (start, writes)
-        };
-        for (lpn, page_index) in lpn_writes {
-            let page_start = page_index * ps;
-            let mut page = if page_start < start_offset {
-                // Partially-filled head page: read-modify-write.
-                self.inner.device.peek_page(lpn)?.to_vec()
-            } else {
-                vec![0u8; ps as usize]
-            };
-            let copy_from = page_start.max(start_offset);
-            let copy_to = (page_start + ps).min(start_offset + data.len() as u64);
-            let dst = (copy_from - page_start) as usize..(copy_to - page_start) as usize;
-            let src = (copy_from - start_offset) as usize..(copy_to - start_offset) as usize;
-            page[dst].copy_from_slice(&data[src]);
-            self.inner.device.load_bytes(lpn, &page)?;
+        let device = &self.inner.device;
+        let end = self
+            .inner
+            .state
+            .lock()
+            .files
+            .get(path)
+            .ok_or_else(|| FsError::NotFound(path.to_owned()))?
+            .size;
+        let batch = stage_write(&self.inner, path, end, data, |lpn| {
+            Ok(device.peek_page(lpn)?)
+        })?;
+        for (lpn, page) in batch {
+            device.load_page(lpn, biscuit_ssd::PageData::Bytes(page))?;
         }
         self.sync_untimed()
     }
@@ -454,6 +435,63 @@ fn persist_metadata(inner: &FsInner) -> FsResult<()> {
     }
     inner.device.load_bytes(0, &bytes)?;
     Ok(())
+}
+
+/// The one grow-and-stage step behind every write: extends `path` to cover
+/// `[offset, offset + data.len())`, then fills one device page frame per
+/// touched page. A page the range only partly covers starts from its live
+/// contents (fetched through `read_page`, the caller's timed or untimed
+/// read) or from zeros past the old end of file.
+fn stage_write(
+    inner: &FsInner,
+    path: &str,
+    offset: u64,
+    data: &[u8],
+    mut read_page: impl FnMut(u64) -> FsResult<PageBuf>,
+) -> FsResult<Vec<(u64, PageBuf)>> {
+    let ps = inner.page_size as u64;
+    let end = offset + data.len() as u64;
+    let (old_size, lpn_writes) = {
+        let mut st = inner.state.lock();
+        let old = st
+            .files
+            .get(path)
+            .ok_or_else(|| FsError::NotFound(path.to_owned()))?
+            .size;
+        Fs::grow_locked(&mut st, path, end.max(old), ps)?;
+        let inode = st.files.get_mut(path).expect("checked");
+        inode.size = inode.size.max(end);
+        let writes: Vec<(u64, u64)> = (offset / ps..end.div_ceil(ps))
+            .map(|pi| (inode.lpn_of(pi), pi))
+            .collect();
+        (old, writes)
+    };
+    let mut batch = Vec::with_capacity(lpn_writes.len());
+    for (lpn, page_index) in lpn_writes {
+        let page_start = page_index * ps;
+        let page_end = page_start + ps;
+        let full_cover = offset <= page_start && end >= page_end;
+        let mut frame = inner.device.frame_pool().take();
+        let page = frame.as_mut_slice();
+        if !full_cover {
+            if page_start < old_size {
+                // Page holds live bytes outside the written range.
+                page.copy_from_slice(&read_page(lpn)?);
+            } else {
+                page.fill(0);
+            }
+        }
+        let copy_from = page_start.max(offset);
+        let copy_to = page_end.min(end);
+        let dst = (copy_from - page_start) as usize..(copy_to - page_start) as usize;
+        let src = (copy_from - offset) as usize..(copy_to - offset) as usize;
+        page[dst].copy_from_slice(&data[src]);
+        inner
+            .device
+            .count_copy(biscuit_ssd::CopySite::WriteStage, ps);
+        batch.push((lpn, frame.freeze()));
+    }
+    Ok(batch)
 }
 
 /// A file handle, usable from host fibers and SSDlet fibers alike.
@@ -545,17 +583,15 @@ impl File {
         Ok((first..last).map(|pi| inode.lpn_of(pi)).collect())
     }
 
-    /// Synchronous read: one device request covering the range, blocking the
-    /// fiber until the data arrives (paper's synchronous read API). Only the
-    /// touched bytes of each page occupy the channel buses.
+    /// Splits byte range `[offset, offset + len)` into per-page
+    /// `(lpn, bytes_touched)` spans: head and tail pages may be partial.
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::OutOfBounds`] or a device error.
-    pub fn read_at(&self, ctx: &Ctx, offset: u64, len: u64) -> FsResult<Vec<u8>> {
+    /// Returns [`FsError::OutOfBounds`] if the range exceeds the file.
+    pub fn page_spans(&self, offset: u64, len: u64) -> FsResult<Vec<(u64, usize)>> {
         let lpns = self.lpns_for_range(offset, len)?;
         let ps = self.inner.page_size as u64;
-        // Per-page byte spans (head and tail pages may be partial).
         let mut spans = Vec::with_capacity(lpns.len());
         let mut pos = offset;
         let end = offset + len;
@@ -565,6 +601,18 @@ impl File {
             spans.push((lpn, take as usize));
             pos += take;
         }
+        Ok(spans)
+    }
+
+    /// Synchronous read: one device request covering the range, blocking the
+    /// fiber until the data arrives (paper's synchronous read API). Only the
+    /// touched bytes of each page occupy the channel buses.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::OutOfBounds`] or a device error.
+    pub fn read_at(&self, ctx: &Ctx, offset: u64, len: u64) -> FsResult<Vec<u8>> {
+        let spans = self.page_spans(offset, len)?;
         let pages = self.inner.device.read_spans(ctx, &spans)?;
         Ok(self.slice_pages(&pages, offset, len))
     }
@@ -592,7 +640,11 @@ impl File {
         Ok(self.slice_pages(&pages, offset, len))
     }
 
-    fn slice_pages(&self, pages: &[PageBuf], offset: u64, len: u64) -> Vec<u8> {
+    /// Assembles the pages backing `[offset, offset + len)` into one
+    /// contiguous buffer, counted once as a
+    /// [`HostAssemble`](biscuit_ssd::CopySite::HostAssemble) copy. Every
+    /// read path that returns bytes rather than page buffers ends here.
+    pub fn slice_pages(&self, pages: &[PageBuf], offset: u64, len: u64) -> Vec<u8> {
         self.inner
             .device
             .count_copy(biscuit_ssd::CopySite::HostAssemble, len);
@@ -641,52 +693,6 @@ impl File {
             .collect())
     }
 
-    /// Timed append (the paper's asynchronous write + flush pair is modeled
-    /// as a blocking page-granular write).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::ReadOnly`], [`FsError::NoSpace`], or a device error.
-    pub fn append(&self, ctx: &Ctx, data: &[u8]) -> FsResult<()> {
-        if self.mode != Mode::ReadWrite {
-            return Err(FsError::ReadOnly(self.path.clone()));
-        }
-        let ps = self.inner.page_size as u64;
-        let (start_offset, lpn_writes) = {
-            let mut st = self.inner.state.lock();
-            let start = st
-                .files
-                .get(&self.path)
-                .ok_or_else(|| FsError::NotFound(self.path.clone()))?
-                .size;
-            Fs::grow_locked(&mut st, &self.path, start + data.len() as u64, ps)?;
-            let inode = st.files.get_mut(&self.path).expect("checked");
-            inode.size = start + data.len() as u64;
-            let first_page = start / ps;
-            let last_page = (start + data.len() as u64).div_ceil(ps);
-            let writes: Vec<(u64, u64)> = (first_page..last_page)
-                .map(|pi| (inode.lpn_of(pi), pi))
-                .collect();
-            (start, writes)
-        };
-        for (lpn, page_index) in lpn_writes {
-            let page_start = page_index * ps;
-            let mut page = if page_start < start_offset {
-                let bufs = self.inner.device.read_pages(ctx, &[lpn])?;
-                bufs[0].to_vec()
-            } else {
-                vec![0u8; ps as usize]
-            };
-            let copy_from = page_start.max(start_offset);
-            let copy_to = (page_start + ps).min(start_offset + data.len() as u64);
-            let dst = (copy_from - page_start) as usize..(copy_to - page_start) as usize;
-            let src = (copy_from - start_offset) as usize..(copy_to - start_offset) as usize;
-            page[dst].copy_from_slice(&data[src]);
-            self.inner.device.write_page(ctx, lpn, &page)?;
-        }
-        Ok(())
-    }
-
     /// Asynchronous write (paper §III-D): buffers `data` in the handle with
     /// no virtual-time cost. Call [`File::flush`] to make it durable.
     ///
@@ -707,8 +713,8 @@ impl File {
     }
 
     /// Synchronous flush (paper §III-D): appends everything buffered by
-    /// [`File::write_async`], pipelining page programs across the dies, and
-    /// blocks until all of it is on flash.
+    /// [`File::write_async`] — a [`File::write_at`] at the current end of
+    /// file — and blocks until all of it is on flash.
     ///
     /// # Errors
     ///
@@ -718,60 +724,16 @@ impl File {
             return Ok(());
         }
         let data = std::mem::take(&mut self.write_buffer);
-        let ps = self.inner.page_size as u64;
-        let (start_offset, lpn_writes) = {
-            let mut st = self.inner.state.lock();
-            let start = st
-                .files
-                .get(&self.path)
-                .ok_or_else(|| FsError::NotFound(self.path.clone()))?
-                .size;
-            Fs::grow_locked(&mut st, &self.path, start + data.len() as u64, ps)?;
-            let inode = st.files.get_mut(&self.path).expect("checked");
-            inode.size = start + data.len() as u64;
-            let first_page = start / ps;
-            let last_page = (start + data.len() as u64).div_ceil(ps);
-            let writes: Vec<(u64, u64)> = (first_page..last_page)
-                .map(|pi| (inode.lpn_of(pi), pi))
-                .collect();
-            (start, writes)
-        };
-        let mut batch: Vec<(u64, PageBuf)> = Vec::with_capacity(lpn_writes.len());
-        for (lpn, page_index) in lpn_writes {
-            let page_start = page_index * ps;
-            let mut frame = self.inner.device.frame_pool().take();
-            let page = frame.as_mut_slice();
-            if page_start < start_offset {
-                // Partially-filled head page: read-modify-write.
-                let bufs = self.inner.device.read_pages(ctx, &[lpn])?;
-                page.copy_from_slice(&bufs[0]);
-            } else {
-                page.fill(0);
-            }
-            let copy_from = page_start.max(start_offset);
-            let copy_to = (page_start + ps).min(start_offset + data.len() as u64);
-            let dst = (copy_from - page_start) as usize..(copy_to - page_start) as usize;
-            let src = (copy_from - start_offset) as usize..(copy_to - start_offset) as usize;
-            page[dst].copy_from_slice(&data[src]);
-            self.inner
-                .device
-                .count_copy(biscuit_ssd::CopySite::WriteStage, ps);
-            batch.push((lpn, frame.freeze()));
-        }
-        self.inner
-            .device
-            .write_bufs_async(ctx, &batch, 16)
-            .map_err(FsError::Device)?;
-        Ok(())
+        self.write_at(ctx, self.len()?, &data)
     }
 
     /// Positional timed write (paper §III-D `write`): overwrites bytes at
     /// `offset`, extending the file when the range runs past the current
     /// end. Head and tail pages only partially covered by the range are
-    /// read-modify-written; full pages are staged zero-copy into device
-    /// page frames and pipelined like [`File::flush`]. Writing the same
-    /// range twice is idempotent, which is what lets a host redo its write
-    /// phase after a power-loss recovery.
+    /// read-modify-written; every page is staged once into a device page
+    /// frame and the batch pipelines across the dies at queue depth 16.
+    /// Writing the same range twice is idempotent, which is what lets a
+    /// host redo its write phase after a power-loss recovery.
     ///
     /// # Errors
     ///
@@ -784,56 +746,13 @@ impl File {
         if data.is_empty() {
             return Ok(());
         }
-        let ps = self.inner.page_size as u64;
-        let end = offset + data.len() as u64;
-        let (old_size, lpn_writes) = {
-            let mut st = self.inner.state.lock();
-            let old = st
-                .files
-                .get(&self.path)
-                .ok_or_else(|| FsError::NotFound(self.path.clone()))?
-                .size;
-            Fs::grow_locked(&mut st, &self.path, end.max(old), ps)?;
-            let inode = st.files.get_mut(&self.path).expect("checked");
-            inode.size = inode.size.max(end);
-            let first_page = offset / ps;
-            let last_page = end.div_ceil(ps);
-            let writes: Vec<(u64, u64)> = (first_page..last_page)
-                .map(|pi| (inode.lpn_of(pi), pi))
-                .collect();
-            (old, writes)
-        };
-        let mut batch: Vec<(u64, PageBuf)> = Vec::with_capacity(lpn_writes.len());
-        for (lpn, page_index) in lpn_writes {
-            let page_start = page_index * ps;
-            let page_end = page_start + ps;
-            let full_cover = offset <= page_start && end >= page_end;
-            let mut frame = self.inner.device.frame_pool().take();
-            let page = frame.as_mut_slice();
-            if !full_cover {
-                if page_start < old_size {
-                    // Page holds live bytes outside the written range.
-                    let bufs = self.inner.device.read_pages(ctx, &[lpn])?;
-                    page.copy_from_slice(&bufs[0]);
-                } else {
-                    page.fill(0);
-                }
-            }
-            let copy_from = page_start.max(offset);
-            let copy_to = page_end.min(end);
-            let dst = (copy_from - page_start) as usize..(copy_to - page_start) as usize;
-            let src = (copy_from - offset) as usize..(copy_to - offset) as usize;
-            page[dst].copy_from_slice(&data[src]);
-            self.inner
-                .device
-                .count_copy(biscuit_ssd::CopySite::WriteStage, ps);
-            batch.push((lpn, frame.freeze()));
-        }
-        self.inner
-            .device
+        let device = &self.inner.device;
+        let batch = stage_write(&self.inner, &self.path, offset, data, |lpn| {
+            Ok(device.read_pages(ctx, &[lpn])?.remove(0))
+        })?;
+        device
             .write_bufs_async(ctx, &batch, 16)
-            .map_err(FsError::Device)?;
-        Ok(())
+            .map_err(FsError::Device)
     }
 
     /// Durability barrier (paper §III-D `sync`): flushes everything
@@ -919,13 +838,14 @@ mod tests {
     #[test]
     fn timed_append_via_handle() {
         let fs = Fs::format(device());
-        let f = fs.create("w").unwrap();
+        let mut f = fs.create("w").unwrap();
         let sim = Simulation::new(0);
-        let f2 = f.clone();
         sim.spawn("w", move |ctx| {
-            f2.append(ctx, b"abc").unwrap();
-            f2.append(ctx, b"def").unwrap();
-            assert_eq!(f2.read_at(ctx, 0, 6).unwrap(), b"abcdef");
+            f.write_async(b"abc").unwrap();
+            f.flush(ctx).unwrap();
+            f.write_async(b"def").unwrap();
+            f.flush(ctx).unwrap();
+            assert_eq!(f.read_at(ctx, 0, 6).unwrap(), b"abcdef");
         });
         sim.run().assert_quiescent();
     }
@@ -934,12 +854,54 @@ mod tests {
     fn read_only_handle_rejects_writes() {
         let fs = Fs::format(device());
         fs.create("x").unwrap();
-        let ro = fs.open("x", Mode::ReadOnly).unwrap();
+        let mut ro = fs.open("x", Mode::ReadOnly).unwrap();
         let sim = Simulation::new(0);
         sim.spawn("w", move |ctx| {
-            assert!(matches!(ro.append(ctx, b"no"), Err(FsError::ReadOnly(_))));
+            assert!(matches!(
+                ro.write_at(ctx, 0, b"no"),
+                Err(FsError::ReadOnly(_))
+            ));
+            assert!(matches!(ro.write_async(b"no"), Err(FsError::ReadOnly(_))));
+            assert_eq!(ro.len().unwrap(), 0);
         });
         sim.run().assert_quiescent();
+    }
+
+    /// `flush` is `write_at(current size, buffered bytes)`: twin devices
+    /// driven one way each end in the same state at the same instant.
+    #[test]
+    fn flush_equals_write_at_end_of_file() {
+        fn run(buffered: bool) -> (String, [u64; 2], u64) {
+            let dev = device();
+            let fs = Fs::format(Arc::clone(&dev));
+            let mut f = fs.create("t").unwrap();
+            let sim = Simulation::new(0);
+            sim.spawn("w", move |ctx| {
+                // An unaligned first append, then one that read-modify-
+                // writes its head page and spills over two more.
+                for len in [5_000usize, 40_000] {
+                    let bytes: Vec<u8> = (0..len).map(|i| (i % 247) as u8).collect();
+                    if buffered {
+                        f.write_async(&bytes).unwrap();
+                        f.flush(ctx).unwrap();
+                    } else {
+                        let end = f.len().unwrap();
+                        f.write_at(ctx, end, &bytes).unwrap();
+                    }
+                }
+            });
+            let report = sim.run();
+            report.assert_quiescent();
+            let stats = dev.stats();
+            (
+                dev.export_state(),
+                [stats.pages_read.get(), stats.pages_written.get()],
+                report.end_time.as_ps(),
+            )
+        }
+        let flushed = run(true);
+        assert_eq!(flushed.1, [1, 4], "one RMW read, one plus three programs");
+        assert_eq!(flushed, run(false));
     }
 
     #[test]

@@ -658,82 +658,6 @@ impl SsdArray {
         Ok(out)
     }
 
-    /// Scatters a write batch across every shard as concurrent fibers —
-    /// the write-path dual of [`SsdArray::scatter`]. Shard `i` applies
-    /// `batches[i]` (positional `(offset, bytes)` writes, in order) to
-    /// `path` on its own drive's filesystem, creating the file when
-    /// absent, then [`File::sync`](biscuit_fs::File::sync)s so the whole
-    /// batch — data, metadata, and the drive's L2P journal checkpoint —
-    /// is crash-durable before this call returns. `write_at` is
-    /// idempotent, so a caller that loses a drive mid-scatter can
-    /// recover it and re-issue the same batch verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first failing shard's error in shard-id order; the
-    /// other shards still run to completion first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batches.len()` differs from the drive count.
-    pub fn scatter_writes(
-        &self,
-        ctx: &Ctx,
-        name: &str,
-        path: &str,
-        batches: Vec<Vec<(u64, Vec<u8>)>>,
-    ) -> Result<(), ShardFailure> {
-        assert_eq!(batches.len(), self.len(), "one write batch per shard");
-        self.count("array_write_scatters_total");
-        self.mark(
-            ctx,
-            "array_write_scatter",
-            format!("{name} over {} shards", self.len()),
-        );
-        let (txs, mut rx) = merge_channel::<Result<(), String>>(self.len(), 1);
-        for (shard, batch) in self.shards().iter().zip(batches) {
-            let i = shard.id;
-            let tx = txs[i].clone();
-            let fs = shard.ssd.fs().clone();
-            let path = path.to_owned();
-            ctx.spawn(format!("{name}-write{i}"), move |fctx| {
-                let run = || -> Result<(), String> {
-                    let mut f = match fs.open(&path, biscuit_fs::Mode::ReadWrite) {
-                        Ok(f) => f,
-                        Err(biscuit_fs::FsError::NotFound(_)) => {
-                            fs.create(&path).map_err(|e| e.to_string())?
-                        }
-                        Err(e) => return Err(e.to_string()),
-                    };
-                    for (offset, data) in &batch {
-                        f.write_at(fctx, *offset, data).map_err(|e| e.to_string())?;
-                    }
-                    f.sync(fctx).map_err(|e| e.to_string())
-                };
-                let _ = tx.send(fctx, run());
-                tx.close(fctx);
-            });
-        }
-        drop(txs);
-        let mut results: Vec<Option<Result<(), String>>> =
-            (0..self.len()).map(|_| None).collect();
-        while let Some((shard, _seq, r)) = rx.next(ctx) {
-            results[shard] = Some(r);
-        }
-        for (i, r) in results.into_iter().enumerate() {
-            match r {
-                Some(Ok(())) => {}
-                Some(Err(e)) => return Err(ShardFailure::new(format!("shard {i}: {e}"))),
-                None => {
-                    return Err(ShardFailure::new(format!(
-                        "shard {i}: write fiber closed its lane without reporting"
-                    )))
-                }
-            }
-        }
-        Ok(())
-    }
-
     fn count(&self, name: &'static str) {
         if let Some(reg) = self.inner.metrics.get() {
             if reg.is_enabled() {

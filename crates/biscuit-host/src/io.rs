@@ -90,22 +90,6 @@ impl ConvIo {
         Ok((end, pages))
     }
 
-    /// Splits a byte range into per-page `(lpn, bytes_touched)` spans.
-    fn spans_for(&self, file: &File, offset: u64, len: u64) -> FsResult<Vec<(u64, usize)>> {
-        let page_size = self.device.config().page_size as u64;
-        let lpns = file.lpns_for_range(offset, len)?;
-        let mut spans = Vec::with_capacity(lpns.len());
-        let mut pos = offset;
-        let end = offset + len;
-        for lpn in lpns {
-            let page_end = (pos / page_size + 1) * page_size;
-            let take = page_end.min(end) - pos;
-            spans.push((lpn, take as usize));
-            pos += take;
-        }
-        Ok(spans)
-    }
-
     /// Synchronous `pread`: one request covering the byte range, blocking
     /// until the data is in host memory (paper Table III's Conv path).
     ///
@@ -121,77 +105,27 @@ impl ConvIo {
         load: HostLoad,
     ) -> FsResult<Vec<u8>> {
         let link_cfg = self.link.config().clone();
-        let spans = self.spans_for(file, offset, len)?;
+        let spans = file.page_spans(offset, len)?;
         let slot = self.link.acquire_slot(ctx);
-        self.charge_host(ctx, link_cfg.host_submit, load);
-        ctx.sleep(link_cfg.device_command);
-        let (done, pages) = self.issue_request(ctx, &spans)?;
-        ctx.sleep_until(done);
-        self.charge_host(ctx, link_cfg.host_complete, load);
-        self.link.release_slot(ctx, slot);
-        self.device
-            .count_copy(biscuit_ssd::CopySite::HostAssemble, len);
-        Ok(slice_pages(
-            &pages,
-            offset,
-            len,
-            self.device.config().page_size as u64,
-        ))
-    }
-
-    /// Asynchronous read: requests of `request_bytes` with up to
-    /// `queue_depth` outstanding (Fig. 7's right panel, Conv series).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] for out-of-range or device failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `request_bytes` or `queue_depth` is zero.
-    #[allow(clippy::too_many_arguments)] // mirrors the flat pread-style API
-    pub fn read_async(
-        &self,
-        ctx: &Ctx,
-        file: &File,
-        offset: u64,
-        len: u64,
-        request_bytes: u64,
-        queue_depth: usize,
-        load: HostLoad,
-    ) -> FsResult<Vec<u8>> {
-        assert!(request_bytes > 0 && queue_depth > 0);
-        let link_cfg = self.link.config().clone();
-        let page_size = self.device.config().page_size as u64;
-        let spans = self.spans_for(file, offset, len)?;
-        let pages_per_request = (request_bytes / page_size).max(1) as usize;
-        let mut inflight: VecDeque<SimTime> = VecDeque::new();
-        let mut all_pages = Vec::with_capacity(spans.len());
-        for chunk in spans.chunks(pages_per_request) {
-            if inflight.len() >= queue_depth {
-                ctx.sleep_until(inflight.pop_front().expect("nonempty"));
-                self.charge_host(ctx, link_cfg.host_complete, load);
-            }
+        // The slot goes back on the error path too: a dropped slot leaks,
+        // and `queue_depth` failed reads would park every later one.
+        let pages: FsResult<_> = (|| {
             self.charge_host(ctx, link_cfg.host_submit, load);
             ctx.sleep(link_cfg.device_command);
-            let (done, pages) = self.issue_request(ctx, chunk)?;
-            inflight.push_back(done);
-            all_pages.extend(pages);
-        }
-        while let Some(done) = inflight.pop_front() {
+            let (done, pages) = self.issue_request(ctx, &spans)?;
             ctx.sleep_until(done);
             self.charge_host(ctx, link_cfg.host_complete, load);
-        }
-        self.device
-            .count_copy(biscuit_ssd::CopySite::HostAssemble, len);
-        Ok(slice_pages(&all_pages, offset, len, page_size))
+            Ok(pages)
+        })();
+        self.link.release_slot(ctx, slot);
+        Ok(file.slice_pages(&pages?, offset, len))
     }
-}
 
-impl ConvIo {
     /// Asynchronous whole-page read of `page_count` file pages starting at
-    /// file page `page_start`, returning the raw page buffers without
-    /// copying them into one contiguous allocation (table-scan fast path).
+    /// file page `page_start`, with up to `queue_depth` requests of
+    /// `request_pages` pages outstanding (Fig. 7's right panel, Conv
+    /// series). Returns the raw page buffers without copying them into one
+    /// contiguous allocation (table-scan fast path).
     ///
     /// # Errors
     ///
@@ -213,10 +147,8 @@ impl ConvIo {
     ) -> FsResult<Vec<biscuit_ssd::PageBuf>> {
         assert!(request_pages > 0 && queue_depth > 0);
         let link_cfg = self.link.config().clone();
-        let page_size = self.device.config().page_size;
-        let byte_len = page_count * page_size as u64;
-        let lpns = file.lpns_for_range(page_start * page_size as u64, byte_len)?;
-        let spans: Vec<(u64, usize)> = lpns.into_iter().map(|l| (l, page_size)).collect();
+        let page_size = self.device.config().page_size as u64;
+        let spans = file.page_spans(page_start * page_size, page_count * page_size)?;
         let mut inflight: VecDeque<SimTime> = VecDeque::new();
         let mut all_pages = Vec::with_capacity(spans.len());
         for chunk in spans.chunks(request_pages) {
@@ -236,19 +168,6 @@ impl ConvIo {
         }
         Ok(all_pages)
     }
-}
-
-fn slice_pages(pages: &[biscuit_ssd::PageBuf], offset: u64, len: u64, page_size: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len as usize);
-    let head = offset % page_size;
-    let mut remaining = len;
-    for (i, page) in pages.iter().enumerate() {
-        let start = if i == 0 { head as usize } else { 0 };
-        let take = ((page_size as usize - start) as u64).min(remaining) as usize;
-        out.extend_from_slice(&page[start..start + take]);
-        remaining -= take as u64;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -308,7 +227,9 @@ mod tests {
         let t2 = Arc::clone(&t);
         sim.spawn("r", move |ctx| {
             let start = ctx.now();
-            io.read_async(ctx, &f, 0, total, 1 << 20, 32, HostLoad::IDLE)
+            // 1 MiB requests, 32 outstanding.
+            let pages = total / (16 << 10);
+            io.read_file_pages_async(ctx, &f, 0, pages, 64, 32, HostLoad::IDLE)
                 .unwrap();
             t2.store((ctx.now() - start).as_nanos(), Ordering::SeqCst);
         });
@@ -358,10 +279,13 @@ mod tests {
         sim.spawn("r", move |ctx| {
             let got = io.read(ctx, &f, 777, 50_000, HostLoad::IDLE).unwrap();
             assert_eq!(&got[..], &data[777..777 + 50_000]);
-            let got2 = io
-                .read_async(ctx, &f, 777, 50_000, 32 << 10, 8, HostLoad::IDLE)
+            // Windowed whole-page reads return the same bytes, page by page.
+            let ps = 16 << 10;
+            let pages = io
+                .read_file_pages_async(ctx, &f, 1, 5, 2, 8, HostLoad::IDLE)
                 .unwrap();
-            assert_eq!(got, got2);
+            let got: Vec<u8> = pages.iter().flat_map(|p| p.iter().copied()).collect();
+            assert_eq!(&got[..], &data[ps..6 * ps]);
         });
         sim.run().assert_quiescent();
     }
@@ -413,5 +337,55 @@ mod tests {
         );
         assert!(plan.injected_total() >= 1);
         assert_eq!(plan.recovered_total(), plan.injected_total());
+    }
+
+    /// A failed read gives its NVMe command slot back: with two slots,
+    /// three reads failing on a power-lost device must not park the read
+    /// that follows recovery.
+    #[test]
+    fn failed_read_releases_its_command_slot() {
+        use biscuit_sim::fault::{FaultConfig, FaultPlan};
+        use biscuit_ssd::{DeviceError, FtlError};
+
+        let dev = Arc::new(SsdDevice::new(SsdConfig {
+            logical_capacity: 64 << 20,
+            ..SsdConfig::paper_default()
+        }));
+        let fs = Fs::format(Arc::clone(&dev));
+        let link = Arc::new(HostLink::new(LinkConfig {
+            queue_depth: 2,
+            ..LinkConfig::pcie_gen3_x4()
+        }));
+        let io = ConvIo::new(Arc::clone(&dev), link, HostConfig::paper_default());
+        fs.create("f").unwrap();
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i % 233) as u8).collect();
+        fs.append_untimed("f", &data).unwrap();
+        // Armed only now, so the crash lands on the first timed write.
+        dev.set_fault_plan(&FaultPlan::seeded(
+            3,
+            FaultConfig {
+                power_losses: 1,
+                power_loss_window: 1,
+                ..FaultConfig::default()
+            },
+        ));
+        let f = fs.open("f", Mode::ReadOnly).unwrap();
+        let scratch = fs.create("scratch").unwrap();
+        let sim = Simulation::new(0);
+        sim.spawn("r", move |ctx| {
+            assert!(scratch.write_at(ctx, 0, &[1u8; 100]).is_err());
+            assert!(dev.is_dead());
+            for _ in 0..3 {
+                let err = io.read(ctx, &f, 100, 20_000, HostLoad::IDLE).unwrap_err();
+                assert!(matches!(
+                    err,
+                    FsError::Device(DeviceError::Ftl(FtlError::PowerLoss { .. }))
+                ));
+            }
+            dev.recover_power_loss(ctx.now());
+            let got = io.read(ctx, &f, 100, 20_000, HostLoad::IDLE).unwrap();
+            assert_eq!(&got[..], &data[100..20_100]);
+        });
+        sim.run().assert_quiescent();
     }
 }

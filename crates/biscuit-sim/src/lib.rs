@@ -21,7 +21,7 @@
 //! - [`queue`] — blocking bounded queues, wait queues, semaphores.
 //! - [`resource`] — FCFS bandwidth shapers and server banks.
 //! - [`power`] — two-state power components integrated into Joules.
-//! - [`stats`] — latency/counter collectors for the experiment harnesses.
+//! - [`stats`] — the counter collector for the experiment harnesses.
 //! - [`metrics`] — the aggregate metrics registry: counters, gauges, and
 //!   log-bucketed histograms with Prometheus text + stable JSON exports
 //!   (see `docs/METRICS.md` at the repo root).

@@ -97,7 +97,7 @@ impl MetricsConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram core (shared with `stats::LatencyStats` bounded mode)
+// Histogram core
 // ---------------------------------------------------------------------------
 
 /// Index of the power-of-two bucket holding `v`: the number of significant
@@ -117,10 +117,9 @@ pub(crate) fn bucket_upper(i: usize) -> u64 {
     }
 }
 
-/// The single summary-statistics implementation behind both
-/// [`Histogram`] and the bounded-memory mode of
-/// [`crate::stats::LatencyStats`]: a fixed array of power-of-two buckets
-/// plus exact count, sum, sum of squares, min, and max.
+/// The summary-statistics implementation behind [`Histogram`]: a fixed
+/// array of power-of-two buckets plus exact count, sum, sum of squares,
+/// min, and max.
 ///
 /// Memory is constant (65 buckets) regardless of sample count; percentiles
 /// are nearest-rank over the buckets, clamped to the observed `[min, max]`

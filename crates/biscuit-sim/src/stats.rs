@@ -1,205 +1,6 @@
-//! Lightweight measurement helpers for latency and throughput reporting.
+//! Lightweight measurement helpers for throughput reporting.
 
 use parking_lot::Mutex;
-
-use crate::metrics::HistogramData;
-use crate::time::SimDuration;
-
-/// How a [`LatencyStats`] stores its samples.
-#[derive(Debug)]
-enum Repr {
-    /// Every sample kept, in recording order: exact percentiles, O(n) memory.
-    Exact(Vec<SimDuration>),
-    /// Log-bucketed summary (the shared [`HistogramData`] core behind
-    /// [`crate::metrics::Histogram`]): approximate percentiles, O(1) memory.
-    Bounded(HistogramData),
-}
-
-/// Collects duration samples and reports summary statistics.
-///
-/// Two recording modes share one API: [`LatencyStats::new`] keeps every
-/// sample (exact percentiles), while [`LatencyStats::bounded`] folds samples
-/// into a constant-size log-bucketed histogram — the same summary core the
-/// metrics registry uses — trading nearest-rank exactness for O(1) memory on
-/// million-sample runs. Count, mean, min, max, and standard deviation stay
-/// exact in both modes.
-///
-/// # Examples
-///
-/// ```
-/// use biscuit_sim::stats::LatencyStats;
-/// use biscuit_sim::time::SimDuration;
-///
-/// let stats = LatencyStats::new();
-/// stats.record(SimDuration::from_micros(10));
-/// stats.record(SimDuration::from_micros(30));
-/// assert_eq!(stats.mean().as_micros(), 20);
-/// assert_eq!(stats.p50(), stats.percentile(50.0));
-/// ```
-#[derive(Debug)]
-pub struct LatencyStats {
-    inner: Mutex<Repr>,
-}
-
-impl Default for LatencyStats {
-    fn default() -> Self {
-        LatencyStats {
-            inner: Mutex::new(Repr::Exact(Vec::new())),
-        }
-    }
-}
-
-impl LatencyStats {
-    /// Creates an empty collector that keeps every sample (exact mode).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty collector in bounded-memory mode: samples fold into
-    /// a fixed 65-bucket log histogram, so memory stays constant no matter
-    /// how many samples are recorded. Percentiles become bucket-resolution
-    /// approximations (clamped to the observed min/max).
-    pub fn bounded() -> Self {
-        LatencyStats {
-            inner: Mutex::new(Repr::Bounded(HistogramData::new())),
-        }
-    }
-
-    /// True when this collector uses the bounded-memory representation.
-    pub fn is_bounded(&self) -> bool {
-        matches!(&*self.inner.lock(), Repr::Bounded(_))
-    }
-
-    /// Records one sample.
-    pub fn record(&self, d: SimDuration) {
-        match &mut *self.inner.lock() {
-            Repr::Exact(samples) => samples.push(d),
-            Repr::Bounded(hist) => hist.record(d.as_ps()),
-        }
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> usize {
-        match &*self.inner.lock() {
-            Repr::Exact(samples) => samples.len(),
-            Repr::Bounded(hist) => hist.count as usize,
-        }
-    }
-
-    /// Arithmetic mean (zero if no samples).
-    pub fn mean(&self) -> SimDuration {
-        match &*self.inner.lock() {
-            Repr::Exact(samples) => {
-                if samples.is_empty() {
-                    return SimDuration::ZERO;
-                }
-                let total: u128 = samples.iter().map(|d| d.as_ps() as u128).sum();
-                SimDuration::from_ps((total / samples.len() as u128) as u64)
-            }
-            Repr::Bounded(hist) => SimDuration::from_ps(hist.mean()),
-        }
-    }
-
-    /// Smallest sample (zero if no samples).
-    pub fn min(&self) -> SimDuration {
-        match &*self.inner.lock() {
-            Repr::Exact(samples) => samples.iter().copied().min().unwrap_or(SimDuration::ZERO),
-            Repr::Bounded(hist) => SimDuration::from_ps(hist.min),
-        }
-    }
-
-    /// Largest sample (zero if no samples).
-    pub fn max(&self) -> SimDuration {
-        match &*self.inner.lock() {
-            Repr::Exact(samples) => samples.iter().copied().max().unwrap_or(SimDuration::ZERO),
-            Repr::Bounded(hist) => SimDuration::from_ps(hist.max),
-        }
-    }
-
-    /// The `p`-th percentile (0.0–100.0): nearest-rank over the raw samples
-    /// in exact mode, bucket-resolution in bounded mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> SimDuration {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        match &*self.inner.lock() {
-            Repr::Exact(samples) => {
-                if samples.is_empty() {
-                    return SimDuration::ZERO;
-                }
-                let mut sorted = samples.clone();
-                sorted.sort_unstable();
-                let rank = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-                sorted[rank]
-            }
-            Repr::Bounded(hist) => SimDuration::from_ps(hist.percentile(p)),
-        }
-    }
-
-    /// Median latency ([`LatencyStats::percentile`] at 50).
-    pub fn p50(&self) -> SimDuration {
-        self.percentile(50.0)
-    }
-
-    /// 95th-percentile latency.
-    pub fn p95(&self) -> SimDuration {
-        self.percentile(95.0)
-    }
-
-    /// 99th-percentile latency.
-    pub fn p99(&self) -> SimDuration {
-        self.percentile(99.0)
-    }
-
-    /// Sample standard deviation in seconds (zero for < 2 samples). Exact
-    /// in both modes (bounded mode keeps running sums of squares).
-    pub fn stddev_secs(&self) -> f64 {
-        match &*self.inner.lock() {
-            Repr::Exact(samples) => {
-                if samples.len() < 2 {
-                    return 0.0;
-                }
-                let mean =
-                    samples.iter().map(|d| d.as_secs_f64()).sum::<f64>() / samples.len() as f64;
-                let var = samples
-                    .iter()
-                    .map(|d| (d.as_secs_f64() - mean).powi(2))
-                    .sum::<f64>()
-                    / (samples.len() - 1) as f64;
-                var.sqrt()
-            }
-            // HistogramData works in picoseconds; convert to seconds.
-            Repr::Bounded(hist) => hist.stddev() * 1e-12,
-        }
-    }
-
-    /// All samples, in recording order. Bounded collectors do not retain
-    /// individual samples and return an empty vector.
-    pub fn samples(&self) -> Vec<SimDuration> {
-        match &*self.inner.lock() {
-            Repr::Exact(samples) => samples.clone(),
-            Repr::Bounded(_) => Vec::new(),
-        }
-    }
-
-    /// The log-bucketed summary of this collector: a copy of the internal
-    /// state in bounded mode, or the samples folded into a fresh
-    /// [`HistogramData`] in exact mode.
-    pub fn histogram(&self) -> HistogramData {
-        match &*self.inner.lock() {
-            Repr::Exact(samples) => {
-                let mut hist = HistogramData::new();
-                for d in samples {
-                    hist.record(d.as_ps());
-                }
-                hist
-            }
-            Repr::Bounded(hist) => hist.clone(),
-        }
-    }
-}
 
 /// A monotonic counter (bytes moved, pages read, rows emitted, ...).
 #[derive(Debug, Default)]
@@ -232,91 +33,6 @@ impl Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_stats_are_zero() {
-        for s in [LatencyStats::new(), LatencyStats::bounded()] {
-            assert_eq!(s.count(), 0);
-            assert_eq!(s.mean(), SimDuration::ZERO);
-            assert_eq!(s.min(), SimDuration::ZERO);
-            assert_eq!(s.max(), SimDuration::ZERO);
-            assert_eq!(s.percentile(99.0), SimDuration::ZERO);
-        }
-    }
-
-    #[test]
-    fn summary_statistics() {
-        let s = LatencyStats::new();
-        for us in [10u64, 20, 30, 40, 100] {
-            s.record(SimDuration::from_micros(us));
-        }
-        assert_eq!(s.count(), 5);
-        assert_eq!(s.mean().as_micros(), 40);
-        assert_eq!(s.min().as_micros(), 10);
-        assert_eq!(s.max().as_micros(), 100);
-        assert_eq!(s.percentile(50.0).as_micros(), 30);
-        assert_eq!(s.percentile(100.0).as_micros(), 100);
-        assert_eq!(s.p50(), s.percentile(50.0));
-        assert_eq!(s.p95(), s.percentile(95.0));
-        assert_eq!(s.p99(), s.percentile(99.0));
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        let s = LatencyStats::new();
-        s.record(SimDuration::from_micros(5));
-        s.record(SimDuration::from_micros(5));
-        assert_eq!(s.stddev_secs(), 0.0);
-        let b = LatencyStats::bounded();
-        b.record(SimDuration::from_micros(5));
-        b.record(SimDuration::from_micros(5));
-        assert_eq!(b.stddev_secs(), 0.0);
-    }
-
-    #[test]
-    fn bounded_mode_tracks_exact_scalars() {
-        let exact = LatencyStats::new();
-        let bounded = LatencyStats::bounded();
-        assert!(bounded.is_bounded());
-        assert!(!exact.is_bounded());
-        for us in [10u64, 20, 30, 40, 100, 7, 7, 7] {
-            exact.record(SimDuration::from_micros(us));
-            bounded.record(SimDuration::from_micros(us));
-        }
-        // Count, mean, min, max, stddev are exact in both modes.
-        assert_eq!(bounded.count(), exact.count());
-        assert_eq!(bounded.mean(), exact.mean());
-        assert_eq!(bounded.min(), exact.min());
-        assert_eq!(bounded.max(), exact.max());
-        assert!((bounded.stddev_secs() - exact.stddev_secs()).abs() < 1e-15);
-        // Percentiles are bucket-bounded: within [min, max] and no more
-        // than one power of two above the exact answer.
-        for p in [50.0, 95.0, 99.0] {
-            let approx = bounded.percentile(p).as_ps();
-            let truth = exact.percentile(p).as_ps();
-            assert!(approx >= bounded.min().as_ps());
-            assert!(approx <= bounded.max().as_ps());
-            assert!(approx >= truth / 2, "p{p}: {approx} vs {truth}");
-            assert!(
-                approx <= truth.saturating_mul(2),
-                "p{p}: {approx} vs {truth}"
-            );
-        }
-        // Bounded collectors do not retain raw samples.
-        assert!(bounded.samples().is_empty());
-        assert_eq!(exact.samples().len(), 8);
-    }
-
-    #[test]
-    fn histogram_view_matches_across_modes() {
-        let exact = LatencyStats::new();
-        let bounded = LatencyStats::bounded();
-        for us in [1u64, 2, 3, 900, 901] {
-            exact.record(SimDuration::from_micros(us));
-            bounded.record(SimDuration::from_micros(us));
-        }
-        assert_eq!(exact.histogram(), bounded.histogram());
-    }
 
     #[test]
     fn counter_add_and_take() {

@@ -89,8 +89,6 @@ pub enum NandOpKind {
     Read,
     /// A page program (`tPROG`).
     Program,
-    /// Block erase / garbage-collection work charged to a write.
-    Erase,
 }
 
 impl NandOpKind {
@@ -98,7 +96,6 @@ impl NandOpKind {
         match self {
             NandOpKind::Read => "read",
             NandOpKind::Program => "program",
-            NandOpKind::Erase => "erase/gc",
         }
     }
 }

@@ -697,6 +697,99 @@ impl SsdDevice {
         end
     }
 
+    /// What a die operation reports, to every attached observer: the
+    /// `NandOp` trace event and the channel's op and busy-time counters.
+    /// The operation that opens a page's die phase passes
+    /// `request = (issued, done)` and also reports its queueing delay since
+    /// `issued` and a query-profile span closing at `done`, past any fault
+    /// retries; a retry inside that phase passes `None`.
+    fn observe_die(
+        &self,
+        kind: NandOpKind,
+        ppa: Ppa,
+        (start, end): (SimTime, SimTime),
+        request: Option<(SimTime, SimTime)>,
+    ) {
+        if let Some(tracer) = self.trace() {
+            tracer.emit(|| TraceEvent::NandOp {
+                kind,
+                channel: ppa.channel,
+                way: ppa.way,
+                start,
+                end,
+            });
+        }
+        if let Some(m) = self.instruments() {
+            let ch = &m.channels[ppa.channel as usize];
+            let (ops, wait) = match kind {
+                NandOpKind::Read => (&ch.nand_read, &ch.read_wait_ps),
+                NandOpKind::Program => (&ch.nand_program, &ch.write_wait_ps),
+            };
+            ops.inc();
+            ch.nand_busy_ps.add((end - start).as_ps());
+            if let Some((issued, _)) = request {
+                wait.record((start - issued).as_ps());
+            }
+        }
+        if let (Some(q), Some((_, done))) = (self.qprof(), request) {
+            q.record(Stage::NandRead, start, done, 0, ppa.channel);
+        }
+    }
+
+    /// What a channel-bus transfer of `bytes` reports.
+    fn observe_bus(&self, channel: u32, (start, end): (SimTime, SimTime), bytes: u64) {
+        if let Some(tracer) = self.trace() {
+            tracer.emit(|| TraceEvent::ChannelTransfer {
+                channel,
+                start,
+                end,
+                bytes,
+            });
+        }
+        if let Some(m) = self.instruments() {
+            let ch = &m.channels[channel as usize];
+            ch.bus_bytes.add(bytes);
+            ch.bus_busy_ps.add((end - start).as_ps());
+        }
+        if let Some(q) = self.qprof() {
+            q.record(Stage::BusTransfer, start, end, bytes, channel);
+        }
+    }
+
+    /// What one page streamed through a channel's matcher IP reports.
+    fn observe_scan(&self, channel: u32, (start, end): (SimTime, SimTime), matched: bool) {
+        let bytes = self.cfg.page_size as u64;
+        if let Some(tracer) = self.trace() {
+            tracer.emit(|| TraceEvent::PatternScan {
+                channel,
+                start,
+                end,
+                bytes,
+                matched,
+            });
+        }
+        if let Some(m) = self.instruments() {
+            let ch = &m.channels[channel as usize];
+            ch.pm_scans.inc();
+            ch.pm_bytes.add(bytes);
+            ch.pm_busy_ps.add((end - start).as_ps());
+            if matched {
+                ch.pm_hits.inc();
+            }
+        }
+        if let Some(q) = self.qprof() {
+            q.record(Stage::Match, start, end, bytes, channel);
+        }
+    }
+
+    /// Counts one page in a [`DeviceStats`] counter and its registry mirror.
+    fn count_page(&self, stat: &Counter, mirror: impl Fn(&DeviceInstruments) -> &metrics::Counter) {
+        stat.add(1);
+        if let Some(m) = self.instruments() {
+            mirror(m).inc();
+        }
+    }
+
     /// Applies a drawn NAND read fault to a page sense that ended at
     /// `die_end`: each retry re-senses the page (one extra tR on the same
     /// die, traced as another NAND op), and an uncorrectable draw escalates
@@ -718,24 +811,11 @@ impl SsdDevice {
             ),
         );
         for _ in 0..f.retries {
-            let (rs, re) = self
+            let retry = self
                 .dies
                 .enqueue_span(die_end, self.die_index(ppa), self.cfg.t_read);
-            if let Some(tracer) = self.trace() {
-                tracer.emit(|| TraceEvent::NandOp {
-                    kind: NandOpKind::Read,
-                    channel: ppa.channel,
-                    way: ppa.way,
-                    start: rs,
-                    end: re,
-                });
-            }
-            if let Some(m) = self.instruments() {
-                let ch = &m.channels[ppa.channel as usize];
-                ch.nand_read.inc();
-                ch.nand_busy_ps.add((re - rs).as_ps());
-            }
-            die_end = re;
+            self.observe_die(NandOpKind::Read, ppa, retry, None);
+            die_end = retry.1;
         }
         if f.uncorrectable {
             let blk = (ppa.channel, ppa.way, ppa.block);
@@ -767,6 +847,19 @@ impl SsdDevice {
         die_end
     }
 
+    /// Senses `lpn`'s page on its die no earlier than `start`: FTL lookup,
+    /// tR, then any fault retries. Returns the page's placement, its stored
+    /// data, and when the die hands the page to the channel.
+    fn sense(&self, start: SimTime, lpn: u64) -> DeviceResult<(Ppa, Option<PageData>, SimTime)> {
+        let (ppa, data) = self.fetch(lpn)?;
+        let busy = self
+            .dies
+            .enqueue_span(start, self.die_index(ppa), self.cfg.t_read);
+        let die_done = self.apply_nand_read_fault(lpn, ppa, busy.1);
+        self.observe_die(NandOpKind::Read, ppa, busy, Some((start, die_done)));
+        Ok((ppa, data, die_done))
+    }
+
     /// Non-blocking single-page read: reserves die + bus time and returns
     /// `(completion_time, data)`. `bytes` caps the bus transfer (≤ page).
     ///
@@ -779,136 +872,150 @@ impl SsdDevice {
         lpn: u64,
         bytes: usize,
     ) -> DeviceResult<(SimTime, PageBuf)> {
-        let (ppa, data) = self.fetch(lpn)?;
+        let (ppa, data, die_done) = self.sense(start, lpn)?;
         let buf = match data {
             Some(d) => self.materialize_counted(&d),
             None => self.zero_page.clone(),
         };
-        let (die_start, die_end) =
-            self.dies
-                .enqueue_span(start, self.die_index(ppa), self.cfg.t_read);
-        let die_done = self.apply_nand_read_fault(lpn, ppa, die_end);
         let xfer_bytes = bytes.min(self.cfg.page_size) as u64;
         let xfer = SimDuration::for_bytes(xfer_bytes, self.cfg.channel_rate);
-        let (bus_start, bus_end) = self
+        let bus = self
             .buses
             .enqueue_span(die_done, ppa.channel as usize, xfer);
-        if let Some(tracer) = self.trace() {
-            tracer.emit(|| TraceEvent::NandOp {
-                kind: NandOpKind::Read,
-                channel: ppa.channel,
-                way: ppa.way,
-                start: die_start,
-                end: die_end,
-            });
-            tracer.emit(|| TraceEvent::ChannelTransfer {
-                channel: ppa.channel,
-                start: bus_start,
-                end: bus_end,
-                bytes: xfer_bytes,
-            });
-        }
-        if let Some(m) = self.instruments() {
-            let ch = &m.channels[ppa.channel as usize];
-            ch.nand_read.inc();
-            ch.nand_busy_ps.add((die_end - die_start).as_ps());
-            ch.read_wait_ps.record((die_start - start).as_ps());
-            ch.bus_bytes.add(xfer_bytes);
-            ch.bus_busy_ps.add((bus_end - bus_start).as_ps());
-            m.pages_read.inc();
-        }
-        if let Some(q) = self.qprof() {
-            // die_done extends past die_end when fault retries re-sensed
-            // the page, so the span closes over the whole recovery.
-            q.record(Stage::NandRead, die_start, die_done, 0, ppa.channel);
-            q.record(
-                Stage::BusTransfer,
-                bus_start,
-                bus_end,
-                xfer_bytes,
-                ppa.channel,
-            );
-        }
-        self.stats.pages_read.add(1);
-        Ok((bus_end, buf))
+        self.observe_bus(ppa.channel, bus, xfer_bytes);
+        self.count_page(&self.stats.pages_read, |m| &m.pages_read);
+        Ok((bus.1, buf))
     }
 
     /// Non-blocking pattern-matched page scan: the page streams through the
     /// per-channel matcher IP at `pm_rate`; only a match surfaces data.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::Ftl`] for an out-of-range page.
-    pub fn enqueue_scan(
+    fn enqueue_scan(
         &self,
         start: SimTime,
         lpn: u64,
         pattern: &PatternSet,
     ) -> DeviceResult<(SimTime, Option<PageBuf>)> {
-        let (ppa, data) = self.fetch(lpn)?;
-        let (die_start, die_end) =
-            self.dies
-                .enqueue_span(start, self.die_index(ppa), self.cfg.t_read);
-        let die_done = self.apply_nand_read_fault(lpn, ppa, die_end);
+        let (ppa, data, die_done) = self.sense(start, lpn)?;
         let xfer = pattern.scan_time(self.cfg.page_size as u64, self.cfg.pm_rate);
-        let (bus_start, bus_end) = self
+        let bus = self
             .buses
             .enqueue_span(die_done, ppa.channel as usize, xfer);
-        self.stats.pages_scanned.add(1);
-        let hit = match data {
-            Some(d) => {
-                let buf = self.materialize_counted(&d);
-                if pattern.matches(&buf) {
-                    self.stats.pages_matched.add(1);
-                    Some(buf)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        if let Some(tracer) = self.trace() {
-            let matched = hit.is_some();
-            tracer.emit(|| TraceEvent::NandOp {
-                kind: NandOpKind::Read,
-                channel: ppa.channel,
-                way: ppa.way,
-                start: die_start,
-                end: die_end,
-            });
-            tracer.emit(|| TraceEvent::PatternScan {
-                channel: ppa.channel,
-                start: bus_start,
-                end: bus_end,
-                bytes: self.cfg.page_size as u64,
-                matched,
-            });
+        let hit = data
+            .map(|d| self.materialize_counted(&d))
+            .filter(|buf| pattern.matches(buf));
+        self.observe_scan(ppa.channel, bus, hit.is_some());
+        self.count_page(&self.stats.pages_scanned, |m| &m.pages_scanned);
+        if hit.is_some() {
+            self.count_page(&self.stats.pages_matched, |m| &m.pages_matched);
         }
+        Ok((bus.1, hit))
+    }
+
+    /// One page of a write request: FTL allocation (and any GC it
+    /// triggers), die program, bus transfer. Returns the page's completion
+    /// time and the GC time the write caused.
+    fn enqueue_program(
+        &self,
+        now: SimTime,
+        lpn: u64,
+        buf: PageBuf,
+    ) -> DeviceResult<(SimTime, SimDuration)> {
+        let outcome = self.ftl_write(now, lpn, PageData::Bytes(buf))?;
+        let ppa = self
+            .storage
+            .lock()
+            .ftl
+            .lookup(lpn)
+            .expect("checked")
+            .expect("just written");
+        let start = self.charge_request_overhead(now);
+        let busy = self
+            .dies
+            .enqueue_span(start, self.die_index(ppa), self.cfg.t_program);
+        let page_bytes = self.cfg.page_size as u64;
+        let xfer = SimDuration::for_bytes(page_bytes, self.cfg.channel_rate);
+        let bus = self.buses.enqueue_span(busy.1, ppa.channel as usize, xfer);
+        self.observe_die(NandOpKind::Program, ppa, busy, Some((start, busy.1)));
+        self.observe_bus(ppa.channel, bus, page_bytes);
+        self.count_page(&self.stats.pages_written, |m| &m.pages_written);
         if let Some(m) = self.instruments() {
-            let ch = &m.channels[ppa.channel as usize];
-            ch.nand_read.inc();
-            ch.nand_busy_ps.add((die_end - die_start).as_ps());
-            ch.read_wait_ps.record((die_start - start).as_ps());
-            ch.pm_scans.inc();
-            ch.pm_bytes.add(self.cfg.page_size as u64);
-            ch.pm_busy_ps.add((bus_end - bus_start).as_ps());
-            m.pages_scanned.inc();
-            if hit.is_some() {
-                ch.pm_hits.inc();
-                m.pages_matched.inc();
+            m.channels[ppa.channel as usize]
+                .nand_erase
+                .add(outcome.erased_blocks);
+        }
+        let gc_time = (self.cfg.t_read + self.cfg.t_program) * outcome.relocated
+            + self.cfg.t_erase * outcome.erased_blocks;
+        Ok((bus.1, gc_time))
+    }
+
+    /// Runs one datapath call with the power hook marked busy.
+    fn powered<T>(&self, ctx: &Ctx, call: impl FnOnce() -> T) -> T {
+        self.power_busy(ctx.now());
+        let result = call();
+        self.power_idle(ctx.now());
+        result
+    }
+
+    /// How requests are windowed: `items` go out `per_request` at a time
+    /// through `issue`, which returns each request's completion time; at
+    /// most `depth` are in flight, the fiber parked on the oldest while the
+    /// window is full, and the call returns when the batch is complete.
+    fn windowed<I>(
+        &self,
+        ctx: &Ctx,
+        items: &[I],
+        per_request: usize,
+        depth: usize,
+        mut issue: impl FnMut(&[I]) -> DeviceResult<SimTime>,
+    ) -> DeviceResult<()> {
+        assert!(per_request > 0 && depth > 0);
+        let mut inflight: VecDeque<SimTime> = VecDeque::new();
+        for request in items.chunks(per_request) {
+            if inflight.len() >= depth {
+                ctx.sleep_until(inflight.pop_front().expect("window is full"));
             }
+            inflight.push_back(issue(request)?);
         }
-        if let Some(q) = self.qprof() {
-            q.record(Stage::NandRead, die_start, die_done, 0, ppa.channel);
-            q.record(
-                Stage::Match,
-                bus_start,
-                bus_end,
-                self.cfg.page_size as u64,
-                ppa.channel,
-            );
+        // Only the newest request gates batch completion: its completion
+        // time dominates the ones still queued.
+        if let Some(end) = inflight.pop_back() {
+            ctx.sleep_until(end);
         }
-        Ok((bus_end, hit))
+        Ok(())
+    }
+
+    /// One read request issued at `now`: a single software-overhead charge,
+    /// then every `(lpn, bytes)` span striped over its die and channel bus.
+    /// Appends the pages to `out` and returns when the slowest one arrives.
+    fn read_request(
+        &self,
+        now: SimTime,
+        spans: impl Iterator<Item = (u64, usize)>,
+        out: &mut Vec<PageBuf>,
+    ) -> DeviceResult<SimTime> {
+        let start = self.charge_request_overhead(now);
+        let mut end = start;
+        for (lpn, bytes) in spans {
+            let (t, buf) = self.enqueue_read(start, lpn, bytes)?;
+            end = end.max(t);
+            out.push(buf);
+        }
+        Ok(end)
+    }
+
+    /// The synchronous request behind [`SsdDevice::read_pages`] and
+    /// [`SsdDevice::read_spans`]. An empty span list is still one request.
+    fn read_sync(
+        &self,
+        ctx: &Ctx,
+        spans: impl ExactSizeIterator<Item = (u64, usize)>,
+    ) -> DeviceResult<Vec<PageBuf>> {
+        self.powered(ctx, || {
+            let mut out = Vec::with_capacity(spans.len());
+            let end = self.read_request(ctx.now(), spans, &mut out)?;
+            ctx.sleep_until(end);
+            Ok(out)
+        })
     }
 
     /// Synchronous read of one request spanning `lpns` (striped across
@@ -918,23 +1025,7 @@ impl SsdDevice {
     ///
     /// Returns [`DeviceError::Ftl`] if any page is out of range.
     pub fn read_pages(&self, ctx: &Ctx, lpns: &[u64]) -> DeviceResult<Vec<PageBuf>> {
-        self.power_busy(ctx.now());
-        let result = self.read_pages_inner(ctx, lpns);
-        self.power_idle(ctx.now());
-        result
-    }
-
-    fn read_pages_inner(&self, ctx: &Ctx, lpns: &[u64]) -> DeviceResult<Vec<PageBuf>> {
-        let start = self.charge_request_overhead(ctx.now());
-        let mut out = Vec::with_capacity(lpns.len());
-        let mut end = start;
-        for &lpn in lpns {
-            let (t, buf) = self.enqueue_read(start, lpn, self.cfg.page_size)?;
-            end = end.max(t);
-            out.push(buf);
-        }
-        ctx.sleep_until(end);
-        Ok(out)
+        self.read_sync(ctx, lpns.iter().map(|&lpn| (lpn, self.cfg.page_size)))
     }
 
     /// Synchronous read of `(lpn, bytes)` page spans in one request; only
@@ -945,21 +1036,7 @@ impl SsdDevice {
     ///
     /// Returns [`DeviceError::Ftl`] if any page is out of range.
     pub fn read_spans(&self, ctx: &Ctx, spans: &[(u64, usize)]) -> DeviceResult<Vec<PageBuf>> {
-        self.power_busy(ctx.now());
-        let result = (|| {
-            let start = self.charge_request_overhead(ctx.now());
-            let mut out = Vec::with_capacity(spans.len());
-            let mut end = start;
-            for &(lpn, bytes) in spans {
-                let (t, buf) = self.enqueue_read(start, lpn, bytes)?;
-                end = end.max(t);
-                out.push(buf);
-            }
-            ctx.sleep_until(end);
-            Ok(out)
-        })();
-        self.power_idle(ctx.now());
-        result
+        self.read_sync(ctx, spans.iter().copied())
     }
 
     /// Asynchronous read: splits `lpns` into requests of `request_pages`
@@ -979,33 +1056,14 @@ impl SsdDevice {
         request_pages: usize,
         queue_depth: usize,
     ) -> DeviceResult<Vec<PageBuf>> {
-        assert!(request_pages > 0 && queue_depth > 0);
-        self.power_busy(ctx.now());
-        let result = (|| {
+        self.powered(ctx, || {
             let mut out = Vec::with_capacity(lpns.len());
-            let mut inflight: VecDeque<SimTime> = VecDeque::new();
-            for chunk in lpns.chunks(request_pages) {
-                if inflight.len() >= queue_depth {
-                    ctx.sleep_until(inflight.pop_front().expect("inflight nonempty"));
-                }
-                let start = self.charge_request_overhead(ctx.now());
-                let mut end = start;
-                for &lpn in chunk {
-                    let (t, buf) = self.enqueue_read(start, lpn, self.cfg.page_size)?;
-                    end = end.max(t);
-                    out.push(buf);
-                }
-                inflight.push_back(end);
-            }
-            // Only the newest in-flight request gates batch completion: its
-            // completion time dominates the ones still queued.
-            if let Some(end) = inflight.pop_back() {
-                ctx.sleep_until(end);
-            }
+            self.windowed(ctx, lpns, request_pages, queue_depth, |chunk| {
+                let spans = chunk.iter().map(|&lpn| (lpn, self.cfg.page_size));
+                self.read_request(ctx.now(), spans, &mut out)
+            })?;
             Ok(out)
-        })();
-        self.power_idle(ctx.now());
-        result
+        })
     }
 
     /// Pattern-matched scan over `lpns` with the per-channel matcher IP.
@@ -1026,15 +1084,9 @@ impl SsdDevice {
         request_pages: usize,
         queue_depth: usize,
     ) -> DeviceResult<Vec<(u64, PageBuf)>> {
-        assert!(request_pages > 0 && queue_depth > 0);
-        self.power_busy(ctx.now());
-        let result = (|| {
+        self.powered(ctx, || {
             let mut out = Vec::new();
-            let mut inflight: VecDeque<SimTime> = VecDeque::new();
-            for chunk in lpns.chunks(request_pages) {
-                if inflight.len() >= queue_depth {
-                    ctx.sleep_until(inflight.pop_front().expect("inflight nonempty"));
-                }
+            self.windowed(ctx, lpns, request_pages, queue_depth, |chunk| {
                 // IP setup costs software time on a core per request.
                 let (core, _) = self.cores.least_loaded();
                 let start = self
@@ -1051,180 +1103,25 @@ impl SsdDevice {
                         out.push((lpn, buf));
                     }
                 }
-                inflight.push_back(end);
-            }
-            if let Some(end) = inflight.pop_back() {
-                ctx.sleep_until(end);
-            }
+                Ok(end)
+            })?;
             Ok(out)
-        })();
-        self.power_idle(ctx.now());
-        result
+        })
     }
 
-    /// Timed write of one page. GC work triggered by the write is charged to
-    /// the calling fiber (relocations + erase time), as on real firmware
-    /// where a colliding host write stalls behind GC.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadWriteSize`] or [`DeviceError::Ftl`].
-    pub fn write_page(&self, ctx: &Ctx, lpn: u64, data: &[u8]) -> DeviceResult<()> {
-        if data.len() > self.cfg.page_size {
-            return Err(DeviceError::BadWriteSize {
-                got: data.len(),
-                page_size: self.cfg.page_size,
-            });
-        }
-        self.power_busy(ctx.now());
-        let result = (|| {
-            self.count_copy(CopySite::WriteStage, self.cfg.page_size as u64);
-            let mut frame = self.pool.take();
-            frame.as_mut_slice()[..data.len()].copy_from_slice(data);
-            let outcome = self.ftl_write(ctx.now(), lpn, PageData::Bytes(frame.freeze()))?;
-            let ppa = self
-                .storage
-                .lock()
-                .ftl
-                .lookup(lpn)
-                .expect("checked")
-                .expect("just written");
-            let start = self.charge_request_overhead(ctx.now());
-            let (die_start, die_end) =
-                self.dies
-                    .enqueue_span(start, self.die_index(ppa), self.cfg.t_program);
-            let xfer = SimDuration::for_bytes(self.cfg.page_size as u64, self.cfg.channel_rate);
-            let (bus_start, bus_end) = self.buses.enqueue_span(die_end, ppa.channel as usize, xfer);
-            let mut end = bus_end;
-            // Amortized GC penalty.
-            if outcome.relocated > 0 || outcome.erased_blocks > 0 {
-                let gc_time = (self.cfg.t_read + self.cfg.t_program) * outcome.relocated
-                    + self.cfg.t_erase * outcome.erased_blocks;
-                end += gc_time;
-            }
-            if let Some(tracer) = self.trace() {
-                tracer.emit(|| TraceEvent::NandOp {
-                    kind: NandOpKind::Program,
-                    channel: ppa.channel,
-                    way: ppa.way,
-                    start: die_start,
-                    end: die_end,
-                });
-                tracer.emit(|| TraceEvent::ChannelTransfer {
-                    channel: ppa.channel,
-                    start: bus_start,
-                    end: bus_end,
-                    bytes: self.cfg.page_size as u64,
-                });
-                if end > bus_end {
-                    tracer.emit(|| TraceEvent::NandOp {
-                        kind: NandOpKind::Erase,
-                        channel: ppa.channel,
-                        way: ppa.way,
-                        start: bus_end,
-                        end,
-                    });
-                }
-            }
-            if let Some(m) = self.instruments() {
-                let ch = &m.channels[ppa.channel as usize];
-                ch.nand_program.inc();
-                ch.nand_busy_ps.add((die_end - die_start).as_ps());
-                ch.write_wait_ps.record((die_start - start).as_ps());
-                ch.bus_bytes.add(self.cfg.page_size as u64);
-                ch.bus_busy_ps.add((bus_end - bus_start).as_ps());
-                if end > bus_end {
-                    ch.nand_erase.add(outcome.erased_blocks);
-                    ch.nand_busy_ps.add((end - bus_end).as_ps());
-                }
-                m.pages_written.inc();
-            }
-            if let Some(q) = self.qprof() {
-                q.record(Stage::NandRead, die_start, die_end, 0, ppa.channel);
-                q.record(
-                    Stage::BusTransfer,
-                    bus_start,
-                    bus_end,
-                    self.cfg.page_size as u64,
-                    ppa.channel,
-                );
-                if end > bus_end {
-                    // GC stall charged to this write (relocation reads +
-                    // programs + the erase), attributed as die time.
-                    q.record(Stage::NandRead, bus_end, end, 0, ppa.channel);
-                }
-            }
-            self.stats.pages_written.add(1);
-            ctx.sleep_until(end);
-            Ok(())
-        })();
-        self.power_idle(ctx.now());
-        result
-    }
-
-    /// Asynchronous write of whole pages: FTL allocations happen up front,
-    /// program operations pipeline across dies with up to `queue_depth`
-    /// in flight, and the fiber blocks only on the final completion (the
+    /// The write path: asynchronous write of pre-staged device page frames
+    /// (typically taken from [`SsdDevice::frame_pool`] and filled in place,
+    /// so no staging copy happens here). FTL allocations happen per page,
+    /// program operations pipeline across dies with up to `queue_depth` in
+    /// flight, and the fiber blocks only on the final completion (the
     /// paper's asynchronous write API, §III-D). GC work triggered along the
-    /// way is charged at the end, like a flush absorbing the stall.
+    /// way is charged to the caller at the end, like a flush absorbing the
+    /// stall.
     ///
     /// # Errors
     ///
-    /// Returns [`DeviceError::BadWriteSize`] or [`DeviceError::Ftl`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_depth` is zero.
-    pub fn write_pages_async(
-        &self,
-        ctx: &Ctx,
-        pages: &[(u64, Vec<u8>)],
-        queue_depth: usize,
-    ) -> DeviceResult<()> {
-        assert!(queue_depth > 0);
-        self.power_busy(ctx.now());
-        let result = (|| {
-            let mut gc_penalty = SimDuration::ZERO;
-            let mut inflight: VecDeque<SimTime> = VecDeque::new();
-            for (lpn, data) in pages {
-                if data.len() > self.cfg.page_size {
-                    return Err(DeviceError::BadWriteSize {
-                        got: data.len(),
-                        page_size: self.cfg.page_size,
-                    });
-                }
-                self.count_copy(CopySite::WriteStage, self.cfg.page_size as u64);
-                let mut frame = self.pool.take();
-                frame.as_mut_slice()[..data.len()].copy_from_slice(data);
-                self.write_one_async(
-                    ctx,
-                    *lpn,
-                    PageData::Bytes(frame.freeze()),
-                    &mut inflight,
-                    queue_depth,
-                    &mut gc_penalty,
-                )?;
-            }
-            if let Some(end) = inflight.pop_back() {
-                ctx.sleep_until(end);
-            }
-            self.charge_gc_penalty(ctx, gc_penalty);
-            Ok(())
-        })();
-        self.power_idle(ctx.now());
-        result
-    }
-
-    /// Asynchronous write of pre-staged device page frames: like
-    /// [`SsdDevice::write_pages_async`] but the payloads are already full
-    /// page buffers (typically taken from [`SsdDevice::frame_pool`] and
-    /// filled in place), so no staging copy happens here — the zero-copy
-    /// write path the filesystem uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::BadWriteSize`] if a buffer is not exactly one
-    /// page, or [`DeviceError::Ftl`].
+    /// Returns [`DeviceError::BadWriteSize`] if any buffer is not exactly
+    /// one page (nothing is written), or [`DeviceError::Ftl`].
     ///
     /// # Panics
     ///
@@ -1235,105 +1132,23 @@ impl SsdDevice {
         pages: &[(u64, PageBuf)],
         queue_depth: usize,
     ) -> DeviceResult<()> {
-        assert!(queue_depth > 0);
-        self.power_busy(ctx.now());
-        let result = (|| {
+        self.powered(ctx, || {
+            if let Some((_, buf)) = pages.iter().find(|(_, b)| b.len() != self.cfg.page_size) {
+                return Err(DeviceError::BadWriteSize {
+                    got: buf.len(),
+                    page_size: self.cfg.page_size,
+                });
+            }
             let mut gc_penalty = SimDuration::ZERO;
-            let mut inflight: VecDeque<SimTime> = VecDeque::new();
-            for (lpn, buf) in pages {
-                if buf.len() != self.cfg.page_size {
-                    return Err(DeviceError::BadWriteSize {
-                        got: buf.len(),
-                        page_size: self.cfg.page_size,
-                    });
-                }
-                self.write_one_async(
-                    ctx,
-                    *lpn,
-                    PageData::Bytes(buf.clone()),
-                    &mut inflight,
-                    queue_depth,
-                    &mut gc_penalty,
-                )?;
-            }
-            if let Some(end) = inflight.pop_back() {
-                ctx.sleep_until(end);
-            }
+            self.windowed(ctx, pages, 1, queue_depth, |page| {
+                let (lpn, buf) = &page[0];
+                let (end, gc_time) = self.enqueue_program(ctx.now(), *lpn, buf.clone())?;
+                gc_penalty += gc_time;
+                Ok(end)
+            })?;
             self.charge_gc_penalty(ctx, gc_penalty);
             Ok(())
-        })();
-        self.power_idle(ctx.now());
-        result
-    }
-
-    /// One page of the asynchronous write pipeline: FTL allocation (and any
-    /// GC it triggers), die program, bus transfer, instrumentation.
-    fn write_one_async(
-        &self,
-        ctx: &Ctx,
-        lpn: u64,
-        data: PageData,
-        inflight: &mut VecDeque<SimTime>,
-        queue_depth: usize,
-        gc_penalty: &mut SimDuration,
-    ) -> DeviceResult<()> {
-        if inflight.len() >= queue_depth {
-            ctx.sleep_until(inflight.pop_front().expect("nonempty"));
-        }
-        let outcome = self.ftl_write(ctx.now(), lpn, data)?;
-        let ppa = self
-            .storage
-            .lock()
-            .ftl
-            .lookup(lpn)
-            .expect("checked")
-            .expect("just written");
-        let start = self.charge_request_overhead(ctx.now());
-        let (die_start, die_end) =
-            self.dies
-                .enqueue_span(start, self.die_index(ppa), self.cfg.t_program);
-        let xfer = SimDuration::for_bytes(self.cfg.page_size as u64, self.cfg.channel_rate);
-        let (bus_start, end) = self.buses.enqueue_span(die_end, ppa.channel as usize, xfer);
-        if let Some(tracer) = self.trace() {
-            tracer.emit(|| TraceEvent::NandOp {
-                kind: NandOpKind::Program,
-                channel: ppa.channel,
-                way: ppa.way,
-                start: die_start,
-                end: die_end,
-            });
-            tracer.emit(|| TraceEvent::ChannelTransfer {
-                channel: ppa.channel,
-                start: bus_start,
-                end,
-                bytes: self.cfg.page_size as u64,
-            });
-        }
-        if let Some(m) = self.instruments() {
-            let ch = &m.channels[ppa.channel as usize];
-            ch.nand_program.inc();
-            ch.nand_busy_ps.add((die_end - die_start).as_ps());
-            ch.write_wait_ps.record((die_start - start).as_ps());
-            ch.bus_bytes.add(self.cfg.page_size as u64);
-            ch.bus_busy_ps.add((end - bus_start).as_ps());
-            ch.nand_erase.add(outcome.erased_blocks);
-            m.pages_written.inc();
-        }
-        if let Some(q) = self.qprof() {
-            q.record(Stage::NandRead, die_start, die_end, 0, ppa.channel);
-            q.record(
-                Stage::BusTransfer,
-                bus_start,
-                end,
-                self.cfg.page_size as u64,
-                ppa.channel,
-            );
-        }
-        *gc_penalty += (self.cfg.t_read + self.cfg.t_program) * outcome.relocated
-            + self.cfg.t_erase * outcome.erased_blocks;
-        self.stats.pages_written.add(1);
-        inflight.push_back(end);
-        Ok(())
+        })
     }
 
     /// Charges accumulated GC time at the end of an asynchronous write
@@ -1417,6 +1232,14 @@ mod tests {
         }
     }
 
+    /// `bytes` zero-padded to a whole page, written through the write path.
+    fn write_one(dev: &SsdDevice, ctx: &Ctx, lpn: u64, bytes: &[u8]) {
+        let mut page = vec![0u8; dev.config().page_size];
+        page[..bytes.len()].copy_from_slice(bytes);
+        dev.write_bufs_async(ctx, &[(lpn, Buf::from_vec(page))], 1)
+            .unwrap();
+    }
+
     #[test]
     fn single_4k_read_latency_matches_table3() {
         let sim = Simulation::new(0);
@@ -1447,7 +1270,7 @@ mod tests {
         let dev = Arc::new(SsdDevice::new(small_cfg()));
         let d = Arc::clone(&dev);
         sim.spawn("rw", move |ctx| {
-            d.write_page(ctx, 7, b"hello device").unwrap();
+            write_one(&d, ctx, 7, b"hello device");
             let pages = d.read_pages(ctx, &[7]).unwrap();
             assert_eq!(&pages[0][..12], b"hello device");
         });
@@ -1577,8 +1400,16 @@ mod tests {
         let ps = dev.config().page_size;
         let d = Arc::clone(&dev);
         sim.spawn("w", move |ctx| {
-            let err = d.write_page(ctx, 0, &vec![0u8; ps + 1]).unwrap_err();
-            assert!(matches!(err, DeviceError::BadWriteSize { .. }));
+            let err = d
+                .write_bufs_async(ctx, &[(0, Buf::from_vec(vec![0u8; ps + 1]))], 1)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                DeviceError::BadWriteSize {
+                    got: ps + 1,
+                    page_size: ps
+                }
+            );
         });
         sim.run().assert_quiescent();
     }
@@ -1657,7 +1488,7 @@ mod tests {
         dev.set_fault_plan(&plan);
         let d = Arc::clone(&dev);
         sim.spawn("rw", move |ctx| {
-            d.write_page(ctx, 3, b"fragile payload").unwrap();
+            write_one(&d, ctx, 3, b"fragile payload");
             let pages = d.read_pages(ctx, &[3]).unwrap();
             assert_eq!(&pages[0][..15], b"fragile payload");
             // The block retired; a re-read hits the remapped copy.

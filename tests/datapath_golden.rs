@@ -207,10 +207,7 @@ fn run(fuse: bool, plan: Option<&FaultPlan>) -> Golden {
         end_time_ps: report.end_time.as_ps(),
         events: report.events_processed,
         trace: digest("trace", report.trace.to_chrome_json()),
-        metrics: digest(
-            "metrics",
-            report.metrics.without(VARIANT_METRICS).to_json(),
-        ),
+        metrics: digest("metrics", report.metrics.without(VARIANT_METRICS).to_json()),
         profiles: digest("profiles", report.profiles.to_json()),
         data,
     }

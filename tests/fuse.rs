@@ -20,6 +20,7 @@ use biscuit::fs::{Fs, Mode};
 use biscuit::host::array::ArrayShard;
 use biscuit::host::fleet::FleetConfig;
 use biscuit::host::{ConvIo, HostConfig, HostLoad, SsdArray};
+use biscuit::proto::Buf;
 use biscuit::sim::fault::{FaultConfig, FaultPlan};
 use biscuit::sim::fuse::VARIANT_METRICS;
 use biscuit::sim::par::{ParConfig, ParMode};
@@ -173,10 +174,13 @@ fn write_path_is_fuse_invariant() {
         device.attach_metrics(sim.metrics());
         let dev = Arc::clone(&device);
         sim.spawn("writer", move |ctx| {
-            let pages: Vec<(u64, Vec<u8>)> = (0..64u64)
-                .map(|i| (i, vec![(i % 251) as u8; dev.config().page_size]))
+            let pages: Vec<(u64, Buf)> = (0..64u64)
+                .map(|i| {
+                    let page = vec![(i % 251) as u8; dev.config().page_size];
+                    (i, Buf::from_vec(page))
+                })
                 .collect();
-            dev.write_pages_async(ctx, &pages, 4).unwrap();
+            dev.write_bufs_async(ctx, &pages, 4).unwrap();
             for (lpn, data) in &pages {
                 let got = dev.read_pages(ctx, &[*lpn]).unwrap();
                 assert_eq!(&got[0][..], &data[..]);
