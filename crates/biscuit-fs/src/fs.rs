@@ -357,15 +357,7 @@ impl Fs {
     /// Returns [`FsError::NotFound`] or [`FsError::NoSpace`].
     pub fn append_untimed(&self, path: &str, data: &[u8]) -> FsResult<()> {
         let device = &self.inner.device;
-        let end = self
-            .inner
-            .state
-            .lock()
-            .files
-            .get(path)
-            .ok_or_else(|| FsError::NotFound(path.to_owned()))?
-            .size;
-        let batch = stage_write(&self.inner, path, end, data, |lpn| {
+        let batch = stage_write(&self.inner, path, None, data, |lpn| {
             Ok(device.peek_page(lpn)?)
         })?;
         for (lpn, page) in batch {
@@ -438,33 +430,36 @@ fn persist_metadata(inner: &FsInner) -> FsResult<()> {
 }
 
 /// The one grow-and-stage step behind every write: extends `path` to cover
-/// `[offset, offset + data.len())`, then fills one device page frame per
-/// touched page. A page the range only partly covers starts from its live
-/// contents (fetched through `read_page`, the caller's timed or untimed
-/// read) or from zeros past the old end of file.
+/// `[offset, offset + data.len())` — `None` appends, resolving the end of
+/// file under the same lock that grows it, so concurrent appends never
+/// overlap — then fills one device page frame per touched page. A page the
+/// range only partly covers starts from its live contents (fetched through
+/// `read_page`, the caller's timed or untimed read) or from zeros past the
+/// old end of file.
 fn stage_write(
     inner: &FsInner,
     path: &str,
-    offset: u64,
+    offset: Option<u64>,
     data: &[u8],
     mut read_page: impl FnMut(u64) -> FsResult<PageBuf>,
 ) -> FsResult<Vec<(u64, PageBuf)>> {
     let ps = inner.page_size as u64;
-    let end = offset + data.len() as u64;
-    let (old_size, lpn_writes) = {
+    let (old_size, offset, end, lpn_writes) = {
         let mut st = inner.state.lock();
         let old = st
             .files
             .get(path)
             .ok_or_else(|| FsError::NotFound(path.to_owned()))?
             .size;
+        let offset = offset.unwrap_or(old);
+        let end = offset + data.len() as u64;
         Fs::grow_locked(&mut st, path, end.max(old), ps)?;
         let inode = st.files.get_mut(path).expect("checked");
         inode.size = inode.size.max(end);
         let writes: Vec<(u64, u64)> = (offset / ps..end.div_ceil(ps))
             .map(|pi| (inode.lpn_of(pi), pi))
             .collect();
-        (old, writes)
+        (old, offset, end, writes)
     };
     let mut batch = Vec::with_capacity(lpn_writes.len());
     for (lpn, page_index) in lpn_writes {
@@ -724,7 +719,7 @@ impl File {
             return Ok(());
         }
         let data = std::mem::take(&mut self.write_buffer);
-        self.write_at(ctx, self.len()?, &data)
+        self.write_staged(ctx, None, &data)
     }
 
     /// Positional timed write (paper §III-D `write`): overwrites bytes at
@@ -746,6 +741,12 @@ impl File {
         if data.is_empty() {
             return Ok(());
         }
+        self.write_staged(ctx, Some(offset), data)
+    }
+
+    /// The timed write behind [`File::write_at`] and [`File::flush`]
+    /// (`None` = at the end of file).
+    fn write_staged(&self, ctx: &Ctx, offset: Option<u64>, data: &[u8]) -> FsResult<()> {
         let device = &self.inner.device;
         let batch = stage_write(&self.inner, &self.path, offset, data, |lpn| {
             Ok(device.read_pages(ctx, &[lpn])?.remove(0))
@@ -902,6 +903,34 @@ mod tests {
         let flushed = run(true);
         assert_eq!(flushed.1, [1, 4], "one RMW read, one plus three programs");
         assert_eq!(flushed, run(false));
+    }
+
+    /// An append takes its offset under the lock that grows the file, so
+    /// appends racing on real threads land back to back.
+    #[test]
+    fn concurrent_appends_never_overlap() {
+        let fs = Fs::format(device());
+        fs.create("log").unwrap();
+        let ps = fs.device().config().page_size;
+        std::thread::scope(|s| {
+            for tag in [b'a', b'b'] {
+                let fs = &fs;
+                s.spawn(move || {
+                    for _ in 0..40 {
+                        fs.append_untimed("log", &vec![tag; ps]).unwrap();
+                    }
+                });
+            }
+        });
+        let f = fs.open("log", Mode::ReadOnly).unwrap();
+        assert_eq!(f.len().unwrap(), 80 * ps as u64);
+        let lpns = f.lpns_for_range(0, 80 * ps as u64).unwrap();
+        let tags: Vec<u8> = lpns
+            .iter()
+            .map(|&lpn| fs.device().peek_page(lpn).unwrap()[0])
+            .collect();
+        assert_eq!(tags.iter().filter(|&&b| b == b'a').count(), 40);
+        assert_eq!(tags.iter().filter(|&&b| b == b'b').count(), 40);
     }
 
     #[test]

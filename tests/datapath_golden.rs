@@ -11,8 +11,8 @@
 //!
 //! A legitimate model change re-records the constants: run with
 //! `--nocapture` and copy the printed `Golden { .. }` values. To see *what*
-//! moved, set `DATAPATH_GOLDEN_DUMP=<dir>` at both commits and diff the
-//! exported JSON.
+//! moved, diff the exported JSON a failing run leaves in the directory its
+//! message names against the same run's at the other commit.
 
 use std::sync::Arc;
 
@@ -98,7 +98,10 @@ fn tiny_drive() -> (Ssd, ConvIo) {
     (ssd, conv)
 }
 
-fn run(fuse: bool, plan: Option<&FaultPlan>) -> Golden {
+/// Runs the script and checks its digests against `want`; on a mismatch the
+/// three text exports are left in the temp directory, since a digest says
+/// *that* an export moved and only the text says where.
+fn check(fuse: bool, plan: Option<&FaultPlan>, want: &Golden) {
     let (ssd, conv) = tiny_drive();
     let ps = ssd.device().config().page_size;
     let fs = ssd.fs().clone();
@@ -193,23 +196,32 @@ fn run(fuse: bool, plan: Option<&FaultPlan>) -> Golden {
             "one read must be uncorrectable"
         );
     }
-    let what = if plan.is_some() { "faulted" } else { "clean" };
-    let digest = |kind: &str, text: String| {
-        // A digest says *that* an export moved; the text says where. Dump
-        // parent and change into two directories and `diff` them.
-        if let Ok(dir) = std::env::var("DATAPATH_GOLDEN_DUMP") {
-            std::fs::write(format!("{dir}/{what}-fuse{fuse}-{kind}.json"), &text).unwrap();
-        }
-        fnv1a(FNV_OFFSET, text.as_bytes())
-    };
-    let data = *data_digest.lock();
-    Golden {
+    let exports = [
+        ("trace", report.trace.to_chrome_json()),
+        ("metrics", report.metrics.without(VARIANT_METRICS).to_json()),
+        ("profiles", report.profiles.to_json()),
+    ];
+    let digest = |i: usize| fnv1a(FNV_OFFSET, exports[i].1.as_bytes());
+    let got = Golden {
         end_time_ps: report.end_time.as_ps(),
         events: report.events_processed,
-        trace: digest("trace", report.trace.to_chrome_json()),
-        metrics: digest("metrics", report.metrics.without(VARIANT_METRICS).to_json()),
-        profiles: digest("profiles", report.profiles.to_json()),
-        data,
+        trace: digest(0),
+        metrics: digest(1),
+        profiles: digest(2),
+        data: *data_digest.lock(),
+    };
+    let what = if plan.is_some() { "faulted" } else { "clean" };
+    println!("{what} fuse={fuse}: {got:#x?}");
+    if got != *want {
+        let dir = std::env::temp_dir().join("datapath_golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (kind, text) in &exports {
+            std::fs::write(dir.join(format!("{what}-fuse{fuse}-{kind}.json")), text).unwrap();
+        }
+        panic!(
+            "{what} fuse={fuse}: got {got:#x?}, want {want:#x?}; exports are in {}",
+            dir.display()
+        );
     }
 }
 
@@ -227,17 +239,13 @@ fn read_fault_plan() -> FaultPlan {
 #[test]
 fn clean_run_matches_the_recorded_digests() {
     for fuse in [true, false] {
-        let got = run(fuse, None);
-        println!("clean fuse={fuse}: {got:#x?}");
-        assert_eq!(got, CLEAN, "fuse={fuse}");
+        check(fuse, None, &CLEAN);
     }
 }
 
 #[test]
 fn faulted_run_matches_the_recorded_digests() {
     for fuse in [true, false] {
-        let got = run(fuse, Some(&read_fault_plan()));
-        println!("faulted fuse={fuse}: {got:#x?}");
-        assert_eq!(got, FAULTED, "fuse={fuse}");
+        check(fuse, Some(&read_fault_plan()), &FAULTED);
     }
 }
