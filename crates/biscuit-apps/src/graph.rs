@@ -8,14 +8,12 @@
 //! host round-trip per hop (and degrades under host load); the Biscuit
 //! walker chases pointers entirely inside the device.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use biscuit_core::module::{ModuleBuilder, SsdletSpec};
 use biscuit_core::task::{args_as, Ssdlet, TaskCtx};
 use biscuit_core::{Application, BiscuitResult, Ssd, SsdletModule};
 use biscuit_fs::File;
 use biscuit_host::{ConvIo, HostLoad};
+use biscuit_sim::rng::Rng;
 use biscuit_sim::Ctx;
 
 /// Neighbor slots per vertex record.
@@ -38,15 +36,15 @@ impl SocialGraph {
     /// every vertex with at least one out-neighbor.
     pub fn generate(vertices: u64, seed: u64) -> SocialGraph {
         assert!(vertices > 1, "graph needs at least two vertices");
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut bytes = Vec::with_capacity(vertices as usize * RECORD_SIZE);
         for _v in 0..vertices {
-            let degree = rng.random_range(1..=MAX_DEGREE as u64);
+            let degree = rng.range(1..=MAX_DEGREE as u64);
             bytes.extend_from_slice(&degree.to_le_bytes());
             for slot in 0..MAX_DEGREE as u64 {
                 let neighbor = if slot < degree {
                     // Quadratic skew: most edges point at low-id hubs.
-                    let u: f64 = rng.random();
+                    let u = rng.f64();
                     (u * u * vertices as f64) as u64 % vertices
                 } else {
                     0
@@ -66,8 +64,8 @@ impl SocialGraph {
     pub fn reference_walk(&self, walks: u64, steps: u64, seed: u64) -> u64 {
         let mut checksum = 0u64;
         for w in 0..walks {
-            let mut rng = SmallRng::seed_from_u64(seed ^ w);
-            let mut v = rng.random_range(0..self.vertices);
+            let mut rng = Rng::seed_from_u64(seed ^ w);
+            let mut v = rng.range(0..self.vertices);
             for _ in 0..steps {
                 let off = v as usize * RECORD_SIZE;
                 let record = &self.bytes[off..off + RECORD_SIZE];
@@ -80,10 +78,10 @@ impl SocialGraph {
 }
 
 /// Decodes a record and picks the walk's next vertex.
-fn next_vertex(record: &[u8], rng: &mut SmallRng) -> u64 {
+fn next_vertex(record: &[u8], rng: &mut Rng) -> u64 {
     let degree =
         u64::from_le_bytes(record[..8].try_into().expect("8 bytes")).clamp(1, MAX_DEGREE as u64);
-    let pick = rng.random_range(0..degree) as usize;
+    let pick = rng.range(0..degree) as usize;
     let start = 8 + pick * 8;
     u64::from_le_bytes(record[start..start + 8].try_into().expect("8 bytes"))
 }
@@ -114,8 +112,8 @@ pub fn conv_chase(
 ) -> biscuit_fs::FsResult<u64> {
     let mut checksum = 0u64;
     for w in 0..walks {
-        let mut rng = SmallRng::seed_from_u64(seed ^ w);
-        let mut v = rng.random_range(0..vertices);
+        let mut rng = Rng::seed_from_u64(seed ^ w);
+        let mut v = rng.range(0..vertices);
         for _ in 0..steps {
             let (block, rec_off) = record_in_block(v);
             let bytes = conv.read(ctx, file, block, BLOCK_SIZE, load)?;
@@ -167,8 +165,8 @@ impl Ssdlet for Chaser {
     fn run(&mut self, ctx: &mut TaskCtx<'_>) {
         let mut checksum = 0u64;
         for w in 0..self.args.walks {
-            let mut rng = SmallRng::seed_from_u64(self.args.seed ^ w);
-            let mut v = rng.random_range(0..self.args.vertices);
+            let mut rng = Rng::seed_from_u64(self.args.seed ^ w);
+            let mut v = rng.range(0..self.args.vertices);
             for _ in 0..self.args.steps {
                 let (block, rec_off) = record_in_block(v);
                 let bytes = self
@@ -212,9 +210,9 @@ mod tests {
     use biscuit_core::CoreConfig;
     use biscuit_fs::{Fs, Mode};
     use biscuit_host::HostConfig;
+    use biscuit_sim::sync::Mutex;
     use biscuit_sim::Simulation;
     use biscuit_ssd::{SsdConfig, SsdDevice};
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn setup(vertices: u64) -> (Ssd, ConvIo, File, SocialGraph) {

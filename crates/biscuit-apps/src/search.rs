@@ -387,9 +387,9 @@ mod tests {
     use biscuit_core::CoreConfig;
     use biscuit_fs::{Fs, Mode};
     use biscuit_host::HostConfig;
+    use biscuit_sim::sync::Mutex;
     use biscuit_sim::Simulation;
     use biscuit_ssd::{SsdConfig, SsdDevice};
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     fn setup(corpus_pages: u64) -> (Ssd, ConvIo, File, u64) {

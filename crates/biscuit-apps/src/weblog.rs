@@ -6,9 +6,7 @@
 //! either a materialized file or a storage-free synthetic file of paper
 //! scale (7.8 GiB).
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use biscuit_sim::rng::Rng;
 use biscuit_ssd::PageGen;
 
 /// The token the search benchmarks look for.
@@ -45,33 +43,31 @@ impl WeblogGen {
 
     /// Replaces `line` with log line number `global_line`.
     ///
-    /// The draws keep the order and the integer types (`i32` except the
-    /// three table indices) that page contents have always been sampled
-    /// with: `rand` samples each type its own way, so changing either would
-    /// change every page.
-    fn write_line(&self, rng: &mut SmallRng, global_line: u64, line: &mut Vec<u8>) {
+    /// One draw per field, in the order page contents have always been
+    /// sampled: reordering or adding a draw would change every page.
+    fn write_line(&self, rng: &mut Rng, global_line: u64, line: &mut Vec<u8>) {
         line.clear();
-        push_dec(line, rng.random_range(1..255i32));
+        push_dec(line, rng.range(1..255i32));
         line.push(b'.');
-        push_dec(line, rng.random_range(0..255i32));
+        push_dec(line, rng.range(0..255i32));
         line.push(b'.');
-        push_dec(line, rng.random_range(0..255i32));
+        push_dec(line, rng.range(0..255i32));
         line.push(b'.');
-        push_dec(line, rng.random_range(1..255i32));
+        push_dec(line, rng.range(1..255i32));
         line.extend_from_slice(b" - - [17/Jan/1995:");
-        push_2d(line, rng.random_range(0..24i32));
+        push_2d(line, rng.range(0..24i32));
         line.push(b':');
-        push_2d(line, rng.random_range(0..60i32));
+        push_2d(line, rng.range(0..60i32));
         line.push(b':');
-        push_2d(line, rng.random_range(0..60i32));
+        push_2d(line, rng.range(0..60i32));
         line.extend_from_slice(b"] \"");
-        line.extend_from_slice(METHODS[rng.random_range(0..METHODS.len())].as_bytes());
+        line.extend_from_slice(METHODS[rng.range(0..METHODS.len())].as_bytes());
         line.push(b' ');
-        line.extend_from_slice(PATHS[rng.random_range(0..PATHS.len())].as_bytes());
+        line.extend_from_slice(PATHS[rng.range(0..PATHS.len())].as_bytes());
         line.extend_from_slice(b" HTTP/1.1\" ");
-        line.extend_from_slice(CODES[rng.random_range(0..CODES.len())].as_bytes());
+        line.extend_from_slice(CODES[rng.range(0..CODES.len())].as_bytes());
         line.push(b' ');
-        push_dec(line, rng.random_range(64..65_536i32));
+        push_dec(line, rng.range(64..65_536i32));
         if self.needle_every > 0 && global_line % self.needle_every == self.needle_every / 2 {
             line.push(b' ');
             line.extend_from_slice(NEEDLE.as_bytes());
@@ -111,8 +107,7 @@ impl WeblogGen {
 impl PageGen for WeblogGen {
     fn generate(&self, lpn: u64, page_size: usize) -> Vec<u8> {
         // Page-local RNG: page contents depend only on (seed, lpn).
-        let mut rng =
-            SmallRng::seed_from_u64(self.seed ^ (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let mut rng = Rng::seed_from_u64(self.seed ^ (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         // Lines per page vary with line lengths; assign deterministic global
         // line numbers by reserving a fixed per-page budget.
         let line_budget = (page_size / 96) as u64;
@@ -159,13 +154,13 @@ mod tests {
 
     /// The `format!`-based builder `generate` had before it wrote bytes in
     /// place, kept as the reference its pages must equal byte for byte.
-    fn reference_line(g: &WeblogGen, rng: &mut SmallRng, global_line: u64) -> String {
+    fn reference_line(g: &WeblogGen, rng: &mut Rng, global_line: u64) -> String {
         let ip = format!(
             "{}.{}.{}.{}",
-            rng.random_range(1..255),
-            rng.random_range(0..255),
-            rng.random_range(0..255),
-            rng.random_range(1..255)
+            rng.range(1..255),
+            rng.range(0..255),
+            rng.range(0..255),
+            rng.range(1..255)
         );
         let tag = if g.needle_every > 0 && global_line % g.needle_every == g.needle_every / 2 {
             format!(" {NEEDLE}")
@@ -174,19 +169,19 @@ mod tests {
         };
         format!(
             "{ip} - - [17/Jan/1995:{:02}:{:02}:{:02}] \"{} {} HTTP/1.1\" {} {}{}\n",
-            rng.random_range(0..24),
-            rng.random_range(0..60),
-            rng.random_range(0..60),
-            METHODS[rng.random_range(0..METHODS.len())],
-            PATHS[rng.random_range(0..PATHS.len())],
-            CODES[rng.random_range(0..CODES.len())],
-            rng.random_range(64..65_536),
+            rng.range(0..24),
+            rng.range(0..60),
+            rng.range(0..60),
+            METHODS[rng.range(0..METHODS.len())],
+            PATHS[rng.range(0..PATHS.len())],
+            CODES[rng.range(0..CODES.len())],
+            rng.range(64..65_536),
             tag
         )
     }
 
     fn reference_page(g: &WeblogGen, lpn: u64, page_size: usize) -> Vec<u8> {
-        let mut rng = SmallRng::seed_from_u64(g.seed ^ (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+        let mut rng = Rng::seed_from_u64(g.seed ^ (lpn.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         let line_budget = (page_size / 96) as u64;
         let mut page = Vec::new();
         let mut i = 0u64;

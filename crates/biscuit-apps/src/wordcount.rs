@@ -238,9 +238,9 @@ mod tests {
     use super::*;
     use biscuit_core::CoreConfig;
     use biscuit_fs::{Fs, Mode};
+    use biscuit_sim::sync::Mutex;
     use biscuit_sim::Simulation;
     use biscuit_ssd::{SsdConfig, SsdDevice};
-    use parking_lot::Mutex;
     use std::sync::Arc;
 
     #[test]

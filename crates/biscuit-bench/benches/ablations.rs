@@ -12,7 +12,7 @@
 
 use biscuit_bench::{
     header, platform, platform_with, ratio, row, secs, simulate, simulate_metered, tpch_db_with,
-    weblog_file, BenchReport, GATE_LOOSE,
+    weblog_file, BenchReport,
 };
 use biscuit_db::expr::Expr;
 use biscuit_db::spec::{ExecMode, SelectSpec};
@@ -119,13 +119,11 @@ fn ablation_join_order(report: &mut BenchReport) {
         "reorder gain: {} (the paper credits this heuristic for Q14's 166.8x)",
         ratio(rows_out[1].1 / rows_out[0].1)
     );
-    // TPC-H data comes from `rand`: gate loosely.
-    report.push_tol(
+    report.push(
         "join_reorder_gain",
         "x",
         None,
         rows_out[1].1 / rows_out[0].1,
-        GATE_LOOSE,
     );
 }
 
@@ -192,7 +190,7 @@ fn ablation_selectivity(report: &mut BenchReport) {
             &offloaded.to_string(),
         ]);
         // The offload verdict is the structural result of this sweep; gate
-        // it exactly. Speed-ups ride on `rand` data: gate loosely.
+        // it exactly.
         report.push_tol(
             &format!("selectivity_case{i}_offloaded"),
             "",
@@ -200,12 +198,11 @@ fn ablation_selectivity(report: &mut BenchReport) {
             offloaded as u64 as f64,
             0.0,
         );
-        report.push_tol(
+        report.push(
             &format!("selectivity_case{i}_speedup"),
             "x",
             None,
             conv_t / bis_t,
-            GATE_LOOSE,
         );
     }
     println!("past the threshold the planner declines and Biscuit == Conv (1.0x).");
@@ -311,12 +308,11 @@ fn ablation_aggregate_pushdown(report: &mut BenchReport) {
         link_bytes.push(bytes as f64);
     }
     println!("the aggregator SSDlet returns one row; the link carries ~nothing.");
-    report.push_tol(
+    report.push(
         "agg_pushdown_io_reduction",
         "x",
         None,
         link_bytes[0] / link_bytes[1].max(1.0),
-        GATE_LOOSE,
     );
 }
 

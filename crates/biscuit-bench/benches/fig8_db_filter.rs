@@ -15,7 +15,7 @@
 //! Biscuit stays consistent. We run each query at several background load
 //! levels to reproduce the variance structure.
 
-use biscuit_bench::{header, ratio, row, secs, simulate_metered, tpch_db, BenchReport, GATE_LOOSE};
+use biscuit_bench::{header, ratio, row, secs, simulate_metered, tpch_db, BenchReport};
 use biscuit_db::expr::Expr;
 use biscuit_db::spec::{ExecMode, SelectSpec};
 use biscuit_db::tpch::schema::l;
@@ -136,17 +136,14 @@ fn main() {
     }
     println!("paper speed-ups: ~11x (Query 1), ~10x (Query 2)");
 
-    // TPC-H data comes from `rand`, so absolute times shift with the rand
-    // implementation: gate the speed-ups (and idle times) loosely.
     let mut report = BenchReport::new("fig8_db_filter");
     for (name, threads, conv_t, bis_t, _rows, _off) in &results {
         let key = if *name == "Query 1" { "q1" } else { "q2" };
-        report.push_tol(
+        report.push(
             &format!("{key}_load{threads}_speedup"),
             "x",
             None,
             conv_t / bis_t,
-            GATE_LOOSE,
         );
     }
     report.set_metrics(metrics);

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use biscuit_bench::{header, row, simulate_metered, tpch_db, BenchReport, GATE_LOOSE};
+use biscuit_bench::{header, row, simulate_metered, tpch_db, BenchReport};
 use biscuit_db::expr::Expr;
 use biscuit_db::spec::{ExecMode, SelectSpec};
 use biscuit_db::tpch::schema::l;
@@ -136,29 +136,10 @@ fn main() {
     println!("(the paper's window includes a post-query buffer-sync tail that");
     println!(" lengthens the Biscuit window; we report the pure execution window)");
 
-    // TPC-H data comes from `rand`: gate the power/energy shape loosely.
     let mut report = BenchReport::new("fig9_table6_power");
-    report.push_tol(
-        "conv_avg_watts",
-        "W",
-        Some(122.0),
-        conv.avg_watts,
-        GATE_LOOSE,
-    );
-    report.push_tol(
-        "biscuit_avg_watts",
-        "W",
-        Some(136.0),
-        bis.avg_watts,
-        GATE_LOOSE,
-    );
-    report.push_tol(
-        "energy_ratio",
-        "x",
-        Some(5.0),
-        conv.energy_j / bis.energy_j,
-        GATE_LOOSE,
-    );
+    report.push("conv_avg_watts", "W", Some(122.0), conv.avg_watts);
+    report.push("biscuit_avg_watts", "W", Some(136.0), bis.avg_watts);
+    report.push("energy_ratio", "x", Some(5.0), conv.energy_j / bis.energy_j);
     report.set_metrics(metrics);
     report.write();
 }

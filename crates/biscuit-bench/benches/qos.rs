@@ -10,7 +10,7 @@
 //!   byte-identity of the QoS export across the rounds.
 //! - `BENCH_qos_soak1m.json` — the 1,000,000-query soak across 20,000
 //!   tenants on the same 4-drive shape. Skipped under `QOS_SMOKE=1`
-//!   (CI runs the 64k shape only; see the `qos-smoke` job).
+//!   (the quick shape).
 //!
 //! Jobs are virtual sleeps proportional to each arrival's WFQ cost —
 //! the *service-time model*. The subject under test is the QoS layer
@@ -23,16 +23,9 @@
 //! ~2.3x it: the soak *must* shed, and the in-harness asserts require
 //! it to.
 //!
-//! Baseline refresh: the `qos`/`qos_soak1m` rows in
-//! `benchmarks/baseline.json` whose values could not be computed by
-//! construction were seeded as placeholders (value 1, tol 1e18 — the
-//! gate passes on any result). After the first full
-//! `scripts/bench_check.sh --update` run they take this harness's
-//! measured values with the real tolerances carried from the report
-//! (exact for the integer virtual-time rows), turning them into tight
-//! gates. The rows with value/tol recorded as exact (`offered`,
-//! `starved_tenants`, `reconcile_err`, `determinism_divergence`) are
-//! guaranteed by the asserts below and gate from day one.
+//! Every gated row is a pure function of the seed: the integer
+//! virtual-time rows (`offered`, `accepted`, `shed`, the tenant-0 tail
+//! waits and latencies, ...) gate exactly, throughput at the tight band.
 
 use biscuit_bench::{header, row, simulate_metered, simulate_named, BenchReport, GATE_TIGHT};
 use biscuit_host::workload::drive_open_loop;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use biscuit_apps::search::{array_conv_grep, ArrayGrep};
 use biscuit_apps::weblog::{WeblogGen, NEEDLE};
-use biscuit_bench::{header, row, simulate_metered, BenchReport, GATE_LOOSE};
+use biscuit_bench::{header, row, simulate_metered, BenchReport};
 use biscuit_core::{CoreConfig, Ssd};
 use biscuit_fs::Fs;
 use biscuit_host::array::ArrayConfig;
@@ -74,21 +74,12 @@ fn main() {
         let conv_mibps = mib / conv_t;
         let bis_mibps = mib / bis_t;
         results.push((n, conv_mibps, bis_mibps));
-        // Loose gates: the web-log content and fiber interleaving depend
-        // on the `rand` implementation, so absolute rates may shift.
-        report.push_tol(
-            &format!("conv_mibps_{n}drives"),
-            "MiB/s",
-            None,
-            conv_mibps,
-            GATE_LOOSE,
-        );
-        report.push_tol(
+        report.push(&format!("conv_mibps_{n}drives"), "MiB/s", None, conv_mibps);
+        report.push(
             &format!("biscuit_mibps_{n}drives"),
             "MiB/s",
             None,
             bis_mibps,
-            GATE_LOOSE,
         );
         report.set_metrics(metrics);
         let _ = matches;
@@ -128,9 +119,7 @@ fn main() {
         "Conv aggregate throughput must stay within 10% of its 1-drive rate, drifted {:.1}%",
         flatness * 100.0
     );
-    report.push_tol("biscuit_scaling_1to4", "x", None, scaling, GATE_LOOSE);
-    // The drift's *baseline value* is a small percentage, so gate it with a
-    // wide relative band; the in-harness assert above bounds it at 10%.
-    report.push_tol("conv_drift_1to4_pct", "%", None, flatness * 100.0, 20.0);
+    report.push("biscuit_scaling_1to4", "x", None, scaling);
+    report.push("conv_drift_1to4_pct", "%", None, flatness * 100.0);
     report.write();
 }

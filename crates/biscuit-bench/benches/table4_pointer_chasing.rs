@@ -11,7 +11,7 @@
 //! extrapolation to the paper's hop count (138.6 s / 90 µs ≈ 1.54 M hops).
 
 use biscuit_apps::graph::{biscuit_chase, chase_module, conv_chase, ChaseArgs, SocialGraph};
-use biscuit_bench::{header, platform, row, simulate_metered, BenchReport, GATE_LOOSE};
+use biscuit_bench::{header, platform, row, simulate_metered, BenchReport};
 use biscuit_fs::Mode;
 use biscuit_host::HostLoad;
 
@@ -94,28 +94,14 @@ fn main() {
     }
     println!("\npaper: >=11% gain, Conv degrades with load, Biscuit flat.");
 
-    // The graph is generated with `rand`, so the walk path (and thus the
-    // timing) shifts with the rand implementation: gate loosely.
     let mut report = BenchReport::new("table4_pointer_chasing");
     for (i, (threads, conv_t, bis_t)) in results.iter().enumerate() {
         let conv_x = conv_t / hops * PAPER_HOPS;
         let bis_x = bis_t / hops * PAPER_HOPS;
         let paper_c = (!paper_conv[i].is_nan()).then_some(paper_conv[i]);
         let paper_b = (!paper_bis[i].is_nan()).then_some(paper_bis[i]);
-        report.push_tol(
-            &format!("conv_load{threads}_s"),
-            "s",
-            paper_c,
-            conv_x,
-            GATE_LOOSE,
-        );
-        report.push_tol(
-            &format!("biscuit_load{threads}_s"),
-            "s",
-            paper_b,
-            bis_x,
-            GATE_LOOSE,
-        );
+        report.push(&format!("conv_load{threads}_s"), "s", paper_c, conv_x);
+        report.push(&format!("biscuit_load{threads}_s"), "s", paper_b, bis_x);
     }
     report.set_metrics(metrics);
     report.write();

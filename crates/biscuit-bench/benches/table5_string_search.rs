@@ -68,8 +68,6 @@ fn main() {
     }
     println!("\npaper: 5.3x idle growing to 8.3x at 24 threads; Biscuit flat.");
 
-    // The synthetic web log is fully deterministic (no `rand`), so the
-    // extrapolated times gate tightly.
     let mut report = BenchReport::new("table5_string_search");
     for (i, (threads, conv_t, bis_t)) in results.iter().enumerate() {
         report.push(

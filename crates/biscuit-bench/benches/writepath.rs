@@ -5,21 +5,20 @@
 //! One report comes out, `BENCH_writepath.json`:
 //!
 //! - rows guaranteed by construction or by in-harness asserts gate
-//!   exactly from day one: `pages_written`, `lost_writes` (bytes that
+//!   exactly: `pages_written`, `lost_writes` (bytes that
 //!   diverged after crash + recovery + redo), and
 //!   `determinism_divergence` (two same-seed crash runs must export
 //!   byte-identical physical state);
 //! - the measured rows — virtual write throughput, write amplification,
-//!   GC runs, GC pause p99, journal records/checkpoints, replayed
-//!   records, and the wall-clock journal-replay time — are seeded in
-//!   `benchmarks/baseline.json` as placeholders (value 1, tol 1e18; the
-//!   gate passes on any result) until the first
-//!   `scripts/bench_check.sh --update` records real values. The
-//!   wall-clock replay row stays wide forever: it is machine-dependent.
+//!   GC runs, GC pause p99, journal records/checkpoints and replayed
+//!   records — are pure functions of the seed: the integer rows gate
+//!   exactly, throughput at the tight band. The wall-clock journal-replay
+//!   time is printed, not reported: it is machine-dependent, so it cannot
+//!   gate.
 //!
-//! `WRITEPATH_SMOKE=1` (CI's `write-smoke` job) skips the extra
-//! crash-matrix sweep — eight more seeds crossed with both crash phases,
-//! pure asserts, no gated rows — and keeps the gated workload identical.
+//! `WRITEPATH_SMOKE=1` skips the extra crash-matrix sweep — eight more
+//! seeds crossed with both crash phases, pure asserts, no gated rows — and
+//! keeps the gated workload identical.
 
 use std::sync::Arc;
 
@@ -94,7 +93,11 @@ fn write_phase(ctx: &Ctx, fs: &Fs) -> Result<Vec<u64>, FsError> {
         for i in 0..nbatches {
             let batch = (i * stride + round) % nbatches;
             let t0 = ctx.now();
-            f.write_at(ctx, batch * BATCH_PAGES * ps, &payload(round, batch, batch_bytes))?;
+            f.write_at(
+                ctx,
+                batch * BATCH_PAGES * ps,
+                &payload(round, batch, batch_bytes),
+            )?;
             lat_ps.push((ctx.now() - t0).as_ps());
         }
     }
@@ -113,11 +116,7 @@ fn diverged_bytes(ctx: &Ctx, fs: &Fs) -> u64 {
             .read_at(ctx, batch * BATCH_PAGES * ps, batch_bytes as u64)
             .expect("read back");
         let want = payload(ROUNDS - 1, batch, batch_bytes);
-        diverged += got
-            .iter()
-            .zip(want.iter())
-            .filter(|(g, w)| g != w)
-            .count() as u64;
+        diverged += got.iter().zip(want.iter()).filter(|(g, w)| g != w).count() as u64;
     }
     diverged
 }
@@ -192,7 +191,10 @@ fn crashed(phase: PowerLossPhase, seed: u64) -> CrashOutcome {
         let (replayed, wall_us) = match write_phase(ctx, &fs) {
             Ok(_) => panic!("the seeded {phase:?} crash never fired"),
             Err(e) => {
-                assert!(d.is_dead(), "write phase failed but the drive is alive: {e}");
+                assert!(
+                    d.is_dead(),
+                    "write phase failed but the drive is alive: {e}"
+                );
                 let wall = std::time::Instant::now();
                 let report = d.recover_power_loss(ctx.now());
                 let wall_us = wall.elapsed().as_secs_f64() * 1e6;
@@ -296,10 +298,7 @@ fn main() {
         &format!("{:.1}us", gc_pause_p99_ps as f64 / 1e6),
     ]);
     row(&["replayed_records", &mw1.replayed_records.to_string()]);
-    row(&[
-        "replay_wall",
-        &format!("{:.0}us", mw1.replay_wall_us),
-    ]);
+    row(&["replay_wall", &format!("{:.0}us", mw1.replay_wall_us)]);
 
     let mut report = BenchReport::new("writepath");
     report.push_tol(
@@ -310,44 +309,37 @@ fn main() {
         0.0,
     );
     report.push_tol("lost_writes", "bytes", None, lost as f64, 0.0);
-    report.push_tol("determinism_divergence", "diffs", None, divergence as f64, 0.0);
     report.push_tol(
-        "write_throughput_mibps",
-        "MiB/s",
+        "determinism_divergence",
+        "diffs",
         None,
-        throughput_mibps,
-        1e18,
+        divergence as f64,
+        0.0,
     );
+    report.push("write_throughput_mibps", "MiB/s", None, throughput_mibps);
     report.push_tol(
         "write_amp_milli",
         "milli-x",
         None,
         base.write_amp_milli as f64,
-        1e18,
+        0.0,
     );
-    report.push_tol("gc_runs", "runs", None, gc_runs as f64, 1e18);
-    report.push_tol("gc_pause_p99_ps", "ps", None, gc_pause_p99_ps as f64, 1e18);
+    report.push_tol("gc_runs", "runs", None, gc_runs as f64, 0.0);
+    report.push_tol("gc_pause_p99_ps", "ps", None, gc_pause_p99_ps as f64, 0.0);
     report.push_tol(
         "journal_records",
         "records",
         None,
         base.journal_records as f64,
-        1e18,
+        0.0,
     );
-    report.push_tol("checkpoints", "ckpts", None, base.checkpoints as f64, 1e18);
+    report.push_tol("checkpoints", "ckpts", None, base.checkpoints as f64, 0.0);
     report.push_tol(
         "recovery_replayed_records",
         "records",
         None,
         mw1.replayed_records as f64,
-        1e18,
-    );
-    report.push_tol(
-        "recovery_replay_wall_us",
-        "us",
-        None,
-        mw1.replay_wall_us,
-        1e18,
+        0.0,
     );
     report.set_metrics(snap);
     report.write();

@@ -19,7 +19,7 @@ pub mod report;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_apps::weblog::WeblogGen;
 use biscuit_core::{CoreConfig, Ssd};
@@ -31,7 +31,7 @@ use biscuit_sim::metrics::MetricsSnapshot;
 use biscuit_sim::{Ctx, Simulation};
 use biscuit_ssd::{SsdConfig, SsdDevice};
 
-pub use report::{BenchReport, GATE_LOOSE, GATE_TIGHT};
+pub use report::{BenchReport, GATE_TIGHT};
 
 /// Runs `f` as the sole host fiber of a fresh simulation and returns its
 /// result.

@@ -9,12 +9,12 @@
 //! against `benchmarks/baseline.json`, failing when any gated row drifts
 //! beyond its tolerance.
 //!
-//! Tolerances are per row and chosen by the bench author: virtual-time
-//! results that depend only on the simulator are gated tightly
-//! ([`GATE_TIGHT`]); results that depend on randomly generated workload
-//! data (TPC-H tables, the social graph) are gated loosely
-//! ([`GATE_LOOSE`]) so that a different `rand` implementation shifts them
-//! without tripping the gate while order-of-magnitude regressions still do.
+//! Tolerances are per row and chosen by the bench author. Every generated
+//! workload (TPC-H tables, the social graph, web logs) is a pure function
+//! of its seed through `biscuit_sim::rng`, so every virtual-time result is
+//! gated tightly ([`GATE_TIGHT`]) and counts gate exactly (`0.0`). A row
+//! that cannot gate (wall-clock time) is printed, not reported: the gate
+//! refuses any tolerance of `1e6` or more as a placeholder.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -26,10 +26,10 @@ use biscuit_sim::metrics::MetricsSnapshot;
 /// simulator (pure virtual-time results): ±2 %.
 pub const GATE_TIGHT: f64 = 0.02;
 
-/// Tolerance for rows derived from randomly generated workload data: ±50 %.
-/// Wide enough to absorb a different random sequence, narrow enough to
-/// catch an offload decision flipping or a 10x speedup collapsing.
-pub const GATE_LOOSE: f64 = 0.5;
+/// Tolerances at or above this gate nothing ("value 1, tol 1e18"): the
+/// baseline and report loaders reject them, so a placeholder row can be
+/// neither seeded nor checked.
+const MAX_TOL: f64 = 1e6;
 
 /// One named result of a bench harness.
 #[derive(Debug, Clone)]
@@ -91,8 +91,8 @@ impl BenchReport {
         self.push_tol(name, unit, paper, measured, GATE_TIGHT);
     }
 
-    /// Records one result with an explicit gate tolerance (use
-    /// [`GATE_LOOSE`] for rows derived from randomly generated data).
+    /// Records one result with an explicit gate tolerance (`0.0` for
+    /// counts that must match exactly).
     pub fn push_tol(
         &mut self,
         name: &str,
@@ -504,11 +504,24 @@ fn load_baseline(path: &Path) -> Result<Baseline, String> {
                 .get("tol")
                 .and_then(Json::as_f64)
                 .ok_or_else(|| format!("{}: {id}/{name}: missing 'tol'", path.display()))?;
+            reject_placeholder(tol, path, &format!("{id}/{name}"))?;
             bench.insert(name.clone(), BaselineRow { value, tol });
         }
         out.insert(id.clone(), bench);
     }
     Ok(out)
+}
+
+fn reject_placeholder(tol: f64, path: &Path, row: &str) -> Result<(), String> {
+    if tol < MAX_TOL {
+        Ok(())
+    } else {
+        Err(format!(
+            "{}: {row}: tol {tol} gates nothing (must be below {MAX_TOL}); \
+             record the real value with a real tolerance, or do not report the row",
+            path.display()
+        ))
+    }
 }
 
 /// Parses one `BENCH_<id>.json` into `(row name -> (measured, tol))`.
@@ -531,6 +544,7 @@ fn load_report_rows(path: &Path) -> Result<BTreeMap<String, (f64, f64)>, String>
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("{}: row '{name}' without 'measured'", path.display()))?;
         let tol = row.get("tol").and_then(Json::as_f64).unwrap_or(GATE_TIGHT);
+        reject_placeholder(tol, path, name)?;
         out.insert(name.to_owned(), (measured, tol));
     }
     Ok(out)
@@ -703,7 +717,7 @@ mod tests {
     fn report_json_shape_and_rel_err() {
         let mut r = BenchReport::new("demo");
         r.push("lat_us", "us", Some(100.0), 98.0);
-        r.push_tol("speedup", "x", None, 5.0, GATE_LOOSE);
+        r.push_tol("speedup", "x", None, 5.0, 0.5);
         let json = r.to_json();
         let doc = parse_json(&json).expect("valid JSON");
         assert_eq!(doc.get("id").and_then(Json::as_str), Some("demo"));
@@ -772,6 +786,31 @@ mod tests {
         // Missing report file fails.
         std::fs::remove_file(dir.join("BENCH_gatecase.json")).unwrap();
         assert!(!check_reports(&baseline, &dir).unwrap().passed);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn placeholder_tolerances_are_rejected_in_reports_and_baselines() {
+        let dir = std::env::temp_dir().join(format!("biscuit-gate-tol-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let baseline = dir.join("baseline.json");
+        let mut r = BenchReport::new("wide");
+        r.push_tol("anything", "", None, 1.0, 1e18);
+        std::fs::write(dir.join("BENCH_wide.json"), r.to_json()).unwrap();
+        // A placeholder cannot be seeded...
+        let err = update_baseline(&baseline, &dir).unwrap_err();
+        assert!(
+            err.contains("anything") && err.contains("gates nothing"),
+            "{err}"
+        );
+        // ...and a hand-written one cannot be checked against.
+        std::fs::write(
+            &baseline,
+            r#"{"benches":{"wide":{"anything":{"value":1,"tol":1e6}}}}"#,
+        )
+        .unwrap();
+        let err = check_reports(&baseline, &dir).unwrap_err();
+        assert!(err.contains("wide/anything"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,7 +17,7 @@ use std::any::{Any, TypeId};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_proto::wire::Wire;
 use biscuit_sim::fault::{FaultSite, SsdletDisruption};
@@ -265,7 +265,7 @@ impl Application {
         Ok(())
     }
 
-    fn building(&self) -> BiscuitResult<parking_lot::MutexGuard<'_, AppState>> {
+    fn building(&self) -> BiscuitResult<biscuit_sim::sync::MutexGuard<'_, AppState>> {
         let st = self.state.lock();
         if st.phase != Phase::Building {
             return Err(BiscuitError::InvalidState(

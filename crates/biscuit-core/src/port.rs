@@ -19,7 +19,7 @@ use std::any::{Any, TypeId};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_proto::wire::Wire;
 use biscuit_proto::{HostLink, Packet, SpanHeader};
@@ -177,6 +177,9 @@ impl std::fmt::Debug for Connection {
 }
 
 impl Connection {
+    // One parameter per independent property of a connection, and every
+    // caller sets all of them.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         kind: PortKind,
         type_id: TypeId,
@@ -330,7 +333,8 @@ impl Connection {
                 // (including link queueing) until the bits land host-side.
                 ctx.qprof()
                     .record(Stage::SsdletCompute, send_start, ctx.now(), 0, 0);
-                ctx.qprof().record(Stage::Link, ctx.now(), ready_at, bytes, 0);
+                ctx.qprof()
+                    .record(Stage::Link, ctx.now(), ready_at, bytes, 0);
                 (ready_at, Box::new(pkt), bytes)
             }
             PortKind::HostToDevice => {
@@ -533,7 +537,8 @@ impl<T: Wire + Any + Send> HostOutPort<T> {
         let ready_at = dma_end + self.cfg.link_fixed;
         ctx.qprof()
             .record(Stage::HostCompute, send_start, ctx.now(), 0, 0);
-        ctx.qprof().record(Stage::Link, ctx.now(), ready_at, bytes, 1);
+        ctx.qprof()
+            .record(Stage::Link, ctx.now(), ready_at, bytes, 1);
         self.conn
             .queue
             .push(

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use crate::error::{BiscuitError, BiscuitResult};
 use crate::module::SsdletModule;

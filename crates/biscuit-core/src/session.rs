@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use crate::error::{BiscuitError, BiscuitResult};
 

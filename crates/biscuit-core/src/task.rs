@@ -198,9 +198,13 @@ impl<'a> TaskCtx<'a> {
     fn compute_charged(&self, d: SimDuration, bytes: u64) {
         let t0 = self.sim.now();
         self.device.cores().serve(self.sim, self.core, d);
-        self.sim
-            .qprof()
-            .record(Stage::SsdletCompute, t0, self.sim.now(), bytes, self.core as u32);
+        self.sim.qprof().record(
+            Stage::SsdletCompute,
+            t0,
+            self.sim.now(),
+            bytes,
+            self.core as u32,
+        );
     }
 
     /// Cooperative yield (the paper's explicit `yield` call).

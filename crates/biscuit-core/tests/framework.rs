@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_core::module::{ModuleBuilder, SsdletSpec};
 use biscuit_core::task::{args_as, Ssdlet, TaskCtx};
@@ -583,7 +583,7 @@ fn many_concurrent_applications_stress() {
     );
     let sim = Simulation::new(0);
     let s = ssd.clone();
-    let results: Arc<Mutex<Vec<(usize, Vec<u64>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let results = Arc::new(Mutex::new(Vec::<(usize, Vec<u64>)>::new()));
     let r = Arc::clone(&results);
     sim.spawn("host", move |ctx| {
         let mid = s.load_module(ctx, identity_module()).unwrap();

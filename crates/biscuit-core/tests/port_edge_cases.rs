@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_core::module::{ModuleBuilder, SsdletSpec};
 use biscuit_core::task::{args_as, Ssdlet, TaskCtx};

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 use proptest::prelude::*;
 
 use biscuit_core::module::{ModuleBuilder, SsdletSpec};

@@ -17,7 +17,7 @@ use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_core::runtime::ModuleId;
 use biscuit_core::{Application, BiscuitError, Ssd};
@@ -306,7 +306,8 @@ impl Db {
         let rate = self.cfg.host_row_rate / load.bandwidth_slowdown(self.conv.config());
         let t0 = ctx.now();
         ctx.sleep(SimDuration::for_bytes(bytes, rate));
-        ctx.qprof().record(Stage::HostCompute, t0, ctx.now(), bytes, 0);
+        ctx.qprof()
+            .record(Stage::HostCompute, t0, ctx.now(), bytes, 0);
     }
 
     fn charge_host_rows(&self, ctx: &Ctx, bytes: u64, load: HostLoad) {
@@ -528,7 +529,8 @@ impl Db {
         }
         let t_cpu = ctx.now();
         ctx.sleep(cpu_backlog);
-        ctx.qprof().record(Stage::HostCompute, t_cpu, ctx.now(), 0, 0);
+        ctx.qprof()
+            .record(Stage::HostCompute, t_cpu, ctx.now(), 0, 0);
         Ok(())
     }
 

@@ -20,7 +20,7 @@
 //!   (see `docs/TRACING.md` at the repo root).
 //! - [`exec`] — joins, aggregation, ordering.
 //! - [`error`] — [`DbError`] / [`DbResult`].
-//! - [`array`] — [`ArrayDb`]: the same engine sharded across the drives
+//! - [`mod@array`] — [`ArrayDb`]: the same engine sharded across the drives
 //!   of a [`biscuit_host::array::SsdArray`] (see `docs/SCALE.md`).
 //! - [`tpch`] — TPC-H schema, dbgen-style generator, and all 22 queries.
 //!
@@ -71,7 +71,7 @@
 //! sim.run().assert_quiescent();
 //! ```
 //!
-//! Switch `ExecMode::Conv` to [`ExecMode::Biscuit`](spec::ExecMode::Biscuit)
+//! Switch `ExecMode::Conv` to [`ExecMode::Biscuit`]
 //! and the planner samples selectivity and — when profitable — deploys the
 //! [`offload`] SSDlet so the filter runs next to the flash.
 

@@ -6,9 +6,7 @@
 //! `special…requests` comments, ...). Everything is seeded, so a given
 //! `(scale_factor, seed)` always produces the same database.
 
-use rand::rngs::StdRng;
-use rand::seq::IndexedRandom;
-use rand::{Rng, SeedableRng};
+use biscuit_sim::rng::Rng;
 
 use crate::value::{parse_date, Row, Value};
 
@@ -139,19 +137,19 @@ pub struct TpchData {
     pub lineitem: Vec<Row>,
 }
 
-fn comment(rng: &mut StdRng, words: usize) -> String {
+fn comment(rng: &mut Rng, words: usize) -> String {
     let mut out = String::new();
     for i in 0..words {
         if i > 0 {
             out.push(' ');
         }
-        out.push_str(COMMENT_WORDS.choose(rng).expect("non-empty list"));
+        out.push_str(rng.choose(&COMMENT_WORDS).expect("non-empty list"));
     }
     out
 }
 
-fn money(rng: &mut StdRng, lo: f64, hi: f64) -> f64 {
-    let cents = rng.random_range((lo * 100.0) as i64..=(hi * 100.0) as i64);
+fn money(rng: &mut Rng, lo: f64, hi: f64) -> f64 {
+    let cents = rng.range((lo * 100.0) as i64..=(hi * 100.0) as i64);
     cents as f64 / 100.0
 }
 
@@ -162,7 +160,7 @@ impl TpchData {
     /// customer = 150k×SF, part = 200k×SF, partsupp = 800k×SF,
     /// supplier = 10k×SF, nation = 25, region = 5.
     pub fn generate(scale_factor: f64, seed: u64) -> TpchData {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let sf = scale_factor;
         let n_supplier = ((10_000.0 * sf) as usize).max(10);
         let n_customer = ((150_000.0 * sf) as usize).max(150);
@@ -203,14 +201,14 @@ impl TpchData {
                 vec![
                     Value::Int(k as i64),
                     Value::Str(format!("Supplier#{k:09}")),
-                    Value::Str(format!("addr {}", rng.random_range(0..100_000))),
-                    Value::Int(rng.random_range(0..25)),
+                    Value::Str(format!("addr {}", rng.range(0..100_000))),
+                    Value::Int(rng.range(0..25)),
                     Value::Str(format!(
                         "{}-{:03}-{:03}-{:04}",
-                        rng.random_range(10..35),
-                        rng.random_range(100..1000),
-                        rng.random_range(100..1000),
-                        rng.random_range(1000..10_000)
+                        rng.range(10..35),
+                        rng.range(100..1000),
+                        rng.range(100..1000),
+                        rng.range(1000..10_000)
                     )),
                     Value::Float(money(&mut rng, -999.99, 9999.99)),
                     Value::Str(comment(&mut rng, 5)),
@@ -223,17 +221,17 @@ impl TpchData {
                 vec![
                     Value::Int(k as i64),
                     Value::Str(format!("Customer#{k:09}")),
-                    Value::Str(format!("addr {}", rng.random_range(0..100_000))),
-                    Value::Int(rng.random_range(0..25)),
+                    Value::Str(format!("addr {}", rng.range(0..100_000))),
+                    Value::Int(rng.range(0..25)),
                     Value::Str(format!(
                         "{}-{:03}-{:03}-{:04}",
-                        rng.random_range(10..35),
-                        rng.random_range(100..1000),
-                        rng.random_range(100..1000),
-                        rng.random_range(1000..10_000)
+                        rng.range(10..35),
+                        rng.range(100..1000),
+                        rng.range(100..1000),
+                        rng.range(1000..10_000)
                     )),
                     Value::Float(money(&mut rng, -999.99, 9999.99)),
-                    Value::Str((*SEGMENTS.choose(&mut rng).expect("non-empty")).to_owned()),
+                    Value::Str((*rng.choose(&SEGMENTS).expect("non-empty")).to_owned()),
                     Value::Str(comment(&mut rng, 6)),
                 ]
             })
@@ -242,30 +240,26 @@ impl TpchData {
         let part: Vec<Row> = (1..=n_part)
             .map(|k| {
                 let name: Vec<&str> = (0..5)
-                    .map(|_| *COLORS.choose(&mut rng).expect("non-empty"))
+                    .map(|_| *rng.choose(&COLORS).expect("non-empty"))
                     .collect();
                 let ty = format!(
                     "{} {} {}",
-                    TYPE_SYLL1.choose(&mut rng).expect("non-empty"),
-                    TYPE_SYLL2.choose(&mut rng).expect("non-empty"),
-                    TYPE_SYLL3.choose(&mut rng).expect("non-empty"),
+                    rng.choose(&TYPE_SYLL1).expect("non-empty"),
+                    rng.choose(&TYPE_SYLL2).expect("non-empty"),
+                    rng.choose(&TYPE_SYLL3).expect("non-empty"),
                 );
                 let container = format!(
                     "{} {}",
-                    CONTAINER_SYLL1.choose(&mut rng).expect("non-empty"),
-                    CONTAINER_SYLL2.choose(&mut rng).expect("non-empty"),
+                    rng.choose(&CONTAINER_SYLL1).expect("non-empty"),
+                    rng.choose(&CONTAINER_SYLL2).expect("non-empty"),
                 );
                 vec![
                     Value::Int(k as i64),
                     Value::Str(name.join(" ")),
-                    Value::Str(format!("Manufacturer#{}", rng.random_range(1..=5))),
-                    Value::Str(format!(
-                        "Brand#{}{}",
-                        rng.random_range(1..=5),
-                        rng.random_range(1..=5)
-                    )),
+                    Value::Str(format!("Manufacturer#{}", rng.range(1..=5))),
+                    Value::Str(format!("Brand#{}{}", rng.range(1..=5), rng.range(1..=5))),
                     Value::Str(ty),
-                    Value::Int(rng.random_range(1..=50)),
+                    Value::Int(rng.range(1..=50)),
                     Value::Str(container),
                     Value::Float(money(&mut rng, 900.0, 2000.0)),
                     Value::Str(comment(&mut rng, 3)),
@@ -280,7 +274,7 @@ impl TpchData {
                 partsupp.push(vec![
                     Value::Int(k as i64),
                     Value::Int(suppkey as i64),
-                    Value::Int(rng.random_range(1..=9999)),
+                    Value::Int(rng.range(1..=9999)),
                     Value::Float(money(&mut rng, 1.0, 1000.0)),
                     Value::Str(comment(&mut rng, 6)),
                 ]);
@@ -290,21 +284,21 @@ impl TpchData {
         let mut orders: Vec<Row> = Vec::with_capacity(n_orders);
         let mut lineitem: Vec<Row> = Vec::new();
         for k in 1..=n_orders {
-            let orderdate = rng.random_range(start..=end - 151);
-            let custkey = rng.random_range(1..=n_customer as i64);
-            let lines = rng.random_range(1..=7);
+            let orderdate = rng.range(start..=end - 151);
+            let custkey = rng.range(1..=n_customer as i64);
+            let lines = rng.range(1..=7);
             let mut totalprice = 0.0;
             let mut any_open = false;
             for line in 1..=lines {
-                let shipdate = orderdate + rng.random_range(1..=121);
-                let commitdate = orderdate + rng.random_range(30..=90);
-                let receiptdate = shipdate + rng.random_range(1..=30);
-                let quantity = rng.random_range(1..=50) as f64;
+                let shipdate = orderdate + rng.range(1..=121);
+                let commitdate = orderdate + rng.range(30..=90);
+                let receiptdate = shipdate + rng.range(1..=30);
+                let quantity = rng.range(1..=50) as f64;
                 let extended = money(&mut rng, 900.0, 104_950.0);
-                let discount = rng.random_range(0..=10) as f64 / 100.0;
-                let tax = rng.random_range(0..=8) as f64 / 100.0;
+                let discount = rng.range(0..=10) as f64 / 100.0;
+                let tax = rng.range(0..=8) as f64 / 100.0;
                 let returnflag = if receiptdate <= cutoff {
-                    if rng.random_bool(0.5) {
+                    if rng.bool(0.5) {
                         "R"
                     } else {
                         "A"
@@ -317,8 +311,8 @@ impl TpchData {
                 totalprice += extended * (1.0 - discount) * (1.0 + tax);
                 lineitem.push(vec![
                     Value::Int(k as i64),
-                    Value::Int(rng.random_range(1..=n_part as i64)),
-                    Value::Int(rng.random_range(1..=n_supplier as i64)),
+                    Value::Int(rng.range(1..=n_part as i64)),
+                    Value::Int(rng.range(1..=n_supplier as i64)),
                     Value::Int(line),
                     Value::Float(quantity),
                     Value::Float(extended),
@@ -329,8 +323,8 @@ impl TpchData {
                     Value::Date(shipdate),
                     Value::Date(commitdate),
                     Value::Date(receiptdate),
-                    Value::Str((*INSTRUCTIONS.choose(&mut rng).expect("non-empty")).to_owned()),
-                    Value::Str((*SHIPMODES.choose(&mut rng).expect("non-empty")).to_owned()),
+                    Value::Str((*rng.choose(&INSTRUCTIONS).expect("non-empty")).to_owned()),
+                    Value::Str((*rng.choose(&SHIPMODES).expect("non-empty")).to_owned()),
                     Value::Str(comment(&mut rng, 4)),
                 ]);
             }
@@ -341,8 +335,8 @@ impl TpchData {
                 Value::Str(status.to_owned()),
                 Value::Float((totalprice * 100.0).round() / 100.0),
                 Value::Date(orderdate),
-                Value::Str((*PRIORITIES.choose(&mut rng).expect("non-empty")).to_owned()),
-                Value::Str(format!("Clerk#{:09}", rng.random_range(1..=1000))),
+                Value::Str((*rng.choose(&PRIORITIES).expect("non-empty")).to_owned()),
+                Value::Str(format!("Clerk#{:09}", rng.range(1..=1000))),
                 Value::Int(0),
                 Value::Str(comment(&mut rng, 8)),
             ]);

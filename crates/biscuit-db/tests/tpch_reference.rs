@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_core::{CoreConfig, Ssd};
 use biscuit_db::spec::ExecMode;

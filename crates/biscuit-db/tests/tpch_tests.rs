@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_core::{CoreConfig, Ssd};
 use biscuit_db::spec::ExecMode;

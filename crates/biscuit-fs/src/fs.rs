@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_proto::packet::{Packet, PacketBuilder};
 use biscuit_sim::Ctx;
@@ -1004,7 +1004,8 @@ mod tests {
         let fs = Fs::format(device());
         fs.create("w").unwrap();
         let ps = fs.device().config().page_size as u64;
-        fs.append_untimed("w", &vec![b'a'; 3 * ps as usize]).unwrap();
+        fs.append_untimed("w", &vec![b'a'; 3 * ps as usize])
+            .unwrap();
         let sim = Simulation::new(0);
         let f = fs.open("w", Mode::ReadWrite).unwrap();
         sim.spawn("w", move |ctx| {

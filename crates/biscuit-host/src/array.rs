@@ -56,7 +56,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_core::Ssd;
 use biscuit_sim::fault::{DriveLossPhase, FaultPlan, FaultSite};

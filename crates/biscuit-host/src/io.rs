@@ -249,7 +249,7 @@ mod tests {
         fs.append_untimed("f", &vec![0u8; 16 << 10]).unwrap();
         let f = fs.open("f", Mode::ReadOnly).unwrap();
         let sim = Simulation::new(0);
-        let times = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let times = Arc::new(biscuit_sim::sync::Mutex::new(Vec::new()));
         let times2 = Arc::clone(&times);
         sim.spawn("r", move |ctx| {
             for threads in [0u32, 24] {
@@ -307,7 +307,7 @@ mod tests {
             fs.append_untimed("f", &data).unwrap();
             let f = fs.open("f", Mode::ReadOnly).unwrap();
             let sim = Simulation::new(0);
-            let out = Arc::new(parking_lot::Mutex::new((Vec::new(), 0u64)));
+            let out = Arc::new(biscuit_sim::sync::Mutex::new((Vec::new(), 0u64)));
             let o = Arc::clone(&out);
             sim.spawn("r", move |ctx| {
                 let start = ctx.now();

@@ -9,7 +9,7 @@
 //! - [`io::ConvIo`] — the NVMe `pread`/async read path (Table III, Fig. 7).
 //! - [`search::BoyerMoore`] — the `grep` algorithm used as the Conv string
 //!   search baseline (Table V).
-//! - [`array`] — multi-SSD scale-out: the shard coordinator, ordered
+//! - [`mod@array`] — multi-SSD scale-out: the shard coordinator, ordered
 //!   merge port, and concurrent query scheduler (Fig. 1(b), `docs/SCALE.md`).
 //! - [`fleet`] — the parallel-DES face of the coordinator: one shard
 //!   kernel per drive, each on its own OS thread (`docs/PARALLEL.md`).

@@ -34,14 +34,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use biscuit_sim::queue::SimQueue;
+use biscuit_sim::rng::splitmix64;
 use biscuit_sim::{Ctx, SimDuration, SimTime};
 
 use crate::array::QueryScheduler;
 
-/// SplitMix64: the workload generator's seeded PRNG. Small, fast, and
-/// stable across platforms — the arrival stream is part of the repo's
-/// determinism contract, so the generator is pinned here rather than
-/// borrowed from a crate that may change algorithms.
+/// SplitMix64: the workload generator's seeded PRNG, a stream of
+/// [`biscuit_sim::rng::splitmix64`] outputs. Small, fast, and stable across
+/// platforms — the arrival stream is part of the repo's determinism
+/// contract.
 #[derive(Debug, Clone)]
 pub struct WorkloadRng {
     state: u64,
@@ -55,11 +56,9 @@ impl WorkloadRng {
 
     /// The next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 
     /// A uniform draw in `[0, 1)` with 53 bits of precision.
@@ -369,7 +368,7 @@ impl WorkloadEngine {
         }
         let mul = self.rate_mul(self.clock);
         let gap = self.rng.exp_ps(mean_interarrival.as_ps() as f64 / mul);
-        self.clock = self.clock + gap;
+        self.clock += gap;
         let at = self.clock;
         let tenant = self.sample_tenant();
         Some(self.make(at, tenant))

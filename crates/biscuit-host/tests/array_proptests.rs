@@ -4,6 +4,9 @@
 //! its global order is a pure function of (shard id, sequence) — never of
 //! timing.
 
+// The properties spell their shared result collectors' types out in place.
+#![allow(clippy::type_complexity)]
+
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 /// An immutable shared byte buffer: `Arc<[u8]>` + window.
 ///

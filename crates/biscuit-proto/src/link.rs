@@ -445,7 +445,7 @@ mod tests {
             queue_depth: 2,
             ..LinkConfig::pcie_gen3_x4()
         }));
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(biscuit_sim::sync::Mutex::new(Vec::new()));
         for i in 0..4 {
             let l = Arc::clone(&link);
             let order = Arc::clone(&order);

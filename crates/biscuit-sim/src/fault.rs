@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::metrics::MetricsRegistry;
+use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, Tracer};
 
@@ -312,14 +313,6 @@ struct PlanInner {
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     inner: Option<Arc<PlanInner>>,
-}
-
-/// SplitMix64 finalizer: a high-quality 64-bit mix.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Deterministic draw value for `(seed, site, ordinal)`.

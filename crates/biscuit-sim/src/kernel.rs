@@ -20,13 +20,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
+use crate::chan::{bounded, unbounded, Receiver, Sender};
 use crate::metrics::{self, MetricsRegistry, MetricsSnapshot};
 use crate::qprof::{QueryProfiler, QueryProfiles};
+use crate::rng::Rng;
+use crate::sync::Mutex;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceConfig, TraceEvent, Tracer};
 
@@ -127,7 +125,7 @@ struct KernelInner {
     /// together give the global minimum without paying heap sift costs.
     at_now: VecDeque<Event>,
     fibers: Vec<FiberSlot>,
-    rng: SmallRng,
+    rng: Rng,
     events_processed: u64,
     /// Livelock backstop shared by the dispatcher and inline sleeps (see
     /// [`Simulation::set_max_events`]).
@@ -525,7 +523,7 @@ impl Ctx {
     }
 
     /// Runs `f` with the simulation's deterministic random number generator.
-    pub fn with_rng<R>(&self, f: impl FnOnce(&mut SmallRng) -> R) -> R {
+    pub fn with_rng<R>(&self, f: impl FnOnce(&mut Rng) -> R) -> R {
         f(&mut self.kernel.inner.lock().rng)
     }
 
@@ -750,7 +748,7 @@ impl Simulation {
                 events: BinaryHeap::with_capacity(1024),
                 at_now: VecDeque::with_capacity(256),
                 fibers: Vec::new(),
-                rng: SmallRng::seed_from_u64(seed),
+                rng: Rng::seed_from_u64(seed),
                 events_processed: 0,
                 max_events: u64::MAX,
                 run_limit: SimTime::ZERO,
@@ -1196,13 +1194,12 @@ mod tests {
     #[test]
     fn rng_is_deterministic() {
         fn draw() -> Vec<u64> {
-            use rand::Rng;
             let sim = Simulation::new(99);
             let out = Arc::new(Mutex::new(Vec::new()));
             let o = Arc::clone(&out);
             sim.spawn("r", move |ctx| {
                 for _ in 0..8 {
-                    let v = ctx.with_rng(|r| r.random::<u64>());
+                    let v = ctx.with_rng(|r| r.next_u64());
                     o.lock().push(v);
                 }
             });
@@ -1263,7 +1260,7 @@ mod tests {
                 RunStatus::Drained => break sim.finish(),
                 RunStatus::Paused { next } => {
                     assert!(next > horizon);
-                    horizon = horizon + SimDuration::from_micros(5);
+                    horizon += SimDuration::from_micros(5);
                 }
                 RunStatus::Panicked => unreachable!("no fiber panics here"),
             }
@@ -1396,7 +1393,7 @@ mod tests {
                         RunStatus::Drained => break sim.finish(),
                         RunStatus::Paused { next } => {
                             assert!(next > horizon);
-                            horizon = horizon + SimDuration::from_micros(5);
+                            horizon += SimDuration::from_micros(5);
                         }
                         RunStatus::Panicked => unreachable!(),
                     }

@@ -18,6 +18,10 @@
 //! - [`fault`] — seeded, deterministic fault injection ([`FaultPlan`]) for
 //!   the instrumented sites across the stack (see `docs/FAULTS.md`).
 //! - [`time`] — [`SimTime`]/[`SimDuration`] arithmetic.
+//! - [`rng`] — the one seeded generator (SplitMix64, xoshiro256++) behind
+//!   every generated row, page and jitter draw.
+//! - [`sync`] — the non-poisoning [`sync::Mutex`] every shared sim object
+//!   locks with.
 //! - [`queue`] — blocking bounded queues, wait queues, semaphores.
 //! - [`resource`] — FCFS bandwidth shapers and server banks.
 //! - [`power`] — two-state power components integrated into Joules.
@@ -61,6 +65,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod chan;
 pub mod fault;
 pub mod fuse;
 pub mod kernel;
@@ -70,7 +75,9 @@ pub mod power;
 pub mod qprof;
 pub mod queue;
 pub mod resource;
+pub mod rng;
 pub mod stats;
+pub mod sync;
 pub mod time;
 pub mod trace;
 

@@ -49,7 +49,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::time::SimTime;
 use crate::trace::escape_json_into;
@@ -524,6 +524,10 @@ fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
 // ---------------------------------------------------------------------------
 
 /// The recorded value of one instrument at snapshot time.
+// A histogram is 64 buckets inline: snapshots are built once per export and
+// read by value everywhere, so boxing it would buy nothing but a pub API
+// change.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SampleValue {
     /// Monotonic counter value.

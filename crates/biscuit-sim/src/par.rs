@@ -77,10 +77,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::kernel::{RunStatus, SimReport, Simulation};
 use crate::metrics::MetricsRegistry;
+use crate::rng::splitmix64;
+use crate::sync::{Condvar, Mutex};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::Tracer;
 
@@ -181,14 +181,6 @@ impl Default for ParConfig {
 /// so fleet runs are reproducible across modes and machines.
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     splitmix64(seed ^ splitmix64(shard as u64))
-}
-
-/// SplitMix64 finalizer (same mix as the fault plan's draw function).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -521,16 +513,15 @@ fn drive_batch(
         if all_done {
             return out;
         }
-        horizon = horizon + window;
+        horizon += window;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as PlMutex;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use crate::rng::Rng;
+    use crate::sync::Mutex as PlMutex;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -577,11 +568,9 @@ mod tests {
             for (lane, tx) in txs.into_iter().enumerate() {
                 let c = counts[lane];
                 handles.push(std::thread::spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(trial * 31 + lane as u64);
+                    let mut rng = Rng::seed_from_u64(trial * 31 + lane as u64);
                     for item in 0..c {
-                        std::thread::sleep(std::time::Duration::from_micros(
-                            rng.random_range(0..200),
-                        ));
+                        std::thread::sleep(std::time::Duration::from_micros(rng.range(0..200)));
                         tx.send((lane, item));
                     }
                     tx.close();
@@ -792,8 +781,8 @@ mod tests {
     #[test]
     fn fused_sleeps_respect_window_barriers_across_modes() {
         fn run(mode: ParMode, fuse: bool) -> Vec<Vec<(u64, u64)>> {
-            let logs: Vec<Arc<PlMutex<Vec<(u64, u64)>>>> =
-                (0..3).map(|_| Arc::new(PlMutex::new(Vec::new()))).collect();
+            type Log = Arc<PlMutex<Vec<(u64, u64)>>>;
+            let logs: Vec<Log> = (0..3).map(|_| Arc::new(PlMutex::new(Vec::new()))).collect();
             let (txs, mut rx) = merge_port::<()>(3);
             let mut shards = Vec::new();
             for (i, tx) in txs.into_iter().enumerate() {
@@ -802,7 +791,7 @@ mod tests {
                 let log = Arc::clone(&logs[i]);
                 sim.spawn(format!("s{i}"), move |ctx| {
                     for pass in 0..10u64 {
-                        let jitter = ctx.with_rng(|r| r.random_range(1..5u64));
+                        let jitter = ctx.with_rng(|r| r.range(1..5u64));
                         ctx.sleep(SimDuration::from_micros(jitter));
                         let long = 2 * (2 + (pass + i as u64) % 9);
                         ctx.sleep_until(ctx.now() + SimDuration::from_micros(long));

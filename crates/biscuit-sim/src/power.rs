@@ -6,7 +6,7 @@
 //! energy over virtual time, recording a step trace that the Fig. 9 harness
 //! replays.
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::time::{SimDuration, SimTime};
 

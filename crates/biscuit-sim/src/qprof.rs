@@ -64,7 +64,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::kernel::{Ctx, Pid};
 use crate::time::{SimDuration, SimTime};
@@ -196,14 +196,6 @@ struct SpanRec {
     lane: u32,
 }
 
-/// A named non-leaf node of the span DAG (scatter shard, host fallback).
-#[derive(Debug, Clone)]
-struct PhaseRec {
-    id: u32,
-    parent: u32,
-    label: &'static str,
-}
-
 #[derive(Debug)]
 struct QueryRec {
     tenant: u32,
@@ -211,7 +203,9 @@ struct QueryRec {
     start: u64,
     end: Option<u64>,
     spans: Vec<SpanRec>,
-    phases: Vec<PhaseRec>,
+    /// Ids of the non-leaf nodes of the span DAG (scatter shard, host
+    /// fallback) minted by [`QueryProfiler::child`].
+    phases: Vec<u32>,
 }
 
 #[derive(Debug, Default)]
@@ -363,7 +357,9 @@ impl QueryProfiler {
     /// or `"host_fallback"` after an offload failure) and returns the
     /// child context. Spans recorded under the returned context parent to
     /// the new node, keeping the DAG causal through retries and fallback.
-    pub fn child(&self, sc: SpanContext, label: &'static str) -> SpanContext {
+    /// `label` names the node at the call site only: profiles do not
+    /// export phase labels.
+    pub fn child(&self, sc: SpanContext, _label: &'static str) -> SpanContext {
         if !self.is_enabled() {
             return sc;
         }
@@ -371,11 +367,7 @@ impl QueryProfiler {
         st.next_span += 1;
         let id = st.next_span;
         if let Some(q) = st.queries.get_mut(&sc.query) {
-            q.phases.push(PhaseRec {
-                id,
-                parent: sc.span,
-                label,
-            });
+            q.phases.push(id);
         }
         SpanContext { span: id, ..sc }
     }
@@ -540,7 +532,7 @@ impl QueryProfile {
         let start = q.start;
         let mut orphans = 0usize;
         // Parent validity: root or a recorded phase node.
-        let mut valid: Vec<u32> = q.phases.iter().map(|p| p.id).collect();
+        let mut valid = q.phases.clone();
         valid.push(q.root);
         valid.sort_unstable();
         let mut clipped: Vec<SpanRec> = Vec::with_capacity(q.spans.len());
@@ -576,7 +568,7 @@ impl QueryProfile {
             for (i, s) in clipped.iter().enumerate() {
                 if s.start <= a && s.end >= b {
                     let key = (s.start, i, s.stage, s.lane);
-                    if win.map_or(true, |cur| (key.0, key.1) > (cur.0, cur.1)) {
+                    if win.is_none_or(|cur| (key.0, key.1) > (cur.0, cur.1)) {
                         win = Some(key);
                     }
                 }

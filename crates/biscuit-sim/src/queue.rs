@@ -8,7 +8,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::kernel::{Ctx, Pid};
 use crate::metrics::{self, MetricsRegistry};

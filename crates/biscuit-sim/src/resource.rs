@@ -8,7 +8,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::kernel::Ctx;
 use crate::metrics::{self, MetricsRegistry};

@@ -1,6 +1,6 @@
 //! Lightweight measurement helpers for throughput reporting.
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 /// A monotonic counter (bytes moved, pages read, rows emitted, ...).
 #[derive(Debug, Default)]

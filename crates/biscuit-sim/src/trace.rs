@@ -38,7 +38,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 use crate::kernel::Pid;
 use crate::qprof::QueryProfiles;
@@ -570,6 +570,8 @@ impl<'a> ChromeExporter<'a> {
         self.entries.push((sort_ps, entry));
     }
 
+    // One parameter per field of the Chrome "X" event it writes.
+    #[allow(clippy::too_many_arguments)]
     fn complete(
         &mut self,
         name: &str,

@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 use proptest::prelude::*;
 
 use biscuit_sim::fuse::VARIANT_METRICS;
@@ -112,7 +112,7 @@ fn run_workload(programs: &[Vec<Op>], fuse: bool, window_us: Option<u64>) -> Obs
                     RunStatus::Drained => break sim.finish(),
                     RunStatus::Paused { next } => {
                         assert!(next > horizon, "Paused must point past the horizon");
-                        horizon = horizon + step;
+                        horizon += step;
                     }
                     RunStatus::Panicked => unreachable!("workload does not panic"),
                 }

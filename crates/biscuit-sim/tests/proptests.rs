@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 use proptest::prelude::*;
 
 use biscuit_sim::queue::SimQueue;
@@ -122,10 +122,7 @@ proptest! {
             for i in 0..n {
                 let q = q.clone();
                 sim.spawn(format!("w{i}"), move |ctx| {
-                    let jitter = ctx.with_rng(|r| {
-                        use rand::Rng;
-                        r.random_range(0..100u64)
-                    });
+                    let jitter = ctx.with_rng(|r| r.range(0..100u64));
                     ctx.sleep(SimDuration::from_nanos(jitter));
                     let _ = q.try_push(ctx, i as u32);
                 });

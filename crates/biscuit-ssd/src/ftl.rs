@@ -264,20 +264,14 @@ impl Ftl {
             // append and the NAND program: the record exists but the page
             // does not, which recovery detects and rolls back to `old`.
             if point.torn {
-                self.journal.append(JournalRecord::Write {
-                    lpn,
-                    new: ppa,
-                    old,
-                });
+                self.journal
+                    .append(JournalRecord::Write { lpn, new: ppa, old });
             }
             self.dead = Some(false);
             return Err(FtlError::PowerLoss { during_gc: false });
         }
-        self.journal.append(JournalRecord::Write {
-            lpn,
-            new: ppa,
-            old,
-        });
+        self.journal
+            .append(JournalRecord::Write { lpn, new: ppa, old });
         nand.program(ppa, data).expect("allocator produced bad ppa");
         self.invalidate(lpn);
         self.map[lpn as usize] = Some(ppa);
@@ -737,16 +731,16 @@ impl Ftl {
                     .filter(|&b| !bad.contains(&(c, w, b)) && !programmed.contains(&(c, w, b)))
                     .collect();
                 report.free_blocks += free_blocks.len() as u64;
-                dies.insert((c, w), DieState {
-                    free_blocks,
-                    frontier: None,
-                });
+                dies.insert(
+                    (c, w),
+                    DieState {
+                        free_blocks,
+                        frontier: None,
+                    },
+                );
             }
         }
-        report.dirty_blocks = programmed
-            .iter()
-            .filter(|blk| !bad.contains(blk))
-            .count() as u64;
+        report.dirty_blocks = programmed.iter().filter(|blk| !bad.contains(blk)).count() as u64;
 
         // 3b. — reopen each die's write frontier. Programs within a block
         // are strictly sequential, so a partially-programmed block is a
@@ -837,11 +831,9 @@ impl Ftl {
     /// Write amplification in fixed-point milli-units (1000 = 1.0x).
     /// Reports 1000 before any user write.
     pub fn write_amp_milli(&self) -> u64 {
-        if self.user_writes == 0 {
-            1000
-        } else {
-            self.total_programs * 1000 / self.user_writes
-        }
+        (self.total_programs * 1000)
+            .checked_div(self.user_writes)
+            .unwrap_or(1000)
     }
 
     /// Free (erased, allocatable) blocks across all dies.
@@ -975,7 +967,12 @@ mod tests {
             .map(|d| d.materialize(32).as_ref().to_vec())
     }
 
-    fn w(ftl: &mut Ftl, nand: &mut NandArray, lpn: u64, fill: u8) -> Result<WriteOutcome, FtlError> {
+    fn w(
+        ftl: &mut Ftl,
+        nand: &mut NandArray,
+        lpn: u64,
+        fill: u8,
+    ) -> Result<WriteOutcome, FtlError> {
         ftl.write(nand, lpn, page(fill, 32), &FaultPlan::none())
     }
 
@@ -1143,7 +1140,13 @@ mod tests {
         let (mut nand, mut ftl) = setup(4, 40);
         for round in 0..100u32 {
             for lpn in 0..40u64 {
-                w(&mut ftl, &mut nand, lpn, (round as u8).wrapping_mul(lpn as u8)).unwrap();
+                w(
+                    &mut ftl,
+                    &mut nand,
+                    lpn,
+                    (round as u8).wrapping_mul(lpn as u8),
+                )
+                .unwrap();
             }
         }
         let counts: Vec<u64> = (0..2)
@@ -1168,7 +1171,9 @@ mod tests {
         let (mut nand, mut ftl) = setup(4, 40);
         let mut x = 0x9E37_79B9u64;
         for _ in 0..4000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let u = (x >> 11) as f64 / (1u64 << 53) as f64;
             // Power-law skew toward low lpns.
             let lpn = ((u * u) * 40.0) as u64 % 40;

@@ -7,7 +7,7 @@
 //! budget; exhaustion is an explicit error an SSDlet must handle, not an
 //! abort of the SSD.
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 /// Which arena an allocation charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit_sim::sync::Mutex;
 
 use biscuit_proto::Buf;
 use biscuit_sim::time::{SimDuration, SimTime};

@@ -9,9 +9,9 @@
 #
 # Every bench harness writes BENCH_<id>.json at the workspace root (or
 # $BISCUIT_BENCH_DIR); `bench_check` compares each gated row against
-# benchmarks/baseline.json and exits nonzero past tolerance. Deterministic
-# rows gate at ±2%; rows derived from randomly generated workload data
-# (TPC-H, the social graph) gate at ±50% — see docs/METRICS.md.
+# benchmarks/baseline.json and exits nonzero past tolerance. Every row is a
+# pure function of a seed: counts gate exactly, the rest at ±2% — see
+# docs/METRICS.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

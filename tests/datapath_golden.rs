@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit::sim::sync::Mutex;
 
 use biscuit::core::{CoreConfig, Ssd};
 use biscuit::fs::{Fs, Mode};

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit::sim::sync::Mutex;
 
 use biscuit::apps::search::{
     array_conv_grep, biscuit_grep, conv_grep, load_grep_module, ArrayGrep,

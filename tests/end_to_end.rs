@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit::sim::sync::Mutex;
 
 use biscuit::apps::graph::{biscuit_chase, chase_module, conv_chase, ChaseArgs, SocialGraph};
 use biscuit::apps::search::{biscuit_grep, conv_grep, load_grep_module};

@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit::sim::sync::Mutex;
 
 use biscuit::core::{CoreConfig, Ssd};
 use biscuit::db::spec::ExecMode;

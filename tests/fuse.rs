@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit::sim::sync::Mutex;
 
 use biscuit::apps::search::{biscuit_grep, conv_grep, load_grep_module};
 use biscuit::apps::weblog::{WeblogGen, NEEDLE};

@@ -125,7 +125,20 @@ fn exports_are_substantive_not_vacuous() {
     // actually carry per-shard device activity.
     let (items, trace, metrics, events) = soak(ParMode::Single, None);
     assert_eq!(items.len(), DRIVES * PASSES, "one count per shard per pass");
-    assert!(events > 1000, "a real soak processes many events: {events}");
+    // Every page of every shard is sensed once per pass, and each sense is
+    // a span in the trace. Kernel dispatches are far fewer (a scan parks
+    // its fiber once per queue-depth window, not once per page), so the
+    // event count is only bounded by one hand-off per shard per pass.
+    let sensed = DRIVES * SHARD_PAGES as usize * PASSES;
+    let spans = trace.matches("\"ph\":").count();
+    assert!(
+        spans >= sensed,
+        "one span per page sensed per pass: {spans} < {sensed}"
+    );
+    assert!(
+        events as usize >= DRIVES * PASSES,
+        "every pass hands its count to the host: {events} events"
+    );
     assert!(trace.starts_with("{\"shards\":["));
     assert!(metrics.starts_with("{\"shards\":["));
     assert!(

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit::sim::sync::Mutex;
 
 use biscuit::apps::search::{array_conv_grep, ArrayGrep};
 use biscuit::apps::weblog::{WeblogGen, NEEDLE};
@@ -61,7 +61,7 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
     // An aggressively faulty environment: flaky NAND, panicking SSDlets,
     // and two whole-drive losses, all under one gather deadline.
     let plan = FaultPlan::seeded(
-        0xB15C_0C7,
+        0x0B15_C0C7,
         FaultConfig {
             nand_read_error_rate: 0.01,
             ssdlet_panics: 2,

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use biscuit::sim::sync::Mutex;
 
 use biscuit::apps::search::ArrayGrep;
 use biscuit::apps::weblog::{WeblogGen, NEEDLE};
