@@ -1,6 +1,6 @@
 //! Collection strategies.
 
-use std::ops::{Range, RangeInclusive};
+use std::ops::Range;
 
 use crate::strategy::Strategy;
 use crate::test_runner::TestRunner;
@@ -29,16 +29,6 @@ impl From<Range<usize>> for SizeRange {
     }
 }
 
-impl From<RangeInclusive<usize>> for SizeRange {
-    fn from(r: RangeInclusive<usize>) -> Self {
-        assert!(r.start() <= r.end(), "empty collection size range");
-        SizeRange {
-            lo: *r.start(),
-            hi: *r.end(),
-        }
-    }
-}
-
 /// See [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
@@ -46,8 +36,8 @@ pub struct VecStrategy<S> {
     size: SizeRange,
 }
 
-/// A `Vec` of `element` samples whose length lies in `size` (a `usize`,
-/// `lo..hi` or `lo..=hi`); early cases stay near the low end.
+/// A `Vec` of `element` samples whose length lies in `size` (a `usize` or
+/// `lo..hi`); early cases stay near the low end.
 pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
     VecStrategy {
         element,

@@ -4,7 +4,7 @@
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 
-use biscuit_sim::rng::Rng;
+use biscuit_sim::rng::{splitmix64, Rng};
 
 use crate::strategy::Strategy;
 
@@ -30,19 +30,13 @@ impl Default for Config {
 }
 
 /// Why one case failed; what `prop_assert!` returns early with.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TestCaseError(String);
 
 impl TestCaseError {
     /// A failure carrying `message`.
     pub fn fail(message: impl Into<String>) -> Self {
         TestCaseError(message.into())
-    }
-}
-
-impl fmt::Display for TestCaseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
     }
 }
 
@@ -78,7 +72,7 @@ impl TestRunner {
 }
 
 /// One failed property: everything needed to see and replay the case.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Failure {
     /// Module path and name of the property.
     pub test: String,
@@ -106,22 +100,17 @@ impl fmt::Display for Failure {
     }
 }
 
-/// FNV-1a, so a property's seed depends on nothing but its name.
+/// A hash of the property's name, so its seed depends on nothing else.
 fn seed_of(test: &str) -> u64 {
-    test.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    })
+    test.bytes().fold(0, |h, b| splitmix64(h ^ b as u64))
 }
 
-const MAX_INPUT_CHARS: usize = 4000;
+const MAX_INPUT_BYTES: usize = 4000;
 
 fn describe(value: &impl fmt::Debug) -> String {
     let mut text = format!("{value:?}");
-    if text.len() > MAX_INPUT_CHARS {
-        let cut = (0..=MAX_INPUT_CHARS)
-            .rev()
-            .find(|&i| text.is_char_boundary(i))
-            .unwrap_or(0);
+    if text.len() > MAX_INPUT_BYTES {
+        let cut = text.floor_char_boundary(MAX_INPUT_BYTES);
         let dropped = text.len() - cut;
         text.truncate(cut);
         text.push_str(&format!("… ({dropped} more bytes)"));

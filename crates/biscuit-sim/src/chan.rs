@@ -29,13 +29,8 @@ struct Chan<T> {
 }
 
 /// The message could not be sent because the receiver is gone.
+#[derive(Debug)]
 pub(crate) struct SendError;
-
-impl std::fmt::Debug for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SendError")
-    }
-}
 
 /// The channel is empty and every sender is gone.
 #[derive(Debug)]
