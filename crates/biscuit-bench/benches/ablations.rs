@@ -32,7 +32,6 @@ fn ablation_pattern_matcher(report: &mut BenchReport) {
     let plat = platform(1 << 30);
     let (file, _gen) = weblog_file(&plat, PAGES, 5000);
     let (results, metrics) = simulate_metered("ablations/pm", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         let page = plat.ssd.device().config().page_size as u64;
         let lpns = file.lpns_for_range(0, PAGES * page).expect("range");
         // Host grep (Conv baseline).

@@ -22,9 +22,8 @@ struct QueryResult {
 }
 
 fn main() {
-    let (plat, db) = tpch_db(SF);
+    let (_, db) = tpch_db(SF);
     let (results, metrics) = simulate_metered("fig10", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         db.prepare(ctx).expect("module load");
         let mut out = Vec::new();
         for q in all_queries() {

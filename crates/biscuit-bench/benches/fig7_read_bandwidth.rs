@@ -44,7 +44,6 @@ fn run(
     series: &'static str,
 ) -> (f64, MetricsSnapshot) {
     simulate_metered("fig7", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         let page = plat.ssd.device().config().page_size as u64;
         let file = plat.ssd.fs().open("corpus", Mode::ReadOnly).expect("open");
         let request_pages = (request / page).max(1) as usize;

@@ -62,10 +62,9 @@ fn query2() -> SelectSpec {
 }
 
 fn main() {
-    let (plat, db) = tpch_db(SF);
+    let (_, db) = tpch_db(SF);
     let loads = [0u32, 6, 12];
     let results = simulate_metered("fig8", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         db.prepare(ctx).expect("module load");
         let mut out = Vec::new();
         for (name, spec) in [("Query 1", query1()), ("Query 2", query2())] {

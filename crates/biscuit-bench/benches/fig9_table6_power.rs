@@ -40,14 +40,13 @@ struct PowerRun {
 }
 
 fn run(mode: ExecMode) -> (PowerRun, biscuit_sim::metrics::MetricsSnapshot) {
-    let (plat, db) = tpch_db(SF);
+    let (_, db) = tpch_db(SF);
     let name = if mode == ExecMode::Conv {
         "fig9/conv"
     } else {
         "fig9/biscuit"
     };
     simulate_metered(name, move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         db.prepare(ctx).expect("module load");
         let meter = Arc::new(PowerMeter::new());
         meter.register("baseline", 103.0, 103.0);

@@ -103,17 +103,9 @@ fn workload(seed: u64, tenants: u32, queries: u64) -> WorkloadConfig {
 /// scheduler closes and drains. Every acceptance-criteria invariant is
 /// asserted here, in-harness, so a violation aborts the bench rather
 /// than drifting a row.
-fn run_soak(
-    ctx: &Ctx,
-    wl: WorkloadConfig,
-    sched_cfg: SchedulerConfig,
-    metered: bool,
-) -> SoakOutcome {
+fn run_soak(ctx: &Ctx, wl: WorkloadConfig, sched_cfg: SchedulerConfig) -> SoakOutcome {
     let queries = wl.queries;
     let sched = QueryScheduler::new(sched_cfg);
-    if metered {
-        sched.attach_metrics(ctx.metrics());
-    }
     sched.start(ctx);
     let mut engine = WorkloadEngine::new(wl);
     let stats = drive_open_loop(ctx, &sched, &mut engine, |a| {
@@ -176,7 +168,12 @@ fn soak_64k(metered: bool) -> (SoakOutcome, biscuit_sim::metrics::MetricsSnapsho
         ..SchedulerConfig::for_drives(DRIVES)
     };
     let wl = workload(0x5EED_640A, users as u32, 65_536);
-    simulate_metered("qos-64k", move |ctx| run_soak(ctx, wl, sched_cfg, metered))
+    let soak = move |ctx: &Ctx| run_soak(ctx, wl, sched_cfg);
+    if metered {
+        simulate_metered("qos-64k", soak)
+    } else {
+        (simulate_named("qos-64k", soak), Default::default())
+    }
 }
 
 /// Pushes one soak's gate rows: integer virtual-time rows gate exactly
@@ -283,10 +280,9 @@ fn main() {
         return;
     }
 
-    // The 1M soak: 20k tenants, unweighted, no registry attached (the
-    // always-on per-tenant accounting carries the gates; a 20k-label
-    // registry export would dominate the runtime, see
-    // `QueryScheduler::attach_metrics`).
+    // The 1M soak: 20k tenants, unweighted, metrics off (the always-on
+    // per-tenant accounting carries the gates; a 20k-label registry
+    // export would dominate the runtime).
     let users = 20_000u32;
     let sched_cfg = SchedulerConfig {
         users: users as usize,
@@ -295,7 +291,7 @@ fn main() {
         ..SchedulerConfig::for_drives(DRIVES)
     };
     let wl = workload(0x5EED_1A1B_1C1D, users, 1_000_000);
-    let big = simulate_named("qos-soak1m", move |ctx| run_soak(ctx, wl, sched_cfg, false));
+    let big = simulate_named("qos-soak1m", move |ctx| run_soak(ctx, wl, sched_cfg));
     print_soak("qos_soak1m", &big);
 
     let mut report1m = BenchReport::new("qos_soak1m");

@@ -56,7 +56,6 @@ fn main() {
         let mib = (n as u64 * SHARD_PAGES * 16 / 1024) as f64;
         let ((conv_t, bis_t, matches), metrics) =
             simulate_metered(&format!("scaleout{n}"), move |ctx| {
-                array.attach_metrics(ctx.metrics());
                 let grep = ArrayGrep::prepare(ctx, &array).expect("load modules");
                 let t0 = ctx.now();
                 let c =

@@ -46,7 +46,6 @@ fn h2d(plat: Platform) -> (f64, MetricsSnapshot) {
     let cell = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&cell);
     simulate_metered("table2/h2d", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         let mid = plat.ssd.load_module(ctx, module()).expect("load");
         let app = Application::new(&plat.ssd, "h2d");
         let r = app
@@ -64,7 +63,6 @@ fn h2d(plat: Platform) -> (f64, MetricsSnapshot) {
 
 fn d2h(plat: Platform) -> (f64, MetricsSnapshot) {
     simulate_metered("table2/d2h", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         let mid = plat.ssd.load_module(ctx, module()).expect("load");
         let app = Application::new(&plat.ssd, "d2h");
         let t = app.ssdlet(mid, "idSend").expect("proxy");
@@ -81,7 +79,6 @@ fn inter_ssdlet(plat: Platform) -> (f64, MetricsSnapshot) {
     let cell = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&cell);
     simulate_metered("table2/inter_ssdlet", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         let mid = plat.ssd.load_module(ctx, module()).expect("load");
         let app = Application::new(&plat.ssd, "inter");
         let t = app.ssdlet(mid, "idSend").expect("proxy");
@@ -99,7 +96,6 @@ fn inter_app(plat: Platform) -> (f64, MetricsSnapshot) {
     let cell = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&cell);
     simulate_metered("table2/inter_app", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         let mid = plat.ssd.load_module(ctx, module()).expect("load");
         let app_a = Application::new(&plat.ssd, "A");
         let app_b = Application::new(&plat.ssd, "B");

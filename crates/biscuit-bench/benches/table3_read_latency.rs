@@ -14,9 +14,7 @@ fn main() {
         .expect("load");
     let file = plat.ssd.fs().open("blk", Mode::ReadOnly).expect("open");
 
-    let ssd = plat.ssd.clone();
     let ((conv_us, biscuit_us), metrics) = simulate_metered("table3", move |ctx| {
-        ssd.attach_metrics(ctx.metrics());
         // Average over several reads at distinct offsets.
         let mut conv_total = 0.0;
         let mut int_total = 0.0;

@@ -30,7 +30,6 @@ fn main() {
 
     let loads = [0u32, 6, 12, 18, 24];
     let (results, metrics) = simulate_metered("table4", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         let file = plat.ssd.fs().open("graph", Mode::ReadOnly).expect("open");
         let module = plat.ssd.load_module(ctx, chase_module()).expect("load");
         let mut out = Vec::new();

@@ -26,7 +26,6 @@ fn main() {
 
     let loads = [0u32, 6, 12, 18, 24];
     let (results, metrics) = simulate_metered("table5", move |ctx| {
-        plat.ssd.attach_metrics(ctx.metrics());
         let module = load_grep_module(ctx, &plat.ssd).expect("load");
         let mut out = Vec::new();
         for threads in loads {

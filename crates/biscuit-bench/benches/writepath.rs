@@ -138,7 +138,6 @@ fn uncrashed() -> (UncrashedOutcome, biscuit_sim::metrics::MetricsSnapshot, u64)
     let fs = Fs::format(Arc::clone(&dev));
     let d = Arc::clone(&dev);
     let (out, snap) = simulate_metered("writepath", move |ctx| {
-        d.attach_metrics(ctx.metrics());
         let lat_ps = write_phase(ctx, &fs).expect("uncrashed write phase");
         let mut f = fs.open(SCRATCH, Mode::ReadWrite).expect("scratch exists");
         f.sync(ctx).expect("sync");
@@ -196,7 +195,7 @@ fn crashed(phase: PowerLossPhase, seed: u64) -> CrashOutcome {
                     "write phase failed but the drive is alive: {e}"
                 );
                 let wall = std::time::Instant::now();
-                let report = d.recover_power_loss(ctx.now());
+                let report = d.recover(ctx);
                 let wall_us = wall.elapsed().as_secs_f64() * 1e6;
                 (report.replayed_records + report.torn_reverted, wall_us)
             }

@@ -63,9 +63,8 @@ where
 }
 
 /// Like [`simulate_named`], but with metrics enabled: returns the fiber's
-/// result plus the simulation's final [`MetricsSnapshot`]. The closure can
-/// wire a platform into the registry via
-/// `plat.ssd.attach_metrics(ctx.metrics())`.
+/// result plus the simulation's final [`MetricsSnapshot`] of everything
+/// the closure called.
 ///
 /// # Panics
 ///

@@ -306,8 +306,6 @@ impl Application {
                     self.ssd.config().port_capacity,
                     None,
                     label,
-                    self.ssd.tracer().cloned(),
-                    self.ssd.metrics().cloned(),
                 );
                 conn.add_producer();
                 st.tasks[out.task].outputs[out.port] = Some(Arc::clone(&conn));
@@ -371,8 +369,6 @@ impl Application {
             self.ssd.config().port_capacity,
             Some(Codec::of::<T>()),
             label,
-            self.ssd.tracer().cloned(),
-            self.ssd.metrics().cloned(),
         );
         conn.add_producer();
         st.tasks[out.task].outputs[out.port] = Some(Arc::clone(&conn));
@@ -415,8 +411,6 @@ impl Application {
             self.ssd.config().port_capacity,
             Some(Codec::of::<T>()),
             label,
-            self.ssd.tracer().cloned(),
-            self.ssd.metrics().cloned(),
         );
         conn.add_producer(); // the host port is the producer
         st.tasks[input.task].inputs[input.port] = Some(Arc::clone(&conn));
@@ -538,16 +532,18 @@ impl Application {
                         let disruption = plan.ssdlet_disruption();
                         if let Some(SsdletDisruption::Stall(d)) = disruption {
                             plan.record_injected(
+                                fctx,
                                 fctx.now(),
                                 FaultSite::Ssdlet,
                                 &format!("{} stalled", tc.name),
                             );
                             fctx.sleep(d);
-                            plan.record_recovered(fctx.now(), FaultSite::Ssdlet, "resume");
+                            plan.record_recovered(fctx, fctx.now(), FaultSite::Ssdlet, "resume");
                         }
                         let inject_panic = matches!(disruption, Some(SsdletDisruption::Panic));
                         if inject_panic {
                             plan.record_injected(
+                                fctx,
                                 fctx.now(),
                                 FaultSite::Ssdlet,
                                 &format!("{} panicked", tc.name),
@@ -564,10 +560,15 @@ impl Application {
                             Ok(()) => break,
                             Err(_) if restarts < max_restarts => {
                                 restarts += 1;
-                                plan.record_recovered(fctx.now(), FaultSite::Ssdlet, "restart");
+                                plan.record_recovered(
+                                    fctx,
+                                    fctx.now(),
+                                    FaultSite::Ssdlet,
+                                    "restart",
+                                );
                             }
                             Err(_) => {
-                                plan.record_failed(fctx.now(), FaultSite::Ssdlet, "restart");
+                                plan.record_failed(fctx, fctx.now(), FaultSite::Ssdlet, "restart");
                                 let mut failed = shared.failed.lock();
                                 if failed.is_none() {
                                     *failed = Some((tc.name.clone(), restarts));
@@ -697,8 +698,6 @@ pub fn connect_apps<T: Wire + Any + Send>(
         app_a.ssd.config().port_capacity,
         Some(Codec::of::<T>()),
         label,
-        app_a.ssd.tracer().cloned(),
-        app_a.ssd.metrics().cloned(),
     );
     conn.add_producer();
     st_a.tasks[out.task].outputs[out.port] = Some(Arc::clone(&conn));

@@ -22,10 +22,10 @@
 //! - [`config`] / [`error`] — [`CoreConfig`], [`BiscuitError`] /
 //!   [`BiscuitResult`].
 //!
-//! The whole stack is observable: [`ssd::Ssd::attach_tracer`] wires a
-//! [`biscuit_sim::Tracer`] through the device datapath, the host link, and
-//! every port connection created afterwards, so port traffic shows up as
-//! labelled send/recv events and queue-depth counters (see
+//! The whole stack is observable: the device datapath, the host link and
+//! every port connection report to the simulation whose fiber calls them,
+//! so `sim.enable_trace(..)` is all it takes for port traffic to show up
+//! as labelled send/recv events and queue-depth counters (see
 //! `docs/TRACING.md` at the repo root).
 //!
 //! ## Example: square numbers on the "SSD"

@@ -17,17 +17,17 @@
 
 use std::any::{Any, TypeId};
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use biscuit_sim::sync::Mutex;
 
 use biscuit_proto::wire::Wire;
 use biscuit_proto::{HostLink, Packet, SpanHeader};
-use biscuit_sim::metrics::{self, MetricsRegistry};
+use biscuit_sim::metrics;
 use biscuit_sim::qprof::{SpanContext, Stage};
 use biscuit_sim::queue::SimQueue;
 use biscuit_sim::time::{SimDuration, SimTime};
-use biscuit_sim::trace::{TraceEvent, Tracer};
+use biscuit_sim::trace::TraceEvent;
 use biscuit_sim::Ctx;
 
 use crate::config::CoreConfig;
@@ -157,11 +157,8 @@ pub(crate) struct Connection {
     pub codec: Option<Codec>,
     /// Stable display name for traces, e.g. `grep:filter->counter`.
     label: Arc<str>,
-    /// Tracer captured at connect time (ports outlive `Ssd::attach_tracer`
-    /// ordering concerns because applications connect after attachment).
-    trace: Option<Tracer>,
-    /// Metrics handles captured at connect time, like `trace`.
-    metrics: Option<PortInstruments>,
+    /// Registry handles, registered by the port's first metered operation.
+    metrics: OnceLock<PortInstruments>,
     /// Producer endpoints that have not yet finished; the queue closes when
     /// this reaches zero.
     producers: Mutex<usize>,
@@ -177,9 +174,6 @@ impl std::fmt::Debug for Connection {
 }
 
 impl Connection {
-    // One parameter per independent property of a connection, and every
-    // caller sets all of them.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         kind: PortKind,
         type_id: TypeId,
@@ -187,36 +181,36 @@ impl Connection {
         capacity: usize,
         codec: Option<Codec>,
         label: impl Into<Arc<str>>,
-        trace: Option<Tracer>,
-        registry: Option<MetricsRegistry>,
     ) -> Arc<Connection> {
         let label: Arc<str> = label.into();
-        let queue = SimQueue::new(capacity);
-        if let Some(tracer) = &trace {
-            queue.set_trace(tracer.clone(), Arc::clone(&label));
-        }
-        let metrics = registry.map(|reg| {
-            queue.set_metrics(&reg, &label);
-            let kind = kind_str(kind);
-            let labels: &[(&str, &str)] = &[("port", &label), ("kind", kind)];
-            PortInstruments {
-                sends: reg.counter("port_sends_total", labels),
-                recvs: reg.counter("port_recvs_total", labels),
-                bytes: reg.counter("port_bytes_total", labels),
-                copy_encode: reg.counter("sim_bytes_copied_total", &[("site", "port_encode")]),
-                copy_decode: reg.counter("sim_bytes_copied_total", &[("site", "port_decode")]),
-            }
-        });
         Arc::new(Connection {
             kind,
             type_id,
             type_name,
-            queue,
+            queue: SimQueue::labelled(capacity, Arc::clone(&label)),
             codec,
             label,
-            trace,
-            metrics,
+            metrics: OnceLock::new(),
             producers: Mutex::new(0),
+        })
+    }
+
+    /// The port's registry handles (`None` — one relaxed load — while the
+    /// calling simulation's metrics are off).
+    #[inline]
+    fn instruments(&self, ctx: &Ctx) -> Option<&PortInstruments> {
+        let reg = ctx.metrics();
+        reg.is_enabled().then(|| {
+            self.metrics.get_or_init(|| {
+                let labels: &[(&str, &str)] = &[("port", &self.label), ("kind", self.kind_str())];
+                PortInstruments {
+                    sends: reg.counter("port_sends_total", labels),
+                    recvs: reg.counter("port_recvs_total", labels),
+                    bytes: reg.counter("port_bytes_total", labels),
+                    copy_encode: reg.counter("sim_bytes_copied_total", &[("site", "port_encode")]),
+                    copy_decode: reg.counter("sim_bytes_copied_total", &[("site", "port_decode")]),
+                }
+            })
         })
     }
 
@@ -229,7 +223,7 @@ impl Connection {
     /// in-device traffic.
     #[inline]
     pub(crate) fn trace_port(&self, ctx: &Ctx, send: bool, bytes: u64) {
-        if let Some(m) = &self.metrics {
+        if let Some(m) = self.instruments(ctx) {
             if send {
                 m.sends.inc();
                 m.bytes.add(bytes);
@@ -237,36 +231,34 @@ impl Connection {
                 m.recvs.inc();
             }
         }
-        if let Some(tracer) = &self.trace {
-            tracer.emit(|| {
-                let at = ctx.now();
-                let port = Arc::clone(&self.label);
-                let kind = self.kind_str();
-                if send {
-                    TraceEvent::PortSend {
-                        at,
-                        port,
-                        kind,
-                        bytes,
-                    }
-                } else {
-                    TraceEvent::PortRecv {
-                        at,
-                        port,
-                        kind,
-                        bytes,
-                    }
+        ctx.tracer().emit(|| {
+            let at = ctx.now();
+            let port = Arc::clone(&self.label);
+            let kind = self.kind_str();
+            if send {
+                TraceEvent::PortSend {
+                    at,
+                    port,
+                    kind,
+                    bytes,
                 }
-            });
-        }
+            } else {
+                TraceEvent::PortRecv {
+                    at,
+                    port,
+                    kind,
+                    bytes,
+                }
+            }
+        });
     }
 
     /// Counts payload bytes copied while encoding at this boundary
     /// (skipped for zero-copy codecs).
     #[inline]
-    pub(crate) fn count_encode_copy(&self, zero_copy: bool, bytes: u64) {
+    pub(crate) fn count_encode_copy(&self, ctx: &Ctx, zero_copy: bool, bytes: u64) {
         if !zero_copy {
-            if let Some(m) = &self.metrics {
+            if let Some(m) = self.instruments(ctx) {
                 m.copy_encode.add(bytes);
             }
         }
@@ -275,9 +267,9 @@ impl Connection {
     /// Counts payload bytes copied while decoding at this boundary
     /// (skipped for zero-copy codecs).
     #[inline]
-    pub(crate) fn count_decode_copy(&self, zero_copy: bool, bytes: u64) {
+    pub(crate) fn count_decode_copy(&self, ctx: &Ctx, zero_copy: bool, bytes: u64) {
         if !zero_copy {
-            if let Some(m) = &self.metrics {
+            if let Some(m) = self.instruments(ctx) {
                 m.copy_decode.add(bytes);
             }
         }
@@ -317,7 +309,7 @@ impl Connection {
                 let codec = self.codec.as_ref().expect("inter-app has codec");
                 let pkt = (codec.encode)(value);
                 let bytes = pkt.len() as u64;
-                self.count_encode_copy(codec.zero_copy_encode, bytes);
+                self.count_encode_copy(ctx, codec.zero_copy_encode, bytes);
                 (ctx.now(), Box::new(pkt), bytes)
             }
             PortKind::DeviceToHost => {
@@ -326,8 +318,8 @@ impl Connection {
                 let codec = self.codec.as_ref().expect("boundary has codec");
                 let pkt = (codec.encode)(value);
                 let bytes = pkt.len() as u64;
-                self.count_encode_copy(codec.zero_copy_encode, bytes);
-                let dma_end = link.enqueue_dma_to_host(ctx.now(), bytes);
+                self.count_encode_copy(ctx, codec.zero_copy_encode, bytes);
+                let dma_end = link.enqueue_dma_to_host(ctx, ctx.now(), bytes);
                 let ready_at = dma_end + cfg.link_fixed;
                 // Channel-manager send charge, then the full DMA window
                 // (including link queueing) until the bits land host-side.
@@ -394,7 +386,7 @@ impl Connection {
                 );
                 self.trace_port(ctx, false, pkt.len() as u64);
                 let codec = self.codec.as_ref().expect("inter-app has codec");
-                self.count_decode_copy(codec.zero_copy_decode, pkt.len() as u64);
+                self.count_decode_copy(ctx, codec.zero_copy_decode, pkt.len() as u64);
                 Some((codec.decode)(&pkt))
             }
             PortKind::HostToDevice => {
@@ -412,7 +404,7 @@ impl Connection {
                 );
                 self.trace_port(ctx, false, pkt.len() as u64);
                 let codec = self.codec.as_ref().expect("boundary has codec");
-                self.count_decode_copy(codec.zero_copy_decode, pkt.len() as u64);
+                self.count_decode_copy(ctx, codec.zero_copy_decode, pkt.len() as u64);
                 Some((codec.decode)(&pkt))
             }
             PortKind::DeviceToHost => None, // devices never read their own output channel
@@ -453,7 +445,7 @@ impl<T: Wire + Any + Send> HostInPort<T> {
             .expect("boundary envelope holds a packet");
         self.conn.trace_port(ctx, false, pkt.len() as u64);
         self.conn
-            .count_decode_copy(T::ZERO_COPY_DECODE, pkt.len() as u64);
+            .count_decode_copy(ctx, T::ZERO_COPY_DECODE, pkt.len() as u64);
         let v = (self.conn.codec.as_ref().expect("boundary has codec").decode)(&pkt);
         Some(*v.downcast::<T>().expect("codec produced declared type"))
     }
@@ -483,7 +475,7 @@ impl<T: Wire + Any + Send> HostInPort<T> {
                     .expect("boundary envelope holds a packet");
                 self.conn.trace_port(ctx, false, pkt.len() as u64);
                 self.conn
-                    .count_decode_copy(T::ZERO_COPY_DECODE, pkt.len() as u64);
+                    .count_decode_copy(ctx, T::ZERO_COPY_DECODE, pkt.len() as u64);
                 let v = (self.conn.codec.as_ref().expect("boundary has codec").decode)(&pkt);
                 Ok(Some(
                     *v.downcast::<T>().expect("codec produced declared type"),
@@ -532,8 +524,8 @@ impl<T: Wire + Any + Send> HostOutPort<T> {
         ctx.sleep(self.cfg.cm_send_host);
         let pkt = value.to_packet();
         let bytes = pkt.len() as u64;
-        self.conn.count_encode_copy(T::ZERO_COPY_ENCODE, bytes);
-        let dma_end = self.link.enqueue_dma_to_device(ctx.now(), bytes);
+        self.conn.count_encode_copy(ctx, T::ZERO_COPY_ENCODE, bytes);
+        let dma_end = self.link.enqueue_dma_to_device(ctx, ctx.now(), bytes);
         let ready_at = dma_end + self.cfg.link_fixed;
         ctx.qprof()
             .record(Stage::HostCompute, send_start, ctx.now(), 0, 0);

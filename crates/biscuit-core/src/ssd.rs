@@ -48,8 +48,6 @@ pub(crate) struct SsdShared {
     pub link: Arc<HostLink>,
     pub cfg: Arc<CoreConfig>,
     pub rt: DeviceRuntime,
-    pub trace: OnceLock<Tracer>,
-    pub metrics: OnceLock<MetricsRegistry>,
     pub fault: OnceLock<FaultPlan>,
 }
 
@@ -78,79 +76,37 @@ impl Ssd {
                 link,
                 cfg: Arc::new(cfg),
                 rt: DeviceRuntime::new(),
-                trace: OnceLock::new(),
-                metrics: OnceLock::new(),
                 fault: OnceLock::new(),
             }),
         }
     }
 
-    /// Enables structured tracing for the whole platform in one call: the
-    /// device datapath (NAND, buses, pattern matchers, cores), the host
-    /// link's DMA directions, port traffic of applications built on this
-    /// handle, and the DB planner's offload verdicts all record into
-    /// `tracer`. Pass `sim.tracer()` after `sim.enable_trace(..)`. The
-    /// first call wins; later calls are ignored.
-    pub fn attach_tracer(&self, tracer: &Tracer) {
-        self.inner.device.attach_tracer(tracer);
-        self.inner.link.attach_tracer(tracer);
-        if let Some(plan) = self.inner.fault.get() {
-            plan.attach_tracer(tracer);
-        }
-        let _ = self.inner.trace.set(tracer.clone());
-    }
+    /// Shim for the frozen `biscuit-perf` harness: the platform reports to
+    /// the simulation of the `&Ctx` it is called with, so there is nothing
+    /// to attach. Goes with the next `benchmark` PR (ROADMAP 2(c)).
+    #[doc(hidden)]
+    pub fn attach_tracer(&self, _tracer: &Tracer) {}
 
-    /// The tracer attached via [`Ssd::attach_tracer`], if any.
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.inner.trace.get()
-    }
+    /// Shim for the frozen `biscuit-perf` harness; see
+    /// [`Ssd::attach_tracer`].
+    #[doc(hidden)]
+    pub fn attach_qprof(&self, _prof: &QueryProfiler) {}
 
-    /// Attaches the query profiler to the whole platform in one call: the
-    /// device datapath (NAND senses, bus transfers, pattern-matcher streams,
-    /// per-request core overhead) records spans of whichever query context
-    /// the calling fiber carries; port traffic and SSDlet compute already
-    /// record through the simulation context. Pass `sim.qprof()` after
-    /// `sim.enable_qprof()`. The first call wins; later calls are ignored.
-    pub fn attach_qprof(&self, prof: &QueryProfiler) {
-        self.inner.device.attach_qprof(prof);
-    }
-
-    /// Registers the whole platform in an aggregate metrics registry in one
-    /// call: per-channel NAND/bus/pattern-matcher counters, FTL lookups and
-    /// core spans from the device, both host-link DMA directions, the port
-    /// counters of applications built on this handle, and the DB planner's
-    /// offload verdict counters. Pass `sim.metrics()` after
-    /// `sim.enable_metrics()`. The first call wins; later calls are ignored.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        self.inner.device.attach_metrics(registry);
-        self.inner.link.attach_metrics(registry);
-        if let Some(plan) = self.inner.fault.get() {
-            plan.attach_metrics(registry);
-        }
-        let _ = self.inner.metrics.set(registry.clone());
-    }
-
-    /// The registry attached via [`Ssd::attach_metrics`], if any.
-    pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.inner.metrics.get()
-    }
+    /// Shim for the frozen `biscuit-perf` harness; see
+    /// [`Ssd::attach_tracer`].
+    #[doc(hidden)]
+    pub fn attach_metrics(&self, _registry: &MetricsRegistry) {}
 
     /// Arms the whole platform with a fault plan in one call: the device's
     /// NAND/core sites, both host-link DMA directions, SSDlet panic/stall
     /// injection in applications built on this handle, and the host-side
-    /// request-timeout policy all draw from `plan`. Any tracer or registry
-    /// already attached (or attached later) also receives the plan's fault
-    /// events. The first call wins; a [`FaultPlan::none`] plan (or no call)
+    /// request-timeout policy all draw from `plan`. Every site reports the
+    /// faults it injects and recovers to the simulation it runs in. A
+    /// platform is armed once; a [`FaultPlan::none`] plan (or no call)
     /// leaves every path byte-identical to the fault-free platform.
     pub fn attach_fault_plan(&self, plan: &FaultPlan) {
         self.inner.device.set_fault_plan(plan);
         self.inner.link.set_fault_plan(plan);
-        if let Some(tracer) = self.inner.trace.get() {
-            plan.attach_tracer(tracer);
-        }
-        if let Some(registry) = self.inner.metrics.get() {
-            plan.attach_metrics(registry);
-        }
         let _ = self.inner.fault.set(plan.clone());
     }
 
@@ -204,7 +160,7 @@ impl Ssd {
         let dma_end = self
             .inner
             .link
-            .enqueue_dma_to_device(ctx.now(), module.binary_size());
+            .enqueue_dma_to_device(ctx, ctx.now(), module.binary_size());
         ctx.sleep_until(dma_end + cfg.link_fixed);
         // Device relocates symbols and registers the module.
         let relocation = cfg.module_link_cost
@@ -214,7 +170,7 @@ impl Ssd {
             .inner
             .device
             .cores()
-            .enqueue(ctx.now(), core, relocation);
+            .enqueue(ctx, ctx.now(), core, relocation);
         ctx.sleep_until(done);
         let id = self.inner.rt.register_module(module);
         // Completion response to the host.

@@ -635,3 +635,80 @@ fn many_concurrent_applications_stress() {
     // 1 host + 48 SSDlets.
     assert_eq!(report.fibers_spawned, 49);
 }
+
+/// Telemetry does not depend on wiring order: the platform, the application
+/// and both kinds of edge exist before any observer is switched on, and the
+/// one message that then crosses them is still seen by every layer.
+#[test]
+fn observers_enabled_after_wiring_see_the_traffic() {
+    use biscuit_sim::metrics::SampleValue;
+    use biscuit_sim::{TraceConfig, TraceEvent};
+
+    struct SendOnce;
+    impl Ssdlet for SendOnce {
+        fn run(&mut self, ctx: &mut TaskCtx<'_>) {
+            ctx.send(0, 7u64).unwrap();
+        }
+    }
+    let module = ModuleBuilder::new("order")
+        .register("idSend", SsdletSpec::new().output::<u64>(), |_| {
+            Ok(Box::new(SendOnce))
+        })
+        .register(
+            "idIdentity",
+            SsdletSpec::new().input::<u64>().output::<u64>(),
+            |_| Ok(Box::new(Identity)),
+        )
+        .build();
+
+    let ssd = make_ssd();
+    let sim = Simulation::new(0);
+    let s = ssd.clone();
+    sim.spawn("host", move |ctx| {
+        let mid = s.load_module(ctx, module).unwrap();
+        let app = Application::new(&s, "order");
+        let send = app.ssdlet(mid, "idSend").unwrap();
+        let fwd = app.ssdlet(mid, "idIdentity").unwrap();
+        app.connect::<u64>(send.out(0), fwd.input(0)).unwrap();
+        let rx = app.connect_to::<u64>(fwd.out(0)).unwrap();
+        // Everything is wired; only now does anyone start watching.
+        ctx.tracer().enable(TraceConfig::default());
+        ctx.metrics().enable();
+        app.start(ctx).unwrap();
+        assert_eq!(rx.get(ctx), Some(7));
+        assert_eq!(rx.get(ctx), None);
+        app.join(ctx);
+    });
+    let report = sim.run();
+    report.assert_quiescent();
+
+    for name in ["port_sends_total", "port_recvs_total"] {
+        let per_port: Vec<_> = report
+            .metrics
+            .samples
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| &s.value)
+            .collect();
+        assert_eq!(per_port.len(), 2, "{name}: one series per edge");
+        for v in per_port {
+            assert!(matches!(v, SampleValue::Counter(1)), "{name}: {v:?}");
+        }
+    }
+    let sends = report
+        .trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::PortSend { .. }))
+        .count();
+    assert_eq!(sends, 2, "one PortSend per edge");
+    for dir in ["link.to_host", "link.to_device"] {
+        assert!(
+            report
+                .metrics
+                .get("resource_bytes_total", &[("resource", dir)])
+                .is_some(),
+            "{dir} has no resource_bytes_total sample"
+        );
+    }
+}

@@ -400,8 +400,8 @@ impl Db {
         Ok(plans)
     }
 
-    /// Records one planner offload decision into the attached tracer and
-    /// metrics registry, if any.
+    /// Records one planner offload decision into the calling simulation's
+    /// trace and metrics.
     fn trace_verdict(
         &self,
         ctx: &Ctx,
@@ -410,28 +410,21 @@ impl Db {
         est_selectivity: f64,
         reason: &'static str,
     ) {
-        if let Some(tracer) = self.ssd.tracer() {
-            tracer.emit(|| TraceEvent::OffloadVerdict {
-                at: ctx.now(),
-                table: Arc::from(table),
-                offloaded,
-                est_selectivity,
-                reason,
-            });
-        }
+        ctx.tracer().emit(|| TraceEvent::OffloadVerdict {
+            at: ctx.now(),
+            table: Arc::from(table),
+            offloaded,
+            est_selectivity,
+            reason,
+        });
         // Planner verdicts are rare (one per scanned table), so the counter
         // is looked up per verdict rather than pre-registered.
-        if let Some(registry) = self.ssd.metrics() {
-            if registry.is_enabled() {
-                let decision = if offloaded { "offload" } else { "host-scan" };
-                registry
-                    .counter(
-                        "db_offload_verdicts_total",
-                        &[("decision", decision), ("reason", reason)],
-                    )
-                    .inc();
-            }
-        }
+        let decision = if offloaded { "offload" } else { "host-scan" };
+        count(
+            ctx,
+            "db_offload_verdicts_total",
+            &[("decision", decision), ("reason", reason)],
+        );
     }
 
     /// The paper's "quick check on the table to estimate selectivity using
@@ -588,7 +581,7 @@ impl Db {
                         // The offload blew past the host deadline. Keep
                         // draining (discarding) so the device fibers can
                         // finish, then degrade to the host path.
-                        plan.record_failed(ctx.now(), FaultSite::Ssdlet, "host_timeout");
+                        plan.record_failed(ctx, ctx.now(), FaultSite::Ssdlet, "host_timeout");
                         fallback = Some("timeout");
                         while rx.get(ctx).is_some() {}
                         break;
@@ -613,17 +606,12 @@ impl Db {
             // re-run the scan on the host path. Results stay byte-identical
             // because both paths evaluate the same predicate over the same
             // cached rows.
-            if let Some(registry) = self.ssd.metrics() {
-                if registry.is_enabled() {
-                    registry
-                        .counter(
-                            "db_host_fallbacks_total",
-                            &[("table", meta.name.as_str()), ("cause", cause)],
-                        )
-                        .inc();
-                }
-            }
-            plan.record_recovered(ctx.now(), FaultSite::Ssdlet, "host_fallback");
+            count(
+                ctx,
+                "db_host_fallbacks_total",
+                &[("table", meta.name.as_str()), ("cause", cause)],
+            );
+            plan.record_recovered(ctx, ctx.now(), FaultSite::Ssdlet, "host_fallback");
             // The re-run executes under a child phase span so the profile
             // shows the fallback as an attributed stretch of the query
             // rather than unexplained host time.
@@ -700,7 +688,7 @@ impl Db {
                         // Drain (discarding) so the device pipeline can
                         // finish, then surface the typed timeout; the caller
                         // degrades to the host execution path.
-                        plan.record_failed(ctx.now(), FaultSite::Ssdlet, "host_timeout");
+                        plan.record_failed(ctx, ctx.now(), FaultSite::Ssdlet, "host_timeout");
                         while rx.get(ctx).is_some() {}
                         app.join(ctx);
                         return Err(e.into());
@@ -897,16 +885,11 @@ impl Db {
                     // past its recovery budget; fall through to the general
                     // host-side execution path (whose scans carry their own
                     // fallback) for byte-identical results.
-                    if let Some(registry) = self.ssd.metrics() {
-                        if registry.is_enabled() {
-                            registry
-                                .counter(
-                                    "db_host_fallbacks_total",
-                                    &[("table", scan.table.as_str()), ("cause", "agg_pushdown")],
-                                )
-                                .inc();
-                        }
-                    }
+                    count(
+                        ctx,
+                        "db_host_fallbacks_total",
+                        &[("table", scan.table.as_str()), ("cause", "agg_pushdown")],
+                    );
                 }
                 Err(e) => return Err(e),
             }
@@ -1059,6 +1042,15 @@ impl Db {
         };
         exec::order_and_limit(&mut rows, &spec.order_by, spec.limit);
         Ok(rows)
+    }
+}
+
+/// Bumps the counter `name{labels}` in the calling simulation's registry
+/// (looked up per event: these are rare).
+fn count(ctx: &Ctx, name: &str, labels: &[(&str, &str)]) {
+    let registry = ctx.metrics();
+    if registry.is_enabled() {
+        registry.counter(name, labels).inc();
     }
 }
 

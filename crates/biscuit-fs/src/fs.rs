@@ -289,7 +289,7 @@ impl Fs {
     ///
     /// Returns [`FsError::NoSpace`] if metadata outgrew the reserved region.
     pub fn sync_untimed(&self) -> FsResult<()> {
-        persist_metadata(&self.inner)
+        persist_metadata(&self.inner, None)
     }
 
     /// Creates a file whose pages are *deterministically regenerated* on
@@ -357,7 +357,7 @@ impl Fs {
     /// Returns [`FsError::NotFound`] or [`FsError::NoSpace`].
     pub fn append_untimed(&self, path: &str, data: &[u8]) -> FsResult<()> {
         let device = &self.inner.device;
-        let batch = stage_write(&self.inner, path, None, data, |lpn| {
+        let batch = stage_write(&self.inner, None, path, None, data, |lpn| {
             Ok(device.peek_page(lpn)?)
         })?;
         for (lpn, page) in batch {
@@ -416,7 +416,10 @@ fn encode_metadata(inner: &FsInner) -> Vec<u8> {
     b.build().into_buf().to_vec()
 }
 
-fn persist_metadata(inner: &FsInner) -> FsResult<()> {
+/// Writes the metadata region, free of virtual time. `ctx` is the syncing
+/// fiber, in whose simulation the write is counted; untimed set-up passes
+/// `None` and reports nothing.
+fn persist_metadata(inner: &FsInner, ctx: Option<&Ctx>) -> FsResult<()> {
     let bytes = encode_metadata(inner);
     let budget = inner.meta_pages * inner.page_size as u64;
     if bytes.len() as u64 > budget {
@@ -425,7 +428,7 @@ fn persist_metadata(inner: &FsInner) -> FsResult<()> {
             largest_free: inner.meta_pages,
         });
     }
-    inner.device.load_bytes(0, &bytes)?;
+    inner.device.store_bytes(ctx, 0, &bytes)?;
     Ok(())
 }
 
@@ -435,9 +438,11 @@ fn persist_metadata(inner: &FsInner) -> FsResult<()> {
 /// overlap — then fills one device page frame per touched page. A page the
 /// range only partly covers starts from its live contents (fetched through
 /// `read_page`, the caller's timed or untimed read) or from zeros past the
-/// old end of file.
+/// old end of file. A timed caller's staging copies count in its simulation
+/// (`ctx`); an untimed one passes `None`.
 fn stage_write(
     inner: &FsInner,
+    ctx: Option<&Ctx>,
     path: &str,
     offset: Option<u64>,
     data: &[u8],
@@ -483,7 +488,7 @@ fn stage_write(
         page[dst].copy_from_slice(&data[src]);
         inner
             .device
-            .count_copy(biscuit_ssd::CopySite::WriteStage, ps);
+            .count_copy(ctx, biscuit_ssd::CopySite::WriteStage, ps);
         batch.push((lpn, frame.freeze()));
     }
     Ok(batch)
@@ -609,7 +614,7 @@ impl File {
     pub fn read_at(&self, ctx: &Ctx, offset: u64, len: u64) -> FsResult<Vec<u8>> {
         let spans = self.page_spans(offset, len)?;
         let pages = self.inner.device.read_spans(ctx, &spans)?;
-        Ok(self.slice_pages(&pages, offset, len))
+        Ok(self.slice_pages(ctx, &pages, offset, len))
     }
 
     /// Asynchronous read: requests of `request_pages` pages with up to
@@ -632,17 +637,17 @@ impl File {
             .inner
             .device
             .read_pages_async(ctx, &lpns, request_pages, queue_depth)?;
-        Ok(self.slice_pages(&pages, offset, len))
+        Ok(self.slice_pages(ctx, &pages, offset, len))
     }
 
     /// Assembles the pages backing `[offset, offset + len)` into one
     /// contiguous buffer, counted once as a
     /// [`HostAssemble`](biscuit_ssd::CopySite::HostAssemble) copy. Every
     /// read path that returns bytes rather than page buffers ends here.
-    pub fn slice_pages(&self, pages: &[PageBuf], offset: u64, len: u64) -> Vec<u8> {
+    pub fn slice_pages(&self, ctx: &Ctx, pages: &[PageBuf], offset: u64, len: u64) -> Vec<u8> {
         self.inner
             .device
-            .count_copy(biscuit_ssd::CopySite::HostAssemble, len);
+            .count_copy(Some(ctx), biscuit_ssd::CopySite::HostAssemble, len);
         let ps = self.inner.page_size as u64;
         let mut out = Vec::with_capacity(len as usize);
         let head = offset % ps;
@@ -748,7 +753,7 @@ impl File {
     /// (`None` = at the end of file).
     fn write_staged(&self, ctx: &Ctx, offset: Option<u64>, data: &[u8]) -> FsResult<()> {
         let device = &self.inner.device;
-        let batch = stage_write(&self.inner, &self.path, offset, data, |lpn| {
+        let batch = stage_write(&self.inner, Some(ctx), &self.path, offset, data, |lpn| {
             Ok(device.read_pages(ctx, &[lpn])?.remove(0))
         })?;
         device
@@ -768,8 +773,8 @@ impl File {
     /// the wrapped [`biscuit_ssd::FtlError::PowerLoss`].
     pub fn sync(&mut self, ctx: &Ctx) -> FsResult<()> {
         self.flush(ctx)?;
-        persist_metadata(&self.inner)?;
-        self.inner.device.checkpoint().map_err(FsError::Device)?;
+        persist_metadata(&self.inner, Some(ctx))?;
+        self.inner.device.checkpoint(ctx).map_err(FsError::Device)?;
         Ok(())
     }
 }

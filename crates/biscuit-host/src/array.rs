@@ -363,8 +363,6 @@ pub struct ShardResult<T> {
 struct ArrayInner {
     shards: Vec<ArrayShard>,
     cfg: ArrayConfig,
-    trace: OnceLock<Tracer>,
-    metrics: OnceLock<MetricsRegistry>,
     fault: OnceLock<FaultPlan>,
 }
 
@@ -430,8 +428,6 @@ impl SsdArray {
             inner: Arc::new(ArrayInner {
                 shards,
                 cfg,
-                trace: OnceLock::new(),
-                metrics: OnceLock::new(),
                 fault: OnceLock::new(),
             }),
         }
@@ -458,37 +454,26 @@ impl SsdArray {
         &self.inner.shards[id]
     }
 
-    /// Routes every drive's trace events (and the coordinator's own
-    /// `Mark` events) into `tracer`. The first call wins.
-    pub fn attach_tracer(&self, tracer: &Tracer) {
-        for shard in &self.inner.shards {
-            shard.ssd.attach_tracer(tracer);
-        }
-        let _ = self.inner.trace.set(tracer.clone());
-    }
+    /// Shim for the frozen `biscuit-perf` harness: the drives and the
+    /// coordinator report to the simulation of the `&Ctx` they are called
+    /// with, so there is nothing to attach. Goes with the next `benchmark`
+    /// PR (ROADMAP 2(c)).
+    #[doc(hidden)]
+    pub fn attach_tracer(&self, _tracer: &Tracer) {}
 
-    /// Registers every drive plus the coordinator's own counters in
-    /// `registry`. The first call wins.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        for shard in &self.inner.shards {
-            shard.ssd.attach_metrics(registry);
-        }
-        let _ = self.inner.metrics.set(registry.clone());
-    }
+    /// Shim for the frozen `biscuit-perf` harness; see
+    /// [`SsdArray::attach_tracer`].
+    #[doc(hidden)]
+    pub fn attach_metrics(&self, _registry: &MetricsRegistry) {}
 
-    /// Attaches the query profiler to every drive's datapath, so NAND,
-    /// bus, pattern-matcher, and core occupancy on any shard records
-    /// against the querying fiber's span context. Pass `sim.qprof()`
-    /// after `sim.enable_qprof()`. The first call per drive wins.
-    pub fn attach_qprof(&self, prof: &QueryProfiler) {
-        for shard in &self.inner.shards {
-            shard.ssd.attach_qprof(prof);
-        }
-    }
+    /// Shim for the frozen `biscuit-perf` harness; see
+    /// [`SsdArray::attach_tracer`].
+    #[doc(hidden)]
+    pub fn attach_qprof(&self, _prof: &QueryProfiler) {}
 
     /// Arms every drive with one shared fault plan: all per-drive sites
-    /// plus the coordinator's whole-drive-loss site draw from `plan`.
-    /// The first call wins.
+    /// plus the coordinator's whole-drive-loss site draw from `plan`. An
+    /// array is armed once.
     pub fn attach_fault_plan(&self, plan: &FaultPlan) {
         for shard in &self.inner.shards {
             shard.ssd.attach_fault_plan(plan);
@@ -551,8 +536,8 @@ impl SsdArray {
             loss.is_none() || timeout.is_some(),
             "drive_losses armed without host_timeout: the gather could hang forever"
         );
-        self.count("array_scatters_total");
-        self.mark(ctx, "array_scatter", format!("{name} over {n} shards"));
+        count(ctx, "array_scatters_total");
+        mark(ctx, "array_scatter", format!("{name} over {n} shards"));
         let (txs, mut rx) = merge_channel::<T>(n, self.inner.cfg.merge_capacity);
         let job = Arc::new(job);
         let failed: Arc<Vec<AtomicBool>> =
@@ -571,11 +556,11 @@ impl SsdArray {
                         DriveLossPhase::MidScatter => {
                             // The drive dies before touching the job: no
                             // items, and — crucially — no close.
-                            plan.record_injected(fctx.now(), FaultSite::Drive, "mid-scatter");
+                            plan.record_injected(fctx, fctx.now(), FaultSite::Drive, "mid-scatter");
                             return;
                         }
                         DriveLossPhase::MidGather => {
-                            plan.record_injected(fctx.now(), FaultSite::Drive, "mid-gather");
+                            plan.record_injected(fctx, fctx.now(), FaultSite::Drive, "mid-gather");
                             tx.silence_after(l.items);
                         }
                     }
@@ -610,8 +595,8 @@ impl SsdArray {
                 Some(t) => match rx.next_deadline(ctx, t) {
                     Ok(next) => next,
                     Err(MergeLag { shard }) => {
-                        plan.record_failed(ctx.now(), FaultSite::Drive, "gather_timeout");
-                        self.mark(ctx, "array_shard_lost", format!("{name} shard {shard}"));
+                        plan.record_failed(ctx, ctx.now(), FaultSite::Drive, "gather_timeout");
+                        mark(ctx, "array_shard_lost", format!("{name} shard {shard}"));
                         lost[shard] = true;
                         rx.abandon(ctx, shard);
                         continue;
@@ -638,7 +623,7 @@ impl SsdArray {
             if !*was_lost {
                 continue;
             }
-            self.count("array_rescatters_total");
+            count(ctx, "array_rescatters_total");
             let parent = qp.current();
             let phase = parent.map(|sc| qp.child(sc, "host_fallback"));
             if phase.is_some() {
@@ -652,29 +637,28 @@ impl SsdArray {
             }
             out[i].items = recovered?;
             out[i].recovered = true;
-            plan.record_recovered(ctx.now(), FaultSite::Drive, "conv_rescatter");
-            self.mark(ctx, "array_shard_recovered", format!("{name} shard {i}"));
+            plan.record_recovered(ctx, ctx.now(), FaultSite::Drive, "conv_rescatter");
+            mark(ctx, "array_shard_recovered", format!("{name} shard {i}"));
         }
         Ok(out)
     }
+}
 
-    fn count(&self, name: &'static str) {
-        if let Some(reg) = self.inner.metrics.get() {
-            if reg.is_enabled() {
-                reg.counter(name, &[]).inc();
-            }
-        }
+/// Bumps the unlabelled counter `name` in the calling simulation's registry
+/// (looked up per event: these are rare).
+fn count(ctx: &Ctx, name: &'static str) {
+    let reg = ctx.metrics();
+    if reg.is_enabled() {
+        reg.counter(name, &[]).inc();
     }
+}
 
-    fn mark(&self, ctx: &Ctx, name: &'static str, detail: String) {
-        if let Some(tracer) = self.inner.trace.get() {
-            tracer.emit(|| TraceEvent::Mark {
-                at: ctx.now(),
-                name: Arc::from(name),
-                detail: Arc::from(detail.as_str()),
-            });
-        }
-    }
+fn mark(ctx: &Ctx, name: &'static str, detail: String) {
+    ctx.tracer().emit(|| TraceEvent::Mark {
+        at: ctx.now(),
+        name: Arc::from(name),
+        detail: Arc::from(detail.as_str()),
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -744,8 +728,8 @@ pub enum ShedReason {
 }
 
 /// A query rejected by [`QueryScheduler::try_submit`] (load shedding).
-/// Metered as `sched_shed_total{user=N}` when a registry is attached,
-/// and always in the tenant's [`TenantReport::shed`] count.
+/// Metered as `sched_shed_total{user=N}` while the simulation's metrics
+/// are on, and always in the tenant's [`TenantReport::shed`] count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryShed {
     /// The tenant whose query was shed.
@@ -854,8 +838,8 @@ struct WfqState {
     closed: bool,
 }
 
-/// Registry instruments for one tenant queue, mirroring
-/// `SimQueue::set_metrics` naming so dashboards keep working.
+/// Registry instruments for one tenant queue, mirroring a labelled
+/// `SimQueue`'s naming so dashboards keep working.
 struct QueueInstr {
     pushes: Counter,
     pops: Counter,
@@ -875,59 +859,50 @@ struct SchedInner {
     submitted: AtomicU64,
     completed: AtomicU64,
     shed: AtomicU64,
-    metrics: OnceLock<MetricsRegistry>,
+    /// Every user queue's push/pop/depth instruments
+    /// (`queue=sched.user<i>`), registered by the first metered submit or
+    /// dispatch.
     queue_instr: OnceLock<Vec<QueueInstr>>,
 }
 
 impl SchedInner {
-    fn count(&self, name: &'static str) {
-        if let Some(reg) = self.metrics.get() {
-            if reg.is_enabled() {
-                reg.counter(name, &[]).inc();
-            }
-        }
+    /// One tenant queue's instruments (`None` — one relaxed load — while
+    /// the calling simulation's metrics are off).
+    fn instr(&self, ctx: &Ctx, user: usize) -> Option<&QueueInstr> {
+        let registry = ctx.metrics();
+        registry.is_enabled().then(|| {
+            let all = self.queue_instr.get_or_init(|| {
+                (0..self.not_full.len())
+                    .map(|i| {
+                        let label = format!("sched.user{i}");
+                        let labels = [("queue", label.as_str())];
+                        QueueInstr {
+                            pushes: registry.counter("queue_pushes_total", &labels),
+                            pops: registry.counter("queue_pops_total", &labels),
+                            depth: registry.gauge("queue_depth", &labels),
+                        }
+                    })
+                    .collect()
+            });
+            &all[user]
+        })
     }
+}
 
-    fn count_user(&self, name: &'static str, user: usize) {
-        if let Some(reg) = self.metrics.get() {
-            if reg.is_enabled() {
-                reg.counter(name, &[("user", &user.to_string())]).inc();
-            }
-        }
+/// Feeds `value_ps` into the per-tenant histogram `name{user=N}` —
+/// p50/p99/p99.9 come out of the registry's summary export.
+fn observe_user(ctx: &Ctx, name: &'static str, user: usize, value_ps: u64) {
+    let reg = ctx.metrics();
+    if reg.is_enabled() {
+        reg.histogram(name, &[("user", &user.to_string())])
+            .record(value_ps);
     }
+}
 
-    fn inflight_add(&self, delta: i64) {
-        if let Some(reg) = self.metrics.get() {
-            if reg.is_enabled() {
-                reg.gauge("array_sched_inflight", &[]).add(delta);
-            }
-        }
-    }
-
-    fn instr(&self, user: usize) -> Option<&QueueInstr> {
-        self.queue_instr.get().map(|v| &v[user])
-    }
-
-    /// Feeds one query's end-to-end latency (submit to completion) into
-    /// the per-tenant SLO histogram `array_query_latency_ps{user=N}` —
-    /// p50/p99/p99.9 come out of the registry's summary export.
-    fn observe_latency(&self, user: usize, latency_ps: u64) {
-        if let Some(reg) = self.metrics.get() {
-            if reg.is_enabled() {
-                reg.histogram("array_query_latency_ps", &[("user", &user.to_string())])
-                    .record(latency_ps);
-            }
-        }
-    }
-
-    /// Same, for the dispatch wait: `array_queue_wait_ps{user=N}`.
-    fn observe_queue_wait(&self, user: usize, wait_ps: u64) {
-        if let Some(reg) = self.metrics.get() {
-            if reg.is_enabled() {
-                reg.histogram("array_queue_wait_ps", &[("user", &user.to_string())])
-                    .record(wait_ps);
-            }
-        }
+fn inflight_add(ctx: &Ctx, delta: i64) {
+    let reg = ctx.metrics();
+    if reg.is_enabled() {
+        reg.gauge("array_sched_inflight", &[]).add(delta);
     }
 }
 
@@ -1016,34 +991,16 @@ impl QueryScheduler {
                 submitted: AtomicU64::new(0),
                 completed: AtomicU64::new(0),
                 shed: AtomicU64::new(0),
-                metrics: OnceLock::new(),
                 queue_instr: OnceLock::new(),
             }),
         }
     }
 
-    /// Registers the scheduler's counters, the in-flight gauge, and every
-    /// user queue's push/pop/depth instruments (`queue=sched.user<i>`) in
-    /// `registry`. The first call wins.
-    ///
-    /// Skip this for very large tenant counts (tens of thousands): the
-    /// per-tenant accounting in [`QueryScheduler::tenant_reports`] is
-    /// always on and does not inflate the registry export.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        let instr = (0..self.inner.not_full.len())
-            .map(|i| {
-                let label = format!("sched.user{i}");
-                let labels = [("queue", label.as_str())];
-                QueueInstr {
-                    pushes: registry.counter("queue_pushes_total", &labels),
-                    pops: registry.counter("queue_pops_total", &labels),
-                    depth: registry.gauge("queue_depth", &labels),
-                }
-            })
-            .collect();
-        let _ = self.inner.queue_instr.set(instr);
-        let _ = self.inner.metrics.set(registry.clone());
-    }
+    /// Shim for the frozen `biscuit-perf` harness: the scheduler reports to
+    /// the simulation of the `&Ctx` it is called with. Goes with the next
+    /// `benchmark` PR (ROADMAP 2(c)).
+    #[doc(hidden)]
+    pub fn attach_metrics(&self, _registry: &MetricsRegistry) {}
 
     /// Spawns the worker-fiber pool (`max_inflight` fibers named
     /// `sched-worker<i>`). Call once. Workers exit when the scheduler is
@@ -1093,7 +1050,7 @@ impl QueryScheduler {
             }
             if !blocked {
                 blocked = true;
-                self.inner.count("array_sched_backpressure_total");
+                count(ctx, "array_sched_backpressure_total");
             }
             self.inner.not_full[user].wait(ctx);
         }
@@ -1142,7 +1099,11 @@ impl QueryScheduler {
             }
         };
         self.inner.shed.fetch_add(1, Ordering::Relaxed);
-        self.inner.count_user("sched_shed_total", user);
+        let reg = ctx.metrics();
+        if reg.is_enabled() {
+            reg.counter("sched_shed_total", &[("user", &user.to_string())])
+                .inc();
+        }
         Err(QueryShed { user, reason })
     }
 
@@ -1181,8 +1142,8 @@ impl QueryScheduler {
             },
         }));
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.count("array_sched_submitted_total");
-        if let Some(qi) = self.inner.instr(user) {
+        count(ctx, "array_sched_submitted_total");
+        if let Some(qi) = self.inner.instr(ctx, user) {
             qi.pushes.inc();
             qi.depth.set(i64::from(depth));
         }
@@ -1310,11 +1271,11 @@ fn worker_loop(inner: &Arc<SchedInner>, ctx: &Ctx) {
                     t.queue_wait.record(wait_ps);
                     let depth = t.depth;
                     drop(st);
-                    if let Some(qi) = inner.instr(user) {
+                    if let Some(qi) = inner.instr(ctx, user) {
                         qi.pops.inc();
                         qi.depth.set(i64::from(depth));
                     }
-                    inner.observe_queue_wait(user, wait_ps);
+                    observe_user(ctx, "array_queue_wait_ps", user, wait_ps);
                     break Some(e.sub);
                 }
                 if st.closed {
@@ -1326,8 +1287,8 @@ fn worker_loop(inner: &Arc<SchedInner>, ctx: &Ctx) {
         let Some(sub) = sub else { return };
         // A slot freed in the tenant's queue: wake one blocked submitter.
         inner.not_full[sub.user].notify_one(ctx);
-        inner.count("array_sched_admitted_total");
-        inner.inflight_add(1);
+        count(ctx, "array_sched_admitted_total");
+        inflight_add(ctx, 1);
         if let Some(sc) = sub.span {
             // This worker does the query's work: adopt the context minted
             // at submit and close the loop on how long the query sat
@@ -1337,7 +1298,8 @@ fn worker_loop(inner: &Arc<SchedInner>, ctx: &Ctx) {
         }
         (sub.job)(ctx);
         let latency_ps = (ctx.now() - sub.at).as_ps();
-        inner.observe_latency(sub.user, latency_ps);
+        // The per-tenant SLO histogram: submit to completion.
+        observe_user(ctx, "array_query_latency_ps", sub.user, latency_ps);
         {
             let mut st = inner.state.lock();
             let t = &mut st.tenants[sub.user];
@@ -1348,9 +1310,9 @@ fn worker_loop(inner: &Arc<SchedInner>, ctx: &Ctx) {
             qp.end_query(ctx, sc);
             qp.adopt(ctx, None);
         }
-        inner.inflight_add(-1);
+        inflight_add(ctx, -1);
         inner.completed.fetch_add(1, Ordering::Relaxed);
-        inner.count("array_sched_completed_total");
+        count(ctx, "array_sched_completed_total");
         inner.done.notify_all(ctx);
     }
 }

@@ -185,16 +185,12 @@ impl SsdArray {
     /// kernel, each advanced on its own OS thread per `cfg.par` — the
     /// parallel sibling of [`SsdArray::scatter`].
     ///
-    /// Because every drive needs to be *born into* its shard kernel (so
-    /// its tracer and metrics attach to that kernel's registries, which
-    /// are first-call-wins), this is an associated function taking a
-    /// `build` closure rather than a method on an existing array:
-    /// `build(i, &sim)` must construct a **fresh** [`ArrayShard`] — a
-    /// drive not attached to any other simulation — and is called on the
-    /// calling thread in shard order. `job(ctx, &shard, &tx)` then runs
-    /// as the shard kernel's root fiber; items sent through `tx` come
-    /// back in canonical merge order. The lane closes when `job`
-    /// returns.
+    /// `build(i, &sim)` constructs shard `i`'s [`ArrayShard`] — a drive
+    /// no other simulation is using — and is called on the calling thread
+    /// in shard order. `job(ctx, &shard, &tx)` then runs as the shard
+    /// kernel's root fiber, the drive reporting to that kernel like
+    /// everything else it calls; items sent through `tx` come back in
+    /// canonical merge order. The lane closes when `job` returns.
     ///
     /// Fault-plan drive-loss recovery is an in-sim coordinator feature
     /// ([`SsdArray::scatter`]); the fleet path targets fault-free
@@ -259,17 +255,6 @@ impl SsdArray {
                 sim.enable_qprof();
             }
             let shard = build(i, &sim);
-            // First-call-wins attach: the drive must be fresh, so these
-            // bind it to ITS kernel's registries, not a stale one's.
-            if cfg.trace.is_some() {
-                shard.ssd.attach_tracer(sim.tracer());
-            }
-            if cfg.metrics {
-                shard.ssd.attach_metrics(sim.metrics());
-            }
-            if cfg.qprof {
-                shard.ssd.attach_qprof(sim.qprof());
-            }
             let job = Arc::clone(&job);
             sim.spawn(format!("fleet-shard{i}"), move |ctx| {
                 job(ctx, &shard, &tx);

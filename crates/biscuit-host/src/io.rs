@@ -73,15 +73,17 @@ impl ConvIo {
         ctx: &Ctx,
         spans: &[(u64, usize)],
     ) -> FsResult<(SimTime, Vec<biscuit_ssd::PageBuf>)> {
-        let dev_start = self.device.charge_request_overhead(ctx.now());
+        let dev_start = self.device.charge_request_overhead(ctx, ctx.now());
         let mut end = dev_start;
         let mut pages = Vec::with_capacity(spans.len());
         for &(lpn, bytes) in spans {
             let (internal_done, buf) = self
                 .device
-                .enqueue_read(dev_start, lpn, bytes)
+                .enqueue_read(ctx, dev_start, lpn, bytes)
                 .map_err(FsError::Device)?;
-            let dma_done = self.link.enqueue_dma_to_host(internal_done, bytes as u64);
+            let dma_done = self
+                .link
+                .enqueue_dma_to_host(ctx, internal_done, bytes as u64);
             ctx.qprof()
                 .record(Stage::Link, internal_done, dma_done, bytes as u64, 0);
             end = end.max(dma_done);
@@ -118,7 +120,7 @@ impl ConvIo {
             Ok(pages)
         })();
         self.link.release_slot(ctx, slot);
-        Ok(file.slice_pages(&pages?, offset, len))
+        Ok(file.slice_pages(ctx, &pages?, offset, len))
     }
 
     /// Asynchronous whole-page read of `page_count` file pages starting at
@@ -382,7 +384,7 @@ mod tests {
                     FsError::Device(DeviceError::Ftl(FtlError::PowerLoss { .. }))
                 ));
             }
-            dev.recover_power_loss(ctx.now());
+            dev.recover(ctx);
             let got = io.read(ctx, &f, 100, 20_000, HostLoad::IDLE).unwrap();
             assert_eq!(&got[..], &data[100..20_100]);
         });

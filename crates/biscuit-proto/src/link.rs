@@ -108,9 +108,16 @@ impl HostLink {
     /// Panics if `queue_depth` is zero or the bandwidth is not positive.
     pub fn new(cfg: LinkConfig) -> Self {
         assert!(cfg.queue_depth > 0, "queue depth must be positive");
+        // One component: a run that only ever moves data one way still
+        // exports the idle direction.
+        let [to_host, to_device] = Shaper::labelled(
+            cfg.bandwidth_bytes_per_sec,
+            SimDuration::ZERO,
+            ["link.to_host", "link.to_device"],
+        );
         HostLink {
-            to_host: Shaper::new(cfg.bandwidth_bytes_per_sec, SimDuration::ZERO),
-            to_device: Shaper::new(cfg.bandwidth_bytes_per_sec, SimDuration::ZERO),
+            to_host,
+            to_device,
             slots: Arc::new(Semaphore::new(cfg.queue_depth)),
             fault: OnceLock::new(),
             cfg,
@@ -121,7 +128,7 @@ impl HostLink {
     /// reservation in either direction may draw packet corruption. A
     /// corrupted attempt is caught by the link CRC and replayed after
     /// exponential backoff (`link_backoff_base × 2^(k−1)` before the k-th
-    /// replay), re-reserving link bandwidth each time. The first call wins;
+    /// replay), re-reserving link bandwidth each time. A link is armed once;
     /// a [`FaultPlan::none`] plan leaves the timing path untouched.
     pub fn set_fault_plan(&self, plan: &FaultPlan) {
         let _ = self.fault.set(plan.clone());
@@ -138,6 +145,7 @@ impl HostLink {
     /// first clean attempt completes (`end` unchanged when no fault fires).
     fn replay_corrupted(
         &self,
+        ctx: &Ctx,
         site: FaultSite,
         shaper: &Shaper,
         bytes: u64,
@@ -155,37 +163,21 @@ impl HostLink {
             .expect("active plan has a config")
             .link_backoff_base;
         plan.record_injected(
+            ctx,
             end,
             site,
             &format!("{bytes} bytes corrupted, {n} replay(s)"),
         );
         for k in 0..n {
-            end = shaper.enqueue(end + base * (1u64 << k), bytes);
+            end = shaper.enqueue(ctx, end + base * (1u64 << k), bytes);
         }
-        plan.record_recovered(end, site, "link_replay");
+        plan.record_recovered(ctx, end, site, "link_replay");
         end
     }
 
     /// The link's timing parameters.
     pub fn config(&self) -> &LinkConfig {
         &self.cfg
-    }
-
-    /// Records every DMA reservation in both directions into `tracer` as
-    /// `link.to_host` / `link.to_device` spans. The first call wins.
-    pub fn attach_tracer(&self, tracer: &biscuit_sim::Tracer) {
-        self.to_host.set_trace(tracer.clone(), "link.to_host");
-        self.to_device.set_trace(tracer.clone(), "link.to_device");
-    }
-
-    /// Registers both link directions in `registry` as
-    /// `resource_{ops,bytes,busy_ps}_total` / `resource_span_ps` samples
-    /// labeled `resource=link.to_host` / `resource=link.to_device`, from
-    /// which the exporter derives per-direction link utilization. The first
-    /// call wins.
-    pub fn attach_metrics(&self, registry: &biscuit_sim::MetricsRegistry) {
-        self.to_host.set_metrics(registry, "link.to_host");
-        self.to_device.set_metrics(registry, "link.to_device");
     }
 
     /// Acquires a command slot, blocking while the queue is full. The slot is
@@ -223,7 +215,7 @@ impl HostLink {
     /// (including any CRC-replay attempts drawn from an armed fault plan).
     pub fn dma_to_host(&self, ctx: &Ctx, bytes: u64) -> SimTime {
         let end = self.to_host.transfer(ctx, bytes);
-        let end = self.replay_corrupted(FaultSite::LinkToHost, &self.to_host, bytes, end);
+        let end = self.replay_corrupted(ctx, FaultSite::LinkToHost, &self.to_host, bytes, end);
         if end > ctx.now() {
             ctx.sleep_until(end);
         }
@@ -234,7 +226,7 @@ impl HostLink {
     /// (including any CRC-replay attempts drawn from an armed fault plan).
     pub fn dma_to_device(&self, ctx: &Ctx, bytes: u64) -> SimTime {
         let end = self.to_device.transfer(ctx, bytes);
-        let end = self.replay_corrupted(FaultSite::LinkToDevice, &self.to_device, bytes, end);
+        let end = self.replay_corrupted(ctx, FaultSite::LinkToDevice, &self.to_device, bytes, end);
         if end > ctx.now() {
             ctx.sleep_until(end);
         }
@@ -242,15 +234,15 @@ impl HostLink {
     }
 
     /// Reserves a device-to-host DMA without blocking; returns completion time.
-    pub fn enqueue_dma_to_host(&self, now: SimTime, bytes: u64) -> SimTime {
-        let end = self.to_host.enqueue(now, bytes);
-        self.replay_corrupted(FaultSite::LinkToHost, &self.to_host, bytes, end)
+    pub fn enqueue_dma_to_host(&self, ctx: &Ctx, now: SimTime, bytes: u64) -> SimTime {
+        let end = self.to_host.enqueue(ctx, now, bytes);
+        self.replay_corrupted(ctx, FaultSite::LinkToHost, &self.to_host, bytes, end)
     }
 
     /// Reserves a host-to-device DMA without blocking; returns completion time.
-    pub fn enqueue_dma_to_device(&self, now: SimTime, bytes: u64) -> SimTime {
-        let end = self.to_device.enqueue(now, bytes);
-        self.replay_corrupted(FaultSite::LinkToDevice, &self.to_device, bytes, end)
+    pub fn enqueue_dma_to_device(&self, ctx: &Ctx, now: SimTime, bytes: u64) -> SimTime {
+        let end = self.to_device.enqueue(ctx, now, bytes);
+        self.replay_corrupted(ctx, FaultSite::LinkToDevice, &self.to_device, bytes, end)
     }
 
     /// Total bytes moved device→host so far.
@@ -323,7 +315,7 @@ mod tests {
         sim.spawn("stream", move |ctx| {
             let mut end = ctx.now();
             for _ in 0..32 {
-                end = l.enqueue_dma_to_host(ctx.now(), 1 << 20);
+                end = l.enqueue_dma_to_host(ctx, ctx.now(), 1 << 20);
             }
             ctx.sleep_until(end);
             d.store(ctx.now().as_micros(), Ordering::SeqCst);
@@ -340,8 +332,8 @@ mod tests {
         let link = Arc::new(HostLink::new(LinkConfig::pcie_gen3_x4()));
         let l = Arc::clone(&link);
         sim.spawn("both", move |ctx| {
-            let up = l.enqueue_dma_to_host(ctx.now(), 1 << 20);
-            let down = l.enqueue_dma_to_device(ctx.now(), 1 << 20);
+            let up = l.enqueue_dma_to_host(ctx, ctx.now(), 1 << 20);
+            let down = l.enqueue_dma_to_device(ctx, ctx.now(), 1 << 20);
             // Full duplex: both directions complete at the same time.
             assert_eq!(up, down);
             ctx.sleep_until(up.max(down));
@@ -370,7 +362,7 @@ mod tests {
             let done = Arc::new(AtomicU64::new(0));
             let d = Arc::clone(&done);
             sim.spawn("dma", move |ctx| {
-                let end = l.enqueue_dma_to_host(ctx.now(), 1 << 20);
+                let end = l.enqueue_dma_to_host(ctx, ctx.now(), 1 << 20);
                 ctx.sleep_until(end);
                 d.store(ctx.now().as_nanos(), Ordering::SeqCst);
             });

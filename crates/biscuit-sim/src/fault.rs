@@ -24,15 +24,18 @@
 //!
 //! ## Observability
 //!
-//! Every injected, recovered, and failed fault increments the aggregate
-//! metrics registry (`fault_injected_total`, `fault_recovered_total`,
-//! `fault_failed_total`, labeled by site/action) and emits structured
-//! [`TraceEvent::FaultInjected`] / [`TraceEvent::FaultRecovered`] /
-//! [`TraceEvent::FaultFailed`] events.
+//! Every injected, recovered, and failed fault is reported where it fires:
+//! the `record_*` methods take the calling fiber's [`Ctx`] and increment
+//! that simulation's metrics registry (`fault_injected_total`,
+//! `fault_recovered_total`, `fault_failed_total`, labeled by site/action)
+//! and emit structured [`TraceEvent::FaultInjected`] /
+//! [`TraceEvent::FaultRecovered`] / [`TraceEvent::FaultFailed`] events. The
+//! plan itself holds no telemetry handle, so it may be armed before or
+//! after the simulation's observers are switched on.
 //!
 //! ```
 //! use biscuit_sim::fault::{FaultConfig, FaultPlan, FaultSite};
-//! use biscuit_sim::time::SimTime;
+//! use biscuit_sim::Simulation;
 //!
 //! let plan = FaultPlan::seeded(7, FaultConfig {
 //!     nand_read_error_rate: 1.0,
@@ -40,8 +43,13 @@
 //! });
 //! let f = plan.nand_read_fault().expect("rate 1.0 always fires");
 //! assert!(f.retries >= 1);
-//! plan.record_injected(SimTime::ZERO, FaultSite::NandRead, "tR retry");
-//! plan.record_recovered(SimTime::ZERO, FaultSite::NandRead, "read_retry");
+//! let sim = Simulation::new(0);
+//! let p = plan.clone();
+//! sim.spawn("site", move |ctx| {
+//!     p.record_injected(ctx, ctx.now(), FaultSite::NandRead, "tR retry");
+//!     p.record_recovered(ctx, ctx.now(), FaultSite::NandRead, "read_retry");
+//! });
+//! sim.run().assert_quiescent();
 //! assert_eq!(plan.injected_total(), 1);
 //! assert_eq!(plan.recovered_total(), 1);
 //!
@@ -51,12 +59,12 @@
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use crate::metrics::MetricsRegistry;
+use crate::kernel::Ctx;
 use crate::rng::splitmix64;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::TraceEvent;
 
 /// Instrumented locations where a [`FaultPlan`] may inject a fault. Each
 /// site draws from its own deterministic ordinal stream, so injections at
@@ -300,8 +308,6 @@ struct PlanInner {
     /// Count of crash-eligible persistence operations seen so far (the
     /// stream the seeded crash instant indexes into).
     power_ops: AtomicU64,
-    trace: OnceLock<Tracer>,
-    metrics: OnceLock<MetricsRegistry>,
 }
 
 /// A seeded, deterministic fault-injection plan shared across the stack.
@@ -350,8 +356,6 @@ impl FaultPlan {
                 drive_losses_left: AtomicU64::new(losses),
                 power_losses_left: AtomicU64::new(power),
                 power_ops: AtomicU64::new(0),
-                trace: OnceLock::new(),
-                metrics: OnceLock::new(),
             })),
         }
     }
@@ -365,22 +369,6 @@ impl FaultPlan {
     /// The plan's configuration, when active.
     pub fn config(&self) -> Option<&FaultConfig> {
         self.inner.as_deref().map(|i| &i.cfg)
-    }
-
-    /// Records fault trace events into `tracer`. The first call wins; a
-    /// no-op on inactive plans.
-    pub fn attach_tracer(&self, tracer: &Tracer) {
-        if let Some(inner) = &self.inner {
-            let _ = inner.trace.set(tracer.clone());
-        }
-    }
-
-    /// Registers fault counters in `registry` (lazily, per site/action).
-    /// The first call wins; a no-op on inactive plans.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        if let Some(inner) = &self.inner {
-            let _ = inner.metrics.set(registry.clone());
-        }
     }
 
     /// Advances `site`'s ordinal and returns the draw hash when the event
@@ -518,82 +506,72 @@ impl FaultPlan {
         self.config()?.host_timeout
     }
 
-    /// Records an injected fault: counters, metrics, and a trace event.
-    pub fn record_injected(&self, now: SimTime, site: FaultSite, detail: &str) {
+    /// What every `record_*` does: the plan's own accounting, then a
+    /// counter (labeled by site and, when given, action) and a trace event
+    /// in the simulation of the fiber behind `ctx` — the site that drew the
+    /// fault. A no-op on an inactive plan.
+    fn record(
+        &self,
+        ctx: &Ctx,
+        site: FaultSite,
+        stat: impl Fn(&SiteStats) -> &AtomicU64,
+        metric: &str,
+        action: Option<&str>,
+        event: impl FnOnce() -> TraceEvent,
+    ) {
         let Some(inner) = self.inner.as_deref() else {
             return;
         };
-        inner.stats[site.index()]
-            .injected
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(reg) = inner.metrics.get() {
-            if reg.is_enabled() {
-                reg.counter("fault_injected_total", &[("site", site.label())])
-                    .inc();
-            }
+        stat(&inner.stats[site.index()]).fetch_add(1, Ordering::Relaxed);
+        let reg = ctx.metrics();
+        if reg.is_enabled() {
+            let labels = [("site", site.label()), ("action", action.unwrap_or(""))];
+            let used = if action.is_some() { 2 } else { 1 };
+            reg.counter(metric, &labels[..used]).inc();
         }
-        if let Some(tracer) = inner.trace.get() {
-            tracer.emit(|| TraceEvent::FaultInjected {
-                at: now,
-                site: site.label(),
-                detail: Arc::from(detail),
-            });
-        }
+        ctx.tracer().emit(event);
+    }
+
+    /// Records a fault injected at `at`.
+    pub fn record_injected(&self, ctx: &Ctx, at: SimTime, site: FaultSite, detail: &str) {
+        let event = || TraceEvent::FaultInjected {
+            at,
+            site: site.label(),
+            detail: Arc::from(detail),
+        };
+        self.record(
+            ctx,
+            site,
+            |s| &s.injected,
+            "fault_injected_total",
+            None,
+            event,
+        );
     }
 
     /// Records a successful recovery (`action` names the policy: e.g.
     /// `"read_retry"`, `"block_retire"`, `"link_replay"`, `"restart"`,
     /// `"host_fallback"`).
-    pub fn record_recovered(&self, now: SimTime, site: FaultSite, action: &'static str) {
-        let Some(inner) = self.inner.as_deref() else {
-            return;
+    pub fn record_recovered(&self, ctx: &Ctx, at: SimTime, site: FaultSite, action: &'static str) {
+        let event = || TraceEvent::FaultRecovered {
+            at,
+            site: site.label(),
+            action,
         };
-        inner.stats[site.index()]
-            .recovered
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(reg) = inner.metrics.get() {
-            if reg.is_enabled() {
-                reg.counter(
-                    "fault_recovered_total",
-                    &[("site", site.label()), ("action", action)],
-                )
-                .inc();
-            }
-        }
-        if let Some(tracer) = inner.trace.get() {
-            tracer.emit(|| TraceEvent::FaultRecovered {
-                at: now,
-                site: site.label(),
-                action,
-            });
-        }
+        let metric = "fault_recovered_total";
+        self.record(ctx, site, |s| &s.recovered, metric, Some(action), event);
     }
 
     /// Records an exhausted recovery policy (`action` names what gave up);
     /// a higher layer must degrade gracefully.
-    pub fn record_failed(&self, now: SimTime, site: FaultSite, action: &'static str) {
-        let Some(inner) = self.inner.as_deref() else {
-            return;
+    pub fn record_failed(&self, ctx: &Ctx, at: SimTime, site: FaultSite, action: &'static str) {
+        let event = || TraceEvent::FaultFailed {
+            at,
+            site: site.label(),
+            action,
         };
-        inner.stats[site.index()]
-            .failed
-            .fetch_add(1, Ordering::Relaxed);
-        if let Some(reg) = inner.metrics.get() {
-            if reg.is_enabled() {
-                reg.counter(
-                    "fault_failed_total",
-                    &[("site", site.label()), ("action", action)],
-                )
-                .inc();
-            }
-        }
-        if let Some(tracer) = inner.trace.get() {
-            tracer.emit(|| TraceEvent::FaultFailed {
-                at: now,
-                site: site.label(),
-                action,
-            });
-        }
+        let metric = "fault_failed_total";
+        self.record(ctx, site, |s| &s.failed, metric, Some(action), event);
     }
 
     /// Total faults injected across all sites.
@@ -642,6 +620,14 @@ fn take_one(budget: &AtomicU64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulation;
+
+    /// Runs `f` as the only fiber of a fresh simulation.
+    fn in_fiber(f: impl FnOnce(&Ctx) + Send + 'static) {
+        let sim = Simulation::new(0);
+        sim.spawn("site", f);
+        sim.run().assert_quiescent();
+    }
 
     #[test]
     fn none_plan_never_fires() {
@@ -653,7 +639,8 @@ mod tests {
         assert!(plan.ssdlet_disruption().is_none());
         assert_eq!(plan.max_restarts(), 0);
         assert!(plan.host_timeout().is_none());
-        plan.record_injected(SimTime::ZERO, FaultSite::NandRead, "x");
+        let p = plan.clone();
+        in_fiber(move |ctx| p.record_injected(ctx, SimTime::ZERO, FaultSite::NandRead, "x"));
         assert_eq!(plan.injected_total(), 0);
     }
 
@@ -747,19 +734,21 @@ mod tests {
 
     #[test]
     fn accounting_and_metrics_flow() {
-        let reg = MetricsRegistry::new();
-        reg.enable();
+        let sim = Simulation::new(0);
+        sim.enable_metrics();
         let plan = FaultPlan::seeded(0, FaultConfig::default());
-        plan.attach_metrics(&reg);
-        plan.record_injected(SimTime::ZERO, FaultSite::LinkToHost, "crc");
-        plan.record_recovered(SimTime::ZERO, FaultSite::LinkToHost, "link_replay");
-        plan.record_failed(SimTime::ZERO, FaultSite::Ssdlet, "restart");
+        let p = plan.clone();
+        sim.spawn("sites", move |ctx| {
+            p.record_injected(ctx, SimTime::ZERO, FaultSite::LinkToHost, "crc");
+            p.record_recovered(ctx, SimTime::ZERO, FaultSite::LinkToHost, "link_replay");
+            p.record_failed(ctx, SimTime::ZERO, FaultSite::Ssdlet, "restart");
+        });
+        let snap = sim.run().metrics;
         assert_eq!(plan.injected_total(), 1);
         assert_eq!(plan.recovered_total(), 1);
         assert_eq!(plan.failed_total(), 1);
         assert_eq!(plan.injected_at(FaultSite::LinkToHost), 1);
         assert_eq!(plan.recovered_at(FaultSite::LinkToHost), 1);
-        let snap = reg.snapshot();
         assert_eq!(
             snap.counter_value("fault_injected_total", &[("site", "link_to_host")]),
             Some(1)
@@ -870,7 +859,7 @@ mod tests {
         let clone = plan.clone();
         assert_eq!(clone.ssdlet_disruption(), Some(SsdletDisruption::Panic));
         assert_eq!(plan.ssdlet_disruption(), None, "budget is shared");
-        clone.record_injected(SimTime::ZERO, FaultSite::Ssdlet, "panic");
+        in_fiber(move |ctx| clone.record_injected(ctx, SimTime::ZERO, FaultSite::Ssdlet, "panic"));
         assert_eq!(plan.injected_total(), 1);
     }
 }

@@ -527,9 +527,16 @@ impl Ctx {
         f(&mut self.kernel.inner.lock().rng)
     }
 
-    /// The simulation's metrics registry. Fibers (e.g. bench bodies) use
-    /// this to attach device components mid-run via their
-    /// `set_metrics`/`attach_metrics` methods.
+    /// The simulation's tracer. Every component called with this `Ctx`
+    /// emits its events here; they are dropped (one relaxed load) unless
+    /// [`Simulation::enable_trace`] switched it on.
+    pub fn tracer(&self) -> &Tracer {
+        self.kernel.tracer()
+    }
+
+    /// The simulation's metrics registry. Every component called with this
+    /// `Ctx` counts here; a component registers its series on its first
+    /// call made while [`Simulation::enable_metrics`] is in effect.
     pub fn metrics(&self) -> &MetricsRegistry {
         self.kernel.metrics()
     }
@@ -618,7 +625,44 @@ pub struct SimReport {
     pub profiles: QueryProfiles,
 }
 
+/// The output path an observability variable names, when set and non-empty.
+fn env_path(var: &str) -> Option<String> {
+    std::env::var(var).ok().filter(|path| !path.is_empty())
+}
+
 impl SimReport {
+    /// Writes what [`Simulation::enable_from_env`] switched on, each to the
+    /// path its variable names: the Chrome trace (`BISCUIT_TRACE`), the
+    /// metrics snapshot (`BISCUIT_METRICS`; JSON when the path ends in
+    /// `.json`, Prometheus text otherwise) and the query profiles
+    /// (`BISCUIT_QPROF`, whose table is also printed). Says on stdout what
+    /// it wrote.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error.
+    pub fn write_from_env(&self) -> std::io::Result<()> {
+        if let Some(path) = env_path("BISCUIT_TRACE") {
+            self.trace.write_chrome_json(&path)?;
+            println!("trace written to {path} — open in chrome://tracing or Perfetto");
+        }
+        if let Some(path) = env_path("BISCUIT_METRICS") {
+            let body = if path.ends_with(".json") {
+                self.metrics.to_json()
+            } else {
+                self.metrics.to_prometheus()
+            };
+            std::fs::write(&path, body)?;
+            println!("metrics written to {path}");
+        }
+        if let Some(path) = env_path("BISCUIT_QPROF") {
+            self.profiles.write_json(&path)?;
+            println!("{}", self.profiles.to_table());
+            println!("query profile written to {path}");
+        }
+        Ok(())
+    }
+
     /// Asserts that every fiber terminated (no deadlocked/blocked fibers).
     ///
     /// # Panics
@@ -795,32 +839,31 @@ impl Simulation {
     }
 
     /// Enables structured event tracing for this simulation, resetting the
-    /// trace buffer to `cfg.capacity` events. Attach the returned/shared
-    /// [`Tracer`] (see [`Simulation::tracer`]) to device components to
-    /// capture their events too; the final [`SimReport::trace`] holds the
-    /// recorded snapshot.
+    /// trace buffer to `cfg.capacity` events. Every component a fiber of
+    /// this simulation calls — kernel, queues, resources, device, link,
+    /// ports, planner — records from then on; the final
+    /// [`SimReport::trace`] holds the snapshot.
     pub fn enable_trace(&self, cfg: TraceConfig) {
         self.kernel.tracer.enable(cfg);
     }
 
-    /// The simulation's tracer handle (disabled until
-    /// [`Simulation::enable_trace`]). Clone it into queues, resources, and
-    /// devices via their `set_trace`/`attach_tracer` methods.
+    /// The simulation's tracer (disabled until
+    /// [`Simulation::enable_trace`]); fibers reach the same handle through
+    /// [`Ctx::tracer`].
     pub fn tracer(&self) -> &Tracer {
         self.kernel.tracer()
     }
 
-    /// Enables aggregate metrics collection for this simulation. Attach the
-    /// shared [`MetricsRegistry`] (see [`Simulation::metrics`]) to device
-    /// components via their `set_metrics`/`attach_metrics` methods; the
-    /// final [`SimReport::metrics`] holds the recorded snapshot.
+    /// Enables aggregate metrics collection for this simulation. Every
+    /// component a fiber of this simulation calls counts from then on; the
+    /// final [`SimReport::metrics`] holds the snapshot.
     pub fn enable_metrics(&self) {
         self.kernel.metrics.enable();
     }
 
-    /// The simulation's metrics registry handle (disabled until
-    /// [`Simulation::enable_metrics`]). Clone it into queues, resources,
-    /// and devices via their `set_metrics`/`attach_metrics` methods.
+    /// The simulation's metrics registry (disabled until
+    /// [`Simulation::enable_metrics`]); fibers reach the same handle
+    /// through [`Ctx::metrics`].
     pub fn metrics(&self) -> &MetricsRegistry {
         self.kernel.metrics()
     }
@@ -834,10 +877,28 @@ impl Simulation {
         self.kernel.qprof.enable();
     }
 
-    /// The simulation's query profiler handle (disabled until
-    /// [`Simulation::enable_qprof`]).
+    /// The simulation's query profiler (disabled until
+    /// [`Simulation::enable_qprof`]); fibers reach the same handle through
+    /// [`Ctx::qprof`].
     pub fn qprof(&self) -> &QueryProfiler {
         self.kernel.qprof()
+    }
+
+    /// Switches on what the environment asks for, before
+    /// [`Simulation::run`]: a set, non-empty `BISCUIT_TRACE` enables
+    /// tracing (default ring capacity), `BISCUIT_METRICS` enables metrics
+    /// and `BISCUIT_QPROF` enables query profiling. Each value names the
+    /// file [`SimReport::write_from_env`] writes after the run.
+    pub fn enable_from_env(&self) {
+        if env_path("BISCUIT_TRACE").is_some() {
+            self.enable_trace(TraceConfig::default());
+        }
+        if env_path("BISCUIT_METRICS").is_some() {
+            self.enable_metrics();
+        }
+        if env_path("BISCUIT_QPROF").is_some() {
+            self.enable_qprof();
+        }
     }
 
     /// Spawns a fiber that starts at the current virtual time.

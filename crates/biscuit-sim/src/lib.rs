@@ -83,8 +83,8 @@ pub mod trace;
 
 pub use fault::{DriveLoss, DriveLossPhase, FaultConfig, FaultPlan, FaultSite};
 pub use kernel::{Ctx, Kernel, Pid, RunStatus, SimReport, Simulation};
-pub use metrics::{MetricsConfig, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use par::{ParConfig, ParMode, PortRx, PortTx};
-pub use qprof::{QprofConfig, QueryProfile, QueryProfiler, QueryProfiles, SpanContext, Stage};
+pub use qprof::{QueryProfile, QueryProfiler, QueryProfiles, SpanContext, Stage};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceConfig, TraceEvent, Tracer};

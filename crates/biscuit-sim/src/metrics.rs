@@ -57,45 +57,6 @@ use crate::trace::escape_json_into;
 /// Number of power-of-two histogram buckets (`u64` bit widths 0..=64).
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// Configuration hook for examples and harnesses: reads the
-/// `BISCUIT_METRICS` environment variable.
-///
-/// When set and non-empty, the value names the output path for the exported
-/// snapshot — a `.json` suffix selects [`MetricsSnapshot::to_json`],
-/// anything else the Prometheus text format — so
-/// `BISCUIT_METRICS=metrics.json cargo run --example quickstart` both
-/// enables collection and names the file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricsConfig {
-    /// Output path for the exported snapshot.
-    pub path: String,
-}
-
-impl MetricsConfig {
-    /// Returns a config when `BISCUIT_METRICS` is set and non-empty.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("BISCUIT_METRICS") {
-            Ok(v) if !v.is_empty() => Some(MetricsConfig { path: v }),
-            _ => None,
-        }
-    }
-
-    /// Writes `snapshot` to the configured path — JSON when the path ends in
-    /// `.json`, Prometheus text otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub fn write(&self, snapshot: &MetricsSnapshot) -> std::io::Result<()> {
-        let body = if self.path.ends_with(".json") {
-            snapshot.to_json()
-        } else {
-            snapshot.to_prometheus()
-        };
-        std::fs::write(&self.path, body)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Histogram core
 // ---------------------------------------------------------------------------
@@ -366,9 +327,10 @@ fn render_key(name: &str, labels: &[(&str, &str)]) -> String {
 /// A cheaply cloneable handle to a simulation's metrics registry.
 ///
 /// Every [`crate::Simulation`] owns one (disabled by default); library code
-/// shares it by clone through `set_metrics`/`attach_metrics` methods, which
-/// register their instruments up front. Instruments keep working after the
-/// registry is enabled or disabled because they share its flag.
+/// reaches it through the calling fiber's [`crate::Ctx::metrics`] and
+/// registers its instruments on its first metered call. Instruments keep
+/// working after the registry is enabled or disabled because they share its
+/// flag.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     inner: Arc<RegistryInner>,

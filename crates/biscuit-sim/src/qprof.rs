@@ -35,8 +35,8 @@
 //! Disabled (the default), every instrumentation site costs one relaxed
 //! atomic load, the same contract as [`crate::trace::Tracer`] and
 //! [`crate::metrics::MetricsRegistry`]. The `BISCUIT_QPROF` environment
-//! variable enables collection in examples and harnesses, with its value
-//! as the export path ([`QprofConfig::from_env`]).
+//! variable enables collection in the examples, with its value as the
+//! export path ([`crate::Simulation::enable_from_env`]).
 //!
 //! ## Example
 //!
@@ -69,25 +69,6 @@ use crate::sync::Mutex;
 use crate::kernel::{Ctx, Pid};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::escape_json_into;
-
-/// Configuration hook for query profiling, mirroring
-/// [`crate::trace::TraceConfig::from_env`].
-#[derive(Debug, Clone, Default)]
-pub struct QprofConfig;
-
-impl QprofConfig {
-    /// Returns a config when `BISCUIT_QPROF` is set and non-empty.
-    /// Examples and harnesses use the variable's value as the output path
-    /// for the exported profile JSON, so
-    /// `BISCUIT_QPROF=qprof.json cargo run --example tpch_offload` both
-    /// enables profiling and names the file.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("BISCUIT_QPROF") {
-            Ok(v) if !v.is_empty() => Some(QprofConfig),
-            _ => None,
-        }
-    }
-}
 
 /// The pipeline stage a recorded span is attributed to.
 ///

@@ -11,8 +11,8 @@ use std::sync::{Arc, OnceLock};
 use crate::sync::Mutex;
 
 use crate::kernel::{Ctx, Pid};
-use crate::metrics::{self, MetricsRegistry};
-use crate::trace::{TraceEvent, Tracer};
+use crate::metrics;
+use crate::trace::TraceEvent;
 
 /// A FIFO list of parked fibers, analogous to a condition variable.
 ///
@@ -103,11 +103,9 @@ struct QueueInner<T> {
     state: Mutex<QueueState<T>>,
     not_full: WaitQueue,
     not_empty: WaitQueue,
-    /// Tracer + label, set at most once via [`SimQueue::set_trace`]. The
-    /// `OnceLock` keeps the untraced hot path to a single atomic load.
-    trace: OnceLock<(Tracer, Arc<str>)>,
-    /// Pre-registered aggregate instruments, set at most once via
-    /// [`SimQueue::set_metrics`]; same single-atomic-load hot path.
+    /// `None` for an unlabelled (silent) queue, which pays no atomic load.
+    label: Option<Arc<str>>,
+    /// Aggregate instruments, registered by the first metered operation.
     metrics: OnceLock<QueueInstruments>,
 }
 
@@ -122,18 +120,26 @@ struct QueueInstruments {
 impl<T> QueueInner<T> {
     #[inline]
     fn trace_depth(&self, ctx: &Ctx, push: bool, depth: usize) {
-        if let Some((tracer, label)) = self.trace.get() {
-            tracer.emit(|| {
-                let at = ctx.now();
-                let queue = Arc::clone(label);
-                if push {
-                    TraceEvent::QueuePush { at, queue, depth }
-                } else {
-                    TraceEvent::QueuePop { at, queue, depth }
+        let Some(label) = &self.label else { return };
+        ctx.tracer().emit(|| {
+            let at = ctx.now();
+            let queue = Arc::clone(label);
+            if push {
+                TraceEvent::QueuePush { at, queue, depth }
+            } else {
+                TraceEvent::QueuePop { at, queue, depth }
+            }
+        });
+        let registry = ctx.metrics();
+        if registry.is_enabled() {
+            let m = self.metrics.get_or_init(|| {
+                let labels = [("queue", &**label)];
+                QueueInstruments {
+                    pushes: registry.counter("queue_pushes_total", &labels),
+                    pops: registry.counter("queue_pops_total", &labels),
+                    depth: registry.gauge("queue_depth", &labels),
                 }
             });
-        }
-        if let Some(m) = self.metrics.get() {
             if push {
                 m.pushes.inc();
             } else {
@@ -189,12 +195,30 @@ impl<T> Clone for SimQueue<T> {
 }
 
 impl<T: Send> SimQueue<T> {
-    /// Creates a queue holding at most `capacity` items.
+    /// Creates an unlabelled queue holding at most `capacity` items. It
+    /// reports nothing.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero (a rendezvous queue is not supported).
     pub fn new(capacity: usize) -> Self {
+        Self::build(capacity, None)
+    }
+
+    /// Creates a queue that reports to the simulation whose fiber pushes or
+    /// pops it: `QueuePush`/`QueuePop` depth events in the trace, and the
+    /// occupancy series `queue_pushes_total`, `queue_pops_total` and the
+    /// `queue_depth` gauge (with high-water mark), all labeled
+    /// `queue=<label>`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn labelled(capacity: usize, label: impl Into<Arc<str>>) -> Self {
+        Self::build(capacity, Some(label.into()))
+    }
+
+    fn build(capacity: usize, label: Option<Arc<str>>) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         SimQueue {
             inner: Arc::new(QueueInner {
@@ -205,29 +229,10 @@ impl<T: Send> SimQueue<T> {
                 }),
                 not_full: WaitQueue::new(),
                 not_empty: WaitQueue::new(),
-                trace: OnceLock::new(),
+                label,
                 metrics: OnceLock::new(),
             }),
         }
-    }
-
-    /// Labels this queue and records push/pop depth events into `tracer`.
-    /// The first call wins; later calls are ignored.
-    pub fn set_trace(&self, tracer: Tracer, label: impl Into<Arc<str>>) {
-        let _ = self.inner.trace.set((tracer, label.into()));
-    }
-
-    /// Labels this queue and registers occupancy instruments in `registry`:
-    /// `queue_pushes_total`, `queue_pops_total`, and the `queue_depth` gauge
-    /// (with high-water mark), all labeled `queue=<label>`. The first call
-    /// wins; later calls are ignored.
-    pub fn set_metrics(&self, registry: &MetricsRegistry, label: &str) {
-        let labels = [("queue", label)];
-        let _ = self.inner.metrics.set(QueueInstruments {
-            pushes: registry.counter("queue_pushes_total", &labels),
-            pops: registry.counter("queue_pops_total", &labels),
-            depth: registry.gauge("queue_depth", &labels),
-        });
     }
 
     /// Maximum number of buffered items.

@@ -13,7 +13,7 @@ use crate::sync::Mutex;
 use crate::kernel::Ctx;
 use crate::metrics::{self, MetricsRegistry};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::TraceEvent;
 
 /// Throughput instruments for one labeled FCFS resource (a shaper, or one
 /// server of a bank): operation and byte counters, busy virtual time, and a
@@ -43,6 +43,50 @@ impl ResourceInstruments {
         self.bytes.add(bytes);
         self.busy_ps.add(service.as_ps());
         self.span_ps.record(service.as_ps());
+    }
+}
+
+/// How the labelled resources of one component — the shapers of a group
+/// (both directions of a link, say) or the servers of a bank — report, and
+/// the handles they have registered: the first metered reservation on any
+/// of them registers every one's series, so an idle sibling still exports.
+#[derive(Debug)]
+struct Observer {
+    /// Trace track names: one per shaper of a group; a bank has a single
+    /// one, shared by its servers.
+    tracks: Vec<Arc<str>>,
+    /// The `resource=` label of each series: one per shaper or per server.
+    series: Vec<String>,
+    metrics: OnceLock<Vec<ResourceInstruments>>,
+}
+
+impl Observer {
+    /// Reports one reservation to the simulation of the fiber behind `ctx`.
+    /// A shaper passes its index in the group as `track` and no `server`; a
+    /// bank passes track 0 and the server reserved.
+    fn observe(
+        &self,
+        ctx: &Ctx,
+        track: usize,
+        server: Option<usize>,
+        (start, end): (SimTime, SimTime),
+        bytes: u64,
+    ) {
+        ctx.tracer().emit(|| TraceEvent::ResourceSpan {
+            resource: Arc::clone(&self.tracks[track]),
+            server,
+            start,
+            end,
+            bytes,
+        });
+        let registry = ctx.metrics();
+        if registry.is_enabled() {
+            let register = |label: &String| ResourceInstruments::new(registry, label);
+            let all = self
+                .metrics
+                .get_or_init(|| self.series.iter().map(register).collect());
+            all[server.unwrap_or(track)].record(end - start, bytes);
+        }
     }
 }
 
@@ -80,13 +124,14 @@ pub struct Shaper {
     bytes_per_sec: f64,
     fixed: SimDuration,
     state: Mutex<ShaperState>,
-    trace: OnceLock<(Tracer, Arc<str>)>,
-    metrics: OnceLock<ResourceInstruments>,
+    /// The group this shaper reports with and its index there; `None` for
+    /// an unlabelled (silent) shaper.
+    group: Option<(Arc<Observer>, usize)>,
 }
 
 impl Shaper {
-    /// Creates a shaper with the given rate (bytes/second) and fixed
-    /// per-operation latency.
+    /// Creates an unlabelled shaper with the given rate (bytes/second) and
+    /// fixed per-operation latency. It reports nothing.
     ///
     /// # Panics
     ///
@@ -105,23 +150,35 @@ impl Shaper {
                 ops: 0,
                 bytes: 0,
             }),
-            trace: OnceLock::new(),
-            metrics: OnceLock::new(),
+            group: None,
         }
     }
 
-    /// Labels this shaper and records a service span into `tracer` for each
-    /// reservation. The first call wins; later calls are ignored.
-    pub fn set_trace(&self, tracer: Tracer, label: impl Into<Arc<str>>) {
-        let _ = self.trace.set((tracer, label.into()));
-    }
-
-    /// Labels this shaper and registers throughput instruments in
-    /// `registry` (`resource_ops_total`, `resource_bytes_total`,
-    /// `resource_busy_ps_total`, `resource_span_ps`, all labeled
-    /// `resource=<label>`). The first call wins; later calls are ignored.
-    pub fn set_metrics(&self, registry: &MetricsRegistry, label: &str) {
-        let _ = self.metrics.set(ResourceInstruments::new(registry, label));
+    /// Creates one shaper per label, all with the same rate and fixed
+    /// latency, that report to the simulation whose fiber reserves them: a
+    /// `ResourceSpan` trace event per reservation and the throughput series
+    /// `resource_ops_total`, `resource_bytes_total`,
+    /// `resource_busy_ps_total` and `resource_span_ps`, all labeled
+    /// `resource=<label>`. The series of every member are registered by
+    /// the first metered reservation on any of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes_per_sec` is not strictly positive.
+    pub fn labelled<const N: usize>(
+        bytes_per_sec: f64,
+        fixed: SimDuration,
+        labels: [&str; N],
+    ) -> [Shaper; N] {
+        let group = Arc::new(Observer {
+            tracks: labels.iter().map(|&l| Arc::from(l)).collect(),
+            series: labels.iter().map(|&l| l.to_owned()).collect(),
+            metrics: OnceLock::new(),
+        });
+        std::array::from_fn(|idx| Shaper {
+            group: Some((Arc::clone(&group), idx)),
+            ..Shaper::new(bytes_per_sec, fixed)
+        })
     }
 
     /// The configured byte rate.
@@ -132,7 +189,7 @@ impl Shaper {
     /// Moves `bytes` through the pipe, blocking the fiber until done.
     /// Returns the completion time.
     pub fn transfer(&self, ctx: &Ctx, bytes: u64) -> SimTime {
-        let end = self.enqueue(ctx.now(), bytes);
+        let end = self.enqueue(ctx, ctx.now(), bytes);
         ctx.sleep_until(end);
         end
     }
@@ -140,7 +197,7 @@ impl Shaper {
     /// Reserves service for `bytes` starting no earlier than `now`, without
     /// blocking. Returns the completion time; the caller decides when (or
     /// whether) to wait. This enables asynchronous I/O modeling.
-    pub fn enqueue(&self, now: SimTime, bytes: u64) -> SimTime {
+    pub fn enqueue(&self, ctx: &Ctx, now: SimTime, bytes: u64) -> SimTime {
         let service = self.fixed + SimDuration::for_bytes(bytes, self.bytes_per_sec);
         let (start, end) = {
             let mut st = self.state.lock();
@@ -152,17 +209,8 @@ impl Shaper {
             st.bytes += bytes;
             (start, end)
         };
-        if let Some((tracer, label)) = self.trace.get() {
-            tracer.emit(|| TraceEvent::ResourceSpan {
-                resource: Arc::clone(label),
-                server: None,
-                start,
-                end,
-                bytes,
-            });
-        }
-        if let Some(m) = self.metrics.get() {
-            m.record(service, bytes);
+        if let Some((group, idx)) = &self.group {
+            group.observe(ctx, *idx, None, (start, end), bytes);
         }
         end
     }
@@ -194,13 +242,13 @@ impl Shaper {
 pub struct ServerBank {
     servers: Vec<Mutex<SimTime>>,
     busy: Mutex<SimDuration>,
-    trace: OnceLock<(Tracer, Arc<str>)>,
-    /// One instrument set per server, labeled `resource=<label>.<idx>`.
-    metrics: OnceLock<Vec<ResourceInstruments>>,
+    /// One track named `<label>` and one series per server, labeled
+    /// `resource=<label>.<idx>`; `None` for an unlabelled (silent) bank.
+    observer: Option<Observer>,
 }
 
 impl ServerBank {
-    /// Creates a bank of `n` servers.
+    /// Creates an unlabelled bank of `n` servers. It reports nothing.
     ///
     /// # Panics
     ///
@@ -210,26 +258,27 @@ impl ServerBank {
         ServerBank {
             servers: (0..n).map(|_| Mutex::new(SimTime::ZERO)).collect(),
             busy: Mutex::new(SimDuration::ZERO),
-            trace: OnceLock::new(),
-            metrics: OnceLock::new(),
+            observer: None,
         }
     }
 
-    /// Labels this bank and records a per-server service span into `tracer`
-    /// for each reservation. The first call wins; later calls are ignored.
-    pub fn set_trace(&self, tracer: Tracer, label: impl Into<Arc<str>>) {
-        let _ = self.trace.set((tracer, label.into()));
-    }
-
-    /// Labels this bank and registers per-server throughput instruments in
-    /// `registry`, keyed `resource=<label>.<idx>` (same names as
-    /// [`Shaper::set_metrics`]). The first call wins; later calls are
-    /// ignored.
-    pub fn set_metrics(&self, registry: &MetricsRegistry, label: &str) {
-        let instruments = (0..self.servers.len())
-            .map(|idx| ResourceInstruments::new(registry, &format!("{label}.{idx}")))
-            .collect();
-        let _ = self.metrics.set(instruments);
+    /// Creates a bank of `n` servers that reports to the simulation whose
+    /// fiber reserves it: a per-server `ResourceSpan` trace event for each
+    /// reservation and per-server throughput series keyed
+    /// `resource=<label>.<idx>` (same names as [`Shaper::labelled`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn labelled(n: usize, label: &str) -> Self {
+        ServerBank {
+            observer: Some(Observer {
+                tracks: vec![Arc::from(label)],
+                series: (0..n).map(|idx| format!("{label}.{idx}")).collect(),
+                metrics: OnceLock::new(),
+            }),
+            ..ServerBank::new(n)
+        }
     }
 
     /// Number of servers in the bank.
@@ -248,8 +297,8 @@ impl ServerBank {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn enqueue(&self, now: SimTime, idx: usize, service: SimDuration) -> SimTime {
-        self.enqueue_span(now, idx, service).1
+    pub fn enqueue(&self, ctx: &Ctx, now: SimTime, idx: usize, service: SimDuration) -> SimTime {
+        self.enqueue_span(ctx, now, idx, service).1
     }
 
     /// Like [`ServerBank::enqueue`], but returns the `(start, end)` pair of
@@ -257,6 +306,7 @@ impl ServerBank {
     /// domain-specific trace spans (e.g. NAND operations) need the start.
     pub fn enqueue_span(
         &self,
+        ctx: &Ctx,
         now: SimTime,
         idx: usize,
         service: SimDuration,
@@ -269,24 +319,15 @@ impl ServerBank {
             (start, end)
         };
         *self.busy.lock() += service;
-        if let Some((tracer, label)) = self.trace.get() {
-            tracer.emit(|| TraceEvent::ResourceSpan {
-                resource: Arc::clone(label),
-                server: Some(idx),
-                start,
-                end,
-                bytes: 0,
-            });
-        }
-        if let Some(m) = self.metrics.get() {
-            m[idx].record(service, 0);
+        if let Some(observer) = &self.observer {
+            observer.observe(ctx, 0, Some(idx), (start, end), 0);
         }
         (start, end)
     }
 
     /// Reserves service on server `idx` and blocks the fiber until complete.
     pub fn serve(&self, ctx: &Ctx, idx: usize, service: SimDuration) -> SimTime {
-        let end = self.enqueue(ctx.now(), idx, service);
+        let end = self.enqueue(ctx, ctx.now(), idx, service);
         ctx.sleep_until(end);
         end
     }
@@ -370,7 +411,7 @@ mod tests {
         sim.spawn("x", move |ctx| {
             let mut last = ctx.now();
             for _ in 0..8 {
-                last = l.enqueue(ctx.now(), 1000);
+                last = l.enqueue(ctx, ctx.now(), 1000);
             }
             ctx.sleep_until(last);
             assert_eq!(ctx.now().as_micros(), 8000);
@@ -403,9 +444,9 @@ mod tests {
         let b = Arc::clone(&bank);
         sim.spawn("x", move |ctx| {
             let now = ctx.now();
-            let e1 = b.enqueue(now, 0, SimDuration::from_micros(10));
-            let e2 = b.enqueue(now, 0, SimDuration::from_micros(10));
-            let e3 = b.enqueue(now, 1, SimDuration::from_micros(10));
+            let e1 = b.enqueue(ctx, now, 0, SimDuration::from_micros(10));
+            let e2 = b.enqueue(ctx, now, 0, SimDuration::from_micros(10));
+            let e3 = b.enqueue(ctx, now, 1, SimDuration::from_micros(10));
             assert_eq!(e1.as_micros(), 10);
             assert_eq!(e2.as_micros(), 20); // queued behind e1
             assert_eq!(e3.as_micros(), 10); // different server, parallel
@@ -415,11 +456,15 @@ mod tests {
 
     #[test]
     fn least_loaded_picks_idle_server() {
-        let bank = ServerBank::new(3);
-        bank.enqueue(SimTime::ZERO, 0, SimDuration::from_micros(50));
-        bank.enqueue(SimTime::ZERO, 1, SimDuration::from_micros(20));
-        let (idx, t) = bank.least_loaded();
-        assert_eq!(idx, 2);
-        assert_eq!(t, SimTime::ZERO);
+        let sim = Simulation::new(0);
+        sim.spawn("x", |ctx| {
+            let bank = ServerBank::new(3);
+            bank.enqueue(ctx, SimTime::ZERO, 0, SimDuration::from_micros(50));
+            bank.enqueue(ctx, SimTime::ZERO, 1, SimDuration::from_micros(20));
+            let (idx, t) = bank.least_loaded();
+            assert_eq!(idx, 2);
+            assert_eq!(t, SimTime::ZERO);
+        });
+        sim.run().assert_quiescent();
     }
 }

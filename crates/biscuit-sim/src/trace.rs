@@ -68,18 +68,6 @@ impl TraceConfig {
         assert!(capacity > 0, "trace capacity must be positive");
         TraceConfig { capacity }
     }
-
-    /// Reads the `BISCUIT_TRACE` environment variable: returns a default
-    /// config when it is set and non-empty. Examples and harnesses use the
-    /// variable's value as the output path for the exported JSON, so
-    /// `BISCUIT_TRACE=trace.json cargo run --example quickstart` both
-    /// enables tracing and names the file.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("BISCUIT_TRACE") {
-            Ok(v) if !v.is_empty() => Some(TraceConfig::default()),
-            _ => None,
-        }
-    }
 }
 
 /// Kind of a NAND array operation.
@@ -1248,8 +1236,7 @@ mod tests {
     fn simulation_trace_captures_fibers_and_is_monotonic() {
         let sim = Simulation::new(0);
         sim.enable_trace(TraceConfig::default());
-        let q = SimQueue::new(4);
-        q.set_trace(sim.tracer().clone(), "test.queue");
+        let q = SimQueue::labelled(4, "test.queue");
         let tx = q.clone();
         sim.spawn("producer", move |ctx| {
             for i in 0..5u32 {
@@ -1285,10 +1272,9 @@ mod tests {
     fn traced_resources_produce_spans_and_utilization() {
         let sim = Simulation::new(0);
         sim.enable_trace(TraceConfig::default());
-        let shaper = Arc::new(Shaper::new(1e6, SimDuration::ZERO)); // 1 MB/s
-        shaper.set_trace(sim.tracer().clone(), "test.link");
-        let bank = Arc::new(ServerBank::new(2));
-        bank.set_trace(sim.tracer().clone(), "test.core");
+        let [shaper] = Shaper::labelled(1e6, SimDuration::ZERO, ["test.link"]); // 1 MB/s
+        let shaper = Arc::new(shaper);
+        let bank = Arc::new(ServerBank::labelled(2, "test.core"));
         let s = Arc::clone(&shaper);
         let b = Arc::clone(&bank);
         sim.spawn("w", move |ctx| {

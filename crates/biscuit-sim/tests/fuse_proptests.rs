@@ -67,9 +67,7 @@ fn run_workload(programs: &[Vec<Op>], fuse: bool, window_us: Option<u64>) -> Obs
     sim.enable_metrics();
     sim.enable_trace(TraceConfig::default());
     sim.enable_qprof();
-    let q: SimQueue<u64> = SimQueue::new(2);
-    q.set_trace(sim.tracer().clone(), "q");
-    q.set_metrics(sim.metrics(), "q");
+    let q: SimQueue<u64> = SimQueue::labelled(2, "q");
     let log: Arc<Mutex<Vec<(usize, usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
 
     for (i, program) in programs.iter().cloned().enumerate() {

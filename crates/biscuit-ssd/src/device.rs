@@ -24,11 +24,11 @@ use biscuit_proto::{Buf, BufPool};
 use biscuit_sim::fault::{FaultPlan, FaultSite};
 use biscuit_sim::metrics::{self, MetricsRegistry};
 use biscuit_sim::power::{ComponentId, PowerMeter};
-use biscuit_sim::qprof::{QueryProfiler, Stage};
+use biscuit_sim::qprof::Stage;
 use biscuit_sim::resource::ServerBank;
 use biscuit_sim::stats::Counter;
 use biscuit_sim::time::{SimDuration, SimTime};
-use biscuit_sim::trace::{NandOpKind, TraceEvent, Tracer};
+use biscuit_sim::trace::{NandOpKind, TraceEvent};
 use biscuit_sim::Ctx;
 
 use crate::config::SsdConfig;
@@ -117,8 +117,8 @@ pub struct DeviceStats {
     pub pages_written: Counter,
 }
 
-/// Per-channel flash-path instruments registered in a
-/// [`MetricsRegistry`] by [`SsdDevice::attach_metrics`].
+/// Per-channel flash-path instruments, registered in the calling
+/// simulation's [`MetricsRegistry`] by the device's first metered call.
 struct ChannelInstruments {
     /// `nand_ops_total{channel,kind=read|program|erase}`.
     nand_read: metrics::Counter,
@@ -270,9 +270,7 @@ pub struct SsdDevice {
     mem: DeviceMemory,
     stats: DeviceStats,
     power: Mutex<Option<PowerHook>>,
-    trace: OnceLock<Tracer>,
     metrics: OnceLock<DeviceInstruments>,
-    qprof: OnceLock<QueryProfiler>,
     fault: OnceLock<FaultPlan>,
     zero_page: PageBuf,
     synth_cache: Mutex<SynthCache>,
@@ -319,13 +317,11 @@ impl SsdDevice {
         SsdDevice {
             dies: ServerBank::new(cfg.channels * cfg.ways),
             buses: ServerBank::new(cfg.channels),
-            cores: ServerBank::new(cfg.cores),
+            cores: ServerBank::labelled(cfg.cores, "cpu.core"),
             mem: DeviceMemory::new(64 << 20, cfg.dram_bytes),
             stats: DeviceStats::default(),
             power: Mutex::new(None),
-            trace: OnceLock::new(),
             metrics: OnceLock::new(),
-            qprof: OnceLock::new(),
             fault: OnceLock::new(),
             storage: Mutex::new(Storage { nand, ftl }),
             zero_page,
@@ -406,9 +402,9 @@ impl SsdDevice {
     ///
     /// Returns [`DeviceError::Ftl`] ([`FtlError::PowerLoss`]) on a crashed,
     /// unrecovered device.
-    pub fn checkpoint(&self) -> DeviceResult<()> {
+    pub fn checkpoint(&self, ctx: &Ctx) -> DeviceResult<()> {
         self.storage.lock().ftl.checkpoint_now()?;
-        if let Some(m) = self.instruments() {
+        if let Some(m) = self.instruments(ctx) {
             m.ftl_checkpoints.inc();
         }
         Ok(())
@@ -417,18 +413,28 @@ impl SsdDevice {
     /// Replays the journal after a power loss, reviving the device:
     /// checkpoint restore, ordered redo, torn-program rollback, and a free
     /// list rebuilt from a physical census of the NAND array. Safe on a
-    /// live device too (models a clean remount). `now` stamps the recovery
-    /// trace event when a fault plan is armed.
-    pub fn recover_power_loss(&self, now: SimTime) -> crate::journal::RecoveryReport {
-        let report = {
-            let mut st = self.storage.lock();
-            let st = &mut *st;
-            st.ftl.recover(&mut st.nand)
-        };
+    /// live device too (models a clean remount). An armed fault plan
+    /// records the replay as the power loss's recovery.
+    pub fn recover(&self, ctx: &Ctx) -> crate::journal::RecoveryReport {
+        let report = self.replay_journal();
         if let Some(plan) = self.fault() {
-            plan.record_recovered(now, FaultSite::PowerLoss, "journal_replay");
+            plan.record_recovered(ctx, ctx.now(), FaultSite::PowerLoss, "journal_replay");
         }
         report
+    }
+
+    fn replay_journal(&self) -> crate::journal::RecoveryReport {
+        let mut st = self.storage.lock();
+        let st = &mut *st;
+        st.ftl.recover(&mut st.nand)
+    }
+
+    /// Shim for the frozen `biscuit-perf` harness, which has no other way
+    /// to revive a drive: [`SsdDevice::recover`] without the fault plan's
+    /// record. Goes with the next `benchmark` PR (ROADMAP 2(c)).
+    #[doc(hidden)]
+    pub fn recover_power_loss(&self, _now: SimTime) -> crate::journal::RecoveryReport {
+        self.replay_journal()
     }
 
     /// Deterministic logical state export: one line per mapped logical page
@@ -449,7 +455,7 @@ impl SsdDevice {
     /// Arms the device's fault-injection sites with `plan`: NAND page senses
     /// draw read errors (extra tR per retry, uncorrectable escalation to
     /// block retirement), and per-request core charges draw firmware stalls.
-    /// The first call wins; later calls are ignored. A [`FaultPlan::none`]
+    /// A device is armed once; later calls are ignored. A [`FaultPlan::none`]
     /// plan (or no call at all) leaves every timing and data path
     /// bit-identical to the fault-free device.
     pub fn set_fault_plan(&self, plan: &FaultPlan) {
@@ -461,61 +467,41 @@ impl SsdDevice {
         self.fault.get().filter(|p| p.is_active())
     }
 
-    /// Records the device's datapath into `tracer`: NAND die operations,
-    /// channel-bus transfers, and pattern-matcher invocations per channel,
-    /// plus per-core software-overhead spans (`cpu.core.N`). The first call
-    /// wins; later calls are ignored. Tracing disabled (the default state of
-    /// a [`Tracer`]) costs one atomic load per operation.
-    pub fn attach_tracer(&self, tracer: &Tracer) {
-        self.cores.set_trace(tracer.clone(), "cpu.core");
-        let _ = self.trace.set(tracer.clone());
-    }
-
+    /// The device's registry handles: per-channel NAND op and busy-time
+    /// counters, channel-bus bytes/busy time, pattern-matcher
+    /// scan/hit/byte counters, FTL map lookups and whole-device page
+    /// counters, registered in the calling simulation's registry by the
+    /// first call made while it is enabled. `None` — one relaxed atomic
+    /// load — while metrics are off, and for an untimed caller, which has
+    /// no `Ctx` because it runs in no simulation.
     #[inline]
-    fn trace(&self) -> Option<&Tracer> {
-        self.trace.get()
+    fn instruments<'a>(&self, ctx: impl Into<Option<&'a Ctx>>) -> Option<&DeviceInstruments> {
+        let registry = ctx.into()?.metrics();
+        registry.is_enabled().then(|| {
+            self.metrics
+                .get_or_init(|| DeviceInstruments::new(registry, self.cfg.channels))
+        })
     }
 
-    /// Registers the device's datapath in `registry`: per-channel NAND op
-    /// and busy-time counters, channel-bus bytes/busy time, pattern-matcher
-    /// scan/hit/byte counters, FTL map lookups, whole-device page counters,
-    /// and per-core service spans (`resource=cpu.core.N`). The first call
-    /// wins; later calls are ignored. With the registry disabled (the
-    /// default), each site costs one relaxed atomic load.
-    pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        self.cores.set_metrics(registry, "cpu.core");
-        let _ = self
-            .metrics
-            .set(DeviceInstruments::new(registry, self.cfg.channels));
-    }
+    /// Shim for the frozen `biscuit-perf` harness: the device reports to the
+    /// simulation of the `&Ctx` it is called with. Goes with the next
+    /// `benchmark` PR (ROADMAP 2(c)).
+    #[doc(hidden)]
+    pub fn attach_metrics(&self, _registry: &MetricsRegistry) {}
 
-    #[inline]
-    fn instruments(&self) -> Option<&DeviceInstruments> {
-        self.metrics.get()
-    }
-
-    /// Attaches the query profiler: NAND senses (including fault retries),
-    /// channel-bus transfers, pattern-matcher streams, and per-request core
-    /// overhead become spans of whichever query context the calling fiber
-    /// currently carries. Pass `sim.qprof()` after `sim.enable_qprof()`. The
-    /// first call wins; later calls are ignored. A disabled profiler (the
-    /// default) costs one relaxed atomic load per site.
-    pub fn attach_qprof(&self, prof: &QueryProfiler) {
-        let _ = self.qprof.set(prof.clone());
-    }
-
-    #[inline]
-    fn qprof(&self) -> Option<&QueryProfiler> {
-        self.qprof.get().filter(|p| p.is_enabled())
-    }
+    /// Shim for the frozen `biscuit-perf` harness; see
+    /// [`SsdDevice::attach_metrics`].
+    #[doc(hidden)]
+    pub fn attach_qprof(&self, _prof: &biscuit_sim::QueryProfiler) {}
 
     /// Records `bytes` duplicated at `site` into `sim_bytes_copied_total`.
     /// Host-side layers (I/O assembly, the filesystem) call this for their
     /// own memcpy sites so every copy on the NAND-to-host path lands in one
-    /// metric. Costs one relaxed atomic load when metrics are disabled.
+    /// metric; an untimed caller passes `None` and counts nothing. Costs one
+    /// relaxed atomic load when metrics are disabled.
     #[inline]
-    pub fn count_copy(&self, site: CopySite, bytes: u64) {
-        if let Some(m) = self.instruments() {
+    pub fn count_copy(&self, ctx: Option<&Ctx>, site: CopySite, bytes: u64) {
+        if let Some(m) = self.instruments(ctx) {
             m.copy_counter(site).add(bytes);
         }
     }
@@ -525,14 +511,16 @@ impl SsdDevice {
     /// when possible; on a miss the generator runs (counted as a
     /// `nand_synth` copy — the one place a fresh page buffer is filled) and
     /// the result is cached, evicting the oldest entry first.
-    fn materialize_counted(&self, d: &PageData) -> PageBuf {
+    /// An untimed caller (`ctx` is `None`) runs in no simulation and counts
+    /// nothing.
+    fn materialize_counted(&self, ctx: Option<&Ctx>, d: &PageData) -> PageBuf {
         let (lpn, gen) = match d {
             PageData::Bytes(b) => return b.clone(),
             PageData::Synth { lpn, gen } => (*lpn, gen),
         };
         let cap = self.cfg.synth_cache_pages;
         if cap == 0 {
-            self.count_copy(CopySite::NandSynth, self.cfg.page_size as u64);
+            self.count_copy(ctx, CopySite::NandSynth, self.cfg.page_size as u64);
             return d.materialize(self.cfg.page_size);
         }
         let key = (Arc::as_ptr(gen) as *const u8 as usize, lpn);
@@ -540,7 +528,7 @@ impl SsdDevice {
         if let Some((b, _pin)) = cache.map.get(&key) {
             return b.clone();
         }
-        self.count_copy(CopySite::NandSynth, self.cfg.page_size as u64);
+        self.count_copy(ctx, CopySite::NandSynth, self.cfg.page_size as u64);
         let buf = d.materialize(self.cfg.page_size);
         if cache.map.len() >= cap {
             if let Some(old) = cache.order.pop_front() {
@@ -600,8 +588,8 @@ impl SsdDevice {
     }
 
     /// Fetches page contents and its physical location without timing.
-    fn fetch(&self, lpn: u64) -> DeviceResult<(Ppa, Option<PageData>)> {
-        if let Some(m) = self.instruments() {
+    fn fetch(&self, ctx: Option<&Ctx>, lpn: u64) -> DeviceResult<(Ppa, Option<PageData>)> {
+        if let Some(m) = self.instruments(ctx) {
             m.ftl_lookups.inc();
         }
         let st = self.storage.lock();
@@ -625,25 +613,14 @@ impl SsdDevice {
         self.fault().cloned().unwrap_or_else(FaultPlan::none)
     }
 
-    /// Folds one write's FTL work into the registry counters and gauges.
-    fn note_write_outcome(&self, outcome: &crate::ftl::WriteOutcome, amp_milli: u64) {
-        if let Some(m) = self.instruments() {
-            m.ftl_gc_runs.add(outcome.gc_runs);
-            m.ftl_gc_relocated.add(outcome.relocated);
-            m.ftl_gc_erased.add(outcome.erased_blocks);
-            m.ftl_journal_records.add(outcome.journal_records);
-            m.ftl_checkpoints.add(outcome.checkpoints);
-            m.ftl_write_amp.set(amp_milli as i64);
-        }
-    }
-
     /// One FTL write under the storage lock. Detects the alive→dead
     /// power-loss transition and records the injection exactly once (later
     /// operations on the dead device fail with the same error but are not
-    /// fresh injections).
+    /// fresh injections). An untimed load (`ctx` is `None`) runs in no
+    /// simulation, so neither its FTL work nor a crash it draws is reported.
     fn ftl_write(
         &self,
-        now: SimTime,
+        ctx: Option<&Ctx>,
         lpn: u64,
         data: PageData,
     ) -> Result<crate::ftl::WriteOutcome, FtlError> {
@@ -653,21 +630,20 @@ impl SsdDevice {
         let was_alive = !st.ftl.is_dead();
         match st.ftl.write(&mut st.nand, lpn, data, &plan) {
             Ok(outcome) => {
-                let amp = st.ftl.write_amp_milli();
-                self.note_write_outcome(&outcome, amp);
+                if let Some(m) = self.instruments(ctx) {
+                    m.ftl_gc_runs.add(outcome.gc_runs);
+                    m.ftl_gc_relocated.add(outcome.relocated);
+                    m.ftl_gc_erased.add(outcome.erased_blocks);
+                    m.ftl_journal_records.add(outcome.journal_records);
+                    m.ftl_checkpoints.add(outcome.checkpoints);
+                    m.ftl_write_amp.set(st.ftl.write_amp_milli() as i64);
+                }
                 Ok(outcome)
             }
             Err(e) => {
-                if was_alive {
-                    if let FtlError::PowerLoss { during_gc } = e {
-                        if let Some(p) = self.fault() {
-                            p.record_injected(
-                                now,
-                                FaultSite::PowerLoss,
-                                if during_gc { "mid-gc" } else { "mid-write" },
-                            );
-                        }
-                    }
+                if let (true, FtlError::PowerLoss { during_gc }, Some(ctx)) = (was_alive, &e, ctx) {
+                    let detail = if *during_gc { "mid-gc" } else { "mid-write" };
+                    plan.record_injected(ctx, ctx.now(), FaultSite::PowerLoss, detail);
                 }
                 Err(e)
             }
@@ -678,26 +654,25 @@ impl SsdDevice {
     /// starting no earlier than `now`; returns when the core finishes. An
     /// armed fault plan may draw a firmware stall here, extending the core
     /// occupancy by the configured stall time.
-    pub fn charge_request_overhead(&self, now: SimTime) -> SimTime {
+    pub fn charge_request_overhead(&self, ctx: &Ctx, now: SimTime) -> SimTime {
         let (idx, _) = self.cores.least_loaded();
         let mut overhead = self.cfg.request_overhead;
         if let Some(plan) = self.fault() {
             if let Some(stall) = plan.core_stall() {
-                plan.record_injected(now, FaultSite::CoreStall, "firmware stall");
-                plan.record_recovered(now + stall, FaultSite::CoreStall, "resume");
+                plan.record_injected(ctx, now, FaultSite::CoreStall, "firmware stall");
+                plan.record_recovered(ctx, now + stall, FaultSite::CoreStall, "resume");
                 overhead += stall;
             }
         }
-        let end = self.cores.enqueue(now, idx, overhead);
-        if let Some(q) = self.qprof() {
-            // The window includes queueing behind other requests on the
-            // core; the profile sweep surfaces that as blocked time.
-            q.record(Stage::SsdletCompute, now, end, 0, idx as u32);
-        }
+        let end = self.cores.enqueue(ctx, now, idx, overhead);
+        // The window includes queueing behind other requests on the core;
+        // the profile sweep surfaces that as blocked time.
+        ctx.qprof()
+            .record(Stage::SsdletCompute, now, end, 0, idx as u32);
         end
     }
 
-    /// What a die operation reports, to every attached observer: the
+    /// What a die operation reports, to the calling simulation: the
     /// `NandOp` trace event and the channel's op and busy-time counters.
     /// The operation that opens a page's die phase passes
     /// `request = (issued, done)` and also reports its queueing delay since
@@ -705,21 +680,20 @@ impl SsdDevice {
     /// retries; a retry inside that phase passes `None`.
     fn observe_die(
         &self,
+        ctx: &Ctx,
         kind: NandOpKind,
         ppa: Ppa,
         (start, end): (SimTime, SimTime),
         request: Option<(SimTime, SimTime)>,
     ) {
-        if let Some(tracer) = self.trace() {
-            tracer.emit(|| TraceEvent::NandOp {
-                kind,
-                channel: ppa.channel,
-                way: ppa.way,
-                start,
-                end,
-            });
-        }
-        if let Some(m) = self.instruments() {
+        ctx.tracer().emit(|| TraceEvent::NandOp {
+            kind,
+            channel: ppa.channel,
+            way: ppa.way,
+            start,
+            end,
+        });
+        if let Some(m) = self.instruments(ctx) {
             let ch = &m.channels[ppa.channel as usize];
             let (ops, wait) = match kind {
                 NandOpKind::Read => (&ch.nand_read, &ch.read_wait_ps),
@@ -731,44 +705,46 @@ impl SsdDevice {
                 wait.record((start - issued).as_ps());
             }
         }
-        if let (Some(q), Some((_, done))) = (self.qprof(), request) {
-            q.record(Stage::NandRead, start, done, 0, ppa.channel);
+        if let Some((_, done)) = request {
+            ctx.qprof()
+                .record(Stage::NandRead, start, done, 0, ppa.channel);
         }
     }
 
     /// What a channel-bus transfer of `bytes` reports.
-    fn observe_bus(&self, channel: u32, (start, end): (SimTime, SimTime), bytes: u64) {
-        if let Some(tracer) = self.trace() {
-            tracer.emit(|| TraceEvent::ChannelTransfer {
-                channel,
-                start,
-                end,
-                bytes,
-            });
-        }
-        if let Some(m) = self.instruments() {
+    fn observe_bus(&self, ctx: &Ctx, channel: u32, (start, end): (SimTime, SimTime), bytes: u64) {
+        ctx.tracer().emit(|| TraceEvent::ChannelTransfer {
+            channel,
+            start,
+            end,
+            bytes,
+        });
+        if let Some(m) = self.instruments(ctx) {
             let ch = &m.channels[channel as usize];
             ch.bus_bytes.add(bytes);
             ch.bus_busy_ps.add((end - start).as_ps());
         }
-        if let Some(q) = self.qprof() {
-            q.record(Stage::BusTransfer, start, end, bytes, channel);
-        }
+        ctx.qprof()
+            .record(Stage::BusTransfer, start, end, bytes, channel);
     }
 
     /// What one page streamed through a channel's matcher IP reports.
-    fn observe_scan(&self, channel: u32, (start, end): (SimTime, SimTime), matched: bool) {
+    fn observe_scan(
+        &self,
+        ctx: &Ctx,
+        channel: u32,
+        (start, end): (SimTime, SimTime),
+        matched: bool,
+    ) {
         let bytes = self.cfg.page_size as u64;
-        if let Some(tracer) = self.trace() {
-            tracer.emit(|| TraceEvent::PatternScan {
-                channel,
-                start,
-                end,
-                bytes,
-                matched,
-            });
-        }
-        if let Some(m) = self.instruments() {
+        ctx.tracer().emit(|| TraceEvent::PatternScan {
+            channel,
+            start,
+            end,
+            bytes,
+            matched,
+        });
+        if let Some(m) = self.instruments(ctx) {
             let ch = &m.channels[channel as usize];
             ch.pm_scans.inc();
             ch.pm_bytes.add(bytes);
@@ -777,15 +753,18 @@ impl SsdDevice {
                 ch.pm_hits.inc();
             }
         }
-        if let Some(q) = self.qprof() {
-            q.record(Stage::Match, start, end, bytes, channel);
-        }
+        ctx.qprof().record(Stage::Match, start, end, bytes, channel);
     }
 
     /// Counts one page in a [`DeviceStats`] counter and its registry mirror.
-    fn count_page(&self, stat: &Counter, mirror: impl Fn(&DeviceInstruments) -> &metrics::Counter) {
+    fn count_page(
+        &self,
+        ctx: &Ctx,
+        stat: &Counter,
+        mirror: impl Fn(&DeviceInstruments) -> &metrics::Counter,
+    ) {
         stat.add(1);
-        if let Some(m) = self.instruments() {
+        if let Some(m) = self.instruments(ctx) {
             mirror(m).inc();
         }
     }
@@ -795,7 +774,13 @@ impl SsdDevice {
     /// die, traced as another NAND op), and an uncorrectable draw escalates
     /// to the FTL retiring the failing block — the data survives because the
     /// final retry rescues it before the block leaves circulation.
-    fn apply_nand_read_fault(&self, lpn: u64, ppa: Ppa, mut die_end: SimTime) -> SimTime {
+    fn apply_nand_read_fault(
+        &self,
+        ctx: &Ctx,
+        lpn: u64,
+        ppa: Ppa,
+        mut die_end: SimTime,
+    ) -> SimTime {
         let Some(plan) = self.fault() else {
             return die_end;
         };
@@ -803,6 +788,7 @@ impl SsdDevice {
             return die_end;
         };
         plan.record_injected(
+            ctx,
             die_end,
             FaultSite::NandRead,
             &format!(
@@ -813,8 +799,8 @@ impl SsdDevice {
         for _ in 0..f.retries {
             let retry = self
                 .dies
-                .enqueue_span(die_end, self.die_index(ppa), self.cfg.t_read);
-            self.observe_die(NandOpKind::Read, ppa, retry, None);
+                .enqueue_span(ctx, die_end, self.die_index(ppa), self.cfg.t_read);
+            self.observe_die(ctx, NandOpKind::Read, ppa, retry, None);
             die_end = retry.1;
         }
         if f.uncorrectable {
@@ -832,17 +818,17 @@ impl SsdDevice {
                     Err(_) => (st.ftl.bad_blocks() - before, 0, false),
                 }
             };
-            if let Some(m) = self.instruments() {
+            if let Some(m) = self.instruments(ctx) {
                 m.ftl_bad_blocks.add(newly_bad);
                 m.ftl_remapped_pages.add(moved);
             }
             if retired {
-                plan.record_recovered(die_end, FaultSite::NandRead, "block_retire");
+                plan.record_recovered(ctx, die_end, FaultSite::NandRead, "block_retire");
             } else {
-                plan.record_failed(die_end, FaultSite::NandRead, "retire_exhausted");
+                plan.record_failed(ctx, die_end, FaultSite::NandRead, "retire_exhausted");
             }
         } else {
-            plan.record_recovered(die_end, FaultSite::NandRead, "read_retry");
+            plan.record_recovered(ctx, die_end, FaultSite::NandRead, "read_retry");
         }
         die_end
     }
@@ -850,13 +836,18 @@ impl SsdDevice {
     /// Senses `lpn`'s page on its die no earlier than `start`: FTL lookup,
     /// tR, then any fault retries. Returns the page's placement, its stored
     /// data, and when the die hands the page to the channel.
-    fn sense(&self, start: SimTime, lpn: u64) -> DeviceResult<(Ppa, Option<PageData>, SimTime)> {
-        let (ppa, data) = self.fetch(lpn)?;
+    fn sense(
+        &self,
+        ctx: &Ctx,
+        start: SimTime,
+        lpn: u64,
+    ) -> DeviceResult<(Ppa, Option<PageData>, SimTime)> {
+        let (ppa, data) = self.fetch(Some(ctx), lpn)?;
         let busy = self
             .dies
-            .enqueue_span(start, self.die_index(ppa), self.cfg.t_read);
-        let die_done = self.apply_nand_read_fault(lpn, ppa, busy.1);
-        self.observe_die(NandOpKind::Read, ppa, busy, Some((start, die_done)));
+            .enqueue_span(ctx, start, self.die_index(ppa), self.cfg.t_read);
+        let die_done = self.apply_nand_read_fault(ctx, lpn, ppa, busy.1);
+        self.observe_die(ctx, NandOpKind::Read, ppa, busy, Some((start, die_done)));
         Ok((ppa, data, die_done))
     }
 
@@ -868,22 +859,23 @@ impl SsdDevice {
     /// Returns [`DeviceError::Ftl`] for an out-of-range page.
     pub fn enqueue_read(
         &self,
+        ctx: &Ctx,
         start: SimTime,
         lpn: u64,
         bytes: usize,
     ) -> DeviceResult<(SimTime, PageBuf)> {
-        let (ppa, data, die_done) = self.sense(start, lpn)?;
+        let (ppa, data, die_done) = self.sense(ctx, start, lpn)?;
         let buf = match data {
-            Some(d) => self.materialize_counted(&d),
+            Some(d) => self.materialize_counted(Some(ctx), &d),
             None => self.zero_page.clone(),
         };
         let xfer_bytes = bytes.min(self.cfg.page_size) as u64;
         let xfer = SimDuration::for_bytes(xfer_bytes, self.cfg.channel_rate);
         let bus = self
             .buses
-            .enqueue_span(die_done, ppa.channel as usize, xfer);
-        self.observe_bus(ppa.channel, bus, xfer_bytes);
-        self.count_page(&self.stats.pages_read, |m| &m.pages_read);
+            .enqueue_span(ctx, die_done, ppa.channel as usize, xfer);
+        self.observe_bus(ctx, ppa.channel, bus, xfer_bytes);
+        self.count_page(ctx, &self.stats.pages_read, |m| &m.pages_read);
         Ok((bus.1, buf))
     }
 
@@ -891,22 +883,23 @@ impl SsdDevice {
     /// per-channel matcher IP at `pm_rate`; only a match surfaces data.
     fn enqueue_scan(
         &self,
+        ctx: &Ctx,
         start: SimTime,
         lpn: u64,
         pattern: &PatternSet,
     ) -> DeviceResult<(SimTime, Option<PageBuf>)> {
-        let (ppa, data, die_done) = self.sense(start, lpn)?;
+        let (ppa, data, die_done) = self.sense(ctx, start, lpn)?;
         let xfer = pattern.scan_time(self.cfg.page_size as u64, self.cfg.pm_rate);
         let bus = self
             .buses
-            .enqueue_span(die_done, ppa.channel as usize, xfer);
+            .enqueue_span(ctx, die_done, ppa.channel as usize, xfer);
         let hit = data
-            .map(|d| self.materialize_counted(&d))
+            .map(|d| self.materialize_counted(Some(ctx), &d))
             .filter(|buf| pattern.matches(buf));
-        self.observe_scan(ppa.channel, bus, hit.is_some());
-        self.count_page(&self.stats.pages_scanned, |m| &m.pages_scanned);
+        self.observe_scan(ctx, ppa.channel, bus, hit.is_some());
+        self.count_page(ctx, &self.stats.pages_scanned, |m| &m.pages_scanned);
         if hit.is_some() {
-            self.count_page(&self.stats.pages_matched, |m| &m.pages_matched);
+            self.count_page(ctx, &self.stats.pages_matched, |m| &m.pages_matched);
         }
         Ok((bus.1, hit))
     }
@@ -916,11 +909,11 @@ impl SsdDevice {
     /// time and the GC time the write caused.
     fn enqueue_program(
         &self,
-        now: SimTime,
+        ctx: &Ctx,
         lpn: u64,
         buf: PageBuf,
     ) -> DeviceResult<(SimTime, SimDuration)> {
-        let outcome = self.ftl_write(now, lpn, PageData::Bytes(buf))?;
+        let outcome = self.ftl_write(Some(ctx), lpn, PageData::Bytes(buf))?;
         let ppa = self
             .storage
             .lock()
@@ -928,17 +921,19 @@ impl SsdDevice {
             .lookup(lpn)
             .expect("checked")
             .expect("just written");
-        let start = self.charge_request_overhead(now);
+        let start = self.charge_request_overhead(ctx, ctx.now());
         let busy = self
             .dies
-            .enqueue_span(start, self.die_index(ppa), self.cfg.t_program);
+            .enqueue_span(ctx, start, self.die_index(ppa), self.cfg.t_program);
         let page_bytes = self.cfg.page_size as u64;
         let xfer = SimDuration::for_bytes(page_bytes, self.cfg.channel_rate);
-        let bus = self.buses.enqueue_span(busy.1, ppa.channel as usize, xfer);
-        self.observe_die(NandOpKind::Program, ppa, busy, Some((start, busy.1)));
-        self.observe_bus(ppa.channel, bus, page_bytes);
-        self.count_page(&self.stats.pages_written, |m| &m.pages_written);
-        if let Some(m) = self.instruments() {
+        let bus = self
+            .buses
+            .enqueue_span(ctx, busy.1, ppa.channel as usize, xfer);
+        self.observe_die(ctx, NandOpKind::Program, ppa, busy, Some((start, busy.1)));
+        self.observe_bus(ctx, ppa.channel, bus, page_bytes);
+        self.count_page(ctx, &self.stats.pages_written, |m| &m.pages_written);
+        if let Some(m) = self.instruments(ctx) {
             m.channels[ppa.channel as usize]
                 .nand_erase
                 .add(outcome.erased_blocks);
@@ -984,19 +979,19 @@ impl SsdDevice {
         Ok(())
     }
 
-    /// One read request issued at `now`: a single software-overhead charge,
-    /// then every `(lpn, bytes)` span striped over its die and channel bus.
+    /// One read request issued now: a single software-overhead charge, then
+    /// every `(lpn, bytes)` span striped over its die and channel bus.
     /// Appends the pages to `out` and returns when the slowest one arrives.
     fn read_request(
         &self,
-        now: SimTime,
+        ctx: &Ctx,
         spans: impl Iterator<Item = (u64, usize)>,
         out: &mut Vec<PageBuf>,
     ) -> DeviceResult<SimTime> {
-        let start = self.charge_request_overhead(now);
+        let start = self.charge_request_overhead(ctx, ctx.now());
         let mut end = start;
         for (lpn, bytes) in spans {
-            let (t, buf) = self.enqueue_read(start, lpn, bytes)?;
+            let (t, buf) = self.enqueue_read(ctx, start, lpn, bytes)?;
             end = end.max(t);
             out.push(buf);
         }
@@ -1012,7 +1007,7 @@ impl SsdDevice {
     ) -> DeviceResult<Vec<PageBuf>> {
         self.powered(ctx, || {
             let mut out = Vec::with_capacity(spans.len());
-            let end = self.read_request(ctx.now(), spans, &mut out)?;
+            let end = self.read_request(ctx, spans, &mut out)?;
             ctx.sleep_until(end);
             Ok(out)
         })
@@ -1060,7 +1055,7 @@ impl SsdDevice {
             let mut out = Vec::with_capacity(lpns.len());
             self.windowed(ctx, lpns, request_pages, queue_depth, |chunk| {
                 let spans = chunk.iter().map(|&lpn| (lpn, self.cfg.page_size));
-                self.read_request(ctx.now(), spans, &mut out)
+                self.read_request(ctx, spans, &mut out)
             })?;
             Ok(out)
         })
@@ -1091,13 +1086,12 @@ impl SsdDevice {
                 let (core, _) = self.cores.least_loaded();
                 let start = self
                     .cores
-                    .enqueue(ctx.now(), core, self.cfg.pm_setup_overhead);
-                if let Some(q) = self.qprof() {
-                    q.record(Stage::SsdletCompute, ctx.now(), start, 0, core as u32);
-                }
+                    .enqueue(ctx, ctx.now(), core, self.cfg.pm_setup_overhead);
+                ctx.qprof()
+                    .record(Stage::SsdletCompute, ctx.now(), start, 0, core as u32);
                 let mut end = start;
                 for &lpn in chunk {
-                    let (t, hit) = self.enqueue_scan(start, lpn, pattern)?;
+                    let (t, hit) = self.enqueue_scan(ctx, start, lpn, pattern)?;
                     end = end.max(t);
                     if let Some(buf) = hit {
                         out.push((lpn, buf));
@@ -1142,7 +1136,7 @@ impl SsdDevice {
             let mut gc_penalty = SimDuration::ZERO;
             self.windowed(ctx, pages, 1, queue_depth, |page| {
                 let (lpn, buf) = &page[0];
-                let (end, gc_time) = self.enqueue_program(ctx.now(), *lpn, buf.clone())?;
+                let (end, gc_time) = self.enqueue_program(ctx, *lpn, buf.clone())?;
                 gc_penalty += gc_time;
                 Ok(end)
             })?;
@@ -1157,9 +1151,7 @@ impl SsdDevice {
         let start = ctx.now();
         ctx.sleep(gc_penalty);
         if gc_penalty > SimDuration::ZERO {
-            if let Some(q) = self.qprof() {
-                q.record(Stage::NandRead, start, ctx.now(), 0, 0);
-            }
+            ctx.qprof().record(Stage::NandRead, start, ctx.now(), 0, 0);
         }
     }
 
@@ -1171,7 +1163,7 @@ impl SsdDevice {
     ///
     /// Returns [`DeviceError::Ftl`] for out-of-range pages.
     pub fn load_page(&self, lpn: u64, data: PageData) -> DeviceResult<()> {
-        self.ftl_write(SimTime::ZERO, lpn, data)?;
+        self.ftl_write(None, lpn, data)?;
         Ok(())
     }
 
@@ -1182,12 +1174,24 @@ impl SsdDevice {
     ///
     /// Returns [`DeviceError::Ftl`] for out-of-range pages.
     pub fn load_bytes(&self, lpn_start: u64, bytes: &[u8]) -> DeviceResult<()> {
+        self.store_bytes(None, lpn_start, bytes)
+    }
+
+    /// [`SsdDevice::load_bytes`] for a caller that may be inside a
+    /// simulation — the filesystem persisting its metadata, on a timed
+    /// `sync` or an untimed one: always free of virtual time, but with a
+    /// `ctx` the staging copies and FTL work count in that simulation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::Ftl`] for out-of-range pages.
+    pub fn store_bytes(&self, ctx: Option<&Ctx>, lpn_start: u64, bytes: &[u8]) -> DeviceResult<()> {
         let ps = self.cfg.page_size;
         for (i, chunk) in bytes.chunks(ps).enumerate() {
-            self.count_copy(CopySite::WriteStage, ps as u64);
+            self.count_copy(ctx, CopySite::WriteStage, ps as u64);
             let mut frame = self.pool.take();
             frame.as_mut_slice()[..chunk.len()].copy_from_slice(chunk);
-            self.load_page(lpn_start + i as u64, PageData::Bytes(frame.freeze()))?;
+            self.ftl_write(ctx, lpn_start + i as u64, PageData::Bytes(frame.freeze()))?;
         }
         Ok(())
     }
@@ -1211,9 +1215,9 @@ impl SsdDevice {
     ///
     /// Returns [`DeviceError::Ftl`] for out-of-range pages.
     pub fn peek_page(&self, lpn: u64) -> DeviceResult<PageBuf> {
-        let (_, data) = self.fetch(lpn)?;
+        let (_, data) = self.fetch(None, lpn)?;
         Ok(match data {
-            Some(d) => self.materialize_counted(&d),
+            Some(d) => self.materialize_counted(None, &d),
             None => self.zero_page.clone(),
         })
     }
@@ -1251,7 +1255,7 @@ mod tests {
         sim.spawn("r", move |ctx| {
             let start = ctx.now();
             let (end, _) = d
-                .enqueue_read(d.charge_request_overhead(start), 0, 4096)
+                .enqueue_read(ctx, d.charge_request_overhead(ctx, start), 0, 4096)
                 .unwrap();
             ctx.sleep_until(end);
             t2.store((ctx.now() - start).as_nanos(), Ordering::SeqCst);

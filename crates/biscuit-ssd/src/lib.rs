@@ -24,10 +24,11 @@
 //!   internal datapath: die reservations, channel-bus transfers, matcher
 //!   streaming, and per-core software overheads.
 //!
-//! The datapath is observable: [`SsdDevice::attach_tracer`] records every
-//! NAND operation, bus transfer, and pattern-matcher scan into a
-//! [`biscuit_sim::Tracer`] as per-channel span tracks (see `docs/TRACING.md`
-//! at the repo root).
+//! The datapath is observable: every NAND operation, bus transfer and
+//! pattern-matcher scan is reported to the simulation whose fiber issued
+//! it — per-channel span tracks in its [`biscuit_sim::Tracer`], counters in
+//! its registry, spans in its query profiler (see `docs/TRACING.md` at the
+//! repo root).
 //!
 //! ## Example
 //!

@@ -36,6 +36,7 @@ fn main() {
     );
 
     let sim = Simulation::new(0);
+    sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
         let module = ssd.load_module(ctx, chase_module()).expect("load module");
         println!("{WALKS} random walks x {STEPS} hops over a {VERTICES}-vertex social graph\n");
@@ -75,5 +76,7 @@ fn main() {
         }
         println!("\npaper Table IV: >=11% gain, Conv degrades under load, Biscuit flat");
     });
-    sim.run().assert_quiescent();
+    let report = sim.run();
+    report.assert_quiescent();
+    report.write_from_env().expect("write exports");
 }

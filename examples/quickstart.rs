@@ -21,7 +21,7 @@ use std::sync::Arc;
 use biscuit::apps::wordcount::{reference_wordcount, run_wordcount};
 use biscuit::core::{CoreConfig, Ssd};
 use biscuit::fs::{Fs, Mode};
-use biscuit::sim::{MetricsConfig, QprofConfig, Simulation, TraceConfig};
+use biscuit::sim::Simulation;
 use biscuit::ssd::{SsdConfig, SsdDevice};
 
 fn main() {
@@ -45,19 +45,7 @@ fn main() {
     let ssd = Ssd::new(fs, CoreConfig::paper_default());
     let expected = reference_wordcount(corpus.as_bytes());
     let sim = Simulation::new(0);
-    if let Some(cfg) = TraceConfig::from_env() {
-        sim.enable_trace(cfg);
-        ssd.attach_tracer(sim.tracer());
-    }
-    let metrics_out = MetricsConfig::from_env();
-    if metrics_out.is_some() {
-        sim.enable_metrics();
-        ssd.attach_metrics(sim.metrics());
-    }
-    if QprofConfig::from_env().is_some() {
-        sim.enable_qprof();
-        ssd.attach_qprof(sim.qprof());
-    }
+    sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
         // The whole wordcount runs as one profiled query when BISCUIT_QPROF
         // is set (a no-op span pair otherwise).
@@ -83,23 +71,5 @@ fn main() {
     });
     let report = sim.run();
     report.assert_quiescent();
-    if let Some(path) = std::env::var("BISCUIT_TRACE")
-        .ok()
-        .filter(|p| !p.is_empty())
-    {
-        report.trace.write_chrome_json(&path).expect("write trace");
-        println!("trace written to {path} — open in chrome://tracing or Perfetto");
-    }
-    if let Some(cfg) = metrics_out {
-        cfg.write(&report.metrics).expect("write metrics");
-        println!("metrics written to {}", cfg.path);
-    }
-    if let Some(path) = std::env::var("BISCUIT_QPROF")
-        .ok()
-        .filter(|p| !p.is_empty())
-    {
-        report.profiles.write_json(&path).expect("write profile");
-        println!("{}", report.profiles.to_table());
-        println!("query profile written to {path}");
-    }
+    report.write_from_env().expect("write exports");
 }

@@ -7,7 +7,8 @@
 //! Run with: `cargo run --example readme_ssdlet`
 //!
 //! Set `BISCUIT_TRACE=/tmp/readme.json` to also capture a Chrome trace of
-//! the run (see `docs/TRACING.md`).
+//! the run; `BISCUIT_METRICS` and `BISCUIT_QPROF` work the same way (see
+//! `docs/TRACING.md`, "Switching it on").
 
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use biscuit::core::module::{ModuleBuilder, SsdletSpec};
 use biscuit::core::task::{Ssdlet, TaskCtx};
 use biscuit::core::{Application, CoreConfig, Ssd};
 use biscuit::fs::Fs;
-use biscuit::sim::{Simulation, TraceConfig};
+use biscuit::sim::Simulation;
 use biscuit::ssd::{SsdConfig, SsdDevice};
 
 struct Square;
@@ -32,10 +33,7 @@ fn main() {
     let dev = Arc::new(SsdDevice::new(SsdConfig::paper_default()));
     let ssd = Ssd::new(Fs::format(dev), CoreConfig::paper_default());
     let sim = Simulation::new(0);
-    if let Some(cfg) = TraceConfig::from_env() {
-        sim.enable_trace(cfg);
-        ssd.attach_tracer(sim.tracer());
-    }
+    sim.enable_from_env();
     let s = ssd.clone();
     sim.spawn("host", move |ctx| {
         let module = ModuleBuilder::new("math")
@@ -60,11 +58,5 @@ fn main() {
     });
     let report = sim.run();
     report.assert_quiescent();
-    if let Some(path) = std::env::var("BISCUIT_TRACE")
-        .ok()
-        .filter(|p| !p.is_empty())
-    {
-        report.trace.write_chrome_json(&path).expect("write trace");
-        println!("trace written to {path} — open in chrome://tracing or Perfetto");
-    }
+    report.write_from_env().expect("write exports");
 }

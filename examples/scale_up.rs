@@ -47,6 +47,7 @@ fn main() {
     let drives: Vec<Ssd> = (0..DRIVES).map(make_drive).collect();
     let array = SsdArray::new(drives, HostConfig::paper_default(), ArrayConfig::default());
     let sim = Simulation::new(0);
+    sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
         // --- Conv: one host thread greps all shards, drive by drive ---
         // (the host CPU's Boyer-Moore is the bottleneck; extra drives
@@ -87,5 +88,7 @@ fn main() {
         );
         println!("the Conv path cannot exceed one host core's scan rate)");
     });
-    sim.run().assert_quiescent();
+    let report = sim.run();
+    report.assert_quiescent();
+    report.write_from_env().expect("write exports");
 }

@@ -41,6 +41,7 @@ fn main() {
     );
 
     let sim = Simulation::new(0);
+    sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
         let module = load_grep_module(ctx, &ssd).expect("load module");
         println!(
@@ -70,5 +71,7 @@ fn main() {
         }
         println!("\npaper Table V: 5.3x at idle, 8.3x at 24 background threads");
     });
-    sim.run().assert_quiescent();
+    let report = sim.run();
+    report.assert_quiescent();
+    report.write_from_env().expect("write exports");
 }

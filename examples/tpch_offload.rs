@@ -19,7 +19,7 @@ use biscuit::db::tpch::{all_queries, TpchData};
 use biscuit::db::{Db, DbConfig};
 use biscuit::fs::Fs;
 use biscuit::host::{HostConfig, HostLoad};
-use biscuit::sim::{QprofConfig, Simulation, TraceConfig};
+use biscuit::sim::Simulation;
 use biscuit::ssd::{SsdConfig, SsdDevice};
 
 const SF: f64 = 0.02;
@@ -31,7 +31,6 @@ fn main() {
         ..SsdConfig::paper_default()
     }));
     let ssd = Ssd::new(Fs::format(device), CoreConfig::paper_default());
-    let ssd_handle = ssd.clone();
     let mut db = Db::new(ssd, HostConfig::paper_default(), DbConfig::paper_default());
     TpchData::generate(SF, 42).load_into(&mut db).expect("load");
     let db = Arc::new(db);
@@ -45,14 +44,7 @@ fn main() {
     }
 
     let sim = Simulation::new(0);
-    if let Some(cfg) = TraceConfig::from_env() {
-        sim.enable_trace(cfg);
-        ssd_handle.attach_tracer(sim.tracer());
-    }
-    if QprofConfig::from_env().is_some() {
-        sim.enable_qprof();
-        ssd_handle.attach_qprof(sim.qprof());
-    }
+    sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
         db.prepare(ctx).expect("deploy scan module");
         let q14 = all_queries().into_iter().nth(13).expect("Q14");
@@ -116,22 +108,10 @@ fn main() {
     });
     let report = sim.run();
     report.assert_quiescent();
-    if let Some(path) = std::env::var("BISCUIT_TRACE")
-        .ok()
-        .filter(|p| !p.is_empty())
-    {
-        report.trace.write_chrome_json(&path).expect("write trace");
+    if !report.trace.is_empty() {
         println!("\n{}", report.trace.metrics());
-        println!("trace written to {path} — open in chrome://tracing or Perfetto");
     }
-    if let Some(path) = std::env::var("BISCUIT_QPROF")
-        .ok()
-        .filter(|p| !p.is_empty())
-    {
-        report.profiles.write_json(&path).expect("write profile");
-        println!("\n{}", report.profiles.to_table());
-        println!("query profile written to {path}");
-    }
+    report.write_from_env().expect("write exports");
 }
 
 fn promo_pct(out: &biscuit::db::QueryOutput) -> f64 {

@@ -25,7 +25,7 @@ use biscuit::host::{
     ArrivalProcess, QueryScheduler, SchedulerConfig, WorkloadConfig, WorkloadEngine,
 };
 use biscuit::sim::time::SimDuration;
-use biscuit::sim::{Ctx, MetricsConfig, Simulation};
+use biscuit::sim::{Ctx, Simulation};
 
 const DRIVES: usize = 4;
 const TENANTS: u32 = 64;
@@ -35,10 +35,7 @@ const SERVICE_NS_PER_COST: u64 = 2_000;
 
 fn main() {
     let sim = Simulation::new(0x0);
-    let metrics = MetricsConfig::from_env();
-    if metrics.is_some() {
-        sim.enable_metrics();
-    }
+    sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
         let mut weights = vec![1u64; TENANTS as usize];
         weights[0] = 4; // the Zipf head pays for priority
@@ -48,7 +45,6 @@ fn main() {
             weights,
             ..SchedulerConfig::for_drives(DRIVES)
         });
-        sched.attach_metrics(ctx.metrics());
         sched.start(ctx);
 
         let mut engine = WorkloadEngine::new(WorkloadConfig {
@@ -101,8 +97,5 @@ fn main() {
     });
     let report = sim.run();
     report.assert_quiescent();
-    if let Some(cfg) = metrics {
-        cfg.write(&report.metrics).expect("write metrics");
-        println!("\nmetrics written to {}", cfg.path);
-    }
+    report.write_from_env().expect("write exports");
 }

@@ -25,6 +25,10 @@ echo "== lint: rustfmt, clippy (warnings are errors)"
 cargo fmt --all -- --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== loc: benchmarks/loc.txt is what scripts/loc.sh prints"
+diff <(scripts/loc.sh) benchmarks/loc.txt ||
+    { echo "stale: scripts/loc.sh > benchmarks/loc.txt"; exit 1; }
+
 echo "== docs: rustdoc, warnings as errors"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

@@ -2,7 +2,9 @@
 //!
 //! One scripted fiber drives every public entry of the read, scan and write
 //! paths on a four-die drive small enough that a few overwrite rounds reach
-//! the GC watermark, with trace, metrics and query profiling on. The
+//! the GC watermark, with trace, metrics and query profiling on — and once
+//! more with all three off, which must not move the clock, the event count
+//! or a returned byte. The
 //! constants below were recorded at the commit *before* the datapath was
 //! folded onto one write path, one queue-depth window and one observation
 //! point, so any edit that moves a virtual-time number, reorders or drops a
@@ -100,8 +102,10 @@ fn tiny_drive() -> (Ssd, ConvIo) {
 
 /// Runs the script and checks its digests against `want`; on a mismatch the
 /// three text exports are left in the temp directory, since a digest says
-/// *that* an export moved and only the text says where.
-fn check(fuse: bool, plan: Option<&FaultPlan>, want: &Golden) {
+/// *that* an export moved and only the text says where. An unobserved run
+/// (`observe` false) exports nothing and is held to the same end time,
+/// event count and data digest: observation is pure.
+fn check(fuse: bool, observe: bool, plan: Option<&FaultPlan>, want: &Golden) {
     let (ssd, conv) = tiny_drive();
     let ps = ssd.device().config().page_size;
     let fs = ssd.fs().clone();
@@ -113,12 +117,11 @@ fn check(fuse: bool, plan: Option<&FaultPlan>, want: &Golden) {
 
     let sim = Simulation::new(22);
     sim.set_fuse(fuse);
-    sim.enable_trace(TraceConfig::default());
-    sim.enable_metrics();
-    sim.enable_qprof();
-    ssd.attach_tracer(sim.tracer());
-    ssd.attach_metrics(sim.metrics());
-    ssd.attach_qprof(sim.qprof());
+    if observe {
+        sim.enable_trace(TraceConfig::default());
+        sim.enable_metrics();
+        sim.enable_qprof();
+    }
     if let Some(p) = plan {
         ssd.attach_fault_plan(p);
     }
@@ -211,6 +214,15 @@ fn check(fuse: bool, plan: Option<&FaultPlan>, want: &Golden) {
         data: *data_digest.lock(),
     };
     let what = if plan.is_some() { "faulted" } else { "clean" };
+    if !observe {
+        assert!(report.trace.is_empty() && report.metrics.is_empty() && report.profiles.is_empty());
+        assert_eq!(
+            (got.end_time_ps, got.events, got.data),
+            (want.end_time_ps, want.events, want.data),
+            "{what} fuse={fuse}: switching every observer off changed the run"
+        );
+        return;
+    }
     println!("{what} fuse={fuse}: {got:#x?}");
     if got != *want {
         let dir = std::env::temp_dir().join("datapath_golden");
@@ -239,13 +251,15 @@ fn read_fault_plan() -> FaultPlan {
 #[test]
 fn clean_run_matches_the_recorded_digests() {
     for fuse in [true, false] {
-        check(fuse, None, &CLEAN);
+        check(fuse, true, None, &CLEAN);
+        check(fuse, false, None, &CLEAN);
     }
 }
 
 #[test]
 fn faulted_run_matches_the_recorded_digests() {
     for fuse in [true, false] {
-        check(fuse, Some(&read_fault_plan()), &FAULTED);
+        check(fuse, true, Some(&read_fault_plan()), &FAULTED);
+        check(fuse, false, Some(&read_fault_plan()), &FAULTED);
     }
 }

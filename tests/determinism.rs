@@ -90,7 +90,6 @@ fn traced_run_json() -> String {
 
     let sim = Simulation::new(1234);
     sim.enable_trace(TraceConfig::default());
-    ssd.attach_tracer(sim.tracer());
     sim.spawn("host", move |ctx| {
         let mid = load_grep_module(ctx, &ssd).unwrap();
         let a = conv_grep(ctx, &conv, &file, NEEDLE.as_bytes(), HostLoad::new(6)).unwrap();
@@ -125,7 +124,6 @@ fn metered_run_snapshot() -> biscuit::sim::metrics::MetricsSnapshot {
 
     let sim = Simulation::new(1234);
     sim.enable_metrics();
-    ssd.attach_metrics(sim.metrics());
     sim.spawn("host", move |ctx| {
         let mid = load_grep_module(ctx, &ssd).unwrap();
         let a = conv_grep(ctx, &conv, &file, NEEDLE.as_bytes(), HostLoad::new(6)).unwrap();
@@ -241,8 +239,6 @@ fn scaleout_run() -> (String, String, u64) {
     let sim = Simulation::new(99);
     sim.enable_trace(TraceConfig::default());
     sim.enable_metrics();
-    array.attach_tracer(sim.tracer());
-    array.attach_metrics(sim.metrics());
 
     let counts: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
     let got = Arc::clone(&counts);
@@ -254,7 +250,6 @@ fn scaleout_run() -> (String, String, u64) {
             queue_capacity: 4,
             weights: Vec::new(),
         });
-        sched.attach_metrics(ctx.metrics());
         sched.start(ctx);
         for q in 0..QUERIES {
             let array = array.clone();

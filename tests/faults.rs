@@ -217,8 +217,6 @@ fn faulted_observable_run() -> (String, String) {
     let sim = Simulation::new(0);
     sim.enable_trace(TraceConfig::default());
     sim.enable_metrics();
-    db.ssd().attach_tracer(sim.tracer());
-    db.ssd().attach_metrics(sim.metrics());
     let plan = FaultPlan::seeded(
         SEED,
         FaultConfig {
@@ -309,6 +307,15 @@ fn grep_array() -> (SsdArray, u64) {
 /// One metered array grep, optionally with a single drive loss armed in
 /// the given phase; returns the count, the plan, and the metrics export.
 fn drive_loss_run(phase: Option<DriveLossPhase>) -> (u64, FaultPlan, MetricsSnapshot) {
+    drive_loss_run_armed(phase, true)
+}
+
+/// [`drive_loss_run`] with the plan armed on the array either before the
+/// simulation's metrics are switched on or after.
+fn drive_loss_run_armed(
+    phase: Option<DriveLossPhase>,
+    arm_first: bool,
+) -> (u64, FaultPlan, MetricsSnapshot) {
     let (array, _) = grep_array();
     let plan = match phase {
         Some(phase) => FaultPlan::seeded(
@@ -323,12 +330,15 @@ fn drive_loss_run(phase: Option<DriveLossPhase>) -> (u64, FaultPlan, MetricsSnap
         ),
         None => FaultPlan::seeded(SEED, FaultConfig::default()),
     };
-    array.attach_fault_plan(&plan);
+    if arm_first {
+        array.attach_fault_plan(&plan);
+    }
 
     let sim = Simulation::new(0);
     sim.enable_metrics();
-    array.attach_metrics(sim.metrics());
-    plan.attach_metrics(sim.metrics());
+    if !arm_first {
+        array.attach_fault_plan(&plan);
+    }
 
     let count: Arc<Mutex<u64>> = Arc::new(Mutex::new(0));
     let out = Arc::clone(&count);
@@ -401,6 +411,31 @@ fn drive_loss_mid_gather_is_result_transparent() {
             &[("site", "drive"), ("action", "conv_rescatter")],
         ) >= Some(1)
     );
+}
+
+/// The plan reports where it fires, so arming it before the simulation's
+/// metrics exist and arming it after count the same faults — the whole
+/// export is the same bytes.
+#[test]
+fn fault_counters_do_not_depend_on_arming_order() {
+    let (n_first, plan_first, snap_first) =
+        drive_loss_run_armed(Some(DriveLossPhase::MidScatter), true);
+    let (n_late, plan_late, snap_late) =
+        drive_loss_run_armed(Some(DriveLossPhase::MidScatter), false);
+    assert_eq!(n_first, n_late);
+    assert_eq!(snap_first.to_json(), snap_late.to_json());
+    for (plan, snap) in [(&plan_first, &snap_first), (&plan_late, &snap_late)] {
+        assert_eq!(
+            snap.counter_sum("fault_injected_total"),
+            plan.injected_total()
+        );
+        assert_eq!(
+            snap.counter_sum("fault_recovered_total"),
+            plan.recovered_total()
+        );
+        assert_eq!(snap.counter_sum("fault_failed_total"), plan.failed_total());
+        assert!(snap.counter_value("fault_injected_total", &[("site", "drive")]) >= Some(1));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -497,7 +532,7 @@ fn pl_run(phase: Option<PowerLossPhase>) -> (Vec<Row>, Vec<Row>, String, FaultPl
                 db.ssd().device().is_dead(),
                 "write phase failed but the drive is alive: {e}"
             );
-            let report = db.ssd().device().recover_power_loss(ctx.now());
+            let report = db.ssd().device().recover(ctx);
             assert!(
                 report.replayed_records > 0 || report.torn_reverted > 0,
                 "recovery replayed nothing: {report:?}"
@@ -574,16 +609,13 @@ fn power_loss_observable_run(phase: PowerLossPhase) -> (String, String, String) 
     let sim = Simulation::new(0);
     sim.enable_trace(TraceConfig::default());
     sim.enable_metrics();
-    db.ssd().attach_tracer(sim.tracer());
-    db.ssd().attach_metrics(sim.metrics());
     let plan = pl_plan(phase);
     db.ssd().attach_fault_plan(&plan);
-    plan.attach_metrics(sim.metrics());
     let dev = Arc::clone(db.ssd().device());
     sim.spawn("host", move |ctx| {
         let fs = db.ssd().fs();
         if pl_write_phase(ctx, fs).is_err() {
-            db.ssd().device().recover_power_loss(ctx.now());
+            db.ssd().device().recover(ctx);
             pl_write_phase(ctx, fs).expect("redo after recovery");
         }
         let mut f = fs.open(PL_SCRATCH, Mode::ReadWrite).unwrap();

@@ -77,8 +77,6 @@ fn grep_run(fuse: bool, plan: Option<&FaultPlan>) -> Observed {
     sim.enable_trace(TraceConfig::default());
     sim.enable_metrics();
     sim.enable_qprof();
-    ssd.attach_tracer(sim.tracer());
-    ssd.attach_metrics(sim.metrics());
 
     let counts: Arc<Mutex<(u64, u64)>> = Arc::new(Mutex::new((0, 0)));
     let c = Arc::clone(&counts);
@@ -171,7 +169,6 @@ fn write_path_is_fuse_invariant() {
         let sim = Simulation::new(77);
         sim.set_fuse(fuse);
         sim.enable_metrics();
-        device.attach_metrics(sim.metrics());
         let dev = Arc::clone(&device);
         sim.spawn("writer", move |ctx| {
             let pages: Vec<(u64, Buf)> = (0..64u64)

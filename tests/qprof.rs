@@ -50,7 +50,6 @@ fn profiled_mini_tpch(plan: Option<&FaultPlan>) -> (String, QueryProfiles) {
     }
     let sim = Simulation::new(0);
     sim.enable_qprof();
-    db.ssd().attach_qprof(sim.qprof());
     sim.spawn("host", move |ctx| {
         for id in [1, 6] {
             let q = all_queries().into_iter().find(|q| q.id == id).unwrap();

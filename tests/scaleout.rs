@@ -74,8 +74,6 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
 
     let sim = Simulation::new(0x50AC);
     sim.enable_metrics();
-    array.attach_metrics(sim.metrics());
-    plan.attach_metrics(sim.metrics());
 
     let sched = QueryScheduler::new(SchedulerConfig {
         users: USERS,
@@ -89,7 +87,6 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
     let got = Arc::clone(&counts);
     sim.spawn("host", move |ctx| {
         let grep = ArrayGrep::prepare(ctx, &array).unwrap();
-        sched.attach_metrics(ctx.metrics());
         sched.start(ctx);
         for q in 0..QUERIES {
             let array = array.clone();
@@ -147,6 +144,21 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
     assert_eq!(snap.counter_sum("array_sched_completed_total"), QUERIES);
     assert!(snap.counter_sum("array_scatters_total") >= QUERIES * 3 / 4);
     assert!(snap.counter_sum("array_rescatters_total") >= 2);
+    // The plan was armed before this simulation's metrics existed; every
+    // fault it drew is still counted, where it fired.
+    assert_eq!(
+        snap.counter_sum("fault_injected_total"),
+        plan.injected_total()
+    );
+    assert_eq!(
+        snap.counter_sum("fault_recovered_total"),
+        plan.recovered_total()
+    );
+    assert_eq!(snap.counter_sum("fault_failed_total"), plan.failed_total());
+    assert_eq!(
+        snap.counter_value("fault_injected_total", &[("site", "drive")]),
+        Some(2)
+    );
 
     let mut sched_queues = 0;
     for s in &snap.samples {

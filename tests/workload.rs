@@ -79,9 +79,6 @@ fn qos_soak(seed: u64) -> SoakArtifacts {
     sim.enable_metrics();
     sim.enable_trace(TraceConfig::default());
     sim.enable_qprof();
-    array.attach_metrics(sim.metrics());
-    array.attach_tracer(sim.tracer());
-    array.attach_qprof(sim.qprof());
 
     let sched = QueryScheduler::new(SchedulerConfig {
         users: TENANTS as usize,
@@ -96,7 +93,6 @@ fn qos_soak(seed: u64) -> SoakArtifacts {
 
     sim.spawn("host", move |ctx| {
         let grep = ArrayGrep::prepare(ctx, &array).unwrap();
-        sched.attach_metrics(ctx.metrics());
         sched.start(ctx);
         let mut engine = WorkloadEngine::new(WorkloadConfig {
             seed,
@@ -450,7 +446,6 @@ fn blocking_submit_meters_backpressure() {
             queue_capacity: 1,
             weights: Vec::new(),
         });
-        sched.attach_metrics(ctx.metrics());
         sched.start(ctx);
         for _ in 0..3 {
             sched.submit(ctx, 0, |qctx: &Ctx| {

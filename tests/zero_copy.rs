@@ -32,7 +32,6 @@ fn grep_path_copies_each_page_at_most_once() {
 
     let sim = Simulation::new(0);
     sim.enable_metrics();
-    ssd.attach_metrics(sim.metrics());
     sim.spawn("host", move |ctx| {
         let mid = load_grep_module(ctx, &ssd).unwrap();
         let first = biscuit_grep(ctx, &ssd, mid, &file, NEEDLE.as_bytes()).unwrap();
