@@ -516,7 +516,6 @@ mod tests {
     #[test]
     fn fleet_grep_counts_match_and_modes_agree() {
         use biscuit_sim::par::{ParConfig, ParMode};
-        use biscuit_sim::time::SimDuration;
 
         let (drives, pages, rarity, passes) = (2usize, 32u64, 150u64, 2usize);
         let expected = fleet_grep_expected(drives, pages, rarity, passes);
@@ -526,10 +525,7 @@ mod tests {
                 drives,
                 seed: 7,
                 metrics: true,
-                par: ParConfig {
-                    mode,
-                    lookahead: Some(SimDuration::from_micros(200)),
-                },
+                par: ParConfig::new(mode),
                 ..FleetConfig::default()
             };
             let report = fleet_grep(&cfg, pages, rarity, passes);

@@ -2,15 +2,17 @@
 //!
 //! [`crate::array`] runs all N drives inside *one* simulation — N fibers,
 //! one kernel, one thread. This module runs each drive inside its *own*
-//! simulation ("shard kernel") advanced on its own OS thread via
+//! simulation ("shard kernel"), run to drain on a worker OS thread via
 //! [`biscuit_sim::par::run_fleet`], with the cross-thread
 //! [`merge_port`](biscuit_sim::par::merge_port) as the only cross-shard
 //! synchronization point. The two regimes answer different questions:
 //!
 //! - the in-sim array models *virtual-time* behavior (latency, QoS,
 //!   drive-loss recovery) of one host coordinating N drives;
-//! - the fleet maximizes *wall-clock* simulation throughput for
-//!   multi-drive workloads — each drive's event loop gets a real core.
+//! - the fleet runs independent drives' simulations on as many threads as
+//!   [`ParConfig`] asks for. What that saves in wall time depends on the
+//!   machine: `docs/PARALLEL.md`, "Choosing a policy", has the
+//!   measurements.
 //!
 //! ## Determinism contract
 //!
@@ -52,7 +54,7 @@ pub struct FleetConfig {
     /// Enable per-shard query profiling (exported in shard order by
     /// [`FleetReport::profiles_json`]).
     pub qprof: bool,
-    /// Thread policy and lookahead window for the fleet runner.
+    /// Thread policy for the fleet runner.
     pub par: ParConfig,
 }
 
@@ -141,10 +143,10 @@ impl<T> FleetReport<T> {
 
     /// One JSON document holding every shard's metrics snapshot in shard
     /// order: `{"shards":[<metrics>,<metrics>,...]}`. Byte-identical for
-    /// the same seed across all thread policies and both
-    /// `Simulation::set_fuse` settings: engine-variant meters
-    /// (dispatch-path counters that legitimately change with them, see
-    /// [`biscuit_sim::fuse::VARIANT_METRICS`]) are excluded here; read
+    /// the same seed across all thread policies (the raw per-shard
+    /// snapshots are too) and both `Simulation::set_fuse` settings: the
+    /// dispatch-path meters that legitimately change with `set_fuse`
+    /// ([`biscuit_sim::fuse::VARIANT_METRICS`]) are excluded here; read
     /// them from the per-shard reports when you want the raw engine view.
     pub fn metrics_json(&self) -> String {
         let mut s = String::from("{\"shards\":[");
@@ -182,7 +184,7 @@ impl<T> FleetReport<T> {
 
 impl SsdArray {
     /// Scatters `job` across a fleet of shard kernels, one drive per
-    /// kernel, each advanced on its own OS thread per `cfg.par` — the
+    /// kernel, each run to drain on a worker OS thread per `cfg.par` — the
     /// parallel sibling of [`SsdArray::scatter`].
     ///
     /// `build(i, &sim)` constructs shard `i`'s [`ArrayShard`] — a drive
@@ -304,10 +306,7 @@ mod tests {
             drives: 3,
             seed: 11,
             metrics: true,
-            par: ParConfig {
-                mode,
-                lookahead: Some(SimDuration::from_micros(50)),
-            },
+            par: ParConfig::new(mode),
             ..FleetConfig::default()
         };
         let report =

@@ -13,7 +13,6 @@ use crate::time::SimTime;
 /// [`MetricsSnapshot::without`](crate::metrics::MetricsSnapshot::without).
 pub const VARIANT_METRICS: &[&str] = &[
     "sim_events_heap_total",
-    "sim_events_at_now_total",
     "sim_fiber_switches_total",
     "sim_fiber_threads_reused_total",
 ];

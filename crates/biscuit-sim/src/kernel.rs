@@ -14,7 +14,7 @@
 //! model.
 
 use std::any::Any;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
@@ -117,89 +117,30 @@ impl PartialOrd for Event {
 struct KernelInner {
     now: SimTime,
     seq: u64,
+    /// Every pending wake, popped in `(time, seq)` order.
     events: BinaryHeap<Event>,
-    /// Wakes scheduled *at the current instant* (the overwhelmingly common
-    /// case: queue notifications, yields, spawns). `now` never decreases and
-    /// `seq` only increases, so pushes arrive in ascending `(time, seq)`
-    /// order and this deque stays sorted — its front plus the heap top
-    /// together give the global minimum without paying heap sift costs.
-    at_now: VecDeque<Event>,
     fibers: Vec<FiberSlot>,
     rng: Rng,
     events_processed: u64,
     /// Livelock backstop shared by the dispatcher and inline sleeps (see
     /// [`Simulation::set_max_events`]).
     max_events: u64,
-    /// Horizon of the `run_until` window currently driving this kernel.
-    /// An inline sleep may never move `now` past it — crossing the barrier
-    /// must go through the scheduler so windowed (PDES) runs pause exactly
-    /// where a parked sleep would.
-    run_limit: SimTime,
-    /// Dispatch-path meters (clones of the scheduler's counters, so
-    /// `push_event` can attribute each wake to the heap or the at-now FIFO).
+    /// Wakes queued (`sim_events_heap_total`, a dispatch meter).
     events_heap: metrics::Counter,
-    events_at_now: metrics::Counter,
 }
 
 impl KernelInner {
-    /// Enqueues a wake for `(pid, gen)` at `max(at, now)`, routing at-now
-    /// wakes to the FIFO fast path and future wakes to the heap. The event
-    /// order is by `(time, seq)` across both queues — identical to a single
-    /// heap.
+    /// Enqueues a wake for `(pid, gen)` at `max(at, now)`.
     fn push_event(&mut self, at: SimTime, pid: Pid, gen: u64) {
         let seq = self.seq;
         self.seq += 1;
-        let time = at.max(self.now);
-        let ev = Event {
-            time,
+        self.events_heap.inc();
+        self.events.push(Event {
+            time: at.max(self.now),
             seq,
             pid,
             gen,
-        };
-        if time == self.now {
-            self.events_at_now.inc();
-            self.at_now.push_back(ev);
-        } else {
-            self.events_heap.inc();
-            self.events.push(ev);
-        }
-    }
-
-    fn pending_events(&self) -> usize {
-        self.events.len() + self.at_now.len()
-    }
-
-    /// Timestamp of the event [`KernelInner::pop_event`] would return, if
-    /// any. The event may still be stale (generation mismatch); callers
-    /// that pause on a horizon treat a stale future event as a pause point
-    /// and discard it on the next window — harmless, never reordering.
-    fn peek_event_time(&self) -> Option<SimTime> {
-        match (self.at_now.front(), self.events.peek()) {
-            (Some(f), Some(h)) => {
-                if (f.time, f.seq) < (h.time, h.seq) {
-                    Some(f.time)
-                } else {
-                    Some(h.time)
-                }
-            }
-            (Some(f), None) => Some(f.time),
-            (None, Some(h)) => Some(h.time),
-            (None, None) => None,
-        }
-    }
-
-    /// Pops the earliest `(time, seq)` event across the FIFO and the heap.
-    fn pop_event(&mut self) -> Option<Event> {
-        let fifo_first = match (self.at_now.front(), self.events.peek()) {
-            (Some(f), Some(h)) => (f.time, f.seq) < (h.time, h.seq),
-            (Some(_), None) => true,
-            (None, _) => false,
-        };
-        if fifo_first {
-            self.at_now.pop_front()
-        } else {
-            self.events.pop()
-        }
+        });
     }
 }
 
@@ -210,10 +151,6 @@ struct SchedMetrics {
     fibers_spawned: metrics::Counter,
     context_switches: metrics::Counter,
     runnable: metrics::Gauge,
-    /// Wakes routed to the binary heap (future timestamps).
-    events_heap: metrics::Counter,
-    /// Wakes routed to the at-now FIFO fast path.
-    events_at_now: metrics::Counter,
     /// Real fiber dispatches: cross-thread resume handshakes actually paid.
     /// `sim_context_switches_total` counts *logical* switches (mirrored by
     /// inline sleeps so exports match the always-park reference engine);
@@ -229,8 +166,6 @@ impl SchedMetrics {
             fibers_spawned: registry.counter("sim_fibers_spawned_total", &[]),
             context_switches: registry.counter("sim_context_switches_total", &[]),
             runnable: registry.gauge("sim_runnable_queue_depth", &[]),
-            events_heap: registry.counter("sim_events_heap_total", &[]),
-            events_at_now: registry.counter("sim_events_at_now_total", &[]),
             fiber_switches: registry.counter("sim_fiber_switches_total", &[]),
             threads_reused: registry.counter("sim_fiber_threads_reused_total", &[]),
         }
@@ -259,7 +194,7 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("now", &inner.now)
             .field("fibers", &inner.fibers.len())
-            .field("pending_events", &inner.pending_events())
+            .field("pending_events", &inner.events.len())
             .finish()
     }
 }
@@ -294,11 +229,10 @@ impl Kernel {
     /// queued) and `false` when the wait is already over.
     ///
     /// The inline advance is taken only when provably equivalent to a
-    /// park: fusion is on, the target lies within the current `run_until`
-    /// window, and no pending wake (stale ones included — the dispatcher
-    /// would pop and discard them, and equal timestamps would dispatch
-    /// first by sequence) exists at or before it. It then mirrors every
-    /// piece of accounting the dispatcher would perform —
+    /// park: fusion is on and no pending wake (stale ones included — the
+    /// dispatcher would pop and discard them, and equal timestamps would
+    /// dispatch first by sequence) exists at or before the target. It then
+    /// mirrors every piece of accounting the dispatcher would perform —
     /// `events_processed`, the event cap, the context-switch counter, the
     /// runnable gauge, qprof attribution, and the FiberBlock/FiberResume
     /// trace pair — so all exports stay byte-identical to the always-park
@@ -312,8 +246,7 @@ impl Kernel {
                 return false;
             }
             let blocked = !self.fuse_enabled.load(Ordering::Relaxed)
-                || at > inner.run_limit
-                || inner.peek_event_time().is_some_and(|t| t <= at);
+                || inner.events.peek().is_some_and(|ev| ev.time <= at);
             if blocked {
                 let gen = inner.fibers[pid].park_gen + 1;
                 inner.push_event(at, pid, gen);
@@ -323,11 +256,11 @@ impl Kernel {
             inner.events_processed += 1;
             if inner.events_processed > inner.max_events {
                 drop(inner);
-                // Propagates through the fiber's catch_unwind into
-                // `first_panic`, and `finish` re-raises it.
+                // Propagates through the fiber's catch_unwind, and
+                // `Simulation::run` re-raises it.
                 panic!("simulation exceeded event cap");
             }
-            (old_now, at, inner.pending_events())
+            (old_now, at, inner.events.len())
         };
         self.sched.context_switches.inc();
         self.sched.runnable.set(pending as i64);
@@ -677,28 +610,6 @@ impl SimReport {
     }
 }
 
-/// Outcome of one [`Simulation::run_until`] call.
-///
-/// A shard kernel driven in bounded windows (see [`crate::par`]) reports
-/// through this enum whether it still has pending virtual-time work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunStatus {
-    /// The event queue drained: no fiber has a pending wake. The kernel
-    /// may still hold parked fibers (they are reported as blocked by
-    /// [`Simulation::finish`]).
-    Drained,
-    /// Events remain, but the earliest is beyond the requested horizon.
-    Paused {
-        /// Timestamp of the earliest pending event (always greater than
-        /// the `limit` passed to [`Simulation::run_until`]).
-        next: SimTime,
-    },
-    /// A fiber panicked. The payload is held and re-raised by
-    /// [`Simulation::finish`] (or [`Simulation::run`]); further
-    /// `run_until` calls return `Panicked` without processing events.
-    Panicked,
-}
-
 /// A discrete-event simulation instance.
 ///
 /// # Examples
@@ -718,41 +629,9 @@ pub enum RunStatus {
 /// assert_eq!(done_at.load(Ordering::SeqCst), 10);
 /// report.assert_quiescent();
 /// ```
-///
-/// ## Driving a kernel in bounded windows
-///
-/// [`Simulation::run`] executes to completion. A simulation can instead be
-/// driven as an independent *shard kernel*: [`Simulation::run_until`]
-/// processes events up to a virtual-time horizon and pauses, and
-/// [`Simulation::finish`] tears down and produces the [`SimReport`]. The
-/// event order is identical however the run is partitioned — windows only
-/// decide when control returns to the caller, never which event runs next:
-///
-/// ```
-/// use biscuit_sim::kernel::RunStatus;
-/// use biscuit_sim::{Simulation, SimTime, time::SimDuration};
-///
-/// let mut sim = Simulation::new(0);
-/// sim.spawn("worker", |ctx| {
-///     for _ in 0..10 {
-///         ctx.sleep(SimDuration::from_micros(3));
-///     }
-/// });
-/// // Drive in 10 us lookahead windows until the shard drains.
-/// let mut horizon = SimTime::ZERO + SimDuration::from_micros(10);
-/// while let RunStatus::Paused { .. } = sim.run_until(horizon) {
-///     horizon = horizon + SimDuration::from_micros(10);
-/// }
-/// let report = sim.finish();
-/// assert_eq!(report.end_time.as_micros(), 30);
-/// report.assert_quiescent();
-/// ```
 pub struct Simulation {
     kernel: Arc<Kernel>,
     yield_rx: Receiver<(Pid, YieldMsg)>,
-    finished: bool,
-    /// First fiber panic observed by `run_until`; re-raised by `finish`.
-    first_panic: Option<Box<dyn Any + Send>>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -790,14 +669,11 @@ impl Simulation {
                 seq: 0,
                 // Pre-sized so steady-state scheduling never reallocates.
                 events: BinaryHeap::with_capacity(1024),
-                at_now: VecDeque::with_capacity(256),
                 fibers: Vec::new(),
                 rng: Rng::seed_from_u64(seed),
                 events_processed: 0,
                 max_events: u64::MAX,
-                run_limit: SimTime::ZERO,
-                events_heap: sched.events_heap.clone(),
-                events_at_now: sched.events_at_now.clone(),
+                events_heap: metrics.counter("sim_events_heap_total", &[]),
             }),
             yield_tx,
             tracer: Tracer::new(),
@@ -811,12 +687,7 @@ impl Simulation {
                 handles: Vec::new(),
             }),
         });
-        Simulation {
-            kernel,
-            yield_rx,
-            finished: false,
-            first_panic: None,
-        }
+        Simulation { kernel, yield_rx }
     }
 
     /// Caps the number of wake events processed (a livelock backstop).
@@ -916,68 +787,33 @@ impl Simulation {
     ///
     /// Re-raises the first panic that occurred inside a fiber, and panics if
     /// the configured event cap is exceeded.
-    pub fn run(mut self) -> SimReport {
-        let _ = self.run_until(SimTime::MAX);
-        self.finish()
-    }
-
-    /// Processes every event with timestamp at or before `limit`, then
-    /// returns control to the caller.
-    ///
-    /// This is the *shard kernel* entry point for conservative parallel DES
-    /// (see [`crate::par`] and `docs/PARALLEL.md`): a coordinator owns N
-    /// independent simulations and advances each in bounded lookahead
-    /// windows on its own OS thread. Partitioning a run into windows never
-    /// changes the event order — events execute in global `(time, seq)`
-    /// order exactly as under [`Simulation::run`] — so traces, metrics, and
-    /// results are byte-identical for any window schedule, including
-    /// `run_until(SimTime::MAX)`.
-    ///
-    /// After [`RunStatus::Drained`] the queue may refill if a still-parked
-    /// fiber is woken by outside action; calling `run_until` again resumes
-    /// processing. After [`RunStatus::Panicked`] the kernel stops
-    /// scheduling; call [`Simulation::finish`] to re-raise the payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured event cap is exceeded.
-    pub fn run_until(&mut self, limit: SimTime) -> RunStatus {
-        if self.first_panic.is_some() {
-            return RunStatus::Panicked;
-        }
-        // Publish the window horizon: an inline sleep may not cross it.
-        self.kernel.inner.lock().run_limit = limit;
-        loop {
-            // Pop the next valid event at or before the horizon.
+    pub fn run(self) -> SimReport {
+        let mut first_panic = None;
+        while first_panic.is_none() {
+            // Pop the next valid event.
             let next = {
                 let mut inner = self.kernel.inner.lock();
                 loop {
-                    match inner.peek_event_time() {
-                        None => break None,
-                        Some(t) if t > limit => break Some(Err(t)),
-                        Some(_) => {}
-                    }
-                    let ev = inner.pop_event().expect("peeked event exists");
+                    let Some(ev) = inner.events.pop() else {
+                        break None;
+                    };
                     let slot = &inner.fibers[ev.pid];
                     if slot.state == FiberState::Parked && slot.park_gen == ev.gen {
                         inner.now = ev.time;
                         inner.events_processed += 1;
                         if inner.events_processed > inner.max_events {
                             drop(inner);
-                            self.teardown();
                             panic!("simulation exceeded event cap");
                         }
                         let tx = inner.fibers[ev.pid].resume_tx.clone();
                         inner.fibers[ev.pid].state = FiberState::Running;
-                        break Some(Ok((ev.pid, tx, ev.time, inner.pending_events())));
+                        break Some((ev.pid, tx, ev.time, inner.events.len()));
                     }
                     // Stale wake: generation mismatch or fiber done.
                 }
             };
-            let (pid, tx, at, pending) = match next {
-                None => return RunStatus::Drained,
-                Some(Err(t)) => return RunStatus::Paused { next: t },
-                Some(Ok(ev)) => ev,
+            let Some((pid, tx, at, pending)) = next else {
+                break;
             };
             self.kernel.sched.context_switches.inc();
             // A real dispatch (cross-thread handshake), as opposed to the
@@ -1004,43 +840,13 @@ impl Simulation {
                         .emit(|| TraceEvent::FiberFinish { at: now, pid: fpid });
                     // The worker thread that ran this fiber has already
                     // parked itself on the pool's free list; nothing to join.
-                    if let Some(p) = panic {
-                        self.first_panic.get_or_insert(p);
-                    }
+                    first_panic = panic;
                 }
             }
-            if self.first_panic.is_some() {
-                return RunStatus::Panicked;
-            }
         }
-    }
-
-    /// Timestamp of the earliest pending wake event, or `None` when the
-    /// queue is drained. The returned event may be a stale wake (it would
-    /// be discarded, not dispatched); windowed drivers only use this to
-    /// pace horizons, so an occasional stale timestamp is harmless.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.kernel.inner.lock().peek_event_time()
-    }
-
-    /// Wake events processed so far (readable mid-run when driving
-    /// windows).
-    pub fn events_processed(&self) -> u64 {
-        self.kernel.inner.lock().events_processed
-    }
-
-    /// Builds the final [`SimReport`] and tears down any still-parked
-    /// fibers. Use after driving the kernel with [`Simulation::run_until`];
-    /// [`Simulation::run`] is exactly `run_until(SimTime::MAX)` + `finish`.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic that occurred inside a fiber.
-    pub fn finish(mut self) -> SimReport {
         let report = self.build_report();
-        self.teardown();
-        self.finished = true;
-        if let Some(p) = self.first_panic.take() {
+        // Dropping `self` (here or while unwinding) tears down.
+        if let Some(p) = first_panic {
             panic::resume_unwind(p);
         }
         report
@@ -1115,7 +921,6 @@ impl Simulation {
         }
         // Retire the worker pool. Every fiber has finished, so each worker
         // is idle or about to be — Shutdown queues behind its last job.
-        // Idempotent: a second teardown finds the pool already drained.
         let (workers, handles) = {
             let mut pool = self.kernel.pool.lock();
             pool.idle.clear();
@@ -1135,9 +940,7 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        if !self.finished {
-            self.teardown();
-        }
+        self.teardown();
     }
 }
 
@@ -1289,90 +1092,6 @@ mod tests {
         assert_eq!(*log.lock(), vec!["a1", "b1", "a2"]);
     }
 
-    /// A three-fiber workload driven (a) to completion with `run` and (b) in
-    /// bounded windows with `run_until` produces the same schedule log and
-    /// report — windows decide when control returns, never what runs next.
-    #[test]
-    fn windowed_run_matches_run_to_completion() {
-        fn build(sim: &Simulation) -> Arc<Mutex<Vec<(u64, usize)>>> {
-            let log = Arc::new(Mutex::new(Vec::new()));
-            for id in 0..3usize {
-                let log = Arc::clone(&log);
-                sim.spawn(format!("f{id}"), move |ctx| {
-                    for step in 0..5u64 {
-                        ctx.sleep(SimDuration::from_micros(7 * (id as u64 + 1) + step));
-                        log.lock().push((ctx.now().as_micros(), id));
-                    }
-                });
-            }
-            log
-        }
-        let sim = Simulation::new(3);
-        let log_full = build(&sim);
-        let full = sim.run();
-        full.assert_quiescent();
-
-        // Re-run in 5 us windows; also exercise Paused::next pacing.
-        let mut sim = Simulation::new(3);
-        let log_win = build(&sim);
-        let mut horizon = SimTime::ZERO + SimDuration::from_micros(5);
-        let windowed = loop {
-            match sim.run_until(horizon) {
-                RunStatus::Drained => break sim.finish(),
-                RunStatus::Paused { next } => {
-                    assert!(next > horizon);
-                    horizon += SimDuration::from_micros(5);
-                }
-                RunStatus::Panicked => unreachable!("no fiber panics here"),
-            }
-        };
-        windowed.assert_quiescent();
-
-        assert_eq!(*log_full.lock(), *log_win.lock());
-        assert_eq!(full.end_time, windowed.end_time);
-        assert_eq!(full.events_processed, windowed.events_processed);
-    }
-
-    #[test]
-    fn run_until_pauses_at_horizon() {
-        let mut sim = Simulation::new(0);
-        sim.spawn("w", |ctx| {
-            ctx.sleep(SimDuration::from_micros(100));
-        });
-        // The spawn wake at t=0 runs; the sleep wake at t=100 is past the
-        // horizon, so the kernel pauses and reports it.
-        let status = sim.run_until(SimTime::ZERO + SimDuration::from_micros(10));
-        assert_eq!(
-            status,
-            RunStatus::Paused {
-                next: SimTime::ZERO + SimDuration::from_micros(100)
-            }
-        );
-        assert_eq!(
-            sim.next_event_time(),
-            Some(SimTime::ZERO + SimDuration::from_micros(100))
-        );
-        assert_eq!(sim.run_until(SimTime::MAX), RunStatus::Drained);
-        let report = sim.finish();
-        assert_eq!(report.end_time.as_micros(), 100);
-        report.assert_quiescent();
-    }
-
-    #[test]
-    fn run_until_reports_panic_and_finish_reraises() {
-        let mut sim = Simulation::new(0);
-        sim.spawn("boom", |ctx| {
-            ctx.sleep(SimDuration::from_micros(5));
-            panic!("windowed explosion");
-        });
-        assert_eq!(sim.run_until(SimTime::MAX), RunStatus::Panicked);
-        // Subsequent windows refuse to schedule.
-        assert_eq!(sim.run_until(SimTime::MAX), RunStatus::Panicked);
-        let err = panic::catch_unwind(AssertUnwindSafe(|| sim.finish())).unwrap_err();
-        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "windowed explosion");
-    }
-
     #[test]
     fn event_cap_aborts() {
         // The cap binds on parked and inline sleeps alike.
@@ -1428,51 +1147,6 @@ mod tests {
         }
         assert_eq!(count(&parked, "sim_fiber_switches_total"), N + 1);
         assert_eq!(count(&inline, "sim_fiber_switches_total"), 1);
-    }
-
-    /// An inline sleep may not cross the `run_until` horizon: the kernel
-    /// pauses at the same points, with the same `Paused { next }`, as the
-    /// always-park engine — windows never change the schedule.
-    #[test]
-    fn inline_sleep_respects_window_barriers() {
-        fn run(fuse: bool, windowed: bool) -> (Vec<u64>, SimReport) {
-            let sim = Simulation::new(1);
-            sim.set_fuse(fuse);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let l = Arc::clone(&log);
-            sim.spawn("hopper", move |ctx| {
-                for step in 0..6u64 {
-                    ctx.sleep(SimDuration::from_micros(4 + step));
-                    l.lock().push(ctx.now().as_micros());
-                }
-            });
-            let report = if windowed {
-                let mut sim = sim;
-                let mut horizon = SimTime::ZERO + SimDuration::from_micros(5);
-                loop {
-                    match sim.run_until(horizon) {
-                        RunStatus::Drained => break sim.finish(),
-                        RunStatus::Paused { next } => {
-                            assert!(next > horizon);
-                            horizon += SimDuration::from_micros(5);
-                        }
-                        RunStatus::Panicked => unreachable!(),
-                    }
-                }
-            } else {
-                sim.run()
-            };
-            report.assert_quiescent();
-            let out = log.lock().clone();
-            (out, report)
-        }
-        let (log_ref, rep_ref) = run(false, false);
-        for (fuse, windowed) in [(false, true), (true, false), (true, true)] {
-            let (log, rep) = run(fuse, windowed);
-            assert_eq!(log, log_ref, "fuse={fuse} windowed={windowed}");
-            assert_eq!(rep.end_time, rep_ref.end_time);
-            assert_eq!(rep.events_processed, rep_ref.events_processed);
-        }
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! - [`kernel`] — the event loop, fibers, and the [`Ctx`] handle.
 //! - [`fuse`] — the dispatch-path meters that differ between inline and
 //!   parked sleeps (see `docs/PERF.md`).
-//! - [`par`] — conservative parallel DES: drive N independent shard
-//!   kernels on real OS threads with a canonical cross-thread merge port
-//!   (see `docs/PARALLEL.md`).
+//! - [`par`] — the shard fleet: run N independent shard kernels to drain
+//!   on real OS threads, with a canonical cross-thread merge port (see
+//!   `docs/PARALLEL.md`).
 //! - [`fault`] — seeded, deterministic fault injection ([`FaultPlan`]) for
 //!   the instrumented sites across the stack (see `docs/FAULTS.md`).
 //! - [`time`] — [`SimTime`]/[`SimDuration`] arithmetic.
@@ -82,7 +82,7 @@ pub mod time;
 pub mod trace;
 
 pub use fault::{DriveLoss, DriveLossPhase, FaultConfig, FaultPlan, FaultSite};
-pub use kernel::{Ctx, Kernel, Pid, RunStatus, SimReport, Simulation};
+pub use kernel::{Ctx, Kernel, Pid, SimReport, Simulation};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use par::{ParConfig, ParMode, PortRx, PortTx};
 pub use qprof::{QueryProfile, QueryProfiler, QueryProfiles, SpanContext, Stage};

@@ -1,14 +1,14 @@
-//! Conservative parallel DES: drive a fleet of independent shard kernels
-//! on real OS threads.
+//! The shard fleet: run independent shard kernels to drain on real OS
+//! threads.
 //!
 //! Everything in [`crate::kernel`] is *one* deterministic event loop. The
 //! multi-drive workloads (see `biscuit_host::array` and `docs/SCALE.md`)
 //! proved that the *global* result order over N drives is a pure function
 //! of `(shard id, sequence)` — producer timing never reaches the merged
 //! output. This module exploits exactly that property: each drive's
-//! simulation becomes its own [`Simulation`] ("shard kernel") advanced on
-//! its own OS thread, and the only cross-shard synchronization point is
-//! an ordered [`merge_port`] whose consumption order is canonical —
+//! simulation becomes its own [`Simulation`] ("shard kernel") run to
+//! drain on a worker OS thread, and the only cross-shard synchronization
+//! point is an ordered [`merge_port`] whose consumption order is canonical —
 //! sequence-major, lane-minor — and therefore independent of thread
 //! interleaving.
 //!
@@ -18,28 +18,21 @@
 //!   shard simulation schedules events into another: fibers of shard `i`
 //!   only touch shard `i`'s queues, resources, and devices. The merge
 //!   port is the one shared structure, and pushing into it never blocks
-//!   and never schedules virtual-time events.
+//!   and never schedules virtual-time events. So there is no cross-shard
+//!   virtual time to synchronise: every shard simply runs to drain.
 //! - **Same-seed runs are byte-identical.** Every shard kernel is the
-//!   ordinary single-threaded kernel, so its trace/metrics exports are a
-//!   pure function of its seed and workload. The fleet merges per-shard
+//!   ordinary single-threaded kernel driven by [`Simulation::run`], so its
+//!   trace/metrics exports — dispatch meters included — are a pure
+//!   function of its seed and workload. The fleet merges per-shard
 //!   artifacts in shard-id order and consumes results in canonical merge
 //!   order, so [`ParMode::Single`] and any parallel mode produce
 //!   identical bytes.
-//! - **Lookahead bounds memory, not correctness.** With
-//!   [`ParConfig::lookahead`] set, workers advance all live shards to a
-//!   common virtual-time horizon and rendezvous on a barrier before the
-//!   next window, so no shard runs unboundedly ahead of the others.
-//!   Windows only decide when control returns to the driver — the event
-//!   order inside each shard never changes (see
-//!   [`Simulation::run_until`]).
-//! - **Inline sleeps never cross a window barrier.** A sleep reaching
-//!   past the window's `run_until` horizon parks and resumes in a later
-//!   window (the rule is in `docs/PERF.md`).
 //! - **Merge lanes are unbounded.** A bounded cross-thread lane plus
 //!   canonical-order consumption can deadlock when fewer worker threads
 //!   than shards exist (the worker that owns the lane the consumer waits
 //!   on may itself be parked pushing into a different full lane). Memory
-//!   is bounded by the lookahead window instead.
+//!   is bounded by each shard's total output, as in [`ParMode::Single`],
+//!   which holds every lane's output until the gather runs.
 //!
 //! ## Example
 //!
@@ -59,8 +52,7 @@
 //!     });
 //!     shards.push(sim);
 //! }
-//! let cfg = ParConfig { mode: ParMode::PerShard, ..ParConfig::default() };
-//! let (reports, merged) = par::run_fleet(shards, &cfg, move || {
+//! let (reports, merged) = par::run_fleet(shards, &ParConfig::new(ParMode::PerShard), move || {
 //!     let mut out = Vec::new();
 //!     while let Some((lane, item)) = rx.recv() {
 //!         out.push((lane, item));
@@ -74,14 +66,13 @@
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
-use crate::kernel::{RunStatus, SimReport, Simulation};
+use crate::kernel::{SimReport, Simulation};
 use crate::metrics::MetricsRegistry;
 use crate::rng::splitmix64;
 use crate::sync::{Condvar, Mutex};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use crate::trace::Tracer;
 
 // The shared instrumentation handles cross the shard-thread boundary:
@@ -160,19 +151,24 @@ impl ParMode {
 pub struct ParConfig {
     /// Thread policy (defaults to [`ParMode::from_env`]).
     pub mode: ParMode,
-    /// Virtual-time window size: workers advance every live shard to a
-    /// common horizon, rendezvous, and open the next window. `None` runs
-    /// each shard straight to drain (maximum speed, unbounded skew
-    /// between shards).
+    /// Ignored; deleted by the next `benchmark` PR (ROADMAP 2(c)).
+    #[doc(hidden)]
     pub lookahead: Option<SimDuration>,
+}
+
+impl ParConfig {
+    /// A fleet run under thread policy `mode`.
+    pub fn new(mode: ParMode) -> Self {
+        ParConfig {
+            mode,
+            lookahead: None,
+        }
+    }
 }
 
 impl Default for ParConfig {
     fn default() -> Self {
-        ParConfig {
-            mode: ParMode::from_env(),
-            lookahead: Some(SimDuration::from_millis(1)),
-        }
+        ParConfig::new(ParMode::from_env())
     }
 }
 
@@ -373,16 +369,18 @@ impl<T> PortRx<T> {
 
 type ShardOutcome = Result<SimReport, Box<dyn Any + Send>>;
 
-/// Drives a fleet of independent shard kernels to completion and runs
-/// `gather` concurrently on the calling thread, returning the per-shard
-/// [`SimReport`]s (in shard order) and the gather result.
+/// Runs every shard kernel of a fleet to completion, and `gather` on the
+/// calling thread, returning the per-shard [`SimReport`]s (in shard order)
+/// and the gather result.
 ///
 /// `gather` typically loops on a [`PortRx`] whose [`PortTx`] ends live
 /// inside the shard fibers; it must return once every lane closes. In
 /// [`ParMode::Single`] the shards run to completion *first* (in shard
 /// order, on the calling thread) and `gather` runs after — equivalent
 /// because lanes are unbounded, and byte-identical because consumption
-/// order is canonical.
+/// order is canonical. Otherwise each worker thread runs its shards
+/// ([`ParMode::workers`], round-robin by shard index) to drain, one after
+/// another, while `gather` runs.
 ///
 /// The shard kernels must be mutually independent: no fiber of one shard
 /// may block on or wake a fiber of another. Cross-shard data flows
@@ -399,49 +397,42 @@ pub fn run_fleet<R>(
 ) -> (Vec<SimReport>, R) {
     let n = shards.len();
     assert!(n > 0, "run_fleet needs at least one shard");
+    let run = |sim: Simulation| panic::catch_unwind(AssertUnwindSafe(|| sim.run()));
     let workers = cfg.mode.workers(n);
 
     if workers == 0 {
         // Single-threaded reference mode: shard order, straight to drain.
-        let mut outcomes: Vec<ShardOutcome> = Vec::with_capacity(n);
-        for sim in shards {
-            outcomes.push(panic::catch_unwind(AssertUnwindSafe(|| sim.run())));
-        }
+        let outcomes: Vec<ShardOutcome> = shards.into_iter().map(run).collect();
         let gathered = gather();
         return (unwrap_outcomes(outcomes), gathered);
     }
 
-    // Partition shards round-robin across workers: worker w owns shards
-    // { i | i % workers == w }.
+    // Worker w owns shards { i | i % workers == w }.
     let mut batches: Vec<Vec<(usize, Simulation)>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, sim) in shards.into_iter().enumerate() {
         batches[i % workers].push((i, sim));
     }
-    let barrier = Barrier::new(workers);
-    let live = AtomicUsize::new(n);
-    let lookahead = cfg.lookahead;
-
-    let (mut slots, gathered) = std::thread::scope(|scope| {
-        let barrier = &barrier;
-        let live = &live;
+    let (mut outcomes, gathered) = std::thread::scope(|scope| {
         let handles: Vec<_> = batches
             .into_iter()
-            .map(|batch| scope.spawn(move || drive_batch(batch, lookahead, barrier, live)))
+            .map(|batch| {
+                scope.spawn(move || {
+                    batch
+                        .into_iter()
+                        .map(|(i, sim)| (i, run(sim)))
+                        .collect::<Vec<_>>()
+                })
+            })
             .collect();
         let gathered = gather();
-        let mut slots: Vec<Option<ShardOutcome>> = (0..n).map(|_| None).collect();
-        for handle in handles {
-            for (i, outcome) in handle.join().expect("fleet worker thread panicked") {
-                slots[i] = Some(outcome);
-            }
-        }
-        (slots, gathered)
+        let outcomes: Vec<(usize, ShardOutcome)> = handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("fleet worker thread panicked"))
+            .collect();
+        (outcomes, gathered)
     });
-
-    let outcomes = slots
-        .iter_mut()
-        .map(|s| s.take().expect("every shard produced an outcome"))
-        .collect();
+    outcomes.sort_by_key(|&(i, _)| i);
+    let outcomes = outcomes.into_iter().map(|(_, o)| o).collect();
     (unwrap_outcomes(outcomes), gathered)
 }
 
@@ -454,75 +445,11 @@ fn unwrap_outcomes(outcomes: Vec<ShardOutcome>) -> Vec<SimReport> {
     outcomes.into_iter().map(|o| o.unwrap()).collect()
 }
 
-/// Runs one worker's shards. With a lookahead, all workers advance their
-/// live shards to a shared horizon and rendezvous twice per window: once
-/// after running (so the live count is stable) and once after reading it
-/// (so no worker races ahead while another still reads).
-fn drive_batch(
-    batch: Vec<(usize, Simulation)>,
-    lookahead: Option<SimDuration>,
-    barrier: &Barrier,
-    live: &AtomicUsize,
-) -> Vec<(usize, ShardOutcome)> {
-    let Some(window) = lookahead else {
-        // No windows: run each shard straight to drain.
-        let mut out = Vec::with_capacity(batch.len());
-        for (i, sim) in batch {
-            out.push((i, panic::catch_unwind(AssertUnwindSafe(|| sim.run()))));
-            live.fetch_sub(1, Ordering::AcqRel);
-        }
-        // Other workers may still be windowless too; no barrier to keep.
-        return out;
-    };
-
-    let mut running: Vec<Option<(usize, Simulation)>> = batch.into_iter().map(Some).collect();
-    let mut out = Vec::with_capacity(running.len());
-    let mut horizon = SimTime::ZERO + window;
-    loop {
-        for slot in running.iter_mut() {
-            let Some((_, sim)) = slot.as_mut() else {
-                continue;
-            };
-            let status = panic::catch_unwind(AssertUnwindSafe(|| sim.run_until(horizon)));
-            let finished = match status {
-                Ok(RunStatus::Paused { .. }) => None,
-                // Drained or panicked: finish (re-raising any fiber
-                // panic into the catch) and retire the shard.
-                Ok(RunStatus::Drained) | Ok(RunStatus::Panicked) => {
-                    let (i, sim) = slot.take().unwrap();
-                    Some((i, panic::catch_unwind(AssertUnwindSafe(|| sim.finish()))))
-                }
-                // run_until itself panicked (event cap): the kernel is
-                // already torn down, the payload is the outcome.
-                Err(payload) => {
-                    let (i, _sim) = slot.take().unwrap();
-                    Some((i, Err(payload)))
-                }
-            };
-            if let Some(done) = finished {
-                out.push(done);
-                live.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-        // Two-phase rendezvous: after the first barrier no worker is
-        // mutating `live`, so every worker reads the same value; the
-        // second barrier keeps readers and the next window apart.
-        barrier.wait();
-        let all_done = live.load(Ordering::Acquire) == 0;
-        barrier.wait();
-        if all_done {
-            return out;
-        }
-        horizon += window;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Rng;
-    use crate::sync::Mutex as PlMutex;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn par_mode_workers() {
@@ -619,10 +546,9 @@ mod tests {
         (shards, rx)
     }
 
-    fn run_mode(mode: ParMode, lookahead: Option<SimDuration>) -> (Vec<u64>, Vec<(u64, u64)>) {
+    fn run_mode(mode: ParMode) -> (Vec<u64>, Vec<(u64, u64)>) {
         let (shards, mut rx) = fleet(4, 6);
-        let cfg = ParConfig { mode, lookahead };
-        let (reports, merged) = run_fleet(shards, &cfg, move || {
+        let (reports, merged) = run_fleet(shards, &ParConfig::new(mode), move || {
             let mut v = Vec::new();
             while let Some((_, item)) = rx.recv() {
                 v.push(item);
@@ -639,20 +565,13 @@ mod tests {
         (merged, stats)
     }
 
-    /// Single mode, per-shard threads, a smaller pool, and windowed vs
-    /// windowless drains all produce the same merged stream and the same
-    /// per-shard reports.
+    /// Single mode, per-shard threads and smaller pools all produce the
+    /// same merged stream and the same per-shard reports.
     #[test]
     fn all_modes_agree() {
-        let reference = run_mode(ParMode::Single, None);
-        for (mode, la) in [
-            (ParMode::Single, Some(SimDuration::from_micros(4))),
-            (ParMode::PerShard, None),
-            (ParMode::PerShard, Some(SimDuration::from_micros(4))),
-            (ParMode::Threads(2), Some(SimDuration::from_micros(4))),
-            (ParMode::Threads(3), Some(SimDuration::from_micros(64))),
-        ] {
-            assert_eq!(run_mode(mode, la), reference, "{mode:?} lookahead {la:?}");
+        let reference = run_mode(ParMode::Single);
+        for mode in [ParMode::PerShard, ParMode::Threads(2), ParMode::Threads(3)] {
+            assert_eq!(run_mode(mode), reference, "{mode:?}");
         }
     }
 
@@ -673,12 +592,8 @@ mod tests {
                 });
                 shards.push(sim);
             }
-            let cfg = ParConfig {
-                mode,
-                lookahead: Some(SimDuration::from_micros(8)),
-            };
             let err = panic::catch_unwind(AssertUnwindSafe(|| {
-                run_fleet(shards, &cfg, move || {
+                run_fleet(shards, &ParConfig::new(mode), move || {
                     let mut v = Vec::new();
                     while let Some(p) = rx.recv() {
                         v.push(p);
@@ -711,11 +626,8 @@ mod tests {
             });
             shards.push(sim);
         }
-        let cfg = ParConfig {
-            mode: ParMode::PerShard,
-            lookahead: Some(SimDuration::from_micros(10)),
-        };
         let seen2 = Arc::clone(&seen);
+        let cfg = ParConfig::new(ParMode::PerShard);
         let (_reports, total) = run_fleet(shards, &cfg, move || {
             let mut total = 0u64;
             while let Some((_, v)) = rx.recv() {
@@ -747,10 +659,7 @@ mod tests {
             });
             shards.push(sim);
         }
-        let cfg = ParConfig {
-            mode: ParMode::Threads(2),
-            lookahead: Some(SimDuration::from_micros(3)),
-        };
+        let cfg = ParConfig::new(ParMode::Threads(2));
         let (_reports, count) = run_fleet(shards, &cfg, move || {
             let mut count = 0u64;
             while rx.recv().is_some() {
@@ -770,50 +679,6 @@ mod tests {
         for bad in ["two", "-1", "1.5", " 2"] {
             let err = ParMode::parse(Some(bad)).unwrap_err();
             assert!(err.contains("BISCUIT_PAR") && err.contains(bad), "{err}");
-        }
-    }
-
-    /// Windowed parallel execution preserves each shard kernel's internal
-    /// schedule under both engines: sleeps that end inside the 7 us window
-    /// run inline, sleeps that straddle it park on the barrier and resume
-    /// in a later window, and every `(mode, fuse)` combination logs the
-    /// same per-shard `(time, value)` stream.
-    #[test]
-    fn fused_sleeps_respect_window_barriers_across_modes() {
-        fn run(mode: ParMode, fuse: bool) -> Vec<Vec<(u64, u64)>> {
-            type Log = Arc<PlMutex<Vec<(u64, u64)>>>;
-            let logs: Vec<Log> = (0..3).map(|_| Arc::new(PlMutex::new(Vec::new()))).collect();
-            let (txs, mut rx) = merge_port::<()>(3);
-            let mut shards = Vec::new();
-            for (i, tx) in txs.into_iter().enumerate() {
-                let sim = Simulation::new(shard_seed(9, i));
-                sim.set_fuse(fuse);
-                let log = Arc::clone(&logs[i]);
-                sim.spawn(format!("s{i}"), move |ctx| {
-                    for pass in 0..10u64 {
-                        let jitter = ctx.with_rng(|r| r.range(1..5u64));
-                        ctx.sleep(SimDuration::from_micros(jitter));
-                        let long = 2 * (2 + (pass + i as u64) % 9);
-                        ctx.sleep_until(ctx.now() + SimDuration::from_micros(long));
-                        log.lock().push((ctx.now().as_micros(), jitter));
-                    }
-                    tx.close();
-                });
-                shards.push(sim);
-            }
-            let cfg = ParConfig {
-                mode,
-                lookahead: Some(SimDuration::from_micros(7)),
-            };
-            run_fleet(shards, &cfg, move || while rx.recv().is_some() {});
-            logs.iter().map(|l| l.lock().clone()).collect()
-        }
-
-        let reference = run(ParMode::Single, false);
-        for mode in [ParMode::Single, ParMode::PerShard, ParMode::Threads(2)] {
-            for fuse in [false, true] {
-                assert_eq!(run(mode, fuse), reference, "{mode:?}/fuse={fuse}");
-            }
         }
     }
 }

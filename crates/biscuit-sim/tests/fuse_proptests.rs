@@ -5,8 +5,7 @@
 //! — Chrome trace, query profiles, metrics (minus the engine's own
 //! dispatch-path meters, [`biscuit_sim::fuse::VARIANT_METRICS`]), end time,
 //! and event count — whether sleeps may advance inline or always park
-//! (`Simulation::set_fuse`), and whether the driver runs free or in PDES
-//! lookahead windows. These properties randomize each fiber's mix of
+//! (`Simulation::set_fuse`). The property randomizes each fiber's mix of
 //! `sleep`, `sleep_until`, `yield_now`, queue pushes and deadline pops, on
 //! a coarse time grid so peer wakes land on equal timestamps; the
 //! device-level variants (faults, fleet thread policies) live in
@@ -18,7 +17,6 @@ use biscuit_sim::sync::Mutex;
 use proptest::prelude::*;
 
 use biscuit_sim::fuse::VARIANT_METRICS;
-use biscuit_sim::kernel::RunStatus;
 use biscuit_sim::queue::SimQueue;
 use biscuit_sim::time::{SimDuration, SimTime};
 use biscuit_sim::{Simulation, Stage, TraceConfig};
@@ -60,8 +58,8 @@ struct Observed {
 }
 
 /// Runs one fiber per program over a shared two-slot queue, each inside its
-/// own profiled query, under the given engine and optional lookahead window.
-fn run_workload(programs: &[Vec<Op>], fuse: bool, window_us: Option<u64>) -> Observed {
+/// own profiled query, under the given engine.
+fn run_workload(programs: &[Vec<Op>], fuse: bool) -> Observed {
     let sim = Simulation::new(0);
     sim.set_fuse(fuse);
     sim.enable_metrics();
@@ -99,24 +97,7 @@ fn run_workload(programs: &[Vec<Op>], fuse: bool, window_us: Option<u64>) -> Obs
         });
     }
 
-    let report = match window_us {
-        None => sim.run(),
-        Some(w) => {
-            let step = SimDuration::from_micros(w);
-            let mut sim = sim;
-            let mut horizon = SimTime::ZERO + step;
-            loop {
-                match sim.run_until(horizon) {
-                    RunStatus::Drained => break sim.finish(),
-                    RunStatus::Paused { next } => {
-                        assert!(next > horizon, "Paused must point past the horizon");
-                        horizon += step;
-                    }
-                    RunStatus::Panicked => unreachable!("workload does not panic"),
-                }
-            }
-        }
-    };
+    let report = sim.run();
     report.assert_quiescent();
     let log = log.lock().clone();
     Observed {
@@ -137,26 +118,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Inline and always-park runs of the same randomized workload are
-    /// byte-identical on every export, free-running or windowed.
+    /// byte-identical on every export.
     #[test]
-    fn fuse_is_observationally_invisible(
-        programs in programs(),
-        window_us in prop::option::of(1u64..40),
-    ) {
-        let parked = run_workload(&programs, false, window_us);
-        let inline = run_workload(&programs, true, window_us);
+    fn fuse_is_observationally_invisible(programs in programs()) {
+        let parked = run_workload(&programs, false);
+        let inline = run_workload(&programs, true);
         prop_assert_eq!(&inline, &parked);
-    }
-
-    /// Window size is a memory bound, not a behavior knob: with inline
-    /// sleeps, every window size matches the free-running run byte for byte.
-    #[test]
-    fn fused_windows_never_change_artifacts(
-        programs in programs(),
-        window_us in 1u64..40,
-    ) {
-        let free = run_workload(&programs, true, None);
-        let windowed = run_workload(&programs, true, Some(window_us));
-        prop_assert_eq!(&windowed, &free);
     }
 }

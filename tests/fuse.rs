@@ -24,7 +24,7 @@ use biscuit::proto::Buf;
 use biscuit::sim::fault::{FaultConfig, FaultPlan};
 use biscuit::sim::fuse::VARIANT_METRICS;
 use biscuit::sim::par::{ParConfig, ParMode};
-use biscuit::sim::{SimDuration, Simulation, TraceConfig};
+use biscuit::sim::{Simulation, TraceConfig};
 use biscuit::ssd::{SsdConfig, SsdDevice};
 
 /// Everything one full-stack grep run exports.
@@ -194,20 +194,20 @@ fn write_path_is_fuse_invariant() {
     assert_eq!(run(false), run(true));
 }
 
-/// The engines agree on the parallel fleet too: every thread policy, with
-/// and without lookahead windows, merges the same items and exports the
-/// same bytes as the single-threaded always-park reference. The shard
-/// builder's `&Simulation` selects the engine.
+/// The engines agree on the parallel fleet too: every thread policy merges
+/// the same items and exports the same bytes as the single-threaded
+/// always-park reference. The shard builder's `&Simulation` selects the
+/// engine.
 #[test]
 fn fleet_policies_and_fuse_agree() {
-    let run = |mode: ParMode, lookahead: Option<SimDuration>, fuse: bool| {
+    let run = |mode: ParMode, fuse: bool| {
         let cfg = FleetConfig {
             drives: 2,
             seed: 7,
             metrics: true,
             trace: Some(TraceConfig::default()),
             qprof: true,
-            par: ParConfig { mode, lookahead },
+            par: ParConfig::new(mode),
         };
         let report = SsdArray::scatter_parallel::<u64, _, _>(
             &cfg,
@@ -237,14 +237,12 @@ fn fleet_policies_and_fuse_agree() {
         )
     };
 
-    let reference = run(ParMode::Single, None, false);
+    let reference = run(ParMode::Single, false);
     assert!(reference.0.iter().all(|(_, count)| *count > 0));
     for mode in [ParMode::Single, ParMode::PerShard, ParMode::Threads(2)] {
-        for lookahead in [None, Some(SimDuration::from_micros(200))] {
-            for fuse in [false, true] {
-                let got = run(mode, lookahead, fuse);
-                assert_eq!(got, reference, "{mode:?}/{lookahead:?}/fuse={fuse}");
-            }
+        for fuse in [false, true] {
+            let got = run(mode, fuse);
+            assert_eq!(got, reference, "{mode:?}/fuse={fuse}");
         }
     }
 }

@@ -107,10 +107,7 @@ fn fleet_profiles_byte_identical_across_policies() {
             metrics: false,
             trace: None,
             qprof: true,
-            par: ParConfig {
-                mode,
-                lookahead: Some(SimDuration::from_micros(500)),
-            },
+            par: ParConfig::new(mode),
         };
         let report = fleet_grep(&cfg, SHARD_PAGES, NEEDLE_EVERY, PASSES);
         report.assert_quiescent();
