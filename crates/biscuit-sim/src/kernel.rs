@@ -3,8 +3,10 @@
 //! The kernel implements *process-interaction* simulation with cooperative
 //! fibers, mirroring the cooperative multithreading the Biscuit runtime uses
 //! on the SSD's ARM cores (paper §IV-B). Each simulated process ("fiber") is
-//! backed by an OS thread, but **exactly one fiber runs at any instant**: the
-//! scheduler resumes a fiber and then blocks until that fiber parks again.
+//! backed by an OS thread, but **exactly one fiber runs at any instant**: a
+//! fiber that parks or exits pops the next wake itself and hands the baton
+//! straight to that wake's fiber (one OS thread switch, none when the wake
+//! is its own), then blocks until the baton comes back.
 //! Together with a deterministic `(time, sequence)` event order this makes
 //! every simulation run bit-for-bit reproducible.
 //!
@@ -35,18 +37,24 @@ pub type Pid = usize;
 /// the panic hook so cancellations are silent.
 pub(crate) struct SimCancelled;
 
-/// Scheduler-to-fiber resume message.
+/// Resume message to a parked fiber: from the baton holder, or a
+/// cancellation from teardown.
 enum Resume {
     Go,
     Cancel,
 }
 
-/// Fiber-to-scheduler yield message.
+/// What a baton holder tells `Simulation::run` (or, while it cancels fibers,
+/// teardown).
 enum YieldMsg {
-    Parked,
+    /// The heap holds no live wake.
+    Drained,
+    /// Dispatching the next wake would exceed the event cap.
+    CapExceeded,
+    /// A fiber panicked or was cancelled (a clean exit dispatches instead).
     Finished {
-        /// Panic payload if the fiber's body panicked (absent for clean exit
-        /// and for cancellation unwinds).
+        pid: Pid,
+        /// The panic payload; absent for a cancellation unwind.
         panic: Option<Box<dyn Any + Send>>,
     },
 }
@@ -151,10 +159,10 @@ struct SchedMetrics {
     fibers_spawned: metrics::Counter,
     context_switches: metrics::Counter,
     runnable: metrics::Gauge,
-    /// Real fiber dispatches: cross-thread resume handshakes actually paid.
+    /// Real fiber dispatches: parks resumed through the event queue.
     /// `sim_context_switches_total` counts *logical* switches (mirrored by
     /// inline sleeps so exports match the always-park reference engine);
-    /// the difference between the two is the hand-offs fusion saved.
+    /// the difference between the two is the parks fusion saved.
     fiber_switches: metrics::Counter,
     /// Fiber spawns served by a parked worker thread from the free list.
     threads_reused: metrics::Counter,
@@ -176,7 +184,7 @@ impl SchedMetrics {
 // Manual Debug below (KernelInner holds non-Debug channel internals).
 pub struct Kernel {
     inner: Mutex<KernelInner>,
-    yield_tx: Sender<(Pid, YieldMsg)>,
+    yield_tx: Sender<YieldMsg>,
     tracer: Tracer,
     metrics: MetricsRegistry,
     qprof: QueryProfiler,
@@ -265,13 +273,75 @@ impl Kernel {
         self.sched.context_switches.inc();
         self.sched.runnable.set(pending as i64);
         self.qprof.on_switch(pid);
-        // The parked pair is adjacent in the trace too: the fiber emits
-        // FiberBlock before its Parked handshake and the scheduler (blocked
-        // until then) emits FiberResume next.
+        // The parked pair is adjacent in the trace too: a parking fiber
+        // emits FiberBlock and then runs the dispatcher, which emits
+        // FiberResume next.
         self.tracer
             .emit(|| TraceEvent::FiberBlock { at: old_now, pid });
         self.tracer.emit(|| TraceEvent::FiberResume { at, pid });
         false
+    }
+
+    /// The dispatcher, run by whichever thread holds the baton:
+    /// `Simulation::run` for the first wake, then each parking or exiting
+    /// fiber for the next. Pops the next live wake, does the dispatch
+    /// accounting and resumes that wake's fiber. Returns `true` when the
+    /// fiber is `me`, which then simply keeps running. When no live wake is
+    /// left, or the event cap trips, it tells `Simulation::run` instead.
+    fn dispatch(&self, me: Option<Pid>) -> bool {
+        let next = {
+            let mut inner = self.inner.lock();
+            loop {
+                let Some(ev) = inner.events.pop() else {
+                    break Err(YieldMsg::Drained);
+                };
+                let slot = &inner.fibers[ev.pid];
+                if slot.state == FiberState::Parked && slot.park_gen == ev.gen {
+                    inner.now = ev.time;
+                    inner.events_processed += 1;
+                    if inner.events_processed > inner.max_events {
+                        break Err(YieldMsg::CapExceeded);
+                    }
+                    let slot = &mut inner.fibers[ev.pid];
+                    slot.state = FiberState::Running;
+                    let tx = (me != Some(ev.pid)).then(|| slot.resume_tx.clone());
+                    break Ok((ev.pid, ev.time, inner.events.len(), tx));
+                }
+                // Stale wake: generation mismatch or fiber done.
+            }
+        };
+        let (pid, at, pending, tx) = match next {
+            Ok(next) => next,
+            Err(msg) => {
+                self.yield_tx.send(msg).expect("scheduler hung up");
+                return false;
+            }
+        };
+        self.sched.context_switches.inc();
+        self.sched.fiber_switches.inc();
+        self.sched.runnable.set(pending as i64);
+        self.qprof.on_switch(pid);
+        self.tracer.emit(|| TraceEvent::FiberResume { at, pid });
+        let Some(tx) = tx else { return true };
+        tx.send(Resume::Go).expect("fiber hung up");
+        false
+    }
+
+    /// Marks fiber `pid` finished and traces it; `false`, doing neither, if
+    /// teardown already marked it.
+    fn finish(&self, pid: Pid) -> bool {
+        let now = {
+            let mut inner = self.inner.lock();
+            let slot = &mut inner.fibers[pid];
+            if slot.state == FiberState::Finished {
+                return false;
+            }
+            slot.state = FiberState::Finished;
+            inner.now
+        };
+        self.tracer
+            .emit(|| TraceEvent::FiberFinish { at: now, pid });
+        true
     }
 
     fn spawn_fiber<F>(self: &Arc<Self>, name: String, f: F) -> Pid
@@ -304,7 +374,7 @@ impl Kernel {
         };
         // Run the body on a parked worker thread when one is free; grow the
         // pool otherwise. Reuse is deterministic: a finished fiber rejoins
-        // the free list before the scheduler can dispatch anything else.
+        // the free list before it dispatches the next wake.
         let idle = self.pool.lock().idle.pop();
         match idle {
             Some(job_tx) => {
@@ -359,8 +429,8 @@ fn fiber_main(
     f: Box<dyn FnOnce(&Ctx) + Send + 'static>,
     job_tx: &Sender<Job>,
 ) {
-    // Initial park: wait for the scheduler's first resume.
-    let payload = match resume_rx.recv() {
+    // Initial park: wait for the first resume.
+    let outcome: std::thread::Result<()> = match resume_rx.recv() {
         Ok(Resume::Go) => {
             let ctx = Ctx {
                 kernel: Arc::clone(&kernel),
@@ -369,22 +439,25 @@ fn fiber_main(
             };
             let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
             drop(ctx);
-            match result {
-                Ok(()) => None,
-                Err(p) if p.downcast_ref::<SimCancelled>().is_some() => None,
-                Err(p) => Some(p),
-            }
+            result
         }
-        Ok(Resume::Cancel) | Err(_) => None,
+        Ok(Resume::Cancel) | Err(_) => Err(Box::new(SimCancelled)),
     };
-    let yield_tx = kernel.yield_tx.clone();
-    // Rejoin the free list *before* announcing Finished: the scheduler is
-    // blocked on yield_rx until then, so a subsequent spawn observes this
-    // worker deterministically. The worker holds no kernel reference while
-    // idle (no Arc cycle).
+    // Rejoin the free list *before* passing the baton on, so a subsequent
+    // spawn observes this worker deterministically. The worker drops its
+    // kernel reference on return, so it holds none while idle (no Arc cycle).
     kernel.pool.lock().idle.push(job_tx.clone());
-    drop(kernel);
-    let _ = yield_tx.send((pid, YieldMsg::Finished { panic: payload }));
+    // A clean exit passes the baton on. A panic reports to `Simulation::run`;
+    // a cancellation reports to teardown, even one the body swallowed
+    // (teardown marked it finished before cancelling it).
+    if outcome.is_ok() && kernel.finish(pid) {
+        kernel.dispatch(None);
+    } else {
+        let panic = outcome
+            .err()
+            .filter(|p| p.downcast_ref::<SimCancelled>().is_none());
+        let _ = kernel.yield_tx.send(YieldMsg::Finished { pid, panic });
+    }
 }
 
 /// Handle a fiber uses to interact with virtual time.
@@ -515,16 +588,13 @@ impl Ctx {
             slot.state = FiberState::Parked;
             inner.now
         };
-        // Emitted before the Parked handshake, so the scheduler (which is
-        // blocked on yield_rx until then) cannot interleave its own events.
         self.kernel.tracer.emit(|| TraceEvent::FiberBlock {
             at: now,
             pid: self.pid,
         });
-        self.kernel
-            .yield_tx
-            .send((self.pid, YieldMsg::Parked))
-            .expect("scheduler hung up");
+        if self.kernel.dispatch(Some(self.pid)) {
+            return;
+        }
         match self.resume_rx.recv() {
             Ok(Resume::Go) => {}
             Ok(Resume::Cancel) | Err(_) => panic::panic_any(SimCancelled),
@@ -631,7 +701,7 @@ impl SimReport {
 /// ```
 pub struct Simulation {
     kernel: Arc<Kernel>,
-    yield_rx: Receiver<(Pid, YieldMsg)>,
+    yield_rx: Receiver<YieldMsg>,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -788,62 +858,19 @@ impl Simulation {
     /// Re-raises the first panic that occurred inside a fiber, and panics if
     /// the configured event cap is exceeded.
     pub fn run(self) -> SimReport {
-        let mut first_panic = None;
-        while first_panic.is_none() {
-            // Pop the next valid event.
-            let next = {
-                let mut inner = self.kernel.inner.lock();
-                loop {
-                    let Some(ev) = inner.events.pop() else {
-                        break None;
-                    };
-                    let slot = &inner.fibers[ev.pid];
-                    if slot.state == FiberState::Parked && slot.park_gen == ev.gen {
-                        inner.now = ev.time;
-                        inner.events_processed += 1;
-                        if inner.events_processed > inner.max_events {
-                            drop(inner);
-                            panic!("simulation exceeded event cap");
-                        }
-                        let tx = inner.fibers[ev.pid].resume_tx.clone();
-                        inner.fibers[ev.pid].state = FiberState::Running;
-                        break Some((ev.pid, tx, ev.time, inner.events.len()));
-                    }
-                    // Stale wake: generation mismatch or fiber done.
-                }
-            };
-            let Some((pid, tx, at, pending)) = next else {
-                break;
-            };
-            self.kernel.sched.context_switches.inc();
-            // A real dispatch (cross-thread handshake), as opposed to the
-            // logical switches inline sleeps mirror.
-            self.kernel.sched.fiber_switches.inc();
-            self.kernel.sched.runnable.set(pending as i64);
-            self.kernel.qprof.on_switch(pid);
-            self.kernel
-                .tracer
-                .emit(|| TraceEvent::FiberResume { at, pid });
-            tx.send(Resume::Go).expect("fiber hung up");
-            // Wait until that fiber parks or finishes.
-            match self.yield_rx.recv().expect("all fibers hung up") {
-                (_, YieldMsg::Parked) => {}
-                (fpid, YieldMsg::Finished { panic }) => {
-                    debug_assert_eq!(fpid, pid);
-                    let now = {
-                        let mut inner = self.kernel.inner.lock();
-                        inner.fibers[fpid].state = FiberState::Finished;
-                        inner.now
-                    };
-                    self.kernel
-                        .tracer
-                        .emit(|| TraceEvent::FiberFinish { at: now, pid: fpid });
-                    // The worker thread that ran this fiber has already
-                    // parked itself on the pool's free list; nothing to join.
-                    first_panic = panic;
-                }
+        // Hand the baton to the first wake; the fibers pass it among
+        // themselves until one of them has something to report.
+        self.kernel.dispatch(None);
+        let first_panic = match self.yield_rx.recv().expect("all fibers hung up") {
+            YieldMsg::Drained => None,
+            YieldMsg::CapExceeded => panic!("simulation exceeded event cap"),
+            YieldMsg::Finished { pid, panic } => {
+                // The worker thread that ran this fiber has already parked
+                // itself on the pool's free list; nothing to join.
+                self.kernel.finish(pid);
+                panic
             }
-        }
+        };
         let report = self.build_report();
         // Dropping `self` (here or while unwinding) tears down.
         if let Some(p) = first_panic {
@@ -883,40 +910,24 @@ impl Simulation {
     /// Cancels all parked fibers, then retires the worker thread pool.
     fn teardown(&self) {
         loop {
-            // Cancel parked fibers one by one; each cancellation may cause the
-            // fiber to finish, which we must observe via yield_rx.
-            let target = {
-                let inner = self.kernel.inner.lock();
-                inner
-                    .fibers
-                    .iter()
-                    .position(|f| f.state == FiberState::Parked)
-            };
-            let Some(pid) = target else { break };
+            // Cancel parked fibers one by one. Each is marked finished first,
+            // so it is never dispatched again, then unwinds and reports
+            // Finished; the others are all parked, so nothing else reports.
             let tx = {
                 let mut inner = self.kernel.inner.lock();
-                inner.fibers[pid].state = FiberState::Running;
-                inner.fibers[pid].resume_tx.clone()
+                let Some(slot) = inner
+                    .fibers
+                    .iter_mut()
+                    .find(|f| f.state == FiberState::Parked)
+                else {
+                    break;
+                };
+                slot.state = FiberState::Finished;
+                slot.resume_tx.clone()
             };
             let _ = tx.send(Resume::Cancel);
-            // Drain messages until this fiber reports Finished. A cancelled
-            // fiber unwinds without parking again, so the next message from it
-            // is Finished; messages from other fibers cannot arrive (they are
-            // all parked).
-            loop {
-                match self.yield_rx.recv() {
-                    Ok((fpid, YieldMsg::Finished { .. })) => {
-                        self.kernel.inner.lock().fibers[fpid].state = FiberState::Finished;
-                        if fpid == pid {
-                            break;
-                        }
-                    }
-                    Ok((_, YieldMsg::Parked)) => {
-                        // A cancelled fiber cannot park (cancel unwinds), but
-                        // be defensive: ignore.
-                    }
-                    Err(_) => return,
-                }
+            if !matches!(self.yield_rx.recv(), Ok(YieldMsg::Finished { .. })) {
+                return;
             }
         }
         // Retire the worker pool. Every fiber has finished, so each worker
@@ -947,6 +958,7 @@ impl Drop for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::SimQueue;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
@@ -1094,17 +1106,26 @@ mod tests {
 
     #[test]
     fn event_cap_aborts() {
-        // The cap binds on parked and inline sleeps alike.
+        // The cap binds on parked and inline sleeps alike, and two fibers
+        // ping-ponging trip it in a dispatch made on a fiber thread.
         for fuse in [false, true] {
-            let mut sim = Simulation::new(0);
-            sim.set_max_events(10);
-            sim.set_fuse(fuse);
-            sim.spawn("spin", |ctx| loop {
-                ctx.sleep(SimDuration::from_nanos(1));
-            });
-            let err = panic::catch_unwind(AssertUnwindSafe(|| sim.run())).unwrap_err();
-            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-            assert!(msg.contains("event cap"), "fuse={fuse} got: {msg}");
+            for fibers in 1..=2 {
+                let mut sim = Simulation::new(0);
+                sim.set_max_events(10);
+                sim.set_fuse(fuse);
+                for _ in 0..fibers {
+                    sim.spawn("spin", |ctx| loop {
+                        ctx.sleep(SimDuration::from_nanos(1));
+                    });
+                }
+                let err =
+                    panic::catch_unwind(AssertUnwindSafe(|| run_within(sim, LIMIT))).unwrap_err();
+                let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert!(
+                    msg.contains("event cap"),
+                    "fuse={fuse} fibers={fibers} got: {msg}"
+                );
+            }
         }
     }
 
@@ -1202,5 +1223,173 @@ mod tests {
             (out, report.events_processed)
         }
         assert_eq!(run(), run());
+    }
+
+    /// A finished fiber's worker is back on the free list before the next
+    /// fiber runs, so whether a spawn reuses a thread never depends on
+    /// which OS thread gets a core first. A helper thread holds the pool
+    /// lock across the child's exit: the parent must not run until the
+    /// child's worker has got past it.
+    #[test]
+    fn finished_worker_rejoins_free_list_before_the_next_fiber_runs() {
+        let sim = Simulation::new(0);
+        let kernel = Arc::clone(sim.kernel());
+        let (grab_tx, grab_rx) = std::sync::mpsc::channel();
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+        let holder = std::thread::spawn(move || {
+            grab_rx.recv().expect("child signals");
+            let pool = kernel.pool.lock();
+            held_tx.send(()).expect("child waits");
+            let ran_early = ran_rx
+                .recv_timeout(std::time::Duration::from_millis(100))
+                .is_ok();
+            drop(pool);
+            ran_early
+        });
+        sim.spawn("parent", move |ctx| {
+            ctx.spawn("child", move |_| {
+                grab_tx.send(()).expect("holder waits");
+                held_rx.recv().expect("holder acks");
+            });
+            ctx.sleep(SimDuration::from_micros(1));
+            let _ = ran_tx.send(());
+        });
+        run_within(sim, LIMIT).assert_quiescent();
+        assert!(
+            !holder.join().expect("holder thread"),
+            "the parent ran before the child's worker rejoined the free list"
+        );
+    }
+
+    /// `sim.run()` on a helper thread, re-raising its panic. A fiber left
+    /// blocked on its resume channel keeps teardown from ever joining the
+    /// pool, so a run that has not returned after `limit` fails the test
+    /// instead of hanging it.
+    fn run_within(sim: Simulation, limit: std::time::Duration) -> SimReport {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(|| sim.run())));
+        });
+        match rx.recv_timeout(limit) {
+            Ok(Ok(report)) => report,
+            Ok(Err(payload)) => panic::resume_unwind(payload),
+            Err(_) => panic!("simulation still running after {limit:?}"),
+        }
+    }
+
+    const LIMIT: std::time::Duration = std::time::Duration::from_secs(10);
+
+    /// Counts the fibers inside a user segment (the code between two
+    /// blocking calls) and logs each segment's entry.
+    #[derive(Default)]
+    struct Baton {
+        running: AtomicUsize,
+        log: Mutex<Vec<(u64, usize, usize)>>,
+    }
+
+    impl Baton {
+        fn enter(&self, ctx: &Ctx, id: usize, step: usize) {
+            let before = self.running.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(before, 0, "fiber {id} step {step} entered beside another");
+            self.log.lock().push((ctx.now().as_ps(), id, step));
+        }
+
+        fn leave(&self, id: usize, step: usize) {
+            // Let any other runnable fiber thread get a core while we hold it.
+            std::thread::yield_now();
+            let before = self.running.fetch_sub(1, Ordering::SeqCst);
+            assert_eq!(before, 1, "fiber {id} step {step} ran beside another");
+        }
+    }
+
+    /// Whichever thread dispatches — `run` for the first wake, a parking
+    /// fiber, an exiting one — exactly one fiber body runs at a time, and
+    /// the schedule is the same with and without inline sleeps.
+    #[test]
+    fn at_most_one_fiber_runs_at_any_instant() {
+        fn run(fuse: bool) -> Vec<(u64, usize, usize)> {
+            let sim = Simulation::new(11);
+            sim.set_fuse(fuse);
+            let baton = Arc::new(Baton::default());
+            // Never full, so a push never blocks; pops find it empty often.
+            let q: SimQueue<usize> = SimQueue::new(128);
+            for id in 0..12usize {
+                let (baton, q) = (Arc::clone(&baton), q.clone());
+                sim.spawn(format!("f{id}"), move |ctx| {
+                    for step in 0..8usize {
+                        baton.enter(ctx, id, step);
+                        let op = (id + step) % 6;
+                        if op == 3 {
+                            q.push(ctx, id).expect("queue is open");
+                        }
+                        if op == 5 {
+                            let baton = Arc::clone(&baton);
+                            let child = 100 + id;
+                            ctx.spawn(format!("f{id}.{step}"), move |cctx| {
+                                baton.enter(cctx, child, step);
+                                baton.leave(child, step);
+                                cctx.sleep(SimDuration::from_micros(child as u64 % 2));
+                                baton.enter(cctx, child, step + 1);
+                                baton.leave(child, step + 1);
+                            });
+                        }
+                        baton.leave(id, step);
+                        // Equal timestamps: every fiber sleeps 0-2 us from
+                        // shared instants and meets the others on a 5 us
+                        // grid; distinct ones: deadlines 0-3 us out.
+                        let us = SimDuration::from_micros;
+                        match op {
+                            0 => ctx.sleep(us(id as u64 % 3)),
+                            1 => ctx.sleep_until(SimTime::ZERO + us(5 * step as u64)),
+                            2 => ctx.yield_now(),
+                            4 => {
+                                let _ = q.pop_deadline(ctx, ctx.now() + us(id as u64 % 4));
+                            }
+                            _ => {}
+                        }
+                    }
+                    baton.enter(ctx, id, 8);
+                    baton.leave(id, 8);
+                });
+            }
+            run_within(sim, LIMIT).assert_quiescent();
+            let log = baton.log.lock().clone();
+            log
+        }
+        let inline = run(true);
+        // 12 fibers x 9 segments, 16 children x 2.
+        assert_eq!(inline.len(), 12 * 9 + 16 * 2);
+        assert_eq!(inline, run(false));
+        assert_eq!(inline, run(true));
+    }
+
+    /// A panic while peers are parked — one on an empty queue with no wake
+    /// at all, one on a far wake — is re-raised by `run`, and teardown
+    /// cancels both and joins the pool. The queue waiter catches its
+    /// cancellation and returns (as a fault-plan SSDlet supervisor does):
+    /// it still reports to teardown instead of passing the baton to the
+    /// sleeper's queued wake.
+    #[test]
+    fn fiber_panic_with_parked_peers_propagates() {
+        let sim = Simulation::new(0);
+        let q: SimQueue<u8> = SimQueue::new(1);
+        sim.spawn("waiter", move |ctx| {
+            let _ = panic::catch_unwind(AssertUnwindSafe(|| q.pop(ctx)));
+        });
+        let woke = Arc::new(AtomicUsize::new(0));
+        let w = Arc::clone(&woke);
+        sim.spawn("sleeper", move |ctx| {
+            ctx.sleep(SimDuration::from_secs(1));
+            w.fetch_add(1, Ordering::SeqCst);
+        });
+        sim.spawn("boom", |ctx| {
+            ctx.sleep(SimDuration::from_micros(5));
+            panic!("exploded at 5 us");
+        });
+        let err = panic::catch_unwind(AssertUnwindSafe(|| run_within(sim, LIMIT))).unwrap_err();
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert_eq!(msg, "exploded at 5 us");
+        assert_eq!(woke.load(Ordering::SeqCst), 0, "a cancelled peer ran");
     }
 }
