@@ -867,7 +867,7 @@ impl Db {
                 &spec.aggregates,
                 load,
             ) {
-                Ok(mut rows) => {
+                Ok(mut rows) if !rows.is_empty() => {
                     exec::order_and_limit(&mut rows, &spec.order_by, spec.limit);
                     let stats = QueryStats {
                         offloaded_tables: vec![scan.table.clone()],
@@ -878,13 +878,17 @@ impl Db {
                     };
                     return Ok(QueryOutput { rows, stats });
                 }
-                Err(DbError::Biscuit(
+                // A global aggregate always yields one row; none means the
+                // on-device aggregator hit an evaluation error.
+                Ok(_)
+                | Err(DbError::Biscuit(
                     BiscuitError::RequestTimeout { .. } | BiscuitError::SsdletPanicked { .. },
                 )) => {
                     // Graceful degradation: the pushed-down pipeline failed
-                    // past its recovery budget; fall through to the general
-                    // host-side execution path (whose scans carry their own
-                    // fallback) for byte-identical results.
+                    // past its recovery budget or could not evaluate; fall
+                    // through to the general host-side execution path
+                    // (whose scans carry their own fallback) for
+                    // byte-identical results or the same error.
                     count(
                         ctx,
                         "db_host_fallbacks_total",

@@ -99,71 +99,14 @@ impl Expr {
                 .cloned()
                 .ok_or_else(|| DbError::TypeError(format!("column {i} out of range"))),
             Expr::Lit(v) => Ok(v.clone()),
-            Expr::Cmp(op, a, b) => {
-                let (a, b) = (a.eval_cow(row)?, b.eval_cow(row)?);
-                let ord = a
-                    .compare(&b)
-                    .ok_or_else(|| DbError::TypeError(format!("cannot compare {a:?} and {b:?}")))?;
-                let r = match op {
-                    CmpOp::Eq => ord.is_eq(),
-                    CmpOp::Ne => ord.is_ne(),
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                };
-                Ok(Value::Int(i64::from(r)))
-            }
-            Expr::And(xs) => {
-                for x in xs {
-                    if !x.eval_bool(row)? {
-                        return Ok(Value::Int(0));
-                    }
-                }
-                Ok(Value::Int(1))
-            }
-            Expr::Or(xs) => {
-                for x in xs {
-                    if x.eval_bool(row)? {
-                        return Ok(Value::Int(1));
-                    }
-                }
-                Ok(Value::Int(0))
-            }
-            Expr::Not(x) => Ok(Value::Int(i64::from(!x.eval_bool(row)?))),
-            Expr::Like(x, pat) => {
-                let v = x.eval_cow(row)?;
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| DbError::TypeError("LIKE on non-string".into()))?;
-                Ok(Value::Int(i64::from(like_match(s, pat))))
-            }
-            Expr::NotLike(x, pat) => {
-                let v = x.eval_cow(row)?;
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| DbError::TypeError("NOT LIKE on non-string".into()))?;
-                Ok(Value::Int(i64::from(!like_match(s, pat))))
-            }
-            Expr::InList(x, vals) => {
-                let v = x.eval_cow(row)?;
-                let hit = vals
-                    .iter()
-                    .any(|c| v.compare(c).map(|o| o.is_eq()).unwrap_or(false));
-                Ok(Value::Int(i64::from(hit)))
-            }
-            Expr::Between(x, lo, hi) => {
-                let v = x.eval_cow(row)?;
-                let ge = v
-                    .compare(lo)
-                    .map(|o| o.is_ge())
-                    .ok_or_else(|| DbError::TypeError("BETWEEN on incomparable values".into()))?;
-                let le = v
-                    .compare(hi)
-                    .map(|o| o.is_le())
-                    .ok_or_else(|| DbError::TypeError("BETWEEN on incomparable values".into()))?;
-                Ok(Value::Int(i64::from(ge && le)))
-            }
+            Expr::Cmp(..)
+            | Expr::And(_)
+            | Expr::Or(_)
+            | Expr::Not(_)
+            | Expr::Like(..)
+            | Expr::NotLike(..)
+            | Expr::InList(..)
+            | Expr::Between(..) => Ok(Value::Int(i64::from(self.eval_bool(row)?))),
             Expr::Arith(op, a, b) => {
                 let (x, y) = (a.eval_cow(row)?, b.eval_cow(row)?);
                 let (x, y) = (
@@ -222,16 +165,111 @@ impl Expr {
         }
     }
 
-    /// Evaluates as a boolean (nonzero numeric = true).
+    /// Evaluates as a boolean (nonzero numeric = true). Comparisons,
+    /// connectives and the string and set tests evaluate here, straight to
+    /// `bool`; [`Expr::eval`] of them is this as `Int` 0 or 1.
     ///
     /// # Errors
     ///
     /// Returns [`DbError::TypeError`] as for [`Expr::eval`].
     pub fn eval_bool(&self, row: &Row) -> DbResult<bool> {
-        let v = self.eval(row)?;
-        v.as_f64()
-            .map(|x| x != 0.0)
-            .ok_or_else(|| DbError::TypeError(format!("non-boolean predicate value {v:?}")))
+        match self {
+            Expr::Cmp(op, a, b) => {
+                let (a, b) = (a.eval_cow(row)?, b.eval_cow(row)?);
+                let ord = a
+                    .compare(&b)
+                    .ok_or_else(|| DbError::TypeError(format!("cannot compare {a:?} and {b:?}")))?;
+                Ok(match op {
+                    CmpOp::Eq => ord.is_eq(),
+                    CmpOp::Ne => ord.is_ne(),
+                    CmpOp::Lt => ord.is_lt(),
+                    CmpOp::Le => ord.is_le(),
+                    CmpOp::Gt => ord.is_gt(),
+                    CmpOp::Ge => ord.is_ge(),
+                })
+            }
+            Expr::And(xs) => {
+                for x in xs {
+                    if !x.eval_bool(row)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Expr::Or(xs) => {
+                for x in xs {
+                    if x.eval_bool(row)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+            Expr::Not(x) => Ok(!x.eval_bool(row)?),
+            Expr::Like(x, pat) => {
+                let v = x.eval_cow(row)?;
+                let s = v
+                    .as_str()
+                    .ok_or_else(|| DbError::TypeError("LIKE on non-string".into()))?;
+                Ok(like_match(s, pat))
+            }
+            Expr::NotLike(x, pat) => {
+                let v = x.eval_cow(row)?;
+                let s = v
+                    .as_str()
+                    .ok_or_else(|| DbError::TypeError("NOT LIKE on non-string".into()))?;
+                Ok(!like_match(s, pat))
+            }
+            Expr::InList(x, vals) => {
+                let v = x.eval_cow(row)?;
+                Ok(vals
+                    .iter()
+                    .any(|c| v.compare(c).map(|o| o.is_eq()).unwrap_or(false)))
+            }
+            Expr::Between(x, lo, hi) => {
+                let v = x.eval_cow(row)?;
+                let ge = v
+                    .compare(lo)
+                    .map(|o| o.is_ge())
+                    .ok_or_else(|| DbError::TypeError("BETWEEN on incomparable values".into()))?;
+                let le = v
+                    .compare(hi)
+                    .map(|o| o.is_le())
+                    .ok_or_else(|| DbError::TypeError("BETWEEN on incomparable values".into()))?;
+                Ok(ge && le)
+            }
+            _ => {
+                let v = self.eval(row)?;
+                v.as_f64()
+                    .map(|x| x != 0.0)
+                    .ok_or_else(|| DbError::TypeError(format!("non-boolean predicate value {v:?}")))
+            }
+        }
+    }
+
+    /// Appends the index of every column the expression reads to `out`
+    /// (repeats included, in no particular order).
+    pub(crate) fn columns(&self, out: &mut Vec<usize>) {
+        match self {
+            Expr::Col(i) => out.push(*i),
+            Expr::Lit(_) => {}
+            Expr::And(xs) | Expr::Or(xs) => xs.iter().for_each(|x| x.columns(out)),
+            Expr::Cmp(_, a, b) | Expr::Arith(_, a, b) => {
+                a.columns(out);
+                b.columns(out);
+            }
+            Expr::Case(c, a, b) => {
+                c.columns(out);
+                a.columns(out);
+                b.columns(out);
+            }
+            Expr::Not(x)
+            | Expr::Like(x, _)
+            | Expr::NotLike(x, _)
+            | Expr::InList(x, _)
+            | Expr::Between(x, ..)
+            | Expr::Year(x)
+            | Expr::Prefix(x, _) => x.columns(out),
+        }
     }
 }
 

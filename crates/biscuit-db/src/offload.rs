@@ -14,7 +14,7 @@ use biscuit_fs::File;
 use biscuit_ssd::pattern::{PatternLimits, PatternSet};
 
 use crate::expr::Expr;
-use crate::value::{row_from_text, ColumnType, Row};
+use crate::value::{fields, row_from_text, ColumnType, Row, Value};
 
 /// Arguments handed to the scan SSDlet at instantiation.
 #[derive(Debug, Clone)]
@@ -86,24 +86,29 @@ struct Aggregator {
 
 impl Ssdlet for Aggregator {
     fn run(&mut self, ctx: &mut TaskCtx<'_>) {
-        let mut states: Vec<crate::exec::AggState> = self
-            .args
-            .aggs
+        let aggs = &self.args.aggs;
+        let mut states: Vec<crate::exec::AggState> = aggs
             .iter()
             .map(|(fun, _)| crate::exec::AggState::new(*fun))
             .collect();
+        // The first evaluation error stops the fold, but the input is still
+        // drained so the scan's sends never fail. No result row is sent
+        // then: the host reads that as a failed pushdown and runs the query
+        // on its own path, which reports the error.
+        let mut folding = true;
         while let Some(batch) = ctx.recv::<Vec<Row>>(0).expect("typed input") {
-            ctx.compute_bytes((batch.len() * 16 * self.args.aggs.len()) as u64);
-            for row in &batch {
-                for ((_, expr), st) in self.args.aggs.iter().zip(states.iter_mut()) {
-                    if let Ok(v) = expr.eval(row) {
-                        st.update(&v);
-                    }
-                }
-            }
+            ctx.compute_bytes((batch.len() * 16 * aggs.len()) as u64);
+            folding = folding
+                && batch.iter().all(|row| {
+                    aggs.iter()
+                        .zip(states.iter_mut())
+                        .all(|((_, expr), st)| expr.eval(row).map(|v| st.update(&v)).is_ok())
+                });
         }
-        let row: Row = states.iter().map(crate::exec::AggState::finish).collect();
-        ctx.send(0, vec![row]).expect("host port open");
+        if folding {
+            let row: Row = states.iter().map(crate::exec::AggState::finish).collect();
+            ctx.send(0, vec![row]).expect("host port open");
+        }
     }
 }
 
@@ -129,26 +134,21 @@ impl Ssdlet for ScanFilter {
                 self.args.queue_depth,
             )
             .expect("scan of a catalog table file");
+        let mut filter = LineFilter::new(&self.args.types, &self.args.predicate);
         let mut batch: Vec<Row> = Vec::with_capacity(self.args.batch_rows);
         for (_page_idx, page) in hits {
             let offsets = pattern.find_all(&page);
             let mut charged = 0u64;
             for (start, end) in candidate_lines(&page, &offsets) {
                 charged += (end - start) as u64;
-                let Ok(line) = std::str::from_utf8(&page[start..end]) else {
+                let Some(row) = filter.ship(&page[start..end]) else {
                     continue;
                 };
-                let trimmed = line.trim_end_matches('~');
-                let Some(row) = row_from_text(&self.args.types, trimmed) else {
-                    continue; // padding fragment or key hit inside padding
-                };
-                if self.args.predicate.eval_bool(&row).unwrap_or(false) {
-                    batch.push(row);
-                    if batch.len() >= self.args.batch_rows {
-                        let full =
-                            std::mem::replace(&mut batch, Vec::with_capacity(self.args.batch_rows));
-                        ctx.send(0, full).expect("host port open while scanning");
-                    }
+                batch.push(row);
+                if batch.len() >= self.args.batch_rows {
+                    let full =
+                        std::mem::replace(&mut batch, Vec::with_capacity(self.args.batch_rows));
+                    ctx.send(0, full).expect("host port open while scanning");
                 }
             }
             // Device CPU pays for parsing/verifying the candidate lines.
@@ -160,33 +160,268 @@ impl Ssdlet for ScanFilter {
     }
 }
 
+/// The scan filter's verdict on one candidate line, reading field slices
+/// of the page: only the columns the predicate reads are parsed, into a
+/// view row reused from line to line, and the full row is built only for
+/// a line that ships.
+struct LineFilter<'a> {
+    types: &'a [ColumnType],
+    predicate: &'a Expr,
+    /// `reads[c]`: the predicate reads column `c`.
+    reads: Vec<bool>,
+    /// The current line's predicate columns; the other cells are
+    /// placeholders the predicate never reads. A `Str` column's cell is
+    /// always a `Value::Str`, so its buffer is reused.
+    view: Row,
+}
+
+impl<'a> LineFilter<'a> {
+    fn new(types: &'a [ColumnType], predicate: &'a Expr) -> Self {
+        let mut cols = Vec::new();
+        predicate.columns(&mut cols);
+        let reads = (0..types.len()).map(|c| cols.contains(&c)).collect();
+        let view = types
+            .iter()
+            .map(|ty| match ty {
+                ColumnType::Str => Value::Str(String::new()),
+                _ => Value::Int(0),
+            })
+            .collect();
+        LineFilter {
+            types,
+            predicate,
+            reads,
+            view,
+        }
+    }
+
+    /// The row `line` ships as, or `None` if it is dropped. A line ships iff
+    /// it is UTF-8, [`row_from_text`] parses it with its `~` padding
+    /// trimmed, and the predicate holds on that row without error; it
+    /// ships as that row. Padding fragments and key hits inside padding
+    /// fail the framing.
+    fn ship(&mut self, line: &[u8]) -> Option<Row> {
+        let line = std::str::from_utf8(line).ok()?.trim_end_matches('~');
+        let mut n = 0;
+        for f in fields(line)? {
+            let ty = *self.types.get(n)?;
+            if self.reads[n] {
+                match &mut self.view[n] {
+                    Value::Str(s) => {
+                        s.clear();
+                        s.push_str(f);
+                    }
+                    cell => *cell = Value::from_text(ty, f)?,
+                }
+            }
+            n += 1;
+        }
+        if n != self.types.len() || !self.predicate.eval_bool(&self.view).unwrap_or(false) {
+            return None;
+        }
+        // Parses the columns outside the predicate too: one that does not
+        // parse still drops the line.
+        row_from_text(self.types, line)
+    }
+}
+
 /// Line spans (start..end, exclusive of `\n`) containing any of `offsets`,
-/// deduplicated and in page order.
+/// deduplicated and in page order. A hit on a `\n` byte belongs to the line
+/// that byte ends. `offsets` must ascend, as [`PatternSet::find_all`]
+/// returns them: one forward sweep skips the hits inside the current span,
+/// and the backward search for a line's start stops at the previous span's
+/// end.
 pub fn candidate_lines(page: &[u8], offsets: &[usize]) -> Vec<(usize, usize)> {
     let mut spans: Vec<(usize, usize)> = Vec::new();
     for &o in offsets {
         if o >= page.len() {
-            continue;
+            break;
         }
-        let start = page[..o]
+        let floor = match spans.last() {
+            Some(&(_, end)) if o <= end => continue,
+            Some(&(_, end)) => end,
+            None => 0,
+        };
+        let start = page[floor..o]
             .iter()
             .rposition(|&b| b == b'\n')
-            .map_or(0, |p| p + 1);
+            .map_or(floor, |p| floor + p + 1);
         let end = page[o..]
             .iter()
             .position(|&b| b == b'\n')
             .map_or(page.len(), |p| o + p);
-        if spans.last() != Some(&(start, end)) {
-            spans.push((start, end));
-        }
+        spans.push((start, end));
     }
-    spans.dedup();
     spans
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::CmpOp;
+    use proptest::prelude::*;
+
+    /// The scan filter's line verdict before field slicing: parse every
+    /// column, then evaluate.
+    fn reference_ship(types: &[ColumnType], predicate: &Expr, line: &[u8]) -> Option<Row> {
+        let line = std::str::from_utf8(line).ok()?;
+        let row = row_from_text(types, line.trim_end_matches('~'))?;
+        predicate.eval_bool(&row).unwrap_or(false).then_some(row)
+    }
+
+    /// [`candidate_lines`] before the forward sweep: both newline searches
+    /// run from the hit to the page edges.
+    fn reference_candidate_lines(page: &[u8], offsets: &[usize]) -> Vec<(usize, usize)> {
+        let mut spans: Vec<(usize, usize)> = Vec::new();
+        for &o in offsets {
+            if o >= page.len() {
+                continue;
+            }
+            let start = page[..o]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |p| p + 1);
+            let end = page[o..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(page.len(), |p| o + p);
+            if spans.last() != Some(&(start, end)) {
+                spans.push((start, end));
+            }
+        }
+        spans.dedup();
+        spans
+    }
+
+    const TYPES: [ColumnType; 4] = [
+        ColumnType::Int,
+        ColumnType::Str,
+        ColumnType::Float,
+        ColumnType::Date,
+    ];
+
+    /// Predicates over [`TYPES`]: they read some columns and not others,
+    /// and some cannot be evaluated (a `LIKE` on a number, an out-of-range
+    /// column, a non-boolean value).
+    fn predicate() -> impl Strategy<Value = Expr> {
+        let date = |s| Value::date(s);
+        prop::sample::select(vec![
+            Expr::col_cmp(2, CmpOp::Lt, Value::Float(50.0)),
+            Expr::Like(Box::new(Expr::Col(1)), "%AB%".into()),
+            Expr::And(vec![
+                Expr::Between(
+                    Box::new(Expr::Col(3)),
+                    date("1994-01-01"),
+                    date("1994-12-31"),
+                ),
+                Expr::col_cmp(0, CmpOp::Ge, Value::Int(5)),
+            ]),
+            Expr::Or(vec![
+                Expr::InList(
+                    Box::new(Expr::Col(1)),
+                    vec![Value::Str("AB".into()), Value::Str("x|".into())],
+                ),
+                Expr::Not(Box::new(Expr::col_eq(0, Value::Int(3)))),
+            ]),
+            Expr::Like(Box::new(Expr::Col(2)), "%1%".into()),
+            Expr::col_eq(7, Value::Int(1)),
+            Expr::Col(1),
+            Expr::Lit(Value::Int(1)),
+        ])
+    }
+
+    /// A field: the spelling of some column type, or something no type
+    /// parses, or a byte the framing cares about.
+    fn field() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0i64..12).prop_map(|v| v.to_string()),
+            (0u32..10_000).prop_map(|v| format!("{}.{:02}", v / 100, v % 100)),
+            (1992i32..1997, 1u32..=12, 1u32..=31)
+                .prop_map(|(y, m, d)| format!("{y}-{m:02}-{d:02}")),
+            prop::sample::select(vec!["AB", "xAByy", "", "1995-", "~", "-0.00", "1e3", "é"])
+                .prop_map(String::from),
+            prop::collection::vec(prop::sample::select(b"ab19|~.-".to_vec()), 0..7)
+                .prop_map(|b| String::from_utf8(b).expect("ASCII")),
+        ]
+    }
+
+    /// A candidate line as a page holds it, padding and all, or mangled.
+    fn line() -> impl Strategy<Value = Vec<u8>> {
+        let framed = (prop::collection::vec(field(), 0..7), 0usize..4).prop_map(|(fields, pad)| {
+            let mut s = format!("|{}|", fields.join("|"));
+            s.push_str(&"~".repeat(pad));
+            s.into_bytes()
+        });
+        let good = (0i64..12, field(), 0u32..10_000, 1u32..=12).prop_map(|(id, s, c, m)| {
+            format!("|{id}|{s}|{}.{:02}|1994-{m:02}-15|", c / 100, c % 100).into_bytes()
+        });
+        prop_oneof![
+            3 => good,
+            3 => framed,
+            1 => prop::collection::vec(prop::sample::select(b"|~ab1.-".to_vec()), 0..12),
+            1 => (0usize..4).prop_map(|n| vec![b'~'; n]),
+            1 => prop::collection::vec(any::<u8>(), 0..24),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Field slicing and parsing only the predicate's columns ships
+        /// exactly the lines, and the rows, that parsing all of them did.
+        #[test]
+        fn line_verdict_equals_the_parse_everything_reference(
+            pred in predicate(),
+            lines in prop::collection::vec(line(), 1..8),
+        ) {
+            let mut filter = LineFilter::new(&TYPES, &pred);
+            for line in &lines {
+                prop_assert_eq!(
+                    filter.ship(line),
+                    reference_ship(&TYPES, &pred, line),
+                    "line {:?}",
+                    String::from_utf8_lossy(line)
+                );
+            }
+        }
+
+        /// Hits on `\n` bytes, at both page edges, past the end and several
+        /// to a line give the spans the two-sided search gave.
+        #[test]
+        fn candidate_lines_equal_the_two_sided_reference(
+            page in prop::collection::vec(prop::sample::select(b"\n\nab|~".to_vec()), 0..96),
+            picks in prop::collection::vec(0usize..100, 0..24),
+        ) {
+            let len = page.len();
+            let mut offsets: Vec<usize> = picks
+                .iter()
+                .map(|&p| match p {
+                    0..=89 => p * len / 90,
+                    90..=94 => len.saturating_sub(1),
+                    _ => len + p - 95,
+                })
+                .collect();
+            offsets.sort_unstable();
+            prop_assert_eq!(
+                candidate_lines(&page, &offsets),
+                reference_candidate_lines(&page, &offsets)
+            );
+        }
+    }
+
+    /// Keys that hit inside padding and a line that is padding only.
+    #[test]
+    fn padding_lines_never_ship() {
+        let pred = Expr::Like(Box::new(Expr::Col(1)), "%~%".into());
+        let mut filter = LineFilter::new(&TYPES, &pred);
+        let page = b"|1|a~|1.00|1994-01-01|~~~\n~~~~";
+        for (start, end) in candidate_lines(page, &[3, 22, 28]) {
+            let line = &page[start..end];
+            assert_eq!(filter.ship(line), reference_ship(&TYPES, &pred, line));
+        }
+        assert!(filter.ship(b"|1|a~|1.00|1994-01-01|~~~").is_some());
+        assert_eq!(filter.ship(b"~~~~"), None);
+    }
 
     #[test]
     fn candidate_lines_finds_enclosing_rows() {

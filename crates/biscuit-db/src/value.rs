@@ -127,15 +127,63 @@ impl Value {
         };
     }
 
-    /// Parses the text form back, guided by the column type.
+    /// Parses the text form back, guided by the column type. The spellings
+    /// [`Value::write_text`] stores for floats and dates take an exact fast
+    /// path; every other spelling goes through `str::parse` / [`parse_date`].
     pub fn from_text(ty: ColumnType, s: &str) -> Option<Value> {
         match ty {
             ColumnType::Int => s.parse().ok().map(Value::Int),
-            ColumnType::Float => s.parse().ok().map(Value::Float),
+            ColumnType::Float => decimal(s.as_bytes())
+                .or_else(|| s.parse().ok())
+                .map(Value::Float),
             ColumnType::Str => Some(Value::Str(s.to_owned())),
-            ColumnType::Date => parse_date(s).map(Value::Date),
+            ColumnType::Date => iso_date(s.as_bytes())
+                .or_else(|| parse_date(s))
+                .map(Value::Date),
         }
     }
+}
+
+/// `-?d+.d+` with at most 15 digits in all, as `m / 10^k`: `m` and `10^k`
+/// are both exact doubles, so the one IEEE division is correctly rounded,
+/// which is what `str::parse` returns for the same text.
+fn decimal(s: &[u8]) -> Option<f64> {
+    const POW10: [f64; 16] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+    ];
+    let (neg, s) = match s.split_first() {
+        Some((b'-', rest)) => (true, rest),
+        _ => (false, s),
+    };
+    let dot = s.iter().position(|&b| b == b'.')?;
+    let (int, frac) = (&s[..dot], &s[dot + 1..]);
+    if int.is_empty() || frac.is_empty() || int.len() + frac.len() > 15 {
+        return None;
+    }
+    let v = ascii_number(int.iter().chain(frac))? as f64 / POW10[frac.len()];
+    Some(if neg { -v } else { v })
+}
+
+/// Exactly `dddd-dd-dd` with a month in 1-12 and a day in 1-31, as
+/// [`parse_date`] reads it.
+fn iso_date(s: &[u8]) -> Option<i32> {
+    let [y0, y1, y2, y3, b'-', m0, m1, b'-', d0, d1] = *s else {
+        return None;
+    };
+    let y = ascii_number(&[y0, y1, y2, y3])?;
+    let (m, d) = (ascii_number(&[m0, m1])?, ascii_number(&[d0, d1])?);
+    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+        return None;
+    }
+    Some(days_from_civil(y as i32, m as u32, d as u32))
+}
+
+/// The number a short run of ASCII digits spells, or `None` if a byte is
+/// not a digit.
+fn ascii_number<'a>(digits: impl IntoIterator<Item = &'a u8>) -> Option<u64> {
+    digits.into_iter().try_fold(0u64, |acc, &b| {
+        b.is_ascii_digit().then(|| acc * 10 + u64::from(b - b'0'))
+    })
 }
 
 impl fmt::Display for Value {
@@ -161,12 +209,12 @@ pub fn row_to_text(row: &Row) -> String {
 
 /// Parses one `|`-delimited line back into a row.
 pub fn row_from_text(types: &[ColumnType], line: &str) -> Option<Row> {
-    let line = line.strip_prefix('|')?.strip_suffix('|')?;
+    let mut fields = fields(line)?;
+    // Exactly `types.len()` cells: a grown `Vec` would leave every cached
+    // row with slack capacity.
     let mut row = Vec::with_capacity(types.len());
-    let mut fields = line.split('|');
     for &ty in types {
-        let f = fields.next()?;
-        row.push(Value::from_text(ty, f)?);
+        row.push(Value::from_text(ty, fields.next()?)?);
     }
     if fields.next().is_some() {
         return None; // too many fields
@@ -174,13 +222,31 @@ pub fn row_from_text(types: &[ColumnType], line: &str) -> Option<Row> {
     Some(row)
 }
 
+/// The field slices of a framed line `|f0|f1|...|fn|`, in order, or `None`
+/// if the frame is missing. One forward byte loop: each field ends at the
+/// next `|`.
+pub(crate) fn fields(line: &str) -> Option<impl Iterator<Item = &str>> {
+    let mut rest = Some(line.strip_prefix('|')?.strip_suffix('|')?);
+    Some(std::iter::from_fn(move || {
+        let s = rest?;
+        match s.bytes().position(|b| b == b'|') {
+            Some(i) => {
+                rest = Some(&s[i + 1..]);
+                Some(&s[..i])
+            }
+            None => rest.take(),
+        }
+    }))
+}
+
 /// Days-since-epoch for `YYYY-MM-DD` (proleptic Gregorian, 1970 epoch).
+/// Years past 1 000 000 are rejected: their day counts overflow `i32`.
 pub fn parse_date(s: &str) -> Option<i32> {
     let mut it = s.split('-');
     let y: i32 = it.next()?.parse().ok()?;
     let m: u32 = it.next()?.parse().ok()?;
     let d: u32 = it.next()?.parse().ok()?;
-    if it.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+    if it.next().is_some() || y > 1_000_000 || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
         return None;
     }
     Some(days_from_civil(y, m, d))
@@ -317,6 +383,8 @@ mod tests {
         assert_eq!(parse_date("1995-13-01"), None);
         assert_eq!(parse_date("nope"), None);
         assert_eq!(parse_date("1995-01"), None);
+        assert_eq!(parse_date("+685043208-3-1"), None); // would overflow
+        assert!(parse_date("1000000-01-01").is_some());
     }
 
     #[test]
@@ -385,5 +453,102 @@ mod tests {
         assert!(row_from_text(&types, "|1|2|3|").is_none()); // too many
         assert!(row_from_text(&types, "1|2|").is_none()); // missing frame
         assert!(row_from_text(&types, "|a|2|").is_none()); // bad int
+    }
+
+    /// Floats bit for bit as `str::parse` reads them, dates as
+    /// [`parse_date`] does, whichever path a spelling takes.
+    fn assert_parses_like_std(s: &str) {
+        let want = s.parse::<f64>().ok().map(f64::to_bits);
+        let got = match Value::from_text(ColumnType::Float, s) {
+            Some(Value::Float(v)) => Some(v.to_bits()),
+            None => None,
+            other => panic!("{s:?} parsed as {other:?}"),
+        };
+        assert_eq!(got, want, "float {s:?}");
+        let got = match Value::from_text(ColumnType::Date, s) {
+            Some(Value::Date(d)) => Some(d),
+            None => None,
+            other => panic!("{s:?} parsed as {other:?}"),
+        };
+        assert_eq!(got, parse_date(s), "date {s:?}");
+    }
+
+    #[test]
+    fn fast_paths_agree_with_std_on_the_edges() {
+        for s in [
+            "-0.00",
+            "0.00",
+            "123456789012.345",
+            "999999999999999.9",
+            "1234567890123.456",
+            "-12345678901234.5",
+            "0.000000000000001",
+            "0.1",
+            "+1.50",
+            "1.",
+            ".5",
+            "-.5",
+            "1e3",
+            "1.5e3",
+            "inf",
+            "NaN",
+            "-",
+            "",
+            "1.2.3",
+            "1995-09-01",
+            "1995-9-01",
+            "1995-13-01",
+            "1995-00-10",
+            "1995-01-32",
+            "1995-02-31",
+            "0000-01-01",
+            "+995-01-01",
+            "1995-01-01-",
+            "19950-01-01",
+        ] {
+            assert_parses_like_std(s);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn fast_paths_agree_with_std(
+            sign in proptest::sample::select(vec!["", "-", "+"]),
+            int in "[0-9]{0,9}",
+            dot in proptest::sample::select(vec![".", "", "-", ".."]),
+            frac in "[0-9]{0,8}",
+            tail in proptest::sample::select(vec!["", "-01", "-1", "e2", "x"]),
+        ) {
+            assert_parses_like_std(&format!("{sign}{int}{dot}{frac}{tail}"));
+        }
+
+        #[test]
+        fn stored_floats_and_dates_round_trip(
+            cents in proptest::prelude::any::<i64>(),
+            days in -719_528i32..2_932_897,
+        ) {
+            let cents = cents % 1_000_000_000_000_000;
+            let v = Value::Float(cents as f64 / 100.0);
+            assert_parses_like_std(&v.to_text());
+            let d = Value::Date(days);
+            assert_parses_like_std(&d.to_text());
+            proptest::prop_assert_eq!(Value::from_text(ColumnType::Date, &d.to_text()), Some(d));
+        }
+    }
+
+    #[test]
+    fn parsed_rows_hold_exactly_their_cells() {
+        let types = [
+            ColumnType::Int,
+            ColumnType::Str,
+            ColumnType::Float,
+            ColumnType::Date,
+            ColumnType::Str,
+        ];
+        let row = row_from_text(&types, "|7|x|1.50|1995-09-14|y|").unwrap();
+        assert_eq!(row.len(), types.len());
+        assert_eq!(row.capacity(), types.len());
     }
 }

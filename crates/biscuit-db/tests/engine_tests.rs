@@ -7,9 +7,9 @@ use std::sync::Arc;
 use biscuit_sim::sync::Mutex;
 
 use biscuit_core::{CoreConfig, Ssd};
-use biscuit_db::expr::{pattern_keys, CmpOp, Expr};
+use biscuit_db::expr::{pattern_keys, ArithOp, CmpOp, Expr};
 use biscuit_db::spec::{AggFun, ExecMode, OrderKey, SelectSpec};
-use biscuit_db::{ColumnType, Db, DbConfig, QueryOutput, Row, Schema, Value};
+use biscuit_db::{ColumnType, Db, DbConfig, DbResult, QueryOutput, Row, Schema, Value};
 use biscuit_fs::Fs;
 use biscuit_host::{HostConfig, HostLoad};
 use biscuit_sim::Simulation;
@@ -58,12 +58,16 @@ fn load_items(db: &mut Db, rows: usize, stride: usize) {
 }
 
 fn run_query(db: Arc<Db>, spec: SelectSpec, mode: ExecMode) -> QueryOutput {
+    try_query(db, spec, mode).unwrap()
+}
+
+/// Runs one query to quiescence and returns what it returned.
+fn try_query(db: Arc<Db>, spec: SelectSpec, mode: ExecMode) -> DbResult<QueryOutput> {
     let sim = Simulation::new(0);
     let out = Arc::new(Mutex::new(None));
     let o = Arc::clone(&out);
     sim.spawn("host", move |ctx| {
-        let r = db.execute(ctx, &spec, mode, HostLoad::IDLE).unwrap();
-        *o.lock() = Some(r);
+        *o.lock() = Some(db.execute(ctx, &spec, mode, HostLoad::IDLE));
     });
     sim.run().assert_quiescent();
     let result = out.lock().take().unwrap();
@@ -325,6 +329,40 @@ fn aggregate_pushdown_extension_matches_host_aggregation() {
         pushed.stats.link_bytes_to_host,
         plain.stats.link_bytes_to_host
     );
+}
+
+/// An aggregate input the device cannot evaluate (`category * 2` over a
+/// string column) fails in all three engines with the host's error; the
+/// on-device aggregator used to skip the bad rows and return a sum of 0.
+#[test]
+fn aggregate_pushdown_reports_the_evaluation_error_the_host_does() {
+    let spec = || {
+        let mut spec = selective_spec();
+        spec.aggregates = vec![(
+            AggFun::Sum,
+            Expr::Arith(
+                ArithOp::Mul,
+                Box::new(Expr::Col(1)),
+                Box::new(Expr::Lit(Value::Int(2))),
+            ),
+        )];
+        spec
+    };
+    let run = |pushdown: bool, mode: ExecMode| {
+        let mut db = make_db_with(DbConfig {
+            aggregate_pushdown: pushdown,
+            ..DbConfig::paper_default()
+        });
+        load_items(&mut db, 30_000, 500);
+        match try_query(Arc::new(db), spec(), mode) {
+            Ok(out) => panic!("pushdown {pushdown}, {mode:?}: returned {:?}", out.rows),
+            Err(e) => e.to_string(),
+        }
+    };
+    let conv = run(false, ExecMode::Conv);
+    assert_eq!(conv, "type error: arith on non-number");
+    assert_eq!(run(false, ExecMode::Biscuit), conv);
+    assert_eq!(run(true, ExecMode::Biscuit), conv);
 }
 
 /// With the panic budget larger than the restart budget the scan SSDlet

@@ -158,7 +158,7 @@ impl PatternSet {
 
     /// True if any keyword occurs in `data` (the IP's page-granular verdict).
     pub fn matches(&self, data: &[u8]) -> bool {
-        self.keys.iter().any(|k| find_sub(data, k).is_some())
+        self.keys.iter().any(|k| !for_each_hit(data, k, |_| false))
     }
 
     /// Byte offsets of every occurrence of every keyword (diagnostic /
@@ -166,14 +166,10 @@ impl PatternSet {
     pub fn find_all(&self, data: &[u8]) -> Vec<usize> {
         let mut hits = Vec::new();
         for k in &self.keys {
-            let mut from = 0;
-            while let Some(pos) = find_sub(&data[from..], k) {
-                hits.push(from + pos);
-                from += pos + 1;
-                if from >= data.len() {
-                    break;
-                }
-            }
+            for_each_hit(data, k, |i| {
+                hits.push(i);
+                true
+            });
         }
         hits.sort_unstable();
         hits.dedup();
@@ -181,29 +177,48 @@ impl PatternSet {
     }
 }
 
-/// Haystack positions examined per step of [`find_sub`]'s pair filter.
+/// Haystack positions examined per step of [`for_each_hit`]'s pair filter.
 const BLOCK: usize = 32;
 
-/// Substring search used by the matcher model. Virtual *timing* comes from
-/// the channel-rate shaper in the device datapath, but every scanned page
-/// really runs through here, and a byte-at-a-time walk made this the
-/// simulator's hottest loop. So candidates are filtered a block at a time:
-/// position `i` can start a hit only if `haystack[i]` is the needle's first
-/// byte and `haystack[i + m - 1]` its last. Comparing `BLOCK` positions of
-/// both lanes and OR-ing the results into one flag has fixed-size,
-/// branch-free inner loops that LLVM turns into vector compares on every
-/// baseline target; only a flagged block is verified byte by byte.
-fn find_sub(haystack: &[u8], needle: &[u8]) -> Option<usize> {
+/// Substring search used by the matcher model: calls `hit` with every
+/// offset at which `needle` occurs in `haystack`, ascending and overlaps
+/// included, until `hit` returns `false`. Returns `false` iff it was
+/// stopped that way. Virtual *timing* comes from the channel-rate shaper in
+/// the device datapath, but every scanned page really runs through here,
+/// and a byte-at-a-time walk made this the simulator's hottest loop. So
+/// candidates are filtered a block at a time: position `i` can start a hit
+/// only if `haystack[i]` is the needle's first byte and `haystack[i + m -
+/// 1]` its last. Comparing `BLOCK` positions of both lanes and OR-ing the
+/// results into one flag has fixed-size, branch-free inner loops that LLVM
+/// turns into vector compares on every baseline target. Only a flagged
+/// block builds the mask of its positions that pass the filter, and only
+/// the set bits of that mask are verified.
+fn for_each_hit(haystack: &[u8], needle: &[u8], mut hit: impl FnMut(usize) -> bool) -> bool {
     let m = needle.len();
     if m == 0 || m > haystack.len() {
-        return None;
+        return true;
     }
     let (first, last) = (needle[0], needle[m - 1]);
     // One entry per candidate start: its first byte, and its last byte.
     let firsts = &haystack[..=haystack.len() - m];
     let lasts = &haystack[m - 1..];
-    let verify = |mut range: std::ops::Range<usize>| {
-        range.find(|&i| firsts[i] == first && lasts[i] == last && &haystack[i..i + m] == needle)
+    // Bit `j` set: position `j` of the block passes the pair filter.
+    let pairs = |f: &[u8], l: &[u8]| {
+        let mut mask = 0u32;
+        for (j, (&x, &y)) in f.iter().zip(l).enumerate() {
+            mask |= u32::from((x == first) & (y == last)) << j;
+        }
+        mask
+    };
+    let mut verify = |base: usize, mut mask: u32| {
+        while mask != 0 {
+            let i = base + mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if &haystack[i..i + m] == needle && !hit(i) {
+                return false;
+            }
+        }
+        true
     };
     let blocks = firsts.chunks_exact(BLOCK).zip(lasts.chunks_exact(BLOCK));
     for (b, (f, l)) in blocks.enumerate() {
@@ -211,13 +226,12 @@ fn find_sub(haystack: &[u8], needle: &[u8]) -> Option<usize> {
         for (&x, &y) in f.iter().zip(l) {
             flag |= (x == first) & (y == last);
         }
-        if flag {
-            if let Some(i) = verify(b * BLOCK..(b + 1) * BLOCK) {
-                return Some(i);
-            }
+        if flag && !verify(b * BLOCK, pairs(f, l)) {
+            return false;
         }
     }
-    verify(firsts.len() / BLOCK * BLOCK..firsts.len())
+    let tail = firsts.len() / BLOCK * BLOCK;
+    verify(tail, pairs(&firsts[tail..], &lasts[tail..]))
 }
 
 #[cfg(test)]

@@ -75,14 +75,57 @@ proptest! {
     }
 }
 
+/// A 16 KiB page of `lineitem`-shaped rows, `|`-framed columns with three
+/// `dddd-dd-dd` dates each, padded with `~` like a table page: the bytes a
+/// date key starts and ends with occur in every column.
+fn tpch_page(rows: &[(u32, u32, u32, u32)]) -> Vec<u8> {
+    const PAGE: usize = 16 << 10;
+    let mut page = Vec::with_capacity(PAGE);
+    for &(key, y, m, d) in rows {
+        let line = format!(
+            "|{key}|{}|{}|{}.00|{}.{:02}|0.0{}|0.0{}|N|O|{y}-{m:02}-{d:02}|{y}-{:02}-{:02}|{}-{m:02}-{d:02}|DELIVER IN PERSON|TRUCK|ironic {key} deposits|\n",
+            key % 2000,
+            key % 7,
+            key % 50,
+            key % 90_000,
+            key % 100,
+            key % 10,
+            key % 8,
+            m % 12 + 1,
+            (d + 3) % 28 + 1,
+            y + 1,
+        );
+        if page.len() + line.len() > PAGE {
+            break;
+        }
+        page.extend_from_slice(line.as_bytes());
+    }
+    page.resize(PAGE, b'~');
+    page
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Two pages per case: one over a four-letter alphabet, and one of
+    /// TPC-H rows searched for the planner's date-prefix keys and other
+    /// keys made of structural bytes.
     #[test]
     fn matcher_equals_reference_on_a_page(
         data in proptest::collection::vec(0u8..4, 16 << 10),
         keys in keys_of(0u8..4),
+        rows in proptest::collection::vec((0u32..1 << 20, 1992u32..1999, 1u32..=12, 1u32..=28), 160),
+        tpch_keys in proptest::sample::select(vec![
+            vec!["|1994-"],
+            vec!["|1995-09"],
+            vec!["|1995-09", "|1995-10", "|1995-11"],
+            vec!["|1993-", "|1994-", "|1995-"],
+            vec!["-01|", "|N|O|", "0|"],
+            vec!["||", "|~", "~~"],
+        ]),
     ) {
         assert_agrees(&data, &keys)?;
+        let tpch_keys: Vec<Vec<u8>> = tpch_keys.iter().map(|k| k.as_bytes().to_vec()).collect();
+        assert_agrees(&tpch_page(&rows), &tpch_keys)?;
     }
 }
