@@ -292,8 +292,10 @@ impl BufPool {
             return Frame { data };
         }
         self.allocated.fetch_add(1, Ordering::Relaxed);
+        // One allocation holding the counts and the zeroed bytes; going
+        // through a `Vec` would allocate twice and copy.
         Frame {
-            data: Arc::from(vec![0u8; self.frame_size].into_boxed_slice()),
+            data: std::iter::repeat_n(0u8, self.frame_size).collect(),
         }
     }
 

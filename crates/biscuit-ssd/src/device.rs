@@ -311,8 +311,10 @@ impl SsdDevice {
         );
         ftl.set_checkpoint_interval(cfg.journal_checkpoint_interval);
         let zero_page: PageBuf = Buf::from_vec(vec![0u8; cfg.page_size]);
-        // Page frames for write staging and recycled synth-cache evictions;
-        // the free-list cap keeps idle frames bounded by one cache's worth.
+        // Page frames for write staging and synth-cache renders. A miss
+        // evicts before it takes, so on a full cache it reuses the frame it
+        // just evicted and the free list stays short; the cap bounds it at
+        // one cache's worth of idle frames.
         let pool = BufPool::new(cfg.page_size, cfg.synth_cache_pages.max(64));
         SsdDevice {
             dies: ServerBank::new(cfg.channels * cfg.ways),
@@ -508,9 +510,10 @@ impl SsdDevice {
 
     /// Materializes fetched page data. `Bytes` pages share their stored
     /// allocation. `Synth` pages are served from the device's synth cache
-    /// when possible; on a miss the generator runs (counted as a
-    /// `nand_synth` copy — the one place a fresh page buffer is filled) and
-    /// the result is cached, evicting the oldest entry first.
+    /// when possible. On a miss the oldest entry is evicted first, its frame
+    /// going back to the pool unless a reader still holds it, and the page
+    /// is rendered into a frame taken from the pool (counted as a
+    /// `nand_synth` copy — the one place a page frame is filled).
     /// An untimed caller (`ctx` is `None`) runs in no simulation and counts
     /// nothing.
     fn materialize_counted(&self, ctx: Option<&Ctx>, d: &PageData) -> PageBuf {
@@ -520,16 +523,13 @@ impl SsdDevice {
         };
         let cap = self.cfg.synth_cache_pages;
         if cap == 0 {
-            self.count_copy(ctx, CopySite::NandSynth, self.cfg.page_size as u64);
-            return d.materialize(self.cfg.page_size);
+            return self.render(ctx, lpn, gen.as_ref());
         }
         let key = (Arc::as_ptr(gen) as *const u8 as usize, lpn);
         let mut cache = self.synth_cache.lock();
         if let Some((b, _pin)) = cache.map.get(&key) {
             return b.clone();
         }
-        self.count_copy(ctx, CopySite::NandSynth, self.cfg.page_size as u64);
-        let buf = d.materialize(self.cfg.page_size);
         if cache.map.len() >= cap {
             if let Some(old) = cache.order.pop_front() {
                 if let Some((evicted, _)) = cache.map.remove(&old) {
@@ -537,9 +537,18 @@ impl SsdDevice {
                 }
             }
         }
+        let buf = self.render(ctx, lpn, gen.as_ref());
         cache.map.insert(key, (buf.clone(), Arc::clone(gen)));
         cache.order.push_back(key);
         buf
+    }
+
+    /// Renders synthetic page `lpn` into a pool frame.
+    fn render(&self, ctx: Option<&Ctx>, lpn: u64, gen: &dyn PageGen) -> PageBuf {
+        self.count_copy(ctx, CopySite::NandSynth, self.cfg.page_size as u64);
+        let mut frame = self.pool.take();
+        gen.fill(lpn, frame.as_mut_slice());
+        frame.freeze()
     }
 
     /// Attaches a power meter component toggled while the datapath is busy.
@@ -1546,5 +1555,62 @@ mod tests {
             "expected a 136W busy interval, trace: {trace:?}"
         );
         assert!((meter.power_watts() - 103.0).abs() < 1e-9, "back to idle");
+    }
+
+    /// Page `lpn` is bytes `lpn * 31 + i`: every page differs from its
+    /// neighbours at every offset.
+    struct Ramp;
+
+    impl PageGen for Ramp {
+        fn fill(&self, lpn: u64, page: &mut [u8]) {
+            for (i, b) in page.iter_mut().enumerate() {
+                *b = (lpn * 31 + i as u64) as u8;
+            }
+        }
+    }
+
+    /// A 12-page synthetic file on a device caching `cache_pages` of it.
+    fn synth_device(cache_pages: usize) -> SsdDevice {
+        let dev = SsdDevice::new(SsdConfig {
+            synth_cache_pages: cache_pages,
+            ..small_cfg()
+        });
+        let gen: Arc<dyn PageGen> = Arc::new(Ramp);
+        for lpn in 0..12 {
+            let gen = Arc::clone(&gen);
+            dev.load_page(lpn, PageData::Synth { lpn, gen }).unwrap();
+        }
+        dev
+    }
+
+    #[test]
+    fn synth_miss_renders_into_an_evicted_frame_and_never_into_a_held_one() {
+        let dev = synth_device(4);
+        let ps = dev.config().page_size;
+        let expect = |lpn| Ramp.generate(lpn, ps);
+        // Two passes over three times the cache: every read misses, and
+        // from the fifth on each renders into the frame it just evicted.
+        for _ in 0..2 {
+            for lpn in 0..12 {
+                assert_eq!(dev.peek_page(lpn).unwrap(), expect(lpn), "page {lpn}");
+            }
+        }
+        let pool = dev.frame_pool();
+        assert_eq!((pool.frames_allocated(), pool.frames_recycled()), (4, 20));
+        // A reader holds page 0 while its entry is evicted (the fourth of the
+        // eight misses after it): the pool refuses that frame, and the miss
+        // takes a fresh one instead of rendering over the reader's bytes.
+        let held = dev.peek_page(0).unwrap();
+        for lpn in 1..=8 {
+            assert_eq!(dev.peek_page(lpn).unwrap(), expect(lpn), "page {lpn}");
+        }
+        assert_eq!(held, expect(0));
+        assert_eq!((pool.frames_allocated(), pool.frames_recycled()), (5, 28));
+
+        // Without a cache every read renders, into the same bytes.
+        let uncached = synth_device(0);
+        for lpn in 0..12 {
+            assert_eq!(uncached.peek_page(lpn).unwrap(), expect(lpn), "page {lpn}");
+        }
     }
 }
