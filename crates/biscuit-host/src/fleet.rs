@@ -143,22 +143,15 @@ impl<T> FleetReport<T> {
 
     /// One JSON document holding every shard's metrics snapshot in shard
     /// order: `{"shards":[<metrics>,<metrics>,...]}`. Byte-identical for
-    /// the same seed across all thread policies (the raw per-shard
-    /// snapshots are too) and both `Simulation::set_fuse` settings: the
-    /// dispatch-path meters that legitimately change with `set_fuse`
-    /// ([`biscuit_sim::fuse::VARIANT_METRICS`]) are excluded here; read
-    /// them from the per-shard reports when you want the raw engine view.
+    /// the same seed across all thread policies, the kernel's dispatch
+    /// meters included.
     pub fn metrics_json(&self) -> String {
         let mut s = String::from("{\"shards\":[");
         for (i, r) in self.reports.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            s.push_str(
-                &r.metrics
-                    .without(biscuit_sim::fuse::VARIANT_METRICS)
-                    .to_json(),
-            );
+            s.push_str(&r.metrics.to_json());
         }
         s.push_str("]}");
         s

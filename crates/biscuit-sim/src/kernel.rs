@@ -18,7 +18,6 @@
 use std::any::Any;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
@@ -160,9 +159,9 @@ struct SchedMetrics {
     context_switches: metrics::Counter,
     runnable: metrics::Gauge,
     /// Real fiber dispatches: parks resumed through the event queue.
-    /// `sim_context_switches_total` counts *logical* switches (mirrored by
-    /// inline sleeps so exports match the always-park reference engine);
-    /// the difference between the two is the parks fusion saved.
+    /// `sim_context_switches_total` counts *logical* switches (an inline
+    /// sleep counts the one its park would have made); the difference
+    /// between the two is the parks inline sleeps saved.
     fiber_switches: metrics::Counter,
     /// Fiber spawns served by a parked worker thread from the free list.
     threads_reused: metrics::Counter,
@@ -189,10 +188,6 @@ pub struct Kernel {
     metrics: MetricsRegistry,
     qprof: QueryProfiler,
     sched: SchedMetrics,
-    /// When on (the default), [`Ctx::sleep`] advances the clock inline
-    /// instead of parking whenever that is unobservable; off is the
-    /// always-park reference engine (see [`Simulation::set_fuse`]).
-    fuse_enabled: AtomicBool,
     pool: Mutex<ThreadPool>,
 }
 
@@ -236,15 +231,17 @@ impl Kernel {
     /// Returns `true` when the fiber must park (its wake is then already
     /// queued) and `false` when the wait is already over.
     ///
-    /// The inline advance is taken only when provably equivalent to a
-    /// park: fusion is on and no pending wake (stale ones included — the
-    /// dispatcher would pop and discard them, and equal timestamps would
-    /// dispatch first by sequence) exists at or before the target. It then
-    /// mirrors every piece of accounting the dispatcher would perform —
-    /// `events_processed`, the event cap, the context-switch counter, the
-    /// runnable gauge, qprof attribution, and the FiberBlock/FiberResume
-    /// trace pair — so all exports stay byte-identical to the always-park
-    /// engine.
+    /// The inline advance is taken only when it is equivalent to a park:
+    /// no pending wake (stale ones included — the dispatcher would pop and
+    /// discard them, and equal timestamps would dispatch first by sequence)
+    /// exists at or before the target. It then mirrors every piece of
+    /// accounting the dispatcher would perform — `events_processed`, the
+    /// event cap, the context-switch counter, the runnable gauge, qprof
+    /// attribution, and the FiberBlock/FiberResume trace pair — so every
+    /// export is what parking would have produced. The parked semantics are
+    /// written down as an executable spec in this crate's
+    /// `tests/kernel_spec.rs`, which checks the kernel against them on every
+    /// small program.
     fn begin_sleep(&self, pid: Pid, wake: impl FnOnce(SimTime) -> SimTime) -> bool {
         let (old_now, at, pending) = {
             let mut inner = self.inner.lock();
@@ -253,9 +250,7 @@ impl Kernel {
             if at <= old_now {
                 return false;
             }
-            let blocked = !self.fuse_enabled.load(Ordering::Relaxed)
-                || inner.events.peek().is_some_and(|ev| ev.time <= at);
-            if blocked {
+            if inner.events.peek().is_some_and(|ev| ev.time <= at) {
                 let gen = inner.fibers[pid].park_gen + 1;
                 inner.push_event(at, pid, gen);
                 return true;
@@ -750,7 +745,6 @@ impl Simulation {
             metrics,
             qprof: QueryProfiler::new(),
             sched,
-            fuse_enabled: AtomicBool::new(true),
             pool: Mutex::new(ThreadPool {
                 idle: Vec::new(),
                 workers: Vec::new(),
@@ -766,13 +760,11 @@ impl Simulation {
         self.kernel.inner.lock().max_events = max;
     }
 
-    /// `set_fuse(false)` selects the always-park reference engine: every
-    /// [`Ctx::sleep`] goes through the event queue and a fiber hand-off.
-    /// Tests compare it against the default, which must export the same
-    /// bytes at the same seed (see `docs/PERF.md`).
-    pub fn set_fuse(&self, on: bool) {
-        self.kernel.fuse_enabled.store(on, Ordering::Relaxed);
-    }
+    /// Shim for the frozen `biscuit-perf` harness: there is one engine, so
+    /// there is nothing to switch. Goes with the next `benchmark` PR
+    /// (ROADMAP 1(a)).
+    #[doc(hidden)]
+    pub fn set_fuse(&self, _on: bool) {}
 
     /// Shared kernel handle (needed by library code that schedules work).
     pub fn kernel(&self) -> &Arc<Kernel> {
@@ -1106,68 +1098,46 @@ mod tests {
 
     #[test]
     fn event_cap_aborts() {
-        // The cap binds on parked and inline sleeps alike, and two fibers
-        // ping-ponging trip it in a dispatch made on a fiber thread.
-        for fuse in [false, true] {
-            for fibers in 1..=2 {
-                let mut sim = Simulation::new(0);
-                sim.set_max_events(10);
-                sim.set_fuse(fuse);
-                for _ in 0..fibers {
-                    sim.spawn("spin", |ctx| loop {
-                        ctx.sleep(SimDuration::from_nanos(1));
-                    });
-                }
-                let err =
-                    panic::catch_unwind(AssertUnwindSafe(|| run_within(sim, LIMIT))).unwrap_err();
-                let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
-                assert!(
-                    msg.contains("event cap"),
-                    "fuse={fuse} fibers={fibers} got: {msg}"
-                );
+        // The cap binds on inline sleeps (one fiber) and on parked ones (two
+        // fibers ping-ponging trip it in a dispatch made on a fiber thread).
+        for fibers in 1..=2 {
+            let mut sim = Simulation::new(0);
+            sim.set_max_events(10);
+            for _ in 0..fibers {
+                sim.spawn("spin", |ctx| loop {
+                    ctx.sleep(SimDuration::from_nanos(1));
+                });
             }
+            let err = panic::catch_unwind(AssertUnwindSafe(|| run_within(sim, LIMIT))).unwrap_err();
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("event cap"), "fibers={fibers} got: {msg}");
         }
     }
 
     /// A sole fiber's sleeps never leave its thread: N sleeps are N + 1
-    /// logical switches (the spawn wake plus one per sleep) but one real
-    /// hand-off, and everything except the dispatch meters in
-    /// `crate::fuse::VARIANT_METRICS` matches the always-park engine.
+    /// logical switches and events (the spawn wake plus one per sleep) but
+    /// one real hand-off.
     #[test]
     fn sole_fiber_sleeps_run_inline() {
         const N: u64 = 50;
-        fn run(fuse: bool) -> (SimReport, String) {
-            let sim = Simulation::new(5);
-            sim.enable_metrics();
-            sim.set_fuse(fuse);
-            sim.spawn("hopper", |ctx| {
-                for i in 0..N {
-                    if i % 2 == 0 {
-                        ctx.sleep(SimDuration::from_micros(3));
-                    } else {
-                        ctx.sleep_until(ctx.now() + SimDuration::from_micros(3));
-                    }
+        let sim = Simulation::new(5);
+        sim.enable_metrics();
+        sim.spawn("hopper", |ctx| {
+            for i in 0..N {
+                if i % 2 == 0 {
+                    ctx.sleep(SimDuration::from_micros(3));
+                } else {
+                    ctx.sleep_until(ctx.now() + SimDuration::from_micros(3));
                 }
-            });
-            let report = sim.run();
-            report.assert_quiescent();
-            let json = report
-                .metrics
-                .without(crate::fuse::VARIANT_METRICS)
-                .to_json();
-            (report, json)
-        }
-        let (parked, parked_json) = run(false);
-        let (inline, inline_json) = run(true);
-        assert_eq!(parked.end_time, inline.end_time);
-        assert_eq!(parked.events_processed, inline.events_processed);
-        assert_eq!(parked_json, inline_json);
-        let count = |r: &SimReport, name| r.metrics.counter_value(name, &[]).unwrap();
-        for r in [&parked, &inline] {
-            assert_eq!(count(r, "sim_context_switches_total"), N + 1);
-        }
-        assert_eq!(count(&parked, "sim_fiber_switches_total"), N + 1);
-        assert_eq!(count(&inline, "sim_fiber_switches_total"), 1);
+            }
+        });
+        let report = sim.run();
+        report.assert_quiescent();
+        assert_eq!(report.end_time.as_micros(), 3 * N);
+        assert_eq!(report.events_processed, N + 1);
+        let count = |name| report.metrics.counter_value(name, &[]).unwrap();
+        assert_eq!(count("sim_context_switches_total"), N + 1);
+        assert_eq!(count("sim_fiber_switches_total"), 1);
     }
 
     #[test]
@@ -1305,12 +1275,11 @@ mod tests {
 
     /// Whichever thread dispatches — `run` for the first wake, a parking
     /// fiber, an exiting one — exactly one fiber body runs at a time, and
-    /// the schedule is the same with and without inline sleeps.
+    /// two runs make the same schedule.
     #[test]
     fn at_most_one_fiber_runs_at_any_instant() {
-        fn run(fuse: bool) -> Vec<(u64, usize, usize)> {
+        fn run() -> Vec<(u64, usize, usize)> {
             let sim = Simulation::new(11);
-            sim.set_fuse(fuse);
             let baton = Arc::new(Baton::default());
             // Never full, so a push never blocks; pops find it empty often.
             let q: SimQueue<usize> = SimQueue::new(128);
@@ -1357,11 +1326,10 @@ mod tests {
             let log = baton.log.lock().clone();
             log
         }
-        let inline = run(true);
+        let first = run();
         // 12 fibers x 9 segments, 16 children x 2.
-        assert_eq!(inline.len(), 12 * 9 + 16 * 2);
-        assert_eq!(inline, run(false));
-        assert_eq!(inline, run(true));
+        assert_eq!(first.len(), 12 * 9 + 16 * 2);
+        assert_eq!(first, run());
     }
 
     /// A panic while peers are parked — one on an empty queue with no wake

@@ -10,8 +10,7 @@
 //! ## Layout
 //!
 //! - [`kernel`] — the event loop, fibers, and the [`Ctx`] handle.
-//! - [`fuse`] — the dispatch-path meters that differ between inline and
-//!   parked sleeps (see `docs/PERF.md`).
+//! - [`fuse`] — the frozen benchmark's replay shim (nothing else uses it).
 //! - [`par`] — the shard fleet: run N independent shard kernels to drain
 //!   on real OS threads, with a canonical cross-thread merge port (see
 //!   `docs/PARALLEL.md`).

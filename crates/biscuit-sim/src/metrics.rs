@@ -560,23 +560,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// A copy of the snapshot without samples whose *name* is in `names`.
-    /// Used by determinism comparisons to drop metrics that legitimately
-    /// vary with an engine policy — e.g. the dispatch-path meters in
-    /// [`crate::fuse::VARIANT_METRICS`], which differ between inline and
-    /// parked sleeps while everything else stays byte-identical.
-    pub fn without(&self, names: &[&str]) -> MetricsSnapshot {
-        MetricsSnapshot {
-            horizon_ps: self.horizon_ps,
-            samples: self
-                .samples
-                .iter()
-                .filter(|s| !names.contains(&s.name.as_str()))
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Sum of all counters with the given name across every label set.
     pub fn counter_sum(&self, name: &str) -> u64 {
         self.samples

@@ -23,10 +23,10 @@ BISCUIT_PAR=2 cargo test -q --test parallel
 
 # biscuit-perf pins every workload to one CPU, where each fiber hand-off is
 # a switch between threads that cannot run side by side.
-echo "== kernel, fuse, parallel and golden suites on one CPU (taskset -c 0)"
+echo "== kernel, parallel and golden suites on one CPU (taskset -c 0)"
 if command -v taskset >/dev/null; then
     taskset -c 0 cargo test -q -p biscuit-sim
-    taskset -c 0 cargo test -q --test fuse --test parallel --test datapath_golden
+    taskset -c 0 cargo test -q --test parallel --test datapath_golden
 else
     echo "taskset not found: skipped"
 fi

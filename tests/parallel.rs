@@ -103,9 +103,9 @@ fn undersized_thread_pool_matches_fleet_wide_pool() {
 #[test]
 fn thread_policy_is_invisible_to_the_dispatch_meters() {
     // Every shard runs straight to drain whatever the policy, so even the
-    // engine's own dispatch meters (`VARIANT_METRICS`, which only
-    // `set_fuse` may move) match the reference: each shard's raw metrics
-    // snapshot, not only the filtered fleet export.
+    // kernel's dispatch meters (wakes queued, real fiber hand-offs, worker
+    // reuse) match the reference, shard by shard, as `metrics_json` (which
+    // carries them) does in the tests above.
     let raw = |mode: ParMode| -> Vec<(u64, String)> {
         soak_with(ParConfig::new(mode))
             .reports
