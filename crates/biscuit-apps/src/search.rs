@@ -298,13 +298,13 @@ pub fn array_conv_grep(
 /// ([`SsdArray::scatter_parallel`]): each of `cfg.drives` shard kernels
 /// gets a fresh drive holding a `shard_pages`-page synthetic web log
 /// (generator seed `100 + shard`, needle rarity `needle_every`), loads
-/// the grepper module, and runs `passes` grep passes, streaming each
-/// pass's count through the fleet merge port.
+/// the grepper module, and runs `passes` grep passes, pushing each
+/// pass's count onto the shard's lane.
 ///
 /// `tests/parallel.rs` and `biscuit-perf`'s `array_scan` workload both
 /// drive this function. The merged
 /// counts (and, when enabled, trace/metrics exports) are byte-identical
-/// for a given `cfg.seed` across every thread policy.
+/// for a given `cfg.seed` across both thread policies.
 ///
 /// # Panics
 ///
@@ -333,14 +333,9 @@ pub fn fleet_grep(
             )
             .expect("synthetic shard corpus");
             let ssd = Ssd::new(fs, CoreConfig::paper_default());
-            let conv = ConvIo::new(
-                Arc::clone(ssd.device()),
-                Arc::clone(ssd.link()),
-                HostConfig::paper_default(),
-            );
-            ArrayShard { id: i, ssd, conv }
+            ArrayShard::new(i, ssd, HostConfig::paper_default())
         },
-        move |ctx, shard, tx| {
+        move |ctx, shard, lane| {
             let module = load_grep_module(ctx, &shard.ssd).expect("grep module");
             let file = shard
                 .ssd
@@ -357,7 +352,7 @@ pub fn fleet_grep(
                 if let Some(sc) = span {
                     qp.end_query(ctx, sc);
                 }
-                tx.send(count);
+                lane.push(count);
             }
         },
     )

@@ -83,7 +83,7 @@ impl Ssd {
 
     /// Shim for the frozen `biscuit-perf` harness: the platform reports to
     /// the simulation of the `&Ctx` it is called with, so there is nothing
-    /// to attach. Goes with the next `benchmark` PR (ROADMAP 2(c)).
+    /// to attach. Goes with the next `benchmark` PR (ROADMAP 1(a)).
     #[doc(hidden)]
     pub fn attach_tracer(&self, _tracer: &Tracer) {}
 

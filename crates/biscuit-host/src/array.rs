@@ -334,6 +334,15 @@ pub struct ArrayShard {
     pub conv: ConvIo,
 }
 
+impl ArrayShard {
+    /// Shard `id` over `ssd`, with a Conv I/O path on the drive's own
+    /// device and link.
+    pub fn new(id: usize, ssd: Ssd, host_cfg: HostConfig) -> ArrayShard {
+        let conv = ConvIo::new(Arc::clone(ssd.device()), Arc::clone(ssd.link()), host_cfg);
+        ArrayShard { id, ssd, conv }
+    }
+}
+
 /// Knobs for the shard coordinator.
 #[derive(Debug, Clone)]
 pub struct ArrayConfig {
@@ -415,14 +424,7 @@ impl SsdArray {
         let shards = drives
             .into_iter()
             .enumerate()
-            .map(|(id, ssd)| {
-                let conv = ConvIo::new(
-                    Arc::clone(ssd.device()),
-                    Arc::clone(ssd.link()),
-                    host_cfg.clone(),
-                );
-                ArrayShard { id, ssd, conv }
-            })
+            .map(|(id, ssd)| ArrayShard::new(id, ssd, host_cfg.clone()))
             .collect();
         SsdArray {
             inner: Arc::new(ArrayInner {
@@ -457,7 +459,7 @@ impl SsdArray {
     /// Shim for the frozen `biscuit-perf` harness: the drives and the
     /// coordinator report to the simulation of the `&Ctx` they are called
     /// with, so there is nothing to attach. Goes with the next `benchmark`
-    /// PR (ROADMAP 2(c)).
+    /// PR (ROADMAP 1(a)).
     #[doc(hidden)]
     pub fn attach_tracer(&self, _tracer: &Tracer) {}
 
@@ -998,7 +1000,7 @@ impl QueryScheduler {
 
     /// Shim for the frozen `biscuit-perf` harness: the scheduler reports to
     /// the simulation of the `&Ctx` it is called with. Goes with the next
-    /// `benchmark` PR (ROADMAP 2(c)).
+    /// `benchmark` PR (ROADMAP 1(a)).
     #[doc(hidden)]
     pub fn attach_metrics(&self, _registry: &MetricsRegistry) {}
 

@@ -2,10 +2,11 @@
 //!
 //! [`crate::array`] runs all N drives inside *one* simulation — N fibers,
 //! one kernel, one thread. This module runs each drive inside its *own*
-//! simulation ("shard kernel"), run to drain on a worker OS thread via
-//! [`biscuit_sim::par::run_fleet`], with the cross-thread
-//! [`merge_port`](biscuit_sim::par::merge_port) as the only cross-shard
-//! synchronization point. The two regimes answer different questions:
+//! simulation ("shard kernel"), run to drain via
+//! [`biscuit_sim::par::run_fleet`]. The shards share nothing while they
+//! run: each appends its items to its own lane, and the lanes are merged
+//! after every shard has joined. The two regimes answer different
+//! questions:
 //!
 //! - the in-sim array models *virtual-time* behavior (latency, QoS,
 //!   drive-loss recovery) of one host coordinating N drives;
@@ -18,20 +19,24 @@
 //!
 //! Each shard kernel is seeded [`shard_seed(seed, i)`] and is the
 //! ordinary single-threaded DES kernel, so its trace and metrics exports
-//! are pure functions of the seed and workload. The fleet consumes
-//! results in canonical merge order and concatenates per-shard exports
-//! in shard order, so [`ParMode::Single`] (`BISCUIT_PAR=0`) and every
-//! parallel mode produce byte-identical [`FleetReport`] artifacts.
+//! are pure functions of the seed and workload. The fleet merges the
+//! per-shard lanes in canonical order — round `r` takes the `r`-th item
+//! of every lane that has one, in lane order — and concatenates
+//! per-shard exports in shard order, so [`ParMode::Single`]
+//! (`BISCUIT_PAR=0`) and [`ParMode::PerShard`] produce byte-identical
+//! [`FleetReport`] artifacts.
 //! `tests/parallel.rs` asserts exactly this, repeatedly, over a 4-drive
 //! grep soak; `docs/PARALLEL.md` documents the contract and how to debug
 //! a divergence.
 //!
 //! [`shard_seed(seed, i)`]: biscuit_sim::par::shard_seed
 //! [`ParMode::Single`]: biscuit_sim::par::ParMode::Single
+//! [`ParMode::PerShard`]: biscuit_sim::par::ParMode::PerShard
 
 use std::sync::Arc;
 
-use biscuit_sim::par::{self, ParConfig, PortTx};
+use biscuit_sim::par::{self, ParConfig};
+use biscuit_sim::sync::Mutex;
 use biscuit_sim::trace::TraceConfig;
 use biscuit_sim::{Ctx, SimReport, SimTime, Simulation};
 
@@ -73,8 +78,8 @@ impl Default for FleetConfig {
 
 /// Everything one fleet run produced.
 pub struct FleetReport<T> {
-    /// `(shard, item)` pairs in canonical merge order — identical for
-    /// every thread policy.
+    /// `(shard, item)` pairs in canonical merge order — identical under
+    /// both thread policies.
     pub items: Vec<(usize, T)>,
     /// Per-shard kernel reports in shard order (trace and metrics
     /// snapshots included when enabled).
@@ -106,14 +111,6 @@ impl<T> FleetReport<T> {
             .unwrap_or(SimTime::ZERO)
     }
 
-    /// This shard's items, in its FIFO production order.
-    pub fn shard_items(&self, shard: usize) -> impl Iterator<Item = &T> {
-        self.items
-            .iter()
-            .filter(move |(s, _)| *s == shard)
-            .map(|(_, item)| item)
-    }
-
     /// Asserts every shard kernel drained with no blocked fibers.
     ///
     /// # Panics
@@ -127,65 +124,68 @@ impl<T> FleetReport<T> {
 
     /// One JSON document holding every shard's Chrome trace in shard
     /// order: `{"shards":[<chrome>,<chrome>,...]}`. Byte-identical for
-    /// the same seed across all thread policies — diff two of these to
+    /// the same seed across both thread policies — diff two of these to
     /// debug a suspected divergence (see `docs/PARALLEL.md`).
     pub fn trace_json(&self) -> String {
-        let mut s = String::from("{\"shards\":[");
-        for (i, r) in self.reports.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.trace.to_chrome_json());
-        }
-        s.push_str("]}");
-        s
+        self.shards_json(|r| r.trace.to_chrome_json())
     }
 
     /// One JSON document holding every shard's metrics snapshot in shard
     /// order: `{"shards":[<metrics>,<metrics>,...]}`. Byte-identical for
-    /// the same seed across all thread policies, the kernel's dispatch
+    /// the same seed across both thread policies, the kernel's dispatch
     /// meters included.
     pub fn metrics_json(&self) -> String {
-        let mut s = String::from("{\"shards\":[");
-        for (i, r) in self.reports.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.metrics.to_json());
-        }
-        s.push_str("]}");
-        s
+        self.shards_json(|r| r.metrics.to_json())
     }
 
     /// One JSON document holding every shard's query profiles in shard
     /// order: `{"shards":[<profiles>,<profiles>,...]}`. Each shard kernel
     /// owns its own profiler and assigns query/span ids deterministically,
-    /// so this export is byte-identical for the same seed across all
+    /// so this export is byte-identical for the same seed across both
     /// thread policies (`tests/qprof.rs` asserts exactly this).
     pub fn profiles_json(&self) -> String {
-        let mut s = String::from("{\"shards\":[");
-        for (i, r) in self.reports.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&r.profiles.to_json());
-        }
-        s.push_str("]}");
-        s
+        self.shards_json(|r| r.profiles.to_json())
     }
+
+    /// `{"shards":[…]}` over `export` of each shard's report, in shard
+    /// order.
+    fn shards_json(&self, export: impl Fn(&SimReport) -> String) -> String {
+        let docs: Vec<String> = self.reports.iter().map(export).collect();
+        format!("{{\"shards\":[{}]}}", docs.join(","))
+    }
+}
+
+/// The canonical merge of per-shard lanes: round `r` emits the `r`-th
+/// item of every lane that has one, in lane order, as `(lane, item)`.
+/// A pure function of the lanes, so thread timing cannot reach it.
+fn canonical_merge<T>(lanes: Vec<Vec<T>>) -> Vec<(usize, T)> {
+    let total = lanes.iter().map(Vec::len).sum();
+    let mut merged = Vec::with_capacity(total);
+    let mut lanes: Vec<_> = lanes.into_iter().map(Vec::into_iter).enumerate().collect();
+    while !lanes.is_empty() {
+        lanes.retain_mut(|(lane, items)| match items.next() {
+            Some(item) => {
+                merged.push((*lane, item));
+                true
+            }
+            None => false,
+        });
+    }
+    merged
 }
 
 impl SsdArray {
     /// Scatters `job` across a fleet of shard kernels, one drive per
-    /// kernel, each run to drain on a worker OS thread per `cfg.par` — the
-    /// parallel sibling of [`SsdArray::scatter`].
+    /// kernel, each run to drain per `cfg.par` — the parallel sibling of
+    /// [`SsdArray::scatter`].
     ///
     /// `build(i, &sim)` constructs shard `i`'s [`ArrayShard`] — a drive
     /// no other simulation is using — and is called on the calling thread
-    /// in shard order. `job(ctx, &shard, &tx)` then runs as the shard
-    /// kernel's root fiber, the drive reporting to that kernel like
-    /// everything else it calls; items sent through `tx` come back in
-    /// canonical merge order. The lane closes when `job` returns.
+    /// in shard order. `job(ctx, &shard, &mut lane)` then runs as the
+    /// shard kernel's root fiber, the drive reporting to that kernel like
+    /// everything else it calls. Items pushed onto `lane` come back in
+    /// [`FleetReport::items`], merged in canonical order after every shard
+    /// has joined — including those a shard pushed before it blocked.
     ///
     /// Fault-plan drive-loss recovery is an in-sim coordinator feature
     /// ([`SsdArray::scatter`]); the fleet path targets fault-free
@@ -198,7 +198,7 @@ impl SsdArray {
     /// use biscuit_fs::Fs;
     /// use biscuit_host::array::ArrayShard;
     /// use biscuit_host::fleet::FleetConfig;
-    /// use biscuit_host::{ConvIo, HostConfig, SsdArray};
+    /// use biscuit_host::{HostConfig, SsdArray};
     /// use biscuit_ssd::{SsdConfig, SsdDevice};
     /// use std::sync::Arc;
     ///
@@ -211,14 +211,9 @@ impl SsdArray {
     ///             ..SsdConfig::paper_default()
     ///         }));
     ///         let ssd = Ssd::new(Fs::format(dev), CoreConfig::paper_default());
-    ///         let conv = ConvIo::new(
-    ///             Arc::clone(ssd.device()),
-    ///             Arc::clone(ssd.link()),
-    ///             HostConfig::paper_default(),
-    ///         );
-    ///         ArrayShard { id: i, ssd, conv }
+    ///         ArrayShard::new(i, ssd, HostConfig::paper_default())
     ///     },
-    ///     |_ctx, shard, tx| tx.send(shard.id as u64),
+    ///     |_ctx, shard, lane| lane.push(shard.id as u64),
     /// );
     /// report.assert_quiescent();
     /// assert_eq!(report.items, vec![(0, 0), (1, 1)]);
@@ -232,13 +227,13 @@ impl SsdArray {
     where
         T: Send + 'static,
         B: FnMut(usize, &Simulation) -> ArrayShard,
-        J: Fn(&Ctx, &ArrayShard, &PortTx<T>) + Send + Sync + 'static,
+        J: Fn(&Ctx, &ArrayShard, &mut Vec<T>) + Send + Sync + 'static,
     {
         assert!(cfg.drives > 0, "a fleet needs at least one drive");
-        let (txs, mut rx) = par::merge_port::<T>(cfg.drives);
         let job = Arc::new(job);
+        let mut lanes = Vec::with_capacity(cfg.drives);
         let mut sims = Vec::with_capacity(cfg.drives);
-        for (i, tx) in txs.into_iter().enumerate() {
+        for i in 0..cfg.drives {
             let sim = Simulation::new(par::shard_seed(cfg.seed, i));
             if let Some(tc) = &cfg.trace {
                 sim.enable_trace(tc.clone());
@@ -251,20 +246,24 @@ impl SsdArray {
             }
             let shard = build(i, &sim);
             let job = Arc::clone(&job);
+            // The fiber holds its lane's lock for its whole life; a fiber
+            // still blocked at drain is unwound, which releases it.
+            let lane = Arc::new(Mutex::new(Vec::new()));
+            lanes.push(Arc::clone(&lane));
             sim.spawn(format!("fleet-shard{i}"), move |ctx| {
-                job(ctx, &shard, &tx);
-                tx.close();
+                job(ctx, &shard, &mut lane.lock());
             });
             sims.push(sim);
         }
-        let (reports, items) = par::run_fleet(sims, &cfg.par, move || {
-            let mut items = Vec::new();
-            while let Some(pair) = rx.recv() {
-                items.push(pair);
-            }
-            items
-        });
-        FleetReport { items, reports }
+        let reports = par::run_fleet(sims, &cfg.par);
+        let lanes = lanes
+            .iter()
+            .map(|lane| std::mem::take(&mut *lane.lock()))
+            .collect();
+        FleetReport {
+            items: canonical_merge(lanes),
+            reports,
+        }
     }
 }
 
@@ -274,11 +273,12 @@ mod tests {
     use biscuit_core::{CoreConfig, Ssd};
     use biscuit_fs::Fs;
     use biscuit_sim::par::ParMode;
+    use biscuit_sim::queue::SimQueue;
     use biscuit_sim::time::SimDuration;
     use biscuit_ssd::{SsdConfig, SsdDevice};
+    use proptest::prelude::*;
 
     use crate::config::HostConfig;
-    use crate::io::ConvIo;
 
     fn build_shard(i: usize, _sim: &Simulation) -> ArrayShard {
         let dev = Arc::new(SsdDevice::new(SsdConfig {
@@ -286,12 +286,7 @@ mod tests {
             ..SsdConfig::paper_default()
         }));
         let ssd = Ssd::new(Fs::format(dev), CoreConfig::paper_default());
-        let conv = ConvIo::new(
-            Arc::clone(ssd.device()),
-            Arc::clone(ssd.link()),
-            HostConfig::paper_default(),
-        );
-        ArrayShard { id: i, ssd, conv }
+        ArrayShard::new(i, ssd, HostConfig::paper_default())
     }
 
     fn soak(mode: ParMode) -> (Vec<(usize, u64)>, String, u64) {
@@ -303,10 +298,10 @@ mod tests {
             ..FleetConfig::default()
         };
         let report =
-            SsdArray::scatter_parallel::<u64, _, _>(&cfg, build_shard, |ctx, shard, tx| {
+            SsdArray::scatter_parallel::<u64, _, _>(&cfg, build_shard, |ctx, shard, lane| {
                 for k in 0..4u64 {
                     ctx.sleep(SimDuration::from_micros(10 + shard.id as u64));
-                    tx.send(shard.id as u64 * 100 + k);
+                    lane.push(shard.id as u64 * 100 + k);
                 }
             });
         report.assert_quiescent();
@@ -320,22 +315,65 @@ mod tests {
     #[test]
     fn parallel_matches_single_threaded_exports() {
         let single = soak(ParMode::Single);
-        for mode in [ParMode::PerShard, ParMode::Threads(2)] {
-            let par = soak(mode);
-            assert_eq!(par.0, single.0, "{mode:?} merged items");
-            assert_eq!(par.1, single.1, "{mode:?} metrics export");
-            assert_eq!(par.2, single.2, "{mode:?} event count");
+        let par = soak(ParMode::PerShard);
+        assert_eq!(par.0, single.0, "merged items");
+        assert_eq!(par.1, single.1, "metrics export");
+        assert_eq!(par.2, single.2, "event count");
+    }
+
+    /// A shard that blocks forever is unwound at drain; what it pushed
+    /// before blocking still comes back, in canonical order.
+    #[test]
+    fn items_pushed_before_a_block_come_back() {
+        for mode in [ParMode::Single, ParMode::PerShard] {
+            let cfg = FleetConfig {
+                drives: 2,
+                par: ParConfig::new(mode),
+                ..FleetConfig::default()
+            };
+            let report =
+                SsdArray::scatter_parallel::<u64, _, _>(&cfg, build_shard, |ctx, shard, lane| {
+                    lane.push(shard.id as u64);
+                    if shard.id == 1 {
+                        SimQueue::<()>::new(1).pop(ctx);
+                    }
+                    lane.push(10 + shard.id as u64);
+                });
+            assert_eq!(report.items, vec![(0, 0), (1, 1), (0, 10)], "{mode:?}");
+            assert!(report.reports[0].blocked.is_empty(), "{mode:?}");
+            assert_eq!(report.reports[1].blocked, vec!["fleet-shard1"], "{mode:?}");
         }
     }
 
-    #[test]
-    fn shard_items_filters_by_lane() {
-        let (items, _, _) = soak(ParMode::Single);
-        let report = FleetReport {
-            items,
-            reports: Vec::new(),
-        };
-        let lane1: Vec<u64> = report.shard_items(1).copied().collect();
-        assert_eq!(lane1, vec![100, 101, 102, 103]);
+    /// The obvious reference: round `r` visits every lane in order and
+    /// takes its `r`-th item if it has one.
+    fn round_robin(lanes: &[Vec<u8>]) -> Vec<(usize, u8)> {
+        let rounds = lanes.iter().map(Vec::len).max().unwrap_or(0);
+        let mut out = Vec::new();
+        for r in 0..rounds {
+            for (lane, items) in lanes.iter().enumerate() {
+                if let Some(&item) = items.get(r) {
+                    out.push((lane, item));
+                }
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// 1–6 lanes of 0–5 items, with all-empty lanes and a single
+        /// lane drawn on purpose.
+        #[test]
+        fn canonical_merge_is_round_robin(
+            lanes in prop_oneof![
+                1 => Just(vec![Vec::new(); 6]),
+                1 => prop::collection::vec(any::<u8>(), 0..6).prop_map(|lane| vec![lane]),
+                6 => prop::collection::vec(prop::collection::vec(any::<u8>(), 0..6), 1..7),
+            ]
+        ) {
+            prop_assert_eq!(canonical_merge(lanes.clone()), round_robin(&lanes));
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! - [`mod@array`] — multi-SSD scale-out: the shard coordinator, ordered
 //!   merge port, and concurrent query scheduler (Fig. 1(b), `docs/SCALE.md`).
 //! - [`fleet`] — the parallel-DES face of the coordinator: one shard
-//!   kernel per drive, each on its own OS thread (`docs/PARALLEL.md`).
+//!   kernel per drive, each on its own OS thread, results merged after
+//!   the join (`docs/PARALLEL.md`).
 //! - [`workload`] — seeded open/closed-loop traffic generation (Zipf
 //!   tenants, diurnal bursts, mixed query kinds) feeding the
 //!   scheduler's WFQ/shedding QoS layer (`docs/QOS.md`).

@@ -12,7 +12,7 @@
 //! - [`kernel`] — the event loop, fibers, and the [`Ctx`] handle.
 //! - [`fuse`] — the frozen benchmark's replay shim (nothing else uses it).
 //! - [`par`] — the shard fleet: run N independent shard kernels to drain
-//!   on real OS threads, with a canonical cross-thread merge port (see
+//!   on the calling thread or one OS thread each, and join them (see
 //!   `docs/PARALLEL.md`).
 //! - [`fault`] — seeded, deterministic fault injection ([`FaultPlan`]) for
 //!   the instrumented sites across the stack (see `docs/FAULTS.md`).
@@ -83,7 +83,7 @@ pub mod trace;
 pub use fault::{DriveLoss, DriveLossPhase, FaultConfig, FaultPlan, FaultSite};
 pub use kernel::{Ctx, Kernel, Pid, SimReport, Simulation};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use par::{ParConfig, ParMode, PortRx, PortTx};
+pub use par::{ParConfig, ParMode};
 pub use qprof::{QueryProfile, QueryProfiler, QueryProfiles, SpanContext, Stage};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceConfig, TraceEvent, Tracer};

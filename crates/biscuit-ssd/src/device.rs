@@ -433,7 +433,7 @@ impl SsdDevice {
 
     /// Shim for the frozen `biscuit-perf` harness, which has no other way
     /// to revive a drive: [`SsdDevice::recover`] without the fault plan's
-    /// record. Goes with the next `benchmark` PR (ROADMAP 2(c)).
+    /// record. Goes with the next `benchmark` PR (ROADMAP 1(a)).
     #[doc(hidden)]
     pub fn recover_power_loss(&self, _now: SimTime) -> crate::journal::RecoveryReport {
         self.replay_journal()
@@ -487,7 +487,7 @@ impl SsdDevice {
 
     /// Shim for the frozen `biscuit-perf` harness: the device reports to the
     /// simulation of the `&Ctx` it is called with. Goes with the next
-    /// `benchmark` PR (ROADMAP 2(c)).
+    /// `benchmark` PR (ROADMAP 1(a)).
     #[doc(hidden)]
     pub fn attach_metrics(&self, _registry: &MetricsRegistry) {}
 

@@ -1,6 +1,6 @@
 //! Parallel-DES determinism: the shard fleet produces byte-identical
 //! artifacts — merged results, Chrome traces, metrics exports — for the
-//! same seed under every thread policy. This is the hard contract
+//! same seed under both thread policies. This is the hard contract
 //! documented in `docs/PARALLEL.md`: parallelism may only change
 //! wall-clock time, never a single exported byte.
 
@@ -54,18 +54,16 @@ fn parallel_soak_is_byte_identical_to_single_threaded() {
     let single = soak(ParMode::Single);
     assert!(single.3 > 0, "the soak processes events");
 
-    // Repeat the parallel runs several times: thread interleavings differ
-    // from run to run, the artifacts must not. `Threads(2)` has fewer
-    // workers than shards, so lanes owed by queued shards stay open and
-    // the canonical merge still blocks for them in order.
+    // Repeat the parallel run several times: thread interleavings differ
+    // from run to run, the artifacts must not. `metrics_json` carries each
+    // shard's raw snapshot, the kernel's dispatch meters (wakes queued,
+    // fiber hand-offs, worker reuse) included.
     for round in 0..3 {
-        for mode in [ParMode::PerShard, ParMode::Threads(2)] {
-            let par = soak(mode);
-            assert_eq!(par.0, single.0, "round {round}, {mode:?}: merged items");
-            assert_eq!(par.1, single.1, "round {round}, {mode:?}: trace export");
-            assert_eq!(par.2, single.2, "round {round}, {mode:?}: metrics export");
-            assert_eq!(par.3, single.3, "round {round}, {mode:?}: event count");
-        }
+        let par = soak(ParMode::PerShard);
+        assert_eq!(par.0, single.0, "round {round}: merged items");
+        assert_eq!(par.1, single.1, "round {round}: trace export");
+        assert_eq!(par.2, single.2, "round {round}: metrics export");
+        assert_eq!(par.3, single.3, "round {round}: event count");
     }
 }
 
@@ -80,50 +78,18 @@ fn lookahead_window_never_changes_artifacts() {
         Some(SimDuration::from_millis(1)),
         Some(SimDuration::from_millis(100)),
     ] {
-        for mode in [ParMode::PerShard, ParMode::Threads(2)] {
-            let report = soak_with(ParConfig { mode, lookahead });
-            let what = format!("{mode:?}/{lookahead:?}");
-            assert_eq!(report.items, reference.0, "{what}: items");
-            assert_eq!(report.trace_json(), reference.1, "{what}: trace");
-            assert_eq!(report.metrics_json(), reference.2, "{what}: metrics");
-            assert_eq!(report.events_processed(), reference.3, "{what}: events");
-        }
-    }
-}
-
-#[test]
-fn undersized_thread_pool_matches_fleet_wide_pool() {
-    // Fewer workers than shards: lanes owed by queued shards stay open
-    // and the canonical merge still blocks for them in order.
-    let wide = soak(ParMode::PerShard);
-    let narrow = soak(ParMode::Threads(2));
-    assert_eq!(narrow, wide, "thread-pool size must be unobservable");
-}
-
-#[test]
-fn thread_policy_is_invisible_to_the_dispatch_meters() {
-    // Every shard runs straight to drain whatever the policy, so even the
-    // kernel's dispatch meters (wakes queued, real fiber hand-offs, worker
-    // reuse) match the reference, shard by shard, as `metrics_json` (which
-    // carries them) does in the tests above.
-    let raw = |mode: ParMode| -> Vec<(u64, String)> {
-        soak_with(ParConfig::new(mode))
-            .reports
-            .iter()
-            .map(|r| {
-                let switches = r.metrics.counter_sum("sim_fiber_switches_total");
-                (switches, r.metrics.to_json())
-            })
-            .collect()
-    };
-    let single = raw(ParMode::Single);
-    assert!(single.iter().all(|(switches, _)| *switches > 0));
-    for mode in [ParMode::PerShard, ParMode::Threads(2)] {
-        let par = raw(mode);
-        for (shard, (got, want)) in par.iter().zip(&single).enumerate() {
-            assert_eq!(got.0, want.0, "{mode:?} shard {shard}: fiber hand-offs");
-            assert_eq!(got.1, want.1, "{mode:?} shard {shard}: raw metrics");
-        }
+        let report = soak_with(ParConfig {
+            mode: ParMode::PerShard,
+            lookahead,
+        });
+        assert_eq!(report.items, reference.0, "{lookahead:?}: items");
+        assert_eq!(report.trace_json(), reference.1, "{lookahead:?}: trace");
+        assert_eq!(report.metrics_json(), reference.2, "{lookahead:?}: metrics");
+        assert_eq!(
+            report.events_processed(),
+            reference.3,
+            "{lookahead:?}: events"
+        );
     }
 }
 
@@ -131,7 +97,7 @@ fn thread_policy_is_invisible_to_the_dispatch_meters() {
 fn env_selected_policy_matches_reference() {
     // `ParConfig::default()` reads `BISCUIT_PAR` (unset → one thread per
     // shard). CI runs this test both with the variable unset and with
-    // `BISCUIT_PAR=2`; whatever policy the environment picks, the
+    // `BISCUIT_PAR=0`; whatever policy the environment picks, the
     // artifacts must match the explicit single-threaded reference.
     let reference = soak(ParMode::Single);
     let report = soak_with(ParConfig::default());
@@ -150,8 +116,22 @@ fn exports_are_substantive_not_vacuous() {
     // Guard against a vacuous pass: the byte-equalities above would hold
     // trivially if the exports were empty shells. Check the artifacts
     // actually carry per-shard device activity.
-    let (items, trace, metrics, events) = soak(ParMode::Single);
-    assert_eq!(items.len(), DRIVES * PASSES, "one count per shard per pass");
+    let report = soak_with(ParConfig::new(ParMode::Single));
+    assert!(
+        report
+            .reports
+            .iter()
+            .all(|r| r.metrics.counter_sum("sim_fiber_switches_total") > 0),
+        "every shard's dispatch meters recorded fiber hand-offs"
+    );
+    let trace = report.trace_json();
+    let metrics = report.metrics_json();
+    let events = report.events_processed();
+    assert_eq!(
+        report.items.len(),
+        DRIVES * PASSES,
+        "one count per shard per pass"
+    );
     // Every page of every shard is sensed once per pass, and each sense is
     // a span in the trace. Kernel dispatches are far fewer (a scan parks
     // its fiber once per queue-depth window, not once per page), so the
