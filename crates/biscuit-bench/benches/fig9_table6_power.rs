@@ -49,9 +49,9 @@ fn run(mode: ExecMode) -> (PowerRun, biscuit_sim::metrics::MetricsSnapshot) {
     simulate_metered(name, move |ctx| {
         db.prepare(ctx).expect("module load");
         let meter = Arc::new(PowerMeter::new());
-        meter.register("baseline", 103.0, 103.0);
-        let host_cpu = meter.register("host-cpu", 0.0, 19.0);
-        let ssd = meter.register("ssd", 0.0, 33.0);
+        meter.register(103.0, 103.0); // the always-on baseline
+        let host_cpu = meter.register(0.0, 19.0);
+        let ssd = meter.register(0.0, 33.0);
         db.ssd().device().attach_power(Arc::clone(&meter), ssd);
 
         let t0 = ctx.now();

@@ -648,11 +648,6 @@ impl Application {
                 restarts: *restarts,
             })
     }
-
-    /// True once every SSDlet has finished (never true before `start`).
-    pub fn is_finished(&self) -> bool {
-        self.state.lock().phase == Phase::Started && *self.shared.remaining.lock() == 0
-    }
 }
 
 /// Connects an output of one application to an input of another

@@ -92,16 +92,6 @@ impl<'a> TaskCtx<'a> {
         &self.device
     }
 
-    /// Number of connected input ports (declared, whether wired or not).
-    pub fn input_count(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Number of declared output ports.
-    pub fn output_count(&self) -> usize {
-        self.outputs.len()
-    }
-
     fn input(&self, idx: usize) -> BiscuitResult<&Arc<Connection>> {
         self.inputs
             .get(idx)

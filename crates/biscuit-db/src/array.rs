@@ -34,6 +34,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec;
 use crate::schema::Schema;
 use crate::spec::{ExecMode, SelectSpec};
+use crate::table;
 use crate::value::Row;
 
 /// A mini relational engine sharded across the drives of an [`SsdArray`].
@@ -90,8 +91,11 @@ impl ArrayDb {
     ///
     /// # Errors
     ///
-    /// Propagates the first per-shard [`DbError`].
+    /// Returns [`DbError::TypeError`], before any shard creates a file, for
+    /// a row that would not read back as written; otherwise propagates the
+    /// first per-shard [`DbError`].
     pub fn create_table(&mut self, name: &str, schema: Schema, rows: &[Row]) -> DbResult<()> {
+        table::check_rows(&schema, rows)?;
         let n = self.dbs.len();
         let base = rows.len() / n;
         let rem = rows.len() % n;
@@ -400,6 +404,23 @@ mod tests {
             assert_eq!(got.rows.len(), 5);
         });
         sim.run().assert_quiescent();
+    }
+
+    #[test]
+    fn a_bad_row_on_the_last_shard_leaves_no_table_on_any() {
+        let schema = Schema::new(&[("id", ColumnType::Int), ("qty", ColumnType::Int)]);
+        let mut adb = ArrayDb::new(
+            mk_array(2),
+            HostConfig::paper_default(),
+            DbConfig::paper_default(),
+        );
+        let mut rows = mk_rows(9);
+        rows.push(vec![Value::Int(9), Value::Str("7".into())]);
+        let err = adb.create_table("t", schema, &rows).unwrap_err();
+        assert!(matches!(err, DbError::TypeError(_)), "{err:?}");
+        for shard in 0..adb.shards() {
+            assert!(!adb.db(shard).ssd().fs().exists("tbl_t"), "shard {shard}");
+        }
     }
 
     #[test]

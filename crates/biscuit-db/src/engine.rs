@@ -15,6 +15,7 @@
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use biscuit_sim::sync::Mutex;
@@ -24,7 +25,7 @@ use biscuit_core::{Application, BiscuitError, Ssd};
 use biscuit_fs::Mode;
 use biscuit_host::{ConvIo, HostConfig, HostLoad};
 use biscuit_sim::qprof::Stage;
-use biscuit_sim::time::{SimDuration, SimTime};
+use biscuit_sim::time::SimDuration;
 use biscuit_sim::trace::TraceEvent;
 use biscuit_sim::{Ctx, FaultSite};
 
@@ -849,7 +850,14 @@ impl Db {
         }
         let t0 = ctx.now();
         let link0 = self.ssd.link().bytes_to_host();
-        let dev0 = self.ssd.device().stats().pages_scanned.get();
+        let scanned = || {
+            self.ssd
+                .device()
+                .stats()
+                .pages_scanned
+                .load(Ordering::Relaxed)
+        };
+        let dev0 = scanned();
 
         let plans = self.plan_scans(ctx, spec, mode, load)?;
 
@@ -872,7 +880,7 @@ impl Db {
                     let stats = QueryStats {
                         offloaded_tables: vec![scan.table.clone()],
                         link_bytes_to_host: self.ssd.link().bytes_to_host() - link0,
-                        device_pages_scanned: self.ssd.device().stats().pages_scanned.get() - dev0,
+                        device_pages_scanned: scanned() - dev0,
                         rows_out: rows.len(),
                         elapsed: ctx.now() - t0,
                     };
@@ -909,7 +917,7 @@ impl Db {
                 .map(|(s, _)| s.table.clone())
                 .collect(),
             link_bytes_to_host: self.ssd.link().bytes_to_host() - link0,
-            device_pages_scanned: self.ssd.device().stats().pages_scanned.get() - dev0,
+            device_pages_scanned: scanned() - dev0,
             rows_out: rows.len(),
             elapsed: ctx.now() - t0,
         };
@@ -1056,9 +1064,4 @@ fn count(ctx: &Ctx, name: &str, labels: &[(&str, &str)]) {
     if registry.is_enabled() {
         registry.counter(name, labels).inc();
     }
-}
-
-/// Time since an instant, usable in tests.
-pub fn elapsed_since(ctx: &Ctx, t0: SimTime) -> SimDuration {
-    ctx.now() - t0
 }

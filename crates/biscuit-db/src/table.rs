@@ -8,8 +8,9 @@
 use biscuit_fs::Fs;
 
 use crate::error::{DbError, DbResult};
+use crate::exec::check_width;
 use crate::schema::{Schema, TableMeta};
-use crate::value::{row_from_text, row_to_text, Row};
+use crate::value::{row_from_text, row_to_text, Row, Value};
 
 /// Byte used to fill page tails.
 pub const PAD: u8 = b'~';
@@ -76,13 +77,46 @@ pub fn parse_page(schema: &Schema, table: &str, page: &[u8]) -> DbResult<Vec<Row
     Ok(rows)
 }
 
+/// Checks that every row reads back as written: one cell per column, each
+/// of its column's type, and no string holding the `|` or newline that
+/// frame the text layout.
+///
+/// # Errors
+///
+/// Returns [`DbError::TypeError`] naming the first offending cell.
+pub(crate) fn check_rows(schema: &Schema, rows: &[Row]) -> DbResult<()> {
+    check_width(rows, schema.len())?;
+    for row in rows {
+        for (v, col) in row.iter().zip(schema.columns()) {
+            if v.column_type() != col.ty {
+                return Err(DbError::TypeError(format!(
+                    "column {}: {v:?} is not a {:?}",
+                    col.name, col.ty
+                )));
+            }
+            if let Value::Str(s) = v {
+                if s.bytes().any(|b| b == b'|' || b == b'\n') {
+                    return Err(DbError::TypeError(format!(
+                        "column {}: {s:?} holds `|` or a newline",
+                        col.name
+                    )));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Creates a table file on the volume and bulk-loads rows (untimed; dataset
 /// loading happens before experiments start, as in the paper's methodology).
 ///
 /// # Errors
 ///
-/// Returns filesystem or row-size errors.
+/// Returns [`DbError::TypeError`] — before any file exists — for a row whose
+/// width, cell types or strings would not read back as written, and
+/// filesystem or row-size errors.
 pub fn create_table(fs: &Fs, name: &str, schema: Schema, rows: &[Row]) -> DbResult<TableMeta> {
+    check_rows(&schema, rows)?;
     let page_size = fs.device().config().page_size;
     let file_path = format!("tbl_{name}");
     fs.create(&file_path)?;
@@ -165,6 +199,39 @@ mod tests {
         assert_eq!(meta.rows, 1000);
         assert!(meta.pages > 0);
         assert!(fs.exists("tbl_demo"));
+    }
+
+    #[test]
+    fn rows_that_would_not_read_back_are_rejected_before_the_file_exists() {
+        let dev = Arc::new(biscuit_ssd::SsdDevice::new(biscuit_ssd::SsdConfig {
+            logical_capacity: 64 << 20,
+            ..biscuit_ssd::SsdConfig::paper_default()
+        }));
+        let fs = Fs::format(dev);
+        let three = Schema::new(&[
+            ("id", ColumnType::Int),
+            ("a", ColumnType::Str),
+            ("b", ColumnType::Str),
+        ]);
+        let text = |s: &str| Value::Str(s.to_owned());
+        let bad: [Row; 5] = [
+            // Two cells whose text `|1|a|b|` parses as the three-cell row
+            // [1, "a", "b"], which was never inserted.
+            vec![Value::Int(1), text("a|b")],
+            vec![Value::Int(1), text("a|b"), text("c")],
+            vec![Value::Int(1), text("a\nb"), text("c")],
+            vec![Value::Int(1), Value::Int(2), text("c")],
+            vec![Value::Int(1), text("a"), text("b"), text("c")],
+        ];
+        for row in bad {
+            let err =
+                create_table(&fs, "bad", three.clone(), std::slice::from_ref(&row)).unwrap_err();
+            assert!(matches!(err, DbError::TypeError(_)), "{row:?}: {err:?}");
+            assert!(!fs.exists("tbl_bad"), "{row:?} left a table file behind");
+        }
+        let good = [vec![Value::Int(1), text("a"), text("b")]];
+        create_table(&fs, "bad", three, &good).unwrap();
+        assert!(fs.exists("tbl_bad"));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! simplifications (documented per query): no NULLs, `COUNT(DISTINCT)`
 //! computed host-side, `EXISTS` turned into joins or host-side set tests.
 
+use std::sync::atomic::Ordering;
+
 use biscuit_host::HostLoad;
 use biscuit_sim::Ctx;
 
@@ -49,14 +51,21 @@ impl TpchQuery {
         }
         let t0 = ctx.now();
         let link0 = db.ssd().link().bytes_to_host();
-        let dev0 = db.ssd().device().stats().pages_scanned.get();
+        let scanned = || {
+            db.ssd()
+                .device()
+                .stats()
+                .pages_scanned
+                .load(Ordering::Relaxed)
+        };
+        let dev0 = scanned();
         let (rows, mut offloaded) = (self.runner)(db, ctx, mode, load)?;
         offloaded.sort();
         offloaded.dedup();
         let stats = QueryStats {
             offloaded_tables: offloaded,
             link_bytes_to_host: db.ssd().link().bytes_to_host() - link0,
-            device_pages_scanned: db.ssd().device().stats().pages_scanned.get() - dev0,
+            device_pages_scanned: scanned() - dev0,
             rows_out: rows.len(),
             elapsed: ctx.now() - t0,
         };

@@ -2,6 +2,7 @@
 //! results, the planner must offload only pattern-friendly selective scans,
 //! and offloading must reduce both link traffic and execution time.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use biscuit_sim::sync::Mutex;
@@ -508,9 +509,9 @@ fn run_conv_join(outer_rows: usize, block_rows: usize, spec: SelectSpec) -> (Que
     load_items(&mut db, 4_000, 500);
     load_owners(&mut db, outer_rows);
     let db = Arc::new(db);
-    let before = db.ssd().device().stats().pages_read.get();
+    let before = db.ssd().device().stats().pages_read.load(Ordering::Relaxed);
     let out = run_query(Arc::clone(&db), spec, ExecMode::Conv);
-    let pages = db.ssd().device().stats().pages_read.get() - before;
+    let pages = db.ssd().device().stats().pages_read.load(Ordering::Relaxed) - before;
     let db = Arc::try_unwrap(db).expect("query finished");
     (out, pages, db)
 }

@@ -784,6 +784,7 @@ mod tests {
     use super::*;
     use biscuit_sim::Simulation;
     use biscuit_ssd::SsdConfig;
+    use std::sync::atomic::Ordering;
 
     fn device() -> Arc<SsdDevice> {
         Arc::new(SsdDevice::new(SsdConfig {
@@ -901,7 +902,10 @@ mod tests {
             let stats = dev.stats();
             (
                 dev.export_state(),
-                [stats.pages_read.get(), stats.pages_written.get()],
+                [
+                    stats.pages_read.load(Ordering::Relaxed),
+                    stats.pages_written.load(Ordering::Relaxed),
+                ],
                 report.end_time.as_ps(),
             )
         }

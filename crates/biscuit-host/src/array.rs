@@ -266,11 +266,6 @@ impl<T: Send + 'static> MergeRx<T> {
         }
     }
 
-    /// Lanes that have not yet closed or been abandoned.
-    pub fn open_lanes(&self) -> usize {
-        self.open
-    }
-
     fn emit(&mut self, s: usize, seq: u64, item: T) -> (usize, u64, T) {
         assert_eq!(
             seq, self.popped[s],

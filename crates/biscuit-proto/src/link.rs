@@ -254,11 +254,6 @@ impl HostLink {
     pub fn bytes_to_device(&self) -> u64 {
         self.to_device.bytes()
     }
-
-    /// Cumulative busy time of the device→host direction (for utilization).
-    pub fn to_host_busy(&self) -> SimDuration {
-        self.to_host.busy_total()
-    }
 }
 
 /// Guard representing an occupied NVMe command slot.

@@ -611,7 +611,7 @@ pub struct SimReport {
     pub events_processed: u64,
     /// Snapshot of the structured event trace (empty unless
     /// [`Simulation::enable_trace`] was called). Export it with
-    /// [`Trace::to_chrome_json`] or summarize it with [`Trace::metrics`].
+    /// [`Trace::to_chrome_json`]; totals live in [`SimReport::metrics`].
     pub trace: Trace,
     /// Snapshot of the aggregate metrics registry (empty unless
     /// [`Simulation::enable_metrics`] was called). Export it with

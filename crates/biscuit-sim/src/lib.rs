@@ -24,15 +24,14 @@
 //! - [`queue`] — blocking bounded queues, wait queues, semaphores.
 //! - [`resource`] — FCFS bandwidth shapers and server banks.
 //! - [`power`] — two-state power components integrated into Joules.
-//! - [`stats`] — the counter collector for the experiment harnesses.
 //! - [`metrics`] — the aggregate metrics registry: counters, gauges, and
 //!   log-bucketed histograms with Prometheus text + stable JSON exports
 //!   (see `docs/METRICS.md` at the repo root).
 //! - [`qprof`] — query-scoped causal profiling: [`SpanContext`] propagation
 //!   and deterministic per-query latency attribution with critical-path
 //!   extraction (see `docs/QUERYPROF.md` at the repo root).
-//! - [`trace`] — structured event tracing: Chrome `trace_event` export and
-//!   flat metrics (see `docs/TRACING.md` at the repo root).
+//! - [`trace`] — structured event tracing: the Chrome `trace_event`
+//!   export (see `docs/TRACING.md` at the repo root).
 //!
 //! ## Example
 //!
@@ -75,7 +74,6 @@ pub mod qprof;
 pub mod queue;
 pub mod resource;
 pub mod rng;
-pub mod stats;
 pub mod sync;
 pub mod time;
 pub mod trace;

@@ -16,7 +16,6 @@ pub struct ComponentId(usize);
 
 #[derive(Debug)]
 struct Component {
-    name: String,
     idle_w: f64,
     active_w: f64,
     active: bool,
@@ -39,8 +38,8 @@ struct MeterInner {
 /// use biscuit_sim::time::{SimTime, SimDuration};
 ///
 /// let meter = PowerMeter::new();
-/// let base = meter.register("baseline", 103.0, 103.0);
-/// let cpu = meter.register("host-cpu", 0.0, 19.0);
+/// let base = meter.register(103.0, 103.0);
+/// let cpu = meter.register(0.0, 19.0);
 /// let _ = base; // always-on baseline
 /// meter.set_active(SimTime::ZERO, cpu, true);
 /// let t = SimTime::ZERO + SimDuration::from_secs(10);
@@ -74,12 +73,11 @@ impl PowerMeter {
     /// # Panics
     ///
     /// Panics if either wattage is negative or NaN.
-    pub fn register(&self, name: impl Into<String>, idle_w: f64, active_w: f64) -> ComponentId {
+    pub fn register(&self, idle_w: f64, active_w: f64) -> ComponentId {
         assert!(idle_w >= 0.0 && active_w >= 0.0, "wattage must be >= 0");
         let mut inner = self.inner.lock();
         let id = ComponentId(inner.components.len());
         inner.components.push(Component {
-            name: name.into(),
             idle_w,
             active_w,
             active: false,
@@ -139,16 +137,6 @@ impl PowerMeter {
         }
         out
     }
-
-    /// Registered component names (diagnostics).
-    pub fn component_names(&self) -> Vec<String> {
-        self.inner
-            .lock()
-            .components
-            .iter()
-            .map(|c| c.name.clone())
-            .collect()
-    }
 }
 
 fn total_power(components: &[Component]) -> f64 {
@@ -186,15 +174,15 @@ mod tests {
     #[test]
     fn idle_baseline_integrates() {
         let m = PowerMeter::new();
-        m.register("base", 103.0, 103.0);
+        m.register(103.0, 103.0);
         assert!((m.energy_joules(secs(10)) - 1030.0).abs() < 1e-9);
     }
 
     #[test]
     fn active_intervals_add_energy() {
         let m = PowerMeter::new();
-        m.register("base", 100.0, 100.0);
-        let dev = m.register("ssd", 0.0, 33.0);
+        m.register(100.0, 100.0);
+        let dev = m.register(0.0, 33.0);
         m.set_active(secs(2), dev, true);
         m.set_active(secs(5), dev, false);
         // 100W for 10s + 33W for 3s
@@ -204,8 +192,8 @@ mod tests {
     #[test]
     fn trace_records_steps() {
         let m = PowerMeter::new();
-        m.register("base", 50.0, 50.0);
-        let c = m.register("x", 0.0, 10.0);
+        m.register(50.0, 50.0);
+        let c = m.register(0.0, 10.0);
         m.set_active(secs(1), c, true);
         m.set_active(secs(3), c, false);
         let tr = m.trace();
@@ -216,8 +204,8 @@ mod tests {
     #[test]
     fn sample_produces_series() {
         let m = PowerMeter::new();
-        m.register("base", 10.0, 10.0);
-        let c = m.register("x", 0.0, 5.0);
+        m.register(10.0, 10.0);
+        let c = m.register(0.0, 5.0);
         m.set_active(secs(2), c, true);
         m.set_active(secs(4), c, false);
         let s = m.sample(secs(5), SimDuration::from_secs(1));
@@ -228,7 +216,7 @@ mod tests {
     #[test]
     fn redundant_set_active_is_noop_in_trace() {
         let m = PowerMeter::new();
-        let c = m.register("x", 1.0, 2.0);
+        let c = m.register(1.0, 2.0);
         m.set_active(secs(1), c, false);
         assert_eq!(m.trace().len(), 1); // only the registration step
         let _ = c;
@@ -238,7 +226,7 @@ mod tests {
     #[should_panic(expected = "backwards")]
     fn backwards_update_panics() {
         let m = PowerMeter::new();
-        let c = m.register("x", 0.0, 1.0);
+        let c = m.register(0.0, 1.0);
         m.set_active(secs(5), c, true);
         m.set_active(secs(1), c, false);
     }

@@ -68,7 +68,6 @@ use crate::sync::Mutex;
 
 use crate::kernel::{Ctx, Pid};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::escape_json_into;
 
 /// The pipeline stage a recorded span is attributed to.
 ///
@@ -122,27 +121,6 @@ impl Stage {
             Stage::Link => "link",
             Stage::HostMerge => "host_merge",
             Stage::HostCompute => "host_compute",
-        }
-    }
-
-    /// The Chrome-trace device track a critical-path segment of this stage
-    /// maps onto (`lane` is the channel / core / direction index), or
-    /// `None` for host-side stages that have no device track.
-    pub(crate) fn track_key(self, lane: u32) -> Option<String> {
-        match self {
-            Stage::NandRead => Some(format!("nand.ch{lane}")),
-            Stage::BusTransfer => Some(format!("bus.ch{lane}")),
-            Stage::Match => Some(format!("pm.ch{lane}")),
-            Stage::SsdletCompute => Some(format!("cpu.core.{lane}")),
-            Stage::Link => Some(
-                if lane == 0 {
-                    "link.to_host"
-                } else {
-                    "link.to_device"
-                }
-                .to_string(),
-            ),
-            Stage::QueueWait | Stage::HostMerge | Stage::HostCompute => None,
         }
     }
 }
@@ -377,8 +355,8 @@ impl QueryProfiler {
 
     /// Records a `[start, end)` occupancy of `stage` against the current
     /// fiber's context. `lane` is the channel / core / link-direction
-    /// index used to stitch critical-path segments onto Chrome device
-    /// tracks. A no-op while disabled or outside any query.
+    /// index, exported with each critical-path segment. A no-op while
+    /// disabled or outside any query.
     #[inline]
     pub fn record(&self, stage: Stage, start: SimTime, end: SimTime, bytes: u64, lane: u32) {
         if !self.is_enabled() {
@@ -705,7 +683,7 @@ impl QueryProfiles {
     }
 
     /// Renders a human-readable per-stage latency table for each query
-    /// (the `qprof` triage bin's output).
+    /// (what a `BISCUIT_QPROF` run prints after it).
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         for q in &self.queries {
@@ -744,84 +722,6 @@ impl QueryProfiles {
             out.push_str(&format!("WARNING: {} queries never closed\n", self.open));
         }
         out
-    }
-
-    /// Chrome `trace_event` flow events stitching each query's critical
-    /// path across the trace's device tracks — feed the result to
-    /// [`crate::trace::Trace::to_chrome_json_with_flows`].
-    pub(crate) fn flow_entries(
-        &self,
-        device_tids: &BTreeMap<String, u32>,
-        device_pid: u32,
-        flow_pid: u32,
-    ) -> Vec<(u64, String)> {
-        let mut entries = Vec::new();
-        for q in &self.queries {
-            let name = {
-                let mut n = String::new();
-                escape_json_into(&mut n, &format!("query {} tenant {}", q.query, q.tenant));
-                n
-            };
-            // One envelope slice per query on the flow process.
-            let tid = q.query as u32;
-            entries.push((
-                q.start.as_ps(),
-                format!(
-                    r#"{{"name":"{}","cat":"query","ph":"X","ts":{},"dur":{},"pid":{},"tid":{},"args":{{"end_to_end_ps":{}}}}}"#,
-                    name,
-                    crate::trace::ts_us(q.start.as_ps()),
-                    crate::trace::ts_us(q.end.as_ps() - q.start.as_ps()),
-                    flow_pid,
-                    tid,
-                    q.end_to_end().as_ps()
-                ),
-            ));
-            // Flow chain: start on the query slice, one step per
-            // critical-path segment on the segment's device track when the
-            // trace has it, finish back on the query slice.
-            entries.push((
-                q.start.as_ps(),
-                format!(
-                    r#"{{"name":"{}","cat":"query","ph":"s","id":{},"ts":{},"pid":{},"tid":{}}}"#,
-                    name,
-                    q.query,
-                    crate::trace::ts_us(q.start.as_ps()),
-                    flow_pid,
-                    tid
-                ),
-            ));
-            for seg in &q.critical_path {
-                let (pid, seg_tid) = seg
-                    .stage
-                    .track_key(seg.lane)
-                    .and_then(|key| device_tids.get(&key).copied())
-                    .map_or((flow_pid, tid), |t| (device_pid, t));
-                entries.push((
-                    seg.start_ps,
-                    format!(
-                        r#"{{"name":"{}","cat":"query","ph":"t","id":{},"ts":{},"pid":{},"tid":{},"args":{{"stage":"{}"}}}}"#,
-                        name,
-                        q.query,
-                        crate::trace::ts_us(seg.start_ps),
-                        pid,
-                        seg_tid,
-                        seg.stage.label()
-                    ),
-                ));
-            }
-            entries.push((
-                q.end.as_ps(),
-                format!(
-                    r#"{{"name":"{}","cat":"query","ph":"f","bp":"e","id":{},"ts":{},"pid":{},"tid":{}}}"#,
-                    name,
-                    q.query,
-                    crate::trace::ts_us(q.end.as_ps()),
-                    flow_pid,
-                    tid
-                ),
-            ));
-        }
-        entries
     }
 }
 

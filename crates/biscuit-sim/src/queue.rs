@@ -250,11 +250,6 @@ impl<T: Send> SimQueue<T> {
         self.len() == 0
     }
 
-    /// True if the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.state.lock().closed
-    }
-
     /// Enqueues `v`, blocking in virtual time while the queue is full.
     ///
     /// # Errors

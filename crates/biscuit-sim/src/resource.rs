@@ -229,11 +229,6 @@ impl Shaper {
     pub fn bytes(&self) -> u64 {
         self.state.lock().bytes
     }
-
-    /// The earliest time a new operation could start service.
-    pub fn next_free(&self) -> SimTime {
-        self.state.lock().avail
-    }
 }
 
 /// A bank of identical FCFS servers indexed by an integer key, e.g. one

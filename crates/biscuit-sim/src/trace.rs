@@ -7,15 +7,14 @@
 //! (integer picoseconds), so two runs with the same seed produce
 //! byte-identical traces.
 //!
-//! A captured [`Trace`] exports two ways:
-//!
-//! - [`Trace::to_chrome_json`] — the Chrome `trace_event` format, loadable
-//!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev): fibers
-//!   as one thread track each, device resources (NAND dies, channel buses,
-//!   pattern matchers, CPU cores, the PCIe link) as span tracks, queue
-//!   depths as counter tracks, and port/planner activity as instants;
-//! - [`Trace::metrics`] — a flat [`TraceMetrics`] summary: per-component
-//!   busy time, utilization, operation counts, and bytes moved.
+//! A captured [`Trace`] exports as the Chrome `trace_event` format
+//! ([`Trace::to_chrome_json`]), loadable in `chrome://tracing` or
+//! [Perfetto](https://ui.perfetto.dev): fibers as one thread track each,
+//! device resources (NAND dies, channel buses, pattern matchers, CPU cores,
+//! the PCIe link) as span tracks, queue depths as counter tracks, and
+//! port/planner activity as instants. Aggregates (busy time, operation
+//! counts, bytes moved) come from the [`crate::metrics`] registry, which
+//! counts every call rather than what the ring still holds.
 //!
 //! Tracing is **off by default** and costs one relaxed atomic load per
 //! instrumentation site when disabled ([`Tracer::emit`] takes a closure, so
@@ -34,15 +33,13 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::sync::Mutex;
 
 use crate::kernel::Pid;
-use crate::qprof::QueryProfiles;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Configuration for a simulation's tracer.
 #[derive(Debug, Clone)]
@@ -453,19 +450,6 @@ impl Trace {
         ChromeExporter::new(self).export()
     }
 
-    /// [`Trace::to_chrome_json`] plus query *flow events*: each profiled
-    /// query contributes one envelope slice on a dedicated "queries"
-    /// process and a flow arrow chain (`s`/`t`/`f` events keyed by query
-    /// id) stepping through its critical-path segments on the existing
-    /// device tracks (`nand.chN`, `bus.chN`, `pm.chN`, `cpu.core.N`, link
-    /// directions). Segments whose track the trace never recorded fall
-    /// back to the query's own slice, so the chain always renders.
-    pub fn to_chrome_json_with_flows(&self, profiles: &QueryProfiles) -> String {
-        let mut exporter = ChromeExporter::new(self);
-        exporter.flows = Some(profiles);
-        exporter.export()
-    }
-
     /// Writes [`Trace::to_chrome_json`] to `path`.
     ///
     /// # Errors
@@ -473,11 +457,6 @@ impl Trace {
     /// Returns the underlying I/O error.
     pub fn write_chrome_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_chrome_json())
-    }
-
-    /// Aggregates the events into a flat metrics summary.
-    pub fn metrics(&self) -> TraceMetrics {
-        TraceMetrics::from_trace(self)
     }
 }
 
@@ -488,7 +467,6 @@ impl Trace {
 const PID_FIBERS: u32 = 1;
 const PID_DEVICE: u32 = 2;
 const PID_FLOW: u32 = 3;
-const PID_QUERIES: u32 = 4;
 
 /// Escapes `s` as the contents of a JSON string (without the quotes).
 pub(crate) fn escape_json_into(out: &mut String, s: &str) {
@@ -517,7 +495,7 @@ fn json_str(s: &str) -> String {
 
 /// Renders picoseconds as microseconds with six fixed fractional digits —
 /// exact and byte-deterministic (no float formatting involved).
-pub(crate) fn ts_us(ps: u64) -> String {
+fn ts_us(ps: u64) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }
 
@@ -528,8 +506,6 @@ struct ChromeExporter<'a> {
     fiber_names: BTreeMap<Pid, Arc<str>>,
     device_tids: BTreeMap<String, u32>,
     flow_tids: BTreeMap<String, u32>,
-    /// Query profiles to stitch in as flow events, if any.
-    flows: Option<&'a QueryProfiles>,
 }
 
 impl<'a> ChromeExporter<'a> {
@@ -540,7 +516,6 @@ impl<'a> ChromeExporter<'a> {
             fiber_names: BTreeMap::new(),
             device_tids: BTreeMap::new(),
             flow_tids: BTreeMap::new(),
-            flows: None,
         }
     }
 
@@ -757,17 +732,6 @@ impl<'a> ChromeExporter<'a> {
             }
         }
 
-        // Query flow events go in after the event loop so every device
-        // track the trace will ever name is already numbered.
-        let flow_entries = self
-            .flows
-            .map(|p| p.flow_entries(&self.device_tids, PID_DEVICE, PID_QUERIES));
-        if let Some(entries) = flow_entries {
-            for (ps, entry) in entries {
-                self.push(ps, entry);
-            }
-        }
-
         // Stable sort: entries recorded in deterministic order keep that
         // order within a timestamp, and reservation spans with future end
         // times still start monotonically.
@@ -775,15 +739,11 @@ impl<'a> ChromeExporter<'a> {
 
         let mut meta: Vec<String> = Vec::new();
         if !self.entries.is_empty() {
-            let has_queries = self.flows.is_some_and(|p| !p.queries().is_empty());
             for (pid, name) in [
                 (PID_FIBERS, "fibers"),
                 (PID_DEVICE, "device"),
                 (PID_FLOW, "queues & ports"),
-            ]
-            .into_iter()
-            .chain(has_queries.then_some((PID_QUERIES, "queries")))
-            {
+            ] {
                 meta.push(format!(
                     r#"{{"name":"process_name","ph":"M","ts":0.000000,"pid":{},"tid":0,"args":{{"name":{}}}}}"#,
                     pid,
@@ -835,284 +795,45 @@ impl<'a> ChromeExporter<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Flat metrics summary
-// ---------------------------------------------------------------------------
-
-/// Busy-time accounting for one span track (a resource, NAND channel, bus,
-/// or pattern matcher).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TrackMetrics {
-    /// Total service time accumulated on the track.
-    pub busy: SimDuration,
-    /// Operations served.
-    pub ops: u64,
-    /// Bytes moved (zero for pure time charges).
-    pub bytes: u64,
-}
-
-impl TrackMetrics {
-    /// Busy fraction of `span` (clamped to 1.0; parallel servers folded
-    /// into one track can exceed their span).
-    pub fn utilization(&self, span: SimDuration) -> f64 {
-        if span.is_zero() {
-            return 0.0;
-        }
-        (self.busy.as_ps() as f64 / span.as_ps() as f64).min(1.0)
-    }
-}
-
-/// Push/pop accounting for one traced queue.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueueMetrics {
-    /// Items pushed.
-    pub pushes: u64,
-    /// Items popped.
-    pub pops: u64,
-    /// High-water mark of buffered items.
-    pub max_depth: usize,
-}
-
-/// Send/receive accounting for one traced port connection.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PortMetrics {
-    /// Messages sent.
-    pub sends: u64,
-    /// Messages received.
-    pub recvs: u64,
-    /// Encoded bytes sent (boundary ports; zero for native typed ports).
-    pub bytes: u64,
-}
-
-/// One planner decision, as recorded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OffloadSummary {
-    /// Table name.
-    pub table: String,
-    /// Whether the scan was offloaded.
-    pub offloaded: bool,
-    /// Sampled selectivity.
-    pub est_selectivity: f64,
-    /// Planner reason string.
-    pub reason: &'static str,
-}
-
-/// Flat aggregation of a [`Trace`]: where time and bytes went.
-#[derive(Debug, Clone, Default)]
-pub struct TraceMetrics {
-    /// Latest timestamp observed in the trace (the metric horizon).
-    pub end_time: SimTime,
-    /// Fibers spawned.
-    pub fibers_spawned: u64,
-    /// Scheduler resume count (context switches). Fiber run slices have
-    /// zero *virtual* duration by construction — the kernel's clock is
-    /// frozen while model code executes, and all modeled time is charged
-    /// through sleeps and resource reservations — so there is no "fiber
-    /// busy time" metric; the span tracks hold where virtual time went.
-    pub context_switches: u64,
-    /// Span tracks keyed as in the Chrome export (`nand.ch0`, `bus.ch0`,
-    /// `pm.ch0`, `cpu.core.0`, `link.to_host`, ...).
-    pub tracks: BTreeMap<String, TrackMetrics>,
-    /// Traced queues by label.
-    pub queues: BTreeMap<String, QueueMetrics>,
-    /// Traced ports by label.
-    pub ports: BTreeMap<String, PortMetrics>,
-    /// Planner verdicts in decision order.
-    pub offloads: Vec<OffloadSummary>,
-    /// Faults injected (by site label).
-    pub faults_injected: BTreeMap<&'static str, u64>,
-    /// Faults recovered (by site label).
-    pub faults_recovered: BTreeMap<&'static str, u64>,
-    /// Recovery failures (by site label).
-    pub faults_failed: BTreeMap<&'static str, u64>,
-    /// Events lost to ring-buffer overflow.
-    pub dropped: u64,
-}
-
-impl TraceMetrics {
-    fn from_trace(trace: &Trace) -> TraceMetrics {
-        let mut m = TraceMetrics {
-            dropped: trace.dropped,
-            ..TraceMetrics::default()
-        };
-        let mut depths: BTreeMap<Arc<str>, usize> = BTreeMap::new();
-        for ev in &trace.events {
-            m.end_time = m.end_time.max(ev.timestamp());
-            match ev {
-                TraceEvent::FiberSpawn { .. } => m.fibers_spawned += 1,
-                TraceEvent::FiberResume { .. } => m.context_switches += 1,
-                TraceEvent::FiberBlock { .. } | TraceEvent::FiberFinish { .. } => {}
-                TraceEvent::QueuePush { queue, depth, .. } => {
-                    let q = m.queues.entry(queue.to_string()).or_default();
-                    q.pushes += 1;
-                    q.max_depth = q.max_depth.max(*depth);
-                    depths.insert(Arc::clone(queue), *depth);
-                }
-                TraceEvent::QueuePop { queue, depth, .. } => {
-                    let q = m.queues.entry(queue.to_string()).or_default();
-                    q.pops += 1;
-                    depths.insert(Arc::clone(queue), *depth);
-                }
-                TraceEvent::ResourceSpan {
-                    resource,
-                    server,
-                    start,
-                    end,
-                    bytes,
-                } => {
-                    let key = match server {
-                        Some(idx) => format!("{resource}.{idx}"),
-                        None => resource.to_string(),
-                    };
-                    m.end_time = m.end_time.max(*end);
-                    let t = m.tracks.entry(key).or_default();
-                    t.busy += *end - *start;
-                    t.ops += 1;
-                    t.bytes += bytes;
-                }
-                TraceEvent::NandOp {
-                    channel,
-                    start,
-                    end,
-                    ..
-                } => {
-                    m.end_time = m.end_time.max(*end);
-                    let t = m.tracks.entry(format!("nand.ch{channel}")).or_default();
-                    t.busy += *end - *start;
-                    t.ops += 1;
-                }
-                TraceEvent::ChannelTransfer {
-                    channel,
-                    start,
-                    end,
-                    bytes,
-                } => {
-                    m.end_time = m.end_time.max(*end);
-                    let t = m.tracks.entry(format!("bus.ch{channel}")).or_default();
-                    t.busy += *end - *start;
-                    t.ops += 1;
-                    t.bytes += bytes;
-                }
-                TraceEvent::PatternScan {
-                    channel,
-                    start,
-                    end,
-                    bytes,
-                    ..
-                } => {
-                    m.end_time = m.end_time.max(*end);
-                    let t = m.tracks.entry(format!("pm.ch{channel}")).or_default();
-                    t.busy += *end - *start;
-                    t.ops += 1;
-                    t.bytes += bytes;
-                }
-                TraceEvent::PortSend { port, bytes, .. } => {
-                    let p = m.ports.entry(port.to_string()).or_default();
-                    p.sends += 1;
-                    p.bytes += bytes;
-                }
-                TraceEvent::PortRecv { port, .. } => {
-                    m.ports.entry(port.to_string()).or_default().recvs += 1;
-                }
-                TraceEvent::OffloadVerdict {
-                    table,
-                    offloaded,
-                    est_selectivity,
-                    reason,
-                    ..
-                } => {
-                    m.offloads.push(OffloadSummary {
-                        table: table.to_string(),
-                        offloaded: *offloaded,
-                        est_selectivity: *est_selectivity,
-                        reason,
-                    });
-                }
-                TraceEvent::FaultInjected { site, .. } => {
-                    *m.faults_injected.entry(site).or_default() += 1;
-                }
-                TraceEvent::FaultRecovered { site, .. } => {
-                    *m.faults_recovered.entry(site).or_default() += 1;
-                }
-                TraceEvent::FaultFailed { site, .. } => {
-                    *m.faults_failed.entry(site).or_default() += 1;
-                }
-                TraceEvent::Mark { .. } => {}
-            }
-        }
-        m
-    }
-
-    /// The metric horizon as a duration since the epoch.
-    pub fn span(&self) -> SimDuration {
-        self.end_time - SimTime::ZERO
-    }
-}
-
-impl fmt::Display for TraceMetrics {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "trace metrics (horizon {}):", self.end_time)?;
-        writeln!(
-            f,
-            "  fibers: {} spawned, {} context switches",
-            self.fibers_spawned, self.context_switches
-        )?;
-        let span = self.span();
-        for (key, t) in &self.tracks {
-            writeln!(
-                f,
-                "  track {key}: busy {} ({:.1}%), {} ops, {} bytes",
-                t.busy,
-                t.utilization(span) * 100.0,
-                t.ops,
-                t.bytes
-            )?;
-        }
-        for (key, q) in &self.queues {
-            writeln!(
-                f,
-                "  queue {key}: {} pushed, {} popped, max depth {}",
-                q.pushes, q.pops, q.max_depth
-            )?;
-        }
-        for (key, p) in &self.ports {
-            writeln!(
-                f,
-                "  port {key}: {} sent, {} received, {} bytes",
-                p.sends, p.recvs, p.bytes
-            )?;
-        }
-        for (site, n) in &self.faults_injected {
-            let recovered = self.faults_recovered.get(site).copied().unwrap_or(0);
-            let failed = self.faults_failed.get(site).copied().unwrap_or(0);
-            writeln!(
-                f,
-                "  faults {site}: {n} injected, {recovered} recovered, {failed} failed"
-            )?;
-        }
-        for o in &self.offloads {
-            writeln!(
-                f,
-                "  planner {}: {} (selectivity {:.4}, {})",
-                o.table,
-                if o.offloaded { "OFFLOAD" } else { "host scan" },
-                o.est_selectivity,
-                o.reason
-            )?;
-        }
-        if self.dropped > 0 {
-            writeln!(f, "  dropped events: {}", self.dropped)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::queue::SimQueue;
     use crate::resource::{ServerBank, Shaper};
+    use crate::time::SimDuration;
     use crate::Simulation;
+
+    /// Events of `trace` that `pred` selects.
+    fn count(trace: &Trace, pred: impl Fn(&TraceEvent) -> bool) -> u64 {
+        trace.events().iter().filter(|ev| pred(ev)).count() as u64
+    }
+
+    /// `(ops, bytes, busy)` of the resource spans recorded on `track`
+    /// (`resource` or `resource.server`, as the Chrome export names it).
+    fn track_totals(trace: &Trace, track: &str) -> (u64, u64, SimDuration) {
+        let mut totals = (0, 0, SimDuration::ZERO);
+        for ev in trace.events() {
+            if let TraceEvent::ResourceSpan {
+                resource,
+                server,
+                start,
+                end,
+                bytes,
+            } = ev
+            {
+                let key = match server {
+                    Some(idx) => format!("{resource}.{idx}"),
+                    None => resource.to_string(),
+                };
+                if key == track {
+                    totals.0 += 1;
+                    totals.1 += bytes;
+                    totals.2 += *end - *start;
+                }
+            }
+        }
+        totals
+    }
 
     /// Minimal structural JSON validator: balanced braces/brackets outside
     /// strings, valid escape sequences inside them.
@@ -1172,7 +893,20 @@ mod tests {
         assert_eq!(json, r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#);
         assert_valid_json(&json);
         assert!(t.is_empty());
-        assert_eq!(t.metrics().fibers_spawned, 0);
+
+        // A simulation that spawns nothing records nothing, and its
+        // registry agrees: no fiber was spawned.
+        let sim = Simulation::new(0);
+        sim.enable_trace(TraceConfig::default());
+        sim.enable_metrics();
+        let report = sim.run();
+        let spawns = |ev: &TraceEvent| matches!(ev, TraceEvent::FiberSpawn { .. });
+        assert_eq!(count(&report.trace, spawns), 0);
+        assert_eq!(report.trace.to_chrome_json(), json);
+        let spawned = report
+            .metrics
+            .counter_value("sim_fibers_spawned_total", &[]);
+        assert_eq!(spawned.unwrap_or(0), 0);
     }
 
     #[test]
@@ -1236,6 +970,7 @@ mod tests {
     fn simulation_trace_captures_fibers_and_is_monotonic() {
         let sim = Simulation::new(0);
         sim.enable_trace(TraceConfig::default());
+        sim.enable_metrics();
         let q = SimQueue::labelled(4, "test.queue");
         let tx = q.clone();
         sim.spawn("producer", move |ctx| {
@@ -1249,12 +984,35 @@ mod tests {
         let report = sim.run();
         report.assert_quiescent();
 
-        let m = report.trace.metrics();
-        assert_eq!(m.fibers_spawned, 2);
-        assert!(m.context_switches >= 2);
-        let qm = &m.queues["test.queue"];
-        assert_eq!(qm.pushes, 5);
-        assert_eq!(qm.pops, 5);
+        let t = &report.trace;
+        let spawns = count(t, |ev| matches!(ev, TraceEvent::FiberSpawn { .. }));
+        let resumes = count(t, |ev| matches!(ev, TraceEvent::FiberResume { .. }));
+        let on_queue = |q: &str| q == "test.queue";
+        let pushes = count(
+            t,
+            |ev| matches!(ev, TraceEvent::QueuePush { queue, .. } if on_queue(queue)),
+        );
+        let pops = count(
+            t,
+            |ev| matches!(ev, TraceEvent::QueuePop { queue, .. } if on_queue(queue)),
+        );
+        assert_eq!(spawns, 2);
+        assert!(resumes >= 2);
+        assert_eq!((pushes, pops), (5, 5));
+
+        // The registry counts the same run the same way.
+        let m = &report.metrics;
+        let queue = [("queue", "test.queue")];
+        assert_eq!(
+            m.counter_value("sim_fibers_spawned_total", &[]),
+            Some(spawns)
+        );
+        assert_eq!(
+            m.counter_value("sim_context_switches_total", &[]),
+            Some(resumes)
+        );
+        assert_eq!(m.counter_value("queue_pushes_total", &queue), Some(pushes));
+        assert_eq!(m.counter_value("queue_pops_total", &queue), Some(pops));
 
         let json = report.trace.to_chrome_json();
         assert_valid_json(&json);
@@ -1272,6 +1030,7 @@ mod tests {
     fn traced_resources_produce_spans_and_utilization() {
         let sim = Simulation::new(0);
         sim.enable_trace(TraceConfig::default());
+        sim.enable_metrics();
         let [shaper] = Shaper::labelled(1e6, SimDuration::ZERO, ["test.link"]); // 1 MB/s
         let shaper = Arc::new(shaper);
         let bank = Arc::new(ServerBank::labelled(2, "test.core"));
@@ -1283,15 +1042,27 @@ mod tests {
         });
         let report = sim.run();
         report.assert_quiescent();
-        let m = report.trace.metrics();
-        let link = &m.tracks["test.link"];
-        assert_eq!(link.ops, 1);
-        assert_eq!(link.bytes, 1000);
-        assert_eq!(link.busy.as_micros(), 1000);
-        let core = &m.tracks["test.core.1"];
-        assert_eq!(core.busy.as_micros(), 250);
-        // Shaper busy 1000us of a 1250us horizon = 80%.
-        assert!((link.utilization(m.span()) - 0.8).abs() < 1e-9);
+        let (ops, bytes, busy) = track_totals(&report.trace, "test.link");
+        assert_eq!((ops, bytes, busy.as_micros()), (1, 1000, 1000));
+        let (_, _, core_busy) = track_totals(&report.trace, "test.core.1");
+        assert_eq!(core_busy.as_micros(), 250);
+        // Shaper busy 1000us of a 1250us run = 80%.
+        assert_eq!(report.end_time.as_micros(), 1250);
+
+        // The registry counts the same run the same way.
+        let m = &report.metrics;
+        let link = [("resource", "test.link")];
+        assert_eq!(m.counter_value("resource_ops_total", &link), Some(ops));
+        assert_eq!(m.counter_value("resource_bytes_total", &link), Some(bytes));
+        assert_eq!(
+            m.counter_value("resource_busy_ps_total", &link),
+            Some(busy.as_ps())
+        );
+        let core = [("resource", "test.core.1")];
+        assert_eq!(
+            m.counter_value("resource_busy_ps_total", &core),
+            Some(core_busy.as_ps())
+        );
         let json = report.trace.to_chrome_json();
         assert_valid_json(&json);
         assert!(json.contains(r#""ph":"X""#));

@@ -15,6 +15,7 @@
 //!   Biscuit bandwidth (Fig. 7), while only matching pages surface.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use biscuit_sim::sync::Mutex;
@@ -26,7 +27,6 @@ use biscuit_sim::metrics::{self, MetricsRegistry};
 use biscuit_sim::power::{ComponentId, PowerMeter};
 use biscuit_sim::qprof::Stage;
 use biscuit_sim::resource::ServerBank;
-use biscuit_sim::stats::Counter;
 use biscuit_sim::time::{SimDuration, SimTime};
 use biscuit_sim::trace::{NandOpKind, TraceEvent};
 use biscuit_sim::Ctx;
@@ -104,17 +104,18 @@ impl From<FtlError> for DeviceError {
 /// Result alias for device operations.
 pub type DeviceResult<T> = Result<T, DeviceError>;
 
-/// Operation counters exposed for the experiment harnesses.
+/// Operation counters exposed for the experiment harnesses; read them
+/// with `load(Ordering::Relaxed)`.
 #[derive(Debug, Default)]
 pub struct DeviceStats {
     /// Pages read (plain reads).
-    pub pages_read: Counter,
+    pub pages_read: AtomicU64,
     /// Pages streamed through the pattern matcher.
-    pub pages_scanned: Counter,
+    pub pages_scanned: AtomicU64,
     /// Pages the pattern matcher flagged as matching.
-    pub pages_matched: Counter,
+    pub pages_matched: AtomicU64,
     /// Pages written.
-    pub pages_written: Counter,
+    pub pages_written: AtomicU64,
 }
 
 /// Per-channel flash-path instruments, registered in the calling
@@ -769,10 +770,10 @@ impl SsdDevice {
     fn count_page(
         &self,
         ctx: &Ctx,
-        stat: &Counter,
+        stat: &AtomicU64,
         mirror: impl Fn(&DeviceInstruments) -> &metrics::Counter,
     ) {
-        stat.add(1);
+        stat.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = self.instruments(ctx) {
             mirror(m).inc();
         }
@@ -1236,7 +1237,6 @@ impl SsdDevice {
 mod tests {
     use super::*;
     use biscuit_sim::Simulation;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn small_cfg() -> SsdConfig {
         SsdConfig {
@@ -1377,8 +1377,8 @@ mod tests {
             assert_eq!(lpns, vec![0, 2]);
         });
         sim.run().assert_quiescent();
-        assert_eq!(dev.stats().pages_scanned.get(), 3);
-        assert_eq!(dev.stats().pages_matched.get(), 2);
+        assert_eq!(dev.stats().pages_scanned.load(Ordering::Relaxed), 3);
+        assert_eq!(dev.stats().pages_matched.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -1541,8 +1541,8 @@ mod tests {
         let sim = Simulation::new(0);
         let dev = Arc::new(SsdDevice::new(small_cfg()));
         let meter = Arc::new(PowerMeter::new());
-        meter.register("base", 103.0, 103.0);
-        let ssd = meter.register("ssd", 0.0, 33.0);
+        meter.register(103.0, 103.0);
+        let ssd = meter.register(0.0, 33.0);
         dev.attach_power(Arc::clone(&meter), ssd);
         let d = Arc::clone(&dev);
         sim.spawn("r", move |ctx| {

@@ -836,11 +836,6 @@ impl Ftl {
             .unwrap_or(1000)
     }
 
-    /// Free (erased, allocatable) blocks across all dies.
-    pub fn free_blocks_total(&self) -> u64 {
-        self.total_free_blocks() as u64
-    }
-
     /// Whether a power loss has halted the device (recovery pending).
     pub fn is_dead(&self) -> bool {
         self.dead.is_some()

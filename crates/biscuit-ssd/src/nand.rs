@@ -219,11 +219,6 @@ impl NandArray {
             .unwrap_or(0)
     }
 
-    /// Number of currently programmed pages (diagnostics).
-    pub fn programmed_pages(&self) -> usize {
-        self.pages.len()
-    }
-
     /// The set of blocks holding at least one programmed page. Recovery
     /// uses this physical census to rebuild the FTL free lists: a non-bad
     /// block absent from this set is genuinely erased and safe to open as

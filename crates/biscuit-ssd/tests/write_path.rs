@@ -1,6 +1,7 @@
 //! Timed write-path tests: program timing, GC stalls charged to the
 //! triggering writer, and read-after-timed-write consistency.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use biscuit_sim::sync::Mutex;
@@ -65,7 +66,7 @@ fn wrong_sized_page_buffers_are_rejected() {
                 .unwrap_err();
             assert_eq!(err, DeviceError::BadWriteSize { got, page_size: ps });
         }
-        assert_eq!(dev.stats().pages_written.get(), 0);
+        assert_eq!(dev.stats().pages_written.load(Ordering::Relaxed), 0);
         assert!(dev.peek_page(0).unwrap().iter().all(|&b| b == 0));
     });
 }

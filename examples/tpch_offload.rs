@@ -108,9 +108,6 @@ fn main() {
     });
     let report = sim.run();
     report.assert_quiescent();
-    if !report.trace.is_empty() {
-        println!("\n{}", report.trace.metrics());
-    }
     report.write_from_env().expect("write exports");
 }
 
