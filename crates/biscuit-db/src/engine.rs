@@ -13,7 +13,6 @@
 //!    the join order, which multiplies the win on block nested-loop joins
 //!    (the paper's Q14 effect).
 
-use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -29,6 +28,7 @@ use biscuit_sim::time::SimDuration;
 use biscuit_sim::trace::TraceEvent;
 use biscuit_sim::{Ctx, FaultSite};
 
+use crate::column::{Cells, ColumnTable};
 use crate::error::{DbError, DbResult};
 use crate::exec;
 use crate::expr::{pattern_keys, Expr};
@@ -155,30 +155,12 @@ pub struct QueryOutput {
     pub stats: QueryStats,
 }
 
-/// One scan's result without a copy: a shared row snapshot and the indices
-/// of the rows that qualify (`None`: all of them). A Conv scan selects out
-/// of the row cache; an NDP scan owns the rows the device sent.
+/// One scan's result without a copy: a shared column table and the ids of
+/// the rows that qualify, ascending. A Conv scan selects out of the column
+/// cache; an NDP scan owns the table the device's rows were appended to.
 struct Selection {
-    rows: Arc<Vec<Row>>,
-    sel: Option<Vec<u32>>,
-}
-
-impl Selection {
-    fn len(&self) -> usize {
-        self.sel.as_ref().map_or(self.rows.len(), Vec::len)
-    }
-
-    /// The qualifying rows, in table order.
-    fn iter(&self) -> impl Iterator<Item = &Row> {
-        let (picked, all): (&[u32], &[Row]) = match &self.sel {
-            Some(sel) => (sel, &[]),
-            None => (&[], &self.rows),
-        };
-        picked
-            .iter()
-            .map(|&i| &self.rows[i as usize])
-            .chain(all.iter())
-    }
+    table: Arc<ColumnTable>,
+    ids: Vec<u32>,
 }
 
 /// The mini DB engine (the MariaDB/XtraDB stand-in).
@@ -224,7 +206,8 @@ pub struct Db {
     catalog: Catalog,
     cfg: DbConfig,
     scan_mid: Mutex<Option<ModuleId>>,
-    row_cache: Mutex<HashMap<String, Arc<Vec<Row>>>>,
+    /// Each table's contents, parsed once, column by column.
+    columns: Mutex<HashMap<String, Arc<ColumnTable>>>,
 }
 
 impl std::fmt::Debug for Db {
@@ -245,7 +228,7 @@ impl Db {
             catalog: Catalog::new(),
             cfg,
             scan_mid: Mutex::new(None),
-            row_cache: Mutex::new(HashMap::new()),
+            columns: Mutex::new(HashMap::new()),
         }
     }
 
@@ -317,11 +300,11 @@ impl Db {
 
     /// Parses (or fetches cached) full table contents. Timing is charged by
     /// the callers; this is the functional half.
-    fn table_rows(&self, meta: &TableMeta) -> DbResult<Arc<Vec<Row>>> {
-        if let Some(rows) = self.row_cache.lock().get(&meta.name) {
-            return Ok(Arc::clone(rows));
+    fn table_columns(&self, meta: &TableMeta) -> DbResult<Arc<ColumnTable>> {
+        if let Some(table) = self.columns.lock().get(&meta.name) {
+            return Ok(Arc::clone(table));
         }
-        let mut rows = Vec::with_capacity(meta.rows as usize);
+        let mut table = ColumnTable::with_capacity(&meta.schema.types(), meta.rows as usize);
         let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
         for lpn in file.lpns_for_range(0, meta.pages * self.page_size() as u64)? {
             let page = self
@@ -329,13 +312,13 @@ impl Db {
                 .device()
                 .peek_page(lpn)
                 .map_err(|e| DbError::Fs(biscuit_fs::FsError::Device(e)))?;
-            rows.extend(table::parse_page(&meta.schema, &meta.name, &page)?);
+            table::parse_page_into(&meta.name, &page, &mut table)?;
         }
-        let rows = Arc::new(rows);
-        self.row_cache
+        let table = Arc::new(table);
+        self.columns
             .lock()
-            .insert(meta.name.clone(), Arc::clone(&rows));
-        Ok(rows)
+            .insert(meta.name.clone(), Arc::clone(&table));
+        Ok(table)
     }
 
     fn page_size(&self) -> usize {
@@ -531,9 +514,12 @@ impl Db {
     /// Functional half of a Conv scan (cached parse; [`Db::charge_conv_scan`]
     /// covers its time): which of the table's rows pass the local predicate.
     fn select_rows(&self, meta: &TableMeta, predicate: Option<&Expr>) -> DbResult<Selection> {
-        let rows = self.table_rows(meta)?;
-        let sel = predicate.map(|p| exec::select(p, &rows)).transpose()?;
-        Ok(Selection { rows, sel })
+        let table = self.table_columns(meta)?;
+        let mut ids = exec::all(table.len());
+        if let Some(p) = predicate {
+            ids = exec::select_in(p, &*table, &ids)?;
+        }
+        Ok(Selection { table, ids })
     }
 
     /// NDP scan: dispatch the scan-filter SSDlet via the Biscuit framework
@@ -565,7 +551,15 @@ impl Db {
         let rx = app.connect_to::<Vec<Row>>(scanner.out(0))?;
         app.start(ctx)?;
         let plan = self.ssd.fault_plan();
-        let mut rows = Vec::new();
+        // Shipped rows are appended column by column as they arrive.
+        let mut table = ColumnTable::new(&meta.schema.types());
+        let mut append = |batch: Vec<Row>| {
+            for row in batch {
+                table
+                    .push_row(&row)
+                    .expect("the scan SSDlet ships rows parsed with the table's types");
+            }
+        };
         let mut fallback: Option<&'static str> = None;
         if let Some(timeout) = plan.host_timeout() {
             loop {
@@ -575,7 +569,7 @@ impl Db {
                         // executor layers.
                         let bytes: usize = batch.len() * 64;
                         self.charge_host_rows(ctx, bytes as u64, load);
-                        rows.extend(batch);
+                        append(batch);
                     }
                     Ok(None) => break,
                     Err(_) => {
@@ -595,7 +589,7 @@ impl Db {
                 // layers.
                 let bytes: usize = batch.len() * 64;
                 self.charge_host_rows(ctx, bytes as u64, load);
-                rows.extend(batch);
+                append(batch);
             }
         }
         app.join(ctx);
@@ -630,9 +624,10 @@ impl Db {
             }
             return recovered;
         }
+        let ids = exec::all(table.len());
         Ok(Selection {
-            rows: Arc::new(rows),
-            sel: None,
+            table: Arc::new(table),
+            ids,
         })
     }
 
@@ -944,19 +939,22 @@ impl Db {
         }
 
         // First table. A single-scan query's global row *is* the table
-        // row, so shaping runs straight off the selection's references.
+        // row, so shaping runs straight off the selection.
         let first = order[0];
         let local = self.scan_local(ctx, first, spec, plans, load)?;
         if order.len() == 1 {
-            return self.shape(ctx, spec, load, local.iter().collect(), Row::clone);
+            return self.shape(ctx, spec, load, &*local.table, local.ids);
         }
-        // Joins clone the first table's cells once, directly into the global
-        // flat row.
+        // Joins materialise the first table's cells once, directly into the
+        // global flat row.
         let mut acc: Vec<Row> = local
+            .ids
             .iter()
-            .map(|r| {
+            .map(|&i| {
+                let (i, at) = (i as usize, offsets[first]);
                 let mut wide = vec![Value::Int(0); width];
-                wide[offsets[first]..][..r.len()].clone_from_slice(r);
+                let cells = &mut wide[at..at + local.table.width(i)];
+                local.table.clone_row_into(i, cells);
                 wide
             })
             .collect();
@@ -1003,14 +1001,15 @@ impl Db {
                     }
                 };
                 // Probe cost on the host.
-                self.charge_host_rows(ctx, (inner.len() * 16) as u64, load);
+                self.charge_host_rows(ctx, (inner.ids.len() * 16) as u64, load);
                 if edges_in.is_empty() {
-                    exec::cross_block(block, inner.iter(), offsets[next], &mut out);
+                    exec::cross_in(block, &*inner.table, &inner.ids, offsets[next], &mut out);
                 } else {
-                    exec::hash_probe_block(
+                    exec::hash_probe_in(
                         block,
                         &edges_out,
-                        inner.iter(),
+                        &*inner.table,
+                        &inner.ids,
                         &edges_in,
                         offsets[next],
                         &mut out,
@@ -1021,36 +1020,38 @@ impl Db {
             joined.insert(next);
         }
 
-        self.shape(ctx, spec, load, acc, std::convert::identity)
+        self.shape(ctx, spec, load, &acc[..], exec::all(acc.len()))
     }
 
     /// Residual predicate, aggregation or projection, ORDER BY and LIMIT over
-    /// the joined rows — owned wide rows, or references into a scan's
-    /// snapshot that `own` copies out only if the query returns them as is.
-    fn shape<R: Borrow<Row>>(
+    /// rows `ids` of the joined rows — wide rows, or a single scan's column
+    /// table — materialising rows only for output.
+    fn shape<A: Cells + ?Sized>(
         &self,
         ctx: &Ctx,
         spec: &SelectSpec,
         load: HostLoad,
-        mut acc: Vec<R>,
-        own: impl Fn(R) -> Row,
+        src: &A,
+        mut ids: Vec<u32>,
     ) -> DbResult<Vec<Row>> {
         // Residual predicate over the full row.
         if let Some(res) = &spec.residual {
-            self.charge_host_rows(ctx, (acc.len() * 16) as u64, load);
-            acc = exec::filter(res, acc)?;
+            self.charge_host_rows(ctx, (ids.len() * 16) as u64, load);
+            ids = exec::select_in(res, src, &ids)?;
         }
         let mut rows = if !spec.aggregates.is_empty() {
-            self.charge_host_rows(ctx, (acc.len() * 16) as u64, load);
-            let mut out = exec::aggregate(spec, acc.iter().map(R::borrow))?;
+            self.charge_host_rows(ctx, (ids.len() * 16) as u64, load);
+            let mut out = exec::aggregate_in(spec, src, &ids)?;
             if let Some(h) = &spec.having {
                 out = exec::filter(h, out)?;
             }
             out
         } else if !spec.projection.is_empty() {
-            exec::project(&spec.projection, acc.iter().map(R::borrow))?
+            exec::project_in(&spec.projection, src, &ids)?
         } else {
-            acc.into_iter().map(own).collect()
+            ids.iter()
+                .map(|&i| src.row(i as usize).into_owned())
+                .collect()
         };
         exec::order_and_limit(&mut rows, &spec.order_by, spec.limit);
         Ok(rows)

@@ -11,20 +11,26 @@
 //! predicate) once per join step, since it cannot differ between blocks;
 //! only the re-scan's I/O and CPU time is replayed per block.
 //!
-//! Operators read rows through references (`IntoIterator<Item = &Row>`), so
-//! the engine can run them straight off its shared row cache. Join and group
-//! keys are compared the way [`key_of`] spells them — by canonical text, so
-//! `Int 5` meets `Str "5"` — but hashed cell by cell through one scratch
-//! buffer and verified cell by cell, without a `String` per row.
+//! Each operator exists once, as an `_in` function over any [`Cells`]
+//! source — the engine's column cache or a slice of rows — and a list of
+//! row ids: a selection vector, so a scan copies nothing. Expressions are
+//! lowered once per call into a [`Program`]. The row-slice functions
+//! (`select`, `filter`, `aggregate`, `project`, `hash_probe_block`, ...)
+//! are those operators over all of the given rows. Join and group keys are
+//! compared the way [`key_of`] spells them — by canonical text, so `Int 5`
+//! meets `Str "5"` — but hashed cell by cell and verified cell by cell,
+//! without a `String` per row.
 
-use std::borrow::{Borrow, Cow};
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasher, Hasher};
+use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
+use crate::column::Cells;
 use crate::error::{DbError, DbResult};
 use crate::expr::Expr;
+use crate::program::{Out, Program};
 use crate::spec::{AggFun, OrderKey, SelectSpec};
-use crate::value::{Row, Value};
+use crate::value::{Cell, Row, Value};
 
 /// Canonical text key for a tuple of values (floats and dates spell the way
 /// they are stored). Fixes the base order of [`aggregate`]'s output.
@@ -37,30 +43,59 @@ pub fn key_of(values: &[Value]) -> String {
     s
 }
 
+/// Ids `0..n`: every row of an `n`-row source.
+pub(crate) fn all(n: usize) -> Vec<u32> {
+    let n = u32::try_from(n).expect("row index fits u32");
+    (0..n).collect()
+}
+
 /// End-of-chain marker in [`KeyIndex`].
 const NIL: u32 = u32::MAX;
+
+/// Hasher for keys that are already hashes: passes a `u64` through. The
+/// `u64`s [`KeyIndex`] maps come out of its keyed hasher, so crafted keys
+/// still cannot aim for long chains.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Hashes key tuples by canonical text and chains the entries that share a
 /// hash, in push order. Equal hashes are only candidates: callers verify
 /// with [`cell_eq`].
 #[derive(Default)]
 struct KeyIndex {
-    /// First and last entry of each hash's chain.
-    chains: HashMap<u64, (u32, u32)>,
+    /// First and last entry of each hash's chain, by the hash itself.
+    chains: HashMap<u64, (u32, u32), BuildHasherDefault<Prehashed>>,
     /// `next[i]`: the entry pushed with entry `i`'s hash after it, or [`NIL`].
     next: Vec<u32>,
+    /// Keyed per index: table contents cannot aim for long chains.
+    keys: RandomState,
     scratch: String,
 }
 
 impl KeyIndex {
     /// Hash of the cells' texts, each closed by a byte no UTF-8 text
-    /// contains. Keyed per index, like the map it feeds: table contents
-    /// cannot aim for long chains.
-    fn hash<'a>(&mut self, cells: impl IntoIterator<Item = &'a Value>) -> u64 {
-        let mut hasher = self.chains.hasher().build_hasher();
+    /// contains.
+    fn hash<'c>(&mut self, cells: impl IntoIterator<Item = Cell<'c>>) -> u64 {
+        let mut hasher = self.keys.build_hasher();
         for cell in cells {
             let text = match cell {
-                Value::Str(s) => s.as_str(),
+                Cell::Str(s) => s,
                 other => {
                     self.scratch.clear();
                     other.write_text(&mut self.scratch);
@@ -105,20 +140,64 @@ impl KeyIndex {
 /// Key-cell equality with [`key_of`]'s meaning: equal canonical text. Ints,
 /// strings and dates spell injectively, so same-variant pairs compare
 /// directly; floats (two decimals) and mixed variants compare as text.
-fn cell_eq(a: &Value, b: &Value) -> bool {
+fn cell_eq(a: Cell<'_>, b: Cell<'_>) -> bool {
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Str(x), Value::Str(y)) => x == y,
-        (Value::Date(x), Value::Date(y)) => x == y,
-        _ => a.to_text() == b.to_text(),
+        (Cell::Int(x), Cell::Int(y)) => x == y,
+        (Cell::Str(x), Cell::Str(y)) => x == y,
+        (Cell::Date(x), Cell::Date(y)) => x == y,
+        _ => {
+            let (mut x, mut y) = (String::new(), String::new());
+            a.write_text(&mut x);
+            b.write_text(&mut y);
+            x == y
+        }
     }
 }
 
-/// Probes `inner_local` rows against a hash of the outer block and emits
-/// merged global rows. `outer_cols` are global indices into the outer rows;
-/// `inner_cols` are local indices into the inner rows; `offset` is where the
-/// inner table's columns live in the global row. Output order: inner rows in
-/// input order, each with its matching outer rows in block order.
+/// Key cell `col` of row `row`.
+fn key_cell<A: Cells + ?Sized>(src: &A, row: usize, col: usize) -> Cell<'_> {
+    src.cell(row, col)
+        .unwrap_or_else(|| panic!("join column {col} out of range"))
+}
+
+/// Probes rows `inner_ids` of `inner` against a hash of the outer block
+/// and emits merged rows: the outer row with the inner row's cells written
+/// from `offset` on. `outer_cols` index the outer rows and `inner_cols` the
+/// inner rows. Output order: inner rows in id order, each with its matching
+/// outer rows in block order.
+pub fn hash_probe_in<R: Borrow<Row>, I: Cells + ?Sized>(
+    outer: &[R],
+    outer_cols: &[usize],
+    inner: &I,
+    inner_ids: &[u32],
+    inner_cols: &[usize],
+    offset: usize,
+    out: &mut Vec<Row>,
+) {
+    let mut index = KeyIndex::default();
+    for o in 0..outer.len() {
+        let h = index.hash(outer_cols.iter().map(|&c| key_cell(outer, o, c)));
+        index.push(h);
+    }
+    for &i in inner_ids {
+        let i = i as usize;
+        let h = index.hash(inner_cols.iter().map(|&c| key_cell(inner, i, c)));
+        for o in index.candidates(h) {
+            if outer_cols
+                .iter()
+                .zip(inner_cols)
+                .all(|(&oc, &ic)| cell_eq(key_cell(outer, o, oc), key_cell(inner, i, ic)))
+            {
+                let mut merged = outer[o].borrow().clone();
+                let width = inner.width(i);
+                inner.clone_row_into(i, &mut merged[offset..offset + width]);
+                out.push(merged);
+            }
+        }
+    }
+}
+
+/// [`hash_probe_in`] over every row of two row lists.
 pub fn hash_probe_block<'a, 'b>(
     outer_block: impl IntoIterator<Item = &'a Row>,
     outer_cols: &[usize],
@@ -128,41 +207,34 @@ pub fn hash_probe_block<'a, 'b>(
     out: &mut Vec<Row>,
 ) {
     let outer: Vec<&Row> = outer_block.into_iter().collect();
-    let mut index = KeyIndex::default();
-    for row in &outer {
-        let h = index.hash(outer_cols.iter().map(|&c| &row[c]));
-        index.push(h);
-    }
-    for inner in inner_local {
-        let h = index.hash(inner_cols.iter().map(|&c| &inner[c]));
-        for id in index.candidates(h) {
-            let o = outer[id];
-            if outer_cols
-                .iter()
-                .zip(inner_cols)
-                .all(|(&oc, &ic)| cell_eq(&o[oc], &inner[ic]))
-            {
-                let mut merged = o.clone();
-                merged[offset..offset + inner.len()].clone_from_slice(inner);
-                out.push(merged);
-            }
-        }
-    }
+    let inner: Vec<&Row> = inner_local.into_iter().collect();
+    hash_probe_in(
+        &outer,
+        outer_cols,
+        &inner[..],
+        &all(inner.len()),
+        inner_cols,
+        offset,
+        out,
+    );
 }
 
 /// Cross-joins when no edge connects the inner table (TPC-H never needs
-/// this, but the executor should not silently mis-join).
-pub fn cross_block<'a, 'b>(
-    outer_block: impl IntoIterator<Item = &'a Row>,
-    inner_local: impl IntoIterator<Item = &'b Row>,
+/// this, but the executor should not silently mis-join): each outer row
+/// with each of rows `inner_ids` of `inner` written from `offset` on.
+pub fn cross_in<I: Cells + ?Sized>(
+    outer_block: &[Row],
+    inner: &I,
+    inner_ids: &[u32],
     offset: usize,
     out: &mut Vec<Row>,
 ) {
-    let inner: Vec<&Row> = inner_local.into_iter().collect();
     for o in outer_block {
-        for row in &inner {
+        for &i in inner_ids {
+            let i = i as usize;
             let mut merged = o.clone();
-            merged[offset..offset + row.len()].clone_from_slice(row);
+            let width = inner.width(i);
+            inner.clone_row_into(i, &mut merged[offset..offset + width]);
             out.push(merged);
         }
     }
@@ -188,7 +260,14 @@ impl AggState {
         }
     }
 
-    pub(crate) fn update(&mut self, v: &Value) {
+    /// Counts a row whose input has the numeric view `x`: all of
+    /// [`AggState::update`] for `Sum`, `Avg` and `Count`.
+    fn add(&mut self, x: f64) {
+        self.count += 1;
+        self.sum += x;
+    }
+
+    pub(crate) fn update(&mut self, v: Cell<'_>) {
         self.count += 1;
         if let Some(x) = v.as_f64() {
             self.sum += x;
@@ -199,11 +278,11 @@ impl AggState {
             AggFun::Sum | AggFun::Count | AggFun::Avg => return,
         };
         let better = match &self.extreme {
-            Some(m) => v.compare(m) == Some(wanted),
+            Some(m) => v.compare(m.cell()) == Some(wanted),
             None => true,
         };
         if better {
-            self.extreme = Some(v.clone());
+            self.extreme = Some(v.to_value());
         }
     }
 
@@ -223,55 +302,137 @@ impl AggState {
     }
 }
 
-/// Group-by + aggregation. Output rows are `group values ++ agg values`.
+/// Rows per batch of [`aggregate_in`]'s typed path.
+const BATCH: usize = 1024;
+
+/// Groups in first-seen order, each with its aggregate states; index entry
+/// `i` is group `i`.
+struct Groups<'s> {
+    spec: &'s SelectSpec,
+    groups: Vec<(Row, Vec<AggState>)>,
+    index: KeyIndex,
+}
+
+impl Groups<'_> {
+    /// Fresh states, one per aggregate.
+    fn states(&self) -> Vec<AggState> {
+        self.spec
+            .aggregates
+            .iter()
+            .map(|(fun, _)| AggState::new(*fun))
+            .collect()
+    }
+
+    /// The group whose key cells are `key`, created if new.
+    fn of<'c>(&mut self, key: impl Iterator<Item = Cell<'c>> + Clone) -> usize {
+        let h = self.index.hash(key.clone());
+        let groups = &self.groups;
+        let found = self.index.candidates(h).find(|&g| {
+            groups[g]
+                .0
+                .iter()
+                .zip(key.clone())
+                .all(|(have, want)| cell_eq(have.cell(), want))
+        });
+        found.unwrap_or_else(|| {
+            self.index.push(h);
+            let states = self.states();
+            self.groups
+                .push((key.map(Cell::to_value).collect(), states));
+            self.groups.len() - 1
+        })
+    }
+}
+
+/// Group-by + aggregation over rows `ids` of `src`, in id order. Output
+/// rows are `group values ++ agg values`.
 ///
 /// With no group-by columns the result is a single row (even over empty
 /// input, where sums/counts are zero — a simplification of SQL's NULLs).
 ///
+/// When every aggregate is a `Sum`, `Avg` or `Count`, rows go in batches:
+/// group keys through the typed path, each aggregate input as one `f64`
+/// vector ([`Program::typed_f64s`]), then each state adds its rows' values
+/// in row order — the order and the additions of the row-at-a-time path,
+/// so the same bits. A batch in which any row leaves the typed path runs
+/// row at a time instead, which reports errors in row order.
+///
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
-pub fn aggregate<'a>(
-    spec: &'a SelectSpec,
-    rows: impl IntoIterator<Item = &'a Row>,
+pub fn aggregate_in<A: Cells + ?Sized>(
+    spec: &SelectSpec,
+    src: &A,
+    ids: &[u32],
 ) -> DbResult<Vec<Row>> {
-    let new_states = || -> Vec<AggState> {
-        spec.aggregates
-            .iter()
-            .map(|(fun, _)| AggState::new(*fun))
-            .collect()
+    let keys: Vec<Program<'_>> = spec.group_by.iter().map(Program::new).collect();
+    let inputs: Vec<Program<'_>> = spec
+        .aggregates
+        .iter()
+        .map(|(_, e)| Program::new(e))
+        .collect();
+    let batched = spec
+        .aggregates
+        .iter()
+        .all(|(fun, _)| matches!(fun, AggFun::Sum | AggFun::Avg | AggFun::Count));
+    let mut groups = Groups {
+        spec,
+        groups: Vec::new(),
+        index: KeyIndex::default(),
     };
-    // Groups in first-seen order; `index` entry `i` is `groups[i]`.
-    let mut groups: Vec<(Row, Vec<AggState>)> = Vec::new();
-    let mut index = KeyIndex::default();
-    let mut gvals: Vec<Cow<'a, Value>> = Vec::with_capacity(spec.group_by.len());
-    for row in rows {
-        gvals.clear();
-        for e in &spec.group_by {
-            gvals.push(e.eval_cow(row)?);
+    let mut key_cells: Vec<Cell<'_>> = Vec::new();
+    let mut gvals: Vec<Out<'_>> = Vec::with_capacity(keys.len());
+    let mut values: Vec<Vec<f64>> = vec![Vec::new(); inputs.len()];
+    let mut group_of: Vec<usize> = Vec::new();
+    for batch in ids.chunks(BATCH) {
+        // The typed path: every key cell and every input value of the
+        // batch, or none.
+        key_cells.clear();
+        let typed = batched
+            && batch.iter().all(|&id| {
+                keys.iter().all(|k| match k.typed(src, id as usize) {
+                    Some(cell) => {
+                        key_cells.push(cell);
+                        true
+                    }
+                    None => false,
+                })
+            })
+            && inputs.iter().zip(&mut values).all(|(input, vals)| {
+                vals.resize(batch.len(), 0.0);
+                input.typed_f64s(src, batch, vals)
+            });
+        if typed {
+            group_of.clear();
+            for r in 0..batch.len() {
+                let key = &key_cells[r * keys.len()..(r + 1) * keys.len()];
+                group_of.push(groups.of(key.iter().copied()));
+            }
+            for (a, vals) in values.iter().enumerate() {
+                for (&g, &x) in group_of.iter().zip(vals) {
+                    groups.groups[g].1[a].add(x);
+                }
+            }
+            continue;
         }
-        let h = index.hash(gvals.iter().map(Cow::as_ref));
-        let found = index.candidates(h).find(|&g| {
-            groups[g]
-                .0
-                .iter()
-                .zip(&gvals)
-                .all(|(have, want)| cell_eq(have, want))
-        });
-        let g = found.unwrap_or_else(|| {
-            index.push(h);
-            let key = gvals.drain(..).map(Cow::into_owned).collect();
-            groups.push((key, new_states()));
-            groups.len() - 1
-        });
-        for ((_, expr), st) in spec.aggregates.iter().zip(&mut groups[g].1) {
-            st.update(expr.eval_cow(row)?.as_ref());
+        for &id in batch {
+            let row = id as usize;
+            gvals.clear();
+            for k in &keys {
+                gvals.push(k.eval(src, row)?);
+            }
+            let g = groups.of(gvals.iter().map(Out::cell));
+            for (input, st) in inputs.iter().zip(&mut groups.groups[g].1) {
+                st.update(input.eval(src, row)?.cell());
+            }
         }
     }
-    if groups.is_empty() && spec.group_by.is_empty() {
-        groups.push((Vec::new(), new_states()));
+    if groups.groups.is_empty() && spec.group_by.is_empty() {
+        let states = groups.states();
+        groups.groups.push((Vec::new(), states));
     }
     let mut out: Vec<Row> = groups
+        .groups
         .into_iter()
         .map(|(mut row, states)| {
             row.extend(states.iter().map(AggState::finish));
@@ -281,6 +442,19 @@ pub fn aggregate<'a>(
     // Deterministic base order before explicit ORDER BY.
     out.sort_by_cached_key(|row| key_of(row));
     Ok(out)
+}
+
+/// [`aggregate_in`] over every row of a row list.
+///
+/// # Errors
+///
+/// Propagates expression evaluation errors.
+pub fn aggregate<'a>(
+    spec: &'a SelectSpec,
+    rows: impl IntoIterator<Item = &'a Row>,
+) -> DbResult<Vec<Row>> {
+    let rows: Vec<&Row> = rows.into_iter().collect();
+    aggregate_in(spec, &rows[..], &all(rows.len()))
 }
 
 /// Applies ORDER BY (stable) and LIMIT to output rows.
@@ -304,30 +478,48 @@ pub fn order_and_limit(rows: &mut Vec<Row>, order: &[OrderKey], limit: Option<us
     }
 }
 
-/// Evaluates a projection list over each row.
+/// Evaluates a projection list over rows `ids` of `src`.
+///
+/// # Errors
+///
+/// Propagates expression evaluation errors.
+pub fn project_in<A: Cells + ?Sized>(exprs: &[Expr], src: &A, ids: &[u32]) -> DbResult<Vec<Row>> {
+    let progs: Vec<Program<'_>> = exprs.iter().map(Program::new).collect();
+    ids.iter()
+        .map(|&id| {
+            progs
+                .iter()
+                .map(|p| p.eval(src, id as usize).map(Out::into_value))
+                .collect::<DbResult<Row>>()
+        })
+        .collect()
+}
+
+/// [`project_in`] over every row of a row list.
 ///
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
 pub fn project<'a>(exprs: &[Expr], rows: impl IntoIterator<Item = &'a Row>) -> DbResult<Vec<Row>> {
-    rows.into_iter()
-        .map(|r| exprs.iter().map(|e| e.eval(r)).collect::<DbResult<Row>>())
-        .collect()
+    let rows: Vec<&Row> = rows.into_iter().collect();
+    project_in(exprs, &rows[..], &all(rows.len()))
 }
 
-/// Applies a filter predicate to owned or borrowed rows, keeping order.
+/// The ids among `ids` of the rows of `src` that satisfy `pred`, in the
+/// same order.
 ///
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
-pub fn filter<R: Borrow<Row>>(pred: &Expr, rows: Vec<R>) -> DbResult<Vec<R>> {
-    let mut out = Vec::with_capacity(rows.len());
-    for r in rows {
-        if pred.eval_bool(r.borrow())? {
-            out.push(r);
+pub fn select_in<A: Cells + ?Sized>(pred: &Expr, src: &A, ids: &[u32]) -> DbResult<Vec<u32>> {
+    let prog = Program::new(pred);
+    let mut sel = Vec::new();
+    for &id in ids {
+        if prog.eval_bool(src, id as usize)? {
+            sel.push(id);
         }
     }
-    Ok(out)
+    Ok(sel)
 }
 
 /// Indices of the rows that satisfy `pred`, ascending — a selection vector
@@ -337,14 +529,23 @@ pub fn filter<R: Borrow<Row>>(pred: &Expr, rows: Vec<R>) -> DbResult<Vec<R>> {
 ///
 /// Propagates expression evaluation errors.
 pub fn select(pred: &Expr, rows: &[Row]) -> DbResult<Vec<u32>> {
-    assert!(u32::try_from(rows.len()).is_ok(), "row index fits u32");
-    let mut sel = Vec::new();
-    for (i, r) in rows.iter().enumerate() {
-        if pred.eval_bool(r)? {
-            sel.push(i as u32);
-        }
-    }
-    Ok(sel)
+    select_in(pred, rows, &all(rows.len()))
+}
+
+/// Applies a filter predicate to owned or borrowed rows, keeping order.
+///
+/// # Errors
+///
+/// Propagates expression evaluation errors.
+pub fn filter<R: Borrow<Row>>(pred: &Expr, rows: Vec<R>) -> DbResult<Vec<R>> {
+    let sel = select_in(pred, &rows[..], &all(rows.len()))?;
+    let mut keep = sel.into_iter().peekable();
+    Ok(rows
+        .into_iter()
+        .enumerate()
+        .filter(|&(i, _)| keep.next_if_eq(&(i as u32)).is_some())
+        .map(|(_, r)| r)
+        .collect())
 }
 
 /// [`select`], cloning the qualifying rows out.
@@ -538,9 +739,9 @@ mod tests {
     #[test]
     fn cross_block_is_product() {
         let outer = wide(vec![vec![v(1)], vec![v(2)]], 2);
-        let inner = vec![vec![v(8)], vec![v(9)]];
+        let inner = [vec![v(8)], vec![v(9)]];
         let mut out = Vec::new();
-        cross_block(&outer, &inner, 1, &mut out);
+        cross_in(&outer, &inner[..], &[0, 1], 1, &mut out);
         assert_eq!(out.len(), 4);
         assert_eq!(out[1], vec![v(1), v(9)]);
     }

@@ -43,6 +43,18 @@ pub enum ArithOp {
     Div,
 }
 
+impl ArithOp {
+    /// `x <op> y`.
+    pub(crate) fn apply(self, x: f64, y: f64) -> f64 {
+        match self {
+            ArithOp::Add => x + y,
+            ArithOp::Sub => x - y,
+            ArithOp::Mul => x * y,
+            ArithOp::Div => x / y,
+        }
+    }
+}
+
 /// A scalar expression over a row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -115,13 +127,7 @@ impl Expr {
                     y.as_f64()
                         .ok_or_else(|| DbError::TypeError("arith on non-number".into()))?,
                 );
-                let r = match op {
-                    ArithOp::Add => x + y,
-                    ArithOp::Sub => x - y,
-                    ArithOp::Mul => x * y,
-                    ArithOp::Div => x / y,
-                };
-                Ok(Value::Float(r))
+                Ok(Value::Float(op.apply(x, y)))
             }
             Expr::Year(x) => match x.eval_cow(row)?.as_ref() {
                 Value::Date(d) => Ok(Value::Int(i64::from(year_of(*d)))),
@@ -275,34 +281,55 @@ impl Expr {
 
 /// SQL `LIKE` with `%` wildcards only.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    if !pattern.contains('%') {
-        return s == pattern;
+    LikePattern::new(pattern).matches(s)
+}
+
+/// A `LIKE` pattern split at its `%`s once, for matching many strings.
+pub(crate) struct LikePattern<'p> {
+    pattern: &'p str,
+    /// The fragments between `%`s; empty when there is no `%` and the
+    /// pattern matches itself only.
+    parts: Vec<&'p str>,
+}
+
+impl<'p> LikePattern<'p> {
+    pub(crate) fn new(pattern: &'p str) -> LikePattern<'p> {
+        let parts = if pattern.contains('%') {
+            pattern.split('%').collect()
+        } else {
+            Vec::new()
+        };
+        LikePattern { pattern, parts }
     }
-    let parts: Vec<&str> = pattern.split('%').collect();
-    let (first, last) = (parts[0], parts[parts.len() - 1]);
-    let mut rest = s;
-    // Anchored prefix.
-    if !first.is_empty() {
-        match rest.strip_prefix(first) {
-            Some(r) => rest = r,
-            None => return false,
+
+    pub(crate) fn matches(&self, s: &str) -> bool {
+        let [first, middle @ .., last] = &self.parts[..] else {
+            return s == self.pattern;
+        };
+        let mut rest = s;
+        // Anchored prefix.
+        if !first.is_empty() {
+            match rest.strip_prefix(first) {
+                Some(r) => rest = r,
+                None => return false,
+            }
         }
-    }
-    // Middle fragments, in order.
-    for part in &parts[1..parts.len() - 1] {
-        if part.is_empty() {
-            continue;
+        // Middle fragments, in order.
+        for part in middle {
+            if part.is_empty() {
+                continue;
+            }
+            match rest.find(part) {
+                Some(i) => rest = &rest[i + part.len()..],
+                None => return false,
+            }
         }
-        match rest.find(part) {
-            Some(i) => rest = &rest[i + part.len()..],
-            None => return false,
+        // Anchored suffix.
+        if !last.is_empty() {
+            return rest.ends_with(last);
         }
+        true
     }
-    // Anchored suffix.
-    if !last.is_empty() {
-        return rest.ends_with(last);
-    }
-    true
 }
 
 /// Limits imported from the hardware (kept here to avoid a dependency

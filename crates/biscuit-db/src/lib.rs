@@ -11,14 +11,18 @@
 //!
 //! - [`value`]/[`schema`]/[`table`] — storage layer: typed values, table
 //!   schemas, and the text page format the pattern matcher can scan.
+//! - [`mod@column`] — the host's column cache ([`column::ColumnTable`]) and
+//!   the [`column::Cells`] accessor every operator reads through.
 //! - [`expr`] — expressions, `LIKE`, pattern-key extraction.
+//! - [`program`] — expressions lowered once per operator call into typed
+//!   programs over that accessor.
 //! - [`spec`] — declarative query specs ([`SelectSpec`], [`ExecMode`]).
 //! - [`offload`] — the scan-filter SSDlet module deployed to the device.
 //! - [`engine`] — the planner and executor ([`Db`]). In Biscuit mode the
 //!   planner emits a [`biscuit_sim::trace::TraceEvent::OffloadVerdict`] per
 //!   scanned table when the [`Ssd`](biscuit_core::Ssd) carries a tracer
 //!   (see `docs/TRACING.md` at the repo root).
-//! - [`exec`] — joins, aggregation, ordering.
+//! - [`exec`] — selection, joins, aggregation, projection, ordering.
 //! - [`error`] — [`DbError`] / [`DbResult`].
 //! - [`mod@array`] — [`ArrayDb`]: the same engine sharded across the drives
 //!   of a [`biscuit_host::array::SsdArray`] (see `docs/SCALE.md`).
@@ -78,11 +82,13 @@
 #![warn(missing_docs)]
 
 pub mod array;
+pub mod column;
 pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod offload;
+pub mod program;
 pub mod schema;
 pub mod spec;
 pub mod table;
@@ -95,4 +101,4 @@ pub use error::{DbError, DbResult};
 pub use expr::{CmpOp, Expr};
 pub use schema::{Catalog, Column, Schema};
 pub use spec::{AggFun, ExecMode, JoinEdge, OrderKey, SelectSpec, TableScanSpec};
-pub use value::{ColumnType, Row, Value};
+pub use value::{Cell, ColumnType, Row, Value};

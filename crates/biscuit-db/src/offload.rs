@@ -102,7 +102,7 @@ impl Ssdlet for Aggregator {
                 && batch.iter().all(|row| {
                     aggs.iter()
                         .zip(states.iter_mut())
-                        .all(|((_, expr), st)| expr.eval(row).map(|v| st.update(&v)).is_ok())
+                        .all(|((_, expr), st)| expr.eval(row).map(|v| st.update(v.cell())).is_ok())
                 });
         }
         if folding {

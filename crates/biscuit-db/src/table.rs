@@ -7,6 +7,7 @@
 
 use biscuit_fs::Fs;
 
+use crate::column::ColumnTable;
 use crate::error::{DbError, DbResult};
 use crate::exec::check_width;
 use crate::schema::{Schema, TableMeta};
@@ -50,6 +51,26 @@ where
     Ok((out, count))
 }
 
+/// The row lines of one page image, `~` padding trimmed and empty lines
+/// skipped; a line that is not UTF-8 is a [`DbError::CorruptRow`].
+fn page_lines<'p>(table: &'p str, page: &'p [u8]) -> impl Iterator<Item = DbResult<&'p str>> {
+    page.split(|&b| b == b'\n')
+        .filter_map(move |line| match std::str::from_utf8(line) {
+            Ok(line) => {
+                let trimmed = line.trim_end_matches(PAD as char);
+                (!trimmed.is_empty()).then_some(Ok(trimmed))
+            }
+            Err(_) => Some(Err(corrupt(table, &String::from_utf8_lossy(line)))),
+        })
+}
+
+fn corrupt(table: &str, line: &str) -> DbError {
+    DbError::CorruptRow {
+        table: table.to_owned(),
+        line: line.to_owned(),
+    }
+}
+
 /// Parses every row out of one page image.
 ///
 /// # Errors
@@ -58,23 +79,29 @@ where
 /// parse.
 pub fn parse_page(schema: &Schema, table: &str, page: &[u8]) -> DbResult<Vec<Row>> {
     let types = schema.types();
-    let mut rows = Vec::new();
-    for line in page.split(|&b| b == b'\n') {
-        let line = std::str::from_utf8(line).map_err(|_| DbError::CorruptRow {
-            table: table.to_owned(),
-            line: String::from_utf8_lossy(line).into_owned(),
-        })?;
-        let trimmed = line.trim_end_matches(PAD as char);
-        if trimmed.is_empty() {
-            continue;
+    page_lines(table, page)
+        .map(|line| {
+            let line = line?;
+            row_from_text(&types, line).ok_or_else(|| corrupt(table, line))
+        })
+        .collect()
+}
+
+/// [`parse_page`], appending the rows to a column table (whose columns
+/// are the table's schema) instead of building them.
+///
+/// # Errors
+///
+/// Returns [`DbError::CorruptRow`] for the first line [`parse_page`]
+/// rejects; the rows before it stay appended.
+pub fn parse_page_into(table: &str, page: &[u8], into: &mut ColumnTable) -> DbResult<()> {
+    for line in page_lines(table, page) {
+        let line = line?;
+        if !into.push_line(line) {
+            return Err(corrupt(table, line));
         }
-        let row = row_from_text(&types, trimmed).ok_or_else(|| DbError::CorruptRow {
-            table: table.to_owned(),
-            line: trimmed.to_owned(),
-        })?;
-        rows.push(row);
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// Checks that every row reads back as written: one cell per column, each

@@ -61,14 +61,19 @@ impl Value {
         Value::Date(parse_date(s).unwrap_or_else(|| panic!("bad date literal: {s}")))
     }
 
+    /// The value as a borrowed [`Cell`].
+    pub fn cell(&self) -> Cell<'_> {
+        match self {
+            Value::Int(v) => Cell::Int(*v),
+            Value::Float(v) => Cell::Float(*v),
+            Value::Str(s) => Cell::Str(s),
+            Value::Date(d) => Cell::Date(*d),
+        }
+    }
+
     /// Numeric view (ints and dates widen to f64 for arithmetic).
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            Value::Date(v) => Some(f64::from(*v)),
-            Value::Str(_) => None,
-        }
+        self.cell().as_f64()
     }
 
     /// Integer view.
@@ -88,17 +93,9 @@ impl Value {
         }
     }
 
-    /// Total ordering across comparable values (numeric widening between
-    /// `Int`/`Float`/`Date`; strings compare lexicographically).
+    /// Total ordering across comparable values: see [`Cell::compare`].
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
-            (a, b) => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                x.partial_cmp(&y)
-            }
-        }
+        self.cell().compare(other.cell())
     }
 
     /// The on-flash text form of this value (what the pattern matcher sees).
@@ -111,37 +108,130 @@ impl Value {
     /// Appends [`Value::to_text`] to `out` — for per-row callers that reuse
     /// one buffer instead of allocating a `String` per cell.
     pub fn write_text(&self, out: &mut String) {
-        use std::fmt::Write;
-        // Writing into a `String` cannot fail.
-        let _ = match self {
-            Value::Int(v) => write!(out, "{v}"),
-            Value::Float(v) => write!(out, "{v:.2}"),
-            Value::Str(s) => {
-                out.push_str(s);
-                Ok(())
-            }
-            Value::Date(d) => {
-                let (y, m, d) = civil_from_days(*d);
-                write!(out, "{y:04}-{m:02}-{d:02}")
-            }
-        };
+        self.cell().write_text(out);
     }
 
-    /// Parses the text form back, guided by the column type. The spellings
-    /// [`Value::write_text`] stores for floats and dates take an exact fast
-    /// path; every other spelling goes through `str::parse` / [`parse_date`].
+    /// Parses the text form back, guided by the column type: see
+    /// [`Cell::parse`].
     pub fn from_text(ty: ColumnType, s: &str) -> Option<Value> {
-        match ty {
-            ColumnType::Int => s.parse().ok().map(Value::Int),
-            ColumnType::Float => decimal(s.as_bytes())
-                .or_else(|| s.parse().ok())
-                .map(Value::Float),
-            ColumnType::Str => Some(Value::Str(s.to_owned())),
-            ColumnType::Date => iso_date(s.as_bytes())
-                .or_else(|| parse_date(s))
-                .map(Value::Date),
+        Cell::parse(ty, s).map(Cell::to_value)
+    }
+}
+
+/// A [`Value`] that borrows its string: what the column cache hands out and
+/// the lowered expression programs compute with, so reading a cell copies
+/// nothing. Every rule a `Value` follows — comparison, numeric view, text
+/// form, parsing — is defined here once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Cell<'a> {
+    /// Integer.
+    Int(i64),
+    /// Float.
+    Float(f64),
+    /// String.
+    Str(&'a str),
+    /// Date (days since epoch).
+    Date(i32),
+}
+
+impl<'a> Cell<'a> {
+    /// The owned value.
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Int(v) => Value::Int(v),
+            Cell::Float(v) => Value::Float(v),
+            Cell::Str(s) => Value::Str(s.to_owned()),
+            Cell::Date(d) => Value::Date(d),
         }
     }
+
+    /// Numeric view (ints and dates widen to f64 for arithmetic).
+    pub fn as_f64(self) -> Option<f64> {
+        match self {
+            Cell::Int(v) => Some(v as f64),
+            Cell::Float(v) => Some(v),
+            Cell::Date(v) => Some(f64::from(v)),
+            Cell::Str(_) => None,
+        }
+    }
+
+    /// String view.
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            Cell::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Total ordering across comparable cells: two `Int`s, two `Date`s or
+    /// two strings compare exactly; other numeric pairs widen to `f64`;
+    /// a string and a number do not compare.
+    pub fn compare(self, other: Cell<'_>) -> Option<Ordering> {
+        match (self, other) {
+            (Cell::Int(a), Cell::Int(b)) => Some(a.cmp(&b)),
+            (Cell::Str(a), Cell::Str(b)) => Some(a.cmp(b)),
+            (Cell::Date(a), Cell::Date(b)) => Some(a.cmp(&b)),
+            (a, b) => {
+                let (x, y) = (a.as_f64()?, b.as_f64()?);
+                x.partial_cmp(&y)
+            }
+        }
+    }
+
+    /// Appends the on-flash text form to `out`: decimal integers, floats
+    /// with two decimals, dates as `YYYY-MM-DD`.
+    pub fn write_text(self, out: &mut String) {
+        use std::fmt::Write;
+        match self {
+            Cell::Int(v) => out.push_str(int_text(v, &mut [0; 20])),
+            Cell::Str(s) => out.push_str(s),
+            // Writing into a `String` cannot fail.
+            Cell::Float(v) => {
+                let _ = write!(out, "{v:.2}");
+            }
+            Cell::Date(d) => {
+                let (y, m, d) = civil_from_days(d);
+                let _ = write!(out, "{y:04}-{m:02}-{d:02}");
+            }
+        }
+    }
+
+    /// Parses a text field as a cell of type `ty`, borrowing a string. The
+    /// spellings [`Cell::write_text`] stores for floats and dates take an
+    /// exact fast path; every other spelling goes through `str::parse` /
+    /// [`parse_date`].
+    pub fn parse(ty: ColumnType, s: &'a str) -> Option<Cell<'a>> {
+        match ty {
+            ColumnType::Int => s.parse().ok().map(Cell::Int),
+            ColumnType::Float => decimal(s.as_bytes())
+                .or_else(|| s.parse().ok())
+                .map(Cell::Float),
+            ColumnType::Str => Some(Cell::Str(s)),
+            ColumnType::Date => iso_date(s.as_bytes())
+                .or_else(|| parse_date(s))
+                .map(Cell::Date),
+        }
+    }
+}
+
+/// `v` in decimal, written into the tail of `buf` — the spelling `{v}`
+/// gives, without the formatting machinery.
+fn int_text(v: i64, buf: &mut [u8; 20]) -> &str {
+    let mut n = v.unsigned_abs();
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
 /// `-?d+.d+` with at most 15 digits in all, as `m / 10^k`: `m` and `10^k`
@@ -431,6 +521,35 @@ mod tests {
             Some(Ordering::Less)
         );
         assert_eq!(Value::Str("a".into()).compare(&Value::Int(1)), None);
+    }
+
+    #[test]
+    fn ints_compare_exactly_past_two_to_the_53() {
+        let (big, next) = (1i64 << 53, (1i64 << 53) + 1);
+        assert_eq!(
+            Value::Int(next).compare(&Value::Int(big)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(
+            Value::Int(big).compare(&Value::Int(next)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(
+            Value::Int(i64::MAX).compare(&Value::Int(i64::MAX - 1)),
+            Some(Ordering::Greater)
+        );
+        // Mixed numeric pairs still widen: the float cannot tell them apart.
+        assert_eq!(
+            Value::Int(next).compare(&Value::Float(big as f64)),
+            Some(Ordering::Equal)
+        );
+    }
+
+    #[test]
+    fn int_text_spells_like_display() {
+        for v in [0, 7, -7, 10, -10, 1 << 53, i64::MAX, i64::MIN, i64::MIN + 1] {
+            assert_eq!(int_text(v, &mut [0; 20]), v.to_string(), "{v}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@ use biscuit_sim::sync::Mutex;
 use biscuit_core::{CoreConfig, Ssd};
 use biscuit_db::expr::{pattern_keys, ArithOp, CmpOp, Expr};
 use biscuit_db::spec::{AggFun, ExecMode, OrderKey, SelectSpec};
-use biscuit_db::{ColumnType, Db, DbConfig, DbResult, QueryOutput, Row, Schema, Value};
-use biscuit_fs::Fs;
+use biscuit_db::{ColumnType, Db, DbConfig, DbError, DbResult, QueryOutput, Row, Schema, Value};
+use biscuit_fs::{Fs, Mode};
 use biscuit_host::{HostConfig, HostLoad};
 use biscuit_sim::Simulation;
 use biscuit_ssd::{SsdConfig, SsdDevice};
@@ -622,4 +622,106 @@ fn host_timeout_fallback_returns_the_conv_rows() {
     assert!(plan.failed_total() >= 1, "the offload must have timed out");
     assert_eq!(faulty.rows.len(), 60);
     assert_eq!(faulty.rows, conv.rows);
+}
+
+/// Runs `f` in a host fiber to quiescence and returns what it returned.
+fn in_sim<T: Send + 'static>(f: impl FnOnce(&biscuit_sim::Ctx) -> T + Send + 'static) -> T {
+    let sim = Simulation::new(0);
+    let out = Arc::new(Mutex::new(None));
+    let o = Arc::clone(&out);
+    sim.spawn("host", move |ctx| *o.lock() = Some(f(ctx)));
+    sim.run().assert_quiescent();
+    let result = out.lock().take().unwrap();
+    result
+}
+
+/// The column cache parses a whole table file the first time a Conv scan
+/// reads it: a line that does not parse fails that scan wherever it sits
+/// — first or last row, first, middle or last page — as a `CorruptRow`
+/// naming the table and the line.
+#[test]
+fn a_corrupt_line_anywhere_fails_the_scan_that_reads_it() {
+    let schema = Schema::new(&[("id", ColumnType::Int), ("name", ColumnType::Str)]);
+    let rows: Vec<Row> = (0..1200)
+        .map(|i| vec![Value::Int(100_000 + i), Value::Str(format!("ü{i:0>40}"))])
+        .collect();
+    for bad in [0, 1, 600, 1198, 1199] {
+        let mut db = make_db();
+        db.create_table("t", schema.clone(), &rows).unwrap();
+        assert!(db.catalog().table("t").unwrap().pages >= 3);
+        let db = Arc::new(db);
+        let result = in_sim(move |ctx| {
+            let file = db.ssd().fs().open("tbl_t", Mode::ReadWrite).unwrap();
+            let bytes = file.read_at(ctx, 0, file.len().unwrap()).unwrap();
+            let needle = format!("|{}|", 100_000 + bad);
+            let at = bytes
+                .windows(needle.len())
+                .position(|w| w == needle.as_bytes())
+                .unwrap();
+            file.write_at(ctx, at as u64 + 1, b"x").unwrap();
+            let mut spec = SelectSpec::new("all");
+            spec.scan("t", Some(Expr::col_cmp(0, CmpOp::Ge, Value::Int(0))));
+            db.execute(ctx, &spec, ExecMode::Conv, HostLoad::IDLE)
+        });
+        match result {
+            Err(DbError::CorruptRow { table, line }) => {
+                assert_eq!(table, "t");
+                assert_eq!(line, format!("|x{:05}|ü{bad:0>40}|", bad));
+            }
+            other => panic!("row {bad}: {other:?}"),
+        }
+    }
+}
+
+/// An empty table scans to no rows (and a global aggregate to its one
+/// zero row); strings holding multibyte UTF-8 read back whole from the
+/// column cache, through `LIKE`, `PREFIX` and equality.
+#[test]
+fn empty_tables_and_multibyte_strings_scan_from_the_column_cache() {
+    let mut db = make_db();
+    let schema = Schema::new(&[("id", ColumnType::Int), ("name", ColumnType::Str)]);
+    db.create_table("empty", schema.clone(), &[]).unwrap();
+    let names = ["日本語", "ü", "naïve café", "", "plain", "日本"];
+    let rows: Vec<Row> = names
+        .iter()
+        .enumerate()
+        .map(|(i, s)| vec![Value::Int(i as i64), Value::Str((*s).to_owned())])
+        .collect();
+    db.create_table("names", schema, &rows).unwrap();
+    let db = Arc::new(db);
+
+    let mut all = SelectSpec::new("empty-all");
+    all.scan("empty", None);
+    assert!(run_query(Arc::clone(&db), all, ExecMode::Conv)
+        .rows
+        .is_empty());
+    let mut count = SelectSpec::new("empty-count");
+    count.scan("empty", None);
+    count.aggregates = vec![(AggFun::Count, Expr::Col(0))];
+    let out = run_query(Arc::clone(&db), count, ExecMode::Conv);
+    assert_eq!(out.rows, vec![vec![Value::Int(0)]]);
+
+    let mut spec = SelectSpec::new("multibyte");
+    spec.scan(
+        "names",
+        Some(Expr::Or(vec![
+            Expr::Like(Box::new(Expr::Col(1)), "日本%".into()),
+            Expr::col_eq(1, Value::Str("naïve café".into())),
+        ])),
+    );
+    spec.projection = vec![
+        Expr::Col(1),
+        Expr::Prefix(Box::new(Expr::Col(1)), 2),
+        Expr::Col(0),
+    ];
+    let out = run_query(Arc::clone(&db), spec, ExecMode::Conv);
+    let st = |s: &str| Value::Str(s.to_owned());
+    assert_eq!(
+        out.rows,
+        vec![
+            vec![st("日本語"), st("日本"), Value::Int(0)],
+            vec![st("naïve café"), st("na"), Value::Int(2)],
+            vec![st("日本"), st("日本"), Value::Int(5)],
+        ]
+    );
 }

@@ -1,16 +1,21 @@
-//! The row executor's hashed, allocation-free join and group keys must
+//! The executor's hashed, allocation-free join and group keys must
 //! reproduce the `String`-keyed operators they replaced — the same output
 //! *sequence*, not just the same set, because downstream float sums add in
-//! that order. The replaced operators are kept below as references.
+//! that order — over row slices and over the column cache alike. The
+//! replaced operators are kept below as references. The lowered expression
+//! programs must reproduce `Expr::eval`/`eval_bool`, value for value and
+//! error for error.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use biscuit_db::column::ColumnTable;
 use biscuit_db::exec;
 use biscuit_db::expr::{ArithOp, CmpOp, Expr};
+use biscuit_db::program::Program;
 use biscuit_db::spec::{AggFun, SelectSpec};
-use biscuit_db::{Row, Value};
+use biscuit_db::{ColumnType, DbResult, Row, Value};
 
 // ---------- references: the operators as they were before ----------
 
@@ -175,6 +180,29 @@ fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(row_strategy(), 0..40)
 }
 
+/// The column types of [`row_strategy`]'s rows.
+const TYPES: [ColumnType; WIDTH] = [
+    ColumnType::Int,
+    ColumnType::Float,
+    ColumnType::Date,
+    ColumnType::Str,
+    ColumnType::Int,
+    ColumnType::Str,
+];
+
+/// The rows as the engine's column cache holds them.
+fn column_table(types: &[ColumnType], rows: &[Row]) -> ColumnTable {
+    let mut table = ColumnTable::new(types);
+    for row in rows {
+        table.push_row(row).unwrap();
+    }
+    table
+}
+
+fn all_ids(rows: &[Row]) -> Vec<u32> {
+    (0..rows.len() as u32).collect()
+}
+
 /// One to three `(outer column, inner column)` join edges, including an
 /// `Int` column met by a `Str` column in both directions.
 fn edges_strategy() -> impl Strategy<Value = Vec<(usize, usize)>> {
@@ -259,6 +287,19 @@ proptest! {
         exec::hash_probe_block(&outer, &outer_cols, &inner, &inner_cols, inner_at, &mut owned);
         prop_assert_eq!(spelled(&owned), spelled(&expected));
 
+        let table = column_table(&TYPES, &inner);
+        let mut columnar = Vec::new();
+        exec::hash_probe_in(
+            &outer,
+            &outer_cols,
+            &table,
+            &all_ids(&inner),
+            &inner_cols,
+            inner_at,
+            &mut columnar,
+        );
+        prop_assert_eq!(spelled(&columnar), spelled(&expected));
+
         let outer_refs: Vec<&Row> = outer.iter().collect();
         let inner_refs: Vec<&Row> = inner.iter().collect();
         let mut borrowed = Vec::new();
@@ -290,6 +331,10 @@ proptest! {
         let refs: Vec<&Row> = rows.iter().collect();
         let borrowed = exec::aggregate(&spec, refs).unwrap();
         prop_assert_eq!(spelled(&borrowed), spelled(&expected));
+
+        let table = column_table(&TYPES, &rows);
+        let columnar = exec::aggregate_in(&spec, &table, &all_ids(&rows)).unwrap();
+        prop_assert_eq!(spelled(&columnar), spelled(&expected));
     }
 
     #[test]
@@ -300,6 +345,9 @@ proptest! {
             .filter(|r| pred.eval_bool(r).unwrap())
             .cloned()
             .collect();
+        let table = column_table(&TYPES, &rows);
+        let picked_ids = exec::select_in(&pred, &table, &all_ids(&rows)).unwrap();
+        prop_assert_eq!(&picked_ids, &exec::select(&pred, &rows).unwrap());
         let sel = exec::select(&pred, &rows).unwrap();
         let picked: Vec<Row> = sel.iter().map(|&i| rows[i as usize].clone()).collect();
         prop_assert_eq!(&picked, &expected);
@@ -312,6 +360,250 @@ proptest! {
             .collect();
         prop_assert_eq!(&kept, &expected);
     }
+}
+
+// ---------- lowered programs against the tree-walker ----------
+
+/// Column layout of the typed rows the program properties use: the last
+/// `Int` column holds integers past 2^53.
+const PROG_TYPES: [ColumnType; 5] = [
+    ColumnType::Int,
+    ColumnType::Float,
+    ColumnType::Date,
+    ColumnType::Str,
+    ColumnType::Int,
+];
+
+/// 2^53: the first integer past which `f64` skips integers.
+const BIG: i64 = 1 << 53;
+
+fn int_strategy() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3i64..4,
+        proptest::sample::select(vec![BIG - 1, BIG, BIG + 1, -BIG - 1, i64::MAX, i64::MIN]),
+    ]
+}
+
+fn float_strategy() -> impl Strategy<Value = f64> {
+    proptest::sample::select(vec![0.0, -0.0, 0.5, 1.0, -2.25, 3.0, 1e300, BIG as f64])
+}
+
+fn date_strategy() -> impl Strategy<Value = i32> {
+    proptest::sample::select(vec![-1, 0, 1, 3, 9_000, 10_000, 2_932_896])
+}
+
+fn str_strategy() -> impl Strategy<Value = String> {
+    proptest::sample::select(vec![
+        "",
+        "a",
+        "MAIL",
+        "ab%",
+        "42",
+        "1.5",
+        "üß",
+        "1995-09-14",
+    ])
+    .prop_map(str::to_owned)
+}
+
+/// A cell of any variant.
+fn value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        int_strategy().prop_map(Value::Int),
+        float_strategy().prop_map(Value::Float),
+        date_strategy().prop_map(Value::Date),
+        str_strategy().prop_map(Value::Str),
+    ]
+}
+
+/// A row typed by [`PROG_TYPES`]: what the column cache holds.
+fn typed_row_strategy() -> impl Strategy<Value = Row> {
+    (
+        -3i64..4,
+        float_strategy(),
+        date_strategy(),
+        str_strategy(),
+        int_strategy(),
+    )
+        .prop_map(|(i, f, d, s, big)| {
+            vec![
+                Value::Int(i),
+                Value::Float(f),
+                Value::Date(d),
+                Value::Str(s),
+                Value::Int(big),
+            ]
+        })
+}
+
+/// A row of any width up to 6 whose cells are of any variant: what joined
+/// rows and callers' rows may hold.
+fn mixed_row_strategy() -> impl Strategy<Value = Row> {
+    proptest::collection::vec(value_strategy(), 0..7)
+}
+
+fn cmp_op() -> impl Strategy<Value = CmpOp> {
+    proptest::sample::select(vec![
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ])
+}
+
+fn arith_op() -> impl Strategy<Value = ArithOp> {
+    proptest::sample::select(vec![ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div])
+}
+
+fn pattern() -> impl Strategy<Value = String> {
+    proptest::sample::select(vec!["%", "MA%", "%a%", "ab", "%ü%", "4%", "%2", "a%b%", ""])
+        .prop_map(str::to_owned)
+}
+
+/// Every `Expr` variant, columns up to two past the widest row.
+fn expr_strategy() -> impl Strategy<Value = Expr> {
+    let leaf = prop_oneof![
+        4 => (0usize..5).prop_map(Expr::Col),
+        1 => (5usize..8).prop_map(Expr::Col),
+        2 => value_strategy().prop_map(Expr::Lit),
+    ];
+    leaf.prop_recursive(3, 24, 3, |inner| {
+        let b = move || inner.clone().prop_map(Box::new);
+        prop_oneof![
+            2 => (cmp_op(), b(), b()).prop_map(|(op, x, y)| Expr::Cmp(op, x, y)),
+            4 => (0usize..6, cmp_op(), value_strategy())
+                .prop_map(|(c, op, v)| Expr::col_cmp(c, op, v)),
+            1 => proptest::collection::vec(b(), 0..3)
+                .prop_map(|xs| Expr::And(xs.into_iter().map(|x| *x).collect())),
+            1 => proptest::collection::vec(b(), 0..3)
+                .prop_map(|xs| Expr::Or(xs.into_iter().map(|x| *x).collect())),
+            1 => b().prop_map(Expr::Not),
+            1 => (b(), pattern()).prop_map(|(x, p)| Expr::Like(x, p)),
+            1 => (b(), pattern()).prop_map(|(x, p)| Expr::NotLike(x, p)),
+            2 => (b(), proptest::collection::vec(value_strategy(), 0..3))
+                .prop_map(|(x, vals)| Expr::InList(x, vals)),
+            2 => (b(), value_strategy(), value_strategy())
+                .prop_map(|(x, lo, hi)| Expr::Between(x, lo, hi)),
+            3 => (arith_op(), b(), b()).prop_map(|(op, x, y)| Expr::Arith(op, x, y)),
+            1 => b().prop_map(Expr::Year),
+            1 => (b(), b(), b()).prop_map(|(c, t, e)| Expr::Case(c, t, e)),
+            1 => (b(), 0usize..4).prop_map(|(x, n)| Expr::Prefix(x, n)),
+        ]
+    })
+}
+
+/// A result spelled bit-exactly: `Debug` of the value, or the error's text.
+fn outcome<T: std::fmt::Debug>(r: DbResult<T>) -> String {
+    match r {
+        Ok(v) => format!("ok {v:?}"),
+        Err(e) => format!("err {e}"),
+    }
+}
+
+/// `Program::eval`, `eval_bool` and the batched numeric path of `expr`
+/// over `src` (whose row `i` is `rows[i]`) agree with the tree-walker.
+fn program_matches_tree_walker<A: biscuit_db::column::Cells + ?Sized>(
+    expr: &Expr,
+    src: &A,
+    rows: &[Row],
+) -> Result<(), TestCaseError> {
+    let prog = Program::new(expr);
+    for (i, row) in rows.iter().enumerate() {
+        let want = outcome(expr.eval(row));
+        let got = outcome(prog.eval(src, i).map(|out| out.into_value()));
+        prop_assert_eq!(&got, &want, "eval of {:?} on {:?}", expr, row);
+        let want = outcome(expr.eval_bool(row));
+        let got = outcome(prog.eval_bool(src, i));
+        prop_assert_eq!(&got, &want, "eval_bool of {:?} on {:?}", expr, row);
+    }
+    let mut f64s = vec![0.0; rows.len()];
+    if prog.typed_f64s(src, &all_ids(rows), &mut f64s) {
+        for (row, x) in rows.iter().zip(&f64s) {
+            let want = expr.eval(row).ok().and_then(|v| v.as_f64());
+            prop_assert_eq!(
+                want.map(f64::to_bits),
+                Some(x.to_bits()),
+                "typed_f64s of {:?} on {:?}",
+                expr,
+                row
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn lowered_programs_equal_the_tree_walker(
+        expr in expr_strategy(),
+        typed in proptest::collection::vec(typed_row_strategy(), 1..12),
+        mixed in proptest::collection::vec(mixed_row_strategy(), 1..12),
+    ) {
+        let table = column_table(&PROG_TYPES, &typed);
+        program_matches_tree_walker(&expr, &table, &typed)?;
+        program_matches_tree_walker(&expr, &typed[..], &typed)?;
+        program_matches_tree_walker(&expr, &mixed[..], &mixed)?;
+        let refs: Vec<&Row> = mixed.iter().collect();
+        program_matches_tree_walker(&expr, &refs[..], &mixed)?;
+    }
+}
+
+/// Integers past 2^53 compare exactly in predicates, ORDER BY, MIN and
+/// MAX — over rows and over the column cache.
+#[test]
+fn ints_past_two_to_the_53_compare_exactly() {
+    let rows: Vec<Row> = [BIG + 1, BIG, BIG + 2]
+        .iter()
+        .map(|&v| vec![Value::Int(v)])
+        .collect();
+    let table = column_table(&[ColumnType::Int], &rows);
+    let ids = all_ids(&rows);
+    let preds = [
+        (Expr::col_eq(0, Value::Int(BIG)), vec![1]),
+        (
+            Expr::InList(Box::new(Expr::Col(0)), vec![Value::Int(BIG)]),
+            vec![1],
+        ),
+        (Expr::col_cmp(0, CmpOp::Gt, Value::Int(BIG)), vec![0, 2]),
+        (
+            Expr::Between(
+                Box::new(Expr::Col(0)),
+                Value::Int(BIG + 1),
+                Value::Int(BIG + 1),
+            ),
+            vec![0],
+        ),
+    ];
+    for (pred, want) in &preds {
+        assert_eq!(&exec::select(pred, &rows).unwrap(), want, "{pred:?}");
+        assert_eq!(
+            &exec::select_in(pred, &table, &ids).unwrap(),
+            want,
+            "{pred:?}"
+        );
+    }
+    let mut sorted = rows.clone();
+    exec::order_and_limit(
+        &mut sorted,
+        &[biscuit_db::OrderKey {
+            col: 0,
+            desc: false,
+        }],
+        None,
+    );
+    assert_eq!(
+        sorted,
+        vec![rows[1].clone(), rows[0].clone(), rows[2].clone()]
+    );
+    let mut spec = SelectSpec::new("extremes");
+    spec.aggregates = vec![(AggFun::Min, Expr::Col(0)), (AggFun::Max, Expr::Col(0))];
+    let want = vec![vec![Value::Int(BIG), Value::Int(BIG + 2)]];
+    assert_eq!(exec::aggregate(&spec, &rows).unwrap(), want);
+    assert_eq!(exec::aggregate_in(&spec, &table, &ids).unwrap(), want);
 }
 
 /// Where the new operators *must* differ from the references: two key

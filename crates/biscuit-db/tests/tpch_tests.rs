@@ -3,7 +3,7 @@
 //! offload pattern must match the paper's structure — a subset of queries
 //! offloads, the rest run conventionally.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use biscuit_sim::sync::Mutex;
 
@@ -14,6 +14,7 @@ use biscuit_db::{Db, DbConfig, QueryOutput, Value};
 use biscuit_fs::Fs;
 use biscuit_host::{HostConfig, HostLoad};
 use biscuit_sim::Simulation;
+use biscuit_ssd::journal::fnv64;
 use biscuit_ssd::{SsdConfig, SsdDevice};
 
 const SF: f64 = 0.0125;
@@ -47,6 +48,17 @@ fn run_suite(db: Arc<Db>, mode: ExecMode) -> Vec<QueryOutput> {
     result
 }
 
+/// The suite's outputs in Conv and Biscuit mode, run once for every test.
+fn suites() -> &'static (Vec<QueryOutput>, Vec<QueryOutput>) {
+    static SUITES: OnceLock<(Vec<QueryOutput>, Vec<QueryOutput>)> = OnceLock::new();
+    SUITES.get_or_init(|| {
+        let db = make_db();
+        let conv = run_suite(Arc::clone(&db), ExecMode::Conv);
+        let bis = run_suite(db, ExecMode::Biscuit);
+        (conv, bis)
+    })
+}
+
 fn values_close(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => {
@@ -66,13 +78,11 @@ fn rows_close(a: &[biscuit_db::Row], b: &[biscuit_db::Row]) -> bool {
 
 #[test]
 fn tpch_suite_conv_vs_biscuit() {
-    let db = make_db();
-    let conv = run_suite(Arc::clone(&db), ExecMode::Conv);
-    let bis = run_suite(Arc::clone(&db), ExecMode::Biscuit);
+    let (conv, bis) = suites();
 
     // 1. Results agree across modes (offload-correctness invariant).
     let mut failures = Vec::new();
-    for ((q, c), b) in all_queries().iter().zip(&conv).zip(&bis) {
+    for ((q, c), b) in all_queries().iter().zip(conv).zip(bis) {
         if !rows_close(&c.rows, &b.rows) {
             failures.push(format!(
                 "Q{}: conv {} rows vs biscuit {} rows\n  conv first: {:?}\n  bis first:  {:?}",
@@ -95,7 +105,7 @@ fn tpch_suite_conv_vs_biscuit() {
     //    Conv mode never offloads anything.
     let offloaded: Vec<usize> = all_queries()
         .iter()
-        .zip(&bis)
+        .zip(bis)
         .filter(|(_, out)| !out.stats.offloaded_tables.is_empty())
         .map(|(q, _)| q.id)
         .collect();
@@ -124,7 +134,7 @@ fn tpch_suite_conv_vs_biscuit() {
         bis_total * 1.5 < conv_total,
         "total: biscuit {bis_total}s vs conv {conv_total}s"
     );
-    for ((q, c), b) in all_queries().iter().zip(&conv).zip(&bis) {
+    for ((q, c), b) in all_queries().iter().zip(conv).zip(bis) {
         let (ct, bt) = (c.stats.elapsed.as_secs_f64(), b.stats.elapsed.as_secs_f64());
         assert!(
             bt < ct * 1.25 + 0.01,
@@ -143,4 +153,45 @@ fn tpch_suite_conv_vs_biscuit() {
         io_reduction > 10.0,
         "Q14 I/O reduction only {io_reduction:.1}x"
     );
+}
+
+/// FNV-1a of each query's rows as `Debug` spells them, per mode: every
+/// float bit and the row order. Conv and Biscuit digests differ where the
+/// modes sum floats in different orders (Q5, Q14).
+const DIGESTS: [(usize, u64, u64); 22] = [
+    (1, 0xf6ebcfe8f2276bca, 0xf6ebcfe8f2276bca),
+    (2, 0xc2c0cbf35fbfde65, 0xc2c0cbf35fbfde65),
+    (3, 0x8a9030f41e5472a2, 0x8a9030f41e5472a2),
+    (4, 0xfda19bf63c45029d, 0xfda19bf63c45029d),
+    (5, 0x639f9cf71b25c5eb, 0xe0d96c70f7d632e4),
+    (6, 0x27d9baf42ec1e2c0, 0x27d9baf42ec1e2c0),
+    (7, 0x53517859444f678e, 0x53517859444f678e),
+    (8, 0x21a00c6cce2462d5, 0x21a00c6cce2462d5),
+    (9, 0x5a17f53c17f7fa89, 0x5a17f53c17f7fa89),
+    (10, 0xa4be03c1826e951c, 0xa4be03c1826e951c),
+    (11, 0xf489fab2f3c8e60f, 0xf489fab2f3c8e60f),
+    (12, 0xab87b41b6e40cd61, 0xab87b41b6e40cd61),
+    (13, 0xfa3116d2851a90cc, 0xfa3116d2851a90cc),
+    (14, 0xf274901f17dec3fd, 0x6b7d185aa3a390c2),
+    (15, 0x516907e375dec3a8, 0x516907e375dec3a8),
+    (16, 0x3c3baa00784ee708, 0x3c3baa00784ee708),
+    (17, 0xc5b56bdf0f5df6c8, 0xc5b56bdf0f5df6c8),
+    (18, 0x09612b07b5ecb5a5, 0x09612b07b5ecb5a5),
+    (19, 0xdb121717a4da7fac, 0xdb121717a4da7fac),
+    (20, 0xac31f64098adeb59, 0xac31f64098adeb59),
+    (21, 0x51ec5d28c383163d, 0x51ec5d28c383163d),
+    (22, 0x09612b07b5ecb5a5, 0x09612b07b5ecb5a5),
+];
+
+#[test]
+fn tpch_outputs_are_bit_exact() {
+    let (conv, bis) = suites();
+    let digest = |out: &QueryOutput| fnv64(format!("{:?}", out.rows).as_bytes());
+    let got: Vec<(usize, u64, u64)> = all_queries()
+        .iter()
+        .zip(conv)
+        .zip(bis)
+        .map(|((q, c), b)| (q.id, digest(c), digest(b)))
+        .collect();
+    assert_eq!(got, DIGESTS);
 }
