@@ -14,9 +14,9 @@
 //! per-shard FIFO preserved, the concatenated rows are exactly the rows a
 //! single-drive scan would have produced, in the same order. Residual
 //! filtering, aggregation, projection, ordering and `LIMIT` then run once
-//! on the host over the merged stream, mirroring the single-drive engine
-//! tail, so results are byte-identical to a one-drive [`Db`] holding the
-//! whole table.
+//! on the host over the merged stream, through the single-drive engine's
+//! own tail (`Db::shape`), so results are byte-identical to a one-drive
+//! [`Db`] holding the whole table.
 //!
 //! Drive loss (see [`biscuit_sim::fault::FaultConfig::drive_losses`]) is
 //! handled by the coordinator: a shard that goes silent past the plan's
@@ -160,6 +160,7 @@ impl ArrayDb {
         mode: ExecMode,
         load: HostLoad,
     ) -> DbResult<QueryOutput> {
+        self.dbs[0].validate(spec)?;
         let shard_spec = self.shard_spec(spec)?;
         let t0 = ctx.now();
 
@@ -225,27 +226,7 @@ impl ArrayDb {
             }
         };
 
-        // Host-side shaping over the merged stream — the same tail the
-        // single-drive engine runs after its joins.
-        let host = &self.dbs[0];
-        let mut acc = acc;
-        if let Some(res) = &spec.residual {
-            host.charge_host_bytes(ctx, (acc.len() * 16) as u64, load);
-            acc = exec::filter(res, acc)?;
-        }
-        let mut rows = if !spec.aggregates.is_empty() {
-            host.charge_host_bytes(ctx, (acc.len() * 16) as u64, load);
-            let mut out = exec::aggregate(spec, &acc)?;
-            if let Some(h) = &spec.having {
-                out = exec::filter(h, out)?;
-            }
-            out
-        } else if !spec.projection.is_empty() {
-            exec::project(&spec.projection, &acc)?
-        } else {
-            acc
-        };
-        exec::order_and_limit(&mut rows, &spec.order_by, spec.limit);
+        let rows = self.dbs[0].shape(ctx, spec, load, &acc[..], exec::all(acc.len()))?;
 
         stats.rows_out = rows.len();
         stats.elapsed = ctx.now() - t0;
@@ -267,7 +248,7 @@ fn merge_stats(into: &mut QueryStats, from: &QueryStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{CmpOp, Expr};
+    use crate::expr::{ArithOp, CmpOp, Expr};
     use crate::spec::{AggFun, OrderKey};
     use crate::value::{ColumnType, Value};
     use biscuit_core::{CoreConfig, Ssd};
@@ -308,6 +289,38 @@ mod tests {
         spec
     }
 
+    /// [`test_spec`] with the whole host tail: a residual, then either a
+    /// grouped aggregate with HAVING or a projection, then ORDER BY and
+    /// LIMIT.
+    fn tail_specs() -> Vec<SelectSpec> {
+        let mut grouped = test_spec();
+        grouped.residual = Some(Expr::col_cmp(0, CmpOp::Ge, Value::Int(100)));
+        grouped.group_by = vec![Expr::Col(1)];
+        grouped.aggregates = vec![(AggFun::Count, Expr::Col(0)), (AggFun::Max, Expr::Col(0))];
+        grouped.having = Some(Expr::col_cmp(2, CmpOp::Gt, Value::Int(955)));
+        grouped.order_by = vec![OrderKey { col: 2, desc: true }];
+        grouped.limit = Some(4);
+        let mut projected = test_spec();
+        projected.residual = Some(Expr::col_cmp(0, CmpOp::Lt, Value::Int(900)));
+        projected.projection = vec![
+            Expr::Col(1),
+            Expr::Arith(
+                ArithOp::Mul,
+                Box::new(Expr::Col(0)),
+                Box::new(Expr::Lit(Value::Int(2))),
+            ),
+        ];
+        projected.order_by = vec![
+            OrderKey { col: 0, desc: true },
+            OrderKey {
+                col: 1,
+                desc: false,
+            },
+        ];
+        projected.limit = Some(30);
+        vec![grouped, projected]
+    }
+
     #[test]
     fn sharded_results_match_single_drive_in_both_modes() {
         let schema = Schema::new(&[("id", ColumnType::Int), ("qty", ColumnType::Int)]);
@@ -329,35 +342,37 @@ mod tests {
         adb.create_table("orders", schema, &rows).unwrap();
         let adb = Arc::new(adb);
 
-        let expect: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
-        let sim = Simulation::new(7);
-        {
-            let solo = Arc::clone(&solo);
-            let expect = Arc::clone(&expect);
-            sim.spawn("solo", move |ctx| {
-                let out = solo
-                    .execute(ctx, &test_spec(), ExecMode::Conv, HostLoad::IDLE)
-                    .unwrap();
-                *expect.lock().unwrap() = out.rows;
-            });
-        }
-        sim.run().assert_quiescent();
-        let expect = Arc::try_unwrap(expect).unwrap().into_inner().unwrap();
-        assert!(!expect.is_empty());
-
-        for mode in [ExecMode::Conv, ExecMode::Biscuit] {
-            let adb = Arc::clone(&adb);
-            let expect = expect.clone();
+        for spec in [vec![test_spec()], tail_specs()].concat() {
+            let expect: Arc<Mutex<Vec<Row>>> = Arc::new(Mutex::new(Vec::new()));
             let sim = Simulation::new(7);
-            sim.spawn("arr", move |ctx| {
-                adb.prepare(ctx).unwrap();
-                let out = adb
-                    .execute(ctx, &test_spec(), mode, HostLoad::IDLE)
-                    .unwrap();
-                assert_eq!(out.rows, expect, "mode {mode:?} diverged from single drive");
-                assert_eq!(out.stats.rows_out, expect.len());
-            });
+            {
+                let solo = Arc::clone(&solo);
+                let expect = Arc::clone(&expect);
+                let spec = spec.clone();
+                sim.spawn("solo", move |ctx| {
+                    let out = solo
+                        .execute(ctx, &spec, ExecMode::Conv, HostLoad::IDLE)
+                        .unwrap();
+                    *expect.lock().unwrap() = out.rows;
+                });
+            }
             sim.run().assert_quiescent();
+            let expect = Arc::try_unwrap(expect).unwrap().into_inner().unwrap();
+            assert!(!expect.is_empty(), "{}", spec.name);
+
+            for mode in [ExecMode::Conv, ExecMode::Biscuit] {
+                let adb = Arc::clone(&adb);
+                let expect = expect.clone();
+                let spec = spec.clone();
+                let sim = Simulation::new(7);
+                sim.spawn("arr", move |ctx| {
+                    adb.prepare(ctx).unwrap();
+                    let out = adb.execute(ctx, &spec, mode, HostLoad::IDLE).unwrap();
+                    assert_eq!(out.rows, expect, "mode {mode:?} diverged from single drive");
+                    assert_eq!(out.stats.rows_out, expect.len());
+                });
+                sim.run().assert_quiescent();
+            }
         }
     }
 

@@ -20,7 +20,7 @@ use std::sync::Arc;
 use biscuit_sim::sync::Mutex;
 
 use biscuit_core::runtime::ModuleId;
-use biscuit_core::{Application, BiscuitError, Ssd};
+use biscuit_core::{Application, BiscuitError, HostInPort, Ssd, SsdletHandle};
 use biscuit_fs::Mode;
 use biscuit_host::{ConvIo, HostConfig, HostLoad};
 use biscuit_sim::qprof::Stage;
@@ -345,39 +345,24 @@ impl Db {
                 est_selectivity: 1.0,
             };
             if mode == ExecMode::Biscuit {
-                if meta.pages < self.cfg.min_table_pages {
-                    self.trace_verdict(
-                        ctx,
-                        &meta.name,
-                        false,
-                        1.0,
-                        "table smaller than min_table_pages",
-                    );
-                } else if let Some(keys) = scan.predicate.as_ref().and_then(pattern_keys) {
-                    let predicate = scan.predicate.as_ref().expect("keys imply a predicate");
-                    let est = self.sample_selectivity(ctx, meta, predicate, load)?;
-                    plan.est_selectivity = est;
-                    if est <= self.cfg.selectivity_threshold {
-                        plan.offload_keys = Some(keys);
-                        self.trace_verdict(
-                            ctx,
-                            &meta.name,
-                            true,
-                            est,
-                            "selectivity below threshold",
-                        );
-                    } else {
-                        self.trace_verdict(
-                            ctx,
-                            &meta.name,
-                            false,
-                            est,
-                            "selectivity above threshold",
-                        );
+                let keys = scan.predicate.as_ref().and_then(pattern_keys);
+                let (est, reason) = match (&scan.predicate, keys) {
+                    _ if meta.pages < self.cfg.min_table_pages => {
+                        (1.0, "table smaller than min_table_pages")
                     }
-                } else {
-                    self.trace_verdict(ctx, &meta.name, false, 1.0, "no pattern keys");
-                }
+                    (Some(predicate), Some(keys)) => {
+                        let est = self.sample_selectivity(ctx, meta, predicate, load)?;
+                        if est <= self.cfg.selectivity_threshold {
+                            plan.offload_keys = Some(keys);
+                            (est, "selectivity below threshold")
+                        } else {
+                            (est, "selectivity above threshold")
+                        }
+                    }
+                    _ => (1.0, "no pattern keys"),
+                };
+                plan.est_selectivity = est;
+                self.trace_verdict(ctx, &meta.name, plan.offload_keys.is_some(), est, reason);
             }
             plans.push(plan);
         }
@@ -423,21 +408,18 @@ impl Db {
     ) -> DbResult<f64> {
         let n = self.cfg.sample_pages.min(meta.pages).max(1);
         let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
-        let mut total = 0u64;
-        let mut matched = 0u64;
+        let mut total = 0;
+        let mut matched = 0;
         for i in 0..n {
             let page_idx = i * meta.pages / n;
             let pages = self
                 .conv
                 .read_file_pages_async(ctx, &file, page_idx, 1, 1, 1, load)?;
-            let rows = table::parse_page(&meta.schema, &meta.name, &pages[0])?;
+            let mut rows = ColumnTable::new(&meta.schema.types());
+            table::parse_page_into(&meta.name, &pages[0], &mut rows)?;
             self.charge_host_rows(ctx, self.page_size() as u64, load);
-            for row in &rows {
-                total += 1;
-                if predicate.eval_bool(row)? {
-                    matched += 1;
-                }
-            }
+            total += rows.len();
+            matched += exec::select_in(predicate, &rows, &exec::all(rows.len()))?.len();
         }
         if total == 0 {
             return Ok(1.0);
@@ -522,19 +504,19 @@ impl Db {
         Ok(Selection { table, ids })
     }
 
-    /// NDP scan: dispatch the scan-filter SSDlet via the Biscuit framework
-    /// and drain qualifying rows from the device-to-host port.
-    fn scan_ndp(
+    /// An application named `name` holding the scan-filter SSDlet over
+    /// `meta`'s file, and that SSDlet's handle.
+    fn scan_app(
         &self,
         ctx: &Ctx,
+        name: String,
         meta: &TableMeta,
         predicate: &Expr,
         keys: &[Vec<u8>],
-        load: HostLoad,
-    ) -> DbResult<Selection> {
+    ) -> DbResult<(Application, SsdletHandle)> {
         let mid = self.ensure_scan_module(ctx)?;
         let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
-        let app = Application::new(&self.ssd, format!("scan-{}", meta.name));
+        let app = Application::new(&self.ssd, name);
         let scanner = app.ssdlet_with(
             mid,
             SCAN_FILTER_ID,
@@ -548,50 +530,70 @@ impl Db {
                 queue_depth: self.cfg.scan_queue_depth,
             },
         )?;
+        Ok((app, scanner))
+    }
+
+    /// Hands every batch `rx` receives to `sink` until the device closes
+    /// the port, first charging the host `row_bytes` per row for running
+    /// the batch through the upper executor layers. Under a fault plan with
+    /// a host timeout, a batch that does not arrive in time is a failure:
+    /// it is recorded, the port is drained (discarding) so the device
+    /// fibers can finish, and the timeout is returned.
+    fn drain(
+        &self,
+        ctx: &Ctx,
+        rx: &HostInPort<Vec<Row>>,
+        row_bytes: usize,
+        load: HostLoad,
+        mut sink: impl FnMut(Vec<Row>),
+    ) -> Result<(), BiscuitError> {
+        let plan = self.ssd.fault_plan();
+        let timeout = plan.host_timeout();
+        loop {
+            let batch = match timeout {
+                None => rx.get(ctx),
+                Some(t) => match rx.get_deadline(ctx, t) {
+                    Ok(batch) => batch,
+                    Err(e) => {
+                        plan.record_failed(ctx, ctx.now(), FaultSite::Ssdlet, "host_timeout");
+                        while rx.get(ctx).is_some() {}
+                        return Err(e);
+                    }
+                },
+            };
+            let Some(batch) = batch else {
+                return Ok(());
+            };
+            self.charge_host_rows(ctx, (batch.len() * row_bytes) as u64, load);
+            sink(batch);
+        }
+    }
+
+    /// NDP scan: dispatch the scan-filter SSDlet via the Biscuit framework
+    /// and drain qualifying rows from the device-to-host port. A timeout or
+    /// a failed SSDlet degrades to the host path.
+    fn scan_ndp(
+        &self,
+        ctx: &Ctx,
+        meta: &TableMeta,
+        predicate: &Expr,
+        keys: &[Vec<u8>],
+        load: HostLoad,
+    ) -> DbResult<Selection> {
+        let name = format!("scan-{}", meta.name);
+        let (app, scanner) = self.scan_app(ctx, name, meta, predicate, keys)?;
         let rx = app.connect_to::<Vec<Row>>(scanner.out(0))?;
         app.start(ctx)?;
-        let plan = self.ssd.fault_plan();
         // Shipped rows are appended column by column as they arrive.
         let mut table = ColumnTable::new(&meta.schema.types());
-        let mut append = |batch: Vec<Row>| {
+        let drained = self.drain(ctx, &rx, 64, load, |batch| {
             for row in batch {
                 table
                     .push_row(&row)
                     .expect("the scan SSDlet ships rows parsed with the table's types");
             }
-        };
-        let mut fallback: Option<&'static str> = None;
-        if let Some(timeout) = plan.host_timeout() {
-            loop {
-                match rx.get_deadline(ctx, timeout) {
-                    Ok(Some(batch)) => {
-                        // The host still runs returned rows through the upper
-                        // executor layers.
-                        let bytes: usize = batch.len() * 64;
-                        self.charge_host_rows(ctx, bytes as u64, load);
-                        append(batch);
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        // The offload blew past the host deadline. Keep
-                        // draining (discarding) so the device fibers can
-                        // finish, then degrade to the host path.
-                        plan.record_failed(ctx, ctx.now(), FaultSite::Ssdlet, "host_timeout");
-                        fallback = Some("timeout");
-                        while rx.get(ctx).is_some() {}
-                        break;
-                    }
-                }
-            }
-        } else {
-            while let Some(batch) = rx.get(ctx) {
-                // The host still runs returned rows through the upper executor
-                // layers.
-                let bytes: usize = batch.len() * 64;
-                self.charge_host_rows(ctx, bytes as u64, load);
-                append(batch);
-            }
-        }
+        });
+        let mut fallback = drained.err().map(|_| "timeout");
         app.join(ctx);
         if fallback.is_none() && app.failure().is_some() {
             fallback = Some("ssdlet_failure");
@@ -606,6 +608,7 @@ impl Db {
                 "db_host_fallbacks_total",
                 &[("table", meta.name.as_str()), ("cause", cause)],
             );
+            let plan = self.ssd.fault_plan();
             plan.record_recovered(ctx, ctx.now(), FaultSite::Ssdlet, "host_fallback");
             // The re-run executes under a child phase span so the profile
             // shows the fallback as an attributed stretch of the query
@@ -634,7 +637,9 @@ impl Db {
     /// Extension: scan + aggregate entirely on the device. The scan SSDlet
     /// feeds the aggregator over a typed inter-SSDlet port; a single result
     /// row crosses the host interface (paper §III-A: "retrieving
-    /// intermediate/final computational results only").
+    /// intermediate/final computational results only"). A timeout or a
+    /// failed SSDlet is returned as an error; the caller degrades to the
+    /// host execution path.
     fn scan_ndp_aggregate(
         &self,
         ctx: &Ctx,
@@ -644,24 +649,10 @@ impl Db {
         aggs: &[(crate::spec::AggFun, Expr)],
         load: HostLoad,
     ) -> DbResult<Vec<Row>> {
-        let mid = self.ensure_scan_module(ctx)?;
-        let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
-        let app = Application::new(&self.ssd, format!("scanagg-{}", meta.name));
-        let scanner = app.ssdlet_with(
-            mid,
-            SCAN_FILTER_ID,
-            ScanArgs {
-                file,
-                types: meta.schema.types(),
-                predicate: predicate.clone(),
-                keys: keys.to_vec(),
-                batch_rows: self.cfg.batch_rows,
-                request_pages: self.cfg.scan_request_pages,
-                queue_depth: self.cfg.scan_queue_depth,
-            },
-        )?;
+        let name = format!("scanagg-{}", meta.name);
+        let (app, scanner) = self.scan_app(ctx, name, meta, predicate, keys)?;
         let agg = app.ssdlet_with(
-            mid,
+            self.ensure_scan_module(ctx)?,
             AGGREGATE_ID,
             AggArgs {
                 aggs: aggs.to_vec(),
@@ -670,32 +661,10 @@ impl Db {
         app.connect::<Vec<Row>>(scanner.out(0), agg.input(0))?;
         let rx = app.connect_to::<Vec<Row>>(agg.out(0))?;
         app.start(ctx)?;
-        let plan = self.ssd.fault_plan();
         let mut rows = Vec::new();
-        if let Some(timeout) = plan.host_timeout() {
-            loop {
-                match rx.get_deadline(ctx, timeout) {
-                    Ok(Some(batch)) => {
-                        self.charge_host_rows(ctx, (batch.len() * 16) as u64, load);
-                        rows.extend(batch);
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Drain (discarding) so the device pipeline can
-                        // finish, then surface the typed timeout; the caller
-                        // degrades to the host execution path.
-                        plan.record_failed(ctx, ctx.now(), FaultSite::Ssdlet, "host_timeout");
-                        while rx.get(ctx).is_some() {}
-                        app.join(ctx);
-                        return Err(e.into());
-                    }
-                }
-            }
-        } else {
-            while let Some(batch) = rx.get(ctx) {
-                self.charge_host_rows(ctx, (batch.len() * 16) as u64, load);
-                rows.extend(batch);
-            }
+        if let Err(e) = self.drain(ctx, &rx, 16, load, |batch| rows.extend(batch)) {
+            app.join(ctx);
+            return Err(e.into());
         }
         app.join_checked(ctx)?;
         Ok(rows)
@@ -761,6 +730,64 @@ impl Db {
         Ok(order)
     }
 
+    /// Checks `spec`'s shape against the catalog, not the data: it has a
+    /// scan, each join edge joins two different scans of it on columns
+    /// their tables have, and each ORDER BY column is one the output has.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbError::Unsupported`] for no scans or an edge naming a
+    /// scan the spec lacks (or one scan twice), [`DbError::UnknownColumn`]
+    /// for a column past its width, and catalog errors.
+    pub(crate) fn validate(&self, spec: &SelectSpec) -> DbResult<()> {
+        if spec.scans.is_empty() {
+            return Err(DbError::Unsupported(format!(
+                "query {:?} has no scans",
+                spec.name
+            )));
+        }
+        let widths = spec
+            .scans
+            .iter()
+            .map(|s| Ok(self.meta(&s.table)?.schema.len()))
+            .collect::<DbResult<Vec<usize>>>()?;
+        for e in &spec.edges {
+            if e.left == e.right {
+                return Err(DbError::Unsupported(format!(
+                    "join edge on scan {} alone",
+                    e.left
+                )));
+            }
+            for (scan, col) in [(e.left, e.left_col), (e.right, e.right_col)] {
+                let Some(&width) = widths.get(scan) else {
+                    return Err(DbError::Unsupported(format!(
+                        "join edge names scan {scan} of a query with {}",
+                        widths.len()
+                    )));
+                };
+                if col >= width {
+                    return Err(DbError::UnknownColumn(format!(
+                        "join column {col} past scan {scan}'s {width} columns"
+                    )));
+                }
+            }
+        }
+        let width = if !spec.aggregates.is_empty() {
+            spec.group_by.len() + spec.aggregates.len()
+        } else if !spec.projection.is_empty() {
+            spec.projection.len()
+        } else {
+            widths.iter().sum()
+        };
+        match spec.order_by.iter().find(|k| k.col >= width) {
+            Some(k) => Err(DbError::UnknownColumn(format!(
+                "ORDER BY column {} past the output's {width} columns",
+                k.col
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Explains how a spec would execute: per-scan offload decisions (with
     /// estimated selectivities and pattern keys) and the chosen join order.
     /// Charges the same sampling I/O the real planner would.
@@ -775,6 +802,7 @@ impl Db {
         mode: ExecMode,
         load: HostLoad,
     ) -> DbResult<PlanExplain> {
+        self.validate(spec)?;
         let plans = self.plan_scans(ctx, spec, mode, load)?;
         let order = self.join_order(spec, &plans)?;
         Ok(PlanExplain {
@@ -843,6 +871,7 @@ impl Db {
             // modules before measuring), not part of query time.
             self.ensure_scan_module(ctx)?;
         }
+        self.validate(spec)?;
         let t0 = ctx.now();
         let link0 = self.ssd.link().bytes_to_host();
         let scanned = || {
@@ -1024,9 +1053,10 @@ impl Db {
     }
 
     /// Residual predicate, aggregation or projection, ORDER BY and LIMIT over
-    /// rows `ids` of the joined rows — wide rows, or a single scan's column
-    /// table — materialising rows only for output.
-    fn shape<A: Cells + ?Sized>(
+    /// rows `ids` of the joined rows — wide rows, a single scan's column
+    /// table, or [`ArrayDb`](crate::ArrayDb)'s merged stream — materialising
+    /// rows only for output.
+    pub(crate) fn shape<A: Cells + ?Sized>(
         &self,
         ctx: &Ctx,
         spec: &SelectSpec,

@@ -15,7 +15,7 @@
 //! source — the engine's column cache or a slice of rows — and a list of
 //! row ids: a selection vector, so a scan copies nothing. Expressions are
 //! lowered once per call into a [`Program`]. The row-slice functions
-//! (`select`, `filter`, `aggregate`, `project`, `hash_probe_block`, ...)
+//! (`filter`, `filter_ref`, `aggregate`, `hash_probe_block`)
 //! are those operators over all of the given rows. Join and group keys are
 //! compared the way [`key_of`] spells them — by canonical text, so `Int 5`
 //! meets `Str "5"` — but hashed cell by cell and verified cell by cell,
@@ -495,16 +495,6 @@ pub fn project_in<A: Cells + ?Sized>(exprs: &[Expr], src: &A, ids: &[u32]) -> Db
         .collect()
 }
 
-/// [`project_in`] over every row of a row list.
-///
-/// # Errors
-///
-/// Propagates expression evaluation errors.
-pub fn project<'a>(exprs: &[Expr], rows: impl IntoIterator<Item = &'a Row>) -> DbResult<Vec<Row>> {
-    let rows: Vec<&Row> = rows.into_iter().collect();
-    project_in(exprs, &rows[..], &all(rows.len()))
-}
-
 /// The ids among `ids` of the rows of `src` that satisfy `pred`, in the
 /// same order.
 ///
@@ -520,16 +510,6 @@ pub fn select_in<A: Cells + ?Sized>(pred: &Expr, src: &A, ids: &[u32]) -> DbResu
         }
     }
     Ok(sel)
-}
-
-/// Indices of the rows that satisfy `pred`, ascending — a selection vector
-/// over a shared table snapshot, so a scan copies nothing.
-///
-/// # Errors
-///
-/// Propagates expression evaluation errors.
-pub fn select(pred: &Expr, rows: &[Row]) -> DbResult<Vec<u32>> {
-    select_in(pred, rows, &all(rows.len()))
 }
 
 /// Applies a filter predicate to owned or borrowed rows, keeping order.
@@ -548,13 +528,14 @@ pub fn filter<R: Borrow<Row>>(pred: &Expr, rows: Vec<R>) -> DbResult<Vec<R>> {
         .collect())
 }
 
-/// [`select`], cloning the qualifying rows out.
+/// [`select_in`] over every row of a row list, cloning the qualifying rows
+/// out.
 ///
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
 pub fn filter_ref(pred: &Expr, rows: &[Row]) -> DbResult<Vec<Row>> {
-    let sel = select(pred, rows)?;
+    let sel = select_in(pred, rows, &all(rows.len()))?;
     Ok(sel.iter().map(|&i| rows[i as usize].clone()).collect())
 }
 
@@ -720,7 +701,10 @@ mod tests {
     fn select_and_filter_ref_agree() {
         let rows: Vec<Row> = (0..10).map(|i| vec![v(i)]).collect();
         let pred = Expr::col_cmp(0, crate::expr::CmpOp::Ge, v(7));
-        assert_eq!(select(&pred, &rows).unwrap(), vec![7, 8, 9]);
+        assert_eq!(
+            select_in(&pred, &rows[..], &all(10)).unwrap(),
+            vec![7, 8, 9]
+        );
         assert_eq!(filter_ref(&pred, &rows).unwrap(), rows[7..].to_vec());
         let refs: Vec<&Row> = rows.iter().collect();
         assert_eq!(

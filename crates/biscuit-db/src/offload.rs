@@ -6,6 +6,15 @@
 //! rows (the lines containing hits) are parsed and the *full* predicate is
 //! verified per row, so only genuinely qualifying rows cross the link, in
 //! batches, through a device-to-host port.
+//!
+//! Both SSDlets evaluate through [`Program`], the evaluator the host
+//! executor runs ([`crate::program`]), so the device and the host agree on
+//! what a predicate means by construction. The scan filter lowers its
+//! predicate once per run and evaluates it over a one-row [`Cells`] view
+//! of each candidate line: the predicate's columns parsed from the line's
+//! field slices as borrowed [`Cell`]s, placeholders for the rest. The
+//! aggregator lowers its inputs once and folds each batch it receives
+//! through them.
 
 use biscuit_core::module::{ModuleBuilder, SsdletSpec};
 use biscuit_core::task::{args_as, Ssdlet, TaskCtx};
@@ -13,8 +22,10 @@ use biscuit_core::SsdletModule;
 use biscuit_fs::File;
 use biscuit_ssd::pattern::{PatternLimits, PatternSet};
 
+use crate::column::Cells;
 use crate::expr::Expr;
-use crate::value::{fields, row_from_text, ColumnType, Row, Value};
+use crate::program::Program;
+use crate::value::{fields, row_from_text, Cell, ColumnType, Row};
 
 /// Arguments handed to the scan SSDlet at instantiation.
 #[derive(Debug, Clone)]
@@ -87,6 +98,7 @@ struct Aggregator {
 impl Ssdlet for Aggregator {
     fn run(&mut self, ctx: &mut TaskCtx<'_>) {
         let aggs = &self.args.aggs;
+        let inputs: Vec<Program<'_>> = aggs.iter().map(|(_, e)| Program::new(e)).collect();
         let mut states: Vec<crate::exec::AggState> = aggs
             .iter()
             .map(|(fun, _)| crate::exec::AggState::new(*fun))
@@ -99,10 +111,13 @@ impl Ssdlet for Aggregator {
         while let Some(batch) = ctx.recv::<Vec<Row>>(0).expect("typed input") {
             ctx.compute_bytes((batch.len() * 16 * aggs.len()) as u64);
             folding = folding
-                && batch.iter().all(|row| {
-                    aggs.iter()
-                        .zip(states.iter_mut())
-                        .all(|((_, expr), st)| expr.eval(row).map(|v| st.update(v.cell())).is_ok())
+                && (0..batch.len()).all(|row| {
+                    inputs.iter().zip(states.iter_mut()).all(|(input, st)| {
+                        input
+                            .eval(&batch[..], row)
+                            .map(|v| st.update(v.cell()))
+                            .is_ok()
+                    })
                 });
         }
         if folding {
@@ -134,7 +149,7 @@ impl Ssdlet for ScanFilter {
                 self.args.queue_depth,
             )
             .expect("scan of a catalog table file");
-        let mut filter = LineFilter::new(&self.args.types, &self.args.predicate);
+        let filter = LineFilter::new(&self.args.types, &self.args.predicate);
         let mut batch: Vec<Row> = Vec::with_capacity(self.args.batch_rows);
         for (_page_idx, page) in hits {
             let offsets = pattern.find_all(&page);
@@ -161,37 +176,39 @@ impl Ssdlet for ScanFilter {
 }
 
 /// The scan filter's verdict on one candidate line, reading field slices
-/// of the page: only the columns the predicate reads are parsed, into a
-/// view row reused from line to line, and the full row is built only for
-/// a line that ships.
+/// of the page: only the columns the predicate reads are parsed, and the
+/// full row is built only for a line that ships.
 struct LineFilter<'a> {
     types: &'a [ColumnType],
-    predicate: &'a Expr,
+    /// The predicate, lowered once per SSDlet run.
+    program: Program<'a>,
     /// `reads[c]`: the predicate reads column `c`.
     reads: Vec<bool>,
-    /// The current line's predicate columns; the other cells are
-    /// placeholders the predicate never reads. A `Str` column's cell is
-    /// always a `Value::Str`, so its buffer is reused.
-    view: Row,
+}
+
+/// One candidate line as a one-row [`Cells`] source: the predicate's
+/// columns parsed, placeholders (`Int` 0) for the cells it never reads.
+struct Line<'l>(Vec<Cell<'l>>);
+
+impl Cells for Line<'_> {
+    fn cell(&self, row: usize, col: usize) -> Option<Cell<'_>> {
+        assert_eq!(row, 0, "a line is one row");
+        self.0.get(col).copied()
+    }
+
+    fn width(&self, _row: usize) -> usize {
+        self.0.len()
+    }
 }
 
 impl<'a> LineFilter<'a> {
     fn new(types: &'a [ColumnType], predicate: &'a Expr) -> Self {
         let mut cols = Vec::new();
         predicate.columns(&mut cols);
-        let reads = (0..types.len()).map(|c| cols.contains(&c)).collect();
-        let view = types
-            .iter()
-            .map(|ty| match ty {
-                ColumnType::Str => Value::Str(String::new()),
-                _ => Value::Int(0),
-            })
-            .collect();
         LineFilter {
             types,
-            predicate,
-            reads,
-            view,
+            program: Program::new(predicate),
+            reads: (0..types.len()).map(|c| cols.contains(&c)).collect(),
         }
     }
 
@@ -200,23 +217,19 @@ impl<'a> LineFilter<'a> {
     /// trimmed, and the predicate holds on that row without error; it
     /// ships as that row. Padding fragments and key hits inside padding
     /// fail the framing.
-    fn ship(&mut self, line: &[u8]) -> Option<Row> {
+    fn ship(&self, line: &[u8]) -> Option<Row> {
         let line = std::str::from_utf8(line).ok()?.trim_end_matches('~');
-        let mut n = 0;
-        for f in fields(line)? {
-            let ty = *self.types.get(n)?;
-            if self.reads[n] {
-                match &mut self.view[n] {
-                    Value::Str(s) => {
-                        s.clear();
-                        s.push_str(f);
-                    }
-                    cell => *cell = Value::from_text(ty, f)?,
-                }
-            }
-            n += 1;
+        let mut fields = fields(line)?;
+        let mut cells = Vec::with_capacity(self.types.len());
+        for (&ty, &reads) in self.types.iter().zip(&self.reads) {
+            let f = fields.next()?;
+            cells.push(if reads {
+                Cell::parse(ty, f)?
+            } else {
+                Cell::Int(0)
+            });
         }
-        if n != self.types.len() || !self.predicate.eval_bool(&self.view).unwrap_or(false) {
+        if fields.next().is_some() || !self.program.eval_bool(&Line(cells), 0).unwrap_or(false) {
             return None;
         }
         // Parses the columns outside the predicate too: one that does not
@@ -259,6 +272,7 @@ pub fn candidate_lines(page: &[u8], offsets: &[usize]) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
+    use crate::value::Value;
     use proptest::prelude::*;
 
     /// The scan filter's line verdict before field slicing: parse every
@@ -301,10 +315,14 @@ mod tests {
     ];
 
     /// Predicates over [`TYPES`]: they read some columns and not others,
-    /// and some cannot be evaluated (a `LIKE` on a number, an out-of-range
-    /// column, a non-boolean value).
+    /// some cannot be evaluated (a `LIKE` on a number, an out-of-range
+    /// column, a non-boolean value), and some leave the program's typed
+    /// path (an `Int` column against a `Float` literal, `YEAR`, `CASE` and
+    /// `PREFIX` of the wrong type, an `Int` past 2^53).
     fn predicate() -> impl Strategy<Value = Expr> {
         let date = |s| Value::date(s);
+        let b = Box::new;
+        let big = Value::Int((1 << 53) + 1);
         prop::sample::select(vec![
             Expr::col_cmp(2, CmpOp::Lt, Value::Float(50.0)),
             Expr::Like(Box::new(Expr::Col(1)), "%AB%".into()),
@@ -327,6 +345,29 @@ mod tests {
             Expr::col_eq(7, Value::Int(1)),
             Expr::Col(1),
             Expr::Lit(Value::Int(1)),
+            Expr::col_cmp(0, CmpOp::Lt, Value::Float(5.5)),
+            Expr::col_cmp(0, CmpOp::Ge, Value::Float(1e300)),
+            Expr::NotLike(b(Expr::Col(0)), "%1%".into()),
+            Expr::Cmp(
+                CmpOp::Eq,
+                b(Expr::Year(b(Expr::Col(3)))),
+                b(Expr::Lit(Value::Int(1994))),
+            ),
+            Expr::Year(b(Expr::Col(0))),
+            Expr::Case(
+                b(Expr::col_cmp(0, CmpOp::Ge, Value::Int(5))),
+                b(Expr::Col(2)),
+                b(Expr::Col(1)),
+            ),
+            Expr::Cmp(
+                CmpOp::Eq,
+                b(Expr::Prefix(b(Expr::Col(1)), 2)),
+                b(Expr::Lit(Value::Str("AB".into()))),
+            ),
+            Expr::Like(b(Expr::Prefix(b(Expr::Col(2)), 1)), "%1%".into()),
+            Expr::col_eq(0, big.clone()),
+            Expr::col_cmp(0, CmpOp::Gt, Value::Int(1 << 53)),
+            Expr::InList(b(Expr::Col(2)), vec![big, Value::Float(1.5)]),
         ])
     }
 
@@ -338,8 +379,19 @@ mod tests {
             (0u32..10_000).prop_map(|v| format!("{}.{:02}", v / 100, v % 100)),
             (1992i32..1997, 1u32..=12, 1u32..=31)
                 .prop_map(|(y, m, d)| format!("{y}-{m:02}-{d:02}")),
-            prop::sample::select(vec!["AB", "xAByy", "", "1995-", "~", "-0.00", "1e3", "é"])
-                .prop_map(String::from),
+            prop::sample::select(vec![
+                "AB",
+                "xAByy",
+                "",
+                "1995-",
+                "~",
+                "-0.00",
+                "1e3",
+                "é",
+                "9007199254740993",
+                "9007199254740992",
+            ])
+            .prop_map(String::from),
             prop::collection::vec(prop::sample::select(b"ab19|~.-".to_vec()), 0..7)
                 .prop_map(|b| String::from_utf8(b).expect("ASCII")),
         ]
@@ -352,7 +404,11 @@ mod tests {
             s.push_str(&"~".repeat(pad));
             s.into_bytes()
         });
-        let good = (0i64..12, field(), 0u32..10_000, 1u32..=12).prop_map(|(id, s, c, m)| {
+        let id = prop_oneof![
+            4 => 0i64..12,
+            1 => prop::sample::select(vec![1i64 << 53, (1 << 53) + 1]),
+        ];
+        let good = (id, field(), 0u32..10_000, 1u32..=12).prop_map(|(id, s, c, m)| {
             format!("|{id}|{s}|{}.{:02}|1994-{m:02}-15|", c / 100, c % 100).into_bytes()
         });
         prop_oneof![
@@ -374,7 +430,7 @@ mod tests {
             pred in predicate(),
             lines in prop::collection::vec(line(), 1..8),
         ) {
-            let mut filter = LineFilter::new(&TYPES, &pred);
+            let filter = LineFilter::new(&TYPES, &pred);
             for line in &lines {
                 prop_assert_eq!(
                     filter.ship(line),
@@ -413,7 +469,7 @@ mod tests {
     #[test]
     fn padding_lines_never_ship() {
         let pred = Expr::Like(Box::new(Expr::Col(1)), "%~%".into());
-        let mut filter = LineFilter::new(&TYPES, &pred);
+        let filter = LineFilter::new(&TYPES, &pred);
         let page = b"|1|a~|1.00|1994-01-01|~~~\n~~~~";
         for (start, end) in candidate_lines(page, &[3, 22, 28]) {
             let line = &page[start..end];

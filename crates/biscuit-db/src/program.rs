@@ -19,6 +19,14 @@
 //! row. So errors and mixed-variant rules are the tree-walker's by
 //! construction, and the tree-walker stays the reference the property
 //! tests compare against.
+//!
+//! Programs are the one evaluator of `biscuit-db`, on both sides of the
+//! link. On the host, every [`crate::exec`] operator and the planner's
+//! selectivity sampler (through [`crate::exec::select_in`]) run them. On
+//! the device, the scan SSDlet runs its predicate's program over each
+//! candidate line and the aggregation SSDlet folds its batches through
+//! its inputs' programs ([`crate::offload`]). Nothing else calls the
+//! tree-walker but the fallback above and the tests.
 
 use std::cmp::Ordering;
 

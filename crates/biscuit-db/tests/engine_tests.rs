@@ -725,3 +725,51 @@ fn empty_tables_and_multibyte_strings_scan_from_the_column_cache() {
         ]
     );
 }
+
+/// A spec whose shape does not fit the catalog is a typed error from both
+/// `execute` and `explain`, checked before any row is read: no scans, an
+/// ORDER BY column past the output, a join column past its table, and an
+/// edge naming a scan the spec lacks (or one scan twice). These used to
+/// panic, or ignore the edge and return the cross product.
+#[test]
+fn malformed_specs_are_typed_errors() {
+    let mut db = make_db();
+    load_items(&mut db, 100, 10);
+    let db = Arc::new(db);
+    let two_scans = |l: usize, lc: usize, r: usize, rc: usize| {
+        let mut spec = SelectSpec::new("join");
+        spec.scan("items", None);
+        spec.scan("items", None);
+        spec.join(l, lc, r, rc);
+        spec
+    };
+    let mut order_past_output = SelectSpec::new("order");
+    order_past_output.scan("items", None);
+    order_past_output.order_by = vec![OrderKey {
+        col: 9,
+        desc: false,
+    }];
+    let cases = [
+        (SelectSpec::new("no scans"), "unsupported"),
+        (order_past_output, "unknown column"),
+        (two_scans(0, 17, 1, 0), "unknown column"),
+        (two_scans(0, 0, 5, 0), "unsupported"),
+        (two_scans(1, 0, 1, 2), "unsupported"),
+    ];
+    for (spec, kind) in cases {
+        let run = Arc::clone(&db);
+        let (executed, explained) = in_sim(move |ctx| {
+            let executed = run.execute(ctx, &spec, ExecMode::Conv, HostLoad::IDLE);
+            let explained = run.explain(ctx, &spec, ExecMode::Conv, HostLoad::IDLE);
+            (executed.map(|out| out.rows.len()), explained.map(|_| ()))
+        });
+        for err in [executed.map(|_| ()), explained] {
+            match err {
+                Err(e @ (DbError::Unsupported(_) | DbError::UnknownColumn(_))) => {
+                    assert!(e.to_string().starts_with(kind), "{e}");
+                }
+                other => panic!("expected {kind}, got {other:?}"),
+            }
+        }
+    }
+}

@@ -347,8 +347,8 @@ proptest! {
             .collect();
         let table = column_table(&TYPES, &rows);
         let picked_ids = exec::select_in(&pred, &table, &all_ids(&rows)).unwrap();
-        prop_assert_eq!(&picked_ids, &exec::select(&pred, &rows).unwrap());
-        let sel = exec::select(&pred, &rows).unwrap();
+        let sel = exec::select_in(&pred, &rows[..], &all_ids(&rows)).unwrap();
+        prop_assert_eq!(&picked_ids, &sel);
         let picked: Vec<Row> = sel.iter().map(|&i| rows[i as usize].clone()).collect();
         prop_assert_eq!(&picked, &expected);
         prop_assert_eq!(&exec::filter_ref(&pred, &rows).unwrap(), &expected);
@@ -579,7 +579,11 @@ fn ints_past_two_to_the_53_compare_exactly() {
         ),
     ];
     for (pred, want) in &preds {
-        assert_eq!(&exec::select(pred, &rows).unwrap(), want, "{pred:?}");
+        assert_eq!(
+            &exec::select_in(pred, &rows[..], &ids).unwrap(),
+            want,
+            "{pred:?}"
+        );
         assert_eq!(
             &exec::select_in(pred, &table, &ids).unwrap(),
             want,

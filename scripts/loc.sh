@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Product lines of Rust per crate: the row ROADMAP item 4 tracks.
+# Product lines of Rust per crate: the count ROADMAP's north star (net-negative
+# line count) and its item 12 (a public surface the product uses) track.
 #
 #   scripts/loc.sh                        # print `crate lines` pairs
 #   scripts/loc.sh > benchmarks/loc.txt   # refresh the committed row
