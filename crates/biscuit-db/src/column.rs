@@ -9,12 +9,14 @@
 //! form whichever datapath produced it.
 //!
 //! [`Cells`] is the accessor: the column table implements it, and so does a
-//! slice of rows (`[Row]`, `[&Row]`) — the joined wide rows, `ArrayDb`'s
-//! merged stream and callers that hold rows of their own. The lowered
-//! expression programs ([`crate::program`]) and the operators in
-//! [`crate::exec`] are written once against it.
+//! slice of rows (`[Row]`, `[&Row]`) — `ArrayDb`'s merged stream and
+//! callers that hold rows of their own — and so does [`Joined`], a join's
+//! running result, which holds row ids into the scans' column tables
+//! rather than rows. The lowered expression programs ([`crate::program`])
+//! and the operators in [`crate::exec`] are written once against it.
 
 use std::borrow::{Borrow, Cow};
+use std::sync::Arc;
 
 use crate::error::{DbError, DbResult};
 use crate::value::{fields, Cell, ColumnType, Row, Value};
@@ -39,14 +41,6 @@ pub trait Cells {
                 .map(|c| self.cell(row, c).expect("within the width").to_value())
                 .collect(),
         )
-    }
-
-    /// Writes row `row`'s cells over `dst`, which must be exactly as wide.
-    fn clone_row_into(&self, row: usize, dst: &mut [Value]) {
-        assert_eq!(dst.len(), self.width(row), "destination width");
-        for (c, slot) in dst.iter_mut().enumerate() {
-            *slot = self.cell(row, c).expect("within the width").to_value();
-        }
     }
 
     /// The numeric view ([`Cell::as_f64`]) of cell `col` of each row of
@@ -74,10 +68,6 @@ impl<R: Borrow<Row>> Cells for [R] {
 
     fn row(&self, row: usize) -> Cow<'_, Row> {
         Cow::Borrowed(self[row].borrow())
-    }
-
-    fn clone_row_into(&self, row: usize, dst: &mut [Value]) {
-        dst.clone_from_slice(self[row].borrow());
     }
 }
 
@@ -277,6 +267,134 @@ impl Cells for ColumnTable {
     }
 }
 
+/// One scan's part of a joined row: row `row` of table `table` of the
+/// tables that scan's rows come from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRef {
+    /// Index into the scan's tables.
+    pub table: u32,
+    /// Row id in that table.
+    pub row: u32,
+}
+
+/// A join's running result as id tuples: for each scan joined so far, the
+/// column tables its rows come from, and for each joined row a [`RowRef`]
+/// per scan. Read through [`Cells`], a joined row is the concatenation of
+/// every scan's row in spec order; cells are looked up in place, so rows
+/// exist only once something asks for one.
+///
+/// A scan can have several tables: an offloaded inner runs its SSDlet once
+/// per outer block and each run ships a fresh table. Until every scan has
+/// joined, only the joined scans' columns can be read; reading another
+/// panics.
+#[derive(Debug, Clone)]
+pub struct Joined {
+    /// Global column `c` is column `cols[c].1` of scan `cols[c].0`.
+    cols: Vec<(usize, usize)>,
+    /// Per scan (spec order): its tables, none before it joins.
+    tables: Vec<Vec<Arc<ColumnTable>>>,
+    /// Per scan: each joined row's part in it, none before it joins.
+    refs: Vec<Vec<RowRef>>,
+    len: usize,
+}
+
+impl Joined {
+    /// Rows `ids` of `table` as scan `scan` — the first in join order — of a
+    /// join whose scans are `widths` columns wide, in spec order.
+    pub fn new(widths: &[usize], scan: usize, table: Arc<ColumnTable>, ids: &[u32]) -> Joined {
+        let cols = widths
+            .iter()
+            .enumerate()
+            .flat_map(|(s, &w)| (0..w).map(move |c| (s, c)))
+            .collect();
+        let mut tables = vec![Vec::new(); widths.len()];
+        let mut refs = vec![Vec::new(); widths.len()];
+        tables[scan].push(table);
+        refs[scan] = ids.iter().map(|&row| RowRef { table: 0, row }).collect();
+        Joined {
+            cols,
+            tables,
+            refs,
+            len: ids.len(),
+        }
+    }
+
+    /// Number of joined rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no row has joined.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The result of joining scan `scan`, whose rows come from `tables`:
+    /// row `k` is row `matches[k].0` of `self` with `matches[k].1` as its
+    /// part in `scan`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a match names a row of `self` out of range.
+    pub fn join(
+        mut self,
+        scan: usize,
+        tables: Vec<Arc<ColumnTable>>,
+        matches: &[(u32, RowRef)],
+    ) -> Joined {
+        for part in self.refs.iter_mut().filter(|part| !part.is_empty()) {
+            *part = matches.iter().map(|&(o, _)| part[o as usize]).collect();
+        }
+        self.refs[scan] = matches.iter().map(|&(_, r)| r).collect();
+        self.tables[scan] = tables;
+        self.len = matches.len();
+        self
+    }
+}
+
+impl Cells for Joined {
+    #[inline]
+    fn cell(&self, row: usize, col: usize) -> Option<Cell<'_>> {
+        assert!(row < self.len, "row {row} of {}", self.len);
+        let &(scan, c) = self.cols.get(col)?;
+        let r = self.refs[scan][row];
+        self.tables[scan][r.table as usize].cell(r.row as usize, c)
+    }
+
+    fn width(&self, row: usize) -> usize {
+        assert!(row < self.len, "row {row} of {}", self.len);
+        self.cols.len()
+    }
+
+    /// Gathers each run of rows that come from one table through that
+    /// table's typed gather.
+    fn f64s(&self, col: usize, ids: &[u32], out: &mut [f64]) -> bool {
+        let Some(&(scan, c)) = self.cols.get(col) else {
+            return false;
+        };
+        let (refs, tables) = (&self.refs[scan], &self.tables[scan]);
+        let mut rows = Vec::with_capacity(ids.len());
+        let mut start = 0;
+        while start < ids.len() {
+            let table = refs[ids[start] as usize].table;
+            rows.clear();
+            rows.extend(
+                ids[start..]
+                    .iter()
+                    .map(|&id| refs[id as usize])
+                    .take_while(|r| r.table == table)
+                    .map(|r| r.row),
+            );
+            let end = start + rows.len();
+            if !tables[table as usize].f64s(c, &rows, &mut out[start..end]) {
+                return false;
+            }
+            start = end;
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,8 +483,71 @@ mod tests {
         assert_eq!(rows.cell(0, 1), Some(Cell::Str("x")));
         assert_eq!(refs.cell(0, 0), Some(Cell::Int(1)));
         assert_eq!(refs.cell(0, 2), None);
-        let mut dst = vec![Value::Int(0); 2];
-        refs.clone_row_into(0, &mut dst);
-        assert_eq!(dst, rows[0]);
+    }
+
+    fn table(types: &[ColumnType], rows: &[Row]) -> Arc<ColumnTable> {
+        let mut t = ColumnTable::new(types);
+        for row in rows {
+            t.push_row(row).unwrap();
+        }
+        Arc::new(t)
+    }
+
+    /// A join over three scans, the middle one first, its last scan's rows
+    /// from two tables: cells, rows and gathers read through the ids.
+    #[test]
+    fn joined_rows_read_through_their_ids() {
+        let int = |i: i64| Value::Int(i);
+        let a = table(&[ColumnType::Int], &[vec![int(10)], vec![int(11)]]);
+        let b = table(
+            &[ColumnType::Float, ColumnType::Str],
+            &[
+                vec![Value::Float(0.5), Value::Str("x".into())],
+                vec![Value::Float(1.5), Value::Str("y".into())],
+                vec![Value::Float(2.5), Value::Str("z".into())],
+            ],
+        );
+        let c0 = table(&[ColumnType::Date], &[vec![Value::Date(7)]]);
+        let c1 = table(
+            &[ColumnType::Date],
+            &[vec![Value::Date(8)], vec![Value::Date(9)]],
+        );
+        let first = Joined::new(&[1, 2, 1], 1, b, &[2, 0]);
+        assert_eq!(first.len(), 2);
+        let ab = first.join(
+            0,
+            vec![a],
+            &[
+                (1, RowRef { table: 0, row: 1 }),
+                (0, RowRef { table: 0, row: 0 }),
+            ],
+        );
+        let abc = ab.join(
+            2,
+            vec![c0, c1],
+            &[
+                (0, RowRef { table: 1, row: 1 }),
+                (1, RowRef { table: 0, row: 0 }),
+                (0, RowRef { table: 1, row: 0 }),
+            ],
+        );
+        let rows: Vec<Row> = (0..abc.len()).map(|r| abc.row(r).into_owned()).collect();
+        let st = |s: &str| Value::Str(s.into());
+        assert_eq!(
+            rows,
+            vec![
+                vec![int(11), Value::Float(0.5), st("x"), Value::Date(9)],
+                vec![int(10), Value::Float(2.5), st("z"), Value::Date(7)],
+                vec![int(11), Value::Float(0.5), st("x"), Value::Date(8)],
+            ]
+        );
+        assert_eq!(abc.cell(0, 4), None);
+        let mut out = [0.0; 3];
+        assert!(abc.f64s(3, &[2, 1, 0], &mut out));
+        assert_eq!(out, [8.0, 7.0, 9.0]);
+        assert!(abc.f64s(1, &[1, 0], &mut out[..2]));
+        assert_eq!(out[..2], [2.5, 0.5]);
+        assert!(!abc.f64s(2, &[0], &mut out[..1]));
+        assert!(!abc.f64s(4, &[0], &mut out[..1]));
     }
 }

@@ -28,7 +28,7 @@ use biscuit_sim::time::SimDuration;
 use biscuit_sim::trace::TraceEvent;
 use biscuit_sim::{Ctx, FaultSite};
 
-use crate::column::{Cells, ColumnTable};
+use crate::column::{Cells, ColumnTable, Joined, RowRef};
 use crate::error::{DbError, DbResult};
 use crate::exec;
 use crate::expr::{pattern_keys, Expr};
@@ -36,7 +36,7 @@ use crate::offload::{scan_module, AggArgs, ScanArgs, AGGREGATE_ID, SCAN_FILTER_I
 use crate::schema::{Catalog, Schema, TableMeta};
 use crate::spec::{ExecMode, SelectSpec};
 use crate::table;
-use crate::value::{Row, Value};
+use crate::value::Row;
 
 /// Engine tuning parameters.
 #[derive(Debug, Clone)]
@@ -398,7 +398,8 @@ impl Db {
 
     /// The paper's "quick check on the table to estimate selectivity using
     /// a sampling method": reads evenly spread pages over the Conv path,
-    /// parses their rows, and reports the fraction satisfying the predicate.
+    /// parses their rows, and reports the fraction satisfying the predicate
+    /// (1.0 when no row was read: a table with no pages samples nothing).
     fn sample_selectivity(
         &self,
         ctx: &Ctx,
@@ -406,6 +407,9 @@ impl Db {
         predicate: &Expr,
         load: HostLoad,
     ) -> DbResult<f64> {
+        if meta.pages == 0 {
+            return Ok(1.0);
+        }
         let n = self.cfg.sample_pages.min(meta.pages).max(1);
         let file = self.ssd.fs().open(&meta.file_path, Mode::ReadOnly)?;
         let mut total = 0;
@@ -949,7 +953,7 @@ impl Db {
     }
 
     /// Scans the tables in join order, joins them block by block, and shapes
-    /// the result.
+    /// the result. The join carries row ids ([`Joined`]), not rows.
     fn join_and_shape(
         &self,
         ctx: &Ctx,
@@ -960,11 +964,14 @@ impl Db {
         let order = self.join_order(spec, plans)?;
 
         // Global flat row layout.
+        let mut widths = Vec::with_capacity(spec.scans.len());
         let mut offsets = Vec::with_capacity(spec.scans.len());
         let mut width = 0usize;
         for scan in &spec.scans {
+            let w = self.meta(&scan.table)?.schema.len();
             offsets.push(width);
-            width += self.meta(&scan.table)?.schema.len();
+            widths.push(w);
+            width += w;
         }
 
         // First table. A single-scan query's global row *is* the table
@@ -974,22 +981,11 @@ impl Db {
         if order.len() == 1 {
             return self.shape(ctx, spec, load, &*local.table, local.ids);
         }
-        // Joins materialise the first table's cells once, directly into the
-        // global flat row.
-        let mut acc: Vec<Row> = local
-            .ids
-            .iter()
-            .map(|&i| {
-                let (i, at) = (i as usize, offsets[first]);
-                let mut wide = vec![Value::Int(0); width];
-                let cells = &mut wide[at..at + local.table.width(i)];
-                local.table.clone_row_into(i, cells);
-                wide
-            })
-            .collect();
+        let mut acc = Joined::new(&widths, first, local.table, &local.ids);
         let mut joined: HashSet<usize> = [first].into();
 
         // Subsequent tables: block nested-loop with inner re-scans.
+        let block_rows = self.cfg.bnl_block_rows.max(1);
         for &next in &order[1..] {
             let mut edges_out: Vec<usize> = Vec::new(); // global cols in acc
             let mut edges_in: Vec<usize> = Vec::new(); // local cols of inner
@@ -1006,7 +1002,8 @@ impl Db {
             // compute the selection once (never for an empty outer, which
             // performs no inner scan) and replay only the scan's time per
             // block. An offloaded inner runs its SSDlet per block — there
-            // data and timing are one thing.
+            // data and timing are one thing, and each run ships a fresh
+            // table.
             let scan = &spec.scans[next];
             let meta = self.meta(&scan.table)?;
             let conv_inner = if plans[next].offload_keys.is_none() && !acc.is_empty() {
@@ -1014,8 +1011,12 @@ impl Db {
             } else {
                 None
             };
-            let mut out = Vec::new();
-            for block in acc.chunks(self.cfg.bnl_block_rows.max(1)) {
+            let mut tables: Vec<Arc<ColumnTable>> = Vec::new();
+            let mut matches: Vec<(u32, RowRef)> = Vec::new();
+            let (mut block, mut pairs) = (Vec::new(), Vec::new());
+            for start in (0..acc.len()).step_by(block_rows) {
+                block.clear();
+                block.extend(start as u32..acc.len().min(start + block_rows) as u32);
                 // Re-scan the inner table for every outer block — the
                 // I/O amplification that makes join order matter.
                 let ndp_inner;
@@ -1031,31 +1032,41 @@ impl Db {
                 };
                 // Probe cost on the host.
                 self.charge_host_rows(ctx, (inner.ids.len() * 16) as u64, load);
+                pairs.clear();
                 if edges_in.is_empty() {
-                    exec::cross_in(block, &*inner.table, &inner.ids, offsets[next], &mut out);
+                    exec::cross(&block, &inner.ids, &mut pairs);
                 } else {
-                    exec::hash_probe_in(
-                        block,
+                    exec::hash_probe(
+                        &acc,
+                        &block,
                         &edges_out,
                         &*inner.table,
                         &inner.ids,
                         &edges_in,
-                        offsets[next],
-                        &mut out,
+                        &mut pairs,
                     );
                 }
+                if pairs.is_empty() {
+                    continue;
+                }
+                // A host fallback hands back the cached table each block.
+                if !tables.last().is_some_and(|t| Arc::ptr_eq(t, &inner.table)) {
+                    tables.push(Arc::clone(&inner.table));
+                }
+                let table = (tables.len() - 1) as u32;
+                matches.extend(pairs.iter().map(|&(o, row)| (o, RowRef { table, row })));
             }
-            acc = out;
+            acc = acc.join(next, tables, &matches);
             joined.insert(next);
         }
 
-        self.shape(ctx, spec, load, &acc[..], exec::all(acc.len()))
+        self.shape(ctx, spec, load, &acc, exec::all(acc.len()))
     }
 
     /// Residual predicate, aggregation or projection, ORDER BY and LIMIT over
-    /// rows `ids` of the joined rows — wide rows, a single scan's column
-    /// table, or [`ArrayDb`](crate::ArrayDb)'s merged stream — materialising
-    /// rows only for output.
+    /// rows `ids` of the joined rows — a join's id tuples, a single scan's
+    /// column table, or [`ArrayDb`](crate::ArrayDb)'s merged stream —
+    /// materialising rows only for output.
     pub(crate) fn shape<A: Cells + ?Sized>(
         &self,
         ctx: &Ctx,

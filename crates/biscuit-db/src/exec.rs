@@ -11,15 +11,19 @@
 //! predicate) once per join step, since it cannot differ between blocks;
 //! only the re-scan's I/O and CPU time is replayed per block.
 //!
-//! Each operator exists once, as an `_in` function over any [`Cells`]
-//! source — the engine's column cache or a slice of rows — and a list of
-//! row ids: a selection vector, so a scan copies nothing. Expressions are
-//! lowered once per call into a [`Program`]. The row-slice functions
-//! (`filter`, `filter_ref`, `aggregate`, `hash_probe_block`)
-//! are those operators over all of the given rows. Join and group keys are
-//! compared the way [`key_of`] spells them — by canonical text, so `Int 5`
-//! meets `Str "5"` — but hashed cell by cell and verified cell by cell,
-//! without a `String` per row.
+//! Each operator exists once, over any [`Cells`] source — the engine's
+//! column cache, a join's id tuples ([`Joined`](crate::column::Joined)) or
+//! a slice of rows — and a list of row ids: a selection vector, so a scan
+//! copies nothing. The join operators, [`hash_probe`] and `cross`, copy
+//! nothing either: they emit (outer id, inner id) pairs, the engine extends
+//! its `Joined` ids with them, and rows are built only for query output.
+//! Expressions are lowered once per call into a [`Program`]. The row-slice
+//! functions (`filter`, `filter_ref`, `aggregate`, `hash_probe_block`) are
+//! those operators over all of the given rows; `hash_probe_block` builds
+//! merged rows from the pairs. Join and group keys are compared the way
+//! [`key_of`] spells them — by canonical text, so `Int 5` meets `Str "5"`
+//! — but hashed cell by cell and verified cell by cell, without a `String`
+//! per row.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::{Entry, HashMap, RandomState};
@@ -160,44 +164,44 @@ fn key_cell<A: Cells + ?Sized>(src: &A, row: usize, col: usize) -> Cell<'_> {
         .unwrap_or_else(|| panic!("join column {col} out of range"))
 }
 
-/// Probes rows `inner_ids` of `inner` against a hash of the outer block
-/// and emits merged rows: the outer row with the inner row's cells written
-/// from `offset` on. `outer_cols` index the outer rows and `inner_cols` the
-/// inner rows. Output order: inner rows in id order, each with its matching
-/// outer rows in block order.
-pub fn hash_probe_in<R: Borrow<Row>, I: Cells + ?Sized>(
-    outer: &[R],
+/// Probes rows `inner_ids` of `inner` against a hash of rows `outer_ids` of
+/// `outer` and emits each match as an (outer id, inner id) pair; nothing
+/// is copied. `outer_cols` index the outer rows and `inner_cols` the inner
+/// rows. Output order: inner rows in `inner_ids` order, each with its
+/// matching outer rows in `outer_ids` order.
+pub fn hash_probe<O: Cells + ?Sized, I: Cells + ?Sized>(
+    outer: &O,
+    outer_ids: &[u32],
     outer_cols: &[usize],
     inner: &I,
     inner_ids: &[u32],
     inner_cols: &[usize],
-    offset: usize,
-    out: &mut Vec<Row>,
+    out: &mut Vec<(u32, u32)>,
 ) {
     let mut index = KeyIndex::default();
-    for o in 0..outer.len() {
-        let h = index.hash(outer_cols.iter().map(|&c| key_cell(outer, o, c)));
+    for &o in outer_ids {
+        let h = index.hash(outer_cols.iter().map(|&c| key_cell(outer, o as usize, c)));
         index.push(h);
     }
     for &i in inner_ids {
-        let i = i as usize;
-        let h = index.hash(inner_cols.iter().map(|&c| key_cell(inner, i, c)));
-        for o in index.candidates(h) {
-            if outer_cols
-                .iter()
-                .zip(inner_cols)
-                .all(|(&oc, &ic)| cell_eq(key_cell(outer, o, oc), key_cell(inner, i, ic)))
-            {
-                let mut merged = outer[o].borrow().clone();
-                let width = inner.width(i);
-                inner.clone_row_into(i, &mut merged[offset..offset + width]);
-                out.push(merged);
+        let h = index.hash(inner_cols.iter().map(|&c| key_cell(inner, i as usize, c)));
+        for e in index.candidates(h) {
+            let o = outer_ids[e];
+            if outer_cols.iter().zip(inner_cols).all(|(&oc, &ic)| {
+                cell_eq(
+                    key_cell(outer, o as usize, oc),
+                    key_cell(inner, i as usize, ic),
+                )
+            }) {
+                out.push((o, i));
             }
         }
     }
 }
 
-/// [`hash_probe_in`] over every row of two row lists.
+/// [`hash_probe`] over every row of two row lists, building the merged
+/// rows: the outer row with the inner row's cells written from `offset`
+/// on.
 pub fn hash_probe_block<'a, 'b>(
     outer_block: impl IntoIterator<Item = &'a Row>,
     outer_cols: &[usize],
@@ -208,35 +212,30 @@ pub fn hash_probe_block<'a, 'b>(
 ) {
     let outer: Vec<&Row> = outer_block.into_iter().collect();
     let inner: Vec<&Row> = inner_local.into_iter().collect();
-    hash_probe_in(
-        &outer,
+    let mut pairs = Vec::new();
+    hash_probe(
+        &outer[..],
+        &all(outer.len()),
         outer_cols,
         &inner[..],
         &all(inner.len()),
         inner_cols,
-        offset,
-        out,
+        &mut pairs,
     );
+    out.extend(pairs.into_iter().map(|(o, i)| {
+        let (o, i) = (outer[o as usize], inner[i as usize]);
+        let mut merged = o.clone();
+        merged[offset..offset + i.len()].clone_from_slice(i);
+        merged
+    }));
 }
 
 /// Cross-joins when no edge connects the inner table (TPC-H never needs
-/// this, but the executor should not silently mis-join): each outer row
-/// with each of rows `inner_ids` of `inner` written from `offset` on.
-pub fn cross_in<I: Cells + ?Sized>(
-    outer_block: &[Row],
-    inner: &I,
-    inner_ids: &[u32],
-    offset: usize,
-    out: &mut Vec<Row>,
-) {
-    for o in outer_block {
-        for &i in inner_ids {
-            let i = i as usize;
-            let mut merged = o.clone();
-            let width = inner.width(i);
-            inner.clone_row_into(i, &mut merged[offset..offset + width]);
-            out.push(merged);
-        }
+/// this, but the executor should not silently mis-join): each of
+/// `outer_ids` paired with each of `inner_ids`, outer-major.
+pub(crate) fn cross(outer_ids: &[u32], inner_ids: &[u32], out: &mut Vec<(u32, u32)>) {
+    for &o in outer_ids {
+        out.extend(inner_ids.iter().map(|&i| (o, i)));
     }
 }
 
@@ -722,11 +721,25 @@ mod tests {
 
     #[test]
     fn cross_block_is_product() {
-        let outer = wide(vec![vec![v(1)], vec![v(2)]], 2);
-        let inner = [vec![v(8)], vec![v(9)]];
         let mut out = Vec::new();
-        cross_in(&outer, &inner[..], &[0, 1], 1, &mut out);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[1], vec![v(1), v(9)]);
+        cross(&[4, 2], &[8, 9], &mut out);
+        assert_eq!(out, vec![(4, 8), (4, 9), (2, 8), (2, 9)]);
+    }
+
+    #[test]
+    fn probe_pairs_name_the_given_ids() {
+        let outer = [vec![v(7)], vec![v(8)], vec![v(7)]];
+        let inner = [vec![v(7)], vec![v(9)], vec![v(8)]];
+        let mut out = Vec::new();
+        hash_probe(
+            &outer[..],
+            &[2, 1, 0],
+            &[0],
+            &inner[..],
+            &[2, 0],
+            &[0],
+            &mut out,
+        );
+        assert_eq!(out, vec![(1, 2), (2, 0), (0, 0)]);
     }
 }

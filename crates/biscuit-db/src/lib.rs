@@ -11,8 +11,9 @@
 //!
 //! - [`value`]/[`schema`]/[`table`] — storage layer: typed values, table
 //!   schemas, and the text page format the pattern matcher can scan.
-//! - [`mod@column`] — the host's column cache ([`column::ColumnTable`]) and
-//!   the [`column::Cells`] accessor every operator reads through.
+//! - [`mod@column`] — the host's column cache ([`column::ColumnTable`]), a
+//!   join's running result as row ids into it ([`column::Joined`]), and the
+//!   [`column::Cells`] accessor every operator reads through.
 //! - [`expr`] — expressions, `LIKE`, pattern-key extraction.
 //! - [`program`] — expressions lowered once per operator call into typed
 //!   programs over that accessor.

@@ -726,6 +726,33 @@ fn empty_tables_and_multibyte_strings_scan_from_the_column_cache() {
     );
 }
 
+/// With `min_table_pages: 0` an empty table is an offload candidate: the
+/// planner samples none of its (zero) pages, declines to offload, and
+/// Biscuit returns what Conv does — no rows.
+#[test]
+fn an_empty_table_samples_nothing_and_both_modes_return_no_rows() {
+    let mut db = make_db_with(DbConfig {
+        min_table_pages: 0,
+        ..DbConfig::paper_default()
+    });
+    let schema = Schema::new(&[("id", ColumnType::Int), ("name", ColumnType::Str)]);
+    db.create_table("empty", schema, &[]).unwrap();
+    assert_eq!(db.catalog().table("empty").unwrap().pages, 0);
+    let db = Arc::new(db);
+    let mut spec = SelectSpec::new("empty-target");
+    spec.scan("empty", Some(Expr::col_eq(1, Value::Str("TARGET".into()))));
+    assert!(pattern_keys(spec.scans[0].predicate.as_ref().unwrap()).is_some());
+
+    let conv = run_query(Arc::clone(&db), spec.clone(), ExecMode::Conv);
+    let biscuit = run_query(Arc::clone(&db), spec.clone(), ExecMode::Biscuit);
+    assert!(conv.rows.is_empty());
+    assert_eq!(biscuit.rows, conv.rows);
+    let plan =
+        in_sim(move |ctx| db.explain(ctx, &spec, ExecMode::Biscuit, HostLoad::IDLE)).unwrap();
+    assert!(!plan.scans[0].offloaded);
+    assert_eq!(plan.scans[0].est_selectivity, 1.0);
+}
+
 /// A spec whose shape does not fit the catalog is a typed error from both
 /// `execute` and `explain`, checked before any row is read: no scans, an
 /// ORDER BY column past the output, a join column past its table, and an
@@ -770,6 +797,297 @@ fn malformed_specs_are_typed_errors() {
                 }
                 other => panic!("expected {kind}, got {other:?}"),
             }
+        }
+    }
+}
+
+// ---------- joins against a nested-loop reference, output order included ----------
+
+/// parts(id, kind, pad) ⋈ supp(id, part, tier, pad) ⋈ ship(id, supp, pad):
+/// parts 0–299 have three suppliers each and about half the suppliers two
+/// shipments, so keys repeat on both sides of each join. "RARE" parts (1 in 9)
+/// and "GOLD" suppliers (1 in 11) are selective enough to offload.
+fn join_tables() -> Vec<(&'static str, Schema, Vec<Row>)> {
+    let int = |i: usize| Value::Int(i as i64);
+    let pad = |i: usize| Value::Str(format!("{i:0>48}"));
+    let parts = (0..600)
+        .map(|i| {
+            let kind = if i % 9 == 0 {
+                "RARE".into()
+            } else {
+                format!("COMMON{}", i % 5)
+            };
+            vec![int(i), Value::Str(kind), pad(i)]
+        })
+        .collect();
+    let supp = (0..900)
+        .map(|i| {
+            let tier = if i % 11 == 0 {
+                "GOLD".into()
+            } else {
+                format!("TIN{}", i % 3)
+            };
+            vec![int(i), int(i % 300), Value::Str(tier), pad(i)]
+        })
+        .collect();
+    let ship = (0..1500)
+        .map(|i| vec![int(i), int((i * 7) % 1000), pad(i)])
+        .collect();
+    vec![
+        (
+            "parts",
+            Schema::new(&[
+                ("id", ColumnType::Int),
+                ("kind", ColumnType::Str),
+                ("pad", ColumnType::Str),
+            ]),
+            parts,
+        ),
+        (
+            "supp",
+            Schema::new(&[
+                ("id", ColumnType::Int),
+                ("part", ColumnType::Int),
+                ("tier", ColumnType::Str),
+                ("pad", ColumnType::Str),
+            ]),
+            supp,
+        ),
+        (
+            "ship",
+            Schema::new(&[
+                ("id", ColumnType::Int),
+                ("supp", ColumnType::Int),
+                ("pad", ColumnType::Str),
+            ]),
+            ship,
+        ),
+    ]
+}
+
+/// A database holding [`join_tables`], offloading any table of a page or
+/// more, joining in `block_rows`-row blocks.
+fn join_db(block_rows: usize) -> Db {
+    let mut db = make_db_with(DbConfig {
+        bnl_block_rows: block_rows,
+        min_table_pages: 1,
+        ..DbConfig::paper_default()
+    });
+    for (name, schema, rows) in join_tables() {
+        db.create_table(name, schema, &rows).unwrap();
+    }
+    db
+}
+
+/// parts ⋈ supp ⋈ ship on part and supplier ids, with these local
+/// predicates.
+fn three_way(parts: Option<Expr>, supp: Option<Expr>, ship: Option<Expr>) -> SelectSpec {
+    let mut spec = SelectSpec::new("three-way");
+    let p = spec.scan("parts", parts);
+    let s = spec.scan("supp", supp);
+    let h = spec.scan("ship", ship);
+    spec.join(p, 0, s, 1);
+    spec.join(s, 0, h, 1);
+    spec
+}
+
+fn str_eq(col: usize, s: &str) -> Option<Expr> {
+    Some(Expr::col_eq(col, Value::Str(s.into())))
+}
+
+/// The engine's block nested-loop join spelled as plain loops over the
+/// loaded rows, in `order` (scan indexes) with `block_rows`-row outer
+/// blocks. Per block: with join edges, each inner row in table order, each
+/// with its matching block rows in block order; without, each block row
+/// with each inner row. Output rows are the scans' rows in spec order.
+fn reference_join(spec: &SelectSpec, order: &[usize], block_rows: usize) -> Vec<Row> {
+    let tables = join_tables();
+    let selected: Vec<Vec<&Row>> = spec
+        .scans
+        .iter()
+        .map(|scan| {
+            let (_, _, rows) = tables.iter().find(|(n, _, _)| *n == scan.table).unwrap();
+            rows.iter()
+                .filter(|r| {
+                    scan.predicate
+                        .as_ref()
+                        .is_none_or(|p| p.eval_bool(r).unwrap())
+                })
+                .collect()
+        })
+        .collect();
+    let first = order[0];
+    let mut acc: Vec<Vec<Option<&Row>>> = selected[first]
+        .iter()
+        .map(|&r| {
+            let mut tuple = vec![None; spec.scans.len()];
+            tuple[first] = Some(r);
+            tuple
+        })
+        .collect();
+    for (k, &next) in order.iter().enumerate().skip(1) {
+        let done = &order[..k];
+        // (joined scan, its column, inner column)
+        let keys: Vec<(usize, usize, usize)> = spec
+            .edges
+            .iter()
+            .filter_map(|e| {
+                if e.left == next && done.contains(&e.right) {
+                    Some((e.right, e.right_col, e.left_col))
+                } else if e.right == next && done.contains(&e.left) {
+                    Some((e.left, e.left_col, e.right_col))
+                } else {
+                    None
+                }
+            })
+            .collect();
+        let meets = |tuple: &[Option<&Row>], inner: &Row| {
+            keys.iter()
+                .all(|&(s, c, ic)| tuple[s].unwrap()[c] == inner[ic])
+        };
+        let mut out = Vec::new();
+        for block in acc.chunks(block_rows) {
+            if keys.is_empty() {
+                for tuple in block {
+                    for &inner in &selected[next] {
+                        let mut t = tuple.clone();
+                        t[next] = Some(inner);
+                        out.push(t);
+                    }
+                }
+                continue;
+            }
+            for &inner in &selected[next] {
+                for tuple in block.iter().filter(|t| meets(t, inner)) {
+                    let mut t = tuple.clone();
+                    t[next] = Some(inner);
+                    out.push(t);
+                }
+            }
+        }
+        acc = out;
+    }
+    acc.into_iter()
+        .map(|t| {
+            t.into_iter()
+                .flat_map(|r| r.unwrap().iter().cloned())
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs `spec` on `db` in `mode`: its output and its join order (scan
+/// indexes, from `explain`).
+fn run_join(db: Arc<Db>, spec: &SelectSpec, mode: ExecMode) -> (QueryOutput, Vec<usize>) {
+    let run = Arc::clone(&db);
+    let planned = spec.clone();
+    let plan = in_sim(move |ctx| run.explain(ctx, &planned, mode, HostLoad::IDLE)).unwrap();
+    let order = plan
+        .join_order
+        .iter()
+        .map(|t| spec.scans.iter().position(|s| &s.table == t).unwrap())
+        .collect();
+    (run_query(db, spec.clone(), mode), order)
+}
+
+/// A three-table join at blocks of 1, 3 and the default rows, in both modes,
+/// returns the reference's rows in the reference's order.
+#[test]
+fn three_table_join_equals_the_nested_loop_reference() {
+    let default = DbConfig::paper_default().bnl_block_rows;
+    let spec = three_way(str_eq(1, "RARE"), None, None);
+    for block_rows in [1, 3, default] {
+        let db = Arc::new(join_db(block_rows));
+        for mode in [ExecMode::Conv, ExecMode::Biscuit] {
+            let (out, order) = run_join(Arc::clone(&db), &spec, mode);
+            let expected = reference_join(&spec, &order, block_rows);
+            assert_eq!(expected.len(), 155);
+            assert_eq!(out.rows, expected, "{mode:?}, blocks of {block_rows}");
+            let offloaded = mode == ExecMode::Biscuit;
+            assert_eq!(out.stats.offloaded_tables.len(), offloaded as usize);
+        }
+    }
+}
+
+/// Two offloaded scans: the second in join order is an inner that runs its
+/// SSDlet once per outer block, each run shipping a fresh table.
+#[test]
+fn an_offloaded_inner_runs_once_per_block_and_joins_like_the_reference() {
+    let spec = three_way(str_eq(1, "RARE"), str_eq(2, "GOLD"), None);
+    for block_rows in [1, 3, DbConfig::paper_default().bnl_block_rows] {
+        let db = Arc::new(join_db(block_rows));
+        let pages = |t: &str| db.catalog().table(t).unwrap().pages;
+        let (parts_pages, supp_pages) = (pages("parts"), pages("supp"));
+        let (out, order) = run_join(Arc::clone(&db), &spec, ExecMode::Biscuit);
+        assert_eq!(order, vec![1, 0, 2], "GOLD suppliers, then RARE parts");
+        let mut offloaded = out.stats.offloaded_tables.clone();
+        offloaded.sort();
+        assert_eq!(offloaded, vec!["parts", "supp"]);
+        let gold = 900usize.div_ceil(11) as u64;
+        let blocks = gold.div_ceil(block_rows as u64);
+        assert_eq!(
+            out.stats.device_pages_scanned,
+            supp_pages + blocks * parts_pages,
+            "blocks of {block_rows}"
+        );
+        let expected = reference_join(&spec, &order, block_rows);
+        assert!(!expected.is_empty());
+        assert_eq!(out.rows, expected, "blocks of {block_rows}");
+        let (conv, _) = run_join(db, &spec, ExecMode::Conv);
+        let sorted = |mut rows: Vec<Row>| {
+            rows.sort_by_key(|r| format!("{r:?}"));
+            rows
+        };
+        assert_eq!(sorted(conv.rows), sorted(out.rows));
+    }
+}
+
+/// Under a host timeout every offload falls back to the host scan, which
+/// hands back the cached table for each block: the join still equals the
+/// reference.
+#[test]
+fn a_host_timeout_inner_joins_from_the_cached_table() {
+    use biscuit_sim::fault::{FaultConfig, FaultSite};
+    use biscuit_sim::time::SimDuration;
+    use biscuit_sim::FaultPlan;
+
+    let spec = three_way(str_eq(1, "RARE"), str_eq(2, "GOLD"), None);
+    let db = join_db(3);
+    let plan = FaultPlan::seeded(
+        7,
+        FaultConfig {
+            host_timeout: Some(SimDuration::from_nanos(50)),
+            ..FaultConfig::default()
+        },
+    );
+    db.ssd().attach_fault_plan(&plan);
+    let (out, order) = run_join(Arc::new(db), &spec, ExecMode::Biscuit);
+    assert_eq!(order, vec![1, 0, 2]);
+    assert!(
+        plan.failed_total() >= 2,
+        "the first scan and an inner timed out"
+    );
+    assert!(plan.recovered_at(FaultSite::Ssdlet) >= 2);
+    assert_eq!(out.rows, reference_join(&spec, &order, 3));
+}
+
+/// With no join edge the inner is cross-joined: each outer row with each
+/// inner row, outer-major within a block.
+#[test]
+fn a_join_without_an_edge_is_the_cross_product_in_reference_order() {
+    let mut spec = SelectSpec::new("cross");
+    spec.scan("parts", str_eq(1, "RARE"));
+    spec.scan("ship", Some(Expr::col_cmp(0, CmpOp::Lt, Value::Int(5))));
+    for block_rows in [3, DbConfig::paper_default().bnl_block_rows] {
+        let db = Arc::new(join_db(block_rows));
+        for mode in [ExecMode::Conv, ExecMode::Biscuit] {
+            let (out, order) = run_join(Arc::clone(&db), &spec, mode);
+            assert_eq!(out.rows.len(), 67 * 5);
+            assert_eq!(
+                out.rows,
+                reference_join(&spec, &order, block_rows),
+                "{mode:?}"
+            );
         }
     }
 }

@@ -1,16 +1,18 @@
 //! The executor's hashed, allocation-free join and group keys must
 //! reproduce the `String`-keyed operators they replaced — the same output
 //! *sequence*, not just the same set, because downstream float sums add in
-//! that order — over row slices and over the column cache alike. The
-//! replaced operators are kept below as references. The lowered expression
+//! that order — over row slices, over the column cache and, for the join,
+//! over a join's id tuples. The replaced operators are kept below as
+//! references. The lowered expression
 //! programs must reproduce `Expr::eval`/`eval_bool`, value for value and
 //! error for error.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use biscuit_db::column::ColumnTable;
+use biscuit_db::column::{Cells, ColumnTable, Joined, RowRef};
 use biscuit_db::exec;
 use biscuit_db::expr::{ArithOp, CmpOp, Expr};
 use biscuit_db::program::Program;
@@ -287,17 +289,36 @@ proptest! {
         exec::hash_probe_block(&outer, &outer_cols, &inner, &inner_cols, inner_at, &mut owned);
         prop_assert_eq!(spelled(&owned), spelled(&expected));
 
-        let table = column_table(&TYPES, &inner);
-        let mut columnar = Vec::new();
-        exec::hash_probe_in(
-            &outer,
+        // The engine's form: the outer side as a join's id tuples over a
+        // column table (scan 0 or 1 of two), the inner side a column
+        // table, the pairs built into rows only at the end.
+        let (outer_scan, inner_scan) = if inner_first { (1, 0) } else { (0, 1) };
+        let outer_ids = all_ids(&outer_local);
+        let joined = Joined::new(
+            &[WIDTH, WIDTH],
+            outer_scan,
+            Arc::new(column_table(&TYPES, &outer_local)),
+            &outer_ids,
+        );
+        let table = Arc::new(column_table(&TYPES, &inner));
+        let mut pairs = Vec::new();
+        exec::hash_probe(
+            &joined,
+            &outer_ids,
             &outer_cols,
-            &table,
+            &*table,
             &all_ids(&inner),
             &inner_cols,
-            inner_at,
-            &mut columnar,
+            &mut pairs,
         );
+        let matches: Vec<(u32, RowRef)> = pairs
+            .iter()
+            .map(|&(o, row)| (o, RowRef { table: 0, row }))
+            .collect();
+        let result = joined.join(inner_scan, vec![table], &matches);
+        let columnar: Vec<Row> = (0..result.len())
+            .map(|r| result.row(r).into_owned())
+            .collect();
         prop_assert_eq!(spelled(&columnar), spelled(&expected));
 
         let outer_refs: Vec<&Row> = outer.iter().collect();
