@@ -17,11 +17,11 @@ use biscuit_sim::rng::Rng;
 use biscuit_sim::Ctx;
 
 /// Neighbor slots per vertex record.
-pub const MAX_DEGREE: usize = 15;
+pub(crate) const MAX_DEGREE: usize = 15;
 /// Bytes per vertex record: 8 (degree) + 15 x 8 (neighbors).
-pub const RECORD_SIZE: usize = 128;
+pub(crate) const RECORD_SIZE: usize = 128;
 /// Read granularity per hop (a Neo4j-like store page).
-pub const BLOCK_SIZE: u64 = 4096;
+pub(crate) const BLOCK_SIZE: u64 = 4096;
 
 /// A synthetic social graph serialized as adjacency records.
 #[derive(Debug)]
@@ -140,7 +140,7 @@ pub struct ChaseArgs {
 }
 
 /// SSDlet identifier inside [`chase_module`].
-pub const CHASE_ID: &str = "idChase";
+pub(crate) const CHASE_ID: &str = "idChase";
 
 /// Builds the `chaser` module.
 pub fn chase_module() -> SsdletModule {

@@ -13,6 +13,7 @@
 //!   paper's 7.8 GiB log).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod graph;
 pub mod search;
@@ -21,8 +22,8 @@ pub mod wordcount;
 
 pub use graph::{biscuit_chase, chase_module, conv_chase, ChaseArgs, SocialGraph};
 pub use search::{
-    array_conv_grep, biscuit_grep, conv_grep, fleet_grep, fleet_grep_expected, grep_module,
-    load_grep_module, ArrayGrep, GrepArgs,
+    array_conv_grep, biscuit_grep, conv_grep, fleet_grep, fleet_grep_expected, load_grep_module,
+    ArrayGrep,
 };
 pub use weblog::{WeblogGen, NEEDLE};
-pub use wordcount::{reference_wordcount, run_wordcount, wordcount_module};
+pub use wordcount::{reference_wordcount, run_wordcount};

@@ -63,7 +63,7 @@ pub fn conv_grep(
 
 /// Arguments for the grep SSDlet.
 #[derive(Debug, Clone)]
-pub struct GrepArgs {
+pub(crate) struct GrepArgs {
     /// File to scan.
     pub file: File,
     /// Needle bytes (≤16, per the matcher's key length limit).
@@ -71,10 +71,10 @@ pub struct GrepArgs {
 }
 
 /// SSDlet identifier inside [`grep_module`].
-pub const GREP_ID: &str = "idGrep";
+pub(crate) const GREP_ID: &str = "idGrep";
 
 /// Builds the `grepper` module.
-pub fn grep_module() -> SsdletModule {
+pub(crate) fn grep_module() -> SsdletModule {
     ModuleBuilder::new("grepper")
         .binary_size(64 << 10)
         .register(
@@ -129,7 +129,7 @@ fn needle_pattern(config: &SsdConfig, needle: &[u8]) -> BiscuitResult<PatternSet
 }
 
 /// Device-side `grep` over the Biscuit framework: returns the occurrence
-/// count. `module` is the pre-loaded [`grep_module`].
+/// count. `module` is the pre-loaded `grep_module`.
 ///
 /// # Errors
 ///

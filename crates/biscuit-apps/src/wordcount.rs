@@ -18,7 +18,7 @@ use biscuit_sim::Ctx;
 
 /// Arguments for one mapper: its slice of the input file.
 #[derive(Debug, Clone)]
-pub struct MapperArgs {
+pub(crate) struct MapperArgs {
     /// Input file.
     pub file: File,
     /// First byte of this mapper's slice.
@@ -30,7 +30,7 @@ pub struct MapperArgs {
 /// Builds the wordcount module. The shuffler fans out to `n_reducers`
 /// output ports, so the module is parameterized the way the paper's
 /// host-side program parameterizes its SSDlet graph.
-pub fn wordcount_module(n_reducers: usize) -> SsdletModule {
+pub(crate) fn wordcount_module(n_reducers: usize) -> SsdletModule {
     assert!(n_reducers > 0, "wordcount needs at least one reducer");
     let mut shuffler_spec = SsdletSpec::new().input::<String>().memory(256 << 10);
     for _ in 0..n_reducers {
@@ -95,7 +95,7 @@ impl Ssdlet for Mapper {
 
 /// Tokens whose first character lies in `[from, to)`. A leading byte before
 /// `from` disambiguates words that continue across the slice boundary.
-pub fn tokenize_region(bytes: &[u8], from: usize, to: usize) -> Vec<String> {
+pub(crate) fn tokenize_region(bytes: &[u8], from: usize, to: usize) -> Vec<String> {
     let is_word = |b: u8| b.is_ascii_alphanumeric();
     let mut out = Vec::new();
     let mut i = from;
@@ -153,7 +153,7 @@ impl Ssdlet for Reducer {
 }
 
 /// Splits text into lowercase alphanumeric words.
-pub fn tokenize(bytes: &[u8]) -> Vec<String> {
+pub(crate) fn tokenize(bytes: &[u8]) -> Vec<String> {
     String::from_utf8_lossy(bytes)
         .split(|ch: char| !ch.is_alphanumeric())
         .filter(|w| !w.is_empty())

@@ -73,22 +73,22 @@ impl CoreConfig {
     }
 
     /// One-way latency of an inter-application port message.
-    pub fn inter_app_latency(&self) -> SimDuration {
+    pub(crate) fn inter_app_latency(&self) -> SimDuration {
         self.sched_latency
     }
 
     /// One-way latency of an inter-SSDlet port message.
-    pub fn inter_ssdlet_latency(&self) -> SimDuration {
+    pub(crate) fn inter_ssdlet_latency(&self) -> SimDuration {
         self.sched_latency + self.type_abstraction
     }
 
     /// One-way latency of a device→host message (excluding DMA payload time).
-    pub fn d2h_latency(&self) -> SimDuration {
+    pub(crate) fn d2h_latency(&self) -> SimDuration {
         self.cm_send_device + self.link_fixed + self.cm_recv_host
     }
 
     /// One-way latency of a host→device message (excluding DMA payload time).
-    pub fn h2d_latency(&self) -> SimDuration {
+    pub(crate) fn h2d_latency(&self) -> SimDuration {
         self.cm_send_host + self.link_fixed + self.cm_recv_device
     }
 }

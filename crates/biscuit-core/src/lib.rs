@@ -17,10 +17,10 @@
 //! - [`port`] — the three port kinds with Table II latency structure.
 //! - [`runtime`] — the in-device cooperative runtime that schedules loaded
 //!   SSDlets onto the device CPU cores.
-//! - [`session`] — multi-user sessions with channel/memory quotas (a paper
+//! - [`Session`] — multi-user sessions with channel/memory quotas (a paper
 //!   §VII follow-on).
-//! - [`config`] / [`error`] — [`CoreConfig`], [`BiscuitError`] /
-//!   [`BiscuitResult`].
+//! - [`CoreConfig`], [`BiscuitError`] / [`BiscuitResult`] — configuration
+//!   and errors.
 //!
 //! The whole stack is observable: the device datapath, the host link and
 //! every port connection report to the simulation whose fiber calls them,
@@ -79,15 +79,16 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod app;
-pub mod config;
-pub mod error;
+mod app;
+mod config;
+mod error;
 pub mod module;
 pub mod port;
 pub mod runtime;
-pub mod session;
-pub mod ssd;
+mod session;
+mod ssd;
 pub mod task;
 
 pub use app::{connect_apps, Application, InRef, OutRef, SsdletHandle};

@@ -18,13 +18,13 @@ use crate::task::{Ssdlet, TaskArgs};
 
 /// Declared type of one port.
 #[derive(Debug, Clone, Copy)]
-pub struct PortDecl {
+pub(crate) struct PortDecl {
     pub(crate) type_id: TypeId,
     pub(crate) type_name: &'static str,
 }
 
 /// Declares a port of type `T`.
-pub fn port_of<T: Any>() -> PortDecl {
+pub(crate) fn port_of<T: Any>() -> PortDecl {
     PortDecl {
         type_id: TypeId::of::<T>(),
         type_name: std::any::type_name::<T>(),
@@ -38,9 +38,9 @@ pub fn port_of<T: Any>() -> PortDecl {
 #[derive(Debug, Clone, Default)]
 pub struct SsdletSpec {
     /// Input port types, in index order.
-    pub inputs: Vec<PortDecl>,
+    pub(crate) inputs: Vec<PortDecl>,
     /// Output port types, in index order.
-    pub outputs: Vec<PortDecl>,
+    pub(crate) outputs: Vec<PortDecl>,
     /// Memory charged to the device's user arena per instance (0 = use the
     /// runtime default).
     pub memory_bytes: u64,
@@ -105,7 +105,6 @@ pub(crate) struct SsdletEntry {
 ///         |_args| Ok(Box::new(Doubler)),
 ///     )
 ///     .build();
-/// assert_eq!(module.name(), "math");
 /// ```
 #[derive(Clone)]
 pub struct SsdletModule {
@@ -128,22 +127,10 @@ impl std::fmt::Debug for SsdletModule {
 }
 
 impl SsdletModule {
-    /// The module's name.
-    pub fn name(&self) -> &str {
-        &self.inner.name
-    }
-
     /// Nominal binary image size (drives load-time charges). The paper's
     /// SSDlet modules are a few hundred KiB.
-    pub fn binary_size(&self) -> u64 {
+    pub(crate) fn binary_size(&self) -> u64 {
         self.inner.binary_size
-    }
-
-    /// Registered SSDlet identifiers.
-    pub fn ssdlet_ids(&self) -> Vec<&str> {
-        let mut ids: Vec<&str> = self.inner.entries.keys().map(String::as_str).collect();
-        ids.sort_unstable();
-        ids
     }
 
     pub(crate) fn entry(&self, id: &str) -> BiscuitResult<&SsdletEntry> {
@@ -239,8 +226,8 @@ mod tests {
             .register("a", SsdletSpec::new(), |_| Ok(Box::new(Nop)))
             .register("b", SsdletSpec::new(), |_| Ok(Box::new(Nop)))
             .build();
-        assert_eq!(m.ssdlet_ids(), vec!["a", "b"]);
         assert!(m.entry("a").is_ok());
+        assert!(m.entry("b").is_ok());
         assert!(matches!(
             m.entry("zzz"),
             Err(BiscuitError::SsdletNotRegistered { .. })

@@ -22,9 +22,9 @@ use std::sync::{Arc, OnceLock};
 use biscuit_sim::sync::Mutex;
 
 use biscuit_proto::wire::Wire;
-use biscuit_proto::{HostLink, Packet, SpanHeader};
+use biscuit_proto::{HostLink, Packet};
 use biscuit_sim::metrics;
-use biscuit_sim::qprof::{SpanContext, Stage};
+use biscuit_sim::qprof::Stage;
 use biscuit_sim::queue::SimQueue;
 use biscuit_sim::time::{SimDuration, SimTime};
 use biscuit_sim::trace::TraceEvent;
@@ -48,39 +48,13 @@ pub enum PortKind {
 
 /// A message in flight: the value plus the time its bits have physically
 /// arrived at the receiving side (DMA completion for boundary ports).
+///
+/// It carries no query context: every SSDlet fiber is spawned from its
+/// query's host fiber and inherits that query's context
+/// (`QueryProfiler::on_spawn`), and every host receiver already holds it.
 pub(crate) struct Envelope {
     pub ready_at: SimTime,
     pub value: Box<dyn Any + Send>,
-    /// Causal identity of the sending query, adopted by the receiver. The
-    /// runtime carries the [`SpanHeader`] out of band: it models fields in
-    /// the reserved bytes of the command envelope, already covered by the
-    /// per-command overhead, so profiling never changes wire timing.
-    pub span: Option<SpanHeader>,
-}
-
-/// The sending fiber's current query context as a wire header, if any.
-#[inline]
-fn current_span(ctx: &Ctx) -> Option<SpanHeader> {
-    ctx.qprof().current().map(|sc| SpanHeader {
-        query: sc.query,
-        tenant: sc.tenant,
-        span: sc.span,
-    })
-}
-
-/// Installs a received header as the receiving fiber's query context.
-#[inline]
-fn adopt_span(ctx: &Ctx, span: Option<SpanHeader>) {
-    if let Some(h) = span {
-        ctx.qprof().adopt(
-            ctx,
-            Some(SpanContext {
-                query: h.query,
-                tenant: h.tenant,
-                span: h.span,
-            }),
-        );
-    }
 }
 
 impl std::fmt::Debug for Envelope {
@@ -299,7 +273,6 @@ impl Connection {
         link: &HostLink,
         value: Box<dyn Any + Send>,
     ) -> BiscuitResult<()> {
-        let span = current_span(ctx);
         let (ready_at, value, bytes): (SimTime, Box<dyn Any + Send>, u64) = match self.kind {
             PortKind::InterSsdlet => (ctx.now(), value, 0),
             PortKind::InterApp => {
@@ -336,14 +309,7 @@ impl Connection {
             }
         };
         self.queue
-            .push(
-                ctx,
-                Envelope {
-                    ready_at,
-                    value,
-                    span,
-                },
-            )
+            .push(ctx, Envelope { ready_at, value })
             .map_err(|_| BiscuitError::PortClosed {
                 port: self.label.to_string(),
             })?;
@@ -359,9 +325,6 @@ impl Connection {
     ) -> Option<Box<dyn Any + Send>> {
         let env = self.queue.pop(ctx)?;
         ctx.sleep_until(env.ready_at);
-        // The receiving fiber takes on the sender's query identity before
-        // charging receive-side latency, so that work is attributed too.
-        adopt_span(ctx, env.span);
         let recv_start = ctx.now();
         match self.kind {
             PortKind::InterSsdlet => {
@@ -434,7 +397,6 @@ impl<T: Wire + Any + Send> HostInPort<T> {
     pub fn get(&self, ctx: &Ctx) -> Option<T> {
         let env = self.conn.queue.pop(ctx)?;
         ctx.sleep_until(env.ready_at);
-        adopt_span(ctx, env.span);
         let recv_start = ctx.now();
         ctx.sleep(self.cfg.cm_recv_host);
         ctx.qprof()
@@ -464,7 +426,6 @@ impl<T: Wire + Any + Send> HostInPort<T> {
         match self.conn.queue.pop_deadline(ctx, deadline) {
             Ok(Some(env)) => {
                 ctx.sleep_until(env.ready_at);
-                adopt_span(ctx, env.span);
                 let recv_start = ctx.now();
                 ctx.sleep(self.cfg.cm_recv_host);
                 ctx.qprof()
@@ -538,7 +499,6 @@ impl<T: Wire + Any + Send> HostOutPort<T> {
                 Envelope {
                     ready_at,
                     value: Box::new(pkt),
-                    span: current_span(ctx),
                 },
             )
             .map_err(|_| BiscuitError::PortClosed {

@@ -4,7 +4,7 @@
 //! The Biscuit runtime "centrally mediates access to SSD resources and has
 //! complete control over all events occurring in the framework" (paper
 //! §IV-B). This module is that mediator's ledger; the timed actions (load
-//! charges, command round-trips) live in [`crate::ssd`].
+//! charges, command round-trips) live in `ssd`.
 
 use std::collections::HashMap;
 
@@ -44,7 +44,7 @@ impl std::fmt::Debug for DeviceRuntime {
 
 impl DeviceRuntime {
     /// Creates an empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -51,7 +51,6 @@ struct SessionUsage {
 ///     max_channels: 2,
 ///     max_memory: 4 << 20,
 /// });
-/// assert_eq!(alice.name(), "alice");
 /// assert_eq!(alice.channels_in_use(), 0);
 /// // Applications created with `Application::new_in_session(&ssd, name,
 /// // &alice)` draw channels and device memory from this envelope.
@@ -78,16 +77,6 @@ impl Session {
                 usage: Mutex::new(SessionUsage::default()),
             }),
         }
-    }
-
-    /// The session's name.
-    pub fn name(&self) -> &str {
-        &self.inner.name
-    }
-
-    /// The session's quota.
-    pub fn quota(&self) -> SessionQuota {
-        self.inner.quota
     }
 
     /// Channels currently held by this session.

@@ -136,7 +136,7 @@ impl Ssd {
     }
 
     /// The runtime configuration.
-    pub fn config(&self) -> &Arc<CoreConfig> {
+    pub(crate) fn config(&self) -> &Arc<CoreConfig> {
         &self.inner.cfg
     }
 

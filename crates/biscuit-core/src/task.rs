@@ -71,11 +71,6 @@ impl std::fmt::Debug for TaskCtx<'_> {
 }
 
 impl<'a> TaskCtx<'a> {
-    /// The instance's name (application + SSDlet identifier).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()
@@ -166,13 +161,6 @@ impl<'a> TaskCtx<'a> {
         conn.send_from_device(self.sim, &self.cfg, &self.link, Box::new(value))
     }
 
-    /// Charges `d` of compute time on this application's device core.
-    /// Concurrent SSDlets of other applications pinned to the same core
-    /// queue behind it — the paper's per-application multi-core scheduling.
-    pub fn compute(&self, d: SimDuration) {
-        self.compute_charged(d, 0);
-    }
-
     /// Charges compute for software-processing `bytes` at the device CPU
     /// scan rate (what an SSDlet pays to grovel data *without* the
     /// pattern-matcher IP).
@@ -195,10 +183,5 @@ impl<'a> TaskCtx<'a> {
             bytes,
             self.core as u32,
         );
-    }
-
-    /// Cooperative yield (the paper's explicit `yield` call).
-    pub fn yield_now(&self) {
-        self.sim.yield_now();
     }
 }

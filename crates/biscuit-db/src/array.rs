@@ -66,11 +66,6 @@ impl ArrayDb {
         }
     }
 
-    /// The underlying shard coordinator.
-    pub fn array(&self) -> &SsdArray {
-        &self.array
-    }
-
     /// Number of drives the tables are partitioned over.
     pub fn shards(&self) -> usize {
         self.dbs.len()
@@ -327,7 +322,7 @@ mod tests {
         let rows = mk_rows(997); // uneven split across 3 shards
 
         let mut solo = Db::new(
-            mk_array(1).shard(0).ssd.clone(),
+            mk_array(1).shards()[0].ssd.clone(),
             HostConfig::paper_default(),
             DbConfig::paper_default(),
         );
@@ -392,7 +387,7 @@ mod tests {
         spec.limit = Some(5);
 
         let mut solo = Db::new(
-            mk_array(1).shard(0).ssd.clone(),
+            mk_array(1).shards()[0].ssd.clone(),
             HostConfig::paper_default(),
             DbConfig::paper_default(),
         );

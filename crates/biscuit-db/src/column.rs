@@ -43,7 +43,7 @@ pub trait Cells {
         )
     }
 
-    /// The numeric view ([`Cell::as_f64`]) of cell `col` of each row of
+    /// The numeric view (`Cell::as_f64`) of cell `col` of each row of
     /// `ids`, written to `out` (as long as `ids`); `false` as soon as one
     /// is missing or is a string.
     fn f64s(&self, col: usize, ids: &[u32], out: &mut [f64]) -> bool {
@@ -162,7 +162,7 @@ impl ColumnTable {
     }
 
     /// An empty table with room for `rows` rows.
-    pub fn with_capacity(types: &[ColumnType], rows: usize) -> ColumnTable {
+    pub(crate) fn with_capacity(types: &[ColumnType], rows: usize) -> ColumnTable {
         ColumnTable {
             rows: 0,
             columns: types.iter().map(|&ty| Column::new(ty, rows)).collect(),
@@ -170,13 +170,8 @@ impl ColumnTable {
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows
-    }
-
-    /// True when the table holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
     }
 
     /// Appends the row whose cells `cell_of` makes of `items`, one per
@@ -231,7 +226,7 @@ impl ColumnTable {
     /// Parses one framed text line `|f0|...|fn|` into a row and appends it,
     /// or returns `false` — appending nothing — where
     /// [`row_from_text`](crate::value::row_from_text) would reject the line.
-    pub fn push_line(&mut self, line: &str) -> bool {
+    pub(crate) fn push_line(&mut self, line: &str) -> bool {
         match fields(line) {
             Some(fields) => self.push_with(fields, Cell::parse),
             None => false,
@@ -471,7 +466,7 @@ mod tests {
     #[test]
     fn an_empty_table_has_no_rows() {
         let t = ColumnTable::new(&TYPES);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         let none = ColumnTable::new(&[]);
         assert_eq!(none.len(), 0);
     }

@@ -101,7 +101,7 @@ impl Default for DbConfig {
 
 /// Per-scan planning outcome.
 #[derive(Debug, Clone)]
-pub struct ScanPlan {
+pub(crate) struct ScanPlan {
     /// Pattern keys when offloaded.
     pub offload_keys: Option<Vec<Vec<u8>>>,
     /// Estimated fraction of rows satisfying the predicate (1.0 when not
@@ -286,7 +286,7 @@ impl Db {
     /// Host CPU charge for processing `bytes` of row data under `load`.
     /// Public so multi-phase query drivers (TPC-H) can account for their
     /// host-side post-processing.
-    pub fn charge_host_bytes(&self, ctx: &Ctx, bytes: u64, load: HostLoad) {
+    pub(crate) fn charge_host_bytes(&self, ctx: &Ctx, bytes: u64, load: HostLoad) {
         let rate = self.cfg.host_row_rate / load.bandwidth_slowdown(self.conv.config());
         let t0 = ctx.now();
         ctx.sleep(SimDuration::for_bytes(bytes, rate));
@@ -330,7 +330,7 @@ impl Db {
     /// # Errors
     ///
     /// Returns catalog or I/O errors.
-    pub fn plan_scans(
+    pub(crate) fn plan_scans(
         &self,
         ctx: &Ctx,
         spec: &SelectSpec,

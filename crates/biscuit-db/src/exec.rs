@@ -482,7 +482,11 @@ pub fn order_and_limit(rows: &mut Vec<Row>, order: &[OrderKey], limit: Option<us
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
-pub fn project_in<A: Cells + ?Sized>(exprs: &[Expr], src: &A, ids: &[u32]) -> DbResult<Vec<Row>> {
+pub(crate) fn project_in<A: Cells + ?Sized>(
+    exprs: &[Expr],
+    src: &A,
+    ids: &[u32],
+) -> DbResult<Vec<Row>> {
     let progs: Vec<Program<'_>> = exprs.iter().map(Program::new).collect();
     ids.iter()
         .map(|&id| {
@@ -539,7 +543,7 @@ pub fn filter_ref(pred: &Expr, rows: &[Row]) -> DbResult<Vec<Row>> {
 }
 
 /// Validation helper: every output row width matches expectations.
-pub fn check_width(rows: &[Row], width: usize) -> DbResult<()> {
+pub(crate) fn check_width(rows: &[Row], width: usize) -> DbResult<()> {
     for r in rows {
         if r.len() != width {
             return Err(DbError::TypeError(format!(

@@ -280,7 +280,7 @@ impl Expr {
 }
 
 /// SQL `LIKE` with `%` wildcards only.
-pub fn like_match(s: &str, pattern: &str) -> bool {
+pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
     LikePattern::new(pattern).matches(s)
 }
 

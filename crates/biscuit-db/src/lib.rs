@@ -9,7 +9,7 @@
 //!
 //! ## Crate layout
 //!
-//! - [`value`]/[`schema`]/[`table`] — storage layer: typed values, table
+//! - [`value`]/[`Schema`]/[`table`] — storage layer: typed values, table
 //!   schemas, and the text page format the pattern matcher can scan.
 //! - [`mod@column`] — the host's column cache ([`column::ColumnTable`]), a
 //!   join's running result as row ids into it ([`column::Joined`]), and the
@@ -18,14 +18,14 @@
 //! - [`program`] — expressions lowered once per operator call into typed
 //!   programs over that accessor.
 //! - [`spec`] — declarative query specs ([`SelectSpec`], [`ExecMode`]).
-//! - [`offload`] — the scan-filter SSDlet module deployed to the device.
-//! - [`engine`] — the planner and executor ([`Db`]). In Biscuit mode the
+//! - the scan-filter SSDlet module deployed to the device.
+//! - [`Db`] — the planner and executor. In Biscuit mode the
 //!   planner emits a [`biscuit_sim::trace::TraceEvent::OffloadVerdict`] per
 //!   scanned table when the [`Ssd`](biscuit_core::Ssd) carries a tracer
 //!   (see `docs/TRACING.md` at the repo root).
 //! - [`exec`] — selection, joins, aggregation, projection, ordering.
-//! - [`error`] — [`DbError`] / [`DbResult`].
-//! - [`mod@array`] — [`ArrayDb`]: the same engine sharded across the drives
+//! - [`DbError`] / [`DbResult`] — errors.
+//! - [`ArrayDb`] — the same engine sharded across the drives
 //!   of a [`biscuit_host::array::SsdArray`] (see `docs/SCALE.md`).
 //! - [`tpch`] — TPC-H schema, dbgen-style generator, and all 22 queries.
 //!
@@ -78,19 +78,20 @@
 //!
 //! Switch `ExecMode::Conv` to [`ExecMode::Biscuit`]
 //! and the planner samples selectivity and — when profitable — deploys the
-//! [`offload`] SSDlet so the filter runs next to the flash.
+//! `offload` SSDlet so the filter runs next to the flash.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod array;
+mod array;
 pub mod column;
-pub mod engine;
-pub mod error;
+mod engine;
+mod error;
 pub mod exec;
 pub mod expr;
-pub mod offload;
+mod offload;
 pub mod program;
-pub mod schema;
+mod schema;
 pub mod spec;
 pub mod table;
 pub mod tpch;
@@ -100,6 +101,6 @@ pub use array::ArrayDb;
 pub use engine::{Db, DbConfig, PlanExplain, QueryOutput, QueryStats, ScanExplain};
 pub use error::{DbError, DbResult};
 pub use expr::{CmpOp, Expr};
-pub use schema::{Catalog, Column, Schema};
+pub use schema::{Catalog, Column, Schema, TableMeta};
 pub use spec::{AggFun, ExecMode, JoinEdge, OrderKey, SelectSpec, TableScanSpec};
 pub use value::{Cell, ColumnType, Row, Value};

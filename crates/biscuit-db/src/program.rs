@@ -25,7 +25,7 @@
 //! selectivity sampler (through [`crate::exec::select_in`]) run them. On
 //! the device, the scan SSDlet runs its predicate's program over each
 //! candidate line and the aggregation SSDlet folds its batches through
-//! its inputs' programs ([`crate::offload`]). Nothing else calls the
+//! its inputs' programs (`offload`). Nothing else calls the
 //! tree-walker but the fallback above and the tests.
 
 use std::cmp::Ordering;
@@ -53,7 +53,7 @@ pub enum Out<'a> {
 
 impl Out<'_> {
     /// The result as a cell.
-    pub fn cell(&self) -> Cell<'_> {
+    pub(crate) fn cell(&self) -> Cell<'_> {
         match self {
             Out::Cell(c) => *c,
             Out::Value(v) => v.cell(),
@@ -104,12 +104,16 @@ impl<'e> Program<'e> {
 
     /// The typed path alone: `None` where [`Program::eval`] defers to the
     /// tree-walker.
-    pub fn typed<'a, A: Cells + ?Sized>(&'a self, src: &'a A, row: usize) -> Option<Cell<'a>> {
+    pub(crate) fn typed<'a, A: Cells + ?Sized>(
+        &'a self,
+        src: &'a A,
+        row: usize,
+    ) -> Option<Cell<'a>> {
         self.node.value(src, row)
     }
 
-    /// The typed path for a batch of rows, numerically: [`Cell::as_f64`]
-    /// of [`Program::typed`] for each row of `ids`, written to `out` (as
+    /// The typed path for a batch of rows, numerically: `Cell::as_f64`
+    /// of `Program::typed` for each row of `ids`, written to `out` (as
     /// long as `ids`), an operator at a time. `false` — with `out` partly
     /// written — if a row leaves the typed path or its result is a string.
     pub fn typed_f64s<A: Cells + ?Sized>(&self, src: &A, ids: &[u32], out: &mut [f64]) -> bool {

@@ -35,34 +35,17 @@ impl Schema {
     }
 
     /// The columns, in order.
-    pub fn columns(&self) -> &[Column] {
+    pub(crate) fn columns(&self) -> &[Column] {
         &self.columns
     }
 
     /// Number of columns.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.columns.len()
     }
 
-    /// True for a zero-column schema.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
-    /// Column index by name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::UnknownColumn`] if absent.
-    pub fn index_of(&self, name: &str) -> DbResult<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.name == name)
-            .ok_or_else(|| DbError::UnknownColumn(name.to_owned()))
-    }
-
     /// The column types, in order.
-    pub fn types(&self) -> Vec<ColumnType> {
+    pub(crate) fn types(&self) -> Vec<ColumnType> {
         self.columns.iter().map(|c| c.ty).collect()
     }
 }
@@ -90,7 +73,7 @@ pub struct Catalog {
 
 impl Catalog {
     /// Creates an empty catalog.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -99,7 +82,7 @@ impl Catalog {
     /// # Errors
     ///
     /// Returns [`DbError::TableExists`] on duplicate names.
-    pub fn register(&mut self, meta: TableMeta) -> DbResult<()> {
+    pub(crate) fn register(&mut self, meta: TableMeta) -> DbResult<()> {
         if self.tables.contains_key(&meta.name) {
             return Err(DbError::TableExists(meta.name));
         }
@@ -133,8 +116,7 @@ mod tests {
     #[test]
     fn schema_lookup() {
         let s = Schema::new(&[("a", ColumnType::Int), ("b", ColumnType::Str)]);
-        assert_eq!(s.index_of("b").unwrap(), 1);
-        assert!(matches!(s.index_of("z"), Err(DbError::UnknownColumn(_))));
+        assert_eq!(s.columns()[1].name, "b");
         assert_eq!(s.types(), vec![ColumnType::Int, ColumnType::Str]);
     }
 

@@ -10,7 +10,6 @@
 //! of the join order the planner picks.
 
 use crate::expr::Expr;
-use crate::value::Value;
 
 /// One base-table access with its local filter.
 #[derive(Debug, Clone)]
@@ -122,11 +121,6 @@ pub enum ExecMode {
     Conv,
     /// Biscuit NDP offload where the planner allows it.
     Biscuit,
-}
-
-/// A literal helper: `Value::Str` from `&str`.
-pub fn s(v: &str) -> Value {
-    Value::Str(v.to_owned())
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::schema::{Schema, TableMeta};
 use crate::value::{row_from_text, row_to_text, Row, Value};
 
 /// Byte used to fill page tails.
-pub const PAD: u8 = b'~';
+pub(crate) const PAD: u8 = b'~';
 
 /// Packs rows into consecutive page images of `page_size` bytes.
 ///
@@ -94,7 +94,7 @@ pub fn parse_page(schema: &Schema, table: &str, page: &[u8]) -> DbResult<Vec<Row
 ///
 /// Returns [`DbError::CorruptRow`] for the first line [`parse_page`]
 /// rejects; the rows before it stay appended.
-pub fn parse_page_into(table: &str, page: &[u8], into: &mut ColumnTable) -> DbResult<()> {
+pub(crate) fn parse_page_into(table: &str, page: &[u8], into: &mut ColumnTable) -> DbResult<()> {
     for line in page_lines(table, page) {
         let line = line?;
         if !into.push_line(line) {
@@ -142,7 +142,12 @@ pub(crate) fn check_rows(schema: &Schema, rows: &[Row]) -> DbResult<()> {
 /// Returns [`DbError::TypeError`] — before any file exists — for a row whose
 /// width, cell types or strings would not read back as written, and
 /// filesystem or row-size errors.
-pub fn create_table(fs: &Fs, name: &str, schema: Schema, rows: &[Row]) -> DbResult<TableMeta> {
+pub(crate) fn create_table(
+    fs: &Fs,
+    name: &str,
+    schema: Schema,
+    rows: &[Row],
+) -> DbResult<TableMeta> {
     check_rows(&schema, rows)?;
     let page_size = fs.device().config().page_size;
     let file_path = format!("tbl_{name}");

@@ -7,12 +7,12 @@ use crate::schema::Schema;
 use crate::value::ColumnType::{Date, Float, Int, Str};
 
 /// `region(r_regionkey, r_name, r_comment)`
-pub fn region() -> Schema {
+pub(crate) fn region() -> Schema {
     Schema::new(&[("r_regionkey", Int), ("r_name", Str), ("r_comment", Str)])
 }
 
 /// `nation(n_nationkey, n_name, n_regionkey, n_comment)`
-pub fn nation() -> Schema {
+pub(crate) fn nation() -> Schema {
     Schema::new(&[
         ("n_nationkey", Int),
         ("n_name", Str),
@@ -22,7 +22,7 @@ pub fn nation() -> Schema {
 }
 
 /// `supplier(...)`
-pub fn supplier() -> Schema {
+pub(crate) fn supplier() -> Schema {
     Schema::new(&[
         ("s_suppkey", Int),
         ("s_name", Str),
@@ -35,7 +35,7 @@ pub fn supplier() -> Schema {
 }
 
 /// `customer(...)`
-pub fn customer() -> Schema {
+pub(crate) fn customer() -> Schema {
     Schema::new(&[
         ("c_custkey", Int),
         ("c_name", Str),
@@ -49,7 +49,7 @@ pub fn customer() -> Schema {
 }
 
 /// `part(...)`
-pub fn part() -> Schema {
+pub(crate) fn part() -> Schema {
     Schema::new(&[
         ("p_partkey", Int),
         ("p_name", Str),
@@ -64,7 +64,7 @@ pub fn part() -> Schema {
 }
 
 /// `partsupp(...)`
-pub fn partsupp() -> Schema {
+pub(crate) fn partsupp() -> Schema {
     Schema::new(&[
         ("ps_partkey", Int),
         ("ps_suppkey", Int),
@@ -75,7 +75,7 @@ pub fn partsupp() -> Schema {
 }
 
 /// `orders(...)`
-pub fn orders() -> Schema {
+pub(crate) fn orders() -> Schema {
     Schema::new(&[
         ("o_orderkey", Int),
         ("o_custkey", Int),
@@ -116,21 +116,20 @@ pub fn lineitem() -> Schema {
 pub mod l {
     pub const ORDERKEY: usize = 0;
     pub const PARTKEY: usize = 1;
-    pub const SUPPKEY: usize = 2;
+    pub(crate) const SUPPKEY: usize = 2;
     pub const LINENUMBER: usize = 3;
     pub const QUANTITY: usize = 4;
     pub const EXTENDEDPRICE: usize = 5;
     pub const DISCOUNT: usize = 6;
-    pub const TAX: usize = 7;
+    pub(crate) const TAX: usize = 7;
     pub const RETURNFLAG: usize = 8;
     pub const LINESTATUS: usize = 9;
     pub const SHIPDATE: usize = 10;
     pub const COMMITDATE: usize = 11;
     pub const RECEIPTDATE: usize = 12;
-    pub const SHIPINSTRUCT: usize = 13;
-    pub const SHIPMODE: usize = 14;
-    pub const COMMENT: usize = 15;
-    pub const WIDTH: usize = 16;
+    pub(crate) const SHIPINSTRUCT: usize = 13;
+    pub(crate) const SHIPMODE: usize = 14;
+    pub(crate) const WIDTH: usize = 16;
 }
 
 /// Column index constants for the `orders` table.
@@ -138,86 +137,78 @@ pub mod l {
 pub mod o {
     pub const ORDERKEY: usize = 0;
     pub const CUSTKEY: usize = 1;
-    pub const ORDERSTATUS: usize = 2;
-    pub const TOTALPRICE: usize = 3;
+    pub(crate) const ORDERSTATUS: usize = 2;
+    pub(crate) const TOTALPRICE: usize = 3;
     pub const ORDERDATE: usize = 4;
     pub const ORDERPRIORITY: usize = 5;
-    pub const CLERK: usize = 6;
-    pub const SHIPPRIORITY: usize = 7;
+    pub(crate) const SHIPPRIORITY: usize = 7;
     pub const COMMENT: usize = 8;
-    pub const WIDTH: usize = 9;
+    pub(crate) const WIDTH: usize = 9;
 }
 
 /// Column index constants for the `customer` table.
 #[allow(missing_docs)]
 pub mod c {
-    pub const CUSTKEY: usize = 0;
-    pub const NAME: usize = 1;
-    pub const ADDRESS: usize = 2;
-    pub const NATIONKEY: usize = 3;
-    pub const PHONE: usize = 4;
-    pub const ACCTBAL: usize = 5;
-    pub const MKTSEGMENT: usize = 6;
-    pub const COMMENT: usize = 7;
-    pub const WIDTH: usize = 8;
+    pub(crate) const CUSTKEY: usize = 0;
+    pub(crate) const NAME: usize = 1;
+    pub(crate) const ADDRESS: usize = 2;
+    pub(crate) const NATIONKEY: usize = 3;
+    pub(crate) const PHONE: usize = 4;
+    pub(crate) const ACCTBAL: usize = 5;
+    pub(crate) const MKTSEGMENT: usize = 6;
+    pub(crate) const WIDTH: usize = 8;
 }
 
 /// Column index constants for the `part` table.
 #[allow(missing_docs)]
 pub mod p {
     pub const PARTKEY: usize = 0;
-    pub const NAME: usize = 1;
-    pub const MFGR: usize = 2;
-    pub const BRAND: usize = 3;
+    pub(crate) const NAME: usize = 1;
+    pub(crate) const MFGR: usize = 2;
+    pub(crate) const BRAND: usize = 3;
     pub const TYPE: usize = 4;
-    pub const SIZE: usize = 5;
-    pub const CONTAINER: usize = 6;
-    pub const RETAILPRICE: usize = 7;
-    pub const COMMENT: usize = 8;
-    pub const WIDTH: usize = 9;
+    pub(crate) const SIZE: usize = 5;
+    pub(crate) const CONTAINER: usize = 6;
+    pub(crate) const WIDTH: usize = 9;
 }
 
 /// Column index constants for the `partsupp` table.
 #[allow(missing_docs)]
 pub mod ps {
-    pub const PARTKEY: usize = 0;
-    pub const SUPPKEY: usize = 1;
-    pub const AVAILQTY: usize = 2;
-    pub const SUPPLYCOST: usize = 3;
-    pub const COMMENT: usize = 4;
-    pub const WIDTH: usize = 5;
+    pub(crate) const PARTKEY: usize = 0;
+    pub(crate) const SUPPKEY: usize = 1;
+    pub(crate) const AVAILQTY: usize = 2;
+    pub(crate) const SUPPLYCOST: usize = 3;
+    pub(crate) const WIDTH: usize = 5;
 }
 
 /// Column index constants for the `supplier` table.
 #[allow(missing_docs)]
 pub mod s {
-    pub const SUPPKEY: usize = 0;
-    pub const NAME: usize = 1;
-    pub const ADDRESS: usize = 2;
-    pub const NATIONKEY: usize = 3;
-    pub const PHONE: usize = 4;
-    pub const ACCTBAL: usize = 5;
-    pub const COMMENT: usize = 6;
-    pub const WIDTH: usize = 7;
+    pub(crate) const SUPPKEY: usize = 0;
+    pub(crate) const NAME: usize = 1;
+    pub(crate) const ADDRESS: usize = 2;
+    pub(crate) const NATIONKEY: usize = 3;
+    pub(crate) const PHONE: usize = 4;
+    pub(crate) const ACCTBAL: usize = 5;
+    pub(crate) const WIDTH: usize = 7;
 }
 
 /// Column index constants for the `nation` table.
 #[allow(missing_docs)]
 pub mod n {
-    pub const NATIONKEY: usize = 0;
-    pub const NAME: usize = 1;
-    pub const REGIONKEY: usize = 2;
-    pub const COMMENT: usize = 3;
-    pub const WIDTH: usize = 4;
+    pub(crate) const NATIONKEY: usize = 0;
+    pub(crate) const NAME: usize = 1;
+    pub(crate) const REGIONKEY: usize = 2;
+    pub(crate) const WIDTH: usize = 4;
 }
 
 /// Column index constants for the `region` table.
 #[allow(missing_docs)]
 pub mod r {
-    pub const REGIONKEY: usize = 0;
-    pub const NAME: usize = 1;
-    pub const COMMENT: usize = 2;
-    pub const WIDTH: usize = 3;
+    pub(crate) const REGIONKEY: usize = 0;
+    pub(crate) const NAME: usize = 1;
+    pub(crate) const WIDTH: usize = 3;
 }
 
 #[cfg(test)]
@@ -227,13 +218,13 @@ mod tests {
     #[test]
     fn index_constants_match_schemas() {
         assert_eq!(lineitem().len(), l::WIDTH);
-        assert_eq!(lineitem().index_of("l_shipdate").unwrap(), l::SHIPDATE);
+        assert_eq!(lineitem().columns()[l::SHIPDATE].name, "l_shipdate");
         assert_eq!(orders().len(), o::WIDTH);
-        assert_eq!(orders().index_of("o_orderdate").unwrap(), o::ORDERDATE);
+        assert_eq!(orders().columns()[o::ORDERDATE].name, "o_orderdate");
         assert_eq!(customer().len(), c::WIDTH);
-        assert_eq!(customer().index_of("c_mktsegment").unwrap(), c::MKTSEGMENT);
+        assert_eq!(customer().columns()[c::MKTSEGMENT].name, "c_mktsegment");
         assert_eq!(part().len(), p::WIDTH);
-        assert_eq!(part().index_of("p_container").unwrap(), p::CONTAINER);
+        assert_eq!(part().columns()[p::CONTAINER].name, "p_container");
         assert_eq!(partsupp().len(), ps::WIDTH);
         assert_eq!(supplier().len(), s::WIDTH);
         assert_eq!(nation().len(), n::WIDTH);

@@ -43,7 +43,7 @@ pub enum Value {
 
 impl Value {
     /// The value's column type.
-    pub fn column_type(&self) -> ColumnType {
+    pub(crate) fn column_type(&self) -> ColumnType {
         match self {
             Value::Int(_) => ColumnType::Int,
             Value::Float(_) => ColumnType::Float,
@@ -62,7 +62,7 @@ impl Value {
     }
 
     /// The value as a borrowed [`Cell`].
-    pub fn cell(&self) -> Cell<'_> {
+    pub(crate) fn cell(&self) -> Cell<'_> {
         match self {
             Value::Int(v) => Cell::Int(*v),
             Value::Float(v) => Cell::Float(*v),
@@ -93,7 +93,7 @@ impl Value {
         }
     }
 
-    /// Total ordering across comparable values: see [`Cell::compare`].
+    /// Total ordering across comparable values: see `Cell::compare`.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
         self.cell().compare(other.cell())
     }
@@ -107,13 +107,13 @@ impl Value {
 
     /// Appends [`Value::to_text`] to `out` — for per-row callers that reuse
     /// one buffer instead of allocating a `String` per cell.
-    pub fn write_text(&self, out: &mut String) {
+    pub(crate) fn write_text(&self, out: &mut String) {
         self.cell().write_text(out);
     }
 
     /// Parses the text form back, guided by the column type: see
     /// [`Cell::parse`].
-    pub fn from_text(ty: ColumnType, s: &str) -> Option<Value> {
+    pub(crate) fn from_text(ty: ColumnType, s: &str) -> Option<Value> {
         Cell::parse(ty, s).map(Cell::to_value)
     }
 }
@@ -136,7 +136,7 @@ pub enum Cell<'a> {
 
 impl<'a> Cell<'a> {
     /// The owned value.
-    pub fn to_value(self) -> Value {
+    pub(crate) fn to_value(self) -> Value {
         match self {
             Cell::Int(v) => Value::Int(v),
             Cell::Float(v) => Value::Float(v),
@@ -146,7 +146,7 @@ impl<'a> Cell<'a> {
     }
 
     /// Numeric view (ints and dates widen to f64 for arithmetic).
-    pub fn as_f64(self) -> Option<f64> {
+    pub(crate) fn as_f64(self) -> Option<f64> {
         match self {
             Cell::Int(v) => Some(v as f64),
             Cell::Float(v) => Some(v),
@@ -156,7 +156,7 @@ impl<'a> Cell<'a> {
     }
 
     /// String view.
-    pub fn as_str(self) -> Option<&'a str> {
+    pub(crate) fn as_str(self) -> Option<&'a str> {
         match self {
             Cell::Str(s) => Some(s),
             _ => None,
@@ -166,7 +166,7 @@ impl<'a> Cell<'a> {
     /// Total ordering across comparable cells: two `Int`s, two `Date`s or
     /// two strings compare exactly; other numeric pairs widen to `f64`;
     /// a string and a number do not compare.
-    pub fn compare(self, other: Cell<'_>) -> Option<Ordering> {
+    pub(crate) fn compare(self, other: Cell<'_>) -> Option<Ordering> {
         match (self, other) {
             (Cell::Int(a), Cell::Int(b)) => Some(a.cmp(&b)),
             (Cell::Str(a), Cell::Str(b)) => Some(a.cmp(b)),
@@ -180,7 +180,7 @@ impl<'a> Cell<'a> {
 
     /// Appends the on-flash text form to `out`: decimal integers, floats
     /// with two decimals, dates as `YYYY-MM-DD`.
-    pub fn write_text(self, out: &mut String) {
+    pub(crate) fn write_text(self, out: &mut String) {
         use std::fmt::Write;
         match self {
             Cell::Int(v) => out.push_str(int_text(v, &mut [0; 20])),
@@ -200,7 +200,7 @@ impl<'a> Cell<'a> {
     /// spellings [`Cell::write_text`] stores for floats and dates take an
     /// exact fast path; every other spelling goes through `str::parse` /
     /// [`parse_date`].
-    pub fn parse(ty: ColumnType, s: &'a str) -> Option<Cell<'a>> {
+    pub(crate) fn parse(ty: ColumnType, s: &'a str) -> Option<Cell<'a>> {
         match ty {
             ColumnType::Int => s.parse().ok().map(Cell::Int),
             ColumnType::Float => decimal(s.as_bytes())
@@ -298,7 +298,7 @@ pub fn row_to_text(row: &Row) -> String {
 }
 
 /// Parses one `|`-delimited line back into a row.
-pub fn row_from_text(types: &[ColumnType], line: &str) -> Option<Row> {
+pub(crate) fn row_from_text(types: &[ColumnType], line: &str) -> Option<Row> {
     let mut fields = fields(line)?;
     // Exactly `types.len()` cells: a grown `Vec` would leave every cached
     // row with slack capacity.
@@ -343,13 +343,13 @@ pub fn parse_date(s: &str) -> Option<i32> {
 }
 
 /// `YYYY-MM-DD` for a days-since-epoch value.
-pub fn format_date(days: i32) -> String {
+pub(crate) fn format_date(days: i32) -> String {
     Value::Date(days).to_text()
 }
 
 /// Calendar year of a days-since-epoch value (the `YYYY` of
 /// [`format_date`], without the text).
-pub fn year_of(days: i32) -> i32 {
+pub(crate) fn year_of(days: i32) -> i32 {
     civil_from_days(days).0
 }
 

@@ -41,7 +41,7 @@ impl ExtentAllocator {
 
     /// Rebuilds an allocator from a full range minus already-used extents
     /// (used at mount time).
-    pub fn from_used(start: u64, pages: u64, used: &[Extent]) -> Self {
+    pub(crate) fn from_used(start: u64, pages: u64, used: &[Extent]) -> Self {
         let mut alloc = ExtentAllocator::new(start, pages);
         let mut used = used.to_vec();
         used.sort_by_key(|e| e.start);
@@ -103,7 +103,7 @@ impl ExtentAllocator {
 
     /// Allocates up to `pages` pages, possibly less (for chunked growth).
     /// Returns `None` only when nothing is free.
-    pub fn allocate_up_to(&mut self, pages: u64) -> Option<Extent> {
+    pub(crate) fn allocate_up_to(&mut self, pages: u64) -> Option<Extent> {
         if pages == 0 {
             return Some(Extent { start: 0, pages: 0 });
         }
@@ -163,7 +163,7 @@ impl ExtentAllocator {
     }
 
     /// Size of the largest free extent.
-    pub fn largest_free(&self) -> u64 {
+    pub(crate) fn largest_free(&self) -> u64 {
         self.free.iter().map(|f| f.pages).max().unwrap_or(0)
     }
 }

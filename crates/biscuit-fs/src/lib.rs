@@ -10,11 +10,12 @@
 //! pattern-matcher scans, and appends.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod alloc;
-pub mod error;
-pub mod fs;
+mod alloc;
+mod error;
+mod fs;
 
 pub use alloc::{Extent, ExtentAllocator};
 pub use error::{FsError, FsResult};

@@ -151,11 +151,6 @@ impl<T: Send + 'static> MergeTx<T> {
         self.inner.lane.push(ctx, (seq, item)).map_err(|e| (e.0).1)
     }
 
-    /// Items sent so far (including any silently dropped ones).
-    pub fn sent(&self) -> u64 {
-        self.inner.seq.load(Ordering::Relaxed)
-    }
-
     /// Marks the lane complete. Suppressed on a silenced lane — a dead
     /// drive never says goodbye.
     pub fn close(&self, ctx: &Ctx) {
@@ -166,7 +161,7 @@ impl<T: Send + 'static> MergeTx<T> {
 
     /// Rigs the lane for silent drive loss: sends at or beyond sequence
     /// `after` vanish and [`MergeTx::close`] becomes a no-op.
-    pub fn silence_after(&self, after: u64) {
+    pub(crate) fn silence_after(&self, after: u64) {
         self.inner.cut.store(after, Ordering::Relaxed);
     }
 }
@@ -174,7 +169,7 @@ impl<T: Send + 'static> MergeTx<T> {
 /// The merge consumer abandoned no lane yet, but the lane under the
 /// cursor stayed silent past the deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MergeLag {
+pub(crate) struct MergeLag {
     /// The lane the merge cursor was waiting on when the deadline passed.
     pub shard: usize,
 }
@@ -234,7 +229,7 @@ impl<T: Send + 'static> MergeRx<T> {
     /// # Errors
     ///
     /// Returns [`MergeLag`] naming the silent shard.
-    pub fn next_deadline(
+    pub(crate) fn next_deadline(
         &mut self,
         ctx: &Ctx,
         timeout: biscuit_sim::SimDuration,
@@ -259,7 +254,7 @@ impl<T: Send + 'static> MergeRx<T> {
     /// Drops `shard` from the merge (after a [`MergeLag`]): its lane is
     /// closed — releasing any producer blocked on backpressure — and its
     /// remaining items are discarded.
-    pub fn abandon(&mut self, ctx: &Ctx, shard: usize) {
+    pub(crate) fn abandon(&mut self, ctx: &Ctx, shard: usize) {
         if !self.done[shard] {
             self.lanes[shard].close(ctx);
             self.retire(shard);
@@ -444,11 +439,6 @@ impl SsdArray {
     /// The shards in id order.
     pub fn shards(&self) -> &[ArrayShard] {
         &self.inner.shards
-    }
-
-    /// One shard by id.
-    pub fn shard(&self, id: usize) -> &ArrayShard {
-        &self.inner.shards[id]
     }
 
     /// Shim for the frozen `biscuit-perf` harness: the drives and the
@@ -1031,7 +1021,7 @@ impl QueryScheduler {
     /// # Panics
     ///
     /// Panics when called after [`QueryScheduler::close`].
-    pub fn submit_cost(&self, ctx: &Ctx, user: usize, cost: u64, job: impl FnOnCtx) {
+    pub(crate) fn submit_cost(&self, ctx: &Ctx, user: usize, cost: u64, job: impl FnOnCtx) {
         let mut job: Option<Job> = Some(Box::new(job));
         let mut blocked = false;
         loop {
@@ -1071,7 +1061,7 @@ impl QueryScheduler {
     /// # Errors
     ///
     /// Returns [`QueryShed`] when the query was rejected.
-    pub fn try_submit_cost(
+    pub(crate) fn try_submit_cost(
         &self,
         ctx: &Ctx,
         user: usize,

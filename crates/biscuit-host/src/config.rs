@@ -72,7 +72,7 @@ impl HostLoad {
 
     /// Multiplier on host *latency-bound* work (per-I/O CPU overhead);
     /// saturates once the memory system is fully contended.
-    pub fn latency_slowdown(&self, cfg: &HostConfig) -> f64 {
+    pub(crate) fn latency_slowdown(&self, cfg: &HostConfig) -> f64 {
         let t = self.threads.min(cfg.contention_latency_sat);
         1.0 + cfg.contention_latency_max * f64::from(t) / f64::from(cfg.contention_latency_sat)
     }

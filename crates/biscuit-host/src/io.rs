@@ -46,11 +46,6 @@ impl ConvIo {
         &self.cfg
     }
 
-    /// The link this path rides.
-    pub fn link(&self) -> &Arc<HostLink> {
-        &self.link
-    }
-
     /// The device behind the link.
     pub fn device(&self) -> &Arc<SsdDevice> {
         &self.device
@@ -108,19 +103,15 @@ impl ConvIo {
     ) -> FsResult<Vec<u8>> {
         let link_cfg = self.link.config().clone();
         let spans = file.page_spans(offset, len)?;
-        let slot = self.link.acquire_slot(ctx);
-        // The slot goes back on the error path too: a dropped slot leaks,
-        // and `queue_depth` failed reads would park every later one.
-        let pages: FsResult<_> = (|| {
+        let pages = self.link.with_slot(ctx, || -> FsResult<_> {
             self.charge_host(ctx, link_cfg.host_submit, load);
             ctx.sleep(link_cfg.device_command);
             let (done, pages) = self.issue_request(ctx, &spans)?;
             ctx.sleep_until(done);
             self.charge_host(ctx, link_cfg.host_complete, load);
             Ok(pages)
-        })();
-        self.link.release_slot(ctx, slot);
-        Ok(file.slice_pages(ctx, &pages?, offset, len))
+        })?;
+        Ok(file.slice_pages(ctx, &pages, offset, len))
     }
 
     /// Asynchronous whole-page read of `page_count` file pages starting at
@@ -150,7 +141,11 @@ impl ConvIo {
         assert!(request_pages > 0 && queue_depth > 0);
         let link_cfg = self.link.config().clone();
         let page_size = self.device.config().page_size as u64;
-        let spans = file.page_spans(page_start * page_size, page_count * page_size)?;
+        // Saturated, an overflowing page range stays out of bounds.
+        let spans = file.page_spans(
+            page_start.saturating_mul(page_size),
+            page_count.saturating_mul(page_size),
+        )?;
         let mut inflight: VecDeque<SimTime> = VecDeque::new();
         let mut all_pages = Vec::with_capacity(spans.len());
         for chunk in spans.chunks(request_pages) {
@@ -182,12 +177,21 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn setup() -> (Fs, ConvIo) {
+        setup_armed(None)
+    }
+
+    /// A formatted volume whose device and link are armed with `plan`.
+    fn setup_armed(plan: Option<&biscuit_sim::fault::FaultPlan>) -> (Fs, ConvIo) {
         let dev = Arc::new(SsdDevice::new(SsdConfig {
             logical_capacity: 256 << 20,
             ..SsdConfig::paper_default()
         }));
         let fs = Fs::format(Arc::clone(&dev));
         let link = Arc::new(HostLink::new(LinkConfig::pcie_gen3_x4()));
+        if let Some(p) = plan {
+            dev.set_fault_plan(p);
+            link.set_fault_plan(p);
+        }
         let io = ConvIo::new(dev, link, HostConfig::paper_default());
         (fs, io)
     }
@@ -292,6 +296,29 @@ mod tests {
         sim.run().assert_quiescent();
     }
 
+    /// A page range whose byte offset overflows `u64` is out of bounds.
+    #[test]
+    fn overflowing_page_range_is_out_of_bounds() {
+        let (fs, io) = setup();
+        fs.create("f").unwrap();
+        fs.append_untimed("f", &[5u8; 100]).unwrap();
+        let f = fs.open("f", Mode::ReadOnly).unwrap();
+        let sim = Simulation::new(0);
+        sim.spawn("r", move |ctx| {
+            for (start, count) in [(u64::MAX / 2, 1), (0, u64::MAX / 2)] {
+                let err = io
+                    .read_file_pages_async(ctx, &f, start, count, 1, 1, HostLoad::IDLE)
+                    .unwrap_err();
+                assert!(matches!(err, FsError::OutOfBounds { .. }), "{err}");
+            }
+            assert!(matches!(
+                io.read(ctx, &f, u64::MAX, 2, HostLoad::IDLE),
+                Err(FsError::OutOfBounds { .. })
+            ));
+        });
+        sim.run().assert_quiescent();
+    }
+
     /// Injected NAND and link faults slow a Conv read down but never change
     /// the bytes it returns.
     #[test]
@@ -299,11 +326,7 @@ mod tests {
         use biscuit_sim::fault::{FaultConfig, FaultPlan};
 
         let run = |plan: Option<FaultPlan>| -> (Vec<u8>, u64) {
-            let (fs, io) = setup();
-            if let Some(p) = &plan {
-                io.device().set_fault_plan(p);
-                io.link().set_fault_plan(p);
-            }
+            let (fs, io) = setup_armed(plan.as_ref());
             fs.create("f").unwrap();
             let data: Vec<u8> = (0..100_000u32).map(|i| (i % 241) as u8).collect();
             fs.append_untimed("f", &data).unwrap();

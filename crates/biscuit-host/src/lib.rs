@@ -5,7 +5,8 @@
 //! configurable memory-bandwidth contention from background load
 //! (StreamBench threads in the paper's methodology).
 //!
-//! - [`config`] — host rates and the contention model (Tables IV/V fits).
+//! - [`HostConfig`] / [`HostLoad`] — host rates and the contention model
+//!   (Tables IV/V fits).
 //! - [`io::ConvIo`] — the NVMe `pread`/async read path (Table III, Fig. 7).
 //! - [`search::BoyerMoore`] — the `grep` algorithm used as the Conv string
 //!   search baseline (Table V).
@@ -19,12 +20,13 @@
 //!   scheduler's WFQ/shedding QoS layer (`docs/QOS.md`).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 pub mod array;
-pub mod config;
+mod config;
 pub mod fleet;
-pub mod io;
+mod io;
 pub mod search;
 pub mod workload;
 

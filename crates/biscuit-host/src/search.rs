@@ -48,18 +48,13 @@ impl BoyerMoore {
         }
     }
 
-    /// The pattern being searched.
-    pub fn pattern(&self) -> &[u8] {
-        &self.pattern
-    }
-
     /// Offset of the first occurrence in `text`, if any.
     pub fn find(&self, text: &[u8]) -> Option<usize> {
         self.find_from(text, 0)
     }
 
     /// Offset of the first occurrence at or after `from`.
-    pub fn find_from(&self, text: &[u8], from: usize) -> Option<usize> {
+    pub(crate) fn find_from(&self, text: &[u8], from: usize) -> Option<usize> {
         let m = self.pattern.len();
         let n = text.len();
         if m > n || from > n - m {

@@ -293,7 +293,7 @@ impl WorkloadEngine {
     }
 
     /// The configuration this engine runs.
-    pub fn config(&self) -> &WorkloadConfig {
+    pub(crate) fn config(&self) -> &WorkloadConfig {
         &self.cfg
     }
 
@@ -308,7 +308,7 @@ impl WorkloadEngine {
     }
 
     /// The diurnal rate multiplier in effect at `at`.
-    pub fn rate_mul(&self, at: SimTime) -> f64 {
+    pub(crate) fn rate_mul(&self, at: SimTime) -> f64 {
         if self.cycle_ps == 0 {
             return 1.0;
         }
@@ -357,7 +357,7 @@ impl WorkloadEngine {
     /// # Panics
     ///
     /// Panics if the engine was configured closed-loop — use
-    /// [`WorkloadEngine::initial`] / [`WorkloadEngine::resubmit`] (or
+    /// `WorkloadEngine::initial` / `WorkloadEngine::resubmit` (or
     /// just [`drive_closed_loop`]) there.
     pub fn next_arrival(&mut self) -> Option<Arrival> {
         let ArrivalProcess::OpenLoop { mean_interarrival } = self.cfg.arrivals else {
@@ -380,7 +380,7 @@ impl WorkloadEngine {
     /// # Panics
     ///
     /// Panics if the engine was configured open-loop.
-    pub fn initial(&mut self) -> Vec<Arrival> {
+    pub(crate) fn initial(&mut self) -> Vec<Arrival> {
         let ArrivalProcess::ClosedLoop { mean_think } = self.cfg.arrivals else {
             panic!("WorkloadEngine::initial is for closed-loop configs");
         };
@@ -401,7 +401,7 @@ impl WorkloadEngine {
     /// # Panics
     ///
     /// Panics if the engine was configured open-loop.
-    pub fn resubmit(&mut self, tenant: u32, now: SimTime) -> Option<Arrival> {
+    pub(crate) fn resubmit(&mut self, tenant: u32, now: SimTime) -> Option<Arrival> {
         let ArrivalProcess::ClosedLoop { mean_think } = self.cfg.arrivals else {
             panic!("WorkloadEngine::resubmit is for closed-loop configs");
         };
@@ -428,7 +428,7 @@ pub struct DriveStats {
 }
 
 /// Runs an open-loop engine against `sched` on the calling fiber:
-/// sleeps to each arrival's time, then [`QueryScheduler::try_submit_cost`]s
+/// sleeps to each arrival's time, then `QueryScheduler::try_submit_cost`s
 /// the job built by `make_job`. Arrivals the scheduler cannot absorb
 /// are shed, not queued — that is the open-loop contract. Returns once
 /// the engine is exhausted (queries may still be in flight; drain with

@@ -41,7 +41,7 @@ pub struct Buf {
 
 impl Buf {
     /// Creates an empty buffer (no allocation is shared).
-    pub fn new() -> Buf {
+    pub(crate) fn new() -> Buf {
         static EMPTY: &[u8] = &[];
         Buf {
             data: Arc::from(EMPTY),
@@ -62,7 +62,7 @@ impl Buf {
     }
 
     /// Wraps an existing shared allocation without copying it.
-    pub fn from_arc(data: Arc<[u8]>) -> Buf {
+    pub(crate) fn from_arc(data: Arc<[u8]>) -> Buf {
         let len = data.len();
         Buf { data, off: 0, len }
     }
@@ -74,13 +74,8 @@ impl Buf {
     }
 
     /// Length of the visible window.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// True if the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Borrows the visible bytes.
@@ -274,11 +269,6 @@ impl BufPool {
             allocated: std::sync::atomic::AtomicU64::new(0),
             recycled: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Frame size in bytes.
-    pub fn frame_size(&self) -> usize {
-        self.frame_size
     }
 
     /// Checks a zeroed frame out of the pool (recycled when available,

@@ -7,9 +7,6 @@
 //!   host-to-device and inter-application ports (paper §III-C).
 //! - [`wire::Wire`] — explicit (de)serialization, mirroring the paper's
 //!   requirement that boundary data be serializable.
-//! - [`span::SpanHeader`] — the wire form of a query's causal identity
-//!   (query id, tenant, parent span), stamped on every in-flight request
-//!   when query profiling is on.
 //! - [`link::HostLink`] — the PCIe Gen.3 x4 / NVMe timing model whose
 //!   per-command costs and 3.2 GB/s cap produce the Conv-vs-Biscuit latency
 //!   and bandwidth gaps of Tables II–III and Fig. 7.
@@ -26,16 +23,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
-pub mod buf;
-pub mod link;
+mod buf;
+mod link;
 pub mod packet;
-pub mod span;
 pub mod wire;
 
 pub use buf::{Buf, BufPool, Frame};
 pub use link::{HostLink, LinkConfig};
 pub use packet::{DecodeError, Packet, PacketBuilder, PacketReader};
-pub use span::SpanHeader;
 pub use wire::Wire;

@@ -7,7 +7,7 @@
 //! internal reads skip the link entirely — that asymmetry is the root of the
 //! Table III latency gap and the Fig. 7 bandwidth gap.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use biscuit_sim::fault::{FaultPlan, FaultSite};
 use biscuit_sim::queue::Semaphore;
@@ -74,7 +74,7 @@ impl Default for LinkConfig {
 /// # Examples
 ///
 /// ```
-/// use biscuit_proto::link::{HostLink, LinkConfig};
+/// use biscuit_proto::{HostLink, LinkConfig};
 /// use biscuit_sim::Simulation;
 /// use std::sync::Arc;
 ///
@@ -82,11 +82,11 @@ impl Default for LinkConfig {
 /// let link = Arc::new(HostLink::new(LinkConfig::pcie_gen3_x4()));
 /// let l = Arc::clone(&link);
 /// sim.spawn("reader", move |ctx| {
-///     let _slot = l.acquire_slot(ctx);
-///     l.charge_submit(ctx);
-///     // ... device does its internal work ...
-///     l.dma_to_host(ctx, 4096);
-///     l.charge_complete(ctx);
+///     l.with_slot(ctx, || {
+///         // ... device does its internal work ...
+///         let end = l.enqueue_dma_to_host(ctx, ctx.now(), 4096);
+///         ctx.sleep_until(end);
+///     });
 /// });
 /// sim.run().assert_quiescent();
 /// assert_eq!(link.config().queue_depth, 256);
@@ -96,7 +96,7 @@ pub struct HostLink {
     cfg: LinkConfig,
     to_host: Shaper,
     to_device: Shaper,
-    slots: Arc<Semaphore>,
+    slots: Semaphore,
     fault: OnceLock<FaultPlan>,
 }
 
@@ -118,7 +118,7 @@ impl HostLink {
         HostLink {
             to_host,
             to_device,
-            slots: Arc::new(Semaphore::new(cfg.queue_depth)),
+            slots: Semaphore::new(cfg.queue_depth),
             fault: OnceLock::new(),
             cfg,
         }
@@ -180,57 +180,14 @@ impl HostLink {
         &self.cfg
     }
 
-    /// Acquires a command slot, blocking while the queue is full. The slot is
-    /// released when the returned guard is handed back via
-    /// [`HostLink::release_slot`] or dropped *after* the caller has finished.
-    pub fn acquire_slot(&self, ctx: &Ctx) -> CommandSlot {
+    /// Runs `f` holding one NVMe command slot, blocking first while all
+    /// `queue_depth` slots are taken. The slot is released when `f`
+    /// returns, whatever it returns.
+    pub fn with_slot<R>(&self, ctx: &Ctx, f: impl FnOnce() -> R) -> R {
         self.slots.acquire(ctx);
-        CommandSlot {
-            slots: Arc::clone(&self.slots),
-        }
-    }
-
-    /// Releases a command slot explicitly.
-    pub fn release_slot(&self, ctx: &Ctx, slot: CommandSlot) {
-        std::mem::forget(slot);
+        let out = f();
         self.slots.release(ctx);
-    }
-
-    /// Charges the host-side submission cost to the calling fiber.
-    pub fn charge_submit(&self, ctx: &Ctx) {
-        ctx.sleep(self.cfg.host_submit);
-    }
-
-    /// Charges the device-side command handling cost to the calling fiber.
-    pub fn charge_device_command(&self, ctx: &Ctx) {
-        ctx.sleep(self.cfg.device_command);
-    }
-
-    /// Charges the host-side completion cost to the calling fiber.
-    pub fn charge_complete(&self, ctx: &Ctx) {
-        ctx.sleep(self.cfg.host_complete);
-    }
-
-    /// Moves `bytes` from device to host over the link, blocking until done
-    /// (including any CRC-replay attempts drawn from an armed fault plan).
-    pub fn dma_to_host(&self, ctx: &Ctx, bytes: u64) -> SimTime {
-        let end = self.to_host.transfer(ctx, bytes);
-        let end = self.replay_corrupted(ctx, FaultSite::LinkToHost, &self.to_host, bytes, end);
-        if end > ctx.now() {
-            ctx.sleep_until(end);
-        }
-        end
-    }
-
-    /// Moves `bytes` from host to device over the link, blocking until done
-    /// (including any CRC-replay attempts drawn from an armed fault plan).
-    pub fn dma_to_device(&self, ctx: &Ctx, bytes: u64) -> SimTime {
-        let end = self.to_device.transfer(ctx, bytes);
-        let end = self.replay_corrupted(ctx, FaultSite::LinkToDevice, &self.to_device, bytes, end);
-        if end > ctx.now() {
-            ctx.sleep_until(end);
-        }
-        end
+        out
     }
 
     /// Reserves a device-to-host DMA without blocking; returns completion time.
@@ -249,21 +206,6 @@ impl HostLink {
     pub fn bytes_to_host(&self) -> u64 {
         self.to_host.bytes()
     }
-
-    /// Total bytes moved host→device so far.
-    pub fn bytes_to_device(&self) -> u64 {
-        self.to_device.bytes()
-    }
-}
-
-/// Guard representing an occupied NVMe command slot.
-///
-/// Return it through [`HostLink::release_slot`]; merely dropping it leaks the
-/// slot (destructors cannot block or touch virtual time).
-#[derive(Debug)]
-pub struct CommandSlot {
-    #[allow(dead_code)] // held only to make leaks visible in review
-    slots: Arc<Semaphore>,
 }
 
 #[cfg(test)]
@@ -271,6 +213,7 @@ mod tests {
     use super::*;
     use biscuit_sim::Simulation;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn conv_read_overhead_matches_calibration() {
@@ -281,12 +224,14 @@ mod tests {
         let done = Arc::new(AtomicU64::new(0));
         let d = Arc::clone(&done);
         sim.spawn("read", move |ctx| {
-            let slot = l.acquire_slot(ctx);
-            l.charge_submit(ctx);
-            l.charge_device_command(ctx);
-            l.dma_to_host(ctx, 4096);
-            l.charge_complete(ctx);
-            l.release_slot(ctx, slot);
+            let cfg = l.config().clone();
+            l.with_slot(ctx, || {
+                ctx.sleep(cfg.host_submit);
+                ctx.sleep(cfg.device_command);
+                let end = l.enqueue_dma_to_host(ctx, ctx.now(), 4096);
+                ctx.sleep_until(end);
+                ctx.sleep(cfg.host_complete);
+            });
             d.store(ctx.now().as_nanos(), Ordering::SeqCst);
         });
         sim.run().assert_quiescent();
@@ -327,15 +272,19 @@ mod tests {
         let link = Arc::new(HostLink::new(LinkConfig::pcie_gen3_x4()));
         let l = Arc::clone(&link);
         sim.spawn("both", move |ctx| {
-            let up = l.enqueue_dma_to_host(ctx, ctx.now(), 1 << 20);
-            let down = l.enqueue_dma_to_device(ctx, ctx.now(), 1 << 20);
+            let start = ctx.now();
+            let up = l.enqueue_dma_to_host(ctx, start, 1 << 20);
+            let down = l.enqueue_dma_to_device(ctx, start, 1 << 20);
             // Full duplex: both directions complete at the same time.
             assert_eq!(up, down);
-            ctx.sleep_until(up.max(down));
+            // The host→device megabyte occupies its own direction only: a
+            // second one queues behind it there.
+            let down2 = l.enqueue_dma_to_device(ctx, start, 1 << 20);
+            assert_eq!(down2 - down, down - start);
+            ctx.sleep_until(down2);
         });
         sim.run().assert_quiescent();
         assert_eq!(link.bytes_to_host(), 1 << 20);
-        assert_eq!(link.bytes_to_device(), 1 << 20);
     }
 
     #[test]
@@ -409,8 +358,10 @@ mod tests {
             let done = Arc::new(AtomicU64::new(0));
             let d = Arc::clone(&done);
             sim.spawn("dma", move |ctx| {
-                l.dma_to_host(ctx, 1 << 16);
-                l.dma_to_device(ctx, 1 << 16);
+                let end = l.enqueue_dma_to_host(ctx, ctx.now(), 1 << 16);
+                ctx.sleep_until(end);
+                let end = l.enqueue_dma_to_device(ctx, ctx.now(), 1 << 16);
+                ctx.sleep_until(end);
                 d.store(ctx.now().as_nanos(), Ordering::SeqCst);
             });
             sim.run().assert_quiescent();
@@ -437,10 +388,10 @@ mod tests {
             let l = Arc::clone(&link);
             let order = Arc::clone(&order);
             sim.spawn(format!("cmd{i}"), move |ctx| {
-                let slot = l.acquire_slot(ctx);
-                order.lock().push((i, ctx.now().as_micros()));
-                ctx.sleep(SimDuration::from_micros(100));
-                l.release_slot(ctx, slot);
+                l.with_slot(ctx, || {
+                    order.lock().push((i, ctx.now().as_micros()));
+                    ctx.sleep(SimDuration::from_micros(100));
+                });
             });
         }
         sim.run().assert_quiescent();

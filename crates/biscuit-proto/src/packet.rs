@@ -7,7 +7,7 @@
 //! boundary ports insist on [`Packet`] and the [`crate::wire::Wire`] codec.
 //!
 //! A packet's payload is a [`Buf`] — a shared, sliceable window — so
-//! cloning a packet, slicing a blob out of one ([`PacketReader::get_blob_buf`]),
+//! cloning a packet, slicing a blob out of one (`PacketReader::get_blob_buf`),
 //! or decoding a nested [`Packet`]/[`Buf`] shares the underlying allocation
 //! instead of copying it.
 
@@ -27,7 +27,6 @@ use crate::buf::Buf;
 /// let mut r = pkt.reader();
 /// assert_eq!(r.get_u32().unwrap(), 7);
 /// assert_eq!(r.get_str().unwrap(), "hello");
-/// assert!(r.is_empty());
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default, Hash)]
 pub struct Packet {
@@ -35,13 +34,8 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// Creates an empty packet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Wraps an existing shared buffer without copying it.
-    pub fn from_buf(data: Buf) -> Self {
+    pub(crate) fn from_buf(data: Buf) -> Self {
         Packet { data }
     }
 
@@ -63,12 +57,12 @@ impl Packet {
     }
 
     /// Borrow the payload.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.data
     }
 
     /// Borrow the payload as its shared buffer.
-    pub fn as_buf(&self) -> &Buf {
+    pub(crate) fn as_buf(&self) -> &Buf {
         &self.data
     }
 
@@ -138,12 +132,12 @@ pub struct PacketReader<'a> {
 
 impl<'a> PacketReader<'a> {
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// True if all bytes were consumed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
@@ -214,7 +208,7 @@ impl<'a> PacketReader<'a> {
     /// # Errors
     ///
     /// Returns [`DecodeError::UnexpectedEnd`] on truncation.
-    pub fn get_blob(&mut self) -> Result<&'a [u8], DecodeError> {
+    pub(crate) fn get_blob(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.get_u32()? as usize;
         self.take(len)
     }
@@ -226,7 +220,7 @@ impl<'a> PacketReader<'a> {
     /// # Errors
     ///
     /// Returns [`DecodeError::UnexpectedEnd`] on truncation.
-    pub fn get_blob_buf(&mut self) -> Result<Buf, DecodeError> {
+    pub(crate) fn get_blob_buf(&mut self) -> Result<Buf, DecodeError> {
         let len = self.get_u32()? as usize;
         if self.remaining() < len {
             return Err(DecodeError::UnexpectedEnd);
@@ -258,13 +252,6 @@ impl PacketBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a builder with a capacity hint.
-    pub fn with_capacity(cap: usize) -> Self {
-        PacketBuilder {
-            buf: Vec::with_capacity(cap),
-        }
     }
 
     /// Appends one byte.
@@ -302,7 +289,7 @@ impl PacketBuilder {
     /// # Panics
     ///
     /// Panics if `v` exceeds `u32::MAX` bytes.
-    pub fn put_blob(&mut self, v: &[u8]) -> &mut Self {
+    pub(crate) fn put_blob(&mut self, v: &[u8]) -> &mut Self {
         let len = u32::try_from(v.len()).expect("blob too large for packet");
         self.buf.extend_from_slice(&len.to_le_bytes());
         self.buf.extend_from_slice(v);
@@ -312,16 +299,6 @@ impl PacketBuilder {
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) -> &mut Self {
         self.put_blob(v.as_bytes())
-    }
-
-    /// Current encoded length.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Finalizes into an immutable [`Packet`] (moves the allocation, no
@@ -410,7 +387,7 @@ mod tests {
 
     #[test]
     fn empty_packet_properties() {
-        let p = Packet::new();
+        let p = Packet::default();
         assert!(p.is_empty());
         assert_eq!(p.len(), 0);
         assert!(p.reader().is_empty());

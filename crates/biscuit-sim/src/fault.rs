@@ -96,7 +96,7 @@ const SITE_COUNT: usize = 7;
 
 impl FaultSite {
     /// Stable label used in metrics and trace events.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultSite::NandRead => "nand_read",
             FaultSite::LinkToHost => "link_to_host",

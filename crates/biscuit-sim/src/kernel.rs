@@ -30,7 +30,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{Trace, TraceConfig, TraceEvent, Tracer};
 
 /// Identifier of a simulated process (fiber).
-pub type Pid = usize;
+pub(crate) type Pid = usize;
 
 /// Sentinel panic payload used to unwind fibers at teardown. Filtered out of
 /// the panic hook so cancellations are silent.
@@ -204,7 +204,7 @@ impl std::fmt::Debug for Kernel {
 
 impl Kernel {
     /// Current virtual time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.inner.lock().now
     }
 
@@ -474,7 +474,7 @@ impl std::fmt::Debug for Ctx {
 
 impl Ctx {
     /// The calling fiber's process id.
-    pub fn pid(&self) -> Pid {
+    pub(crate) fn pid(&self) -> Pid {
         self.pid
     }
 
@@ -515,7 +515,7 @@ impl Ctx {
 
     /// Spawns a new fiber that starts at the current virtual time.
     ///
-    /// Returns the new fiber's [`Pid`].
+    /// Returns the new fiber's `Pid`.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> Pid
     where
         F: FnOnce(&Ctx) + Send + 'static,
@@ -615,11 +615,11 @@ pub struct SimReport {
     pub trace: Trace,
     /// Snapshot of the aggregate metrics registry (empty unless
     /// [`Simulation::enable_metrics`] was called). Export it with
-    /// [`MetricsSnapshot::to_json`] or [`MetricsSnapshot::to_prometheus`].
+    /// [`MetricsSnapshot::to_json`] or `MetricsSnapshot::to_prometheus`.
     pub metrics: MetricsSnapshot,
     /// Per-query latency profiles (empty unless
     /// [`Simulation::enable_qprof`] was called). Export with
-    /// [`QueryProfiles::to_json`] or render with [`QueryProfiles::to_table`].
+    /// [`QueryProfiles::to_json`] or render with `QueryProfiles::to_table`.
     pub profiles: QueryProfiles,
 }
 
@@ -756,7 +756,8 @@ impl Simulation {
 
     /// Caps the number of wake events processed (a livelock backstop).
     /// Exceeding the cap aborts the run with a panic.
-    pub fn set_max_events(&mut self, max: u64) {
+    #[cfg(test)]
+    fn set_max_events(&mut self, max: u64) {
         self.kernel.inner.lock().max_events = max;
     }
 
@@ -780,25 +781,11 @@ impl Simulation {
         self.kernel.tracer.enable(cfg);
     }
 
-    /// The simulation's tracer (disabled until
-    /// [`Simulation::enable_trace`]); fibers reach the same handle through
-    /// [`Ctx::tracer`].
-    pub fn tracer(&self) -> &Tracer {
-        self.kernel.tracer()
-    }
-
     /// Enables aggregate metrics collection for this simulation. Every
     /// component a fiber of this simulation calls counts from then on; the
     /// final [`SimReport::metrics`] holds the snapshot.
     pub fn enable_metrics(&self) {
         self.kernel.metrics.enable();
-    }
-
-    /// The simulation's metrics registry (disabled until
-    /// [`Simulation::enable_metrics`]); fibers reach the same handle
-    /// through [`Ctx::metrics`].
-    pub fn metrics(&self) -> &MetricsRegistry {
-        self.kernel.metrics()
     }
 
     /// Enables query-scoped profiling for this simulation. Query entry
@@ -808,13 +795,6 @@ impl Simulation {
     /// it never changes simulated timing or event counts.
     pub fn enable_qprof(&self) {
         self.kernel.qprof.enable();
-    }
-
-    /// The simulation's query profiler (disabled until
-    /// [`Simulation::enable_qprof`]); fibers reach the same handle through
-    /// [`Ctx::qprof`].
-    pub fn qprof(&self) -> &QueryProfiler {
-        self.kernel.qprof()
     }
 
     /// Switches on what the environment asks for, before
@@ -1348,7 +1328,7 @@ mod tests {
         let woke = Arc::new(AtomicUsize::new(0));
         let w = Arc::clone(&woke);
         sim.spawn("sleeper", move |ctx| {
-            ctx.sleep(SimDuration::from_secs(1));
+            ctx.sleep(SimDuration::from_millis(1_000));
             w.fetch_add(1, Ordering::SeqCst);
         });
         sim.spawn("boom", |ctx| {

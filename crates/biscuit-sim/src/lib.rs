@@ -61,6 +61,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![warn(missing_debug_implementations)]
 
 mod chan;
@@ -79,7 +80,7 @@ pub mod time;
 pub mod trace;
 
 pub use fault::{DriveLoss, DriveLossPhase, FaultConfig, FaultPlan, FaultSite};
-pub use kernel::{Ctx, Kernel, Pid, SimReport, Simulation};
+pub use kernel::{Ctx, Kernel, SimReport, Simulation};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use par::{ParConfig, ParMode};
 pub use qprof::{QueryProfile, QueryProfiler, QueryProfiles, SpanContext, Stage};

@@ -88,7 +88,7 @@ impl ParMode {
     ///
     /// Returns a message naming the variable, the two accepted forms and
     /// the value it got for anything else.
-    pub fn parse(value: Option<&str>) -> Result<ParMode, String> {
+    pub(crate) fn parse(value: Option<&str>) -> Result<ParMode, String> {
         match value {
             None | Some("") => Ok(ParMode::PerShard),
             Some("0") => Ok(ParMode::Single),
@@ -104,7 +104,7 @@ impl ParMode {
     /// # Panics
     ///
     /// Panics with [`ParMode::parse`]'s message on a malformed value.
-    pub fn from_env() -> ParMode {
+    pub(crate) fn from_env() -> ParMode {
         let value = std::env::var("BISCUIT_PAR").ok();
         ParMode::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -113,7 +113,7 @@ impl ParMode {
 /// Knobs for [`run_fleet`].
 #[derive(Debug, Clone)]
 pub struct ParConfig {
-    /// Thread policy (defaults to [`ParMode::from_env`]).
+    /// Thread policy (defaults to `ParMode::from_env`).
     pub mode: ParMode,
     /// Ignored; deleted by the next `benchmark` PR (ROADMAP 1(a)).
     #[doc(hidden)]

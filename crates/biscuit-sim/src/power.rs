@@ -42,7 +42,7 @@ struct MeterInner {
 /// let cpu = meter.register(0.0, 19.0);
 /// let _ = base; // always-on baseline
 /// meter.set_active(SimTime::ZERO, cpu, true);
-/// let t = SimTime::ZERO + SimDuration::from_secs(10);
+/// let t = SimTime::ZERO + SimDuration::from_millis(10_000);
 /// meter.set_active(t, cpu, false);
 /// assert!((meter.energy_joules(t) - 1220.0).abs() < 1e-6);
 /// ```
@@ -104,11 +104,6 @@ impl PowerMeter {
         }
     }
 
-    /// Total power draw right now (Watts).
-    pub fn power_watts(&self) -> f64 {
-        total_power(&self.inner.lock().components)
-    }
-
     /// Energy consumed from the epoch through `now`, in Joules.
     pub fn energy_joules(&self, now: SimTime) -> f64 {
         let mut inner = self.inner.lock();
@@ -117,7 +112,7 @@ impl PowerMeter {
     }
 
     /// The recorded `(time, total power)` step trace.
-    pub fn trace(&self) -> Vec<(SimTime, f64)> {
+    pub(crate) fn trace(&self) -> Vec<(SimTime, f64)> {
         self.inner.lock().trace.clone()
     }
 
@@ -168,7 +163,7 @@ mod tests {
     use super::*;
 
     fn secs(s: u64) -> SimTime {
-        SimTime::ZERO + SimDuration::from_secs(s)
+        SimTime::ZERO + SimDuration::from_millis(s * 1_000)
     }
 
     #[test]
@@ -208,7 +203,7 @@ mod tests {
         let c = m.register(0.0, 5.0);
         m.set_active(secs(2), c, true);
         m.set_active(secs(4), c, false);
-        let s = m.sample(secs(5), SimDuration::from_secs(1));
+        let s = m.sample(secs(5), SimDuration::from_millis(1_000));
         let powers: Vec<f64> = s.iter().map(|&(_, p)| p).collect();
         assert_eq!(powers, vec![10.0, 10.0, 15.0, 15.0, 10.0, 10.0]);
     }

@@ -6,11 +6,11 @@
 //! individual query's latency go*? A [`SpanContext`] (query id, tenant id,
 //! parent span) is minted when a query is submitted and rides along every
 //! layer the request touches: the DES kernel propagates it across fiber
-//! spawns, `biscuit-core` ports carry it on their envelopes (and
-//! `biscuit-proto` defines its wire form), and the device datapath records
-//! resource occupancy *spans* against whatever context the running fiber
-//! carries. From the resulting span set, [`QueryProfiler::snapshot`]
-//! derives a deterministic [`QueryProfile`] per query:
+//! spawns (every SSDlet fiber is spawned from its query's host fiber), and
+//! the device datapath records resource occupancy *spans* against whatever
+//! context the running fiber carries. From the resulting span set,
+//! [`QueryProfiler::snapshot`] derives a deterministic [`QueryProfile`] per
+//! query:
 //!
 //! - a per-[`Stage`] virtual-time breakdown that **sums exactly** to the
 //!   query's end-to-end latency (an exclusive time sweep: every instant of
@@ -111,7 +111,7 @@ impl Stage {
     ];
 
     /// Stable snake_case label used in JSON exports and reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::NandRead => "nand_read",
@@ -131,8 +131,8 @@ impl Stage {
 /// Contexts are minted by [`QueryProfiler::begin_query`] (root) and
 /// [`QueryProfiler::child`] (phase nodes such as one shard of a scatter,
 /// or a mid-query host fallback). The kernel propagates the current
-/// context across fiber spawns; ports carry it on their envelopes (see
-/// `biscuit_proto::span::SpanHeader` for the wire form).
+/// context across fiber spawns, so an SSDlet fiber spawned from a query's
+/// host fiber works under that query's context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanContext {
     /// Query id, unique within one simulation (minted from 1).
@@ -216,7 +216,7 @@ impl Default for QueryProfiler {
 
 impl QueryProfiler {
     /// Creates a disabled profiler.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         QueryProfiler {
             inner: Arc::new(QprofInner {
                 enabled: AtomicBool::new(false),
@@ -232,7 +232,7 @@ impl QueryProfiler {
 
     /// True while the profiler records spans.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
@@ -272,7 +272,12 @@ impl QueryProfiler {
     /// [`QueryProfiler::begin_query`] with an explicit submission time and
     /// fiber — used when the minting site (e.g. a scheduler's submit path)
     /// runs on a different fiber than the query body.
-    pub fn begin_query_at(&self, now: SimTime, pid: Pid, tenant: u32) -> Option<SpanContext> {
+    pub(crate) fn begin_query_at(
+        &self,
+        now: SimTime,
+        pid: Pid,
+        tenant: u32,
+    ) -> Option<SpanContext> {
         if !self.is_enabled() {
             return None;
         }
@@ -338,7 +343,7 @@ impl QueryProfiler {
     }
 
     /// [`QueryProfiler::adopt`] by fiber id.
-    pub fn adopt_on(&self, pid: Pid, sc: Option<SpanContext>) {
+    pub(crate) fn adopt_on(&self, pid: Pid, sc: Option<SpanContext>) {
         if !self.is_enabled() {
             return;
         }
@@ -429,7 +434,7 @@ impl QueryProfiler {
 /// One segment of a query's critical path: the span the sweep attributed
 /// this slice of the query window to.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CritSegment {
+pub(crate) struct CritSegment {
     /// Stage of the winning span (or [`Stage::QueueWait`] for a gap).
     pub stage: Stage,
     /// Channel / core / direction index of the winning span.
@@ -461,7 +466,7 @@ pub struct QueryProfile {
     /// Bytes moved per stage (sum of recorded span bytes).
     pub bytes: [u64; Stage::ALL.len()],
     /// The critical path: winning sweep segments, merged, in time order.
-    pub critical_path: Vec<CritSegment>,
+    pub(crate) critical_path: Vec<CritSegment>,
     /// Leaf spans recorded for this query.
     pub spans: usize,
     /// Spans that violated closure: outside the query window, or parented
@@ -678,13 +683,13 @@ impl QueryProfiles {
     /// # Errors
     ///
     /// Returns the underlying I/O error.
-    pub fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    pub(crate) fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
 
     /// Renders a human-readable per-stage latency table for each query
     /// (what a `BISCUIT_QPROF` run prints after it).
-    pub fn to_table(&self) -> String {
+    pub(crate) fn to_table(&self) -> String {
         let mut out = String::new();
         for q in &self.queries {
             let total = q.end_to_end().as_ps().max(1);

@@ -41,7 +41,7 @@ impl WaitQueue {
     /// the two by re-checking state and the clock. The fiber's (possibly
     /// stale) registration is removed on wake-up, so a timeout never
     /// swallows a notification aimed at another waiter.
-    pub fn wait_deadline(&self, ctx: &Ctx, deadline: crate::time::SimTime) {
+    pub(crate) fn wait_deadline(&self, ctx: &Ctx, deadline: crate::time::SimTime) {
         let gen = ctx.next_park_gen();
         let pid = ctx.pid();
         self.waiters.lock().push_back((pid, gen));
@@ -64,16 +64,6 @@ impl WaitQueue {
         for (pid, gen) in drained {
             ctx.wake_at_now(pid, gen);
         }
-    }
-
-    /// Number of fibers currently registered.
-    pub fn len(&self) -> usize {
-        self.waiters.lock().len()
-    }
-
-    /// True if no fiber is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -235,19 +225,10 @@ impl<T: Send> SimQueue<T> {
         }
     }
 
-    /// Maximum number of buffered items.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
-    }
-
     /// Current number of buffered items.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.inner.state.lock().buf.len()
-    }
-
-    /// True if no items are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Enqueues `v`, blocking in virtual time while the queue is full.
@@ -469,11 +450,6 @@ impl Semaphore {
     pub fn release(&self, ctx: &Ctx) {
         *self.state.lock() += 1;
         self.waiters.notify_one(ctx);
-    }
-
-    /// Permits currently available.
-    pub fn available(&self) -> usize {
-        *self.state.lock()
     }
 }
 

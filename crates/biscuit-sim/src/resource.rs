@@ -93,16 +93,14 @@ impl Observer {
 #[derive(Debug)]
 struct ShaperState {
     avail: SimTime,
-    busy_total: SimDuration,
-    ops: u64,
     bytes: u64,
 }
 
 /// A single FCFS pipe with a fixed per-operation latency and a byte rate.
 ///
-/// `transfer` charges `fixed + bytes/rate` of service time, queued behind any
-/// in-flight operations, and suspends the calling fiber until the operation
-/// completes.
+/// `enqueue` reserves `fixed + bytes/rate` of service time, queued behind
+/// any in-flight operations, and returns the completion time; the caller
+/// sleeps until it when it must wait.
 ///
 /// # Examples
 ///
@@ -111,10 +109,12 @@ struct ShaperState {
 ///
 /// let sim = Simulation::new(0);
 /// // A 3.2 GB/s link with 10 us of per-command overhead.
-/// let link = std::sync::Arc::new(Shaper::new(3.2e9, SimDuration::from_micros(10)));
+/// let [link] = Shaper::labelled(3.2e9, SimDuration::from_micros(10), ["link"]);
+/// let link = std::sync::Arc::new(link);
 /// let l = std::sync::Arc::clone(&link);
 /// sim.spawn("dma", move |ctx| {
-///     l.transfer(ctx, 4096);
+///     let end = l.enqueue(ctx, ctx.now(), 4096);
+///     ctx.sleep_until(end);
 ///     assert!(ctx.now().as_micros() >= 11); // 10us + ~1.28us
 /// });
 /// sim.run().assert_quiescent();
@@ -136,7 +136,7 @@ impl Shaper {
     /// # Panics
     ///
     /// Panics if `bytes_per_sec` is not strictly positive.
-    pub fn new(bytes_per_sec: f64, fixed: SimDuration) -> Self {
+    pub(crate) fn new(bytes_per_sec: f64, fixed: SimDuration) -> Self {
         assert!(
             bytes_per_sec > 0.0,
             "shaper rate must be positive, got {bytes_per_sec}"
@@ -146,8 +146,6 @@ impl Shaper {
             fixed,
             state: Mutex::new(ShaperState {
                 avail: SimTime::ZERO,
-                busy_total: SimDuration::ZERO,
-                ops: 0,
                 bytes: 0,
             }),
             group: None,
@@ -181,19 +179,6 @@ impl Shaper {
         })
     }
 
-    /// The configured byte rate.
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
-    /// Moves `bytes` through the pipe, blocking the fiber until done.
-    /// Returns the completion time.
-    pub fn transfer(&self, ctx: &Ctx, bytes: u64) -> SimTime {
-        let end = self.enqueue(ctx, ctx.now(), bytes);
-        ctx.sleep_until(end);
-        end
-    }
-
     /// Reserves service for `bytes` starting no earlier than `now`, without
     /// blocking. Returns the completion time; the caller decides when (or
     /// whether) to wait. This enables asynchronous I/O modeling.
@@ -204,8 +189,6 @@ impl Shaper {
             let start = st.avail.max(now);
             let end = start + service;
             st.avail = end;
-            st.busy_total += service;
-            st.ops += 1;
             st.bytes += bytes;
             (start, end)
         };
@@ -213,16 +196,6 @@ impl Shaper {
             group.observe(ctx, *idx, None, (start, end), bytes);
         }
         end
-    }
-
-    /// Total busy time accumulated (for utilization/power accounting).
-    pub fn busy_total(&self) -> SimDuration {
-        self.state.lock().busy_total
-    }
-
-    /// Total operations served.
-    pub fn ops(&self) -> u64 {
-        self.state.lock().ops
     }
 
     /// Total bytes served.
@@ -236,7 +209,6 @@ impl Shaper {
 #[derive(Debug)]
 pub struct ServerBank {
     servers: Vec<Mutex<SimTime>>,
-    busy: Mutex<SimDuration>,
     /// One track named `<label>` and one series per server, labeled
     /// `resource=<label>.<idx>`; `None` for an unlabelled (silent) bank.
     observer: Option<Observer>,
@@ -252,7 +224,6 @@ impl ServerBank {
         assert!(n > 0, "server bank must have at least one server");
         ServerBank {
             servers: (0..n).map(|_| Mutex::new(SimTime::ZERO)).collect(),
-            busy: Mutex::new(SimDuration::ZERO),
             observer: None,
         }
     }
@@ -274,16 +245,6 @@ impl ServerBank {
             }),
             ..ServerBank::new(n)
         }
-    }
-
-    /// Number of servers in the bank.
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// True if the bank is empty (never; banks have ≥1 server).
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
     }
 
     /// Reserves `service` time on server `idx` starting no earlier than
@@ -313,7 +274,6 @@ impl ServerBank {
             *avail = end;
             (start, end)
         };
-        *self.busy.lock() += service;
         if let Some(observer) = &self.observer {
             observer.observe(ctx, 0, Some(idx), (start, end), 0);
         }
@@ -325,11 +285,6 @@ impl ServerBank {
         let end = self.enqueue(ctx, ctx.now(), idx, service);
         ctx.sleep_until(end);
         end
-    }
-
-    /// Total busy time across all servers.
-    pub fn busy_total(&self) -> SimDuration {
-        *self.busy.lock()
     }
 
     /// The earliest-available server index and its free time.
@@ -359,7 +314,8 @@ mod tests {
             let link = Arc::clone(&link);
             let t = Arc::clone(&t_done);
             sim.spawn(format!("x{i}"), move |ctx| {
-                link.transfer(ctx, 1000); // 1ms each
+                let end = link.enqueue(ctx, ctx.now(), 1000); // 1ms each
+                ctx.sleep_until(end);
                 t.fetch_max(ctx.now().as_micros(), Ordering::SeqCst);
             });
         }
@@ -374,13 +330,13 @@ mod tests {
         let link = Arc::new(Shaper::new(1e9, SimDuration::from_micros(10)));
         let l = Arc::clone(&link);
         sim.spawn("x", move |ctx| {
-            l.transfer(ctx, 0);
-            assert_eq!(ctx.now().as_micros(), 10);
-            l.transfer(ctx, 0);
-            assert_eq!(ctx.now().as_micros(), 20);
+            for want in [10, 20] {
+                let end = l.enqueue(ctx, ctx.now(), 0);
+                ctx.sleep_until(end);
+                assert_eq!(ctx.now().as_micros(), want);
+            }
         });
         sim.run().assert_quiescent();
-        assert_eq!(link.ops(), 2);
     }
 
     #[test]
@@ -389,12 +345,16 @@ mod tests {
         let link = Arc::new(Shaper::new(1e6, SimDuration::ZERO));
         let l = Arc::clone(&link);
         sim.spawn("x", move |ctx| {
-            l.transfer(ctx, 500);
-            l.transfer(ctx, 1500);
+            for bytes in [500, 1500] {
+                let end = l.enqueue(ctx, ctx.now(), bytes);
+                ctx.sleep_until(end);
+            }
         });
-        sim.run().assert_quiescent();
+        let report = sim.run();
+        report.assert_quiescent();
         assert_eq!(link.bytes(), 2000);
-        assert_eq!(link.busy_total().as_micros(), 2000);
+        // Back-to-back, so the pipe was busy for the whole run.
+        assert_eq!(report.end_time.as_micros(), 2000);
     }
 
     #[test]

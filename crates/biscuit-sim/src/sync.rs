@@ -1,4 +1,4 @@
-//! The workspace's lock: a [`Mutex`] and [`Condvar`] over `std::sync` that
+//! The workspace's lock: a [`Mutex`] and `Condvar` over `std::sync` that
 //! do not poison.
 //!
 //! A fiber body that panics while holding a lock must not turn every later
@@ -32,11 +32,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
     }
-
-    /// The value, through a borrow that proves no guard exists.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
@@ -47,7 +42,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 
 /// Holds the lock until dropped.
 ///
-/// The std guard sits in an `Option` so [`Condvar::wait`] can move it out
+/// The std guard sits in an `Option` so `Condvar::wait` can move it out
 /// and back through a `&mut` borrow; it is `Some` whenever user code runs.
 pub struct MutexGuard<'a, T: ?Sized>(Option<sync::MutexGuard<'a, T>>);
 
@@ -76,28 +71,28 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
 
 /// A condition variable for [`Mutex`].
 #[derive(Default)]
-pub struct Condvar(sync::Condvar);
+pub(crate) struct Condvar(sync::Condvar);
 
 impl Condvar {
     /// Creates a condition variable with no waiters.
-    pub const fn new() -> Condvar {
+    pub(crate) const fn new() -> Condvar {
         Condvar(sync::Condvar::new())
     }
 
     /// Releases the lock, blocks until notified, and re-acquires it.
     /// Wake-ups can be spurious: callers re-check their condition.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+    pub(crate) fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let held = guard.0.take().expect("guard present outside Condvar::wait");
         guard.0 = Some(self.0.wait(held).unwrap_or_else(PoisonError::into_inner));
     }
 
     /// Wakes one waiter.
-    pub fn notify_one(&self) {
+    pub(crate) fn notify_one(&self) {
         self.0.notify_one();
     }
 
     /// Wakes every waiter.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         self.0.notify_all();
     }
 }
@@ -125,9 +120,8 @@ mod tests {
         .join();
         assert!(joined.is_err());
         assert_eq!(*m.lock(), 2);
-        let mut m = Arc::try_unwrap(m).expect("sole owner");
-        *m.get_mut() = 3;
-        assert_eq!(m.into_inner(), 3);
+        let m = Arc::try_unwrap(m).expect("sole owner");
+        assert_eq!(m.into_inner(), 2);
     }
 
     #[test]

@@ -15,8 +15,8 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// # Examples
 ///
 /// ```
-/// use biscuit_sim::time::SimTime;
-/// let t = SimTime::from_us(90);
+/// use biscuit_sim::time::{SimDuration, SimTime};
+/// let t = SimTime::ZERO + SimDuration::from_micros(90);
 /// assert_eq!(t.as_nanos(), 90_000);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -43,16 +43,11 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
     /// The greatest representable instant; used as an "infinitely far" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Creates a time from raw picoseconds.
     pub const fn from_ps(ps: u64) -> Self {
         SimTime(ps)
-    }
-
-    /// Creates a time `us` microseconds after the epoch.
-    pub const fn from_us(us: u64) -> Self {
-        SimTime(us * PS_PER_US)
     }
 
     /// Raw picosecond count since the epoch.
@@ -80,7 +75,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `earlier` is later than `self`.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
@@ -89,7 +84,7 @@ impl SimTime {
     }
 
     /// Saturating addition of a duration (clamps at [`SimTime::MAX`]).
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
+    pub(crate) fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
 }
@@ -116,11 +111,6 @@ impl SimDuration {
     /// Creates a duration from milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * PS_PER_MS)
-    }
-
-    /// Creates a duration from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * PS_PER_S)
     }
 
     /// Creates a duration from fractional seconds.
@@ -189,7 +179,7 @@ impl SimDuration {
     }
 
     /// True if this is the zero duration.
-    pub const fn is_zero(self) -> bool {
+    pub(crate) const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
@@ -312,7 +302,7 @@ mod tests {
         assert_eq!(SimDuration::from_micros(5).as_micros(), 5);
         assert_eq!(SimDuration::from_nanos(1500).as_nanos(), 1500);
         assert_eq!(SimDuration::from_millis(2).as_micros(), 2000);
-        assert_eq!(SimDuration::from_secs(3).as_micros(), 3_000_000);
+        assert_eq!(SimDuration::from_millis(3_000).as_micros(), 3_000_000);
     }
 
     #[test]
@@ -345,12 +335,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "earlier time is after")]
     fn negative_elapsed_panics() {
-        let _ = SimTime::ZERO.duration_since(SimTime::from_us(1));
+        let _ = SimTime::ZERO.duration_since(SimTime::from_ps(1_000_000));
     }
 
     #[test]
     fn display_picks_unit() {
-        assert_eq!(SimDuration::from_secs(2).to_string(), "2.000s");
+        assert_eq!(SimDuration::from_millis(2_000).to_string(), "2.000s");
         assert_eq!(SimDuration::from_micros(31).to_string(), "31.000us");
         assert_eq!(SimDuration::from_ps(500).to_string(), "500ps");
     }

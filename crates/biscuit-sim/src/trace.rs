@@ -266,30 +266,7 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The event's primary timestamp (start time for spans).
-    pub fn timestamp(&self) -> SimTime {
-        match self {
-            TraceEvent::FiberSpawn { at, .. }
-            | TraceEvent::FiberResume { at, .. }
-            | TraceEvent::FiberBlock { at, .. }
-            | TraceEvent::FiberFinish { at, .. }
-            | TraceEvent::QueuePush { at, .. }
-            | TraceEvent::QueuePop { at, .. }
-            | TraceEvent::PortSend { at, .. }
-            | TraceEvent::PortRecv { at, .. }
-            | TraceEvent::OffloadVerdict { at, .. }
-            | TraceEvent::FaultInjected { at, .. }
-            | TraceEvent::FaultRecovered { at, .. }
-            | TraceEvent::FaultFailed { at, .. }
-            | TraceEvent::Mark { at, .. } => *at,
-            TraceEvent::ResourceSpan { start, .. }
-            | TraceEvent::NandOp { start, .. }
-            | TraceEvent::ChannelTransfer { start, .. }
-            | TraceEvent::PatternScan { start, .. } => *start,
-        }
-    }
-}
+impl TraceEvent {}
 
 #[derive(Debug)]
 struct RingBuf {
@@ -353,7 +330,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// Creates a disabled tracer with the default capacity.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Tracer {
             inner: Arc::new(TracerInner {
                 enabled: AtomicBool::new(false),
@@ -376,7 +353,7 @@ impl Tracer {
 
     /// True while the tracer records events.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
@@ -391,7 +368,7 @@ impl Tracer {
 
     /// Unconditionally records an already-constructed event (still a no-op
     /// while disabled).
-    pub fn record(&self, ev: TraceEvent) {
+    pub(crate) fn record(&self, ev: TraceEvent) {
         if self.is_enabled() {
             self.inner.buf.lock().push(ev);
         }
@@ -455,7 +432,10 @@ impl Trace {
     /// # Errors
     ///
     /// Returns the underlying I/O error.
-    pub fn write_chrome_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    pub(crate) fn write_chrome_json(
+        &self,
+        path: impl AsRef<std::path::Path>,
+    ) -> std::io::Result<()> {
         std::fs::write(path, self.to_chrome_json())
     }
 }
@@ -918,7 +898,7 @@ mod tests {
         let tracer = Tracer::new();
         tracer.enable(TraceConfig::default());
         tracer.record(TraceEvent::Mark {
-            at: SimTime::from_us(1),
+            at: SimTime::ZERO + SimDuration::from_micros(1),
             name: Arc::from("weird \"name\"\n"),
             detail: Arc::from("tab\there\\"),
         });
@@ -934,7 +914,7 @@ mod tests {
         tracer.enable(TraceConfig::with_capacity(4));
         for i in 0..10u64 {
             tracer.record(TraceEvent::Mark {
-                at: SimTime::from_us(i),
+                at: SimTime::ZERO + SimDuration::from_micros(i),
                 name: Arc::from(format!("m{i}")),
                 detail: Arc::from(""),
             });
@@ -945,7 +925,10 @@ mod tests {
         let times: Vec<u64> = t
             .events()
             .iter()
-            .map(|e| e.timestamp().as_micros())
+            .map(|e| match e {
+                TraceEvent::Mark { at, .. } => at.as_micros(),
+                other => panic!("unexpected event {other:?}"),
+            })
             .collect();
         assert_eq!(times, vec![6, 7, 8, 9], "oldest events dropped first");
     }
@@ -1037,7 +1020,8 @@ mod tests {
         let s = Arc::clone(&shaper);
         let b = Arc::clone(&bank);
         sim.spawn("w", move |ctx| {
-            s.transfer(ctx, 1000); // 1 ms
+            let end = s.enqueue(ctx, ctx.now(), 1000); // 1 ms
+            ctx.sleep_until(end);
             b.serve(ctx, 1, SimDuration::from_micros(250));
         });
         let report = sim.run();

@@ -112,7 +112,7 @@ impl SsdConfig {
     /// blocks spread over every (channel, way) pair. Every die gets at least
     /// four blocks so the write frontier, GC reserve, and free pool never
     /// degenerate on small test capacities.
-    pub fn physical_pages(&self) -> u64 {
+    pub(crate) fn physical_pages(&self) -> u64 {
         let want = (self.logical_capacity as f64 * (1.0 + self.over_provisioning)) as u64
             / self.page_size as u64;
         let per_die_pages = self.pages_per_block as u64;
@@ -123,7 +123,7 @@ impl SsdConfig {
     }
 
     /// Total erase blocks on the device.
-    pub fn total_blocks(&self) -> u64 {
+    pub(crate) fn total_blocks(&self) -> u64 {
         self.physical_pages() / self.pages_per_block as u64
     }
 
@@ -137,7 +137,7 @@ impl SsdConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.channels == 0 || self.ways == 0 {
             return Err("channels and ways must be positive".into());
         }

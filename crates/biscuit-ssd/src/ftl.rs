@@ -11,7 +11,7 @@
 //!
 //! ## Crash consistency
 //!
-//! Every mapping change is journaled **write-ahead** in the [`Journal`]
+//! Every mapping change is journaled **write-ahead** in the `Journal`
 //! (append the redo record, then program the page), so a power loss — a
 //! seeded [`FaultPlan::power_loss`] draw consulted at every persistence
 //! operation — can always be recovered by [`Ftl::recover`]: restore the
@@ -37,7 +37,7 @@ type Die = (u32, u32);
 
 /// Default checkpoint interval in journal records (overridable via
 /// [`Ftl::set_checkpoint_interval`] / `SsdConfig::journal_checkpoint_interval`).
-pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 8192;
+pub(crate) const DEFAULT_CHECKPOINT_INTERVAL: usize = 8192;
 
 /// Errors surfaced by FTL operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,11 +189,6 @@ impl Ftl {
             user_writes: 0,
             total_programs: 0,
         }
-    }
-
-    /// Exported logical capacity in pages.
-    pub fn logical_pages(&self) -> u64 {
-        self.logical_pages
     }
 
     /// Looks up the physical location of `lpn`, if mapped.
@@ -580,7 +575,7 @@ impl Ftl {
     /// for a valid page; pages remapped before the failure keep their new
     /// locations, so no data is ever lost. Returns [`FtlError::PowerLoss`]
     /// on a crashed, unrecovered device.
-    pub fn retire_block(
+    pub(crate) fn retire_block(
         &mut self,
         nand: &mut NandArray,
         (c, w, b): (u32, u32, u32),
@@ -792,18 +787,13 @@ impl Ftl {
         report
     }
 
-    /// Whether a block has been retired as bad.
-    pub fn is_bad(&self, block: (u32, u32, u32)) -> bool {
-        self.bad.contains(&block)
-    }
-
     /// Number of blocks retired as bad so far.
-    pub fn bad_blocks(&self) -> u64 {
+    pub(crate) fn bad_blocks(&self) -> u64 {
         self.bad.len() as u64
     }
 
     /// Total pages remapped off retired blocks so far.
-    pub fn remapped_total(&self) -> u64 {
+    pub(crate) fn remapped_total(&self) -> u64 {
         self.remapped_total
     }
 
@@ -813,24 +803,24 @@ impl Ftl {
     }
 
     /// Total pages relocated by GC so far.
-    pub fn relocated_total(&self) -> u64 {
+    pub(crate) fn relocated_total(&self) -> u64 {
         self.relocated_total
     }
 
     /// Host (user) page writes acknowledged so far.
-    pub fn user_writes_total(&self) -> u64 {
+    pub(crate) fn user_writes_total(&self) -> u64 {
         self.user_writes
     }
 
     /// Total NAND programs issued (user writes + GC relocations + bad-block
     /// remaps); `programs / user_writes` is the write amplification factor.
-    pub fn programs_total(&self) -> u64 {
+    pub(crate) fn programs_total(&self) -> u64 {
         self.total_programs
     }
 
     /// Write amplification in fixed-point milli-units (1000 = 1.0x).
     /// Reports 1000 before any user write.
-    pub fn write_amp_milli(&self) -> u64 {
+    pub(crate) fn write_amp_milli(&self) -> u64 {
         (self.total_programs * 1000)
             .checked_div(self.user_writes)
             .unwrap_or(1000)
@@ -842,13 +832,13 @@ impl Ftl {
     }
 
     /// The journaled metadata region (checkpoint + redo tail).
-    pub fn journal(&self) -> &Journal {
+    pub(crate) fn journal(&self) -> &Journal {
         &self.journal
     }
 
     /// Changes the journal checkpoint interval (records between
     /// checkpoints).
-    pub fn set_checkpoint_interval(&mut self, interval: usize) {
+    pub(crate) fn set_checkpoint_interval(&mut self, interval: usize) {
         self.journal.set_interval(interval);
     }
 
@@ -859,7 +849,7 @@ impl Ftl {
     /// # Errors
     ///
     /// Returns [`FtlError::PowerLoss`] on a crashed, unrecovered device.
-    pub fn checkpoint_now(&mut self) -> Result<(), FtlError> {
+    pub(crate) fn checkpoint_now(&mut self) -> Result<(), FtlError> {
         self.check_alive()?;
         let mut bad: Vec<(u32, u32, u32)> = self.bad.iter().copied().collect();
         bad.sort_unstable();
@@ -933,12 +923,7 @@ fn nand_blocks(ftl: &Ftl) -> u32 {
     ftl.blocks_per_die_cache
 }
 
-impl Ftl {
-    /// Erase blocks per die (geometry accessor).
-    pub fn blocks_per_die(&self) -> u32 {
-        self.blocks_per_die_cache
-    }
-}
+impl Ftl {}
 
 #[cfg(test)]
 mod tests {
@@ -1051,7 +1036,6 @@ mod tests {
         let blk = (victim.channel, victim.way, victim.block);
         let moved = ftl.retire_block(&mut nand, blk).unwrap();
         assert!(moved > 0, "retired block held valid pages");
-        assert!(ftl.is_bad(blk));
         assert_eq!(ftl.bad_blocks(), 1);
         assert_eq!(ftl.remapped_total(), moved);
         let relocated = ftl.lookup(0).unwrap().unwrap();

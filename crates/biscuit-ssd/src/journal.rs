@@ -24,18 +24,16 @@
 //! are free is derivable from physics: a non-bad block with zero
 //! programmed pages is erased and reusable; any other block stays closed
 //! until garbage collection erases it. Deriving the free list from a
-//! physical census ([`NandArray::programmed_blocks`]) makes it impossible
+//! physical census (`NandArray::programmed_blocks`) makes it impossible
 //! for a stale journal to direct a program at a dirty page — the NAND
 //! model's double-program panic enforces exactly the invariant real flash
 //! enforces with read-only pages.
-//!
-//! [`NandArray::programmed_blocks`]: crate::nand::NandArray::programmed_blocks
 
 use crate::nand::Ppa;
 
 /// One redo record, appended before the physical operation it describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JournalRecord {
+pub(crate) enum JournalRecord {
     /// `lpn` is about to be programmed at `new`; it previously lived at
     /// `old` (`None` for a first write). Covers both host writes and GC
     /// relocations — recovery treats them identically.
@@ -68,7 +66,7 @@ pub enum JournalRecord {
 /// double-buffer two checkpoint slots and flip a sequence-stamped header,
 /// so a torn checkpoint write leaves the previous slot valid).
 #[derive(Debug, Clone, Default)]
-pub struct Checkpoint {
+pub(crate) struct Checkpoint {
     /// Journal sequence number this checkpoint covers through.
     pub seq: u64,
     /// The L2P map at `seq` (indexed by lpn).
@@ -79,7 +77,7 @@ pub struct Checkpoint {
 
 /// The journaled metadata region: checkpoint + redo tail.
 #[derive(Debug, Default)]
-pub struct Journal {
+pub(crate) struct Journal {
     checkpoint: Checkpoint,
     records: Vec<JournalRecord>,
     seq: u64,
@@ -91,7 +89,7 @@ pub struct Journal {
 impl Journal {
     /// An empty journal for a freshly formatted device with `logical_pages`
     /// logical pages, checkpointing every `interval` records.
-    pub fn new(logical_pages: u64, interval: usize) -> Self {
+    pub(crate) fn new(logical_pages: u64, interval: usize) -> Self {
         Journal {
             checkpoint: Checkpoint {
                 seq: 0,
@@ -107,20 +105,24 @@ impl Journal {
     }
 
     /// Appends one record (write-ahead: call *before* the physical op).
-    pub fn append(&mut self, rec: JournalRecord) {
+    pub(crate) fn append(&mut self, rec: JournalRecord) {
         self.records.push(rec);
         self.seq += 1;
         self.appended_total += 1;
     }
 
     /// True when the redo tail has reached the checkpoint interval.
-    pub fn checkpoint_due(&self) -> bool {
+    pub(crate) fn checkpoint_due(&self) -> bool {
         self.records.len() >= self.interval
     }
 
     /// Installs a new checkpoint covering everything appended so far and
     /// truncates the redo tail.
-    pub fn install_checkpoint(&mut self, map: Vec<Option<Ppa>>, mut bad: Vec<(u32, u32, u32)>) {
+    pub(crate) fn install_checkpoint(
+        &mut self,
+        map: Vec<Option<Ppa>>,
+        mut bad: Vec<(u32, u32, u32)>,
+    ) {
         bad.sort_unstable();
         self.checkpoint = Checkpoint {
             seq: self.seq,
@@ -132,37 +134,37 @@ impl Journal {
     }
 
     /// The current checkpoint.
-    pub fn checkpoint(&self) -> &Checkpoint {
+    pub(crate) fn checkpoint(&self) -> &Checkpoint {
         &self.checkpoint
     }
 
     /// The redo tail (records appended after the checkpoint), in order.
-    pub fn records(&self) -> &[JournalRecord] {
+    pub(crate) fn records(&self) -> &[JournalRecord] {
         &self.records
     }
 
     /// Sequence number of the most recent record.
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
     /// Total records ever appended (metering).
-    pub fn appended_total(&self) -> u64 {
+    pub(crate) fn appended_total(&self) -> u64 {
         self.appended_total
     }
 
     /// Total checkpoints ever installed (metering).
-    pub fn checkpoints_total(&self) -> u64 {
+    pub(crate) fn checkpoints_total(&self) -> u64 {
         self.checkpoints_total
     }
 
     /// Current checkpoint interval in records.
-    pub fn interval(&self) -> usize {
+    pub(crate) fn interval(&self) -> usize {
         self.interval
     }
 
     /// Changes the checkpoint interval (takes effect at the next append).
-    pub fn set_interval(&mut self, interval: usize) {
+    pub(crate) fn set_interval(&mut self, interval: usize) {
         self.interval = interval.max(1);
     }
 }

@@ -4,12 +4,12 @@
 //! multi-channel/way NAND with real page contents, a page-mapped [`ftl`]
 //! with garbage collection and wear leveling, the per-channel hardware
 //! [`pattern`] matcher, a dual-arena DRAM budget ([`memory`]), and the timed
-//! internal datapath ([`device`]) whose latencies and bandwidths are
+//! internal datapath ([`SsdDevice`]) whose latencies and bandwidths are
 //! calibrated to Section V-B of the paper.
 //!
 //! ## Crate layout
 //!
-//! - [`config`] — [`SsdConfig`]: geometry, timing, and bandwidth knobs,
+//! - [`SsdConfig`] — geometry, timing, and bandwidth knobs,
 //!   with [`SsdConfig::paper_default`] matching Table I.
 //! - [`nand`] — the NAND array: channels × ways of dies holding real page
 //!   bytes ([`PageData`]), plus deterministic content generators.
@@ -20,7 +20,7 @@
 //! - [`pattern`] — the per-channel hardware pattern matcher ([`PatternSet`],
 //!   multi-key substring scan with [`PatternLimits`]).
 //! - [`memory`] — the dual-arena device DRAM budget.
-//! - [`device`] — [`SsdDevice`], the timed façade gluing the above into the
+//! - [`SsdDevice`] — the timed façade gluing the above into the
 //!   internal datapath: die reservations, channel-bus transfers, matcher
 //!   streaming, and per-core software overheads.
 //!
@@ -42,7 +42,7 @@
 //!     logical_capacity: 16 << 20,
 //!     ..SsdConfig::paper_default()
 //! }));
-//! dev.load_bytes(0, b"hello flash").unwrap();
+//! dev.store_bytes(None, 0, b"hello flash").unwrap();
 //! let d = Arc::clone(&dev);
 //! sim.spawn("reader", move |ctx| {
 //!     let pages = d.read_pages(ctx, &[0]).unwrap();
@@ -52,9 +52,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod config;
-pub mod device;
+mod config;
+mod device;
 pub mod ftl;
 pub mod journal;
 pub mod memory;
@@ -62,8 +63,8 @@ pub mod nand;
 pub mod pattern;
 
 pub use config::SsdConfig;
-pub use device::{CopySite, DeviceError, DeviceResult, PageBuf, SsdDevice};
+pub use device::{CopySite, DeviceError, DeviceResult, DeviceStats, PageBuf, SsdDevice};
 pub use ftl::{Ftl, FtlError, WriteOutcome};
-pub use journal::{Journal, JournalRecord, RecoveryReport};
+pub use journal::RecoveryReport;
 pub use nand::{NandArray, PageData, PageGen, Ppa};
 pub use pattern::{PatternError, PatternLimits, PatternSet};

@@ -138,21 +138,11 @@ impl PatternSet {
         )
     }
 
-    /// The configured keywords.
-    pub fn keys(&self) -> &[Vec<u8>] {
-        &self.keys
-    }
-
-    /// The limits this set was validated against.
-    pub fn limits(&self) -> PatternLimits {
-        self.limits
-    }
-
     /// Time for the matcher to stream `bytes` off the channel at `rate`
     /// bytes/sec. The IP runs at line rate regardless of key count (§IV-A),
     /// so the scan stage is a pure function of page size and the channel's
     /// pattern-match rate.
-    pub fn scan_time(&self, bytes: u64, rate: f64) -> biscuit_sim::time::SimDuration {
+    pub(crate) fn scan_time(&self, bytes: u64, rate: f64) -> biscuit_sim::time::SimDuration {
         biscuit_sim::time::SimDuration::for_bytes(bytes, rate)
     }
 

@@ -10,6 +10,7 @@
 //! (c) Closure survives the fault matrix — ECC read retries, link replays,
 //!     and the mid-query DB host fallback all keep the books balanced.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use biscuit::apps::search::{fleet_grep, fleet_grep_expected};
@@ -23,7 +24,7 @@ use biscuit::host::{HostConfig, HostLoad};
 use biscuit::sim::fault::{FaultConfig, FaultPlan, FaultSite};
 use biscuit::sim::par::{ParConfig, ParMode};
 use biscuit::sim::time::SimDuration;
-use biscuit::sim::{QueryProfiles, Simulation};
+use biscuit::sim::{QueryProfiles, Simulation, Stage};
 use biscuit::ssd::{SsdConfig, SsdDevice};
 
 const SF: f64 = 0.0125;
@@ -91,6 +92,40 @@ fn tpch_profile_export_is_deterministic_and_closed() {
         assert_eq!(json, reference, "round {round}: profile export diverged");
         assert_closed(&profiles, "repeat round");
     }
+}
+
+/// Offloaded work is attributed to its query. Q6's scan runs in SSDlet
+/// fibers spawned from the query's host fiber, which inherit its context:
+/// the profile carries the pattern matcher and the SSDlet compute, and the
+/// matcher's bytes are exactly the pages the device scanned.
+#[test]
+fn offloaded_scan_is_attributed_to_its_query() {
+    let db = make_db();
+    let page_size = db.ssd().device().config().page_size as u64;
+    let scanned = Arc::new(AtomicU64::new(0));
+    let s = Arc::clone(&scanned);
+    let sim = Simulation::new(0);
+    sim.enable_qprof();
+    sim.spawn("host", move |ctx| {
+        let q6 = all_queries().into_iter().find(|q| q.id == 6).unwrap();
+        let out = q6.run(&db, ctx, ExecMode::Biscuit, HostLoad::IDLE).unwrap();
+        s.store(out.stats.device_pages_scanned, Ordering::SeqCst);
+    });
+    let report = sim.run();
+    report.assert_quiescent();
+    assert_closed(&report.profiles, "offloaded Q6");
+    let scanned = scanned.load(Ordering::SeqCst);
+    assert!(scanned > 0, "Q6 must run its scan on the device");
+    let [q6] = report.profiles.queries() else {
+        panic!("Q6 is profiled once");
+    };
+    assert!(q6.breakdown_ps(Stage::Match) > 0, "no matcher time");
+    assert!(
+        q6.breakdown_ps(Stage::SsdletCompute) > 0,
+        "no SSDlet compute time"
+    );
+    let matched = Stage::ALL.iter().position(|&s| s == Stage::Match).unwrap();
+    assert_eq!(q6.bytes[matched], scanned * page_size);
 }
 
 #[test]
