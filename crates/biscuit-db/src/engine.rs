@@ -345,7 +345,11 @@ impl Db {
                 est_selectivity: 1.0,
             };
             if mode == ExecMode::Biscuit {
-                let keys = scan.predicate.as_ref().and_then(pattern_keys);
+                let types = meta.schema.types();
+                let keys = scan
+                    .predicate
+                    .as_ref()
+                    .and_then(|p| pattern_keys(p, &types));
                 let (est, reason) = match (&scan.predicate, keys) {
                     _ if meta.pages < self.cfg.min_table_pages => {
                         (1.0, "table smaller than min_table_pages")

@@ -32,7 +32,7 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use crate::column::Cells;
 use crate::error::{DbError, DbResult};
 use crate::expr::Expr;
-use crate::program::{Out, Program};
+use crate::program::Program;
 use crate::spec::{AggFun, OrderKey, SelectSpec};
 use crate::value::{Cell, Row, Value};
 
@@ -301,7 +301,7 @@ impl AggState {
     }
 }
 
-/// Rows per batch of [`aggregate_in`]'s typed path.
+/// Rows per batch of [`aggregate_in`]'s batched path.
 const BATCH: usize = 1024;
 
 /// Groups in first-seen order, each with its aggregate states; index entry
@@ -350,11 +350,11 @@ impl Groups<'_> {
 /// input, where sums/counts are zero — a simplification of SQL's NULLs).
 ///
 /// When every aggregate is a `Sum`, `Avg` or `Count`, rows go in batches:
-/// group keys through the typed path, each aggregate input as one `f64`
-/// vector ([`Program::typed_f64s`]), then each state adds its rows' values
-/// in row order — the order and the additions of the row-at-a-time path,
-/// so the same bits. A batch in which any row leaves the typed path runs
-/// row at a time instead, which reports errors in row order.
+/// every row's group key cells, each aggregate input as one `f64` vector
+/// ([`Program::typed_f64s`]), then each state adds its rows' values in row
+/// order — the order and the additions of the row-at-a-time path, so the
+/// same bits. A batch in which any evaluation fails or any input is a
+/// string runs row at a time instead, which reports errors in row order.
 ///
 /// # Errors
 ///
@@ -380,28 +380,28 @@ pub fn aggregate_in<A: Cells + ?Sized>(
         index: KeyIndex::default(),
     };
     let mut key_cells: Vec<Cell<'_>> = Vec::new();
-    let mut gvals: Vec<Out<'_>> = Vec::with_capacity(keys.len());
+    let mut gvals: Vec<Cell<'_>> = Vec::with_capacity(keys.len());
     let mut values: Vec<Vec<f64>> = vec![Vec::new(); inputs.len()];
     let mut group_of: Vec<usize> = Vec::new();
     for batch in ids.chunks(BATCH) {
-        // The typed path: every key cell and every input value of the
+        // The batched path: every key cell and every input value of the
         // batch, or none.
         key_cells.clear();
-        let typed = batched
+        let whole = batched
             && batch.iter().all(|&id| {
-                keys.iter().all(|k| match k.typed(src, id as usize) {
-                    Some(cell) => {
+                keys.iter().all(|k| match k.eval(src, id as usize) {
+                    Ok(cell) => {
                         key_cells.push(cell);
                         true
                     }
-                    None => false,
+                    Err(_) => false,
                 })
             })
             && inputs.iter().zip(&mut values).all(|(input, vals)| {
                 vals.resize(batch.len(), 0.0);
                 input.typed_f64s(src, batch, vals)
             });
-        if typed {
+        if whole {
             group_of.clear();
             for r in 0..batch.len() {
                 let key = &key_cells[r * keys.len()..(r + 1) * keys.len()];
@@ -420,9 +420,9 @@ pub fn aggregate_in<A: Cells + ?Sized>(
             for k in &keys {
                 gvals.push(k.eval(src, row)?);
             }
-            let g = groups.of(gvals.iter().map(Out::cell));
+            let g = groups.of(gvals.iter().copied());
             for (input, st) in inputs.iter().zip(&mut groups.groups[g].1) {
-                st.update(input.eval(src, row)?.cell());
+                st.update(input.eval(src, row)?);
             }
         }
     }
@@ -492,7 +492,7 @@ pub(crate) fn project_in<A: Cells + ?Sized>(
         .map(|&id| {
             progs
                 .iter()
-                .map(|p| p.eval(src, id as usize).map(Out::into_value))
+                .map(|p| p.eval(src, id as usize).map(Cell::to_value))
                 .collect::<DbResult<Row>>()
         })
         .collect()

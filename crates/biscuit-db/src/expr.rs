@@ -1,5 +1,6 @@
-//! Scalar expressions: evaluation, SQL `LIKE`, and pattern-key extraction
-//! for the NDP offload planner.
+//! Scalar expressions, SQL `LIKE` patterns, and pattern-key extraction for
+//! the NDP offload planner. Expressions evaluate through
+//! [`crate::program::Program`], the crate's one evaluator.
 //!
 //! Key extraction is the compatibility analysis the paper's modified query
 //! planner performs (§V-C): a filter predicate is pattern-matcher friendly
@@ -10,8 +11,7 @@
 //! scans on the host, exactly like the eight non-offloaded TPC-H queries in
 //! Fig. 10.
 
-use crate::error::{DbError, DbResult};
-use crate::value::{format_date, year_of, Row, Value};
+use crate::value::{format_date, ColumnType, Value};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,159 +99,6 @@ impl Expr {
         Expr::Cmp(op, Box::new(Expr::Col(col)), Box::new(Expr::Lit(v)))
     }
 
-    /// Evaluates against a row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::TypeError`] on incomparable operands.
-    pub fn eval(&self, row: &Row) -> DbResult<Value> {
-        match self {
-            Expr::Col(i) => row
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| DbError::TypeError(format!("column {i} out of range"))),
-            Expr::Lit(v) => Ok(v.clone()),
-            Expr::Cmp(..)
-            | Expr::And(_)
-            | Expr::Or(_)
-            | Expr::Not(_)
-            | Expr::Like(..)
-            | Expr::NotLike(..)
-            | Expr::InList(..)
-            | Expr::Between(..) => Ok(Value::Int(i64::from(self.eval_bool(row)?))),
-            Expr::Arith(op, a, b) => {
-                let (x, y) = (a.eval_cow(row)?, b.eval_cow(row)?);
-                let (x, y) = (
-                    x.as_f64()
-                        .ok_or_else(|| DbError::TypeError("arith on non-number".into()))?,
-                    y.as_f64()
-                        .ok_or_else(|| DbError::TypeError("arith on non-number".into()))?,
-                );
-                Ok(Value::Float(op.apply(x, y)))
-            }
-            Expr::Year(x) => match x.eval_cow(row)?.as_ref() {
-                Value::Date(d) => Ok(Value::Int(i64::from(year_of(*d)))),
-                other => Err(DbError::TypeError(format!("YEAR of non-date {other:?}"))),
-            },
-            Expr::Case(cond, then, otherwise) => {
-                if cond.eval_bool(row)? {
-                    then.eval(row)
-                } else {
-                    otherwise.eval(row)
-                }
-            }
-            Expr::Prefix(x, n) => {
-                let v = x.eval_cow(row)?;
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| DbError::TypeError("PREFIX of non-string".into()))?;
-                let cut = s.char_indices().nth(*n).map_or(s.len(), |(i, _)| i);
-                Ok(Value::Str(s[..cut].to_owned()))
-            }
-        }
-    }
-
-    /// Evaluates to a borrowed value when the expression is a plain column
-    /// reference or literal — the overwhelmingly common operand shape in
-    /// predicates — and to an owned value otherwise. Keeps per-row predicate
-    /// evaluation from cloning cell contents (string columns in particular)
-    /// just to compare them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::TypeError`] as for [`Expr::eval`].
-    pub(crate) fn eval_cow<'a>(&'a self, row: &'a Row) -> DbResult<std::borrow::Cow<'a, Value>> {
-        match self {
-            Expr::Col(i) => row
-                .get(*i)
-                .map(std::borrow::Cow::Borrowed)
-                .ok_or_else(|| DbError::TypeError(format!("column {i} out of range"))),
-            Expr::Lit(v) => Ok(std::borrow::Cow::Borrowed(v)),
-            other => Ok(std::borrow::Cow::Owned(other.eval(row)?)),
-        }
-    }
-
-    /// Evaluates as a boolean (nonzero numeric = true). Comparisons,
-    /// connectives and the string and set tests evaluate here, straight to
-    /// `bool`; [`Expr::eval`] of them is this as `Int` 0 or 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DbError::TypeError`] as for [`Expr::eval`].
-    pub fn eval_bool(&self, row: &Row) -> DbResult<bool> {
-        match self {
-            Expr::Cmp(op, a, b) => {
-                let (a, b) = (a.eval_cow(row)?, b.eval_cow(row)?);
-                let ord = a
-                    .compare(&b)
-                    .ok_or_else(|| DbError::TypeError(format!("cannot compare {a:?} and {b:?}")))?;
-                Ok(match op {
-                    CmpOp::Eq => ord.is_eq(),
-                    CmpOp::Ne => ord.is_ne(),
-                    CmpOp::Lt => ord.is_lt(),
-                    CmpOp::Le => ord.is_le(),
-                    CmpOp::Gt => ord.is_gt(),
-                    CmpOp::Ge => ord.is_ge(),
-                })
-            }
-            Expr::And(xs) => {
-                for x in xs {
-                    if !x.eval_bool(row)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Expr::Or(xs) => {
-                for x in xs {
-                    if x.eval_bool(row)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Expr::Not(x) => Ok(!x.eval_bool(row)?),
-            Expr::Like(x, pat) => {
-                let v = x.eval_cow(row)?;
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| DbError::TypeError("LIKE on non-string".into()))?;
-                Ok(like_match(s, pat))
-            }
-            Expr::NotLike(x, pat) => {
-                let v = x.eval_cow(row)?;
-                let s = v
-                    .as_str()
-                    .ok_or_else(|| DbError::TypeError("NOT LIKE on non-string".into()))?;
-                Ok(!like_match(s, pat))
-            }
-            Expr::InList(x, vals) => {
-                let v = x.eval_cow(row)?;
-                Ok(vals
-                    .iter()
-                    .any(|c| v.compare(c).map(|o| o.is_eq()).unwrap_or(false)))
-            }
-            Expr::Between(x, lo, hi) => {
-                let v = x.eval_cow(row)?;
-                let ge = v
-                    .compare(lo)
-                    .map(|o| o.is_ge())
-                    .ok_or_else(|| DbError::TypeError("BETWEEN on incomparable values".into()))?;
-                let le = v
-                    .compare(hi)
-                    .map(|o| o.is_le())
-                    .ok_or_else(|| DbError::TypeError("BETWEEN on incomparable values".into()))?;
-                Ok(ge && le)
-            }
-            _ => {
-                let v = self.eval(row)?;
-                v.as_f64()
-                    .map(|x| x != 0.0)
-                    .ok_or_else(|| DbError::TypeError(format!("non-boolean predicate value {v:?}")))
-            }
-        }
-    }
-
     /// Appends the index of every column the expression reads to `out`
     /// (repeats included, in no particular order).
     pub(crate) fn columns(&self, out: &mut Vec<usize>) {
@@ -277,11 +124,6 @@ impl Expr {
             | Expr::Prefix(x, _) => x.columns(out),
         }
     }
-}
-
-/// SQL `LIKE` with `%` wildcards only.
-pub(crate) fn like_match(s: &str, pattern: &str) -> bool {
-    LikePattern::new(pattern).matches(s)
 }
 
 /// A `LIKE` pattern split at its `%`s once, for matching many strings.
@@ -352,17 +194,28 @@ fn keys_valid(keys: &[Vec<u8>]) -> bool {
 /// Byte keys guaranteed to appear in the on-flash text of every row
 /// satisfying the predicate, or `None` if the predicate is not
 /// pattern-matcher friendly.
-pub fn pattern_keys(expr: &Expr) -> Option<Vec<Vec<u8>>> {
-    let keys = extract(expr)?;
+///
+/// `types` are the scanned table's column types. A literal yields a key
+/// only when it is of its column's type: a row stores its column's text
+/// form, not the literal's, so `Int` 37 equals a `FLOAT` column's `37.00`
+/// while its key `|37|` never occurs there. So `=` and `IN` key a column
+/// of their literals' type, `BETWEEN` a `DATE` column and `LIKE` a `STR`
+/// column; any other conjunct yields no key.
+pub fn pattern_keys(expr: &Expr, types: &[ColumnType]) -> Option<Vec<Vec<u8>>> {
+    let keys = extract(expr, types)?;
     if !keys_valid(&keys) {
         return None;
     }
     Some(keys)
 }
 
-/// Column-literal key including the pipe frame: `|value|`.
-fn framed(lit: &Value) -> Vec<u8> {
-    format!("|{}|", lit.to_text()).into_bytes()
+/// Column-literal key including the pipe frame: `|value|`. None for a
+/// float zero, which equals `-0.0`, stored as `-0.00`.
+fn framed(lit: &Value) -> Option<Vec<u8>> {
+    if matches!(lit, Value::Float(x) if *x == 0.0) {
+        return None;
+    }
+    Some(format!("|{}|", lit.to_text()).into_bytes())
 }
 
 /// Prefix key for a value: `|prefix` (matches any column starting with it).
@@ -370,23 +223,30 @@ fn prefix_key(prefix: &str) -> Vec<u8> {
     format!("|{prefix}").into_bytes()
 }
 
-fn extract(expr: &Expr) -> Option<Vec<Vec<u8>>> {
+fn extract(expr: &Expr, types: &[ColumnType]) -> Option<Vec<Vec<u8>>> {
+    // `x` is a column of type `ty`.
+    let column = |x: &Expr, ty: ColumnType| matches!(x, Expr::Col(c) if types.get(*c) == Some(&ty));
+    // The key of `x = v`, where `x` is a column of `v`'s type.
+    let key = |x: &Expr, v: &Value| {
+        if column(x, v.column_type()) {
+            framed(v)
+        } else {
+            None
+        }
+    };
     match expr {
         Expr::Cmp(CmpOp::Eq, a, b) => match (&**a, &**b) {
-            (Expr::Col(_), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(_)) => Some(vec![framed(v)]),
+            (x, Expr::Lit(v)) | (Expr::Lit(v), x) => Some(vec![key(x, v)?]),
             _ => None,
         },
         Expr::InList(x, vals) => {
-            if !matches!(**x, Expr::Col(_)) || vals.len() > MAX_KEYS {
+            if vals.len() > MAX_KEYS {
                 return None;
             }
-            Some(vals.iter().map(framed).collect())
+            vals.iter().map(|v| key(x, v)).collect()
         }
-        Expr::Like(x, pat) if matches!(**x, Expr::Col(_)) => like_key(pat),
-        Expr::Between(x, lo, hi) => {
-            if !matches!(**x, Expr::Col(_)) {
-                return None;
-            }
+        Expr::Like(x, pat) if column(x, ColumnType::Str) => like_key(pat),
+        Expr::Between(x, lo, hi) if column(x, ColumnType::Date) => {
             let prefixes = date_range_prefixes(lo, hi)?;
             Some(prefixes.iter().map(|p| prefix_key(p)).collect())
         }
@@ -395,7 +255,7 @@ fn extract(expr: &Expr) -> Option<Vec<Vec<u8>>> {
             // among hardware-valid candidates, prefer the longest (most
             // selective).
             xs.iter()
-                .filter_map(extract)
+                .filter_map(|x| extract(x, types))
                 .filter(|keys| keys_valid(keys))
                 .max_by_key(|keys| keys.iter().map(Vec::len).min().unwrap_or(0))
         }
@@ -403,7 +263,7 @@ fn extract(expr: &Expr) -> Option<Vec<Vec<u8>>> {
             // Every branch must contribute keys.
             let mut all = Vec::new();
             for x in xs {
-                all.extend(extract(x)?);
+                all.extend(extract(x, types)?);
             }
             if all.len() > MAX_KEYS {
                 return None;
@@ -449,6 +309,11 @@ fn date_range_prefixes(lo: &Value, hi: &Value) -> Option<Vec<String>> {
         return None;
     }
     let (lo_s, hi_s) = (format_date(*lo), format_date(*hi));
+    // Years 0 to 9999 only, where `[..4]` is the year and `|YYYY-` occurs
+    // in no other year's text.
+    if lo_s.starts_with('-') || hi_s.len() != 10 {
+        return None;
+    }
     // Whole months: lo = YYYY-MM-01, hi = a month end, span <= MAX_KEYS.
     if lo_s.ends_with("-01") && is_month_end(*hi) {
         let y0: i32 = lo_s[..4].parse().ok()?;
@@ -485,7 +350,18 @@ fn is_month_end(d: i32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::parse_date;
+    use crate::program::Program;
+    use crate::tree_walk;
+    use crate::value::{parse_date, row_to_text, Cell, Row};
+    use proptest::prelude::*;
+
+    /// The column types of [`row`].
+    const TYPES: [ColumnType; 4] = [
+        ColumnType::Int,
+        ColumnType::Str,
+        ColumnType::Float,
+        ColumnType::Date,
+    ];
 
     fn row() -> Row {
         vec![
@@ -496,16 +372,38 @@ mod tests {
         ]
     }
 
+    /// `e` as a predicate on `r`, through the oracle and through
+    /// [`Program`], which must agree.
+    fn holds(e: &Expr, r: &Row) -> bool {
+        let want = tree_walk::eval_bool(e, r).unwrap();
+        let got = Program::new(e)
+            .eval_bool(std::slice::from_ref(r), 0)
+            .unwrap();
+        assert_eq!(got, want, "{e:?}");
+        want
+    }
+
+    /// `s LIKE pattern`, through the oracle and through [`LikePattern`],
+    /// which must agree.
+    fn like(s: &str, pattern: &str) -> bool {
+        let want = tree_walk::like(s, pattern);
+        assert_eq!(
+            LikePattern::new(pattern).matches(s),
+            want,
+            "{s:?} LIKE {pattern:?}"
+        );
+        want
+    }
+
     #[test]
     fn comparisons() {
         let r = row();
-        assert!(Expr::col_eq(0, Value::Int(3)).eval_bool(&r).unwrap());
-        assert!(Expr::col_cmp(2, CmpOp::Le, Value::Float(0.05))
-            .eval_bool(&r)
-            .unwrap());
-        assert!(!Expr::col_cmp(3, CmpOp::Lt, Value::date("1995-09-14"))
-            .eval_bool(&r)
-            .unwrap());
+        assert!(holds(&Expr::col_eq(0, Value::Int(3)), &r));
+        assert!(holds(&Expr::col_cmp(2, CmpOp::Le, Value::Float(0.05)), &r));
+        assert!(!holds(
+            &Expr::col_cmp(3, CmpOp::Lt, Value::date("1995-09-14")),
+            &r
+        ));
     }
 
     #[test]
@@ -513,39 +411,39 @@ mod tests {
         let r = row();
         let t = Expr::col_eq(0, Value::Int(3));
         let f = Expr::col_eq(0, Value::Int(4));
-        assert!(Expr::And(vec![t.clone(), t.clone()]).eval_bool(&r).unwrap());
-        assert!(!Expr::And(vec![t.clone(), f.clone()]).eval_bool(&r).unwrap());
-        assert!(Expr::Or(vec![f.clone(), t.clone()]).eval_bool(&r).unwrap());
-        assert!(Expr::Not(Box::new(f)).eval_bool(&r).unwrap());
+        assert!(holds(&Expr::And(vec![t.clone(), t.clone()]), &r));
+        assert!(!holds(&Expr::And(vec![t.clone(), f.clone()]), &r));
+        assert!(holds(&Expr::Or(vec![f.clone(), t.clone()]), &r));
+        assert!(holds(&Expr::Not(Box::new(f)), &r));
     }
 
     #[test]
     fn like_semantics() {
-        assert!(like_match("PROMO ANODIZED", "PROMO%"));
-        assert!(like_match("PROMO ANODIZED", "%ANODIZED"));
-        assert!(like_match("PROMO ANODIZED", "%MO ANO%"));
-        assert!(like_match("special requests here", "%special%requests%"));
-        assert!(!like_match("requests special", "%special%requests%"));
-        assert!(like_match("exact", "exact"));
-        assert!(!like_match("exactx", "exact"));
-        assert!(like_match("anything", "%"));
+        assert!(like("PROMO ANODIZED", "PROMO%"));
+        assert!(like("PROMO ANODIZED", "%ANODIZED"));
+        assert!(like("PROMO ANODIZED", "%MO ANO%"));
+        assert!(like("special requests here", "%special%requests%"));
+        assert!(!like("requests special", "%special%requests%"));
+        assert!(like("exact", "exact"));
+        assert!(!like("exactx", "exact"));
+        assert!(like("anything", "%"));
     }
 
     #[test]
     fn between_and_in() {
         let r = row();
-        assert!(Expr::Between(
-            Box::new(Expr::Col(3)),
-            Value::date("1995-09-01"),
-            Value::date("1995-09-30"),
-        )
-        .eval_bool(&r)
-        .unwrap());
-        assert!(
-            Expr::InList(Box::new(Expr::Col(0)), vec![Value::Int(1), Value::Int(3)])
-                .eval_bool(&r)
-                .unwrap()
-        );
+        assert!(holds(
+            &Expr::Between(
+                Box::new(Expr::Col(3)),
+                Value::date("1995-09-01"),
+                Value::date("1995-09-30"),
+            ),
+            &r
+        ));
+        assert!(holds(
+            &Expr::InList(Box::new(Expr::Col(0)), vec![Value::Int(1), Value::Int(3)]),
+            &r
+        ));
     }
 
     #[test]
@@ -556,13 +454,21 @@ mod tests {
             Box::new(Expr::Col(2)),
             Box::new(Expr::Lit(Value::Float(100.0))),
         );
-        assert_eq!(e.eval(&r).unwrap(), Value::Float(5.0));
+        assert_eq!(tree_walk::eval(&e, &r).unwrap(), Value::Float(5.0));
+        let p = Program::new(&e);
+        assert_eq!(
+            p.eval(std::slice::from_ref(&r), 0).unwrap(),
+            Cell::Float(5.0)
+        );
     }
 
     #[test]
     fn equality_yields_framed_key() {
         let e = Expr::col_eq(3, Value::date("1995-01-17"));
-        assert_eq!(pattern_keys(&e).unwrap(), vec![b"|1995-01-17|".to_vec()]);
+        assert_eq!(
+            pattern_keys(&e, &TYPES).unwrap(),
+            vec![b"|1995-01-17|".to_vec()]
+        );
     }
 
     #[test]
@@ -571,7 +477,7 @@ mod tests {
             Expr::col_eq(3, Value::date("1995-01-17")),
             Expr::col_eq(3, Value::date("1995-01-18")),
         ]);
-        assert_eq!(pattern_keys(&e).unwrap().len(), 2);
+        assert_eq!(pattern_keys(&e, &TYPES).unwrap().len(), 2);
     }
 
     #[test]
@@ -580,7 +486,10 @@ mod tests {
             Expr::col_cmp(2, CmpOp::Lt, Value::Float(0.07)), // no keys
             Expr::col_eq(3, Value::date("1995-01-17")),      // keys
         ]);
-        assert_eq!(pattern_keys(&e).unwrap(), vec![b"|1995-01-17|".to_vec()]);
+        assert_eq!(
+            pattern_keys(&e, &TYPES).unwrap(),
+            vec![b"|1995-01-17|".to_vec()]
+        );
     }
 
     #[test]
@@ -590,7 +499,10 @@ mod tests {
             Value::date("1995-09-01"),
             Value::date("1995-09-30"),
         );
-        assert_eq!(pattern_keys(&e).unwrap(), vec![b"|1995-09".to_vec()]);
+        assert_eq!(
+            pattern_keys(&e, &TYPES).unwrap(),
+            vec![b"|1995-09".to_vec()]
+        );
     }
 
     #[test]
@@ -600,17 +512,18 @@ mod tests {
             Value::date("1995-01-01"),
             Value::date("1995-12-31"),
         );
-        assert_eq!(pattern_keys(&e).unwrap(), vec![b"|1995-".to_vec()]);
+        assert_eq!(pattern_keys(&e, &TYPES).unwrap(), vec![b"|1995-".to_vec()]);
     }
 
     #[test]
     fn unfriendly_predicates_yield_no_keys() {
+        let keys = |e: &Expr| pattern_keys(e, &TYPES);
         // Open range: no keys.
-        assert!(pattern_keys(&Expr::col_cmp(3, CmpOp::Le, Value::date("1998-09-02"))).is_none());
+        assert!(keys(&Expr::col_cmp(3, CmpOp::Le, Value::date("1998-09-02"))).is_none());
         // NOT LIKE: the hardware cannot prove absence.
-        assert!(pattern_keys(&Expr::NotLike(Box::new(Expr::Col(1)), "%special%".into())).is_none());
+        assert!(keys(&Expr::NotLike(Box::new(Expr::Col(1)), "%special%".into())).is_none());
         // Single-character literal: rejected as in the paper.
-        assert!(pattern_keys(&Expr::col_eq(1, Value::Str("x".into()))).is_none());
+        assert!(keys(&Expr::col_eq(1, Value::Str("x".into()))).is_none());
         // Too many OR branches.
         let e = Expr::Or(vec![
             Expr::col_eq(0, Value::Int(11)),
@@ -618,33 +531,163 @@ mod tests {
             Expr::col_eq(0, Value::Int(13)),
             Expr::col_eq(0, Value::Int(14)),
         ]);
-        assert!(pattern_keys(&e).is_none());
+        assert!(keys(&e).is_none());
+        // A literal of another type than its column: `37.00` is stored.
+        assert!(keys(&Expr::col_eq(2, Value::Int(37))).is_none());
+        assert!(keys(&Expr::InList(
+            Box::new(Expr::Col(2)),
+            vec![Value::Float(37.0), Value::Int(38)]
+        ))
+        .is_none());
     }
 
     #[test]
     fn like_fragment_key() {
         let e = Expr::Like(Box::new(Expr::Col(1)), "%ANODIZED%".into());
-        assert_eq!(pattern_keys(&e).unwrap(), vec![b"ANODIZED".to_vec()]);
+        assert_eq!(
+            pattern_keys(&e, &TYPES).unwrap(),
+            vec![b"ANODIZED".to_vec()]
+        );
         let e = Expr::Like(Box::new(Expr::Col(1)), "PROMO%".into());
-        assert_eq!(pattern_keys(&e).unwrap(), vec![b"|PROMO".to_vec()]);
+        assert_eq!(pattern_keys(&e, &TYPES).unwrap(), vec![b"|PROMO".to_vec()]);
+    }
+
+    /// Some key of `keys` occurs in `row`'s on-flash text.
+    fn a_key_occurs(keys: &[Vec<u8>], row: &Row) -> bool {
+        let text = row_to_text(row);
+        keys.iter()
+            .any(|k| text.as_bytes().windows(k.len()).any(|w| w == &k[..]))
     }
 
     #[test]
     fn keys_occur_in_satisfying_rows() {
         // Soundness: any row satisfying the predicate contains a key in its
         // serialized text.
-        use crate::value::row_to_text;
         let e = Expr::And(vec![
             Expr::col_eq(3, Value::date("1995-09-14")),
             Expr::col_cmp(0, CmpOp::Ge, Value::Int(0)),
         ]);
-        let keys = pattern_keys(&e).unwrap();
+        let keys = pattern_keys(&e, &TYPES).unwrap();
         let r = row();
-        assert!(e.eval_bool(&r).unwrap());
-        let text = row_to_text(&r);
-        assert!(keys
+        assert!(holds(&e, &r));
+        assert!(a_key_occurs(&keys, &r));
+    }
+
+    /// Years around the ends of the four-digit years, and one in TPC-H's.
+    const YEARS: [i32; 4] = [0, 1995, 9999, 10_000];
+
+    /// The day count of `y-m-d`, `m` past 12 rolling into the next year.
+    fn day(y: i32, m: u32, d: u32) -> i32 {
+        let (y, m) = (y + (m as i32 - 1) / 12, (m - 1) % 12 + 1);
+        parse_date(&format!("{y:04}-{m:02}-{d:02}")).unwrap()
+    }
+
+    /// Dates in [`YEARS`], at and around month and year boundaries.
+    fn date_pool() -> Vec<i32> {
+        YEARS
             .iter()
-            .any(|k| text.as_bytes().windows(k.len()).any(|w| w == &k[..])));
+            .flat_map(|&y| [day(y, 1, 1), day(y, 2, 29), day(y, 9, 14), day(y, 12, 31)])
+            .collect()
+    }
+
+    /// `[lo, hi]` covering one to three whole months, or a whole year, of
+    /// one of [`YEARS`].
+    fn date_range() -> impl Strategy<Value = (Value, Value)> {
+        (proptest::sample::select(YEARS.to_vec()), 1u32..13, 0u32..4).prop_map(|(y, m, k)| {
+            if k == 0 {
+                (Value::Date(day(y, 1, 1)), Value::Date(day(y, 12, 31)))
+            } else {
+                (Value::Date(day(y, m, 1)), Value::Date(day(y, m + k, 1) - 1))
+            }
+        })
+    }
+
+    /// A value of any variant, from pools in which values of different
+    /// variants compare equal (`Int` 37 and `Float` 37.0, `Int` 0 and
+    /// `Float` -0.0, a `Date` and its day count).
+    fn value() -> impl Strategy<Value = Value> {
+        prop_oneof![
+            proptest::sample::select(vec![0i64, 3, 37, 38, 9_374, 9_400]).prop_map(Value::Int),
+            proptest::sample::select(vec![0.0, -0.0, 0.05, 3.0, 37.0, 37.5]).prop_map(Value::Float),
+            proptest::sample::select(vec!["37", "MAIL", "PROMO TIN", "ab", "1995-09-14"])
+                .prop_map(|s| Value::Str(s.to_owned())),
+            proptest::sample::select(date_pool()).prop_map(Value::Date),
+        ]
+    }
+
+    /// A row typed by [`TYPES`].
+    fn typed_row() -> impl Strategy<Value = Row> {
+        (value(), value(), value(), value()).prop_map(|cells| {
+            let cells = [cells.0, cells.1, cells.2, cells.3];
+            let pick = |ty: ColumnType| {
+                cells
+                    .iter()
+                    .find(|v| v.column_type() == ty)
+                    .cloned()
+                    .unwrap_or(match ty {
+                        ColumnType::Int => Value::Int(37),
+                        ColumnType::Float => Value::Float(-0.0),
+                        ColumnType::Str => Value::Str("PROMO TIN".into()),
+                        ColumnType::Date => Value::date("1995-09-30"),
+                    })
+            };
+            TYPES.iter().map(|&ty| pick(ty)).collect()
+        })
+    }
+
+    /// Predicates of the key-yielding shapes, over any column, with
+    /// literals of any variant.
+    fn keyed_predicate() -> impl Strategy<Value = Expr> {
+        let col = || (0usize..4).prop_map(|c| Box::new(Expr::Col(c)));
+        let leaf = prop_oneof![
+            (0usize..4, value()).prop_map(|(c, v)| Expr::col_eq(c, v)),
+            (0usize..4, value()).prop_map(|(c, v)| Expr::Cmp(
+                CmpOp::Eq,
+                Box::new(Expr::Lit(v)),
+                Box::new(Expr::Col(c))
+            )),
+            (col(), proptest::collection::vec(value(), 1..4))
+                .prop_map(|(x, vals)| Expr::InList(x, vals)),
+            (
+                col(),
+                proptest::sample::select(vec!["MA%", "%37%", "37", "PROMO%", "%TIN", "%O%T%"])
+            )
+                .prop_map(|(x, p)| Expr::Like(x, p.to_owned())),
+            (col(), value(), value()).prop_map(|(x, lo, hi)| Expr::Between(x, lo, hi)),
+            (col(), date_range()).prop_map(|(x, (lo, hi))| Expr::Between(x, lo, hi)),
+        ];
+        leaf.prop_recursive(2, 8, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 1..4).prop_map(Expr::And),
+                proptest::collection::vec(inner, 1..4).prop_map(Expr::Or),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Soundness of the keys for any literal: wherever the oracle says
+        /// the predicate holds, some key occurs in the row's text.
+        #[test]
+        fn keys_occur_in_every_satisfying_row(
+            pred in keyed_predicate(),
+            rows in proptest::collection::vec(typed_row(), 1..8),
+        ) {
+            if let Some(keys) = pattern_keys(&pred, &TYPES) {
+                for r in &rows {
+                    if tree_walk::eval_bool(&pred, r).unwrap_or(false) {
+                        prop_assert!(
+                            a_key_occurs(&keys, r),
+                            "{:?} holds on {:?} but no key of {:?} occurs",
+                            pred,
+                            r,
+                            keys
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! - [`mod@column`] — the host's column cache ([`column::ColumnTable`]), a
 //!   join's running result as row ids into it ([`column::Joined`]), and the
 //!   [`column::Cells`] accessor every operator reads through.
-//! - [`expr`] — expressions, `LIKE`, pattern-key extraction.
-//! - [`program`] — expressions lowered once per operator call into typed
-//!   programs over that accessor.
+//! - [`expr`] — expressions, `LIKE` patterns, pattern-key extraction.
+//! - [`program`] — the one evaluator: expressions lowered once per operator
+//!   call into typed programs over that accessor.
 //! - [`spec`] — declarative query specs ([`SelectSpec`], [`ExecMode`]).
 //! - the scan-filter SSDlet module deployed to the device.
 //! - [`Db`] — the planner and executor. In Biscuit mode the
@@ -104,3 +104,11 @@ pub use expr::{CmpOp, Expr};
 pub use schema::{Catalog, Column, Schema, TableMeta};
 pub use spec::{AggFun, ExecMode, JoinEdge, OrderKey, SelectSpec, TableScanSpec};
 pub use value::{Cell, ColumnType, Row, Value};
+
+// The tests' oracle, shared with the integration tests; it names the crate
+// as they do.
+#[cfg(test)]
+extern crate self as biscuit_db;
+#[cfg(test)]
+#[path = "../tests/support/tree_walk.rs"]
+mod tree_walk;

@@ -113,10 +113,7 @@ impl Ssdlet for Aggregator {
             folding = folding
                 && (0..batch.len()).all(|row| {
                     inputs.iter().zip(states.iter_mut()).all(|(input, st)| {
-                        input
-                            .eval(&batch[..], row)
-                            .map(|v| st.update(v.cell()))
-                            .is_ok()
+                        input.eval(&batch[..], row).map(|v| st.update(v)).is_ok()
                     })
                 });
         }
@@ -280,7 +277,9 @@ mod tests {
     fn reference_ship(types: &[ColumnType], predicate: &Expr, line: &[u8]) -> Option<Row> {
         let line = std::str::from_utf8(line).ok()?;
         let row = row_from_text(types, line.trim_end_matches('~'))?;
-        predicate.eval_bool(&row).unwrap_or(false).then_some(row)
+        crate::tree_walk::eval_bool(predicate, &row)
+            .unwrap_or(false)
+            .then_some(row)
     }
 
     /// [`candidate_lines`] before the forward sweep: both newline searches
@@ -316,9 +315,9 @@ mod tests {
 
     /// Predicates over [`TYPES`]: they read some columns and not others,
     /// some cannot be evaluated (a `LIKE` on a number, an out-of-range
-    /// column, a non-boolean value), and some leave the program's typed
-    /// path (an `Int` column against a `Float` literal, `YEAR`, `CASE` and
-    /// `PREFIX` of the wrong type, an `Int` past 2^53).
+    /// column, a non-boolean value, `YEAR`, `CASE` and `PREFIX` of the
+    /// wrong type), and some mix variants (an `Int` column against a
+    /// `Float` literal, an `Int` past 2^53).
     fn predicate() -> impl Strategy<Value = Expr> {
         let date = |s| Value::date(s);
         let b = Box::new;

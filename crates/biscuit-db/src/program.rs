@@ -1,123 +1,77 @@
 //! Expressions lowered once per operator call into programs over typed
-//! cells.
+//! cells: the one evaluator of `biscuit-db`.
 //!
-//! [`Expr::eval`] walks the tree per row and builds an owned [`Value`] at
-//! every node: a column read clones its cell, a literal is cloned, `LIKE`
-//! re-splits its pattern. A [`Program`] is the same tree lowered once: its
-//! leaves read [`Cell`]s through the [`Cells`] accessor — a column table or
+//! A [`Program`] is an [`Expr`] lowered once: its leaves read [`Cell`]s
+//! through the [`Cells`] accessor — a column table, a join's id tuples or
 //! a slice of rows — literals are borrowed cells, `LIKE` patterns are split
 //! up front and the hot shape `column <op> literal` is one node. Its
 //! values are `Cell`s that borrow the source or the expression, so
 //! evaluating a predicate or an aggregate input allocates nothing.
 //!
-//! The typed path computes a result only where `Expr::eval` would succeed
-//! with that same result: the rules it applies — comparison, numeric view,
-//! text — are `Cell`'s, which `Value` delegates to. Wherever it meets
-//! anything else (a string where a number is wanted, an incomparable pair,
-//! a column past the row's width) it gives up, and the program evaluates
-//! that row through `Expr::eval`/[`Expr::eval_bool`] on the materialised
-//! row. So errors and mixed-variant rules are the tree-walker's by
-//! construction, and the tree-walker stays the reference the property
-//! tests compare against.
+//! Every node computes its result and its error itself. The rules it
+//! applies — comparison, numeric view, text — are `Cell`'s, which `Value`
+//! delegates to. Where a node meets a value it cannot use (a string where a
+//! number is wanted, an incomparable pair, a column past the row's width)
+//! it returns a [`DbError::TypeError`], and it evaluates its operands in
+//! the order that decides which error wins: `Arith` evaluates both
+//! operands before it checks either, `Cmp` its left operand first, `And`
+//! and `Or` their arms left to right, stopping at the first that decides.
+//! The crate's tests hold a tree-walking evaluator over owned rows
+//! (`tests/support/tree_walk.rs`) as the oracle every program must equal,
+//! value for value and error text for error text.
 //!
-//! Programs are the one evaluator of `biscuit-db`, on both sides of the
-//! link. On the host, every [`crate::exec`] operator and the planner's
-//! selectivity sampler (through [`crate::exec::select_in`]) run them. On
-//! the device, the scan SSDlet runs its predicate's program over each
-//! candidate line and the aggregation SSDlet folds its batches through
-//! its inputs' programs (`offload`). Nothing else calls the
-//! tree-walker but the fallback above and the tests.
+//! Programs run on both sides of the link. On the host, every
+//! [`crate::exec`] operator and the planner's selectivity sampler (through
+//! [`crate::exec::select_in`]) run them. On the device, the scan SSDlet
+//! runs its predicate's program over each candidate line and the
+//! aggregation SSDlet folds its batches through its inputs' programs
+//! (`offload`).
 
 use std::cmp::Ordering;
+use std::fmt;
 
 use crate::column::Cells;
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
 use crate::expr::{ArithOp, CmpOp, Expr, LikePattern};
 use crate::value::{year_of, Cell, Value};
 
 /// A lowered [`Expr`] (see the module docs).
-pub struct Program<'e> {
-    expr: &'e Expr,
-    node: Node<'e>,
-}
-
-/// A program's result for one row: the cell the typed path computed, or
-/// the value the tree-walker returned where it gave up.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Out<'a> {
-    /// Computed by the typed path, borrowing the source or the expression.
-    Cell(Cell<'a>),
-    /// Computed by [`Expr::eval`].
-    Value(Value),
-}
-
-impl Out<'_> {
-    /// The result as a cell.
-    pub(crate) fn cell(&self) -> Cell<'_> {
-        match self {
-            Out::Cell(c) => *c,
-            Out::Value(v) => v.cell(),
-        }
-    }
-
-    /// The result as an owned value.
-    pub fn into_value(self) -> Value {
-        match self {
-            Out::Cell(c) => c.to_value(),
-            Out::Value(v) => v,
-        }
-    }
-}
+pub struct Program<'e>(Node<'e>);
 
 impl<'e> Program<'e> {
     /// Lowers `expr`.
     pub fn new(expr: &'e Expr) -> Program<'e> {
-        Program {
-            expr,
-            node: Node::lower(expr),
-        }
+        Program(Node::lower(expr))
     }
 
-    /// [`Expr::eval`] of row `row` of `src`.
+    /// The value of the expression on row `row` of `src`, borrowing the
+    /// source or the expression. Predicates are `Int` 0 or 1.
     ///
     /// # Errors
     ///
-    /// Exactly those of [`Expr::eval`] on the row.
-    pub fn eval<'a, A: Cells + ?Sized>(&'a self, src: &'a A, row: usize) -> DbResult<Out<'a>> {
-        match self.node.value(src, row) {
-            Some(cell) => Ok(Out::Cell(cell)),
-            None => self.expr.eval(&src.row(row)).map(Out::Value),
-        }
+    /// [`DbError::TypeError`] where an operand is of the wrong type or a
+    /// column is past the row's width.
+    pub fn eval<'a, A: Cells + ?Sized>(&'a self, src: &'a A, row: usize) -> DbResult<Cell<'a>> {
+        self.0.value(src, row).map_err(|e| *e)
     }
 
-    /// [`Expr::eval_bool`] of row `row` of `src`.
+    /// The expression as a predicate on row `row` of `src`: comparisons,
+    /// connectives and the string and set tests directly, any other value
+    /// as "nonzero".
     ///
     /// # Errors
     ///
-    /// Exactly those of [`Expr::eval_bool`] on the row.
+    /// As [`Program::eval`], and [`DbError::TypeError`] for a string value.
     pub fn eval_bool<A: Cells + ?Sized>(&self, src: &A, row: usize) -> DbResult<bool> {
-        match self.node.truth(src, row) {
-            Some(b) => Ok(b),
-            None => self.expr.eval_bool(&src.row(row)),
-        }
+        self.0.truth(src, row).map_err(|e| *e)
     }
 
-    /// The typed path alone: `None` where [`Program::eval`] defers to the
-    /// tree-walker.
-    pub(crate) fn typed<'a, A: Cells + ?Sized>(
-        &'a self,
-        src: &'a A,
-        row: usize,
-    ) -> Option<Cell<'a>> {
-        self.node.value(src, row)
-    }
-
-    /// The typed path for a batch of rows, numerically: `Cell::as_f64`
-    /// of `Program::typed` for each row of `ids`, written to `out` (as
-    /// long as `ids`), an operator at a time. `false` — with `out` partly
-    /// written — if a row leaves the typed path or its result is a string.
+    /// The numeric view (`Cell::as_f64`) of [`Program::eval`] for each row
+    /// of `ids`, written to `out` (as long as `ids`), an operator at a
+    /// time. `false` — with `out` partly written — if a row's evaluation
+    /// fails or its result is a string.
     pub fn typed_f64s<A: Cells + ?Sized>(&self, src: &A, ids: &[u32], out: &mut [f64]) -> bool {
-        self.node.f64s(src, ids, out)
+        self.0.f64s(src, ids, out)
     }
 }
 
@@ -142,16 +96,36 @@ enum Node<'e> {
     Prefix(Box<Node<'e>>, usize),
 }
 
-/// The comparison `op` asks for, given the operands' order.
-fn holds(op: CmpOp, ord: Ordering) -> bool {
-    match op {
+/// A node's result. The error is boxed so that a result is no wider than
+/// its cell: nodes return through every level of the tree on every row.
+type Eval<T> = Result<T, Box<DbError>>;
+
+/// The error for `msg`, built out of line: only a failing row pays for it.
+#[cold]
+#[inline(never)]
+fn type_error(msg: fmt::Arguments<'_>) -> Box<DbError> {
+    Box::new(DbError::TypeError(msg.to_string()))
+}
+
+/// Cell `col` of row `row`, or the error for a column past the row.
+fn column<A: Cells + ?Sized>(src: &A, row: usize, col: usize) -> Eval<Cell<'_>> {
+    src.cell(row, col)
+        .ok_or_else(|| type_error(format_args!("column {col} out of range")))
+}
+
+/// `a <op> b`, or the error for an incomparable pair.
+fn compare(op: CmpOp, a: Cell<'_>, b: Cell<'_>) -> Eval<bool> {
+    let ord = a
+        .compare(b)
+        .ok_or_else(|| type_error(format_args!("cannot compare {a:?} and {b:?}")))?;
+    Ok(match op {
         CmpOp::Eq => ord.is_eq(),
         CmpOp::Ne => ord.is_ne(),
         CmpOp::Lt => ord.is_lt(),
         CmpOp::Le => ord.is_le(),
         CmpOp::Gt => ord.is_gt(),
         CmpOp::Ge => ord.is_ge(),
-    }
+    })
 }
 
 impl<'e> Node<'e> {
@@ -178,19 +152,21 @@ impl<'e> Node<'e> {
         }
     }
 
-    /// `Expr::eval`, where it succeeds without leaving the typed path.
-    fn value<'a, A: Cells + ?Sized>(&'a self, src: &'a A, row: usize) -> Option<Cell<'a>> {
-        Some(match self {
-            Node::Col(c) => return src.cell(row, *c),
+    /// [`Program::eval`].
+    fn value<'a, A: Cells + ?Sized>(&'a self, src: &'a A, row: usize) -> Eval<Cell<'a>> {
+        Ok(match self {
+            Node::Col(c) => return column(src, row, *c),
             Node::Lit(v) => *v,
             Node::Arith(op, a, b) => {
-                let x = a.value(src, row)?.as_f64()?;
-                let y = b.value(src, row)?.as_f64()?;
-                Cell::Float(op.apply(x, y))
+                let (x, y) = (a.value(src, row)?, b.value(src, row)?);
+                match (x.as_f64(), y.as_f64()) {
+                    (Some(x), Some(y)) => Cell::Float(op.apply(x, y)),
+                    _ => return Err(type_error(format_args!("arith on non-number"))),
+                }
             }
             Node::Year(x) => match x.value(src, row)? {
                 Cell::Date(d) => Cell::Int(i64::from(year_of(d))),
-                _ => return None,
+                other => return Err(type_error(format_args!("YEAR of non-date {other:?}"))),
             },
             Node::Case(c, t, e) => {
                 if c.truth(src, row)? {
@@ -200,7 +176,10 @@ impl<'e> Node<'e> {
                 }
             }
             Node::Prefix(x, n) => {
-                let s = x.value(src, row)?.as_str()?;
+                let s = x
+                    .value(src, row)?
+                    .as_str()
+                    .ok_or_else(|| type_error(format_args!("PREFIX of non-string")))?;
                 let cut = s.char_indices().nth(*n).map_or(s.len(), |(i, _)| i);
                 Cell::Str(&s[..cut])
             }
@@ -210,9 +189,9 @@ impl<'e> Node<'e> {
     }
 
     /// `as_f64` of [`Node::value`] for each row of `ids`, where every row
-    /// stays on the typed path. Column reads and arithmetic run a column at
-    /// a time; `Arith` does what [`Expr::eval`] does to each row — the same
-    /// IEEE operation on the same two operands.
+    /// evaluates to a number. Column reads and arithmetic run a column at
+    /// a time; `Arith` does what [`Node::value`] does to each row — the
+    /// same IEEE operation on the same two operands.
     fn f64s<A: Cells + ?Sized>(&self, src: &A, ids: &[u32], out: &mut [f64]) -> bool {
         match self {
             Node::Col(c) => src.f64s(*c, ids, out),
@@ -235,7 +214,7 @@ impl<'e> Node<'e> {
             }
             _ => {
                 for (slot, &id) in out.iter_mut().zip(ids) {
-                    match self.value(src, id as usize).and_then(Cell::as_f64) {
+                    match self.value(src, id as usize).ok().and_then(Cell::as_f64) {
                         Some(x) => *slot = x,
                         None => return false,
                     }
@@ -245,15 +224,15 @@ impl<'e> Node<'e> {
         }
     }
 
-    /// `Expr::eval_bool`, where it succeeds without leaving the typed path.
-    fn truth<A: Cells + ?Sized>(&self, src: &A, row: usize) -> Option<bool> {
-        Some(match self {
-            Node::ColCmp(op, c, lit) => holds(*op, src.cell(row, *c)?.compare(*lit)?),
-            Node::Cmp(op, a, b) => holds(*op, a.value(src, row)?.compare(b.value(src, row)?)?),
+    /// [`Program::eval_bool`].
+    fn truth<A: Cells + ?Sized>(&self, src: &A, row: usize) -> Eval<bool> {
+        Ok(match self {
+            Node::ColCmp(op, c, lit) => compare(*op, column(src, row, *c)?, *lit)?,
+            Node::Cmp(op, a, b) => compare(*op, a.value(src, row)?, b.value(src, row)?)?,
             Node::And(xs) => {
                 for x in xs {
                     if !x.truth(src, row)? {
-                        return Some(false);
+                        return Ok(false);
                     }
                 }
                 true
@@ -261,13 +240,19 @@ impl<'e> Node<'e> {
             Node::Or(xs) => {
                 for x in xs {
                     if x.truth(src, row)? {
-                        return Some(true);
+                        return Ok(true);
                     }
                 }
                 false
             }
             Node::Not(x) => !x.truth(src, row)?,
-            Node::Like(x, pat, negated) => pat.matches(x.value(src, row)?.as_str()?) != *negated,
+            Node::Like(x, pat, negated) => {
+                let s = x.value(src, row)?.as_str().ok_or_else(|| {
+                    let not = if *negated { "NOT " } else { "" };
+                    type_error(format_args!("{not}LIKE on non-string"))
+                })?;
+                pat.matches(s) != *negated
+            }
             Node::InList(x, vals) => {
                 let v = x.value(src, row)?;
                 vals.iter()
@@ -275,12 +260,19 @@ impl<'e> Node<'e> {
             }
             Node::Between(x, lo, hi) => {
                 let v = x.value(src, row)?;
-                let ge = v.compare(*lo)?.is_ge();
-                let le = v.compare(*hi)?.is_le();
+                let incomparable = || type_error(format_args!("BETWEEN on incomparable values"));
+                let ge = v.compare(*lo).ok_or_else(incomparable)?.is_ge();
+                let le = v.compare(*hi).ok_or_else(incomparable)?.is_le();
                 ge && le
             }
             // Values: nonzero numbers are true.
-            _ => self.value(src, row)?.as_f64()? != 0.0,
+            _ => {
+                let v = self.value(src, row)?;
+                let x = v
+                    .as_f64()
+                    .ok_or_else(|| type_error(format_args!("non-boolean predicate value {v:?}")))?;
+                x != 0.0
+            }
         })
     }
 }
@@ -289,27 +281,61 @@ impl<'e> Node<'e> {
 mod tests {
     use super::*;
     use crate::column::ColumnTable;
+    use crate::tree_walk;
     use crate::value::{ColumnType, Row};
 
     fn lit(v: Value) -> Box<Expr> {
         Box::new(Expr::Lit(v))
     }
 
+    fn col(c: usize) -> Box<Expr> {
+        Box::new(Expr::Col(c))
+    }
+
     #[test]
-    fn typed_results_borrow_and_fallbacks_own() {
+    fn errors_equal_the_oracles() {
         let rows: Vec<Row> = vec![vec![Value::Str("PROMO TIN".into()), Value::Int(4)]];
-        let prefix = Expr::Prefix(Box::new(Expr::Col(0)), 5);
-        let p = Program::new(&prefix);
-        assert_eq!(p.eval(&rows[..], 0).unwrap(), Out::Cell(Cell::Str("PROMO")));
-        // PREFIX of a number: the typed path gives up, the tree-walker
-        // reports the error.
-        let bad = Expr::Prefix(Box::new(Expr::Col(1)), 5);
-        let p = Program::new(&bad);
-        assert_eq!(p.typed(&rows[..], 0), None);
+        let prefix = Expr::Prefix(col(0), 5);
         assert_eq!(
-            p.eval(&rows[..], 0).unwrap_err().to_string(),
-            bad.eval(&rows[0]).unwrap_err().to_string()
+            Program::new(&prefix).eval(&rows[..], 0).unwrap(),
+            Cell::Str("PROMO")
         );
+        let nan = Expr::Arith(ArithOp::Div, lit(Value::Float(0.0)), lit(Value::Int(0)));
+        let failing = [
+            Expr::Prefix(col(1), 5),
+            Expr::Year(col(0)),
+            Expr::Col(2),
+            // Both operands evaluate before either is checked: the column
+            // past the row wins over the string on the left.
+            Expr::Arith(ArithOp::Add, col(0), col(7)),
+            Expr::Arith(ArithOp::Mul, col(1), col(0)),
+            Expr::Cmp(CmpOp::Lt, col(0), col(1)),
+            Expr::Cmp(CmpOp::Eq, col(6), col(7)),
+            Expr::Cmp(CmpOp::Eq, Box::new(nan.clone()), Box::new(nan)),
+            Expr::col_cmp(0, CmpOp::Ge, Value::date("1995-01-01")),
+            Expr::Like(col(1), "%".into()),
+            Expr::NotLike(col(1), "%".into()),
+            Expr::Between(col(1), Value::Str("a".into()), Value::Int(9)),
+            Expr::Between(col(1), Value::Int(1), Value::Str("a".into())),
+            Expr::And(vec![Expr::col_eq(1, Value::Int(4)), Expr::Col(0)]),
+            Expr::Case(
+                Box::new(Expr::Col(0)),
+                lit(Value::Int(1)),
+                lit(Value::Int(2)),
+            ),
+            Expr::InList(col(3), vec![Value::Int(4)]),
+        ];
+        for e in &failing {
+            let p = Program::new(e);
+            let want = tree_walk::eval(e, &rows[0]).unwrap_err().to_string();
+            assert_eq!(p.eval(&rows[..], 0).unwrap_err().to_string(), want, "{e:?}");
+            let want = tree_walk::eval_bool(e, &rows[0]).unwrap_err().to_string();
+            assert_eq!(
+                p.eval_bool(&rows[..], 0).unwrap_err().to_string(),
+                want,
+                "{e:?}"
+            );
+        }
     }
 
     #[test]
@@ -337,9 +363,9 @@ mod tests {
         for e in &exprs {
             let p = Program::new(e);
             for (i, r) in rows.iter().enumerate() {
-                let want = e.eval(r).unwrap();
-                assert_eq!(p.eval(&table, i).unwrap().into_value(), want, "{e:?}");
-                assert_eq!(p.typed(&rows[..], i), Some(want.cell()), "{e:?}");
+                let want = tree_walk::eval(e, r).unwrap();
+                assert_eq!(p.eval(&table, i).unwrap().to_value(), want, "{e:?}");
+                assert_eq!(p.eval(&rows[..], i).unwrap(), want.cell(), "{e:?}");
             }
         }
     }

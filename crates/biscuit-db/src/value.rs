@@ -121,7 +121,8 @@ impl Value {
 /// A [`Value`] that borrows its string: what the column cache hands out and
 /// the lowered expression programs compute with, so reading a cell copies
 /// nothing. Every rule a `Value` follows — comparison, numeric view, text
-/// form, parsing — is defined here once.
+/// form, parsing — is defined here once. Its `Debug` spells a cell as
+/// `Value`'s spells the same value, so error texts that quote one agree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cell<'a> {
     /// Integer.

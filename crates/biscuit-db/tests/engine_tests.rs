@@ -16,6 +16,9 @@ use biscuit_host::{HostConfig, HostLoad};
 use biscuit_sim::Simulation;
 use biscuit_ssd::{SsdConfig, SsdDevice};
 
+#[path = "support/tree_walk.rs"]
+mod tree_walk;
+
 fn make_db() -> Db {
     make_db_with(DbConfig::paper_default())
 }
@@ -31,6 +34,15 @@ fn make_db_with(cfg: DbConfig) -> Db {
 
 /// items(id INT, category STR, price FLOAT, ship DATE): `rows` rows with a
 /// rare category "TARGET" planted every `stride` rows.
+/// The column types of the `items` table.
+const ITEM_TYPES: [ColumnType; 5] = [
+    ColumnType::Int,
+    ColumnType::Str,
+    ColumnType::Float,
+    ColumnType::Date,
+    ColumnType::Str,
+];
+
 fn load_items(db: &mut Db, rows: usize, stride: usize) {
     let schema = Schema::new(&[
         ("id", ColumnType::Int),
@@ -131,11 +143,42 @@ fn unfriendly_predicate_is_not_offloaded() {
         "items",
         Some(Expr::col_cmp(2, CmpOp::Lt, Value::Float(3.0))),
     );
-    assert!(pattern_keys(&spec.scans[0].predicate.clone().unwrap()).is_none());
+    assert!(pattern_keys(spec.scans[0].predicate.as_ref().unwrap(), &ITEM_TYPES).is_none());
     let bis = run_query(Arc::clone(&db), spec.clone(), ExecMode::Biscuit);
     assert!(bis.stats.offloaded_tables.is_empty());
     let conv = run_query(db, spec, ExecMode::Conv);
     assert_eq!(conv.rows, bis.rows);
+}
+
+/// A literal of another type than its column yields no pattern key: a
+/// `FLOAT` column stores `37.00`, which the key `|37|` of `Int` 37 never
+/// matches, so a scan offloaded on it would drop rows the host keeps. A
+/// `Float` literal keys the same column and is offloaded.
+#[test]
+fn a_literal_of_another_type_than_its_column_returns_the_conv_rows() {
+    let mut db = make_db();
+    load_items(&mut db, 30_000, 500);
+    let db = Arc::new(db);
+    let price_in = |vals: Vec<Value>| Expr::InList(Box::new(Expr::Col(2)), vals);
+    let cases = [
+        (Expr::col_eq(2, Value::Int(37)), 300, false),
+        (price_in(vec![Value::Int(37), Value::Int(38)]), 600, false),
+        (Expr::col_eq(2, Value::Float(37.0)), 300, true),
+    ];
+    for (pred, rows, offloaded) in cases {
+        let mut spec = SelectSpec::new("price");
+        spec.scan("items", Some(pred.clone()));
+        let conv = run_query(Arc::clone(&db), spec.clone(), ExecMode::Conv);
+        let bis = run_query(Arc::clone(&db), spec, ExecMode::Biscuit);
+        assert_eq!(conv.rows.len(), rows, "{pred:?}");
+        assert_eq!(bis.rows.len(), rows, "{pred:?}");
+        assert_eq!(bis.rows, conv.rows, "{pred:?}");
+        assert_eq!(
+            !bis.stats.offloaded_tables.is_empty(),
+            offloaded,
+            "{pred:?}"
+        );
+    }
 }
 
 #[test]
@@ -579,7 +622,7 @@ fn plain_scan_returns_owned_copies_of_the_loaded_rows() {
     filtered.scan("tags", Some(pred.clone()));
     let expected: Vec<Row> = loaded
         .iter()
-        .filter(|r| pred.eval_bool(r).unwrap())
+        .filter(|r| tree_walk::eval_bool(&pred, r).unwrap())
         .cloned()
         .collect();
     let mut out = run_query(Arc::clone(&db), filtered.clone(), ExecMode::Conv);
@@ -741,7 +784,8 @@ fn an_empty_table_samples_nothing_and_both_modes_return_no_rows() {
     let db = Arc::new(db);
     let mut spec = SelectSpec::new("empty-target");
     spec.scan("empty", Some(Expr::col_eq(1, Value::Str("TARGET".into()))));
-    assert!(pattern_keys(spec.scans[0].predicate.as_ref().unwrap()).is_some());
+    let types = [ColumnType::Int, ColumnType::Str];
+    assert!(pattern_keys(spec.scans[0].predicate.as_ref().unwrap(), &types).is_some());
 
     let conv = run_query(Arc::clone(&db), spec.clone(), ExecMode::Conv);
     let biscuit = run_query(Arc::clone(&db), spec.clone(), ExecMode::Biscuit);
@@ -911,7 +955,7 @@ fn reference_join(spec: &SelectSpec, order: &[usize], block_rows: usize) -> Vec<
                 .filter(|r| {
                     scan.predicate
                         .as_ref()
-                        .is_none_or(|p| p.eval_bool(r).unwrap())
+                        .is_none_or(|p| tree_walk::eval_bool(p, r).unwrap())
                 })
                 .collect()
         })

@@ -3,9 +3,9 @@
 //! *sequence*, not just the same set, because downstream float sums add in
 //! that order — over row slices, over the column cache and, for the join,
 //! over a join's id tuples. The replaced operators are kept below as
-//! references. The lowered expression
-//! programs must reproduce `Expr::eval`/`eval_bool`, value for value and
-//! error for error.
+//! references. The lowered expression programs must reproduce the
+//! tree-walking oracle (`support/tree_walk.rs`), value for value and error
+//! for error.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,6 +18,9 @@ use biscuit_db::expr::{ArithOp, CmpOp, Expr};
 use biscuit_db::program::Program;
 use biscuit_db::spec::{AggFun, SelectSpec};
 use biscuit_db::{ColumnType, DbResult, Row, Value};
+
+#[path = "support/tree_walk.rs"]
+mod tree_walk;
 
 // ---------- references: the operators as they were before ----------
 
@@ -117,12 +120,16 @@ fn ref_aggregate(spec: &SelectSpec, rows: &[Row]) -> Vec<Row> {
     let new_states = || spec.aggregates.iter().map(|_| RefAggState::new()).collect();
     let mut groups: HashMap<String, (Row, Vec<RefAggState>)> = HashMap::new();
     for row in rows {
-        let gvals: Row = spec.group_by.iter().map(|e| e.eval(row).unwrap()).collect();
+        let gvals: Row = spec
+            .group_by
+            .iter()
+            .map(|e| tree_walk::eval(e, row).unwrap())
+            .collect();
         let entry = groups
             .entry(exec::key_of(&gvals))
             .or_insert_with(|| (gvals.clone(), new_states()));
         for ((_, expr), st) in spec.aggregates.iter().zip(entry.1.iter_mut()) {
-            st.update(&expr.eval(row).unwrap());
+            st.update(&tree_walk::eval(expr, row).unwrap());
         }
     }
     if groups.is_empty() && spec.group_by.is_empty() {
@@ -363,7 +370,7 @@ proptest! {
         let pred = Expr::col_cmp(C_INT, CmpOp::Lt, Value::Int(bound));
         let expected: Vec<Row> = rows
             .iter()
-            .filter(|r| pred.eval_bool(r).unwrap())
+            .filter(|r| tree_walk::eval_bool(&pred, r).unwrap())
             .cloned()
             .collect();
         let table = column_table(&TYPES, &rows);
@@ -483,7 +490,37 @@ fn pattern() -> impl Strategy<Value = String> {
         .prop_map(str::to_owned)
 }
 
-/// Every `Expr` variant, columns up to two past the widest row.
+fn lit(v: Value) -> Box<Expr> {
+    Box::new(Expr::Lit(v))
+}
+
+/// Expressions that fail on every row, each with its own error text: a
+/// column past the widest row, `YEAR` of a string, `PREFIX` of a number,
+/// arithmetic on a string, `LIKE` on a number.
+fn failing() -> impl Strategy<Value = Expr> {
+    prop_oneof![
+        (6usize..8).prop_map(Expr::Col),
+        str_strategy().prop_map(|s| Expr::Year(lit(Value::Str(s)))),
+        int_strategy().prop_map(|i| Expr::Prefix(lit(Value::Int(i)), 2)),
+        (arith_op(), str_strategy(), int_strategy()).prop_map(|(op, s, i)| Expr::Arith(
+            op,
+            lit(Value::Str(s)),
+            lit(Value::Int(i))
+        )),
+        (date_strategy(), pattern()).prop_map(|(d, p)| Expr::Like(lit(Value::Date(d)), p)),
+    ]
+}
+
+/// `0/0` over an `Int`, `Float` or negative `Float` zero: `NaN`, which
+/// compares with nothing.
+fn zero_by_zero() -> impl Strategy<Value = Expr> {
+    proptest::sample::select(vec![Value::Int(0), Value::Float(0.0), Value::Float(-0.0)])
+        .prop_map(|z| Expr::Arith(ArithOp::Div, lit(z.clone()), lit(z)))
+}
+
+/// Every `Expr` variant, columns up to two past the widest row, and the
+/// shapes where two failures race and evaluation order decides which
+/// error is reported.
 fn expr_strategy() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         4 => (0usize..5).prop_map(Expr::Col),
@@ -511,6 +548,31 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
             1 => b().prop_map(Expr::Year),
             1 => (b(), b(), b()).prop_map(|(c, t, e)| Expr::Case(c, t, e)),
             1 => (b(), 0usize..4).prop_map(|(x, n)| Expr::Prefix(x, n)),
+            // Error precedence.
+            2 => (arith_op(), str_strategy(), 5usize..8)
+                .prop_map(|(op, s, c)| Expr::Arith(op, lit(Value::Str(s)), Box::new(Expr::Col(c)))),
+            2 => (arith_op(), b(), failing())
+                .prop_map(|(op, x, y)| Expr::Arith(op, x, Box::new(y))),
+            2 => (cmp_op(), failing(), failing())
+                .prop_map(|(op, x, y)| Expr::Cmp(op, Box::new(x), Box::new(y))),
+            2 => (cmp_op(), b(), failing())
+                .prop_map(|(op, x, y)| Expr::Cmp(op, x, Box::new(y))),
+            2 => (b(), str_strategy(), int_strategy())
+                .prop_map(|(x, s, i)| Expr::Between(x, Value::Str(s), Value::Int(i))),
+            2 => (b(), date_strategy(), str_strategy())
+                .prop_map(|(x, d, s)| Expr::Between(x, Value::Date(d), Value::Str(s))),
+            2 => (cmp_op(), zero_by_zero(), b())
+                .prop_map(|(op, z, x)| Expr::Cmp(op, Box::new(z), x)),
+            1 => (0usize..6, cmp_op(), zero_by_zero()).prop_map(|(c, op, z)| {
+                Expr::Cmp(op, Box::new(Expr::Col(c)), Box::new(z))
+            }),
+            2 => (failing(), b(), b())
+                .prop_map(|(c, t, e)| Expr::Case(Box::new(c), t, e)),
+            1 => (str_strategy(), b(), b())
+                .prop_map(|(s, t, e)| Expr::Case(lit(Value::Str(s)), t, e)),
+            1 => (b(), failing(), failing()).prop_map(|(x, y, z)| Expr::And(vec![*x, y, z])),
+            1 => (b(), failing(), failing()).prop_map(|(x, y, z)| Expr::Or(vec![*x, y, z])),
+            1 => failing().prop_map(|x| Expr::Not(Box::new(x))),
         ]
     })
 }
@@ -524,7 +586,8 @@ fn outcome<T: std::fmt::Debug>(r: DbResult<T>) -> String {
 }
 
 /// `Program::eval`, `eval_bool` and the batched numeric path of `expr`
-/// over `src` (whose row `i` is `rows[i]`) agree with the tree-walker.
+/// over `src` (whose row `i` is `rows[i]`) agree with the tree-walking
+/// oracle. A `Cell` and a `Value` spell alike under `Debug`.
 fn program_matches_tree_walker<A: biscuit_db::column::Cells + ?Sized>(
     expr: &Expr,
     src: &A,
@@ -532,17 +595,17 @@ fn program_matches_tree_walker<A: biscuit_db::column::Cells + ?Sized>(
 ) -> Result<(), TestCaseError> {
     let prog = Program::new(expr);
     for (i, row) in rows.iter().enumerate() {
-        let want = outcome(expr.eval(row));
-        let got = outcome(prog.eval(src, i).map(|out| out.into_value()));
+        let want = outcome(tree_walk::eval(expr, row));
+        let got = outcome(prog.eval(src, i));
         prop_assert_eq!(&got, &want, "eval of {:?} on {:?}", expr, row);
-        let want = outcome(expr.eval_bool(row));
+        let want = outcome(tree_walk::eval_bool(expr, row));
         let got = outcome(prog.eval_bool(src, i));
         prop_assert_eq!(&got, &want, "eval_bool of {:?} on {:?}", expr, row);
     }
     let mut f64s = vec![0.0; rows.len()];
     if prog.typed_f64s(src, &all_ids(rows), &mut f64s) {
         for (row, x) in rows.iter().zip(&f64s) {
-            let want = expr.eval(row).ok().and_then(|v| v.as_f64());
+            let want = tree_walk::eval(expr, row).ok().and_then(|v| v.as_f64());
             prop_assert_eq!(
                 want.map(f64::to_bits),
                 Some(x.to_bits()),
@@ -556,7 +619,7 @@ fn program_matches_tree_walker<A: biscuit_db::column::Cells + ?Sized>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4096))]
+    #![proptest_config(ProptestConfig::with_cases(32_768))]
 
     #[test]
     fn lowered_programs_equal_the_tree_walker(

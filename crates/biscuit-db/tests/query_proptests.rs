@@ -18,6 +18,9 @@ use biscuit_host::{HostConfig, HostLoad};
 use biscuit_sim::Simulation;
 use biscuit_ssd::{SsdConfig, SsdDevice};
 
+#[path = "support/tree_walk.rs"]
+mod tree_walk;
+
 const ROWS: usize = 8_000;
 const CATEGORIES: [&str; 6] = ["ALPHA", "BRAVO", "CHARLIE", "DELTA", "ECHO", "FOXTROT"];
 
@@ -106,7 +109,7 @@ proptest! {
         // Reference: direct filter over the in-memory dataset.
         let expected: Vec<Row> = dataset()
             .into_iter()
-            .filter(|row| pred.eval_bool(row).unwrap_or(false))
+            .filter(|row| tree_walk::eval_bool(&pred, row).unwrap_or(false))
             .collect();
         let (conv_rows, conv_offloaded) = run_scan(Arc::clone(&db), pred.clone(), ExecMode::Conv);
         prop_assert!(!conv_offloaded, "Conv mode must never offload");
