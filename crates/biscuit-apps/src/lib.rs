@@ -5,7 +5,7 @@
 //!
 //! - [`wordcount`] — the working example of Fig. 5 / Code 1–3 (mappers,
 //!   shuffler, reducers over typed ports).
-//! - [`search`] — simple string search: host Boyer–Moore (`grep`) vs the
+//! - [`search`] — simple string search: host `grep` vs the
 //!   pattern-matcher SSDlet (Table V).
 //! - [`graph`] — pointer chasing over an on-SSD social-graph store
 //!   (Table IV).

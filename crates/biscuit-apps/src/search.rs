@@ -1,7 +1,9 @@
 //! Simple string search, both ways (paper §V-C, Table V).
 //!
-//! - **Conv**: the host streams the file over the link and runs Boyer–Moore
-//!   (what Linux `grep` does), throttled by memory-bandwidth contention.
+//! - **Conv**: the host streams the file over the link and counts the
+//!   needle, as Linux `grep` does, at the calibrated `grep` scan rate,
+//!   throttled by memory-bandwidth contention. The counting itself runs the
+//!   matcher's substring kernel (`BoyerMoore` in `biscuit_host::search`).
 //! - **Biscuit**: a grep SSDlet streams the file through the per-channel
 //!   pattern matcher at internal bandwidth; only match counting touches the
 //!   device CPU, and a single number crosses the link. Load-insensitive.
@@ -17,7 +19,7 @@ use biscuit_host::fleet::{FleetConfig, FleetReport};
 use biscuit_host::{BoyerMoore, ConvIo, HostConfig, HostLoad};
 use biscuit_sim::time::SimDuration;
 use biscuit_sim::Ctx;
-use biscuit_ssd::pattern::{PatternLimits, PatternSet};
+use biscuit_ssd::pattern::{PatternError, PatternLimits, PatternSet};
 use biscuit_ssd::{SsdConfig, SsdDevice};
 
 use crate::weblog::{WeblogGen, NEEDLE};
@@ -29,14 +31,18 @@ use crate::weblog::{WeblogGen, NEEDLE};
 ///
 /// # Errors
 ///
-/// Returns filesystem errors.
+/// Returns [`BiscuitError::BadArgument`] for an empty needle, as
+/// [`biscuit_grep`] does, before any page is read; and filesystem errors.
 pub fn conv_grep(
     ctx: &Ctx,
     conv: &ConvIo,
     file: &File,
     needle: &[u8],
     load: HostLoad,
-) -> biscuit_fs::FsResult<u64> {
+) -> BiscuitResult<u64> {
+    if needle.is_empty() {
+        return Err(bad_needle(PatternError::EmptyKey { index: 0 }));
+    }
     let bm = BoyerMoore::new(needle);
     let page_size = conv.device().config().page_size;
     let total_pages = file.len()?.div_ceil(page_size as u64);
@@ -124,8 +130,11 @@ fn needle_pattern(config: &SsdConfig, needle: &[u8]) -> BiscuitResult<PatternSet
         max_keys: config.pm_max_keys,
         max_key_len: config.pm_max_key_len,
     };
-    PatternSet::new(vec![needle.to_vec()], limits)
-        .map_err(|e| BiscuitError::BadArgument(format!("grep needle: {e}")))
+    PatternSet::new(vec![needle.to_vec()], limits).map_err(bad_needle)
+}
+
+fn bad_needle(e: PatternError) -> BiscuitError {
+    BiscuitError::BadArgument(format!("grep needle: {e}"))
 }
 
 /// Device-side `grep` over the Biscuit framework: returns the occurrence
@@ -278,7 +287,8 @@ impl ArrayGrep {
 ///
 /// # Errors
 ///
-/// Returns filesystem errors.
+/// Returns [`BiscuitError::BadArgument`] for an empty needle, and
+/// filesystem errors.
 pub fn array_conv_grep(
     ctx: &Ctx,
     array: &SsdArray,
@@ -465,6 +475,43 @@ mod tests {
             "16-byte needle gave {:?}",
             results[4]
         );
+    }
+
+    #[test]
+    fn an_empty_needle_is_the_same_error_on_the_host_before_any_read() {
+        use biscuit_host::array::{ArrayConfig, SsdArray};
+
+        let (ssd, conv, file, _) = setup(8);
+        let array = SsdArray::new(
+            vec![ssd.clone()],
+            HostConfig::paper_default(),
+            ArrayConfig::default(),
+        );
+        let sim = Simulation::new(0);
+        let results = Arc::new(Mutex::new(Vec::new()));
+        let r = Arc::clone(&results);
+        sim.spawn("host", move |ctx| {
+            let module = load_grep_module(ctx, &ssd).unwrap();
+            let t0 = ctx.now();
+            let host = [
+                conv_grep(ctx, &conv, &file, b"", HostLoad::IDLE),
+                array_conv_grep(ctx, &array, "weblog", b"", HostLoad::IDLE),
+            ];
+            assert_eq!(ctx.now(), t0, "the host read before rejecting");
+            let device = biscuit_grep(ctx, &ssd, module, &file, b"");
+            *r.lock() = [device].into_iter().chain(host).collect::<Vec<_>>();
+        });
+        sim.run().assert_quiescent();
+        let results = results.lock();
+        let Err(BiscuitError::BadArgument(want)) = &results[0] else {
+            panic!("device grep of an empty needle gave {:?}", results[0]);
+        };
+        for r in &results[1..] {
+            assert!(
+                matches!(r, Err(BiscuitError::BadArgument(got)) if got == want),
+                "host grep of an empty needle gave {r:?}, device {want:?}"
+            );
+        }
     }
 
     #[test]

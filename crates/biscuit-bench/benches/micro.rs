@@ -1,9 +1,10 @@
-//! Exact functional outputs of three hot building blocks: Boyer–Moore and
-//! pattern-matcher hit counts over a fixed 1 MiB web-log corpus, and the DES
-//! kernel's context-switch count for 10 000 sleeps. What these paths cost in
-//! wall time is `biscuit-perf`'s unit-cost replays' to measure
-//! (`host.search.bm_ns_per_page`, `ssd.pattern.scan_ns_per_page`,
-//! `sim.kernel.ns_per_event`, ...), not this harness's.
+//! Exact functional outputs of three hot building blocks: host `grep`
+//! (`BoyerMoore`) and pattern-matcher hit counts over a fixed 1 MiB web-log
+//! corpus, and the DES kernel's context-switch count for 10 000 sleeps.
+//! What these paths cost in wall time is `biscuit-perf`'s unit-cost
+//! replays' to measure (`host.search.bm_ns_per_page`,
+//! `ssd.pattern.scan_ns_per_page`, `sim.kernel.ns_per_event`, ...), not this
+//! harness's.
 
 use biscuit_bench::BenchReport;
 use biscuit_host::search::BoyerMoore;

@@ -8,8 +8,9 @@
 //! - [`HostConfig`] / [`HostLoad`] — host rates and the contention model
 //!   (Tables IV/V fits).
 //! - [`io::ConvIo`] — the NVMe `pread`/async read path (Table III, Fig. 7).
-//! - [`search::BoyerMoore`] — the `grep` algorithm used as the Conv string
-//!   search baseline (Table V).
+//! - [`search::BoyerMoore`] — the Conv string search baseline (Table V):
+//!   counts through the matcher's substring kernel, charged at the
+//!   calibrated `grep` scan rate.
 //! - [`mod@array`] — multi-SSD scale-out: the shard coordinator, ordered
 //!   merge port, and concurrent query scheduler (Fig. 1(b), `docs/SCALE.md`).
 //! - [`fleet`] — the parallel-DES face of the coordinator: one shard

@@ -1,11 +1,21 @@
-//! Host-side string search: the Boyer–Moore algorithm Linux `grep` uses
-//! (paper §V-C, Table V's Conv baseline).
+//! Host-side string search: the Conv baseline of Table V (paper §V-C),
+//! where the paper runs Linux `grep`.
 //!
-//! The implementation is a complete Boyer–Moore with both the bad-character
-//! and good-suffix rules, plus a naive reference scanner used by the
-//! property tests to validate it.
+//! The host counts with the same substring kernel the drive's matcher model
+//! verifies hits with, [`biscuit_ssd::pattern::for_each_hit`], so both
+//! sides of the comparison do the same byte work in wall time. The Conv
+//! side's *virtual* cost does not depend on that choice: `conv_grep`
+//! charges the bytes at the calibrated [`HostConfig::scan_rate`](crate::HostConfig::scan_rate).
+//! A naive reference scanner is kept as the property tests' oracle.
 
-/// A preprocessed Boyer–Moore pattern.
+use biscuit_ssd::pattern::for_each_hit;
+
+/// A host `grep` pattern: finds and counts occurrences through the
+/// matcher's pair-filter kernel, [`for_each_hit`].
+///
+/// The name is the algorithm Linux `grep` uses, which is what Table V's
+/// Conv side models; its virtual cost is the calibrated host scan rate,
+/// whatever algorithm counts the bytes here.
 ///
 /// # Examples
 ///
@@ -20,124 +30,43 @@
 #[derive(Debug, Clone)]
 pub struct BoyerMoore {
     pattern: Vec<u8>,
-    bad_char: [usize; 256],
-    good_suffix: Vec<usize>,
 }
 
 impl BoyerMoore {
-    /// Preprocesses `pattern`.
+    /// Keeps `pattern` for searching.
     ///
     /// # Panics
     ///
     /// Panics if the pattern is empty.
     pub fn new(pattern: &[u8]) -> Self {
         assert!(!pattern.is_empty(), "Boyer-Moore pattern must be non-empty");
-        let m = pattern.len();
-        // Bad character rule: distance from the last occurrence of each
-        // byte to the pattern end.
-        let mut bad_char = [m; 256];
-        for (i, &b) in pattern.iter().enumerate().take(m - 1) {
-            bad_char[b as usize] = m - 1 - i;
-        }
-        // Good suffix rule (standard two-case preprocessing).
-        let good_suffix = build_good_suffix(pattern);
         BoyerMoore {
             pattern: pattern.to_vec(),
-            bad_char,
-            good_suffix,
         }
     }
 
     /// Offset of the first occurrence in `text`, if any.
     pub fn find(&self, text: &[u8]) -> Option<usize> {
-        self.find_from(text, 0)
-    }
-
-    /// Offset of the first occurrence at or after `from`.
-    pub(crate) fn find_from(&self, text: &[u8], from: usize) -> Option<usize> {
-        let m = self.pattern.len();
-        let n = text.len();
-        if m > n || from > n - m {
-            return None;
-        }
-        let last = self.pattern[m - 1];
-        // `end` is the text index under the pattern's last byte.
-        let mut end = from + m - 1;
-        while end < n {
-            // Skip loop (Horspool, as in GNU grep): most windows end in a
-            // byte that is not the pattern's last, and then the
-            // bad-character distance of that one byte is a safe shift that
-            // needs neither the right-to-left verify nor the shift maths.
-            let c = text[end];
-            if c != last {
-                end += self.bad_char[c as usize];
-                continue;
-            }
-            let s = end + 1 - m;
-            let mut j = m - 1;
-            while j > 0 && self.pattern[j - 1] == text[s + j - 1] {
-                j -= 1;
-            }
-            if j == 0 {
-                return Some(s);
-            }
-            let bc = self.bad_char[text[s + j - 1] as usize];
-            let bc_shift = bc.saturating_sub(m - j).max(1);
-            let gs_shift = self.good_suffix[j];
-            end += bc_shift.max(gs_shift);
-        }
-        None
+        let mut first = None;
+        for_each_hit(text, &self.pattern, |i| {
+            first = Some(i);
+            false
+        });
+        first
     }
 
     /// Number of (possibly overlapping) occurrences in `text`.
     pub fn count(&self, text: &[u8]) -> usize {
         let mut n = 0;
-        let mut from = 0;
-        while let Some(pos) = self.find_from(text, from) {
+        for_each_hit(text, &self.pattern, |_| {
             n += 1;
-            from = pos + 1;
-            if from + self.pattern.len() > text.len() {
-                break;
-            }
-        }
+            true
+        });
         n
     }
 }
 
-fn build_good_suffix(pattern: &[u8]) -> Vec<usize> {
-    let m = pattern.len();
-    let mut shift = vec![0usize; m + 1];
-    let mut border = vec![0usize; m + 1];
-    // Case 1: matching suffix occurs elsewhere in the pattern.
-    let mut i = m;
-    let mut j = m + 1;
-    border[i] = j;
-    while i > 0 {
-        while j <= m && pattern[i - 1] != pattern[j - 1] {
-            if shift[j] == 0 {
-                shift[j] = j - i;
-            }
-            j = border[j];
-        }
-        i -= 1;
-        j -= 1;
-        border[i] = j;
-    }
-    // Case 2: only a prefix of the pattern matches a suffix of the match.
-    let mut j = border[0];
-    #[allow(clippy::needless_range_loop)] // i indexes shift and compares to j
-    for i in 0..=m {
-        if shift[i] == 0 {
-            shift[i] = j;
-        }
-        if i == j {
-            j = border[j];
-        }
-    }
-    shift
-}
-
-/// Straightforward reference scanner (used to cross-check Boyer–Moore).
+/// Straightforward reference scanner (the property tests' oracle).
 pub fn naive_find(text: &[u8], pattern: &[u8]) -> Option<usize> {
     if pattern.is_empty() || pattern.len() > text.len() {
         return None;

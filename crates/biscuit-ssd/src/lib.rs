@@ -18,7 +18,8 @@
 //! - [`journal`] — the write-ahead L2P redo log + checkpoint that recovery
 //!   replays after a power loss (see `docs/WRITEPATH.md`).
 //! - [`pattern`] — the per-channel hardware pattern matcher ([`PatternSet`],
-//!   multi-key substring scan with [`PatternLimits`]).
+//!   multi-key substring scan with [`PatternLimits`]) and its substring
+//!   kernel [`pattern::for_each_hit`], which the host `grep` shares.
 //! - [`memory`] — the dual-arena device DRAM budget.
 //! - [`SsdDevice`] — the timed façade gluing the above into the
 //!   internal datapath: die reservations, channel-bus transfers, matcher

@@ -151,8 +151,10 @@ impl PatternSet {
         self.keys.iter().any(|k| !for_each_hit(data, k, |_| false))
     }
 
-    /// Byte offsets of every occurrence of every keyword (diagnostic /
-    /// verification helper; the real IP only reports presence per chunk).
+    /// Byte offsets of every occurrence of every keyword, ascending and
+    /// deduplicated. The IP itself only reports presence per chunk; this is
+    /// the device CPU's search of a page the IP flagged, which both scan
+    /// SSDlets (grep and the DB filter) run on every hit page.
     pub fn find_all(&self, data: &[u8]) -> Vec<usize> {
         let mut hits = Vec::new();
         for k in &self.keys {
@@ -170,20 +172,43 @@ impl PatternSet {
 /// Haystack positions examined per step of [`for_each_hit`]'s pair filter.
 const BLOCK: usize = 32;
 
-/// Substring search used by the matcher model: calls `hit` with every
-/// offset at which `needle` occurs in `haystack`, ascending and overlaps
-/// included, until `hit` returns `false`. Returns `false` iff it was
-/// stopped that way. Virtual *timing* comes from the channel-rate shaper in
-/// the device datapath, but every scanned page really runs through here,
-/// and a byte-at-a-time walk made this the simulator's hottest loop. So
-/// candidates are filtered a block at a time: position `i` can start a hit
-/// only if `haystack[i]` is the needle's first byte and `haystack[i + m -
-/// 1]` its last. Comparing `BLOCK` positions of both lanes and OR-ing the
-/// results into one flag has fixed-size, branch-free inner loops that LLVM
-/// turns into vector compares on every baseline target. Only a flagged
-/// block builds the mask of its positions that pass the filter, and only
-/// the set bits of that mask are verified.
-fn for_each_hit(haystack: &[u8], needle: &[u8], mut hit: impl FnMut(usize) -> bool) -> bool {
+/// The substring kernel both sides of Table V run: the matcher model
+/// verifies a page's hits with it, and the host `grep`
+/// (`biscuit_host::search::BoyerMoore`) counts with it.
+///
+/// Calls `hit` with every offset at which `needle` occurs in `haystack`,
+/// ascending and overlaps included, until `hit` returns `false`. Returns
+/// `false` iff it was stopped that way. Any needle length works — the
+/// matcher's key limit is [`PatternSet::new`]'s to enforce, not this
+/// function's — and an empty needle, or one longer than `haystack`, has no
+/// hits.
+///
+/// Virtual *timing* is charged elsewhere (the channel-rate shaper on the
+/// device, the calibrated scan rate on the host), but every scanned page
+/// really runs through here, and a byte-at-a-time walk made this the
+/// simulator's hottest loop. So candidates are filtered a block at a time:
+/// position `i` can start a hit only if `haystack[i]` is the needle's first
+/// byte and `haystack[i + m - 1]` its last. Comparing `BLOCK` positions of
+/// both lanes and OR-ing the results into one flag has fixed-size,
+/// branch-free inner loops that LLVM turns into vector compares on every
+/// baseline target. Only a flagged block builds the mask of its positions
+/// that pass the filter, and only the set bits of that mask are verified.
+///
+/// # Examples
+///
+/// ```
+/// use biscuit_ssd::pattern::for_each_hit;
+///
+/// let mut hits = Vec::new();
+/// assert!(for_each_hit(b"abxabab", b"ab", |i| {
+///     hits.push(i);
+///     true
+/// }));
+/// assert_eq!(hits, [0, 3, 5]);
+/// // Returning `false` stops the search at the first hit.
+/// assert!(!for_each_hit(b"abxabab", b"ab", |_| false));
+/// ```
+pub fn for_each_hit(haystack: &[u8], needle: &[u8], mut hit: impl FnMut(usize) -> bool) -> bool {
     let m = needle.len();
     if m == 0 || m > haystack.len() {
         return true;

@@ -1,5 +1,5 @@
-//! String search two ways (paper §V-C, Table V): host `grep` with
-//! Boyer–Moore vs a pattern-matcher SSDlet — under background load.
+//! String search two ways (paper §V-C, Table V): host `grep` vs a
+//! pattern-matcher SSDlet — under background load.
 //!
 //! Run with: `cargo run --release --example string_search`
 

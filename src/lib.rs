@@ -17,7 +17,7 @@
 //! | [`ssd`] | `biscuit-ssd` | NAND array, FTL with GC, pattern-matcher IP, timed datapath |
 //! | [`fs`] | `biscuit-fs` | the extent filesystem Biscuit mandates for device data |
 //! | [`core`] | `biscuit-core` | **the framework**: SSDlets, modules, applications, ports |
-//! | [`host`] | `biscuit-host` | the Conv baseline: host CPU model, pread path, Boyer–Moore |
+//! | [`host`] | `biscuit-host` | the Conv baseline: host CPU model, pread path, host `grep` |
 //! | [`db`] | `biscuit-db` | mini relational engine with NDP offload + TPC-H |
 //! | [`apps`] | `biscuit-apps` | wordcount, string search, pointer chasing |
 //!
