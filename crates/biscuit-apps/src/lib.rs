@@ -3,7 +3,7 @@
 //! Runnable implementations of every application the paper evaluates on
 //! Biscuit (§III-E, §V-C):
 //!
-//! - [`wordcount`] — the working example of Fig. 5 / Code 1–3 (mappers,
+//! - [`run_wordcount`] — the working example of Fig. 5 / Code 1–3 (mappers,
 //!   shuffler, reducers over typed ports).
 //! - [`search`] — simple string search: host `grep` vs the
 //!   pattern-matcher SSDlet (Table V).
@@ -18,7 +18,7 @@
 pub mod graph;
 pub mod search;
 pub mod weblog;
-pub mod wordcount;
+mod wordcount;
 
 pub use graph::{biscuit_chase, chase_module, conv_chase, ChaseArgs, SocialGraph};
 pub use search::{

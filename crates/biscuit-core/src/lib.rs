@@ -14,9 +14,10 @@
 //!   instantiate proxies, `connect` / `connect_to` / `connect_from`,
 //!   `start`, `join`.
 //! - [`ssd::Ssd`] — the host handle: `load_module` / `unload_module`.
-//! - [`port`] — the three port kinds with Table II latency structure.
-//! - [`runtime`] — the in-device cooperative runtime that schedules loaded
-//!   SSDlets onto the device CPU cores.
+//! - the three port kinds with Table II latency structure ([`PortKind`],
+//!   [`HostInPort`], [`HostOutPort`]).
+//! - [`DeviceRuntime`] — the in-device cooperative runtime that schedules
+//!   loaded SSDlets onto the device CPU cores.
 //! - [`Session`] — multi-user sessions with channel/memory quotas (a paper
 //!   §VII follow-on).
 //! - [`CoreConfig`], [`BiscuitError`] / [`BiscuitResult`] — configuration
@@ -85,8 +86,8 @@ mod app;
 mod config;
 mod error;
 pub mod module;
-pub mod port;
-pub mod runtime;
+mod port;
+mod runtime;
 mod session;
 mod ssd;
 pub mod task;

@@ -1,4 +1,4 @@
-//! Property tests for `biscuit_core::port`: FIFO ordering and typed-port
+//! Property tests for the host and SSDlet ports: FIFO ordering and typed-port
 //! contracts must hold under arbitrary host/SSDlet interleavings, with and
 //! without link faults.
 //!

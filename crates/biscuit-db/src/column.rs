@@ -9,11 +9,11 @@
 //! form whichever datapath produced it.
 //!
 //! [`Cells`] is the accessor: the column table implements it, and so does a
-//! slice of rows (`[Row]`, `[&Row]`) — `ArrayDb`'s merged stream and
-//! callers that hold rows of their own — and so does [`Joined`], a join's
-//! running result, which holds row ids into the scans' column tables
-//! rather than rows. The lowered expression programs ([`crate::program`])
-//! and the operators in [`crate::exec`] are written once against it.
+//! slice of rows (`[Row]`, `[&Row]`) — the row-slice operators' input —
+//! and so does [`Joined`], a join's running result, which holds row ids
+//! into the scans' column tables rather than rows. The lowered expression
+//! programs ([`crate::program`]) and the operators in [`crate::exec`] are
+//! written once against it.
 
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
@@ -22,7 +22,7 @@ use crate::error::{DbError, DbResult};
 use crate::value::{fields, Cell, ColumnType, Row, Value};
 
 /// Read access to a row-indexed set of cells.
-pub trait Cells {
+pub(crate) trait Cells {
     /// Cell `col` of row `row`, or `None` past the row's width.
     ///
     /// # Panics
@@ -150,14 +150,14 @@ impl Column {
 
 /// A table stored column by column (see the module docs).
 #[derive(Debug, Clone)]
-pub struct ColumnTable {
+pub(crate) struct ColumnTable {
     rows: usize,
     columns: Vec<Column>,
 }
 
 impl ColumnTable {
     /// An empty table with these column types.
-    pub fn new(types: &[ColumnType]) -> ColumnTable {
+    pub(crate) fn new(types: &[ColumnType]) -> ColumnTable {
         ColumnTable::with_capacity(types, 0)
     }
 
@@ -213,7 +213,7 @@ impl ColumnTable {
     ///
     /// Returns [`DbError::TypeError`] — and appends nothing — if the row's
     /// width or a cell's type differs from the table's.
-    pub fn push_row(&mut self, row: &[Value]) -> DbResult<()> {
+    pub(crate) fn push_row(&mut self, row: &[Value]) -> DbResult<()> {
         if self.push_with(row, |_, v| Some(v.cell())) {
             Ok(())
         } else {
@@ -265,7 +265,7 @@ impl Cells for ColumnTable {
 /// One scan's part of a joined row: row `row` of table `table` of the
 /// tables that scan's rows come from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowRef {
+pub(crate) struct RowRef {
     /// Index into the scan's tables.
     pub table: u32,
     /// Row id in that table.
@@ -283,7 +283,7 @@ pub struct RowRef {
 /// joined, only the joined scans' columns can be read; reading another
 /// panics.
 #[derive(Debug, Clone)]
-pub struct Joined {
+pub(crate) struct Joined {
     /// Global column `c` is column `cols[c].1` of scan `cols[c].0`.
     cols: Vec<(usize, usize)>,
     /// Per scan (spec order): its tables, none before it joins.
@@ -296,7 +296,12 @@ pub struct Joined {
 impl Joined {
     /// Rows `ids` of `table` as scan `scan` — the first in join order — of a
     /// join whose scans are `widths` columns wide, in spec order.
-    pub fn new(widths: &[usize], scan: usize, table: Arc<ColumnTable>, ids: &[u32]) -> Joined {
+    pub(crate) fn new(
+        widths: &[usize],
+        scan: usize,
+        table: Arc<ColumnTable>,
+        ids: &[u32],
+    ) -> Joined {
         let cols = widths
             .iter()
             .enumerate()
@@ -315,12 +320,12 @@ impl Joined {
     }
 
     /// Number of joined rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// True when no row has joined.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
@@ -331,7 +336,7 @@ impl Joined {
     /// # Panics
     ///
     /// Panics if a match names a row of `self` out of range.
-    pub fn join(
+    pub(crate) fn join(
         mut self,
         scan: usize,
         tables: Vec<Arc<ColumnTable>>,

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use biscuit_sim::sync::Mutex;
 
-use biscuit_core::runtime::ModuleId;
+use biscuit_core::ModuleId;
 use biscuit_core::{Application, BiscuitError, HostInPort, Ssd, SsdletHandle};
 use biscuit_fs::Mode;
 use biscuit_host::{ConvIo, HostConfig, HostLoad};
@@ -1068,9 +1068,8 @@ impl Db {
     }
 
     /// Residual predicate, aggregation or projection, ORDER BY and LIMIT over
-    /// rows `ids` of the joined rows — a join's id tuples, a single scan's
-    /// column table, or [`ArrayDb`](crate::ArrayDb)'s merged stream —
-    /// materialising rows only for output.
+    /// rows `ids` of the joined rows — a join's id tuples or a single scan's
+    /// column table — materialising rows only for output.
     pub(crate) fn shape<A: Cells + ?Sized>(
         &self,
         ctx: &Ctx,

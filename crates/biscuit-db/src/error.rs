@@ -32,8 +32,8 @@ pub enum DbError {
     Fs(FsError),
     /// Framework failure during offload.
     Biscuit(BiscuitError),
-    /// The query shape is not supported by this executor (e.g. joins on
-    /// the sharded [`ArrayDb`](crate::array::ArrayDb)).
+    /// The query shape is not supported by this executor: a spec with no
+    /// scans, or a join edge naming a scan the spec lacks (or one twice).
     Unsupported(String),
 }
 

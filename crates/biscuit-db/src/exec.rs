@@ -11,17 +11,16 @@
 //! predicate) once per join step, since it cannot differ between blocks;
 //! only the re-scan's I/O and CPU time is replayed per block.
 //!
-//! Each operator exists once, over any [`Cells`] source — the engine's
-//! column cache, a join's id tuples ([`Joined`](crate::column::Joined)) or
-//! a slice of rows — and a list of row ids: a selection vector, so a scan
-//! copies nothing. The join operators, [`hash_probe`] and `cross`, copy
+//! Each operator exists once, over any `Cells` source — the engine's
+//! column cache, a join's id tuples (`Joined`) or a slice of rows — and a
+//! list of row ids: a selection vector, so a scan copies nothing. The join operators, `hash_probe` and `cross`, copy
 //! nothing either: they emit (outer id, inner id) pairs, the engine extends
 //! its `Joined` ids with them, and rows are built only for query output.
-//! Expressions are lowered once per call into a [`Program`]. The row-slice
+//! Expressions are lowered once per call into a `Program`. The row-slice
 //! functions (`filter`, `filter_ref`, `aggregate`, `hash_probe_block`) are
 //! those operators over all of the given rows; `hash_probe_block` builds
 //! merged rows from the pairs. Join and group keys are compared the way
-//! [`key_of`] spells them — by canonical text, so `Int 5` meets `Str "5"`
+//! `key_of` spells them — by canonical text, so `Int 5` meets `Str "5"`
 //! — but hashed cell by cell and verified cell by cell, without a `String`
 //! per row.
 
@@ -38,7 +37,7 @@ use crate::value::{Cell, Row, Value};
 
 /// Canonical text key for a tuple of values (floats and dates spell the way
 /// they are stored). Fixes the base order of [`aggregate`]'s output.
-pub fn key_of(values: &[Value]) -> String {
+pub(crate) fn key_of(values: &[Value]) -> String {
     let mut s = String::new();
     for v in values {
         v.write_text(&mut s);
@@ -169,7 +168,7 @@ fn key_cell<A: Cells + ?Sized>(src: &A, row: usize, col: usize) -> Cell<'_> {
 /// is copied. `outer_cols` index the outer rows and `inner_cols` the inner
 /// rows. Output order: inner rows in `inner_ids` order, each with its
 /// matching outer rows in `outer_ids` order.
-pub fn hash_probe<O: Cells + ?Sized, I: Cells + ?Sized>(
+pub(crate) fn hash_probe<O: Cells + ?Sized, I: Cells + ?Sized>(
     outer: &O,
     outer_ids: &[u32],
     outer_cols: &[usize],
@@ -199,7 +198,7 @@ pub fn hash_probe<O: Cells + ?Sized, I: Cells + ?Sized>(
     }
 }
 
-/// [`hash_probe`] over every row of two row lists, building the merged
+/// `hash_probe` over every row of two row lists, building the merged
 /// rows: the outer row with the inner row's cells written from `offset`
 /// on.
 pub fn hash_probe_block<'a, 'b>(
@@ -359,7 +358,7 @@ impl Groups<'_> {
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
-pub fn aggregate_in<A: Cells + ?Sized>(
+pub(crate) fn aggregate_in<A: Cells + ?Sized>(
     spec: &SelectSpec,
     src: &A,
     ids: &[u32],
@@ -443,7 +442,7 @@ pub fn aggregate_in<A: Cells + ?Sized>(
     Ok(out)
 }
 
-/// [`aggregate_in`] over every row of a row list.
+/// `aggregate_in` over every row of a row list.
 ///
 /// # Errors
 ///
@@ -456,22 +455,22 @@ pub fn aggregate<'a>(
     aggregate_in(spec, &rows[..], &all(rows.len()))
 }
 
-/// Applies ORDER BY (stable) and LIMIT to output rows.
-pub fn order_and_limit(rows: &mut Vec<Row>, order: &[OrderKey], limit: Option<usize>) {
-    if !order.is_empty() {
-        rows.sort_by(|a, b| {
-            for k in order {
-                let ord = a[k.col]
-                    .compare(&b[k.col])
-                    .unwrap_or(std::cmp::Ordering::Equal);
-                let ord = if k.desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
+/// Applies ORDER BY and LIMIT to output rows. Each key orders a pair as
+/// [`Value::compare`] does where that orders it; otherwise NaN sorts after
+/// every number (as in PostgreSQL) and a string after both, so the order is
+/// total. Rows that tie on every key keep their input order.
+pub(crate) fn order_and_limit(rows: &mut Vec<Row>, order: &[OrderKey], limit: Option<usize>) {
+    let rank = |v: &Value| match v {
+        Value::Str(_) => 2,
+        v => u8::from(v.as_f64().is_some_and(f64::is_nan)),
+    };
+    rows.sort_by(|a, b| {
+        order.iter().fold(std::cmp::Ordering::Equal, |ord, k| {
+            let (x, y) = (&a[k.col], &b[k.col]);
+            let (x, y) = if k.desc { (y, x) } else { (x, y) };
+            ord.then_with(|| x.compare(y).unwrap_or_else(|| rank(x).cmp(&rank(y))))
+        })
+    });
     if let Some(n) = limit {
         rows.truncate(n);
     }
@@ -504,7 +503,11 @@ pub(crate) fn project_in<A: Cells + ?Sized>(
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
-pub fn select_in<A: Cells + ?Sized>(pred: &Expr, src: &A, ids: &[u32]) -> DbResult<Vec<u32>> {
+pub(crate) fn select_in<A: Cells + ?Sized>(
+    pred: &Expr,
+    src: &A,
+    ids: &[u32],
+) -> DbResult<Vec<u32>> {
     let prog = Program::new(pred);
     let mut sel = Vec::new();
     for &id in ids {
@@ -520,7 +523,7 @@ pub fn select_in<A: Cells + ?Sized>(pred: &Expr, src: &A, ids: &[u32]) -> DbResu
 /// # Errors
 ///
 /// Propagates expression evaluation errors.
-pub fn filter<R: Borrow<Row>>(pred: &Expr, rows: Vec<R>) -> DbResult<Vec<R>> {
+pub(crate) fn filter<R: Borrow<Row>>(pred: &Expr, rows: Vec<R>) -> DbResult<Vec<R>> {
     let sel = select_in(pred, &rows[..], &all(rows.len()))?;
     let mut keep = sel.into_iter().peekable();
     Ok(rows
@@ -531,7 +534,7 @@ pub fn filter<R: Borrow<Row>>(pred: &Expr, rows: Vec<R>) -> DbResult<Vec<R>> {
         .collect())
 }
 
-/// [`select_in`] over every row of a row list, cloning the qualifying rows
+/// `select_in` over every row of a row list, cloning the qualifying rows
 /// out.
 ///
 /// # Errors
@@ -721,6 +724,40 @@ mod tests {
         let mut rows = vec![vec![v(3)], vec![v(1)], vec![v(2)]];
         order_and_limit(&mut rows, &[OrderKey { col: 0, desc: true }], Some(2));
         assert_eq!(rows, vec![vec![v(3)], vec![v(2)]]);
+    }
+
+    #[test]
+    fn order_by_is_total_over_nan_and_mixed_types() {
+        let s = |t: &str| Value::Str(t.into());
+        let mut rows: Vec<Row> = [
+            s("b"),
+            Value::Float(f64::NAN),
+            v(2),
+            s("a"),
+            Value::Float(1.5),
+        ]
+        .into_iter()
+        .map(|x| vec![x])
+        .collect();
+        order_and_limit(
+            &mut rows,
+            &[OrderKey {
+                col: 0,
+                desc: false,
+            }],
+            None,
+        );
+        let text: Vec<String> = rows.iter().map(|r| format!("{:?}", r[0])).collect();
+        assert_eq!(
+            text,
+            [
+                "Float(1.5)",
+                "Int(2)",
+                "Float(NaN)",
+                "Str(\"a\")",
+                "Str(\"b\")"
+            ]
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Scalar expressions, SQL `LIKE` patterns, and pattern-key extraction for
-//! the NDP offload planner. Expressions evaluate through
-//! [`crate::program::Program`], the crate's one evaluator.
+//! the NDP offload planner. Expressions evaluate through `Program`, the
+//! crate's one evaluator.
 //!
 //! Key extraction is the compatibility analysis the paper's modified query
 //! planner performs (§V-C): a filter predicate is pattern-matcher friendly

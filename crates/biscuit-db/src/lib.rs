@@ -9,13 +9,12 @@
 //!
 //! ## Crate layout
 //!
-//! - [`value`]/[`Schema`]/[`table`] — storage layer: typed values, table
+//! - [`Value`]/[`Schema`]/[`table`] — storage layer: typed values, table
 //!   schemas, and the text page format the pattern matcher can scan.
-//! - [`mod@column`] — the host's column cache ([`column::ColumnTable`]), a
-//!   join's running result as row ids into it ([`column::Joined`]), and the
-//!   [`column::Cells`] accessor every operator reads through.
+//! - `column` — the host's column cache, a join's running result as row ids
+//!   into it, and the accessor every operator reads through.
 //! - [`expr`] — expressions, `LIKE` patterns, pattern-key extraction.
-//! - [`program`] — the one evaluator: expressions lowered once per operator
+//! - `program` — the one evaluator: expressions lowered once per operator
 //!   call into typed programs over that accessor.
 //! - [`spec`] — declarative query specs ([`SelectSpec`], [`ExecMode`]).
 //! - the scan-filter SSDlet module deployed to the device.
@@ -25,8 +24,6 @@
 //!   (see `docs/TRACING.md` at the repo root).
 //! - [`exec`] — selection, joins, aggregation, projection, ordering.
 //! - [`DbError`] / [`DbResult`] — errors.
-//! - [`ArrayDb`] — the same engine sharded across the drives
-//!   of a [`biscuit_host::array::SsdArray`] (see `docs/SCALE.md`).
 //! - [`tpch`] — TPC-H schema, dbgen-style generator, and all 22 queries.
 //!
 //! ## Example: a filtered scan end to end
@@ -37,8 +34,7 @@
 //! ```
 //! use biscuit_core::{CoreConfig, Ssd};
 //! use biscuit_db::spec::ExecMode;
-//! use biscuit_db::{CmpOp, Db, DbConfig, Expr, Schema, SelectSpec, Value};
-//! use biscuit_db::value::ColumnType;
+//! use biscuit_db::{CmpOp, ColumnType, Db, DbConfig, Expr, Schema, SelectSpec, Value};
 //! use biscuit_fs::Fs;
 //! use biscuit_host::{HostConfig, HostLoad};
 //! use biscuit_sim::Simulation;
@@ -83,32 +79,36 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-mod array;
-pub mod column;
+mod column;
 mod engine;
 mod error;
 pub mod exec;
 pub mod expr;
 mod offload;
-pub mod program;
+mod program;
 mod schema;
 pub mod spec;
 pub mod table;
 pub mod tpch;
-pub mod value;
+mod value;
 
-pub use array::ArrayDb;
 pub use engine::{Db, DbConfig, PlanExplain, QueryOutput, QueryStats, ScanExplain};
 pub use error::{DbError, DbResult};
 pub use expr::{CmpOp, Expr};
 pub use schema::{Catalog, Column, Schema, TableMeta};
 pub use spec::{AggFun, ExecMode, JoinEdge, OrderKey, SelectSpec, TableScanSpec};
-pub use value::{Cell, ColumnType, Row, Value};
+pub use value::{ColumnType, Row, Value};
 
 // The tests' oracle, shared with the integration tests; it names the crate
 // as they do.
+#[path = "../tests/support/tree_walk.rs"]
+#[cfg(test)]
+mod tree_walk;
 #[cfg(test)]
 extern crate self as biscuit_db;
+
+// Property suites over crate internals. They sit beside the integration
+// tests, in `tests/unit/`, but are not test targets of their own.
+#[path = "../tests/unit/exec_proptests.rs"]
 #[cfg(test)]
-#[path = "../tests/support/tree_walk.rs"]
-mod tree_walk;
+mod exec_proptests;

@@ -36,11 +36,11 @@ use crate::expr::{ArithOp, CmpOp, Expr, LikePattern};
 use crate::value::{year_of, Cell, Value};
 
 /// A lowered [`Expr`] (see the module docs).
-pub struct Program<'e>(Node<'e>);
+pub(crate) struct Program<'e>(Node<'e>);
 
 impl<'e> Program<'e> {
     /// Lowers `expr`.
-    pub fn new(expr: &'e Expr) -> Program<'e> {
+    pub(crate) fn new(expr: &'e Expr) -> Program<'e> {
         Program(Node::lower(expr))
     }
 
@@ -51,7 +51,11 @@ impl<'e> Program<'e> {
     ///
     /// [`DbError::TypeError`] where an operand is of the wrong type or a
     /// column is past the row's width.
-    pub fn eval<'a, A: Cells + ?Sized>(&'a self, src: &'a A, row: usize) -> DbResult<Cell<'a>> {
+    pub(crate) fn eval<'a, A: Cells + ?Sized>(
+        &'a self,
+        src: &'a A,
+        row: usize,
+    ) -> DbResult<Cell<'a>> {
         self.0.value(src, row).map_err(|e| *e)
     }
 
@@ -62,7 +66,7 @@ impl<'e> Program<'e> {
     /// # Errors
     ///
     /// As [`Program::eval`], and [`DbError::TypeError`] for a string value.
-    pub fn eval_bool<A: Cells + ?Sized>(&self, src: &A, row: usize) -> DbResult<bool> {
+    pub(crate) fn eval_bool<A: Cells + ?Sized>(&self, src: &A, row: usize) -> DbResult<bool> {
         self.0.truth(src, row).map_err(|e| *e)
     }
 
@@ -70,7 +74,12 @@ impl<'e> Program<'e> {
     /// of `ids`, written to `out` (as long as `ids`), an operator at a
     /// time. `false` — with `out` partly written — if a row's evaluation
     /// fails or its result is a string.
-    pub fn typed_f64s<A: Cells + ?Sized>(&self, src: &A, ids: &[u32], out: &mut [f64]) -> bool {
+    pub(crate) fn typed_f64s<A: Cells + ?Sized>(
+        &self,
+        src: &A,
+        ids: &[u32],
+        out: &mut [f64],
+    ) -> bool {
         self.0.f64s(src, ids, out)
     }
 }

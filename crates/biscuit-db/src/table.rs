@@ -11,7 +11,9 @@ use crate::column::ColumnTable;
 use crate::error::{DbError, DbResult};
 use crate::exec::check_width;
 use crate::schema::{Schema, TableMeta};
-use crate::value::{row_from_text, row_to_text, Row, Value};
+use crate::value::{row_from_text, Row, Value};
+
+pub use crate::value::row_to_text;
 
 /// Byte used to fill page tails.
 pub(crate) const PAD: u8 = b'~';

@@ -98,8 +98,9 @@ impl Value {
         self.cell().compare(other.cell())
     }
 
-    /// The on-flash text form of this value (what the pattern matcher sees).
-    pub fn to_text(&self) -> String {
+    /// The on-flash text form of this value (what the pattern matcher sees;
+    /// outside the crate, its `Display` form).
+    pub(crate) fn to_text(&self) -> String {
         let mut s = String::new();
         self.write_text(&mut s);
         s
@@ -124,7 +125,7 @@ impl Value {
 /// form, parsing — is defined here once. Its `Debug` spells a cell as
 /// `Value`'s spells the same value, so error texts that quote one agree.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Cell<'a> {
+pub(crate) enum Cell<'a> {
     /// Integer.
     Int(i64),
     /// Float.
@@ -332,7 +333,7 @@ pub(crate) fn fields(line: &str) -> Option<impl Iterator<Item = &str>> {
 
 /// Days-since-epoch for `YYYY-MM-DD` (proleptic Gregorian, 1970 epoch).
 /// Years past 1 000 000 are rejected: their day counts overflow `i32`.
-pub fn parse_date(s: &str) -> Option<i32> {
+pub(crate) fn parse_date(s: &str) -> Option<i32> {
     let mut it = s.split('-');
     let y: i32 = it.next()?.parse().ok()?;
     let m: u32 = it.next()?.parse().ok()?;

@@ -263,6 +263,60 @@ fn projection_order_limit() {
     assert!(out.rows[0][0].as_i64().unwrap() < out.rows[1][0].as_i64().unwrap());
 }
 
+/// `ratios(id, x, y)` with `x / y` ordered ascending, in both modes: the
+/// numbers (infinities included) come first in order, then every NaN row,
+/// and rows with equal ratios keep their id order.
+#[test]
+fn order_by_sorts_nan_after_every_number() {
+    let four = [(3, 1), (0, 0), (1, 1), (2, 1)];
+    // Past the sort's insertion-sort cutoff: ties, NaNs and infinities
+    // spread through the input.
+    let many: Vec<(i64, i64)> = (0..45)
+        .map(|i| match i % 6 {
+            0 => (0, 0),
+            3 => (i % 4, 0),
+            _ => ((i * 7) % 5, 1 + i % 2),
+        })
+        .collect();
+    for pairs in [&four[..], &many[..]] {
+        let mut db = make_db();
+        let schema = Schema::new(&[
+            ("id", ColumnType::Int),
+            ("x", ColumnType::Int),
+            ("y", ColumnType::Int),
+        ]);
+        let rows: Vec<Row> = (0..)
+            .zip(pairs)
+            .map(|(id, &(x, y))| vec![Value::Int(id), Value::Int(x), Value::Int(y)])
+            .collect();
+        db.create_table("ratios", schema, &rows).unwrap();
+        let db = Arc::new(db);
+        let ratio = |&(x, y): &(i64, i64)| x as f64 / y as f64;
+        let mut want: Vec<i64> = (0..pairs.len() as i64).collect();
+        want.sort_by(|&a, &b| {
+            let (a, b) = (ratio(&pairs[a as usize]), ratio(&pairs[b as usize]));
+            a.is_nan()
+                .cmp(&b.is_nan())
+                .then(a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal))
+        });
+        for mode in [ExecMode::Conv, ExecMode::Biscuit] {
+            let mut spec = SelectSpec::new("ratios");
+            spec.scan("ratios", None);
+            spec.projection = vec![
+                Expr::Col(0),
+                Expr::Arith(ArithOp::Div, Box::new(Expr::Col(1)), Box::new(Expr::Col(2))),
+            ];
+            spec.order_by = vec![OrderKey {
+                col: 1,
+                desc: false,
+            }];
+            let out = run_query(Arc::clone(&db), spec, mode);
+            let ids: Vec<i64> = out.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+            assert_eq!(ids, want, "{mode:?}, {} rows", pairs.len());
+        }
+    }
+}
+
 #[test]
 fn explain_reports_offload_and_join_order() {
     let mut db = make_db();

@@ -14,7 +14,6 @@ use biscuit_db::{Db, DbConfig, QueryOutput, Value};
 use biscuit_fs::Fs;
 use biscuit_host::{HostConfig, HostLoad};
 use biscuit_sim::Simulation;
-use biscuit_ssd::journal::fnv64;
 use biscuit_ssd::{SsdConfig, SsdDevice};
 
 const SF: f64 = 0.0125;
@@ -182,6 +181,16 @@ const DIGESTS: [(usize, u64, u64); 22] = [
     (21, 0x51ec5d28c383163d, 0x51ec5d28c383163d),
     (22, 0x09612b07b5ecb5a5, 0x09612b07b5ecb5a5),
 ];
+
+/// FNV-1a, 64-bit: the digest `DIGESTS` records.
+fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 #[test]
 fn tpch_outputs_are_bit_exact() {

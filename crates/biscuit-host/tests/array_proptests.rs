@@ -15,8 +15,7 @@ use biscuit_core::{CoreConfig, Ssd};
 use biscuit_fs::Fs;
 use biscuit_host::array::{merge_channel, ArrayConfig, ArrayShard, ShardFailure, SsdArray};
 use biscuit_host::HostConfig;
-use biscuit_sim::kernel::Ctx;
-use biscuit_sim::{SimDuration, Simulation};
+use biscuit_sim::{Ctx, SimDuration, Simulation};
 use biscuit_ssd::{SsdConfig, SsdDevice};
 
 /// The canonical merge order implied by per-shard item counts alone:

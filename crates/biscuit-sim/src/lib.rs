@@ -9,7 +9,7 @@
 //!
 //! ## Layout
 //!
-//! - [`kernel`] — the event loop, fibers, and the [`Ctx`] handle.
+//! - [`Simulation`] — the event loop, fibers, and the [`Ctx`] handle.
 //! - [`fuse`] — the frozen benchmark's replay shim (nothing else uses it).
 //! - [`par`] — the shard fleet: run N independent shard kernels to drain
 //!   on the calling thread or one OS thread each, and join them (see
@@ -67,7 +67,7 @@
 mod chan;
 pub mod fault;
 pub mod fuse;
-pub mod kernel;
+mod kernel;
 pub mod metrics;
 pub mod par;
 pub mod power;

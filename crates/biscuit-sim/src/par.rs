@@ -1,7 +1,7 @@
 //! The shard fleet: run independent shard kernels to drain on real OS
 //! threads.
 //!
-//! Everything in [`crate::kernel`] is *one* deterministic event loop. The
+//! A [`Simulation`] is *one* deterministic event loop. The
 //! multi-drive workloads (see `biscuit_host::array` and `docs/SCALE.md`)
 //! proved that the *global* result order over N drives is a pure function
 //! of `(shard id, sequence)` — producer timing never reaches the merged

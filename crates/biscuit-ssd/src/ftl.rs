@@ -17,7 +17,7 @@
 //! operation — can always be recovered by [`Ftl::recover`]: restore the
 //! last checkpoint, replay the redo tail, roll back torn programs, and
 //! rebuild free space from a physical census of the NAND array. The
-//! contract (proved by `tests/crash_proptests.rs`) is that recovery never
+//! contract (proved by `tests/unit/crash_proptests.rs`) is that recovery never
 //! loses an acknowledged write, never resurrects a trimmed page, and is
 //! deterministic: same-seed crash/recover runs export byte-identical
 //! state. See `docs/WRITEPATH.md` for the annotated crash walkthrough.
@@ -55,7 +55,8 @@ pub enum FtlError {
     /// rejected.
     CapacityExhausted,
     /// The device lost power and halted. Every operation fails with this
-    /// until [`Ftl::recover`] replays the journal. `during_gc` reports
+    /// until recovery ([`SsdDevice::recover`](crate::SsdDevice::recover))
+    /// replays the journal. `during_gc` reports
     /// the phase of the original crash (a GC relocation/erase vs a host
     /// write).
     PowerLoss {
@@ -88,7 +89,7 @@ impl std::error::Error for FtlError {}
 /// What a write did beyond programming one page (for timing/energy charges
 /// and metrics deltas at the device layer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WriteOutcome {
+pub(crate) struct WriteOutcome {
     /// Pages relocated by garbage collection triggered by this write.
     pub relocated: u64,
     /// Blocks erased by garbage collection triggered by this write.
@@ -109,7 +110,7 @@ struct DieState {
 
 /// The translation layer. Geometry mirrors the paired [`NandArray`].
 #[derive(Debug)]
-pub struct Ftl {
+pub(crate) struct Ftl {
     channels: u32,
     ways: u32,
     blocks_per_die_cache: u32,
@@ -140,7 +141,7 @@ impl Ftl {
     ///
     /// Panics if the physical space does not exceed the logical space (no
     /// over-provisioning would leave GC nothing to reclaim into).
-    pub fn new(
+    pub(crate) fn new(
         channels: u32,
         ways: u32,
         blocks_per_die: u32,
@@ -197,7 +198,7 @@ impl Ftl {
     ///
     /// Returns [`FtlError::LpnOutOfRange`] for addresses beyond capacity,
     /// or [`FtlError::PowerLoss`] on a crashed, unrecovered device.
-    pub fn lookup(&self, lpn: u64) -> Result<Option<Ppa>, FtlError> {
+    pub(crate) fn lookup(&self, lpn: u64) -> Result<Option<Ppa>, FtlError> {
         self.check_alive()?;
         self.check(lpn)?;
         Ok(self.map[lpn as usize])
@@ -237,7 +238,7 @@ impl Ftl {
     ///
     /// Returns [`FtlError::LpnOutOfRange`], [`FtlError::CapacityExhausted`],
     /// or [`FtlError::PowerLoss`].
-    pub fn write(
+    pub(crate) fn write(
         &mut self,
         nand: &mut NandArray,
         lpn: u64,
@@ -290,7 +291,7 @@ impl Ftl {
     ///
     /// Returns [`FtlError::LpnOutOfRange`] for addresses beyond capacity,
     /// or [`FtlError::PowerLoss`] on a crashed, unrecovered device.
-    pub fn trim(&mut self, lpn: u64) -> Result<(), FtlError> {
+    pub(crate) fn trim(&mut self, lpn: u64) -> Result<(), FtlError> {
         self.check_alive()?;
         self.check(lpn)?;
         if self.map[lpn as usize].is_some() {
@@ -665,7 +666,7 @@ impl Ftl {
     ///
     /// Safe to call on a live (non-crashed) FTL too, modeling a clean
     /// remount; acknowledged state is preserved either way.
-    pub fn recover(&mut self, nand: &mut NandArray) -> RecoveryReport {
+    pub(crate) fn recover(&mut self, nand: &mut NandArray) -> RecoveryReport {
         let journal = std::mem::take(&mut self.journal);
         let interval = journal.interval();
         let checkpoint = journal.checkpoint();
@@ -798,7 +799,7 @@ impl Ftl {
     }
 
     /// Number of GC invocations so far.
-    pub fn gc_runs(&self) -> u64 {
+    pub(crate) fn gc_runs(&self) -> u64 {
         self.gc_runs
     }
 
@@ -827,7 +828,7 @@ impl Ftl {
     }
 
     /// Whether a power loss has halted the device (recovery pending).
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead.is_some()
     }
 
@@ -863,7 +864,7 @@ impl Ftl {
     /// export identical bytes even if their FTLs placed pages differently
     /// — this is the "byte-identical exported state" a recovered crash run
     /// is held to versus its uncrashed twin.
-    pub fn export_state(&self, nand: &NandArray) -> String {
+    pub(crate) fn export_state(&self, nand: &NandArray) -> String {
         let page_size = nand.page_size();
         let mut out = String::new();
         let _ = writeln!(out, "logical_pages={}", self.logical_pages);
@@ -885,7 +886,7 @@ impl Ftl {
     /// lists, and bad set. Two same-seed runs of the same operation
     /// sequence (including same-seed crashes and recoveries) must export
     /// identical bytes; used by the crash proptests.
-    pub fn export_physical(&self) -> String {
+    pub(crate) fn export_physical(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,

@@ -17,7 +17,7 @@
 //! Replay is idempotent by construction: records are applied in sequence
 //! order to a state snapshot that the replay itself never feeds back into
 //! the log, so replaying once, twice, or after a crash-during-recovery
-//! always converges to the same map. `tests/crash_proptests.rs` proves
+//! always converges to the same map. `tests/unit/crash_proptests.rs` proves
 //! this for arbitrary write/trim/GC interleavings and crash instants.
 //!
 //! Free-space bookkeeping is deliberately *not* journaled. Which blocks
@@ -187,7 +187,7 @@ pub struct RecoveryReport {
 
 /// FNV-1a 64-bit content fingerprint, used by the deterministic state
 /// exports to compare logical page contents without embedding raw bytes.
-pub fn fnv64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

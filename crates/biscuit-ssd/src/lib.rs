@@ -1,7 +1,7 @@
 //! # biscuit-ssd — the simulated NVMe SSD under the Biscuit runtime
 //!
 //! A functional-plus-timed model of the paper's target device (Table I):
-//! multi-channel/way NAND with real page contents, a page-mapped [`ftl`]
+//! multi-channel/way NAND with real page contents, a page-mapped FTL
 //! with garbage collection and wear leveling, the per-channel hardware
 //! [`pattern`] matcher, a dual-arena DRAM budget ([`memory`]), and the timed
 //! internal datapath ([`SsdDevice`]) whose latencies and bandwidths are
@@ -11,12 +11,15 @@
 //!
 //! - [`SsdConfig`] — geometry, timing, and bandwidth knobs,
 //!   with [`SsdConfig::paper_default`] matching Table I.
-//! - [`nand`] — the NAND array: channels × ways of dies holding real page
-//!   bytes ([`PageData`]), plus deterministic content generators.
-//! - [`ftl`] — page-mapped flash translation layer with greedy garbage
-//!   collection, wear leveling, and crash-consistent recovery.
-//! - [`journal`] — the write-ahead L2P redo log + checkpoint that recovery
-//!   replays after a power loss (see `docs/WRITEPATH.md`).
+//! - `nand` — the NAND array: channels × ways of dies holding real page
+//!   bytes ([`PageData`]), plus deterministic content generators
+//!   ([`PageGen`]).
+//! - `ftl` — page-mapped flash translation layer with greedy garbage
+//!   collection, wear leveling, and crash-consistent recovery
+//!   ([`FtlError`]).
+//! - `journal` — the write-ahead L2P redo log + checkpoint that recovery
+//!   replays after a power loss ([`RecoveryReport`]; see
+//!   `docs/WRITEPATH.md`).
 //! - [`pattern`] — the per-channel hardware pattern matcher ([`PatternSet`],
 //!   multi-key substring scan with [`PatternLimits`]) and its substring
 //!   kernel [`pattern::for_each_hit`], which the host `grep` shares.
@@ -24,6 +27,9 @@
 //! - [`SsdDevice`] — the timed façade gluing the above into the
 //!   internal datapath: die reservations, channel-bus transfers, matcher
 //!   streaming, and per-core software overheads.
+//!
+//! `nand`, `ftl` and `journal` are private: the crate's unit tests check
+//! their invariants, the property suites in `tests/unit/` among them.
 //!
 //! The datapath is observable: every NAND operation, bus transfer and
 //! pattern-matcher scan is reported to the simulation whose fiber issued
@@ -57,15 +63,24 @@
 
 mod config;
 mod device;
-pub mod ftl;
-pub mod journal;
+mod ftl;
+mod journal;
 pub mod memory;
-pub mod nand;
+mod nand;
 pub mod pattern;
 
 pub use config::SsdConfig;
 pub use device::{CopySite, DeviceError, DeviceResult, DeviceStats, PageBuf, SsdDevice};
-pub use ftl::{Ftl, FtlError, WriteOutcome};
+pub use ftl::FtlError;
 pub use journal::RecoveryReport;
-pub use nand::{NandArray, PageData, PageGen, Ppa};
+pub use nand::{PageData, PageGen};
 pub use pattern::{PatternError, PatternLimits, PatternSet};
+
+// Property suites over crate internals. They sit beside the integration
+// tests, in `tests/unit/`, but are not test targets of their own.
+#[path = "../tests/unit/crash_proptests.rs"]
+#[cfg(test)]
+mod crash_proptests;
+#[path = "../tests/unit/ftl_proptests.rs"]
+#[cfg(test)]
+mod ftl_proptests;

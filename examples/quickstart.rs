@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use biscuit::apps::wordcount::{reference_wordcount, run_wordcount};
+use biscuit::apps::{reference_wordcount, run_wordcount};
 use biscuit::core::{CoreConfig, Ssd};
 use biscuit::fs::{Fs, Mode};
 use biscuit::sim::Simulation;

@@ -40,6 +40,10 @@ echo "== loc: benchmarks/loc.txt is what scripts/loc.sh prints"
 diff <(scripts/loc.sh) benchmarks/loc.txt ||
     { echo "stale: scripts/loc.sh > benchmarks/loc.txt"; exit 1; }
 
+echo "== surface: benchmarks/surface.txt is what scripts/surface.sh prints"
+diff <(scripts/surface.sh) benchmarks/surface.txt ||
+    { echo "stale: scripts/surface.sh > benchmarks/surface.txt"; exit 1; }
+
 echo "== docs: rustdoc, warnings as errors"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 

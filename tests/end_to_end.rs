@@ -9,7 +9,7 @@ use biscuit::sim::sync::Mutex;
 use biscuit::apps::graph::{biscuit_chase, chase_module, conv_chase, ChaseArgs, SocialGraph};
 use biscuit::apps::search::{biscuit_grep, conv_grep, load_grep_module};
 use biscuit::apps::weblog::{WeblogGen, NEEDLE};
-use biscuit::apps::wordcount::{reference_wordcount, run_wordcount};
+use biscuit::apps::{reference_wordcount, run_wordcount};
 use biscuit::core::{CoreConfig, Ssd};
 use biscuit::fs::{Fs, Mode};
 use biscuit::host::{ConvIo, HostConfig, HostLoad};

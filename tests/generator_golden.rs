@@ -13,8 +13,8 @@
 //! prints the digest it computed.
 
 use biscuit::apps::{SocialGraph, WeblogGen};
+use biscuit::db::table::row_to_text;
 use biscuit::db::tpch::TpchData;
-use biscuit::db::value::row_to_text;
 use biscuit::host::WorkloadRng;
 use biscuit::sim::fault::{FaultConfig, FaultPlan, FaultSite};
 use biscuit::sim::par::shard_seed;
