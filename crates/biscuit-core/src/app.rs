@@ -29,7 +29,6 @@ use crate::error::{BiscuitError, BiscuitResult};
 use crate::module::{PortDecl, SsdletSpec};
 use crate::port::{Codec, Connection, HostInPort, HostOutPort, PortKind};
 use crate::runtime::ModuleId;
-use crate::session::Session;
 use crate::ssd::Ssd;
 use crate::task::{TaskArgs, TaskCtx};
 
@@ -97,9 +96,6 @@ struct AppShared {
     remaining: Mutex<usize>,
     done: WaitQueue,
     grants: Mutex<Vec<MemoryGrant>>,
-    /// Device user memory charged to the owning session, returned at
-    /// application teardown.
-    session_memory: Mutex<u64>,
     /// First SSDlet that died with its restart budget exhausted:
     /// `(fiber name, restarts attempted)`. The application still tears
     /// down cleanly — consumers see closed ports, not a hang — and the
@@ -112,7 +108,6 @@ struct AppShared {
 pub struct Application {
     ssd: Ssd,
     name: String,
-    session: Option<Session>,
     state: Mutex<AppState>,
     shared: Arc<AppShared>,
 }
@@ -129,21 +124,9 @@ impl std::fmt::Debug for Application {
 impl Application {
     /// Creates an empty application on the given SSD.
     pub fn new(ssd: &Ssd, name: impl Into<String>) -> Application {
-        Self::build(ssd, name, None)
-    }
-
-    /// Creates an application owned by a user [`Session`]: its data
-    /// channels and device memory draw from the session's quota (the
-    /// multi-user support the paper names as its ensuing effort, §VIII).
-    pub fn new_in_session(ssd: &Ssd, name: impl Into<String>, session: &Session) -> Application {
-        Self::build(ssd, name, Some(session.clone()))
-    }
-
-    fn build(ssd: &Ssd, name: impl Into<String>, session: Option<Session>) -> Application {
         Application {
             ssd: ssd.clone(),
             name: name.into(),
-            session,
             state: Mutex::new(AppState {
                 phase: Phase::Building,
                 tasks: Vec::new(),
@@ -153,25 +136,16 @@ impl Application {
                 remaining: Mutex::new(0),
                 done: WaitQueue::new(),
                 grants: Mutex::new(Vec::new()),
-                session_memory: Mutex::new(0),
                 failed: Mutex::new(None),
             }),
         }
     }
 
-    /// Reserves one data channel from the device pool and, when owned by a
-    /// session, from the session's envelope too.
+    /// Reserves one data channel from the device pool.
     fn alloc_data_channel(&self) -> BiscuitResult<()> {
         self.ssd
             .runtime()
-            .alloc_channel(self.ssd.config().max_data_channels)?;
-        if let Some(session) = &self.session {
-            if let Err(e) = session.take_channel() {
-                self.ssd.runtime().free_channels(1);
-                return Err(e);
-            }
-        }
-        Ok(())
+            .alloc_channel(self.ssd.config().max_data_channels)
     }
 
     /// Instantiates a proxy for SSDlet `id` of module `mid` with no
@@ -460,26 +434,15 @@ impl Application {
                     cfg.default_ssdlet_memory
                 };
                 let grant = device.memory().allocate(Arena::User, mem)?;
-                if let Some(session) = &self.session {
-                    if let Err(e) = session.take_memory(mem) {
-                        device.memory().free(grant);
-                        return Err(e);
-                    }
-                }
                 Ok::<_, BiscuitError>((inst, grant))
             })();
             match build {
                 Ok((inst, grant)) => {
-                    *self.shared.session_memory.lock() += grant.bytes();
                     instances.push(inst);
                     grants.push(grant);
                 }
                 Err(e) => {
                     // Roll back everything taken so far.
-                    let charged = std::mem::take(&mut *self.shared.session_memory.lock());
-                    if let Some(session) = &self.session {
-                        session.give_memory(charged);
-                    }
                     for g in grants {
                         device.memory().free(g);
                     }
@@ -501,7 +464,6 @@ impl Application {
             let cfg = Arc::clone(&cfg);
             let link = Arc::clone(&link);
             let ssd = self.ssd.clone();
-            let session = self.session.clone();
             let shared = Arc::clone(&self.shared);
             let mid = slot.mid;
             ssd.runtime().task_started(mid);
@@ -592,18 +554,12 @@ impl Application {
                 drop(remaining);
                 if last {
                     // Application teardown: release user-arena memory and
-                    // the data channels back to the device pool and, when
-                    // session-owned, to the session envelope.
+                    // the data channels back to the device pool.
                     let grants = std::mem::take(&mut *shared.grants.lock());
                     for g in grants {
                         device.memory().free(g);
                     }
                     ssd.runtime().free_channels(host_channels);
-                    if let Some(session) = &session {
-                        session.give_channels(host_channels);
-                        let charged = std::mem::take(&mut *shared.session_memory.lock());
-                        session.give_memory(charged);
-                    }
                     shared.done.notify_all(fctx);
                 }
             });

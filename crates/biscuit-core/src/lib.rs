@@ -18,8 +18,6 @@
 //!   [`HostInPort`], [`HostOutPort`]).
 //! - [`DeviceRuntime`] — the in-device cooperative runtime that schedules
 //!   loaded SSDlets onto the device CPU cores.
-//! - [`Session`] — multi-user sessions with channel/memory quotas (a paper
-//!   §VII follow-on).
 //! - [`CoreConfig`], [`BiscuitError`] / [`BiscuitResult`] — configuration
 //!   and errors.
 //!
@@ -88,7 +86,6 @@ mod error;
 pub mod module;
 mod port;
 mod runtime;
-mod session;
 mod ssd;
 pub mod task;
 
@@ -98,6 +95,5 @@ pub use error::{BiscuitError, BiscuitResult};
 pub use module::{ModuleBuilder, SsdletModule, SsdletSpec};
 pub use port::{HostInPort, HostOutPort, PortKind};
 pub use runtime::{DeviceRuntime, ModuleId};
-pub use session::{Session, SessionQuota};
 pub use ssd::Ssd;
 pub use task::{args_as, Ssdlet, TaskArgs, TaskCtx};

@@ -411,22 +411,31 @@ fn memory_exhaustion_fails_start_and_rolls_back() {
     let ssd = make_ssd();
     let sim = Simulation::new(0);
     let s = ssd.clone();
-    let huge = ssd.device().config().dram_bytes + 1;
+    let dram = ssd.device().config().dram_bytes;
     let module = ModuleBuilder::new("mem")
-        .register("idHog", SsdletSpec::new().memory(huge), |_| {
+        .register("idHog", SsdletSpec::new().memory(dram + 1), |_| {
+            Ok(Box::new(Identity))
+        })
+        .register("idHalf", SsdletSpec::new().memory(dram / 2 + 1), |_| {
             Ok(Box::new(Identity))
         })
         .build();
     sim.spawn("host", move |ctx| {
         let mid = s.load_module(ctx, module).unwrap();
+        let user_used = || s.device().memory().used(biscuit_ssd::memory::Arena::User);
+        // One SSDlet larger than the whole arena: nothing is granted.
         let app = Application::new(&s, "hog");
         app.ssdlet(mid, "idHog").unwrap();
         assert!(matches!(app.start(ctx), Err(BiscuitError::OutOfMemory(_))));
-        // Rollback: nothing left allocated in the user arena.
-        assert_eq!(
-            s.device().memory().used(biscuit_ssd::memory::Arena::User),
-            0
-        );
+        assert_eq!(user_used(), 0);
+        // Two SSDlets that each fit alone but not together: the first
+        // one's grant is taken, the second fails, and the rollback must
+        // free the first.
+        let pair = Application::new(&s, "pair");
+        pair.ssdlet(mid, "idHalf").unwrap();
+        pair.ssdlet(mid, "idHalf").unwrap();
+        assert!(matches!(pair.start(ctx), Err(BiscuitError::OutOfMemory(_))));
+        assert_eq!(user_used(), 0);
     });
     sim.run().assert_quiescent();
 }

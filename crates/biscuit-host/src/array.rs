@@ -671,9 +671,10 @@ pub struct SchedulerConfig {
     /// the host. Override by setting the field when a workload needs
     /// more overlap (e.g. host-compute-heavy queries).
     pub max_inflight: usize,
-    /// Per-user submit-queue capacity. A full queue blocks
-    /// [`QueryScheduler::submit`] (backpressure) and sheds
-    /// [`QueryScheduler::try_submit`] (load shedding).
+    /// Per-user submit-queue capacity. A full queue sheds
+    /// [`QueryScheduler::try_submit`] (load shedding, the path the
+    /// open-loop [`drive_open_loop`](crate::workload::drive_open_loop)
+    /// takes) and blocks [`QueryScheduler::submit`] (backpressure).
     pub queue_capacity: usize,
     /// Per-user WFQ weights: user `i` receives service proportional to
     /// `weights[i]` under contention. Empty means every user weighs 1;
@@ -712,11 +713,14 @@ pub enum ShedReason {
     QueueFull,
     /// The scheduler was already closed.
     Closed,
+    /// The user index is not below [`SchedulerConfig::users`].
+    UnknownUser,
 }
 
 /// A query rejected by [`QueryScheduler::try_submit`] (load shedding).
 /// Metered as `sched_shed_total{user=N}` while the simulation's metrics
-/// are on, and always in the tenant's [`TenantReport::shed`] count.
+/// are on, and always in [`QueryScheduler::shed`] and, for a user that
+/// has a queue, in the tenant's [`TenantReport::shed`] count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryShed {
     /// The tenant whose query was shed.
@@ -730,6 +734,7 @@ impl std::fmt::Display for QueryShed {
         match self.reason {
             ShedReason::QueueFull => write!(f, "query shed: user {} queue full", self.user),
             ShedReason::Closed => write!(f, "query shed: scheduler closed (user {})", self.user),
+            ShedReason::UnknownUser => write!(f, "query shed: no queue for user {}", self.user),
         }
     }
 }
@@ -1008,20 +1013,9 @@ impl QueryScheduler {
     /// # Panics
     ///
     /// Panics when called after [`QueryScheduler::close`] — including
-    /// when the scheduler closes while this call is blocked.
+    /// when the scheduler closes while this call is blocked — and when
+    /// `user` is not below [`SchedulerConfig::users`].
     pub fn submit(&self, ctx: &Ctx, user: usize, job: impl FnOnCtx) {
-        self.submit_cost(ctx, user, 1, job)
-    }
-
-    /// [`QueryScheduler::submit`] with an explicit WFQ `cost` (service
-    /// demand in abstract units; `0` counts as `1`). A tenant's finish
-    /// tags advance by `cost / weight`, so cheap queries are charged
-    /// less of the tenant's share.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after [`QueryScheduler::close`].
-    pub(crate) fn submit_cost(&self, ctx: &Ctx, user: usize, cost: u64, job: impl FnOnCtx) {
         let mut job: Option<Job> = Some(Box::new(job));
         let mut blocked = false;
         loop {
@@ -1029,7 +1023,7 @@ impl QueryScheduler {
                 let mut st = self.inner.state.lock();
                 assert!(!st.closed, "submit on a closed scheduler");
                 if (st.tenants[user].depth as usize) < self.inner.capacity {
-                    self.enqueue_locked(ctx, &mut st, user, cost, job.take().unwrap());
+                    self.enqueue_locked(ctx, &mut st, user, 1, job.take().unwrap());
                     drop(st);
                     self.inner.work.notify_one(ctx);
                     return;
@@ -1044,19 +1038,24 @@ impl QueryScheduler {
     }
 
     /// Non-blocking submit of a unit-cost `job`: sheds instead of
-    /// waiting when `user`'s queue is full or the scheduler is closed.
+    /// waiting when `user`'s queue is full, the scheduler is closed, or
+    /// `user` has no queue.
     /// This is the open-loop path — arrivals the array cannot absorb
     /// are dropped and metered rather than queued without bound.
     ///
     /// # Errors
     ///
     /// Returns [`QueryShed`] when the query was rejected; the shed is
-    /// counted in `sched_shed_total{user}` and the tenant's report.
+    /// counted in `sched_shed_total{user}`, [`QueryScheduler::shed`] and
+    /// (unless [`ShedReason::UnknownUser`]) the tenant's report.
     pub fn try_submit(&self, ctx: &Ctx, user: usize, job: impl FnOnCtx) -> Result<(), QueryShed> {
         self.try_submit_cost(ctx, user, 1, job)
     }
 
-    /// [`QueryScheduler::try_submit`] with an explicit WFQ `cost`.
+    /// [`QueryScheduler::try_submit`] with an explicit WFQ `cost` (service
+    /// demand in abstract units; `0` counts as `1`). A tenant's finish
+    /// tags advance by `cost / weight`, so cheap queries are charged
+    /// less of the tenant's share.
     ///
     /// # Errors
     ///
@@ -1070,7 +1069,11 @@ impl QueryScheduler {
     ) -> Result<(), QueryShed> {
         let reason = {
             let mut st = self.inner.state.lock();
-            if st.closed {
+            if user >= st.tenants.len() {
+                // No tenant row to charge: the shed shows only in the
+                // scheduler-wide count.
+                ShedReason::UnknownUser
+            } else if st.closed {
                 st.tenants[user].offered += 1;
                 st.tenants[user].shed += 1;
                 ShedReason::Closed

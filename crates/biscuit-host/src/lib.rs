@@ -16,7 +16,7 @@
 //! - [`fleet`] — the parallel-DES face of the coordinator: one shard
 //!   kernel per drive, each on its own OS thread, results merged after
 //!   the join (`docs/PARALLEL.md`).
-//! - [`workload`] — seeded open/closed-loop traffic generation (Zipf
+//! - [`workload`] — seeded open-loop traffic generation (Zipf
 //!   tenants, diurnal bursts, mixed query kinds) feeding the
 //!   scheduler's WFQ/shedding QoS layer (`docs/QOS.md`).
 

@@ -6,12 +6,10 @@
 //! potential of Near Data Computing for Apache Spark", PAPERS.md). This
 //! module generates that traffic shape reproducibly:
 //!
-//! - **Arrival processes.** [`ArrivalProcess::OpenLoop`] draws
+//! - **Open-loop arrivals.** [`ArrivalProcess::OpenLoop`] draws
 //!   exponential interarrival gaps around a mean — arrivals do not slow
-//!   down when the array backs up, so overload must be *shed*.
-//!   [`ArrivalProcess::ClosedLoop`] gives every tenant a think-time loop
-//!   — at most one outstanding query per tenant, so overload turns into
-//!   *backpressure* instead.
+//!   down when the array backs up, so overload must be *shed*
+//!   ([`drive_open_loop`]).
 //! - **Tenant popularity.** Queries are attributed to tenants by a
 //!   Zipf(θ) draw over the tenant population (tenant 0 hottest). The
 //!   first `tenants` arrivals sweep the population round-robin so every
@@ -30,10 +28,6 @@
 //! byte-identical scheduler exports, across repeat runs and
 //! `BISCUIT_PAR` thread policies. See `docs/QOS.md` for a walkthrough.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use biscuit_sim::queue::SimQueue;
 use biscuit_sim::rng::splitmix64;
 use biscuit_sim::{Ctx, SimDuration, SimTime};
 
@@ -162,7 +156,8 @@ pub struct DiurnalPhase {
     pub rate_mul: f64,
 }
 
-/// How arrivals are paced.
+/// How arrivals are paced. Open loop is the only process; it stays an
+/// enum because `biscuit-perf` builds it by variant.
 #[derive(Debug, Clone, Copy)]
 pub enum ArrivalProcess {
     /// Poisson-like open loop: exponential gaps around
@@ -172,14 +167,6 @@ pub enum ArrivalProcess {
         /// Mean gap between consecutive arrivals (before diurnal
         /// scaling).
         mean_interarrival: SimDuration,
-    },
-    /// Closed loop: each tenant keeps one query outstanding and thinks
-    /// for an exponential `mean_think` between completions. Drive with
-    /// [`drive_closed_loop`] (backpressures on overload).
-    ClosedLoop {
-        /// Mean per-tenant think time between a completion and the next
-        /// submission.
-        mean_think: SimDuration,
     },
 }
 
@@ -292,11 +279,6 @@ impl WorkloadEngine {
         }
     }
 
-    /// The configuration this engine runs.
-    pub(crate) fn config(&self) -> &WorkloadConfig {
-        &self.cfg
-    }
-
     /// Arrivals generated so far.
     pub fn emitted(&self) -> u64 {
         self.emitted
@@ -308,7 +290,7 @@ impl WorkloadEngine {
     }
 
     /// The diurnal rate multiplier in effect at `at`.
-    pub(crate) fn rate_mul(&self, at: SimTime) -> f64 {
+    fn rate_mul(&self, at: SimTime) -> f64 {
         if self.cycle_ps == 0 {
             return 1.0;
         }
@@ -336,94 +318,42 @@ impl WorkloadEngine {
         idx.min(self.cdf.len() - 1) as u32
     }
 
-    fn make(&mut self, at: SimTime, tenant: u32) -> Arrival {
-        let kind = self.cfg.mix.sample(&mut self.rng);
-        let base = kind.base_cost();
-        let cost = base + self.rng.next_u64() % (base / 2 + 1);
-        let seq = self.emitted;
-        self.emitted += 1;
-        Arrival {
-            seq,
-            at,
-            tenant,
-            kind,
-            cost,
-        }
-    }
-
     /// The next open-loop arrival, or `None` when the configured query
     /// count is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was configured closed-loop — use
-    /// `WorkloadEngine::initial` / `WorkloadEngine::resubmit` (or
-    /// just [`drive_closed_loop`]) there.
     pub fn next_arrival(&mut self) -> Option<Arrival> {
-        let ArrivalProcess::OpenLoop { mean_interarrival } = self.cfg.arrivals else {
-            panic!("WorkloadEngine::next_arrival is for open-loop configs");
-        };
+        let ArrivalProcess::OpenLoop { mean_interarrival } = self.cfg.arrivals;
         if self.emitted >= self.cfg.queries {
             return None;
         }
         let mul = self.rate_mul(self.clock);
         let gap = self.rng.exp_ps(mean_interarrival.as_ps() as f64 / mul);
         self.clock += gap;
-        let at = self.clock;
         let tenant = self.sample_tenant();
-        Some(self.make(at, tenant))
-    }
-
-    /// The closed-loop warm-up set: one arrival per tenant (capped at
-    /// the query budget), staggered across one mean think time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was configured open-loop.
-    pub(crate) fn initial(&mut self) -> Vec<Arrival> {
-        let ArrivalProcess::ClosedLoop { mean_think } = self.cfg.arrivals else {
-            panic!("WorkloadEngine::initial is for closed-loop configs");
-        };
-        let n = u64::from(self.cfg.tenants).min(self.cfg.queries);
-        let gap = mean_think.as_ps() / u64::from(self.cfg.tenants);
-        (0..n)
-            .map(|i| {
-                let at = SimTime::from_ps(i * gap);
-                self.make(at, i as u32)
-            })
-            .collect()
-    }
-
-    /// The tenant's next closed-loop arrival after a completion at
-    /// `now` (think time applied), or `None` when the query budget is
-    /// exhausted and the tenant retires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine was configured open-loop.
-    pub(crate) fn resubmit(&mut self, tenant: u32, now: SimTime) -> Option<Arrival> {
-        let ArrivalProcess::ClosedLoop { mean_think } = self.cfg.arrivals else {
-            panic!("WorkloadEngine::resubmit is for closed-loop configs");
-        };
-        if self.emitted >= self.cfg.queries {
-            return None;
-        }
-        let mul = self.rate_mul(now);
-        let gap = self.rng.exp_ps(mean_think.as_ps() as f64 / mul);
-        Some(self.make(now + gap, tenant))
+        let kind = self.cfg.mix.sample(&mut self.rng);
+        let base = kind.base_cost();
+        let cost = base + self.rng.next_u64() % (base / 2 + 1);
+        let seq = self.emitted;
+        self.emitted += 1;
+        Some(Arrival {
+            seq,
+            at: self.clock,
+            tenant,
+            kind,
+            cost,
+        })
     }
 }
 
-/// What a driver did with the engine's arrivals. The open-loop
-/// reconciliation invariant is `offered == accepted + shed`; closed
-/// loop never sheds.
+/// What [`drive_open_loop`] did with the engine's arrivals. The
+/// reconciliation invariant is `offered == accepted + shed`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DriveStats {
     /// Arrivals offered to the scheduler.
     pub offered: u64,
     /// Arrivals the scheduler accepted.
     pub accepted: u64,
-    /// Arrivals shed (open loop only).
+    /// Arrivals shed: the tenant's queue was full, the scheduler closed,
+    /// or the tenant has no queue.
     pub shed: u64,
 }
 
@@ -452,106 +382,6 @@ where
         match sched.try_submit_cost(ctx, a.tenant as usize, a.cost, make_job(&a)) {
             Ok(()) => stats.accepted += 1,
             Err(_) => stats.shed += 1,
-        }
-    }
-    stats
-}
-
-/// Heap key for pending closed-loop submissions: earliest due time
-/// first; ties break by tenant (at most one outstanding per tenant, so
-/// the pair is unique).
-struct Pending(Arrival);
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        (self.0.at, self.0.tenant) == (other.0.at, other.0.tenant)
-    }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.0.at, self.0.tenant).cmp(&(other.0.at, other.0.tenant))
-    }
-}
-
-/// Runs a closed-loop engine against `sched` on the calling fiber:
-/// every tenant keeps at most one query outstanding, thinks between
-/// completions, and blocks (backpressure) rather than shedding when
-/// its queue is full. Returns once every tenant has retired and all
-/// outstanding completions were observed; the scheduler itself may
-/// still be running queries submitted by others.
-pub fn drive_closed_loop<J, F>(
-    ctx: &Ctx,
-    sched: &QueryScheduler,
-    engine: &mut WorkloadEngine,
-    mut make_job: F,
-) -> DriveStats
-where
-    F: FnMut(&Arrival) -> J,
-    J: FnOnce(&Ctx) + Send + 'static,
-{
-    let mut stats = DriveStats::default();
-    // Completion notices flow back over a bounded queue sized so a
-    // worker can never block on it: at most one outstanding query (and
-    // hence one pending notice) per tenant.
-    let completions: SimQueue<u32> = SimQueue::new(engine.config().tenants.max(1) as usize);
-    let mut due: BinaryHeap<Reverse<Pending>> = BinaryHeap::new();
-    let mut outstanding = 0u64;
-    for a in engine.initial() {
-        due.push(Reverse(Pending(a)));
-    }
-    loop {
-        // Drain completion notices first: each one retires or re-arms a
-        // tenant.
-        while let Ok(Some(tenant)) = completions.try_pop(ctx) {
-            outstanding -= 1;
-            if let Some(a) = engine.resubmit(tenant, ctx.now()) {
-                due.push(Reverse(Pending(a)));
-            }
-        }
-        if let Some(head_at) = due.peek().map(|Reverse(Pending(a))| a.at) {
-            if head_at <= ctx.now() {
-                let Some(Reverse(Pending(a))) = due.pop() else {
-                    unreachable!()
-                };
-                let job = make_job(&a);
-                let cq = completions.clone();
-                let tenant = a.tenant;
-                stats.offered += 1;
-                sched.submit_cost(ctx, tenant as usize, a.cost, move |qctx: &Ctx| {
-                    job(qctx);
-                    let _ = cq.push(qctx, tenant);
-                });
-                stats.accepted += 1;
-                outstanding += 1;
-                continue;
-            }
-            // Wait for the head to come due or a completion to land,
-            // whichever is first.
-            if let Ok(Some(tenant)) = completions.pop_deadline(ctx, head_at) {
-                outstanding -= 1;
-                if let Some(a) = engine.resubmit(tenant, ctx.now()) {
-                    due.push(Reverse(Pending(a)));
-                }
-            }
-            continue;
-        }
-        if outstanding == 0 {
-            break;
-        }
-        match completions.pop(ctx) {
-            Some(tenant) => {
-                outstanding -= 1;
-                if let Some(a) = engine.resubmit(tenant, ctx.now()) {
-                    due.push(Reverse(Pending(a)));
-                }
-            }
-            None => break,
         }
     }
     stats

@@ -298,30 +298,6 @@ impl<T: Send> SimQueue<T> {
         }
     }
 
-    /// Attempts to dequeue without blocking.
-    ///
-    /// Returns `Ok(None)` if the queue is closed and drained.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TryPopEmptyError`] if the queue is momentarily empty but not
-    /// closed.
-    pub fn try_pop(&self, ctx: &Ctx) -> Result<Option<T>, TryPopEmptyError> {
-        let mut st = self.inner.state.lock();
-        if let Some(v) = st.buf.pop_front() {
-            let depth = st.buf.len();
-            drop(st);
-            self.inner.trace_depth(ctx, false, depth);
-            self.inner.not_full.notify_one(ctx);
-            return Ok(Some(v));
-        }
-        if st.closed {
-            Ok(None)
-        } else {
-            Err(TryPopEmptyError)
-        }
-    }
-
     /// Dequeues the next item, blocking in virtual time while the queue is
     /// empty, but gives up at absolute time `deadline`. Returns `Ok(None)`
     /// once the queue is closed and drained.
@@ -400,18 +376,6 @@ impl std::fmt::Display for PopTimedOutError {
 }
 
 impl std::error::Error for PopTimedOutError {}
-
-/// Error returned by [`SimQueue::try_pop`] when the queue is empty but open.
-#[derive(Debug, PartialEq, Eq)]
-pub struct TryPopEmptyError;
-
-impl std::fmt::Display for TryPopEmptyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("queue is empty")
-    }
-}
-
-impl std::error::Error for TryPopEmptyError {}
 
 /// A counting semaphore over virtual time.
 ///
@@ -594,13 +558,10 @@ mod tests {
         let sim = Simulation::new(0);
         let q: SimQueue<u32> = SimQueue::new(1);
         sim.spawn("t", move |ctx| {
-            assert_eq!(q.try_pop(ctx), Err(TryPopEmptyError));
             q.try_push(ctx, 7).unwrap();
             assert_eq!(q.try_push(ctx, 8), Err(TryPushError::Full(8)));
-            assert_eq!(q.try_pop(ctx), Ok(Some(7)));
             q.close(ctx);
             assert_eq!(q.try_push(ctx, 9), Err(TryPushError::Closed(9)));
-            assert_eq!(q.try_pop(ctx), Ok(None));
         });
         sim.run().assert_quiescent();
     }

@@ -20,7 +20,7 @@ use biscuit::apps::weblog::{WeblogGen, NEEDLE};
 use biscuit::core::{CoreConfig, Ssd};
 use biscuit::fs::Fs;
 use biscuit::host::array::ArrayConfig;
-use biscuit::host::workload::{drive_closed_loop, drive_open_loop};
+use biscuit::host::workload::drive_open_loop;
 use biscuit::host::{
     ArrivalProcess, HostConfig, HostLoad, QueryKind, QueryMix, QueryScheduler, QueryShed,
     SchedulerConfig, ShedReason, SsdArray, WorkloadConfig, WorkloadEngine,
@@ -256,78 +256,6 @@ fn engine_stream_is_seed_deterministic_and_covers_every_tenant() {
     }
 }
 
-#[test]
-fn closed_loop_backpressures_and_never_sheds() {
-    let sim = Simulation::new(7);
-    sim.spawn("host", |ctx| {
-        let sched = QueryScheduler::new(SchedulerConfig {
-            users: 8,
-            max_inflight: 2,
-            queue_capacity: 1,
-            weights: Vec::new(),
-        });
-        sched.start(ctx);
-        let mut engine = WorkloadEngine::new(WorkloadConfig {
-            seed: 3,
-            tenants: 8,
-            queries: 96,
-            zipf_theta: 0.9,
-            mix: QueryMix::default(),
-            arrivals: ArrivalProcess::ClosedLoop {
-                mean_think: SimDuration::from_micros(10),
-            },
-            phases: vec![],
-        });
-        let stats = drive_closed_loop(ctx, &sched, &mut engine, |a| {
-            let cost_us = a.cost;
-            move |qctx: &Ctx| qctx.sleep(SimDuration::from_micros(cost_us))
-        });
-        assert_eq!(stats.offered, 96, "every budgeted query was submitted");
-        assert_eq!(stats.accepted, 96, "closed loop blocks, never sheds");
-        assert_eq!(stats.shed, 0);
-        assert_eq!(sched.shed(), 0);
-        sched.close(ctx);
-        sched.wait_completed(ctx, 96);
-        for r in sched.tenant_reports() {
-            assert!(r.offered > 0, "tenant {} never played", r.user);
-            assert_eq!(r.completed, r.offered, "tenant {} lost queries", r.user);
-            assert_eq!(r.shed, 0);
-        }
-    });
-    sim.run().assert_quiescent();
-}
-
-#[test]
-fn closed_loop_with_fewer_queries_than_tenants() {
-    let sim = Simulation::new(9);
-    sim.spawn("host", |ctx| {
-        let sched = QueryScheduler::new(SchedulerConfig {
-            users: 8,
-            ..SchedulerConfig::default()
-        });
-        sched.start(ctx);
-        let mut engine = WorkloadEngine::new(WorkloadConfig {
-            seed: 4,
-            tenants: 8,
-            queries: 3,
-            zipf_theta: 1.0,
-            mix: QueryMix::default(),
-            arrivals: ArrivalProcess::ClosedLoop {
-                mean_think: SimDuration::from_micros(5),
-            },
-            phases: vec![],
-        });
-        let stats = drive_closed_loop(ctx, &sched, &mut engine, |_a| {
-            move |qctx: &Ctx| qctx.sleep(SimDuration::from_micros(1))
-        });
-        assert_eq!(stats.offered, 3, "budget caps the warm-up set");
-        assert_eq!(stats.shed, 0);
-        sched.close(ctx);
-        sched.wait_completed(ctx, 3);
-    });
-    sim.run().assert_quiescent();
-}
-
 // ---------------------------------------------------------------------------
 // Close / drain edge cases
 // ---------------------------------------------------------------------------
@@ -397,6 +325,58 @@ fn try_submit_after_close_sheds_with_closed_reason() {
         assert_eq!(r[0].offered, 1);
         assert_eq!(r[0].shed, 1);
         assert_eq!(r[0].accepted, 0);
+    });
+    sim.run().assert_quiescent();
+}
+
+#[test]
+fn open_loop_sheds_tenants_beyond_the_scheduler_users() {
+    let sim = Simulation::new(5);
+    sim.spawn("host", |ctx| {
+        let sched = QueryScheduler::new(SchedulerConfig {
+            users: 2,
+            max_inflight: 2,
+            queue_capacity: 64,
+            weights: Vec::new(),
+        });
+        sched.start(ctx);
+        let mut engine = WorkloadEngine::new(WorkloadConfig {
+            seed: 6,
+            tenants: 4,
+            queries: 32,
+            phases: vec![],
+            ..WorkloadConfig::default()
+        });
+        let mut unknown = 0u64;
+        let stats = drive_open_loop(ctx, &sched, &mut engine, |a| {
+            unknown += u64::from(a.tenant >= 2);
+            move |qctx: &Ctx| qctx.sleep(SimDuration::from_micros(1))
+        });
+        // The round-robin sweep offers tenants 2 and 3 at least once.
+        assert!(unknown >= 2);
+        assert_eq!(stats.offered, 32);
+        assert_eq!(stats.shed, unknown, "only unknown tenants shed");
+        assert_eq!(stats.offered, stats.accepted + stats.shed);
+        assert_eq!(sched.shed(), stats.shed);
+        assert_eq!(sched.submitted(), stats.accepted);
+        // Unknown users get no tenant row.
+        let reports = sched.tenant_reports();
+        assert_eq!(reports.len(), 2);
+        assert_eq!(
+            reports.iter().map(|r| r.offered).sum::<u64>(),
+            stats.accepted
+        );
+        assert!(reports.iter().all(|r| r.shed == 0));
+        let err = sched.try_submit(ctx, 2, |_qctx: &Ctx| {}).unwrap_err();
+        assert_eq!(
+            err,
+            QueryShed {
+                user: 2,
+                reason: ShedReason::UnknownUser
+            }
+        );
+        sched.close(ctx);
+        sched.wait_completed(ctx, stats.accepted);
     });
     sim.run().assert_quiescent();
 }
