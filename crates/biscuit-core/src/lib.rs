@@ -16,7 +16,7 @@
 //! - [`ssd::Ssd`] — the host handle: `load_module` / `unload_module`.
 //! - the three port kinds with Table II latency structure ([`PortKind`],
 //!   [`HostInPort`], [`HostOutPort`]).
-//! - [`DeviceRuntime`] — the in-device cooperative runtime that schedules
+//! - the in-device cooperative runtime (crate-private) that schedules
 //!   loaded SSDlets onto the device CPU cores.
 //! - [`CoreConfig`], [`BiscuitError`] / [`BiscuitResult`] — configuration
 //!   and errors.
@@ -94,6 +94,12 @@ pub use config::CoreConfig;
 pub use error::{BiscuitError, BiscuitResult};
 pub use module::{ModuleBuilder, SsdletModule, SsdletSpec};
 pub use port::{HostInPort, HostOutPort, PortKind};
-pub use runtime::{DeviceRuntime, ModuleId};
+pub use runtime::ModuleId;
 pub use ssd::Ssd;
 pub use task::{args_as, Ssdlet, TaskArgs, TaskCtx};
+
+// A suite over crate internals. It sits beside the integration tests, in
+// `tests/unit/`, but is not a test target of its own.
+#[path = "../tests/unit/framework.rs"]
+#[cfg(test)]
+mod framework;

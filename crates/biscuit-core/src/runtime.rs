@@ -28,7 +28,7 @@ struct RtState {
 
 /// The runtime ledger (one per device).
 #[derive(Default)]
-pub struct DeviceRuntime {
+pub(crate) struct DeviceRuntime {
     state: Mutex<RtState>,
 }
 
@@ -107,12 +107,14 @@ impl DeviceRuntime {
     }
 
     /// Number of modules currently loaded.
-    pub fn loaded_modules(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn loaded_modules(&self) -> usize {
         self.state.lock().modules.len()
     }
 
     /// Currently open host↔device data channels.
-    pub fn open_channels(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn open_channels(&self) -> usize {
         self.state.lock().open_channels
     }
 

@@ -35,7 +35,7 @@ use crate::runtime::{DeviceRuntime, ModuleId};
 ///     ..SsdConfig::paper_default()
 /// }));
 /// let ssd = Ssd::new(Fs::format(dev), CoreConfig::paper_default());
-/// assert_eq!(ssd.runtime().loaded_modules(), 0);
+/// assert_eq!(ssd.device().config().logical_capacity, 16 << 20);
 /// ```
 #[derive(Clone)]
 pub struct Ssd {
@@ -141,7 +141,7 @@ impl Ssd {
     }
 
     /// The runtime ledger.
-    pub fn runtime(&self) -> &DeviceRuntime {
+    pub(crate) fn runtime(&self) -> &DeviceRuntime {
         &self.inner.rt
     }
 

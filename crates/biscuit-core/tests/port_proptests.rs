@@ -23,7 +23,7 @@ use biscuit_core::module::{ModuleBuilder, SsdletSpec};
 use biscuit_core::task::{Ssdlet, TaskCtx};
 use biscuit_core::{Application, BiscuitError, CoreConfig, Ssd, SsdletModule};
 use biscuit_fs::Fs;
-use biscuit_sim::fault::FaultConfig;
+use biscuit_sim::fault::{FaultConfig, FaultSite};
 use biscuit_sim::time::{SimDuration, SimTime};
 use biscuit_sim::{FaultPlan, Simulation};
 use biscuit_ssd::{SsdConfig, SsdDevice};
@@ -132,6 +132,17 @@ fn run_ssdlet_chain(
     (got, at)
 }
 
+/// Every site a fault plan accounts for.
+const ALL_SITES: [FaultSite; 7] = [
+    FaultSite::NandRead,
+    FaultSite::LinkToHost,
+    FaultSite::LinkToDevice,
+    FaultSite::CoreStall,
+    FaultSite::Ssdlet,
+    FaultSite::Drive,
+    FaultSite::PowerLoss,
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -164,7 +175,9 @@ proptest! {
         });
         let (got, _) = run_ssdlet_chain(&values, &gaps, stages, reader_gap, Some(&plan));
         prop_assert_eq!(got, values);
-        prop_assert_eq!(plan.recovered_total(), plan.injected_total());
+        for site in ALL_SITES {
+            prop_assert_eq!(plan.recovered_at(site), plan.injected_at(site));
+        }
     }
 
     /// An armed plan whose every rate is zero is byte-identical to running
@@ -181,7 +194,9 @@ proptest! {
         let (armed, armed_at) = run_ssdlet_chain(&values, &gaps, stages, 0, Some(&plan));
         prop_assert_eq!(clean, armed);
         prop_assert_eq!(clean_at, armed_at);
-        prop_assert_eq!(plan.injected_total(), 0);
+        for site in ALL_SITES {
+            prop_assert_eq!(plan.injected_at(site), 0);
+        }
     }
 }
 

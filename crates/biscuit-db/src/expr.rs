@@ -201,7 +201,7 @@ fn keys_valid(keys: &[Vec<u8>]) -> bool {
 /// while its key `|37|` never occurs there. So `=` and `IN` key a column
 /// of their literals' type, `BETWEEN` a `DATE` column and `LIKE` a `STR`
 /// column; any other conjunct yields no key.
-pub fn pattern_keys(expr: &Expr, types: &[ColumnType]) -> Option<Vec<Vec<u8>>> {
+pub(crate) fn pattern_keys(expr: &Expr, types: &[ColumnType]) -> Option<Vec<Vec<u8>>> {
     let keys = extract(expr, types)?;
     if !keys_valid(&keys) {
         return None;
@@ -469,6 +469,13 @@ mod tests {
             pattern_keys(&e, &TYPES).unwrap(),
             vec![b"|1995-01-17|".to_vec()]
         );
+        // A string equality keys its `STR` column (an empty table's
+        // offload candidate in `engine_tests`).
+        let e = Expr::col_eq(1, Value::Str("TARGET".into()));
+        assert_eq!(
+            pattern_keys(&e, &[ColumnType::Int, ColumnType::Str]).unwrap(),
+            vec![b"|TARGET|".to_vec()]
+        );
     }
 
     #[test]
@@ -520,6 +527,7 @@ mod tests {
         let keys = |e: &Expr| pattern_keys(e, &TYPES);
         // Open range: no keys.
         assert!(keys(&Expr::col_cmp(3, CmpOp::Le, Value::date("1998-09-02"))).is_none());
+        assert!(keys(&Expr::col_cmp(2, CmpOp::Lt, Value::Float(3.0))).is_none());
         // NOT LIKE: the hardware cannot prove absence.
         assert!(keys(&Expr::NotLike(Box::new(Expr::Col(1)), "%special%".into())).is_none());
         // Single-character literal: rejected as in the paper.

@@ -169,6 +169,7 @@ pub(crate) fn create_table(
 mod tests {
     use super::*;
     use crate::value::{ColumnType, Value};
+    use biscuit_fs::Mode;
     use std::sync::Arc;
 
     fn schema() -> Schema {
@@ -232,7 +233,7 @@ mod tests {
         let meta = create_table(&fs, "demo", schema(), &rows(1000)).unwrap();
         assert_eq!(meta.rows, 1000);
         assert!(meta.pages > 0);
-        assert!(fs.exists("tbl_demo"));
+        assert!(fs.open("tbl_demo", Mode::ReadOnly).is_ok());
     }
 
     #[test]
@@ -261,11 +262,14 @@ mod tests {
             let err =
                 create_table(&fs, "bad", three.clone(), std::slice::from_ref(&row)).unwrap_err();
             assert!(matches!(err, DbError::TypeError(_)), "{row:?}: {err:?}");
-            assert!(!fs.exists("tbl_bad"), "{row:?} left a table file behind");
+            assert!(
+                fs.open("tbl_bad", Mode::ReadOnly).is_err(),
+                "{row:?} left a table file behind"
+            );
         }
         let good = [vec![Value::Int(1), text("a"), text("b")]];
         create_table(&fs, "bad", three, &good).unwrap();
-        assert!(fs.exists("tbl_bad"));
+        assert!(fs.open("tbl_bad", Mode::ReadOnly).is_ok());
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Value {
     }
 
     /// Integer view.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub(crate) fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
             Value::Date(v) => Some(i64::from(*v)),

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use biscuit_sim::sync::Mutex;
 
 use biscuit_core::{CoreConfig, Ssd};
-use biscuit_db::expr::{pattern_keys, ArithOp, CmpOp, Expr};
+use biscuit_db::expr::{ArithOp, CmpOp, Expr};
 use biscuit_db::spec::{AggFun, ExecMode, OrderKey, SelectSpec};
 use biscuit_db::{ColumnType, Db, DbConfig, DbError, DbResult, QueryOutput, Row, Schema, Value};
 use biscuit_fs::{Fs, Mode};
@@ -34,15 +34,6 @@ fn make_db_with(cfg: DbConfig) -> Db {
 
 /// items(id INT, category STR, price FLOAT, ship DATE): `rows` rows with a
 /// rare category "TARGET" planted every `stride` rows.
-/// The column types of the `items` table.
-const ITEM_TYPES: [ColumnType; 5] = [
-    ColumnType::Int,
-    ColumnType::Str,
-    ColumnType::Float,
-    ColumnType::Date,
-    ColumnType::Str,
-];
-
 fn load_items(db: &mut Db, rows: usize, stride: usize) {
     let schema = Schema::new(&[
         ("id", ColumnType::Int),
@@ -76,15 +67,34 @@ fn run_query(db: Arc<Db>, spec: SelectSpec, mode: ExecMode) -> QueryOutput {
 
 /// Runs one query to quiescence and returns what it returned.
 fn try_query(db: Arc<Db>, spec: SelectSpec, mode: ExecMode) -> DbResult<QueryOutput> {
+    metered_query(db, spec, mode).0
+}
+
+/// Runs one query and returns its output and the recovery failures the
+/// fault plan recorded (`fault_failed_total`).
+fn run_query_counting_failures(
+    db: Arc<Db>,
+    spec: SelectSpec,
+    mode: ExecMode,
+) -> (QueryOutput, u64) {
+    let (out, failed) = metered_query(db, spec, mode);
+    (out.unwrap(), failed)
+}
+
+/// Runs one query to quiescence with metrics on; returns what it returned
+/// and the run's `fault_failed_total`.
+fn metered_query(db: Arc<Db>, spec: SelectSpec, mode: ExecMode) -> (DbResult<QueryOutput>, u64) {
     let sim = Simulation::new(0);
+    sim.enable_metrics();
     let out = Arc::new(Mutex::new(None));
     let o = Arc::clone(&out);
     sim.spawn("host", move |ctx| {
         *o.lock() = Some(db.execute(ctx, &spec, mode, HostLoad::IDLE));
     });
-    sim.run().assert_quiescent();
+    let report = sim.run();
+    report.assert_quiescent();
     let result = out.lock().take().unwrap();
-    result
+    (result, report.metrics.counter_sum("fault_failed_total"))
 }
 
 fn selective_spec() -> SelectSpec {
@@ -137,13 +147,13 @@ fn unfriendly_predicate_is_not_offloaded() {
     let mut db = make_db();
     load_items(&mut db, 10_000, 500);
     let db = Arc::new(db);
-    // Range predicate over a wide span: no pattern keys.
+    // Range predicate over a wide span: no pattern keys
+    // (`expr::tests::unfriendly_predicates_yield_no_keys`).
     let mut spec = SelectSpec::new("range");
     spec.scan(
         "items",
         Some(Expr::col_cmp(2, CmpOp::Lt, Value::Float(3.0))),
     );
-    assert!(pattern_keys(spec.scans[0].predicate.as_ref().unwrap(), &ITEM_TYPES).is_none());
     let bis = run_query(Arc::clone(&db), spec.clone(), ExecMode::Biscuit);
     assert!(bis.stats.offloaded_tables.is_empty());
     let conv = run_query(db, spec, ExecMode::Conv);
@@ -260,7 +270,7 @@ fn projection_order_limit() {
     assert_eq!(out.rows.len(), 5);
     // Highest price first; ties broken by ascending id.
     assert_eq!(out.rows[0][1], Value::Float(99.0));
-    assert!(out.rows[0][0].as_i64().unwrap() < out.rows[1][0].as_i64().unwrap());
+    assert!(int(&out.rows[0][0]) < int(&out.rows[1][0]));
 }
 
 /// `ratios(id, x, y)` with `x / y` ordered ascending, in both modes: the
@@ -311,7 +321,7 @@ fn order_by_sorts_nan_after_every_number() {
                 desc: false,
             }];
             let out = run_query(Arc::clone(&db), spec, mode);
-            let ids: Vec<i64> = out.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+            let ids: Vec<i64> = out.rows.iter().map(|r| int(&r[0])).collect();
             assert_eq!(ids, want, "{mode:?}, {} rows", pairs.len());
         }
     }
@@ -489,10 +499,11 @@ fn ssdlet_failure_falls_back_to_host_scan() {
     );
     db.ssd().attach_fault_plan(&plan);
     let db = Arc::new(db);
-    let faulty = run_query(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
+    let (faulty, failed) =
+        run_query_counting_failures(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
 
     assert_eq!(clean.rows, faulty.rows);
-    assert!(plan.failed_total() >= 1, "restart budget must be exhausted");
+    assert!(failed >= 1, "restart budget must be exhausted");
     assert!(
         plan.recovered_at(FaultSite::Ssdlet) >= 1,
         "host fallback must be recorded as a recovery"
@@ -503,7 +514,7 @@ fn ssdlet_failure_falls_back_to_host_scan() {
 /// SSDlet completes the offload and no host fallback happens.
 #[test]
 fn ssdlet_restart_recovers_without_fallback() {
-    use biscuit_sim::fault::FaultConfig;
+    use biscuit_sim::fault::{FaultConfig, FaultSite};
     use biscuit_sim::FaultPlan;
 
     let mut db = make_db();
@@ -524,11 +535,15 @@ fn ssdlet_restart_recovers_without_fallback() {
     );
     db.ssd().attach_fault_plan(&plan);
     let db = Arc::new(db);
-    let faulty = run_query(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
+    let (faulty, failed) =
+        run_query_counting_failures(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
 
     assert_eq!(clean.rows, faulty.rows);
-    assert_eq!(plan.failed_total(), 0, "restart must succeed");
-    assert!(plan.recovered_total() >= 1, "restart must be recorded");
+    assert_eq!(failed, 0, "restart must succeed");
+    assert!(
+        plan.recovered_at(FaultSite::Ssdlet) >= 1,
+        "restart must be recorded"
+    );
     assert_eq!(
         faulty.stats.offloaded_tables,
         vec!["items".to_string()],
@@ -560,11 +575,12 @@ fn host_timeout_falls_back_to_host_scan() {
     );
     db.ssd().attach_fault_plan(&plan);
     let db = Arc::new(db);
-    let faulty = run_query(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
+    let (faulty, failed) =
+        run_query_counting_failures(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
 
     assert_eq!(clean.rows, faulty.rows);
     assert!(
-        plan.failed_total() >= 1,
+        failed >= 1,
         "the timed-out request must be recorded as failed"
     );
     assert!(
@@ -715,8 +731,9 @@ fn host_timeout_fallback_returns_the_conv_rows() {
     db.ssd().attach_fault_plan(&plan);
     let db = Arc::new(db);
     let conv = run_query(Arc::clone(&db), selective_spec(), ExecMode::Conv);
-    let faulty = run_query(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
-    assert!(plan.failed_total() >= 1, "the offload must have timed out");
+    let (faulty, failed) =
+        run_query_counting_failures(Arc::clone(&db), selective_spec(), ExecMode::Biscuit);
+    assert!(failed >= 1, "the offload must have timed out");
     assert_eq!(faulty.rows.len(), 60);
     assert_eq!(faulty.rows, conv.rows);
 }
@@ -837,9 +854,8 @@ fn an_empty_table_samples_nothing_and_both_modes_return_no_rows() {
     assert_eq!(db.catalog().table("empty").unwrap().pages, 0);
     let db = Arc::new(db);
     let mut spec = SelectSpec::new("empty-target");
+    // The predicate has a pattern key (`expr::tests::equality_yields_framed_key`).
     spec.scan("empty", Some(Expr::col_eq(1, Value::Str("TARGET".into()))));
-    let types = [ColumnType::Int, ColumnType::Str];
-    assert!(pattern_keys(spec.scans[0].predicate.as_ref().unwrap(), &types).is_some());
 
     let conv = run_query(Arc::clone(&db), spec.clone(), ExecMode::Conv);
     let biscuit = run_query(Arc::clone(&db), spec.clone(), ExecMode::Biscuit);
@@ -1077,15 +1093,19 @@ fn reference_join(spec: &SelectSpec, order: &[usize], block_rows: usize) -> Vec<
 /// Runs `spec` on `db` in `mode`: its output and its join order (scan
 /// indexes, from `explain`).
 fn run_join(db: Arc<Db>, spec: &SelectSpec, mode: ExecMode) -> (QueryOutput, Vec<usize>) {
-    let run = Arc::clone(&db);
+    let order = join_order(&db, spec, mode);
+    (run_query(db, spec.clone(), mode), order)
+}
+
+/// The planner's join order, as indices into `spec.scans`.
+fn join_order(db: &Arc<Db>, spec: &SelectSpec, mode: ExecMode) -> Vec<usize> {
+    let run = Arc::clone(db);
     let planned = spec.clone();
     let plan = in_sim(move |ctx| run.explain(ctx, &planned, mode, HostLoad::IDLE)).unwrap();
-    let order = plan
-        .join_order
+    plan.join_order
         .iter()
         .map(|t| spec.scans.iter().position(|s| &s.table == t).unwrap())
-        .collect();
-    (run_query(db, spec.clone(), mode), order)
+        .collect()
 }
 
 /// A three-table join at blocks of 1, 3 and the default rows, in both modes,
@@ -1159,12 +1179,11 @@ fn a_host_timeout_inner_joins_from_the_cached_table() {
         },
     );
     db.ssd().attach_fault_plan(&plan);
-    let (out, order) = run_join(Arc::new(db), &spec, ExecMode::Biscuit);
+    let db = Arc::new(db);
+    let order = join_order(&db, &spec, ExecMode::Biscuit);
+    let (out, failed) = run_query_counting_failures(db, spec.clone(), ExecMode::Biscuit);
     assert_eq!(order, vec![1, 0, 2]);
-    assert!(
-        plan.failed_total() >= 2,
-        "the first scan and an inner timed out"
-    );
+    assert!(failed >= 2, "the first scan and an inner timed out");
     assert!(plan.recovered_at(FaultSite::Ssdlet) >= 2);
     assert_eq!(out.rows, reference_join(&spec, &order, 3));
 }
@@ -1187,5 +1206,13 @@ fn a_join_without_an_edge_is_the_cross_product_in_reference_order() {
                 "{mode:?}"
             );
         }
+    }
+}
+
+/// The integer in an `Int` cell.
+fn int(v: &Value) -> i64 {
+    match v {
+        Value::Int(i) => *i,
+        other => panic!("not an Int: {other:?}"),
     }
 }

@@ -102,7 +102,7 @@ fn q1_matches_direct_computation() {
             close(row[3].as_f64().unwrap(), sum_price),
             "sum_base_price for {key:?}"
         );
-        assert_eq!(row[9].as_i64().unwrap(), count, "count for {key:?}");
+        assert_eq!(int(&row[9]), count, "count for {key:?}");
     }
 }
 
@@ -143,12 +143,7 @@ fn q14_matches_direct_computation() {
     let part_type: HashMap<i64, String> = data
         .part
         .iter()
-        .map(|r| {
-            (
-                r[p::PARTKEY].as_i64().unwrap(),
-                r[p::TYPE].as_str().unwrap().to_owned(),
-            )
-        })
+        .map(|r| (int(&r[p::PARTKEY]), r[p::TYPE].as_str().unwrap().to_owned()))
         .collect();
     let (mut promo, mut total) = (0.0f64, 0.0f64);
     for row in &data.lineitem {
@@ -161,7 +156,7 @@ fn q14_matches_direct_computation() {
         let revenue =
             row[l::EXTENDEDPRICE].as_f64().unwrap() * (1.0 - row[l::DISCOUNT].as_f64().unwrap());
         total += revenue;
-        let ty = &part_type[&row[l::PARTKEY].as_i64().unwrap()];
+        let ty = &part_type[&int(&row[l::PARTKEY])];
         if ty.starts_with("PROMO") {
             promo += revenue;
         }
@@ -192,7 +187,7 @@ fn q4_matches_direct_computation() {
             panic!()
         };
         if commit < receipt {
-            late_orders.insert(row[l::ORDERKEY].as_i64().unwrap());
+            late_orders.insert(int(&row[l::ORDERKEY]));
         }
     }
     let mut expected: HashMap<String, i64> = HashMap::new();
@@ -200,7 +195,7 @@ fn q4_matches_direct_computation() {
         let Value::Date(d) = row[o::ORDERDATE] else {
             panic!()
         };
-        if (lo..=hi).contains(&d) && late_orders.contains(&row[o::ORDERKEY].as_i64().unwrap()) {
+        if (lo..=hi).contains(&d) && late_orders.contains(&int(&row[o::ORDERKEY])) {
             *expected
                 .entry(row[o::ORDERPRIORITY].as_str().unwrap().to_owned())
                 .or_insert(0) += 1;
@@ -210,7 +205,7 @@ fn q4_matches_direct_computation() {
     assert_eq!(out.rows.len(), expected.len());
     for row in &out.rows {
         let prio = row[0].as_str().unwrap();
-        assert_eq!(row[1].as_i64().unwrap(), expected[prio], "count for {prio}");
+        assert_eq!(int(&row[1]), expected[prio], "count for {prio}");
     }
 }
 
@@ -219,11 +214,8 @@ fn q13_matches_direct_computation() {
     let (db, data) = setup();
     // Orders whose comment does not match %special%requests%, per customer;
     // then the histogram of counts.
-    let mut per_customer: HashMap<i64, i64> = data
-        .customer
-        .iter()
-        .map(|r| (r[0].as_i64().unwrap(), 0))
-        .collect();
+    let mut per_customer: HashMap<i64, i64> =
+        data.customer.iter().map(|r| (int(&r[0]), 0)).collect();
     for row in &data.orders {
         let comment = row[o::COMMENT].as_str().unwrap();
         let is_special = comment
@@ -231,7 +223,7 @@ fn q13_matches_direct_computation() {
             .map(|i| comment[i..].contains("requests"))
             .unwrap_or(false);
         if !is_special {
-            if let Some(c) = per_customer.get_mut(&row[o::CUSTKEY].as_i64().unwrap()) {
+            if let Some(c) = per_customer.get_mut(&int(&row[o::CUSTKEY])) {
                 *c += 1;
             }
         }
@@ -243,11 +235,19 @@ fn q13_matches_direct_computation() {
     let out = run_query(db, 13, ExecMode::Conv);
     assert_eq!(out.rows.len(), expected.len());
     for row in &out.rows {
-        let c_count = row[0].as_i64().unwrap();
+        let c_count = int(&row[0]);
         assert_eq!(
-            row[1].as_i64().unwrap(),
+            int(&row[1]),
             expected[&c_count],
             "custdist for count {c_count}"
         );
+    }
+}
+
+/// The integer in an `Int` cell.
+fn int(v: &Value) -> i64 {
+    match v {
+        Value::Int(i) => *i,
+        other => panic!("not an Int: {other:?}"),
     }
 }

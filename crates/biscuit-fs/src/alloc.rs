@@ -6,31 +6,34 @@
 //! striped page runs — the access pattern that saturates the internal
 //! bandwidth in Fig. 7.
 
+#[cfg(test)]
+use crate::error::{FsError, FsResult};
+
 /// A contiguous run of logical pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Extent {
+pub(crate) struct Extent {
     /// First logical page.
-    pub start: u64,
+    pub(crate) start: u64,
     /// Number of pages.
-    pub pages: u64,
+    pub(crate) pages: u64,
 }
 
 impl Extent {
     /// One-past-the-end logical page.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.start + self.pages
     }
 }
 
 /// First-fit extent allocator over a logical page range.
 #[derive(Debug, Clone)]
-pub struct ExtentAllocator {
+pub(crate) struct ExtentAllocator {
     free: Vec<Extent>, // sorted by start, non-overlapping, coalesced
 }
 
 impl ExtentAllocator {
     /// Creates an allocator managing pages `[start, start + pages)`.
-    pub fn new(start: u64, pages: u64) -> Self {
+    pub(crate) fn new(start: u64, pages: u64) -> Self {
         let free = if pages == 0 {
             Vec::new()
         } else {
@@ -41,27 +44,36 @@ impl ExtentAllocator {
 
     /// Rebuilds an allocator from a full range minus already-used extents
     /// (used at mount time).
-    pub(crate) fn from_used(start: u64, pages: u64, used: &[Extent]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::Corrupt`] when an extent reaches outside
+    /// `[start, start + pages)` or overlaps another used extent.
+    #[cfg(test)]
+    pub(crate) fn from_used(start: u64, pages: u64, used: &[Extent]) -> FsResult<Self> {
         let mut alloc = ExtentAllocator::new(start, pages);
         let mut used = used.to_vec();
         used.sort_by_key(|e| e.start);
         for e in used {
-            alloc.reserve(e);
+            alloc.reserve(e)?;
         }
-        alloc
+        Ok(alloc)
     }
 
     /// Removes a specific extent from the free list (mount-time replay).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the extent is not entirely free (metadata corruption).
-    fn reserve(&mut self, want: Extent) {
+    /// Returns [`FsError::Corrupt`] if the extent is not entirely free.
+    #[cfg(test)]
+    fn reserve(&mut self, want: Extent) -> FsResult<()> {
+        let corrupt = || FsError::Corrupt(format!("extent {want:?} is not free"));
+        let end = want.start.checked_add(want.pages).ok_or_else(corrupt)?;
         let idx = self
             .free
             .iter()
-            .position(|f| f.start <= want.start && want.end() <= f.end())
-            .unwrap_or_else(|| panic!("extent {want:?} is not free; corrupt metadata"));
+            .position(|f| f.start <= want.start && end <= f.end())
+            .ok_or_else(corrupt)?;
         let f = self.free.remove(idx);
         let before = Extent {
             start: f.start,
@@ -79,11 +91,12 @@ impl ExtentAllocator {
         if after.pages > 0 {
             self.free.insert(insert_at, after);
         }
+        Ok(())
     }
 
     /// Allocates `pages` pages, first-fit. Returns `None` when no single
     /// free extent is large enough.
-    pub fn allocate(&mut self, pages: u64) -> Option<Extent> {
+    pub(crate) fn allocate(&mut self, pages: u64) -> Option<Extent> {
         if pages == 0 {
             return Some(Extent { start: 0, pages: 0 });
         }
@@ -126,7 +139,8 @@ impl ExtentAllocator {
     /// # Panics
     ///
     /// Panics if the extent overlaps the free pool (double free).
-    pub fn free(&mut self, e: Extent) {
+    #[cfg(test)]
+    pub(crate) fn free(&mut self, e: Extent) {
         if e.pages == 0 {
             return;
         }
@@ -158,7 +172,8 @@ impl ExtentAllocator {
     }
 
     /// Total free pages.
-    pub fn free_pages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn free_pages(&self) -> u64 {
         self.free.iter().map(|f| f.pages).sum()
     }
 
@@ -235,7 +250,7 @@ mod tests {
                 pages: 5,
             },
         ];
-        let a = ExtentAllocator::from_used(0, 30, &used);
+        let a = ExtentAllocator::from_used(0, 30, &used).unwrap();
         assert_eq!(a.free_pages(), 15);
         // Free runs: [0,5), [15,20), [25,30)
         assert_eq!(a.largest_free(), 5);

@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 use biscuit_sim::sync::Mutex;
 
-use biscuit_proto::packet::{Packet, PacketBuilder};
+#[cfg(test)]
+use biscuit_proto::packet::Packet;
+use biscuit_proto::packet::PacketBuilder;
 use biscuit_sim::Ctx;
 use biscuit_ssd::pattern::PatternSet;
 use biscuit_ssd::{PageBuf, SsdDevice};
@@ -21,7 +23,7 @@ use biscuit_ssd::{PageBuf, SsdDevice};
 use crate::alloc::{Extent, ExtentAllocator};
 use crate::error::{FsError, FsResult};
 
-const MAGIC: u64 = 0x4253_4654_2d52_5331; // "BSFT-RS1"
+pub(crate) const MAGIC: u64 = 0x4253_4654_2d52_5331; // "BSFT-RS1"
 const DEFAULT_META_PAGES: u64 = 64;
 /// Pages added per growth step when appending past current capacity.
 const GROWTH_PAGES: u64 = 256;
@@ -142,8 +144,10 @@ impl Fs {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::Corrupt`] if no valid superblock is present.
-    pub fn mount(device: Arc<SsdDevice>) -> FsResult<Fs> {
+    /// Returns [`FsError::Corrupt`] if no valid superblock is present, or
+    /// if a file's extents reach outside the data region or overlap.
+    #[cfg(test)]
+    pub(crate) fn mount(device: Arc<SsdDevice>) -> FsResult<Fs> {
         let page_size = device.config().page_size;
         let total_pages = device.config().logical_pages();
         // Read the metadata region.
@@ -151,6 +155,7 @@ impl Fs {
         for lpn in 0..DEFAULT_META_PAGES {
             meta.extend_from_slice(&device.peek_page(lpn)?);
         }
+        let meta_len = meta.len();
         let pkt = Packet::from(meta);
         let mut r = pkt.reader();
         let magic = r.get_u64().map_err(|e| FsError::Corrupt(e.to_string()))?;
@@ -167,7 +172,8 @@ impl Fs {
                 .to_owned();
             let size = r.get_u64().map_err(|e| FsError::Corrupt(e.to_string()))?;
             let n_ext = r.get_u32().map_err(|e| FsError::Corrupt(e.to_string()))?;
-            let mut extents = Vec::with_capacity(n_ext as usize);
+            // An extent takes 16 bytes: no more fit in the region.
+            let mut extents = Vec::with_capacity((n_ext as usize).min(meta_len / 16));
             for _ in 0..n_ext {
                 let start = r.get_u64().map_err(|e| FsError::Corrupt(e.to_string()))?;
                 let pages = r.get_u64().map_err(|e| FsError::Corrupt(e.to_string()))?;
@@ -177,8 +183,8 @@ impl Fs {
             }
             files.insert(name, Inode { size, extents });
         }
-        let alloc =
-            ExtentAllocator::from_used(DEFAULT_META_PAGES, total_pages - DEFAULT_META_PAGES, &used);
+        let data_pages = total_pages - DEFAULT_META_PAGES;
+        let alloc = ExtentAllocator::from_used(DEFAULT_META_PAGES, data_pages, &used)?;
         Ok(Fs {
             inner: Arc::new(FsInner {
                 page_size,
@@ -271,7 +277,8 @@ impl Fs {
     }
 
     /// True if the path exists.
-    pub fn exists(&self, path: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn exists(&self, path: &str) -> bool {
         self.inner.state.lock().files.contains_key(path)
     }
 
@@ -698,7 +705,8 @@ impl File {
     }
 
     /// Bytes buffered by [`File::write_async`] and not yet flushed.
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn buffered(&self) -> usize {
         self.write_buffer.len()
     }
 

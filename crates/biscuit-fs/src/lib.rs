@@ -17,6 +17,11 @@ mod alloc;
 mod error;
 mod fs;
 
-pub use alloc::{Extent, ExtentAllocator};
 pub use error::{FsError, FsResult};
 pub use fs::{File, Fs, Mode};
+
+// A property suite over crate internals. It sits beside the integration
+// tests, in `tests/unit/`, but is not a test target of its own.
+#[path = "../tests/unit/fs_proptests.rs"]
+#[cfg(test)]
+mod fs_proptests;

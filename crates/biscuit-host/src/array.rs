@@ -12,7 +12,7 @@
 //! ## Ordering and determinism
 //!
 //! Each shard writes into its own bounded merge lane, tagging items with
-//! a per-lane sequence number. [`MergeRx`] consumes lanes round-robin in
+//! a per-lane sequence number. The merge consumer takes lanes round-robin in
 //! shard-id order, emitting lane item `r` of every still-open shard
 //! before any lane's item `r + 1`. The global merge order is therefore a
 //! pure function of the per-shard item counts — `(shard id, sequence)`
@@ -41,10 +41,10 @@
 //! `F = S + cost / w_u`, a fixed pool of worker fibers (admission
 //! control) always runs the globally smallest finish tag next, and the
 //! scheduler's virtual clock `V` advances to the start tag of whatever
-//! it dispatches. Per-tenant queues are bounded: the blocking
-//! [`QueryScheduler::submit`] exerts backpressure on the host loop,
-//! while [`QueryScheduler::try_submit`] sheds instead — returning a
-//! typed [`QueryShed`] metered as `sched_shed_total{user}`. Every
+//! it dispatches. Per-tenant queues are bounded: a query that finds its
+//! tenant's queue full is shed by [`QueryScheduler::try_submit`] —
+//! returned as a typed [`QueryShed`] metered as
+//! `sched_shed_total{user}`. Every
 //! tenant's offered/completed/shed counts plus queue-wait and latency
 //! histograms are tracked unconditionally (and cheaply) inside the
 //! scheduler, so 1M-query soaks over tens of thousands of tenants can
@@ -81,7 +81,7 @@ use crate::io::ConvIo;
 /// # Panics
 ///
 /// Panics if `lanes` is zero or `capacity` is zero.
-pub fn merge_channel<T: Send + 'static>(
+pub(crate) fn merge_channel<T: Send + 'static>(
     lanes: usize,
     capacity: usize,
 ) -> (Vec<MergeTx<T>>, MergeRx<T>) {
@@ -177,7 +177,7 @@ pub(crate) struct MergeLag {
 /// Consumer side of [`merge_channel`]: emits `(shard, sequence, item)`
 /// triples in the canonical order (sequence-major, shard-id-minor over
 /// still-open lanes).
-pub struct MergeRx<T> {
+pub(crate) struct MergeRx<T> {
     lanes: Vec<SimQueue<(u64, T)>>,
     popped: Vec<u64>,
     done: Vec<bool>,
@@ -204,7 +204,7 @@ impl<T: Send + 'static> MergeRx<T> {
     ///
     /// Panics if a lane violates per-shard FIFO sequencing (a bug in the
     /// producer, not a recoverable fault).
-    pub fn next(&mut self, ctx: &Ctx) -> Option<(usize, u64, T)> {
+    pub(crate) fn next(&mut self, ctx: &Ctx) -> Option<(usize, u64, T)> {
         loop {
             if self.open == 0 {
                 return None;
@@ -671,10 +671,10 @@ pub struct SchedulerConfig {
     /// the host. Override by setting the field when a workload needs
     /// more overlap (e.g. host-compute-heavy queries).
     pub max_inflight: usize,
-    /// Per-user submit-queue capacity. A full queue sheds
-    /// [`QueryScheduler::try_submit`] (load shedding, the path the
-    /// open-loop [`drive_open_loop`](crate::workload::drive_open_loop)
-    /// takes) and blocks [`QueryScheduler::submit`] (backpressure).
+    /// Per-user submit-queue capacity. A query that finds its tenant's
+    /// queue full is shed by [`QueryScheduler::try_submit`] (load
+    /// shedding, the path the open-loop
+    /// [`drive_open_loop`](crate::workload::drive_open_loop) takes).
     pub queue_capacity: usize,
     /// Per-user WFQ weights: user `i` receives service proportional to
     /// `weights[i]` under contention. Empty means every user weighs 1;
@@ -706,7 +706,9 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Why [`QueryScheduler::try_submit`] refused a query.
+/// Why [`QueryScheduler::try_submit`] refused a query. Refusing is the
+/// scheduler's only answer to a query it cannot take: it never blocks the
+/// submitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShedReason {
     /// The tenant's bounded queue was at capacity.
@@ -839,11 +841,10 @@ struct QueueInstr {
 }
 
 struct SchedInner {
+    users: usize,
     capacity: usize,
     max_inflight: usize,
     state: Mutex<WfqState>,
-    /// Per-tenant wakeups for submitters blocked on a full queue.
-    not_full: Vec<WaitQueue>,
     /// Wakeup for idle worker fibers.
     work: WaitQueue,
     /// Wakeup for `wait_completed`.
@@ -864,7 +865,7 @@ impl SchedInner {
         let registry = ctx.metrics();
         registry.is_enabled().then(|| {
             let all = self.queue_instr.get_or_init(|| {
-                (0..self.not_full.len())
+                (0..self.users)
                     .map(|i| {
                         let label = format!("sched.user{i}");
                         let labels = [("queue", label.as_str())];
@@ -908,8 +909,8 @@ fn inflight_add(ctx: &Ctx, delta: i64) {
 /// `(user, sequence)`, and the worker pool is driven entirely by the
 /// DES kernel's event order.
 ///
-/// See the [module docs](self) and `docs/QOS.md` for the WFQ model,
-/// shedding policy, and backpressure contract.
+/// See the [module docs](self) and `docs/QOS.md` for the WFQ model and
+/// shedding policy.
 pub struct QueryScheduler {
     inner: Arc<SchedInner>,
 }
@@ -925,7 +926,7 @@ impl Clone for QueryScheduler {
 impl std::fmt::Debug for QueryScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryScheduler")
-            .field("users", &self.inner.not_full.len())
+            .field("users", &self.inner.users)
             .field("submitted", &self.inner.submitted.load(Ordering::Relaxed))
             .field("completed", &self.inner.completed.load(Ordering::Relaxed))
             .field("shed", &self.inner.shed.load(Ordering::Relaxed))
@@ -968,6 +969,7 @@ impl QueryScheduler {
             .collect();
         QueryScheduler {
             inner: Arc::new(SchedInner {
+                users: cfg.users,
                 capacity: cfg.queue_capacity,
                 max_inflight: cfg.max_inflight,
                 state: Mutex::new(WfqState {
@@ -977,7 +979,6 @@ impl QueryScheduler {
                     next_seq: 0,
                     closed: false,
                 }),
-                not_full: (0..cfg.users).map(|_| WaitQueue::new()).collect(),
                 work: WaitQueue::new(),
                 done: WaitQueue::new(),
                 submitted: AtomicU64::new(0),
@@ -1007,65 +1008,25 @@ impl QueryScheduler {
         }
     }
 
-    /// Enqueues a unit-cost `job` for `user`, blocking in virtual time
-    /// while the user's queue is full (backpressure).
-    ///
-    /// # Panics
-    ///
-    /// Panics when called after [`QueryScheduler::close`] — including
-    /// when the scheduler closes while this call is blocked — and when
-    /// `user` is not below [`SchedulerConfig::users`].
-    pub fn submit(&self, ctx: &Ctx, user: usize, job: impl FnOnCtx) {
-        let mut job: Option<Job> = Some(Box::new(job));
-        let mut blocked = false;
-        loop {
-            {
-                let mut st = self.inner.state.lock();
-                assert!(!st.closed, "submit on a closed scheduler");
-                if (st.tenants[user].depth as usize) < self.inner.capacity {
-                    self.enqueue_locked(ctx, &mut st, user, 1, job.take().unwrap());
-                    drop(st);
-                    self.inner.work.notify_one(ctx);
-                    return;
-                }
-            }
-            if !blocked {
-                blocked = true;
-                count(ctx, "array_sched_backpressure_total");
-            }
-            self.inner.not_full[user].wait(ctx);
-        }
-    }
-
-    /// Non-blocking submit of a unit-cost `job`: sheds instead of
-    /// waiting when `user`'s queue is full, the scheduler is closed, or
-    /// `user` has no queue.
-    /// This is the open-loop path — arrivals the array cannot absorb
-    /// are dropped and metered rather than queued without bound.
+    /// Enqueues `job` for `user` with WFQ `cost` (service demand in
+    /// abstract units; `0` counts as `1`), or sheds it when `user`'s
+    /// queue is full, the scheduler is closed, or `user` has no queue.
+    /// A tenant's finish tags advance by `cost / weight`, so cheap
+    /// queries are charged less of the tenant's share. This is the
+    /// open-loop path — arrivals the array cannot absorb are dropped and
+    /// metered rather than queued without bound.
     ///
     /// # Errors
     ///
     /// Returns [`QueryShed`] when the query was rejected; the shed is
     /// counted in `sched_shed_total{user}`, [`QueryScheduler::shed`] and
     /// (unless [`ShedReason::UnknownUser`]) the tenant's report.
-    pub fn try_submit(&self, ctx: &Ctx, user: usize, job: impl FnOnCtx) -> Result<(), QueryShed> {
-        self.try_submit_cost(ctx, user, 1, job)
-    }
-
-    /// [`QueryScheduler::try_submit`] with an explicit WFQ `cost` (service
-    /// demand in abstract units; `0` counts as `1`). A tenant's finish
-    /// tags advance by `cost / weight`, so cheap queries are charged
-    /// less of the tenant's share.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QueryShed`] when the query was rejected.
-    pub(crate) fn try_submit_cost(
+    pub fn try_submit(
         &self,
         ctx: &Ctx,
         user: usize,
         cost: u64,
-        job: impl FnOnCtx,
+        job: impl FnOnce(&Ctx) + Send + 'static,
     ) -> Result<(), QueryShed> {
         let reason = {
             let mut st = self.inner.state.lock();
@@ -1139,17 +1100,12 @@ impl QueryScheduler {
         }
     }
 
-    /// Closes the scheduler: no further submissions are accepted
-    /// (`submit` panics, `try_submit` sheds with
-    /// [`ShedReason::Closed`]), the workers drain what is buffered and
-    /// then exit. Submitters blocked on backpressure are woken and
-    /// panic per the submit contract.
+    /// Closes the scheduler: further submissions are shed with
+    /// [`ShedReason::Closed`], and the workers drain what is buffered
+    /// and then exit.
     pub fn close(&self, ctx: &Ctx) {
         self.inner.state.lock().closed = true;
         self.inner.work.notify_all(ctx);
-        for nf in &self.inner.not_full {
-            nf.notify_all(ctx);
-        }
     }
 
     /// Blocks in virtual time until at least `n` jobs completed.
@@ -1234,11 +1190,6 @@ impl QueryScheduler {
     }
 }
 
-/// Bound alias for scheduler jobs (a closure run once on a worker
-/// fiber's DES context).
-pub trait FnOnCtx: FnOnce(&Ctx) + Send + 'static {}
-impl<F: FnOnce(&Ctx) + Send + 'static> FnOnCtx for F {}
-
 /// One worker fiber: repeatedly dispatch the globally smallest finish
 /// tag and run it to completion. The pool size (`max_inflight`) is the
 /// admission limit; WFQ order decides who gets a freed slot.
@@ -1275,8 +1226,6 @@ fn worker_loop(inner: &Arc<SchedInner>, ctx: &Ctx) {
             inner.work.wait(ctx);
         };
         let Some(sub) = sub else { return };
-        // A slot freed in the tenant's queue: wake one blocked submitter.
-        inner.not_full[sub.user].notify_one(ctx);
         count(ctx, "array_sched_admitted_total");
         inflight_add(ctx, 1);
         if let Some(sc) = sub.span {

@@ -323,7 +323,7 @@ mod tests {
     /// the bytes it returns.
     #[test]
     fn faulted_conv_read_is_slower_but_data_identical() {
-        use biscuit_sim::fault::{FaultConfig, FaultPlan};
+        use biscuit_sim::fault::{FaultConfig, FaultPlan, FaultSite};
 
         let run = |plan: Option<FaultPlan>| -> (Vec<u8>, u64) {
             let (fs, io) = setup_armed(plan.as_ref());
@@ -360,8 +360,16 @@ mod tests {
             faulty_ns > clean_ns,
             "retries/replays/stalls must cost time: {faulty_ns} vs {clean_ns}"
         );
-        assert!(plan.injected_total() >= 1);
-        assert_eq!(plan.recovered_total(), plan.injected_total());
+        assert!(plan.injected_at(FaultSite::NandRead) >= 1);
+        for site in [
+            FaultSite::NandRead,
+            FaultSite::LinkToHost,
+            FaultSite::LinkToDevice,
+            FaultSite::CoreStall,
+        ] {
+            let injected = plan.injected_at(site);
+            assert_eq!(plan.recovered_at(site), injected, "{site:?}");
+        }
     }
 
     /// A failed read gives its NVMe command slot back: with two slots,

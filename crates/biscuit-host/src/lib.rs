@@ -40,5 +40,17 @@ pub use io::ConvIo;
 pub use search::BoyerMoore;
 pub use workload::{
     Arrival, ArrivalProcess, DiurnalPhase, DriveStats, QueryKind, QueryMix, WorkloadConfig,
-    WorkloadEngine, WorkloadRng,
+    WorkloadEngine,
 };
+
+// Suites over crate internals. They sit beside the integration tests, in
+// `tests/unit/`, but are not test targets of their own.
+#[path = "../tests/unit/array_proptests.rs"]
+#[cfg(test)]
+mod array_proptests;
+#[path = "../tests/unit/search_proptests.rs"]
+#[cfg(test)]
+mod search_proptests;
+#[path = "../tests/unit/wfq_proptests.rs"]
+#[cfg(test)]
+mod wfq_proptests;

@@ -67,7 +67,8 @@ impl BoyerMoore {
 }
 
 /// Straightforward reference scanner (the property tests' oracle).
-pub fn naive_find(text: &[u8], pattern: &[u8]) -> Option<usize> {
+#[cfg(test)]
+pub(crate) fn naive_find(text: &[u8], pattern: &[u8]) -> Option<usize> {
     if pattern.is_empty() || pattern.len() > text.len() {
         return None;
     }
@@ -75,7 +76,8 @@ pub fn naive_find(text: &[u8], pattern: &[u8]) -> Option<usize> {
 }
 
 /// Reference count of (overlapping) occurrences.
-pub fn naive_count(text: &[u8], pattern: &[u8]) -> usize {
+#[cfg(test)]
+pub(crate) fn naive_count(text: &[u8], pattern: &[u8]) -> usize {
     if pattern.is_empty() || pattern.len() > text.len() {
         return 0;
     }

@@ -22,7 +22,7 @@
 //!   weighted [`QueryMix`] with a per-kind WFQ cost (plus seeded
 //!   jitter), so schedulers see heterogeneous service demands.
 //!
-//! Everything derives from one [SplitMix64](WorkloadRng) stream seeded
+//! Everything derives from one SplitMix64 stream seeded
 //! by [`WorkloadConfig::seed`]: the same seed yields byte-identical
 //! arrival sequences, and — because the DES kernel is deterministic —
 //! byte-identical scheduler exports, across repeat runs and
@@ -38,32 +38,32 @@ use crate::array::QueryScheduler;
 /// platforms — the arrival stream is part of the repo's determinism
 /// contract.
 #[derive(Debug, Clone)]
-pub struct WorkloadRng {
+pub(crate) struct WorkloadRng {
     state: u64,
 }
 
 impl WorkloadRng {
     /// Seeds the stream.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         WorkloadRng { state: seed }
     }
 
     /// The next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let out = splitmix64(self.state);
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         out
     }
 
     /// A uniform draw in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// An exponential draw with the given mean, in picoseconds
     /// (inverse-CDF; the uniform draw is floored away from zero so the
     /// log never overflows).
-    pub fn exp_ps(&mut self, mean_ps: f64) -> SimDuration {
+    pub(crate) fn exp_ps(&mut self, mean_ps: f64) -> SimDuration {
         let u = self.next_f64().max(1e-12);
         SimDuration::from_ps((-mean_ps * u.ln()) as u64)
     }
@@ -86,7 +86,7 @@ pub enum QueryKind {
 impl QueryKind {
     /// Baseline WFQ cost units for this kind — roughly proportional to
     /// the pages a query of this shape touches relative to the others.
-    pub fn base_cost(self) -> u64 {
+    pub(crate) fn base_cost(self) -> u64 {
         match self {
             QueryKind::Grep => 8,
             QueryKind::TpchQ1 => 12,
@@ -232,7 +232,8 @@ pub struct Arrival {
     pub tenant: u32,
     /// What shape of query it is.
     pub kind: QueryKind,
-    /// WFQ cost units ([`QueryKind::base_cost`] plus seeded jitter).
+    /// WFQ cost units: the kind's base cost plus seeded jitter of up to
+    /// half the base.
     pub cost: u64,
 }
 
@@ -253,11 +254,19 @@ impl WorkloadEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `tenants` is zero or the query mix has zero total
-    /// weight.
+    /// Panics if `tenants` is zero, the query mix has zero total
+    /// weight, or a diurnal phase's `rate_mul` is not finite and
+    /// positive (zero would make the next gap infinite; a negative or
+    /// NaN one would release every remaining arrival at once).
     pub fn new(cfg: WorkloadConfig) -> Self {
         assert!(cfg.tenants > 0, "workload needs at least one tenant");
         assert!(cfg.mix.total() > 0, "query mix must have positive weight");
+        assert!(
+            cfg.phases
+                .iter()
+                .all(|p| p.rate_mul.is_finite() && p.rate_mul > 0.0),
+            "diurnal rate_mul must be finite and positive"
+        );
         let mut cdf = Vec::with_capacity(cfg.tenants as usize);
         let mut acc = 0.0f64;
         for r in 0..cfg.tenants {
@@ -277,16 +286,6 @@ impl WorkloadEngine {
             emitted: 0,
             clock: SimTime::ZERO,
         }
-    }
-
-    /// Arrivals generated so far.
-    pub fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Arrivals still to come.
-    pub fn remaining(&self) -> u64 {
-        self.cfg.queries - self.emitted
     }
 
     /// The diurnal rate multiplier in effect at `at`.
@@ -358,7 +357,7 @@ pub struct DriveStats {
 }
 
 /// Runs an open-loop engine against `sched` on the calling fiber:
-/// sleeps to each arrival's time, then `QueryScheduler::try_submit_cost`s
+/// sleeps to each arrival's time, then [`QueryScheduler::try_submit`]s
 /// the job built by `make_job`. Arrivals the scheduler cannot absorb
 /// are shed, not queued — that is the open-loop contract. Returns once
 /// the engine is exhausted (queries may still be in flight; drain with
@@ -379,10 +378,91 @@ where
             ctx.sleep_until(a.at);
         }
         stats.offered += 1;
-        match sched.try_submit_cost(ctx, a.tenant as usize, a.cost, make_job(&a)) {
+        match sched.try_submit(ctx, a.tenant as usize, a.cost, make_job(&a)) {
             Ok(()) => stats.accepted += 1,
             Err(_) => stats.shed += 1,
         }
     }
     stats
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// FNV-1a over little-endian `u64`s.
+    fn fnv(values: impl IntoIterator<Item = u64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for v in values {
+            for b in v.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The golden digest of the seeded stream every arrival derives from:
+    /// a change to seeding, float conversion or draw order fails here.
+    #[test]
+    fn workload_rng_draws() {
+        let mut rng = WorkloadRng::new(7);
+        let mut draws = Vec::new();
+        for _ in 0..32 {
+            draws.push(rng.next_u64());
+        }
+        for _ in 0..16 {
+            draws.push(rng.next_f64().to_bits());
+        }
+        for _ in 0..16 {
+            draws.push(rng.exp_ps(1e6).as_ps());
+        }
+        let h = fnv(draws);
+        assert_eq!(h, 0x535c_d329_1783_a9e3, "{h:#x}");
+    }
+
+    #[test]
+    fn arrival_costs_are_base_plus_half_base_jitter() {
+        let mut engine = WorkloadEngine::new(WorkloadConfig {
+            seed: 0xAB,
+            queries: 4096,
+            ..WorkloadConfig::default()
+        });
+        while let Some(a) = engine.next_arrival() {
+            let base = a.kind.base_cost();
+            assert!(
+                (base..=base + base / 2).contains(&a.cost),
+                "{:?} cost {} outside its jitter band",
+                a.kind,
+                a.cost
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "diurnal rate_mul must be finite and positive")]
+    fn zero_rate_phase_is_rejected() {
+        let mut engine = WorkloadEngine::new(WorkloadConfig {
+            phases: vec![DiurnalPhase {
+                dur: SimDuration::from_millis(1),
+                rate_mul: 0.0,
+            }],
+            ..WorkloadConfig::default()
+        });
+        while engine.next_arrival().is_some() {}
+    }
+
+    #[test]
+    fn negative_nan_and_infinite_rate_phases_are_rejected() {
+        for rate_mul in [-1.0, f64::NAN, f64::INFINITY] {
+            let cfg = WorkloadConfig {
+                phases: vec![DiurnalPhase {
+                    dur: SimDuration::from_millis(1),
+                    rate_mul,
+                }],
+                ..WorkloadConfig::default()
+            };
+            let built = std::panic::catch_unwind(|| WorkloadEngine::new(cfg));
+            assert!(built.is_err(), "rate_mul {rate_mul} was accepted");
+        }
+    }
 }

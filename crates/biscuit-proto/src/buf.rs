@@ -5,7 +5,7 @@
 //! possible (paper §III, §V-B). The simulator's data path honors that by
 //! carrying every payload — NAND pages, device-DRAM staging, port
 //! packets, host reads — as a `Buf`: an `Arc<[u8]>` plus an offset/length
-//! window. Cloning bumps a refcount; [`Buf::slice`] narrows the window
+//! window. Cloning bumps a refcount; `Buf::slice` narrows the window
 //! without touching the bytes; a page materialized once at the NAND is
 //! the same allocation the host finally reads.
 //!
@@ -26,10 +26,9 @@ use biscuit_sim::sync::Mutex;
 /// use biscuit_proto::Buf;
 ///
 /// let b = Buf::from_vec(vec![1, 2, 3, 4, 5]);
-/// let mid = b.slice(1..4);
-/// assert_eq!(&mid[..], &[2, 3, 4]);
-/// let tail = mid.slice(2..); // windows compose without copying
-/// assert_eq!(&tail[..], &[4]);
+/// let shared = b.clone(); // a refcount bump, not a copy
+/// assert_eq!(&shared[1..4], &[2, 3, 4]);
+/// assert_eq!(shared.as_slice().as_ptr(), b.as_slice().as_ptr());
 /// assert_eq!(b.len(), 5);
 /// ```
 #[derive(Clone)]
@@ -88,7 +87,7 @@ impl Buf {
     /// # Panics
     ///
     /// Panics if the range exceeds the current window.
-    pub fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Buf {
+    pub(crate) fn slice(&self, range: impl std::ops::RangeBounds<usize>) -> Buf {
         use std::ops::Bound;
         let start = match range.start_bound() {
             Bound::Included(&n) => n,
@@ -112,9 +111,10 @@ impl Buf {
         }
     }
 
-    /// Concatenates buffers into one contiguous buffer (copies; used at
-    /// genuine gather points like host read assembly).
-    pub fn concat(parts: &[Buf]) -> Buf {
+    /// Concatenates buffers into one contiguous buffer (copies; the
+    /// tests' gather).
+    #[cfg(test)]
+    pub(crate) fn concat(parts: &[Buf]) -> Buf {
         let total: usize = parts.iter().map(Buf::len).sum();
         let mut v = Vec::with_capacity(total);
         for p in parts {
@@ -125,7 +125,7 @@ impl Buf {
 
     /// Number of handles sharing the underlying allocation (diagnostics
     /// and pool-reuse decisions).
-    pub fn ref_count(&self) -> usize {
+    pub(crate) fn ref_count(&self) -> usize {
         Arc::strong_count(&self.data)
     }
 

@@ -35,3 +35,9 @@ pub use buf::{Buf, BufPool, Frame};
 pub use link::{HostLink, LinkConfig};
 pub use packet::{DecodeError, Packet, PacketBuilder, PacketReader};
 pub use wire::Wire;
+
+// A property suite over crate internals. It sits beside the integration
+// tests, in `tests/unit/`, but is not a test target of its own.
+#[path = "../tests/unit/buf_proptests.rs"]
+#[cfg(test)]
+mod buf_proptests;

@@ -50,8 +50,8 @@
 //!     p.record_recovered(ctx, ctx.now(), FaultSite::NandRead, "read_retry");
 //! });
 //! sim.run().assert_quiescent();
-//! assert_eq!(plan.injected_total(), 1);
-//! assert_eq!(plan.recovered_total(), 1);
+//! assert_eq!(plan.injected_at(FaultSite::NandRead), 1);
+//! assert_eq!(plan.recovered_at(FaultSite::NandRead), 1);
 //!
 //! let off = FaultPlan::none();
 //! assert!(!off.is_active());
@@ -291,7 +291,6 @@ pub enum SsdletDisruption {
 struct SiteStats {
     injected: AtomicU64,
     recovered: AtomicU64,
-    failed: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -312,7 +311,7 @@ struct PlanInner {
 
 /// A seeded, deterministic fault-injection plan shared across the stack.
 ///
-/// Clones share state: draw ordinals and injected/recovered/failed
+/// Clones share state: draw ordinals and the per-site injected/recovered
 /// accounting are global to the plan, so attaching one plan to a whole
 /// platform (see `Ssd::attach_fault_plan` in `biscuit-core`) yields one
 /// coherent, reproducible fault schedule.
@@ -506,15 +505,16 @@ impl FaultPlan {
         self.config()?.host_timeout
     }
 
-    /// What every `record_*` does: the plan's own accounting, then a
-    /// counter (labeled by site and, when given, action) and a trace event
-    /// in the simulation of the fiber behind `ctx` — the site that drew the
-    /// fault. A no-op on an inactive plan.
+    /// What every `record_*` does: the plan's own per-site accounting
+    /// (`stat`; failures keep none), then a counter (labeled by site and,
+    /// when given, action) and a trace event in the simulation of the fiber
+    /// behind `ctx` — the site that drew the fault. A no-op on an inactive
+    /// plan.
     fn record(
         &self,
         ctx: &Ctx,
         site: FaultSite,
-        stat: impl Fn(&SiteStats) -> &AtomicU64,
+        stat: impl Fn(&SiteStats) -> Option<&AtomicU64>,
         metric: &str,
         action: Option<&str>,
         event: impl FnOnce() -> TraceEvent,
@@ -522,7 +522,9 @@ impl FaultPlan {
         let Some(inner) = self.inner.as_deref() else {
             return;
         };
-        stat(&inner.stats[site.index()]).fetch_add(1, Ordering::Relaxed);
+        if let Some(n) = stat(&inner.stats[site.index()]) {
+            n.fetch_add(1, Ordering::Relaxed);
+        }
         let reg = ctx.metrics();
         if reg.is_enabled() {
             let labels = [("site", site.label()), ("action", action.unwrap_or(""))];
@@ -539,14 +541,8 @@ impl FaultPlan {
             site: site.label(),
             detail: Arc::from(detail),
         };
-        self.record(
-            ctx,
-            site,
-            |s| &s.injected,
-            "fault_injected_total",
-            None,
-            event,
-        );
+        let metric = "fault_injected_total";
+        self.record(ctx, site, |s| Some(&s.injected), metric, None, event);
     }
 
     /// Records a successful recovery (`action` names the policy: e.g.
@@ -558,12 +554,13 @@ impl FaultPlan {
             site: site.label(),
             action,
         };
-        let metric = "fault_recovered_total";
-        self.record(ctx, site, |s| &s.recovered, metric, Some(action), event);
+        let (metric, action) = ("fault_recovered_total", Some(action));
+        self.record(ctx, site, |s| Some(&s.recovered), metric, action, event);
     }
 
     /// Records an exhausted recovery policy (`action` names what gave up);
-    /// a higher layer must degrade gracefully.
+    /// a higher layer must degrade gracefully. Counted only in the
+    /// simulation's `fault_failed_total`.
     pub fn record_failed(&self, ctx: &Ctx, at: SimTime, site: FaultSite, action: &'static str) {
         let event = || TraceEvent::FaultFailed {
             at,
@@ -571,22 +568,7 @@ impl FaultPlan {
             action,
         };
         let metric = "fault_failed_total";
-        self.record(ctx, site, |s| &s.failed, metric, Some(action), event);
-    }
-
-    /// Total faults injected across all sites.
-    pub fn injected_total(&self) -> u64 {
-        self.stat_total(|s| &s.injected)
-    }
-
-    /// Total faults recovered across all sites.
-    pub fn recovered_total(&self) -> u64 {
-        self.stat_total(|s| &s.recovered)
-    }
-
-    /// Total recovery failures across all sites.
-    pub fn failed_total(&self) -> u64 {
-        self.stat_total(|s| &s.failed)
+        self.record(ctx, site, |_| None, metric, Some(action), event);
     }
 
     /// Faults injected at one site.
@@ -600,12 +582,6 @@ impl FaultPlan {
     pub fn recovered_at(&self, site: FaultSite) -> u64 {
         self.inner.as_deref().map_or(0, |i| {
             i.stats[site.index()].recovered.load(Ordering::Relaxed)
-        })
-    }
-
-    fn stat_total(&self, f: impl Fn(&SiteStats) -> &AtomicU64) -> u64 {
-        self.inner.as_deref().map_or(0, |i| {
-            i.stats.iter().map(|s| f(s).load(Ordering::Relaxed)).sum()
         })
     }
 }
@@ -641,7 +617,7 @@ mod tests {
         assert!(plan.host_timeout().is_none());
         let p = plan.clone();
         in_fiber(move |ctx| p.record_injected(ctx, SimTime::ZERO, FaultSite::NandRead, "x"));
-        assert_eq!(plan.injected_total(), 0);
+        assert_eq!(plan.injected_at(FaultSite::NandRead), 0);
     }
 
     #[test]
@@ -744,9 +720,6 @@ mod tests {
             p.record_failed(ctx, SimTime::ZERO, FaultSite::Ssdlet, "restart");
         });
         let snap = sim.run().metrics;
-        assert_eq!(plan.injected_total(), 1);
-        assert_eq!(plan.recovered_total(), 1);
-        assert_eq!(plan.failed_total(), 1);
         assert_eq!(plan.injected_at(FaultSite::LinkToHost), 1);
         assert_eq!(plan.recovered_at(FaultSite::LinkToHost), 1);
         assert_eq!(
@@ -860,6 +833,6 @@ mod tests {
         assert_eq!(clone.ssdlet_disruption(), Some(SsdletDisruption::Panic));
         assert_eq!(plan.ssdlet_disruption(), None, "budget is shared");
         in_fiber(move |ctx| clone.record_injected(ctx, SimTime::ZERO, FaultSite::Ssdlet, "panic"));
-        assert_eq!(plan.injected_total(), 1);
+        assert_eq!(plan.injected_at(FaultSite::Ssdlet), 1);
     }
 }

@@ -487,8 +487,9 @@ impl QueryProfile {
     }
 
     /// Sum of the exclusive breakdown — equals `end_to_end` by
-    /// construction (asserted by the determinism suite).
-    pub fn breakdown_total_ps(&self) -> u64 {
+    /// construction.
+    #[cfg(test)]
+    pub(crate) fn breakdown_total_ps(&self) -> u64 {
         self.breakdown.iter().sum()
     }
 
@@ -615,8 +616,10 @@ impl QueryProfiles {
     }
 
     /// Queries begun but never ended — nonzero means a leak (a query
-    /// fiber died without closing its root span).
-    pub fn open(&self) -> usize {
+    /// fiber died without closing its root span). The JSON export's
+    /// `"open"` field.
+    #[cfg(test)]
+    pub(crate) fn open(&self) -> usize {
         self.open
     }
 

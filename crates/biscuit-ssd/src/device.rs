@@ -360,14 +360,16 @@ impl SsdDevice {
     }
 
     /// Garbage-collection statistics `(runs, pages_relocated)`.
-    pub fn gc_stats(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn gc_stats(&self) -> (u64, u64) {
         let st = self.storage.lock();
         (st.ftl.gc_runs(), st.ftl.relocated_total())
     }
 
     /// Bad-block statistics `(blocks_retired, pages_remapped)` from
     /// uncorrectable-ECC escalations.
-    pub fn bad_block_stats(&self) -> (u64, u64) {
+    #[cfg(test)]
+    pub(crate) fn bad_block_stats(&self) -> (u64, u64) {
         let st = self.storage.lock();
         (st.ftl.bad_blocks(), st.ftl.remapped_total())
     }

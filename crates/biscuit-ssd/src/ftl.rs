@@ -794,16 +794,19 @@ impl Ftl {
     }
 
     /// Total pages remapped off retired blocks so far.
+    #[cfg(test)]
     pub(crate) fn remapped_total(&self) -> u64 {
         self.remapped_total
     }
 
     /// Number of GC invocations so far.
+    #[cfg(test)]
     pub(crate) fn gc_runs(&self) -> u64 {
         self.gc_runs
     }
 
     /// Total pages relocated by GC so far.
+    #[cfg(test)]
     pub(crate) fn relocated_total(&self) -> u64 {
         self.relocated_total
     }

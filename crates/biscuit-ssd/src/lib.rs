@@ -76,11 +76,14 @@ pub use journal::RecoveryReport;
 pub use nand::{PageData, PageGen};
 pub use pattern::{PatternError, PatternLimits, PatternSet};
 
-// Property suites over crate internals. They sit beside the integration
-// tests, in `tests/unit/`, but are not test targets of their own.
+// Suites over crate internals. They sit beside the integration tests, in
+// `tests/unit/`, but are not test targets of their own.
 #[path = "../tests/unit/crash_proptests.rs"]
 #[cfg(test)]
 mod crash_proptests;
 #[path = "../tests/unit/ftl_proptests.rs"]
 #[cfg(test)]
 mod ftl_proptests;
+#[path = "../tests/unit/write_path.rs"]
+#[cfg(test)]
+mod write_path;

@@ -17,7 +17,7 @@
 //!
 //! Set `BISCUIT_METRICS=qos-metrics.json` to export the scheduler's
 //! counters (`sched_shed_total{user}`, `array_queue_wait_ps{user}`,
-//! `array_sched_backpressure_total`, …) alongside the printed report
+//! `array_sched_completed_total`, …) alongside the printed report
 //! (see `docs/METRICS.md`).
 
 use biscuit::host::workload::drive_open_loop;

@@ -255,7 +255,7 @@ fn scaleout_run() -> (String, String, u64) {
             let array = array.clone();
             let grep = grep.clone();
             let got = Arc::clone(&got);
-            sched.submit(ctx, (q % 4) as usize, move |qctx| {
+            let job = move |qctx: &biscuit::sim::Ctx| {
                 // Even queries offload, odd queries take the Conv loop —
                 // both kinds interleave under the same admission gate.
                 let n = if q % 2 == 0 {
@@ -266,8 +266,11 @@ fn scaleout_run() -> (String, String, u64) {
                         .unwrap()
                 };
                 got.lock().push(n);
-            });
+            };
+            sched.try_submit(ctx, (q % 4) as usize, 1, job).unwrap();
         }
+        // Each of the 4 queues holds its 4 queries: nothing sheds.
+        assert_eq!(sched.shed(), 0);
         sched.close(ctx);
         sched.wait_completed(ctx, QUERIES);
     });

@@ -22,6 +22,7 @@ use biscuit::fs::Fs;
 use biscuit::host::fleet::FleetConfig;
 use biscuit::host::{HostConfig, HostLoad};
 use biscuit::sim::fault::{FaultConfig, FaultPlan, FaultSite};
+use biscuit::sim::metrics::MetricsSnapshot;
 use biscuit::sim::par::{ParConfig, ParMode};
 use biscuit::sim::time::SimDuration;
 use biscuit::sim::{QueryProfiles, Simulation, Stage};
@@ -42,14 +43,16 @@ fn make_db() -> Arc<Db> {
 }
 
 /// Runs Q1 (conventional datapath) and Q6 (offloaded scan) in Biscuit mode
-/// with profiling enabled, optionally under a fault plan. Returns the
-/// byte-deterministic export and the structured snapshot.
-fn profiled_mini_tpch(plan: Option<&FaultPlan>) -> (String, QueryProfiles) {
+/// with profiling enabled, optionally under a fault plan (then metered
+/// too). Returns the byte-deterministic export, the structured snapshot
+/// and the metrics.
+fn profiled_mini_tpch(plan: Option<&FaultPlan>) -> (String, QueryProfiles, MetricsSnapshot) {
     let db = make_db();
+    let sim = Simulation::new(0);
     if let Some(p) = plan {
         db.ssd().attach_fault_plan(p);
+        sim.enable_metrics();
     }
-    let sim = Simulation::new(0);
     sim.enable_qprof();
     sim.spawn("host", move |ctx| {
         for id in [1, 6] {
@@ -61,19 +64,22 @@ fn profiled_mini_tpch(plan: Option<&FaultPlan>) -> (String, QueryProfiles) {
     let report = sim.run();
     report.assert_quiescent();
     let json = report.profiles.to_json();
-    (json, report.profiles)
+    (json, report.profiles, report.metrics)
 }
 
 /// The closure invariant: no open queries, no orphan spans, and every
 /// query's exclusive breakdown sums exactly to its end-to-end latency.
 fn assert_closed(profiles: &QueryProfiles, what: &str) {
-    assert_eq!(profiles.open(), 0, "[{what}] queries never closed");
+    assert!(
+        profiles.to_json().ends_with(",\"open\":0}"),
+        "[{what}] queries never closed"
+    );
     assert!(!profiles.is_empty(), "[{what}] no queries were profiled");
     for q in profiles.queries() {
         assert_eq!(q.orphans, 0, "[{what}] query {} has orphan spans", q.query);
         assert!(q.spans > 0, "[{what}] query {} recorded no spans", q.query);
         assert_eq!(
-            q.breakdown_total_ps(),
+            q.breakdown.iter().sum::<u64>(),
             q.end_to_end().as_ps(),
             "[{what}] query {} breakdown does not sum to end-to-end",
             q.query
@@ -83,12 +89,12 @@ fn assert_closed(profiles: &QueryProfiles, what: &str) {
 
 #[test]
 fn tpch_profile_export_is_deterministic_and_closed() {
-    let (reference, profiles) = profiled_mini_tpch(None);
+    let (reference, profiles, _) = profiled_mini_tpch(None);
     assert_closed(&profiles, "clean Q1+Q6");
     // One root query per executed statement, minted by `Db::execute`.
     assert_eq!(profiles.queries().len(), 2, "Q1 and Q6 each profiled once");
     for round in 0..3 {
-        let (json, profiles) = profiled_mini_tpch(None);
+        let (json, profiles, _) = profiled_mini_tpch(None);
         assert_eq!(json, reference, "round {round}: profile export diverged");
         assert_closed(&profiles, "repeat round");
     }
@@ -178,7 +184,7 @@ fn profiles_close_through_faults_and_host_fallback() {
     struct Entry {
         name: &'static str,
         cfg: FaultConfig,
-        check: fn(&FaultPlan),
+        check: fn(&FaultPlan, &MetricsSnapshot),
     }
     let matrix = vec![
         Entry {
@@ -187,7 +193,7 @@ fn profiles_close_through_faults_and_host_fallback() {
                 nand_read_error_rate: 0.05,
                 ..FaultConfig::default()
             },
-            check: |p| assert!(p.recovered_at(FaultSite::NandRead) >= 1, "retries ran"),
+            check: |p, _| assert!(p.recovered_at(FaultSite::NandRead) >= 1, "retries ran"),
         },
         Entry {
             name: "link CRC replay",
@@ -195,7 +201,7 @@ fn profiles_close_through_faults_and_host_fallback() {
                 link_corrupt_rate: 0.02,
                 ..FaultConfig::default()
             },
-            check: |p| {
+            check: |p, _| {
                 let replays =
                     p.recovered_at(FaultSite::LinkToHost) + p.recovered_at(FaultSite::LinkToDevice);
                 assert!(replays >= 1, "link replays ran");
@@ -209,8 +215,9 @@ fn profiles_close_through_faults_and_host_fallback() {
                 ssdlet_max_restarts: 1,
                 ..FaultConfig::default()
             },
-            check: |p| {
-                assert!(p.failed_total() >= 1, "restart budget exhausted");
+            check: |p, m| {
+                let failed = m.counter_sum("fault_failed_total");
+                assert!(failed >= 1, "restart budget exhausted");
                 assert!(p.recovered_at(FaultSite::Ssdlet) >= 1, "host fallback ran");
             },
         },
@@ -220,21 +227,23 @@ fn profiles_close_through_faults_and_host_fallback() {
                 host_timeout: Some(SimDuration::from_nanos(50)),
                 ..FaultConfig::default()
             },
-            check: |p| {
-                assert!(p.failed_total() >= 1, "timeout recorded");
+            check: |p, m| {
+                let failed = m.counter_sum("fault_failed_total");
+                assert!(failed >= 1, "timeout recorded");
                 assert!(p.recovered_at(FaultSite::Ssdlet) >= 1, "host fallback ran");
             },
         },
     ];
     for entry in matrix {
         let plan = FaultPlan::seeded(SEED, entry.cfg.clone());
-        let (json, profiles) = profiled_mini_tpch(Some(&plan));
+        let (json, profiles, metrics) = profiled_mini_tpch(Some(&plan));
         assert!(
-            plan.injected_total() + plan.failed_total() >= 1,
+            metrics.counter_sum("fault_injected_total") + metrics.counter_sum("fault_failed_total")
+                >= 1,
             "[{}] plan must actually fire",
             entry.name
         );
-        (entry.check)(&plan);
+        (entry.check)(&plan, &metrics);
         // Accounting closes even mid-recovery: retried reads, replayed
         // link frames, and the fallback's host re-scan all land inside
         // the query window with valid parents.
@@ -242,7 +251,7 @@ fn profiles_close_through_faults_and_host_fallback() {
 
         // And the export stays replayable: same seed, same bytes.
         let replay = FaultPlan::seeded(SEED, entry.cfg.clone());
-        let (json2, _) = profiled_mini_tpch(Some(&replay));
+        let (json2, _, _) = profiled_mini_tpch(Some(&replay));
         assert_eq!(json, json2, "[{}] faulted export diverged", entry.name);
     }
 }

@@ -25,10 +25,15 @@ use biscuit::sim::time::SimDuration;
 use biscuit::sim::Simulation;
 use biscuit::ssd::{SsdConfig, SsdDevice};
 
+#[path = "support/fault_sites.rs"]
+mod fault_sites;
+
 const DRIVES: usize = 4;
 const SHARD_PAGES: u64 = 48;
 const USERS: usize = 8;
 const QUERIES: u64 = 64;
+/// Each tenant's queue holds all of its queries, so none sheds.
+const QUEUE_CAPACITY: usize = QUERIES as usize / USERS;
 
 fn make_array() -> (SsdArray, u64) {
     let mut expected = 0u64;
@@ -78,7 +83,7 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
     let sched = QueryScheduler::new(SchedulerConfig {
         users: USERS,
         max_inflight: 6,
-        queue_capacity: 4,
+        queue_capacity: QUEUE_CAPACITY,
         weights: Vec::new(),
     });
     let sched_out = sched.clone();
@@ -92,7 +97,7 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
             let array = array.clone();
             let grep = grep.clone();
             let got = Arc::clone(&got);
-            sched.submit(ctx, (q as usize) % USERS, move |qctx| {
+            let job = move |qctx: &biscuit::sim::Ctx| {
                 // Three offloaded queries for every Conv scan.
                 let n = if q % 4 != 3 {
                     grep.run(qctx, &array, "shard.log", NEEDLE.as_bytes(), HostLoad::IDLE)
@@ -102,8 +107,10 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
                         .unwrap()
                 };
                 got.lock().push(n);
-            });
+            };
+            sched.try_submit(ctx, (q as usize) % USERS, 1, job).unwrap();
         }
+        assert_eq!(sched.shed(), 0);
         sched.close(ctx);
         sched.wait_completed(ctx, QUERIES);
     });
@@ -146,15 +153,7 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
     assert!(snap.counter_sum("array_rescatters_total") >= 2);
     // The plan was armed before this simulation's metrics existed; every
     // fault it drew is still counted, where it fired.
-    assert_eq!(
-        snap.counter_sum("fault_injected_total"),
-        plan.injected_total()
-    );
-    assert_eq!(
-        snap.counter_sum("fault_recovered_total"),
-        plan.recovered_total()
-    );
-    assert_eq!(snap.counter_sum("fault_failed_total"), plan.failed_total());
+    fault_sites::assert_plan_matches_metrics(&plan, &snap);
     assert_eq!(
         snap.counter_value("fault_injected_total", &[("site", "drive")]),
         Some(2)
@@ -174,7 +173,11 @@ fn soak_64_queries_4_drives_under_faults_drains_clean() {
             assert!(high_water > 0, "{} never moved", s.key);
             if is_sched_queue {
                 sched_queues += 1;
-                assert!(high_water <= 4, "{} exceeded its bound", s.key);
+                assert!(
+                    high_water <= QUEUE_CAPACITY as i64,
+                    "{} exceeded its bound",
+                    s.key
+                );
             } else {
                 assert!(high_water <= 6, "{} exceeded max_inflight", s.key);
             }

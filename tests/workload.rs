@@ -153,7 +153,10 @@ fn qos_soak(seed: u64) -> SoakArtifacts {
 
     // Query profiles close: one profile per accepted query, none left
     // open, no orphan spans.
-    assert_eq!(report.profiles.open(), 0, "queries never closed");
+    assert!(
+        report.profiles.to_json().ends_with(",\"open\":0}"),
+        "queries never closed"
+    );
     assert_eq!(report.profiles.queries().len(), accepted as usize);
     for q in report.profiles.queries() {
         assert_eq!(q.orphans, 0, "query {} has orphan spans", q.query);
@@ -215,8 +218,7 @@ fn engine_stream_is_seed_deterministic_and_covers_every_tenant() {
         .collect();
     assert_eq!(sa, sb, "same seed, same stream");
     assert_eq!(sa.len(), 4096);
-    assert_eq!(a.emitted(), 4096);
-    assert_eq!(a.remaining(), 0);
+    assert!(a.next_arrival().is_none(), "the engine stops at its budget");
 
     // Arrival times are strictly ordered by construction of the clock.
     assert!(sa.windows(2).all(|w| w[0].1 <= w[1].1));
@@ -247,12 +249,6 @@ fn engine_stream_is_seed_deterministic_and_covers_every_tenant() {
             sa.iter().any(|arr| arr.3 == kind),
             "{kind:?} never drawn from the default mix"
         );
-        assert!(
-            sa.iter()
-                .filter(|arr| arr.3 == kind)
-                .all(|arr| arr.4 >= kind.base_cost()),
-            "{kind:?} cost jitter went below base"
-        );
     }
 }
 
@@ -261,57 +257,13 @@ fn engine_stream_is_seed_deterministic_and_covers_every_tenant() {
 // ---------------------------------------------------------------------------
 
 #[test]
-#[should_panic(expected = "submit on a closed scheduler")]
-fn submit_after_close_panics() {
-    let sim = Simulation::new(1);
-    sim.spawn("host", |ctx| {
-        let sched = QueryScheduler::new(SchedulerConfig::default());
-        sched.start(ctx);
-        sched.close(ctx);
-        sched.submit(ctx, 0, |_qctx: &Ctx| {});
-    });
-    sim.run();
-}
-
-#[test]
-#[should_panic(expected = "submit on a closed scheduler")]
-fn close_wakes_blocked_submitter_into_panic() {
-    let sim = Simulation::new(2);
-    sim.spawn("host", |ctx| {
-        let sched = QueryScheduler::new(SchedulerConfig {
-            users: 1,
-            max_inflight: 1,
-            queue_capacity: 1,
-            weights: Vec::new(),
-        });
-        sched.start(ctx);
-        // Occupy the single worker, then fill the single queue slot.
-        sched.submit(ctx, 0, |qctx: &Ctx| {
-            qctx.sleep(SimDuration::from_micros(100));
-        });
-        ctx.sleep(SimDuration::from_micros(1));
-        sched.submit(ctx, 0, |_qctx: &Ctx| {});
-        // A third submission must block on backpressure...
-        let s2 = sched.clone();
-        ctx.spawn("blocked", move |bctx| {
-            s2.submit(bctx, 0, |_qctx: &Ctx| {});
-        });
-        ctx.sleep(SimDuration::from_micros(1));
-        // ...and closing while it waits wakes it into the documented
-        // panic rather than leaving it parked forever.
-        sched.close(ctx);
-    });
-    sim.run();
-}
-
-#[test]
 fn try_submit_after_close_sheds_with_closed_reason() {
     let sim = Simulation::new(3);
     sim.spawn("host", |ctx| {
         let sched = QueryScheduler::new(SchedulerConfig::default());
         sched.start(ctx);
         sched.close(ctx);
-        let err = sched.try_submit(ctx, 0, |_qctx: &Ctx| {}).unwrap_err();
+        let err = sched.try_submit(ctx, 0, 1, |_qctx: &Ctx| {}).unwrap_err();
         assert_eq!(
             err,
             QueryShed {
@@ -367,7 +319,7 @@ fn open_loop_sheds_tenants_beyond_the_scheduler_users() {
             stats.accepted
         );
         assert!(reports.iter().all(|r| r.shed == 0));
-        let err = sched.try_submit(ctx, 2, |_qctx: &Ctx| {}).unwrap_err();
+        let err = sched.try_submit(ctx, 2, 1, |_qctx: &Ctx| {}).unwrap_err();
         assert_eq!(
             err,
             QueryShed {
@@ -394,13 +346,16 @@ fn inflight_queries_complete_during_drain() {
             weights: Vec::new(),
         });
         sched.start(ctx);
+        // Each queue holds all three of its tenant's queries: none sheds.
         for i in 0..6usize {
             let out = Arc::clone(&out);
-            sched.submit(ctx, i % 2, move |qctx: &Ctx| {
+            let job = move |qctx: &Ctx| {
                 qctx.sleep(SimDuration::from_micros(10));
                 *out.lock() += 1;
-            });
+            };
+            sched.try_submit(ctx, i % 2, 1, job).unwrap();
         }
+        assert_eq!(sched.shed(), 0);
         // Close immediately: nothing submitted past this point, but the
         // buffered and in-flight queries all finish during the drain.
         sched.close(ctx);
@@ -413,33 +368,4 @@ fn inflight_queries_complete_during_drain() {
     });
     sim.run().assert_quiescent();
     assert_eq!(*done.lock(), 6, "every job body actually ran");
-}
-
-#[test]
-fn blocking_submit_meters_backpressure() {
-    let sim = Simulation::new(5);
-    sim.enable_metrics();
-    sim.spawn("host", |ctx| {
-        let sched = QueryScheduler::new(SchedulerConfig {
-            users: 1,
-            max_inflight: 1,
-            queue_capacity: 1,
-            weights: Vec::new(),
-        });
-        sched.start(ctx);
-        for _ in 0..3 {
-            sched.submit(ctx, 0, |qctx: &Ctx| {
-                qctx.sleep(SimDuration::from_micros(10));
-            });
-        }
-        sched.close(ctx);
-        sched.wait_completed(ctx, 3);
-    });
-    let report = sim.run();
-    report.assert_quiescent();
-    assert_eq!(report.metrics.counter_sum("array_sched_completed_total"), 3);
-    assert!(
-        report.metrics.counter_sum("array_sched_backpressure_total") >= 1,
-        "a 1-slot queue fed 3 queries must backpressure the submitter"
-    );
 }
