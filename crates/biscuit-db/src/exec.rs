@@ -29,7 +29,7 @@ use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::column::Cells;
-use crate::error::{DbError, DbResult};
+use crate::error::DbResult;
 use crate::expr::Expr;
 use crate::program::Program;
 use crate::spec::{AggFun, OrderKey, SelectSpec};
@@ -543,19 +543,6 @@ pub(crate) fn filter<R: Borrow<Row>>(pred: &Expr, rows: Vec<R>) -> DbResult<Vec<
 pub fn filter_ref(pred: &Expr, rows: &[Row]) -> DbResult<Vec<Row>> {
     let sel = select_in(pred, rows, &all(rows.len()))?;
     Ok(sel.iter().map(|&i| rows[i as usize].clone()).collect())
-}
-
-/// Validation helper: every output row width matches expectations.
-pub(crate) fn check_width(rows: &[Row], width: usize) -> DbResult<()> {
-    for r in rows {
-        if r.len() != width {
-            return Err(DbError::TypeError(format!(
-                "row width {} != expected {width}",
-                r.len()
-            )));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -137,15 +137,14 @@ pub struct TpchData {
     pub lineitem: Vec<Row>,
 }
 
+/// `words` (at most 8) comment words, space-separated: the words are drawn
+/// first, then joined into one allocation of the exact length.
 fn comment(rng: &mut Rng, words: usize) -> String {
-    let mut out = String::new();
-    for i in 0..words {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(rng.choose(&COMMENT_WORDS).expect("non-empty list"));
+    let mut picked = [""; 8];
+    for word in &mut picked[..words] {
+        *word = rng.choose(&COMMENT_WORDS).expect("non-empty list");
     }
-    out
+    picked[..words].join(" ")
 }
 
 fn money(rng: &mut Rng, lo: f64, hi: f64) -> f64 {

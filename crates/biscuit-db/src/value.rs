@@ -181,20 +181,68 @@ impl<'a> Cell<'a> {
     }
 
     /// Appends the on-flash text form to `out`: decimal integers, floats
-    /// with two decimals, dates as `YYYY-MM-DD`.
+    /// with two decimals, dates as `YYYY-MM-DD` — the spellings `{v}`,
+    /// `{v:.2}` and `{y:04}-{m:02}-{d:02}` give. Floats below 10^13 and
+    /// years 0–9999 are written without the formatting machinery.
     pub(crate) fn write_text(self, out: &mut String) {
+        self.write_reads_back(out);
+    }
+
+    /// [`Cell::write_text`], returning whether [`Cell::parse`] reads the
+    /// text back as this cell. Ints and strings always do (a string's
+    /// framing is its table's concern), and so do NaN and the infinities
+    /// (`NaN`, `inf`, `-inf`). A finite float does when its two-decimal
+    /// text is not rounded away from it: not `0.125` (`0.12`). A date does
+    /// in years 0 to 1 000 000 ([`parse_date`]'s range).
+    pub(crate) fn write_reads_back(self, out: &mut String) -> bool {
         use std::fmt::Write;
+        let at = out.len();
+        // Writing into a `String` cannot fail.
         match self {
-            Cell::Int(v) => out.push_str(int_text(v, &mut [0; 20])),
-            Cell::Str(s) => out.push_str(s),
-            // Writing into a `String` cannot fail.
-            Cell::Float(v) => {
-                let _ = write!(out, "{v:.2}");
+            Cell::Int(v) => {
+                out.push_str(int_text(v, &mut [0; 20]));
+                true
             }
-            Cell::Date(d) => {
-                let (y, m, d) = civil_from_days(d);
-                let _ = write!(out, "{y:04}-{m:02}-{d:02}");
+            Cell::Str(s) => {
+                out.push_str(s);
+                true
             }
+            Cell::Float(v) => match hundredths(v) {
+                Some(n) => {
+                    // `-`, up to 13 digits, `.` and two more.
+                    let mut buf = [b'.'; 18];
+                    fill_digits(&mut buf[16..], n % 100);
+                    let mut start = digits_at(n / 100, &mut buf[..15]);
+                    if v.is_sign_negative() {
+                        start -= 1;
+                        buf[start] = b'-';
+                    }
+                    out.push_str(ascii(&buf[start..]));
+                    // `n` (at most 10^15) and 100 are exact doubles, so
+                    // one division gives the correctly rounded value that
+                    // parsing the text gives.
+                    n as f64 / 100.0 == v.abs()
+                }
+                None => {
+                    let _ = write!(out, "{v:.2}");
+                    !v.is_finite() || Cell::parse(ColumnType::Float, &out[at..]) == Some(self)
+                }
+            },
+            Cell::Date(days) => match civil_from_days(days) {
+                // The spelling `iso_date` reads back.
+                (y @ 0..=9999, m, d) => {
+                    let mut buf = *b"0000-00-00";
+                    fill_digits(&mut buf[..4], y as u64);
+                    fill_digits(&mut buf[5..7], u64::from(m));
+                    fill_digits(&mut buf[8..], u64::from(d));
+                    out.push_str(ascii(&buf));
+                    true
+                }
+                (y, m, d) => {
+                    let _ = write!(out, "{y:04}-{m:02}-{d:02}");
+                    Cell::parse(ColumnType::Date, &out[at..]) == Some(self)
+                }
+            },
         }
     }
 
@@ -219,21 +267,64 @@ impl<'a> Cell<'a> {
 /// `v` in decimal, written into the tail of `buf` — the spelling `{v}`
 /// gives, without the formatting machinery.
 fn int_text(v: i64, buf: &mut [u8; 20]) -> &str {
-    let mut n = v.unsigned_abs();
+    let mut at = digits_at(v.unsigned_abs(), buf);
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    ascii(&buf[at..])
+}
+
+/// Writes `n` in decimal into the tail of `buf` and returns where it
+/// starts.
+fn digits_at(mut n: u64, buf: &mut [u8]) -> usize {
     let mut at = buf.len();
     loop {
         at -= 1;
         buf[at] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {
-            break;
+            return at;
         }
     }
-    if v < 0 {
-        at -= 1;
-        buf[at] = b'-';
+}
+
+/// Fills `buf` with the last `buf.len()` decimal digits of `n`,
+/// zero-padded.
+fn fill_digits(buf: &mut [u8], mut n: u64) {
+    for b in buf.iter_mut().rev() {
+        *b = b'0' + (n % 10) as u8;
+        n /= 10;
     }
-    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+fn ascii(text: &[u8]) -> &str {
+    std::str::from_utf8(text).expect("ASCII")
+}
+
+/// `|v| × 100` rounded to the nearest integer, ties to even, on `v`'s
+/// exact binary value — the digits `{v:.2}` prints — or `None` for NaN
+/// and `|v|` of 10^13 or more. Below that `|v|` is
+/// `m / 2^shift` with `shift` ≥ 9 and `m × 100` below 2^60, so the
+/// quotient and remainder are exact in `u128`.
+fn hundredths(v: f64) -> Option<u64> {
+    if v.is_nan() || v.abs() >= 1e13 {
+        return None;
+    }
+    let bits = v.abs().to_bits();
+    let (exp, frac) = ((bits >> 52) as u32, bits & ((1 << 52) - 1));
+    let (m, shift) = match exp {
+        0 => (frac, 1074),
+        _ => (frac | 1 << 52, 1075 - exp),
+    };
+    if shift >= 128 {
+        return Some(0); // below 2^-68 hundredths
+    }
+    let scaled = u128::from(m) * 100;
+    let q = scaled >> shift;
+    let rest = scaled - (q << shift);
+    let half = 1 << (shift - 1);
+    Some((q + u128::from(rest > half || (rest == half && q & 1 == 1))) as u64)
 }
 
 /// `-?d+.d+` with at most 15 digits in all, as `m / 10^k`: `m` and `10^k`
@@ -290,13 +381,18 @@ pub type Row = Vec<Value>;
 /// Serializes a row in the on-flash format: `|f0|f1|...|fn|\n`.
 pub fn row_to_text(row: &Row) -> String {
     let mut s = String::with_capacity(row.len() * 8 + 2);
-    s.push('|');
-    for v in row {
-        s.push_str(&v.to_text());
-        s.push('|');
-    }
-    s.push('\n');
+    write_row(row, &mut s);
     s
+}
+
+/// Appends [`row_to_text`] to `out`, writing each cell in place.
+pub(crate) fn write_row(row: &[Value], out: &mut String) {
+    out.push('|');
+    for v in row {
+        v.write_text(out);
+        out.push('|');
+    }
+    out.push('\n');
 }
 
 /// Parses one `|`-delimited line back into a row.
@@ -366,12 +462,13 @@ fn days_from_civil(y: i32, m: u32, d: u32) -> i32 {
     era * 146_097 + doe as i32 - 719_468
 }
 
+// In `i64`, so that every `i32` day count has a date.
 fn civil_from_days(z: i32) -> (i32, u32, u32) {
-    let z = z + 719_468;
+    let z = i64::from(z) + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
     let doe = (z - era * 146_097) as u32;
     let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe as i32 + era * 400;
+    let y = (i64::from(yoe) + era * 400) as i32;
     let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
     let mp = (5 * doy + 2) / 153;
     let d = doy - (153 * mp + 2) / 5 + 1;
@@ -554,6 +651,89 @@ mod tests {
         }
     }
 
+    /// What `{v:.2}` prints, against the exact writer, and whether that
+    /// parses back to `v`, against what the writer says.
+    fn assert_float_spelled_like_format(v: f64) {
+        let mut got = String::new();
+        let reads_back = Cell::Float(v).write_reads_back(&mut got);
+        let want = format!("{v:.2}");
+        assert_eq!(got, want, "{v:e} ({:#x})", v.to_bits());
+        let back: f64 = want.parse().unwrap();
+        assert_eq!(
+            reads_back,
+            !v.is_finite() || back == v,
+            "{v:e} reads back as {back:e}"
+        );
+    }
+
+    #[test]
+    fn float_writer_spells_like_format_on_the_edges() {
+        let two_53 = (1u64 << 53) as f64;
+        for v in [
+            0.0,
+            -0.0,
+            0.001,
+            -0.001,
+            0.005,
+            -0.005,
+            0.015,
+            2.675,
+            1.0 / 3.0,
+            f64::from_bits(1), // the smallest subnormal
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE,
+            1e13 - 0.01,
+            -(1e13 - 0.005),
+            1e13, // the fallback from here on
+            (1u64 << 46) as f64 + 0.125,
+            two_53,
+            two_53 + 2.0,
+            1e20,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_float_spelled_like_format(v);
+        }
+        // Ties, exactly representable: every multiple of 1/8 up to ±1000.
+        for k in -8000..=8000 {
+            assert_float_spelled_like_format(f64::from(k) / 8.0);
+        }
+    }
+
+    #[test]
+    fn date_writer_spells_like_format_on_every_day_of_years_0_to_9999() {
+        use std::fmt::Write;
+        let (first, last) = (days_from_civil(0, 1, 1), days_from_civil(9999, 12, 31));
+        let (mut got, mut want) = (String::new(), String::new());
+        // A year past either end takes the fallback.
+        for days in first - 400..=last + 400 {
+            got.clear();
+            want.clear();
+            let reads_back = Cell::Date(days).write_reads_back(&mut got);
+            let (y, m, d) = civil_from_days(days);
+            let _ = write!(want, "{y:04}-{m:02}-{d:02}");
+            assert_eq!(got, want, "day {days}");
+            assert_eq!(reads_back, days >= first, "day {days}");
+        }
+        // Past the fast path, whether the text reads back is `parse`'s call.
+        let end = parse_date("1000000-12-31").unwrap();
+        for days in [end - 1, end, end + 1, i32::MAX, i32::MIN] {
+            got.clear();
+            let reads_back = Cell::Date(days).write_reads_back(&mut got);
+            let back = Cell::parse(ColumnType::Date, &got);
+            assert_eq!(reads_back, back == Some(Cell::Date(days)), "{got}");
+            assert_eq!(reads_back, (first..=end).contains(&days), "{got}");
+        }
+        assert_eq!(format_date(first), "0000-01-01");
+        assert_eq!(format_date(last), "9999-12-31");
+        assert_eq!(format_date(first - 1), "-001-12-31");
+        assert_eq!(format_date(last + 1), "10000-01-01");
+    }
+
     #[test]
     fn wire_round_trip() {
         let vals = vec![
@@ -656,6 +836,20 @@ mod tests {
             let d = Value::Date(days);
             assert_parses_like_std(&d.to_text());
             proptest::prop_assert_eq!(Value::from_text(ColumnType::Date, &d.to_text()), Some(d));
+        }
+
+        #[test]
+        fn float_writer_spells_like_format(
+            bits in proptest::prelude::any::<u64>(),
+            cents in proptest::prelude::any::<i64>(),
+            eighths in proptest::prelude::any::<i64>(),
+        ) {
+            // Any bit pattern: subnormals, NaNs, every exponent.
+            assert_float_spelled_like_format(f64::from_bits(bits));
+            // Stored money: whole cents, up to 10^13 units.
+            assert_float_spelled_like_format((cents % 1_000_000_000_000_000) as f64 / 100.0);
+            // Multiples of 1/8: half of them are ties at the third decimal.
+            assert_float_spelled_like_format((eighths % (1 << 40)) as f64 / 8.0);
         }
     }
 
