@@ -167,8 +167,9 @@ struct CrashOutcome {
 }
 
 /// One crashed run: the seeded instant kills the drive mid-phase, the
-/// host replays the journal (timed on the wall clock) and redoes the
-/// phase, and the result must converge byte-for-byte.
+/// host replays the journal (timed on the wall clock), remounts the volume
+/// from the metadata the device kept, and redoes the phase through it. The
+/// result must converge byte-for-byte.
 fn crashed(phase: PowerLossPhase, seed: u64) -> CrashOutcome {
     let dev = device();
     let fs = Fs::format(Arc::clone(&dev));
@@ -200,6 +201,9 @@ fn crashed(phase: PowerLossPhase, seed: u64) -> CrashOutcome {
                 (report.replayed_records + report.torn_reverted, wall_us)
             }
         };
+        // The power loss wiped the host's in-memory volume: remount it.
+        drop(fs);
+        let fs = Fs::mount(Arc::clone(&d)).expect("remount after recovery");
         write_phase(ctx, &fs).expect("redo after recovery");
         let mut f = fs.open(SCRATCH, Mode::ReadWrite).expect("scratch exists");
         f.sync(ctx).expect("sync after redo");

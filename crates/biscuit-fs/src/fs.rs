@@ -13,9 +13,7 @@ use std::sync::Arc;
 
 use biscuit_sim::sync::Mutex;
 
-#[cfg(test)]
-use biscuit_proto::packet::Packet;
-use biscuit_proto::packet::PacketBuilder;
+use biscuit_proto::packet::{Packet, PacketBuilder};
 use biscuit_sim::Ctx;
 use biscuit_ssd::pattern::PatternSet;
 use biscuit_ssd::{PageBuf, SsdDevice};
@@ -140,14 +138,17 @@ impl Fs {
         fs
     }
 
-    /// Mounts an existing volume by replaying the metadata region.
+    /// Mounts an existing volume by replaying the metadata region: what a
+    /// host does after a power loss, once the device has replayed its
+    /// journal. Files created or grown since the last
+    /// [`sync`](File::sync) are not in the table.
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::Corrupt`] if no valid superblock is present, or
-    /// if a file's extents reach outside the data region or overlap.
-    #[cfg(test)]
-    pub(crate) fn mount(device: Arc<SsdDevice>) -> FsResult<Fs> {
+    /// Returns [`FsError::Corrupt`] if no valid superblock is present, if a
+    /// name is listed twice, if a file's size outruns its extents, or if a
+    /// file's extents reach outside the data region or overlap.
+    pub fn mount(device: Arc<SsdDevice>) -> FsResult<Fs> {
         let page_size = device.config().page_size;
         let total_pages = device.config().logical_pages();
         // Read the metadata region.
@@ -163,7 +164,7 @@ impl Fs {
             return Err(FsError::Corrupt(format!("bad magic {magic:#x}")));
         }
         let count = r.get_u32().map_err(|e| FsError::Corrupt(e.to_string()))?;
-        let mut files = HashMap::new();
+        let mut files: HashMap<String, Inode> = HashMap::new();
         let mut used = Vec::new();
         for _ in 0..count {
             let name = r
@@ -180,6 +181,18 @@ impl Fs {
                 let e = Extent { start, pages };
                 extents.push(e);
                 used.push(e);
+            }
+            let capacity = extents
+                .iter()
+                .try_fold(0u64, |sum, e| sum.checked_add(e.pages))
+                .and_then(|pages| pages.checked_mul(page_size as u64));
+            if capacity.is_none_or(|bytes| size > bytes) {
+                return Err(FsError::Corrupt(format!(
+                    "file {name:?} of {size} bytes outruns its extents"
+                )));
+            }
+            if files.contains_key(&name) {
+                return Err(FsError::Corrupt(format!("file {name:?} is listed twice")));
             }
             files.insert(name, Inode { size, extents });
         }
@@ -241,39 +254,6 @@ impl Fs {
             mode,
             write_buffer: Vec::new(),
         })
-    }
-
-    /// Deletes a file, frees its extents, and TRIMs the freed pages on the
-    /// device so the FTL stops relocating dead data during GC.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] if the path does not exist.
-    #[cfg(test)]
-    fn remove(&self, path: &str) -> FsResult<()> {
-        let extents = {
-            let mut st = self.inner.state.lock();
-            let inode = st
-                .files
-                .remove(path)
-                .ok_or_else(|| FsError::NotFound(path.to_owned()))?;
-            for e in &inode.extents {
-                st.alloc.free(*e);
-            }
-            inode.extents
-        };
-        for e in extents {
-            for lpn in e.start..e.end() {
-                self.inner.device.trim_page(lpn).map_err(FsError::Device)?;
-            }
-        }
-        self.sync_untimed()
-    }
-
-    /// Free pages remaining on the volume.
-    #[cfg(test)]
-    fn free_pages(&self) -> u64 {
-        self.inner.state.lock().alloc.free_pages()
     }
 
     /// True if the path exists.
@@ -780,6 +760,7 @@ impl File {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use biscuit_sim::fault::{FaultConfig, FaultPlan, PowerLossPhase};
     use biscuit_sim::Simulation;
     use biscuit_ssd::SsdConfig;
     use std::sync::atomic::Ordering;
@@ -792,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn create_open_remove() {
+    fn create_and_open() {
         let fs = Fs::format(device());
         fs.create("a.txt").unwrap();
         assert!(fs.exists("a.txt"));
@@ -802,8 +783,6 @@ mod tests {
             fs.open("missing", Mode::ReadOnly),
             Err(FsError::NotFound(_))
         ));
-        fs.remove("a.txt").unwrap();
-        assert!(!fs.exists("a.txt"));
     }
 
     #[test]
@@ -996,17 +975,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_frees_space() {
-        let fs = Fs::format(device());
-        let before = fs.free_pages();
-        fs.create("big").unwrap();
-        fs.append_untimed("big", &vec![0u8; 1 << 20]).unwrap();
-        assert!(fs.free_pages() < before);
-        fs.remove("big").unwrap();
-        assert_eq!(fs.free_pages(), before);
-    }
-
-    #[test]
     fn write_at_overwrites_and_extends() {
         let fs = Fs::format(device());
         fs.create("w").unwrap();
@@ -1097,6 +1065,52 @@ mod tests {
         sim2.run().assert_quiescent();
     }
 
+    /// A host that loses power mid-overwrite recovers the device, remounts,
+    /// and finds its synced file intact; redoing the overwrite through the
+    /// mounted volume lands it.
+    #[test]
+    fn remount_after_power_loss_restores_synced_files() {
+        let dev = device();
+        let fs = Fs::format(Arc::clone(&dev));
+        let ps = dev.config().page_size;
+        let synced: Vec<u8> = (0..16 * ps).map(|i| (i % 241) as u8).collect();
+        let overwrite = vec![0xAB; 8 * ps];
+        let mut f = fs.create("kept").unwrap();
+        let plan = FaultPlan::seeded(
+            7,
+            FaultConfig {
+                power_losses: 1,
+                power_loss_phase: PowerLossPhase::MidWrite,
+                power_loss_window: 4,
+                ..FaultConfig::default()
+            },
+        );
+        let sim = Simulation::new(0);
+        sim.spawn("host", move |ctx| {
+            f.write_at(ctx, 0, &synced).unwrap();
+            f.sync(ctx).unwrap();
+            dev.set_fault_plan(&plan);
+            // Eight pages over a four-op crash window: the power fails.
+            assert!(f.write_at(ctx, 8 * ps as u64, &overwrite).is_err());
+            assert!(dev.is_dead());
+            dev.recover(ctx);
+
+            let fs = Fs::mount(Arc::clone(&dev)).unwrap();
+            let f = fs.open("kept", Mode::ReadWrite).unwrap();
+            assert_eq!(f.len().unwrap(), synced.len() as u64);
+            let half = 8 * ps as u64;
+            assert_eq!(f.read_at(ctx, 0, half).unwrap(), synced[..half as usize]);
+            // Each overwritten page holds its synced or its new bytes.
+            let tail = f.read_at(ctx, half, half).unwrap();
+            for (got, old) in tail.chunks(ps).zip(synced[half as usize..].chunks(ps)) {
+                assert!(got == old || got == &overwrite[..ps]);
+            }
+            f.write_at(ctx, half, &overwrite).unwrap();
+            assert_eq!(f.read_at(ctx, half, half).unwrap(), overwrite);
+        });
+        sim.run().assert_quiescent();
+    }
+
     #[test]
     fn async_read_equals_sync_read() {
         let fs = Fs::format(device());
@@ -1111,30 +1125,5 @@ mod tests {
             assert_eq!(s, a);
         });
         sim.run().assert_quiescent();
-    }
-}
-
-#[cfg(test)]
-mod trim_tests {
-    use super::*;
-    use biscuit_ssd::SsdConfig;
-
-    #[test]
-    fn remove_trims_device_pages() {
-        let dev = Arc::new(SsdDevice::new(SsdConfig {
-            logical_capacity: 64 << 20,
-            ..SsdConfig::paper_default()
-        }));
-        let fs = Fs::format(Arc::clone(&dev));
-        fs.create("victim").unwrap();
-        fs.append_untimed("victim", &vec![7u8; 1 << 20]).unwrap();
-        let f = fs.open("victim", Mode::ReadOnly).unwrap();
-        let lpns = f.lpns_for_range(0, 1 << 20).unwrap();
-        fs.remove("victim").unwrap();
-        // The freed pages read back as zero: the FTL unmapped them.
-        for lpn in lpns {
-            let page = dev.peek_page(lpn).unwrap();
-            assert!(page.iter().all(|&b| b == 0), "lpn {lpn} not trimmed");
-        }
     }
 }

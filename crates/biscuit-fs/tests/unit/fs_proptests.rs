@@ -87,40 +87,28 @@ proptest! {
         sim.run().assert_quiescent();
     }
 
-    /// The allocator never hands out overlapping extents and never loses
-    /// pages across arbitrary alloc/free interleavings.
+    /// The allocator hands out back-to-back extents that never overlap and
+    /// never loses a page, however the requests are sized.
     #[test]
     fn allocator_conserves_pages(
-        ops in proptest::collection::vec(prop_oneof![
-            (1u64..64).prop_map(Some),  // allocate n pages
-            Just(None),                 // free the oldest held extent
-        ], 1..200)
+        ops in proptest::collection::vec(1u64..64, 1..200)
     ) {
         let total = 1000u64;
         let mut alloc = ExtentAllocator::new(0, total);
         let mut held: Vec<Extent> = Vec::new();
-        for op in ops {
-            match op {
-                Some(n) => {
-                    if let Some(e) = alloc.allocate(n) {
-                        // No overlap with anything currently held.
-                        for h in &held {
-                            prop_assert!(
-                                e.end() <= h.start || h.end() <= e.start,
-                                "{e:?} overlaps {h:?}"
-                            );
-                        }
-                        held.push(e);
-                    }
+        for n in ops {
+            let before = alloc.largest_free();
+            match alloc.allocate_up_to(n) {
+                Some(e) => {
+                    // Starts where the last extent ended: no overlap, no gap.
+                    prop_assert_eq!(e.start, held.last().map_or(0, Extent::end));
+                    prop_assert_eq!(e.pages, n.min(before));
+                    held.push(e);
                 }
-                None => {
-                    if !held.is_empty() {
-                        alloc.free(held.remove(0));
-                    }
-                }
+                None => prop_assert_eq!(before, 0),
             }
             let held_pages: u64 = held.iter().map(|e| e.pages).sum();
-            prop_assert_eq!(alloc.free_pages() + held_pages, total);
+            prop_assert_eq!(alloc.largest_free() + held_pages, total);
         }
     }
 }
@@ -176,23 +164,33 @@ fn filesystem_survives_remount_with_device_state() {
 }
 
 /// Formats a volume, overwrites its metadata with one file per
-/// `(start, pages)` extent, and mounts it again.
-fn mount_with_extents(extents: &[(u64, u64)]) -> FsResult<Fs> {
+/// `(name, size, (start, pages))` entry, and mounts it again.
+fn mount_with_files(files: &[(String, u64, (u64, u64))]) -> FsResult<Fs> {
     let dev = device();
     drop(Fs::format(Arc::clone(&dev)));
-    let page_size = dev.config().page_size as u64;
     let mut b = PacketBuilder::new();
     b.put_u64(MAGIC);
-    b.put_u32(extents.len() as u32);
-    for (i, &(start, pages)) in extents.iter().enumerate() {
-        b.put_str(&format!("f{i}"));
-        b.put_u64(pages.saturating_mul(page_size));
+    b.put_u32(files.len() as u32);
+    for (name, size, (start, pages)) in files {
+        b.put_str(name);
+        b.put_u64(*size);
         b.put_u32(1);
-        b.put_u64(start);
-        b.put_u64(pages);
+        b.put_u64(*start);
+        b.put_u64(*pages);
     }
     dev.store_bytes(None, 0, &b.build().into_buf()).unwrap();
     Fs::mount(dev)
+}
+
+/// [`mount_with_files`] with one full file per `(start, pages)` extent.
+fn mount_with_extents(extents: &[(u64, u64)]) -> FsResult<Fs> {
+    let ps = SsdConfig::paper_default().page_size as u64;
+    let files: Vec<_> = extents
+        .iter()
+        .enumerate()
+        .map(|(i, &(start, pages))| (format!("f{i}"), pages.saturating_mul(ps), (start, pages)))
+        .collect();
+    mount_with_files(&files)
 }
 
 #[test]
@@ -218,4 +216,24 @@ fn mount_rejects_an_extent_in_the_metadata_region() {
         let err = mount_with_extents(&[extent]).unwrap_err();
         assert!(matches!(err, FsError::Corrupt(_)), "{extent:?}: {err}");
     }
+}
+
+/// A size past the extents' pages would panic the first read beyond them.
+#[test]
+fn mount_rejects_a_size_its_extents_cannot_hold() {
+    let ps = SsdConfig::paper_default().page_size as u64;
+    assert!(mount_with_files(&[("f".into(), ps, (64, 1))]).is_ok());
+    for size in [ps + 1, 1 << 20, u64::MAX] {
+        let err = mount_with_files(&[("f".into(), size, (64, 1))]).unwrap_err();
+        assert!(matches!(err, FsError::Corrupt(_)), "{size}: {err}");
+    }
+}
+
+/// A second entry of one name would hide the first and leak its extent.
+#[test]
+fn mount_rejects_a_name_listed_twice() {
+    let ps = SsdConfig::paper_default().page_size as u64;
+    let twice = [("f".into(), ps, (64, 1)), ("f".into(), ps, (65, 1))];
+    let err = mount_with_files(&twice).unwrap_err();
+    assert!(matches!(err, FsError::Corrupt(_)), "{err}");
 }

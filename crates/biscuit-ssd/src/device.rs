@@ -394,7 +394,7 @@ impl SsdDevice {
     }
 
     /// True when a seeded power loss has halted the device. Every I/O
-    /// fails with [`FtlError::PowerLoss`] until [`SsdDevice::recover_power_loss`].
+    /// fails with [`FtlError::PowerLoss`] until [`SsdDevice::recover`].
     pub fn is_dead(&self) -> bool {
         self.storage.lock().ftl.is_dead()
     }
@@ -1196,18 +1196,6 @@ impl SsdDevice {
             frame.as_mut_slice()[..chunk.len()].copy_from_slice(chunk);
             self.ftl_write(ctx, lpn_start + i as u64, PageData::Bytes(frame.freeze()))?;
         }
-        Ok(())
-    }
-
-    /// Unmaps a logical page (TRIM). The freed physical page becomes GC
-    /// fodder; subsequent reads return zeroes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::Ftl`] for out-of-range pages.
-    pub fn trim_page(&self, lpn: u64) -> DeviceResult<()> {
-        let mut st = self.storage.lock();
-        st.ftl.trim(lpn)?;
         Ok(())
     }
 

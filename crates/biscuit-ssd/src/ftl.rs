@@ -17,10 +17,10 @@
 //! operation — can always be recovered by [`Ftl::recover`]: restore the
 //! last checkpoint, replay the redo tail, roll back torn programs, and
 //! rebuild free space from a physical census of the NAND array. The
-//! contract (proved by `tests/unit/crash_proptests.rs`) is that recovery never
-//! loses an acknowledged write, never resurrects a trimmed page, and is
-//! deterministic: same-seed crash/recover runs export byte-identical
-//! state. See `docs/WRITEPATH.md` for the annotated crash walkthrough.
+//! contract (proved by `tests/unit/crash_proptests.rs`) is that recovery
+//! never loses an acknowledged write and is deterministic: same-seed
+//! crash/recover runs export byte-identical state. See `docs/WRITEPATH.md`
+//! for the annotated crash walkthrough.
 //!
 //! [`FaultPlan::power_loss`]: biscuit_sim::fault::FaultPlan::power_loss
 
@@ -282,24 +282,6 @@ impl Ftl {
         outcome.journal_records = self.journal.appended_total() - records_before;
         outcome.checkpoints = self.journal.checkpoints_total() - checkpoints_before;
         Ok(outcome)
-    }
-
-    /// Unmaps a logical page (TRIM). The trim is journaled before the map
-    /// is touched, so an acknowledged trim is never resurrected by replay.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FtlError::LpnOutOfRange`] for addresses beyond capacity,
-    /// or [`FtlError::PowerLoss`] on a crashed, unrecovered device.
-    pub(crate) fn trim(&mut self, lpn: u64) -> Result<(), FtlError> {
-        self.check_alive()?;
-        self.check(lpn)?;
-        if self.map[lpn as usize].is_some() {
-            self.journal.append(JournalRecord::Trim { lpn });
-            self.invalidate(lpn);
-            self.maybe_checkpoint();
-        }
-        Ok(())
     }
 
     fn invalidate(&mut self, lpn: u64) {
@@ -694,9 +676,6 @@ impl Ftl {
                         report.torn_reverted += 1;
                     }
                 }
-                JournalRecord::Trim { lpn } => {
-                    map[lpn as usize] = None;
-                }
                 JournalRecord::Retire {
                     channel,
                     way,
@@ -1012,14 +991,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_unmaps() {
-        let (mut nand, mut ftl) = setup(8, 32);
-        w(&mut ftl, &mut nand, 3, 9).unwrap();
-        ftl.trim(3).unwrap();
-        assert_eq!(read_lpn(&nand, &ftl, 3), None);
-    }
-
-    #[test]
     fn out_of_range_rejected() {
         let (mut nand, mut ftl) = setup(8, 32);
         assert!(matches!(
@@ -1225,7 +1196,6 @@ mod tests {
                 w(&mut ftl, &mut nand, lpn, round as u8 ^ lpn as u8).unwrap();
             }
         }
-        ftl.trim(7).unwrap();
         let before = ftl.export_state(&nand);
         let report = ftl.recover(&mut nand);
         assert_eq!(ftl.export_state(&nand), before, "clean remount is lossless");

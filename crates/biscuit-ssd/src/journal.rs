@@ -18,7 +18,7 @@
 //! order to a state snapshot that the replay itself never feeds back into
 //! the log, so replaying once, twice, or after a crash-during-recovery
 //! always converges to the same map. `tests/unit/crash_proptests.rs` proves
-//! this for arbitrary write/trim/GC interleavings and crash instants.
+//! this for arbitrary write/GC interleavings and crash instants.
 //!
 //! Free-space bookkeeping is deliberately *not* journaled. Which blocks
 //! are free is derivable from physics: a non-bad block with zero
@@ -44,11 +44,6 @@ pub(crate) enum JournalRecord {
         new: Ppa,
         /// Previous mapping to roll back to if the program was torn.
         old: Option<Ppa>,
-    },
-    /// `lpn` is about to be unmapped (host TRIM / file delete).
-    Trim {
-        /// Logical page being unmapped.
-        lpn: u64,
     },
     /// Block `(channel, way, block)` is about to be retired as bad.
     Retire {
@@ -218,7 +213,11 @@ mod tests {
             new: ppa(0, 0),
             old: None,
         });
-        j.append(JournalRecord::Trim { lpn: 0 });
+        j.append(JournalRecord::Write {
+            lpn: 0,
+            new: ppa(0, 1),
+            old: Some(ppa(0, 0)),
+        });
         assert!(!j.checkpoint_due());
         j.append(JournalRecord::Retire {
             channel: 0,
@@ -235,7 +234,11 @@ mod tests {
         assert_eq!(j.appended_total(), 3);
         assert_eq!(j.checkpoints_total(), 1);
         // Sequence keeps rising after the checkpoint.
-        j.append(JournalRecord::Trim { lpn: 1 });
+        j.append(JournalRecord::Write {
+            lpn: 1,
+            new: ppa(0, 2),
+            old: None,
+        });
         assert_eq!(j.seq(), 4);
     }
 

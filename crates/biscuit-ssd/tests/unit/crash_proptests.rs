@@ -1,4 +1,4 @@
-//! Property tests for crash-consistent recovery: arbitrary write/trim
+//! Property tests for crash-consistent recovery: arbitrary overwrite
 //! schedules (tight enough to force GC) interrupted by seeded power
 //! losses at arbitrary instants, mid-write and mid-GC alike.
 //!
@@ -6,13 +6,10 @@
 //!
 //! 1. **No acked write is ever lost.** Every write that returned `Ok`
 //!    before the crash reads back its exact bytes after journal replay.
-//! 2. **No trimmed page is ever resurrected.** Every trim that returned
-//!    `Ok` stays unmapped after replay, even when GC relocated the
-//!    page's old physical copy before the crash.
-//! 3. **Recovery is deterministic.** The same seed produces a
+//! 2. **Recovery is deterministic.** The same seed produces a
 //!    byte-identical physical state export (full L2P map, free lists,
 //!    frontier, sequence) across repeat crash/recover runs.
-//! 4. **A crashed run converges to its uncrashed twin.** Replaying the
+//! 3. **A crashed run converges to its uncrashed twin.** Replaying the
 //!    journal and re-issuing the interrupted suffix of the schedule
 //!    yields a logical state export byte-identical to the same schedule
 //!    run without any crash.
@@ -28,17 +25,9 @@ use biscuit_sim::fault::{FaultConfig, FaultPlan, PowerLossPhase};
 const PAGE: usize = 32;
 const LOGICAL: u64 = 40;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Write { lpn: u64, fill: u8 },
-    Trim { lpn: u64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (0..LOGICAL, any::<u8>()).prop_map(|(lpn, fill)| Op::Write { lpn, fill }),
-        1 => (0..LOGICAL).prop_map(|lpn| Op::Trim { lpn }),
-    ]
+/// One host write: `(lpn, fill)` programs `lpn` with a page of `fill`.
+fn write_strategy() -> impl Strategy<Value = (u64, u8)> {
+    (0..LOGICAL, any::<u8>())
 }
 
 fn page(fill: u8) -> PageData {
@@ -76,26 +65,17 @@ fn plan_for(seed: u64, window: u64, phase: PowerLossPhase) -> FaultPlan {
 fn run_until_crash(
     nand: &mut NandArray,
     ftl: &mut Ftl,
-    ops: &[Op],
+    ops: &[(u64, u8)],
     plan: &FaultPlan,
-    model: &mut HashMap<u64, Option<u8>>,
+    model: &mut HashMap<u64, u8>,
 ) -> Option<usize> {
-    for (i, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Write { lpn, fill } => match ftl.write(nand, lpn, page(fill), plan) {
-                Ok(_) => {
-                    model.insert(lpn, Some(fill));
-                }
-                Err(FtlError::PowerLoss { .. }) => return Some(i),
-                Err(e) => panic!("unexpected error {e}"),
-            },
-            Op::Trim { lpn } => match ftl.trim(lpn) {
-                Ok(()) => {
-                    model.insert(lpn, None);
-                }
-                Err(FtlError::PowerLoss { .. }) => return Some(i),
-                Err(e) => panic!("unexpected error {e}"),
-            },
+    for (i, &(lpn, fill)) in ops.iter().enumerate() {
+        match ftl.write(nand, lpn, page(fill), plan) {
+            Ok(_) => {
+                model.insert(lpn, fill);
+            }
+            Err(FtlError::PowerLoss { .. }) => return Some(i),
+            Err(e) => panic!("unexpected error {e}"),
         }
     }
     None
@@ -104,13 +84,13 @@ fn run_until_crash(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Properties 1 + 2: after a seeded crash at an arbitrary instant of
-    /// an arbitrary schedule, journal replay restores exactly the acked
-    /// state — no acked write lost, no trimmed page resurrected, no
-    /// unacked write surfacing as anything but the previous acked value.
+    /// Property 1: after a seeded crash at an arbitrary instant of an
+    /// arbitrary schedule, journal replay restores exactly the acked
+    /// state — no acked write lost, no unacked write surfacing as
+    /// anything but the previous acked value.
     #[test]
     fn recovery_restores_exactly_the_acked_state(
-        ops in proptest::collection::vec(op_strategy(), 20..400),
+        ops in proptest::collection::vec(write_strategy(), 20..400),
         seed in any::<u64>(),
         window in 1u64..96,
         mid_gc in any::<bool>(),
@@ -118,19 +98,19 @@ proptest! {
         let phase = if mid_gc { PowerLossPhase::MidGc } else { PowerLossPhase::MidWrite };
         let plan = plan_for(seed, window, phase);
         let (mut nand, mut ftl) = setup();
-        let mut model: HashMap<u64, Option<u8>> = HashMap::new();
+        let mut model: HashMap<u64, u8> = HashMap::new();
         let crashed = run_until_crash(&mut nand, &mut ftl, &ops, &plan, &mut model);
         if crashed.is_some() {
             prop_assert!(ftl.is_dead());
             prop_assert_eq!(
-                ftl.trim(0),
+                ftl.write(&mut nand, 0, page(0), &FaultPlan::none()).map(drop),
                 Err(FtlError::PowerLoss { during_gc: mid_gc }),
                 "dead device must reject every op"
             );
             ftl.recover(&mut nand);
         }
         for lpn in 0..LOGICAL {
-            let expect = model.get(&lpn).copied().unwrap_or(None);
+            let expect = model.get(&lpn).copied();
             prop_assert_eq!(
                 read_fill(&nand, &ftl, lpn), expect,
                 "lpn {} diverged from acked state after recovery", lpn
@@ -143,12 +123,12 @@ proptest! {
         }
     }
 
-    /// Property 3: the same seed crashes at the same instant and
+    /// Property 2: the same seed crashes at the same instant and
     /// recovers to a byte-identical physical export — map, free lists,
     /// frontiers, bad set, and journal sequence all included.
     #[test]
     fn same_seed_crash_recovery_is_byte_identical(
-        ops in proptest::collection::vec(op_strategy(), 20..300),
+        ops in proptest::collection::vec(write_strategy(), 20..300),
         seed in any::<u64>(),
         window in 1u64..64,
         mid_gc in any::<bool>(),
@@ -171,11 +151,11 @@ proptest! {
         prop_assert_eq!(logical1, logical2);
     }
 
-    /// Property 4: recover + redo the interrupted suffix converges to
+    /// Property 3: recover + redo the interrupted suffix converges to
     /// the uncrashed run — logical exports are byte-identical.
     #[test]
     fn crashed_run_converges_to_uncrashed_twin(
-        ops in proptest::collection::vec(op_strategy(), 20..300),
+        ops in proptest::collection::vec(write_strategy(), 20..300),
         seed in any::<u64>(),
         window in 1u64..64,
         mid_gc in any::<bool>(),

@@ -1,4 +1,4 @@
-//! Property tests for FTL correctness under arbitrary write/trim schedules.
+//! Property tests for FTL correctness under arbitrary overwrite schedules.
 
 use std::collections::HashMap;
 
@@ -10,17 +10,9 @@ use biscuit_sim::fault::FaultPlan;
 
 const PAGE: usize = 32;
 
-#[derive(Debug, Clone)]
-enum Op {
-    Write { lpn: u64, fill: u8 },
-    Trim { lpn: u64 },
-}
-
-fn op_strategy(logical_pages: u64) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => (0..logical_pages, any::<u8>()).prop_map(|(lpn, fill)| Op::Write { lpn, fill }),
-        1 => (0..logical_pages).prop_map(|lpn| Op::Trim { lpn }),
-    ]
+/// One host write: `(lpn, fill)` programs `lpn` with a page of `fill`.
+fn write_strategy(logical_pages: u64) -> impl Strategy<Value = (u64, u8)> {
+    (0..logical_pages, any::<u8>())
 }
 
 fn page(fill: u8) -> PageData {
@@ -35,30 +27,22 @@ fn read_fill(nand: &NandArray, ftl: &Ftl, lpn: u64) -> Option<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// After any schedule of writes and trims (tight enough to force GC),
-    /// every logical page reads back its most recent write.
+    /// After any schedule of writes (tight enough to force GC), every
+    /// logical page reads back its most recent write.
     #[test]
     fn read_after_write_consistency(
-        ops in proptest::collection::vec(op_strategy(40), 1..600)
+        ops in proptest::collection::vec(write_strategy(40), 1..600)
     ) {
         // 2x2 dies x 4 blocks x 4 pages = 64 physical pages for 40 logical.
         let mut nand = NandArray::new(2, 2, 4, 4, PAGE);
         let mut ftl = Ftl::new(2, 2, 4, 4, 40);
-        let mut model: HashMap<u64, Option<u8>> = HashMap::new();
-        for op in &ops {
-            match *op {
-                Op::Write { lpn, fill } => {
-                    ftl.write(&mut nand, lpn, page(fill), &FaultPlan::none()).unwrap();
-                    model.insert(lpn, Some(fill));
-                }
-                Op::Trim { lpn } => {
-                    ftl.trim(lpn).unwrap();
-                    model.insert(lpn, None);
-                }
-            }
+        let mut model: HashMap<u64, u8> = HashMap::new();
+        for &(lpn, fill) in &ops {
+            ftl.write(&mut nand, lpn, page(fill), &FaultPlan::none()).unwrap();
+            model.insert(lpn, fill);
         }
         for lpn in 0..40u64 {
-            let expect = model.get(&lpn).copied().unwrap_or(None);
+            let expect = model.get(&lpn).copied();
             prop_assert_eq!(read_fill(&nand, &ftl, lpn), expect, "lpn {}", lpn);
         }
     }
@@ -66,14 +50,12 @@ proptest! {
     /// No two logical pages ever map to the same physical page.
     #[test]
     fn no_double_mapping(
-        ops in proptest::collection::vec(op_strategy(40), 1..400)
+        ops in proptest::collection::vec(write_strategy(40), 1..400)
     ) {
         let mut nand = NandArray::new(2, 2, 4, 4, PAGE);
         let mut ftl = Ftl::new(2, 2, 4, 4, 40);
-        for op in &ops {
-            if let Op::Write { lpn, fill } = *op {
-                ftl.write(&mut nand, lpn, page(fill), &FaultPlan::none()).unwrap();
-            }
+        for &(lpn, fill) in &ops {
+            ftl.write(&mut nand, lpn, page(fill), &FaultPlan::none()).unwrap();
             let mut seen: HashMap<Ppa, u64> = HashMap::new();
             for lpn in 0..40u64 {
                 if let Some(ppa) = ftl.lookup(lpn).unwrap() {

@@ -11,15 +11,44 @@
 # attributes around it, at any indentation. An item ends where its braces
 # close, or at a `;` that ends its line before any brace opens. String, raw
 # string and character literals and trailing comments are ignored when
-# counting braces.
+# counting braces. A file that its parent includes as a test-only module
+# (`#[cfg(test)] mod x;`, with or without `#[path]`) is skipped whole.
 # So unit tests, test-only helpers, doc comments and rustdoc examples are not
 # product code. The last pair is the workspace total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 shopt -s globstar nullglob
 
+# Prints the files that the given sources include as `#[cfg(test)] mod x;`.
+test_module_files() {
+    awk '
+        FNR == 1 { test = 0; path = "" }
+        /^[[:space:]]*#\[/ {
+            if ($0 ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/) test = 1
+            if (match($0, /#\[path = "[^"]*"\]/)) path = substr($0, RSTART + 10, RLENGTH - 12)
+            next
+        }
+        test && /^[[:space:]]*mod [A-Za-z0-9_]+;/ {
+            dir = FILENAME; sub(/\/[^\/]*$/, "", dir)
+            name = $0; sub(/^[[:space:]]*mod /, "", name); sub(/;.*/, "", name)
+            # A crate root or mod.rs holds its modules beside it; foo.rs in foo/.
+            sub_dir = dir
+            if (FILENAME !~ /\/(lib|main|mod)\.rs$/ && FILENAME !~ /\/src\/bin\/[^\/]*$/) {
+                sub_dir = FILENAME; sub(/\.rs$/, "", sub_dir)
+            }
+            if (path != "") print dir "/" path
+            else print sub_dir "/" name ".rs\n" sub_dir "/" name "/mod.rs"
+        }
+        { test = 0; path = "" }
+    ' "$@"
+}
+
 for dir in crates/*/; do
-    files=("$dir"src/**/*.rs)
+    skip=$'\n'"$(test_module_files "$dir"src/**/*.rs)"$'\n'
+    files=()
+    for f in "$dir"src/**/*.rs; do
+        [[ $skip == *$'\n'"$f"$'\n'* ]] || files+=("$f")
+    done
     awk -v crate="$(basename "$dir")" '
         # Scans one line of a test-only item; true once the item has ended.
         function item_ends(line,    opens, closes) {
