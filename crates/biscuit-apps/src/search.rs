@@ -45,7 +45,7 @@ pub fn conv_grep(
     }
     let bm = BoyerMoore::new(needle);
     let page_size = conv.device().config().page_size;
-    let total_pages = file.len()?.div_ceil(page_size as u64);
+    let total_pages = file.len().div_ceil(page_size as u64);
     let chunk_pages = 1024u64;
     let scan_rate = conv.config().scan_rate / load.bandwidth_slowdown(conv.config());
     let mut count = 0u64;

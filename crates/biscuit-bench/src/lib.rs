@@ -272,6 +272,6 @@ mod tests {
         let p = platform(64 << 20);
         assert_eq!(p.ssd.device().config().logical_capacity, 64 << 20);
         let (f, _gen) = weblog_file(&p, 4, 100);
-        assert_eq!(f.len().unwrap(), 4 * 16 * 1024);
+        assert_eq!(f.len(), 4 * 16 * 1024);
     }
 }

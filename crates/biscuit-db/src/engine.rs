@@ -618,21 +618,13 @@ impl Db {
             );
             let plan = self.ssd.fault_plan();
             plan.record_recovered(ctx, ctx.now(), FaultSite::Ssdlet, "host_fallback");
-            // The re-run executes under a child phase span so the profile
-            // shows the fallback as an attributed stretch of the query
-            // rather than unexplained host time.
-            let qp = ctx.qprof().clone();
-            let parent = qp.current();
-            let phase = parent.map(|sc| qp.child(sc, "host_fallback"));
-            if phase.is_some() {
-                qp.adopt(ctx, phase);
-            }
+            // The re-run is one host-compute span of the caller's query, so
+            // the profile shows the fallback as an attributed stretch of the
+            // query rather than unexplained host time.
             let fb_start = ctx.now();
             let recovered = self.scan_conv(ctx, meta, Some(predicate), load);
-            if let Some(p) = phase {
-                qp.record_for(p, Stage::HostCompute, fb_start, ctx.now(), 0, 0);
-                qp.adopt(ctx, parent);
-            }
+            ctx.qprof()
+                .record(Stage::HostCompute, fb_start, ctx.now(), 0, 0);
             return recovered;
         }
         let ids = exec::all(table.len());

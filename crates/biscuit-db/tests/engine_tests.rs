@@ -766,7 +766,7 @@ fn a_corrupt_line_anywhere_fails_the_scan_that_reads_it() {
         let db = Arc::new(db);
         let result = in_sim(move |ctx| {
             let file = db.ssd().fs().open("tbl_t", Mode::ReadWrite).unwrap();
-            let bytes = file.read_at(ctx, 0, file.len().unwrap()).unwrap();
+            let bytes = file.read_at(ctx, 0, file.len()).unwrap();
             let needle = format!("|{}|", 100_000 + bad);
             let at = bytes
                 .windows(needle.len())

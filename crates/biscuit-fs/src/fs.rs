@@ -509,31 +509,25 @@ impl File {
     }
 
     /// Current size in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] if the file was removed.
-    pub fn len(&self) -> FsResult<u64> {
-        Ok(self.snapshot()?.size)
+    pub fn len(&self) -> u64 {
+        self.snapshot().size
     }
 
     /// True if the file is empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError::NotFound`] if the file was removed.
-    pub fn is_empty(&self) -> FsResult<bool> {
-        Ok(self.len()? == 0)
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn snapshot(&self) -> FsResult<Inode> {
+    /// The file's inode. A handle exists only for a file of its own `Fs`,
+    /// and files are never removed, so the lookup cannot miss.
+    fn snapshot(&self) -> Inode {
         self.inner
             .state
             .lock()
             .files
             .get(&self.path)
             .cloned()
-            .ok_or_else(|| FsError::NotFound(self.path.clone()))
+            .expect("a handle's file stays in its Fs")
     }
 
     /// Logical pages backing byte range `[offset, offset + len)`.
@@ -542,7 +536,7 @@ impl File {
     ///
     /// Returns [`FsError::OutOfBounds`] if the range exceeds the file.
     pub fn lpns_for_range(&self, offset: u64, len: u64) -> FsResult<Vec<u64>> {
-        let inode = self.snapshot()?;
+        let inode = self.snapshot();
         let end = offset
             .checked_add(len)
             .filter(|&end| end <= inode.size)
@@ -643,7 +637,7 @@ impl File {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::NotFound`] or a device error.
+    /// Returns a device error.
     pub fn scan(
         &self,
         ctx: &Ctx,
@@ -651,7 +645,7 @@ impl File {
         request_pages: usize,
         queue_depth: usize,
     ) -> FsResult<Vec<(u64, PageBuf)>> {
-        let inode = self.snapshot()?;
+        let inode = self.snapshot();
         let ps = self.inner.page_size as u64;
         let n_pages = inode.size.div_ceil(ps);
         let lpns: Vec<u64> = (0..n_pages).map(|pi| inode.lpn_of(pi)).collect();
@@ -846,7 +840,7 @@ mod tests {
                 Err(FsError::ReadOnly(_))
             ));
             assert!(matches!(ro.write_async(b"no"), Err(FsError::ReadOnly(_))));
-            assert_eq!(ro.len().unwrap(), 0);
+            assert_eq!(ro.len(), 0);
         });
         sim.run().assert_quiescent();
     }
@@ -869,7 +863,7 @@ mod tests {
                         f.write_async(&bytes).unwrap();
                         f.flush(ctx).unwrap();
                     } else {
-                        let end = f.len().unwrap();
+                        let end = f.len();
                         f.write_at(ctx, end, &bytes).unwrap();
                     }
                 }
@@ -909,7 +903,7 @@ mod tests {
             }
         });
         let f = fs.open("log", Mode::ReadOnly).unwrap();
-        assert_eq!(f.len().unwrap(), 80 * ps as u64);
+        assert_eq!(f.len(), 80 * ps as u64);
         let lpns = f.lpns_for_range(0, 80 * ps as u64).unwrap();
         let tags: Vec<u8> = lpns
             .iter()
@@ -990,7 +984,7 @@ mod tests {
             assert_eq!(&got, b"axxxxxxxxxxa");
             // Extend past the end; the gap reads back as zeros.
             f.write_at(ctx, 4 * ps + 7, b"tail").unwrap();
-            assert_eq!(f.len().unwrap(), 4 * ps + 11);
+            assert_eq!(f.len(), 4 * ps + 11);
             let gap = f.read_at(ctx, 3 * ps, ps + 11).unwrap();
             assert!(gap[..ps as usize + 7].iter().all(|&b| b == 0));
             assert_eq!(&gap[ps as usize + 7..], b"tail");
@@ -1018,7 +1012,7 @@ mod tests {
             assert!(oob(f.read_at(ctx, u64::MAX, 2).map(drop)));
             assert!(oob(f.read_at_async(ctx, u64::MAX, 2, 1, 1).map(drop)));
             assert!(oob(f.write_at(ctx, u64::MAX - 1, &[1, 2, 3, 4])));
-            assert_eq!(f.len().unwrap(), 100);
+            assert_eq!(f.len(), 100);
             assert_eq!(f.read_at(ctx, 0, 100).unwrap(), data);
         });
         sim.run().assert_quiescent();
@@ -1097,7 +1091,7 @@ mod tests {
 
             let fs = Fs::mount(Arc::clone(&dev)).unwrap();
             let f = fs.open("kept", Mode::ReadWrite).unwrap();
-            assert_eq!(f.len().unwrap(), synced.len() as u64);
+            assert_eq!(f.len(), synced.len() as u64);
             let half = 8 * ps as u64;
             assert_eq!(f.read_at(ctx, 0, half).unwrap(), synced[..half as usize]);
             // Each overwritten page holds its synced or its new bytes.

@@ -51,7 +51,7 @@ proptest! {
         sim.spawn("verify", move |ctx| {
             for (name, expect) in &model2 {
                 let f = fs2.open(name, Mode::ReadOnly).unwrap();
-                assert_eq!(f.len().unwrap(), expect.len() as u64);
+                assert_eq!(f.len(), expect.len() as u64);
                 let got = f.read_at(ctx, 0, expect.len() as u64).unwrap();
                 assert_eq!(&got, expect, "file {name} corrupted");
             }

@@ -198,41 +198,24 @@ impl<T> std::fmt::Debug for MergeRx<T> {
 impl<T: Send + 'static> MergeRx<T> {
     /// The next item in canonical merge order, or `None` once every lane
     /// closed and drained. Blocks in virtual time on the lane under the
-    /// cursor.
+    /// cursor; with a `timeout`, gives up after that much silence on it,
+    /// returning which shard lagged. The cursor does not advance on a lag;
+    /// the caller typically [abandons](MergeRx::abandon) the shard and
+    /// keeps merging.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MergeLag`] naming the silent shard (only with a
+    /// `timeout`).
     ///
     /// # Panics
     ///
     /// Panics if a lane violates per-shard FIFO sequencing (a bug in the
     /// producer, not a recoverable fault).
-    pub(crate) fn next(&mut self, ctx: &Ctx) -> Option<(usize, u64, T)> {
-        loop {
-            if self.open == 0 {
-                return None;
-            }
-            let s = self.cursor;
-            if self.done[s] {
-                self.advance();
-                continue;
-            }
-            match self.lanes[s].pop(ctx) {
-                Some((seq, item)) => return Some(self.emit(s, seq, item)),
-                None => self.retire(s),
-            }
-        }
-    }
-
-    /// Like [`MergeRx::next`], but gives up after `timeout` of silence on
-    /// the lane under the cursor, returning which shard lagged. The
-    /// cursor does not advance; the caller typically
-    /// [abandons](MergeRx::abandon) the shard and keeps merging.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MergeLag`] naming the silent shard.
-    pub(crate) fn next_deadline(
+    pub(crate) fn next(
         &mut self,
         ctx: &Ctx,
-        timeout: biscuit_sim::SimDuration,
+        timeout: Option<biscuit_sim::SimDuration>,
     ) -> Result<Option<(usize, u64, T)>, MergeLag> {
         loop {
             if self.open == 0 {
@@ -243,7 +226,11 @@ impl<T: Send + 'static> MergeRx<T> {
                 self.advance();
                 continue;
             }
-            match self.lanes[s].pop_deadline(ctx, ctx.now() + timeout) {
+            let popped = match timeout {
+                Some(t) => self.lanes[s].pop_deadline(ctx, ctx.now() + t),
+                None => Ok(self.lanes[s].pop(ctx)),
+            };
+            match popped {
                 Ok(Some((seq, item))) => return Ok(Some(self.emit(s, seq, item))),
                 Ok(None) => self.retire(s),
                 Err(_) => return Err(MergeLag { shard: s }),
@@ -578,22 +565,15 @@ impl SsdArray {
             .collect();
         let mut lost = vec![false; n];
         loop {
-            let next = match timeout {
-                Some(t) => match rx.next_deadline(ctx, t) {
-                    Ok(next) => next,
-                    Err(MergeLag { shard }) => {
-                        plan.record_failed(ctx, ctx.now(), FaultSite::Drive, "gather_timeout");
-                        mark(ctx, "array_shard_lost", format!("{name} shard {shard}"));
-                        lost[shard] = true;
-                        rx.abandon(ctx, shard);
-                        continue;
-                    }
-                },
-                None => rx.next(ctx),
-            };
-            match next {
-                Some((shard, _seq, item)) => out[shard].items.push(item),
-                None => break,
+            match rx.next(ctx, timeout) {
+                Ok(Some((shard, _seq, item))) => out[shard].items.push(item),
+                Ok(None) => break,
+                Err(MergeLag { shard }) => {
+                    plan.record_failed(ctx, ctx.now(), FaultSite::Drive, "gather_timeout");
+                    mark(ctx, "array_shard_lost", format!("{name} shard {shard}"));
+                    lost[shard] = true;
+                    rx.abandon(ctx, shard);
+                }
             }
         }
         qp.record(Stage::HostMerge, gather_start, ctx.now(), 0, 0);
@@ -603,25 +583,17 @@ impl SsdArray {
             }
         }
         // Re-scatter every lost shard to the host-side fallback, in shard
-        // order, discarding partial device output. Each fallback runs as a
-        // "host_fallback" phase of the caller's query, so its spans stay
-        // causally inside the query even though the device path was lost.
+        // order, discarding partial device output. Each fallback is one
+        // host-compute span of the caller's query, so its time stays inside
+        // the query even though the device path was lost.
         for (i, was_lost) in lost.iter().enumerate() {
             if !*was_lost {
                 continue;
             }
             count(ctx, "array_rescatters_total");
-            let parent = qp.current();
-            let phase = parent.map(|sc| qp.child(sc, "host_fallback"));
-            if phase.is_some() {
-                qp.adopt(ctx, phase);
-            }
             let fb_start = ctx.now();
             let recovered = fallback(ctx, &self.inner.shards[i]);
-            if let Some(p) = phase {
-                qp.record_for(p, Stage::HostCompute, fb_start, ctx.now(), 0, 0);
-                qp.adopt(ctx, parent);
-            }
+            qp.record(Stage::HostCompute, fb_start, ctx.now(), 0, 0);
             out[i].items = recovered?;
             out[i].recovered = true;
             plan.record_recovered(ctx, ctx.now(), FaultSite::Drive, "conv_rescatter");

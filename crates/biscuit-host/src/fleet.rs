@@ -22,8 +22,8 @@
 //! are pure functions of the seed and workload. The fleet merges the
 //! per-shard lanes in canonical order — round `r` takes the `r`-th item
 //! of every lane that has one, in lane order — and concatenates
-//! per-shard exports in shard order, so [`ParMode::Single`]
-//! (`BISCUIT_PAR=0`) and [`ParMode::PerShard`] produce byte-identical
+//! per-shard exports in shard order, so [`ParMode::Single`] and
+//! [`ParMode::PerShard`] produce byte-identical
 //! [`FleetReport`] artifacts.
 //! `tests/parallel.rs` asserts exactly this, repeatedly, over a 4-drive
 //! grep soak; `docs/PARALLEL.md` documents the contract and how to debug

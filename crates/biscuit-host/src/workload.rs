@@ -25,8 +25,8 @@
 //! Everything derives from one SplitMix64 stream seeded
 //! by [`WorkloadConfig::seed`]: the same seed yields byte-identical
 //! arrival sequences, and — because the DES kernel is deterministic —
-//! byte-identical scheduler exports, across repeat runs and
-//! `BISCUIT_PAR` thread policies. See `docs/QOS.md` for a walkthrough.
+//! byte-identical scheduler exports, across repeat runs and fleet
+//! thread policies. See `docs/QOS.md` for a walkthrough.
 
 use biscuit_sim::rng::splitmix64;
 use biscuit_sim::{Ctx, SimDuration, SimTime};

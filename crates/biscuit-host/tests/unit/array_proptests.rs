@@ -52,7 +52,7 @@ fn run_merge(seed: u64, capacity: usize, delays: Vec<Vec<u64>>) -> Vec<(usize, u
                 tx.close(pctx);
             });
         }
-        while let Some((s, seq, item)) = rx.next(ctx) {
+        while let Some((s, seq, item)) = rx.next(ctx, None).expect("no deadline") {
             assert_eq!(seq as usize, item, "payload rides with its sequence");
             out.lock().unwrap().push((s, seq));
         }

@@ -18,6 +18,7 @@
 use std::any::Any;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::{Arc, Once};
 use std::thread::JoinHandle;
 
@@ -615,7 +616,7 @@ pub struct SimReport {
     pub trace: Trace,
     /// Snapshot of the aggregate metrics registry (empty unless
     /// [`Simulation::enable_metrics`] was called). Export it with
-    /// [`MetricsSnapshot::to_json`] or `MetricsSnapshot::to_prometheus`.
+    /// [`MetricsSnapshot::to_json`].
     pub metrics: MetricsSnapshot,
     /// Per-query latency profiles (empty unless
     /// [`Simulation::enable_qprof`] was called). Export with
@@ -623,41 +624,41 @@ pub struct SimReport {
     pub profiles: QueryProfiles,
 }
 
-/// The output path an observability variable names, when set and non-empty.
-fn env_path(var: &str) -> Option<String> {
-    std::env::var(var).ok().filter(|path| !path.is_empty())
+/// The directory a `BISCUIT_TELEMETRY` value names: unset or empty means
+/// telemetry is off.
+fn telemetry_dir(value: Option<&str>) -> Option<PathBuf> {
+    value.filter(|dir| !dir.is_empty()).map(PathBuf::from)
+}
+
+fn telemetry_dir_from_env() -> Option<PathBuf> {
+    telemetry_dir(std::env::var("BISCUIT_TELEMETRY").ok().as_deref())
 }
 
 impl SimReport {
-    /// Writes what [`Simulation::enable_from_env`] switched on, each to the
-    /// path its variable names: the Chrome trace (`BISCUIT_TRACE`), the
-    /// metrics snapshot (`BISCUIT_METRICS`; JSON when the path ends in
-    /// `.json`, Prometheus text otherwise) and the query profiles
-    /// (`BISCUIT_QPROF`, whose table is also printed). Says on stdout what
-    /// it wrote.
+    /// Writes what [`Simulation::enable_from_env`] switched on into the
+    /// directory `BISCUIT_TELEMETRY` names, creating it if needed:
+    /// `trace.json` (the Chrome trace), `metrics.json` (the metrics
+    /// snapshot) and `qprof.json` (the query profiles). Prints the
+    /// per-query table and says on stdout where it wrote. Does nothing
+    /// while the variable is unset or empty.
     ///
     /// # Errors
     ///
     /// Returns the first I/O error.
     pub fn write_from_env(&self) -> std::io::Result<()> {
-        if let Some(path) = env_path("BISCUIT_TRACE") {
-            self.trace.write_chrome_json(&path)?;
-            println!("trace written to {path} — open in chrome://tracing or Perfetto");
-        }
-        if let Some(path) = env_path("BISCUIT_METRICS") {
-            let body = if path.ends_with(".json") {
-                self.metrics.to_json()
-            } else {
-                self.metrics.to_prometheus()
-            };
-            std::fs::write(&path, body)?;
-            println!("metrics written to {path}");
-        }
-        if let Some(path) = env_path("BISCUIT_QPROF") {
-            self.profiles.write_json(&path)?;
-            println!("{}", self.profiles.to_table());
-            println!("query profile written to {path}");
-        }
+        let Some(dir) = telemetry_dir_from_env() else {
+            return Ok(());
+        };
+        std::fs::create_dir_all(&dir)?;
+        std::fs::write(dir.join("trace.json"), self.trace.to_chrome_json())?;
+        std::fs::write(dir.join("metrics.json"), self.metrics.to_json())?;
+        std::fs::write(dir.join("qprof.json"), self.profiles.to_json())?;
+        println!("{}", self.profiles.to_table());
+        println!(
+            "telemetry written to {}: trace.json (open in chrome://tracing or Perfetto), \
+             metrics.json, qprof.json",
+            dir.display()
+        );
         Ok(())
     }
 
@@ -797,19 +798,16 @@ impl Simulation {
         self.kernel.qprof.enable();
     }
 
-    /// Switches on what the environment asks for, before
-    /// [`Simulation::run`]: a set, non-empty `BISCUIT_TRACE` enables
-    /// tracing (default ring capacity), `BISCUIT_METRICS` enables metrics
-    /// and `BISCUIT_QPROF` enables query profiling. Each value names the
-    /// file [`SimReport::write_from_env`] writes after the run.
+    /// Switches on telemetry when the environment asks for it, before
+    /// [`Simulation::run`]: a set, non-empty `BISCUIT_TELEMETRY` enables
+    /// tracing (default ring capacity), metrics and query profiling
+    /// together. Its value names the directory
+    /// [`SimReport::write_from_env`] writes the three exports into after
+    /// the run.
     pub fn enable_from_env(&self) {
-        if env_path("BISCUIT_TRACE").is_some() {
+        if telemetry_dir_from_env().is_some() {
             self.enable_trace(TraceConfig::default());
-        }
-        if env_path("BISCUIT_METRICS").is_some() {
             self.enable_metrics();
-        }
-        if env_path("BISCUIT_QPROF").is_some() {
             self.enable_qprof();
         }
     }
@@ -932,6 +930,16 @@ mod tests {
     use super::*;
     use crate::queue::SimQueue;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+    #[test]
+    fn telemetry_dir_is_off_unless_named() {
+        assert_eq!(telemetry_dir(None), None);
+        assert_eq!(telemetry_dir(Some("")), None);
+        assert_eq!(
+            telemetry_dir(Some("out/tele")),
+            Some(PathBuf::from("out/tele"))
+        );
+    }
 
     #[test]
     fn empty_simulation_terminates() {

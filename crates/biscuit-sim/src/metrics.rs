@@ -9,14 +9,10 @@
 //! PCIe-link bytes, device-core scheduling, port traffic and queue occupancy,
 //! FTL lookups, pattern-matcher hits, and DB-planner offload verdicts.
 //!
-//! A [`MetricsSnapshot`] exports two ways, both byte-deterministic for a
-//! given seed:
-//!
-//! - [`MetricsSnapshot::to_json`] — a stable JSON document keyed by metric
-//!   name + labels (consumed by the `BENCH_<id>.json` reports and the
-//!   regression gate in `scripts/bench_check.sh`);
-//! - `MetricsSnapshot::to_prometheus` — the Prometheus text exposition
-//!   format, for humans and future live endpoints.
+//! A [`MetricsSnapshot`] exports one way, byte-deterministic for a given
+//! seed: [`MetricsSnapshot::to_json`], a stable JSON document keyed by
+//! metric name + labels (consumed by the `BENCH_<id>.json` reports and the
+//! regression gate in `scripts/bench_check.sh`).
 //!
 //! Collection is **off by default** and costs one relaxed atomic load per
 //! instrumentation site when disabled — instruments share the registry's
@@ -657,100 +653,6 @@ impl MetricsSnapshot {
         out.push_str("]}");
         out
     }
-
-    /// Exports the Prometheus text exposition format. Histograms use the
-    /// conventional `_bucket{le=...}` / `_sum` / `_count` series plus
-    /// non-standard-but-useful `_p50/_p95/_p99/_p999` gauges; gauges export their
-    /// value and a `<name>_high_water` companion; `*_busy_ps_total` counters
-    /// also yield a derived `*_utilization` gauge. Output order follows the
-    /// sorted canonical keys, so it is byte-deterministic.
-    pub(crate) fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(256 + self.samples.len() * 128);
-        let mut typed: BTreeMap<&str, &str> = BTreeMap::new();
-        for s in &self.samples {
-            let kind = match s.value {
-                SampleValue::Counter(_) => "counter",
-                SampleValue::Gauge { .. } => "gauge",
-                SampleValue::Histogram(_) => "histogram",
-            };
-            typed.insert(s.name.as_str(), kind);
-        }
-        let mut last_name = "";
-        for s in &self.samples {
-            if s.name != last_name {
-                let _ = writeln!(out, "# TYPE {} {}", s.name, typed[s.name.as_str()]);
-                last_name = &s.name;
-            }
-            let labels = prom_labels(&s.labels, None);
-            match &s.value {
-                SampleValue::Counter(v) => {
-                    let _ = writeln!(out, "{}{} {}", s.name, labels, v);
-                }
-                SampleValue::Gauge { value, high_water } => {
-                    let _ = writeln!(out, "{}{} {}", s.name, labels, value);
-                    let _ = writeln!(out, "{}_high_water{} {}", s.name, labels, high_water);
-                }
-                SampleValue::Histogram(h) => {
-                    let mut cumulative = 0u64;
-                    for (b, &n) in h.buckets.iter().enumerate() {
-                        if n > 0 {
-                            cumulative += n;
-                            let le = bucket_upper(b).to_string();
-                            let with_le = prom_labels(&s.labels, Some(("le", &le)));
-                            let _ = writeln!(out, "{}_bucket{} {}", s.name, with_le, cumulative);
-                        }
-                    }
-                    let inf = prom_labels(&s.labels, Some(("le", "+Inf")));
-                    let _ = writeln!(out, "{}_bucket{} {}", s.name, inf, h.count);
-                    let _ = writeln!(out, "{}_sum{} {}", s.name, labels, h.sum);
-                    let _ = writeln!(out, "{}_count{} {}", s.name, labels, h.count);
-                    for (suffix, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0), ("p999", 99.9)]
-                    {
-                        let _ = writeln!(out, "{}_{suffix}{} {}", s.name, labels, h.percentile(p));
-                    }
-                }
-            }
-        }
-        let _ = writeln!(out, "# TYPE sim_horizon_ps gauge");
-        let _ = writeln!(out, "sim_horizon_ps {}", self.horizon_ps);
-        for s in &self.samples {
-            if let (Some(base), SampleValue::Counter(busy)) =
-                (s.name.strip_suffix("_busy_ps_total"), &s.value)
-            {
-                let _ = writeln!(out, "# TYPE {base}_utilization gauge");
-                let _ = writeln!(
-                    out,
-                    "{base}_utilization{} {}",
-                    prom_labels(&s.labels, None),
-                    utilization_fixed(*busy, self.horizon_ps)
-                );
-            }
-        }
-        out
-    }
-}
-
-fn prom_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "{k}=\"{v}\"");
-    }
-    if let Some((k, v)) = extra {
-        if !first {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}=\"{v}\"");
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -929,31 +831,7 @@ mod tests {
             "derived sample present: {json}"
         );
         assert!(json.contains("\"value\":0.250000"));
-        let prom = reg.snapshot().to_prometheus();
-        assert!(prom.contains("link_utilization{dir=\"to_host\"} 0.250000"));
         assert_eq!(utilization_fixed(5, 0), "0.000000");
         assert_eq!(utilization_fixed(2_000, 1_000), "1.000000", "clamped");
-    }
-
-    #[test]
-    fn prometheus_export_shape() {
-        let reg = MetricsRegistry::new();
-        reg.enable();
-        reg.counter("ops_total", &[("ch", "0")]).add(3);
-        let h = reg.histogram("lat_span_ps", &[]);
-        for v in [1u64, 2, 3, 900] {
-            h.record(v);
-        }
-        let prom = reg.snapshot().to_prometheus();
-        assert!(prom.contains("# TYPE ops_total counter"));
-        assert!(prom.contains("ops_total{ch=\"0\"} 3"));
-        assert!(prom.contains("# TYPE lat_span_ps histogram"));
-        assert!(prom.contains("lat_span_ps_bucket{le=\"+Inf\"} 4"));
-        assert!(prom.contains("lat_span_ps_sum 906"));
-        assert!(prom.contains("lat_span_ps_count 4"));
-        assert!(prom.contains("sim_horizon_ps 0"));
-        // Cumulative bucket counts.
-        assert!(prom.contains("lat_span_ps_bucket{le=\"1\"} 1"));
-        assert!(prom.contains("lat_span_ps_bucket{le=\"3\"} 3"));
     }
 }

@@ -77,43 +77,10 @@ pub enum ParMode {
     PerShard,
 }
 
-impl ParMode {
-    /// Parses a `BISCUIT_PAR` value: unset or empty → [`PerShard`], `0` →
-    /// [`Single`].
-    ///
-    /// [`Single`]: ParMode::Single
-    /// [`PerShard`]: ParMode::PerShard
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the variable, the two accepted forms and
-    /// the value it got for anything else.
-    pub(crate) fn parse(value: Option<&str>) -> Result<ParMode, String> {
-        match value {
-            None | Some("") => Ok(ParMode::PerShard),
-            Some("0") => Ok(ParMode::Single),
-            Some(v) => Err(format!(
-                "BISCUIT_PAR must be unset or empty (one thread per shard) \
-                 or 0 (single thread), got {v:?}"
-            )),
-        }
-    }
-
-    /// Reads the `BISCUIT_PAR` environment variable (see [`ParMode::parse`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`ParMode::parse`]'s message on a malformed value.
-    pub(crate) fn from_env() -> ParMode {
-        let value = std::env::var("BISCUIT_PAR").ok();
-        ParMode::parse(value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
 /// Knobs for [`run_fleet`].
 #[derive(Debug, Clone)]
 pub struct ParConfig {
-    /// Thread policy (defaults to `ParMode::from_env`).
+    /// Thread policy (defaults to [`ParMode::PerShard`]).
     pub mode: ParMode,
     /// Ignored; deleted by the next `benchmark` PR (ROADMAP 1(a)).
     #[doc(hidden)]
@@ -132,7 +99,7 @@ impl ParConfig {
 
 impl Default for ParConfig {
     fn default() -> Self {
-        ParConfig::new(ParMode::from_env())
+        ParConfig::new(ParMode::PerShard)
     }
 }
 
@@ -253,33 +220,6 @@ mod tests {
             .expect_err("shard panic must propagate");
             let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
             assert_eq!(msg, "shard one exploded", "{mode:?}");
-        }
-    }
-
-    #[test]
-    fn par_mode_parse_accepts_counts_and_names_the_variable() {
-        assert_eq!(ParMode::parse(None), Ok(ParMode::PerShard));
-        assert_eq!(ParMode::parse(Some("")), Ok(ParMode::PerShard));
-        assert_eq!(ParMode::parse(Some("0")), Ok(ParMode::Single));
-        for bad in ["two", "-1", "1.5", " 2"] {
-            let err = ParMode::parse(Some(bad)).unwrap_err();
-            assert!(err.contains("BISCUIT_PAR") && err.contains(bad), "{err}");
-        }
-    }
-
-    /// Thread counts were a policy once; now they are rejected with a
-    /// message that names the variable, both accepted forms and the value.
-    #[test]
-    fn par_mode_parse_rejects_thread_counts() {
-        for count in ["2", "4"] {
-            let err = ParMode::parse(Some(count)).unwrap_err();
-            assert_eq!(
-                err,
-                format!(
-                    "BISCUIT_PAR must be unset or empty (one thread per shard) \
-                     or 0 (single thread), got \"{count}\""
-                )
-            );
         }
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! [`crate::trace`] answers "what did the machine do"; this module answers
 //! the question the paper's Fig. 10 implicitly poses — *where does an
-//! individual query's latency go*? A [`SpanContext`] (query id, tenant id,
-//! parent span) is minted when a query is submitted and rides along every
+//! individual query's latency go*? A [`SpanContext`] (query id, tenant id)
+//! is minted when a query is submitted and rides along every
 //! layer the request touches: the DES kernel propagates it across fiber
 //! spawns (every SSDlet fiber is spawned from its query's host fiber), and
 //! the device datapath records resource occupancy *spans* against whatever
@@ -27,16 +27,16 @@
 //!
 //! Profiling is **pure observation**: recording a span never sleeps,
 //! spawns, or otherwise perturbs virtual time, so enabling it cannot
-//! change any simulated result. Query and span ids are minted in fiber
-//! execution order, which the kernel makes deterministic, so
+//! change any simulated result. Query ids are minted in fiber execution
+//! order, which the kernel makes deterministic, so
 //! [`QueryProfiles::to_json`] is byte-identical for a given seed — and,
 //! because each parallel shard kernel owns its own profiler, shard-ordered
-//! fleet exports are byte-identical across every `BISCUIT_PAR` policy.
+//! fleet exports are byte-identical under every [`crate::par::ParMode`].
 //! Disabled (the default), every instrumentation site costs one relaxed
 //! atomic load, the same contract as [`crate::trace::Tracer`] and
-//! [`crate::metrics::MetricsRegistry`]. The `BISCUIT_QPROF` environment
-//! variable enables collection in the examples, with its value as the
-//! export path ([`crate::Simulation::enable_from_env`]).
+//! [`crate::metrics::MetricsRegistry`]. The `BISCUIT_TELEMETRY` environment
+//! variable enables collection in the examples
+//! ([`crate::Simulation::enable_from_env`]).
 //!
 //! ## Example
 //!
@@ -125,29 +125,23 @@ impl Stage {
     }
 }
 
-/// The causal identity a request carries through the stack: which query
-/// (and tenant) it belongs to, and which span is its parent.
+/// The identity a request carries through the stack: which query (and
+/// tenant) it belongs to.
 ///
-/// Contexts are minted by [`QueryProfiler::begin_query`] (root) and
-/// [`QueryProfiler::child`] (phase nodes such as one shard of a scatter,
-/// or a mid-query host fallback). The kernel propagates the current
-/// context across fiber spawns, so an SSDlet fiber spawned from a query's
-/// host fiber works under that query's context.
+/// Contexts are minted by [`QueryProfiler::begin_query`]. The kernel
+/// propagates the current context across fiber spawns, so an SSDlet fiber
+/// spawned from a query's host fiber works under that query's context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanContext {
     /// Query id, unique within one simulation (minted from 1).
     pub query: u64,
     /// Tenant (user) id the query belongs to.
     pub tenant: u32,
-    /// This context's span id; spans recorded under the context use it as
-    /// their parent.
-    pub span: u32,
 }
 
-/// One recorded leaf span: a resource occupancy attributed to a query.
+/// One recorded span: a resource occupancy attributed to a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SpanRec {
-    parent: u32,
     stage: Stage,
     start: u64,
     end: u64,
@@ -158,19 +152,14 @@ struct SpanRec {
 #[derive(Debug)]
 struct QueryRec {
     tenant: u32,
-    root: u32,
     start: u64,
     end: Option<u64>,
     spans: Vec<SpanRec>,
-    /// Ids of the non-leaf nodes of the span DAG (scatter shard, host
-    /// fallback) minted by [`QueryProfiler::child`].
-    phases: Vec<u32>,
 }
 
 #[derive(Debug, Default)]
 struct ProfState {
     next_query: u64,
-    next_span: u32,
     /// Context of the fiber the kernel is currently running. Exactly one
     /// fiber runs at any instant, so this single cell is exact; it lets
     /// instrumentation sites without a `Ctx` (device reservation paths)
@@ -283,21 +272,17 @@ impl QueryProfiler {
         }
         let mut st = self.inner.state.lock();
         st.next_query += 1;
-        st.next_span += 1;
         let sc = SpanContext {
             query: st.next_query,
             tenant,
-            span: st.next_span,
         };
         st.queries.insert(
             sc.query,
             QueryRec {
                 tenant,
-                root: sc.span,
                 start: now.as_ps(),
                 end: None,
                 spans: Vec::new(),
-                phases: Vec::new(),
             },
         );
         st.set_fiber(pid, Some(sc));
@@ -317,27 +302,8 @@ impl QueryProfiler {
         st.set_fiber(ctx.pid(), None);
     }
 
-    /// Mints a child phase node under `sc` (e.g. `"shard3"` of a scatter,
-    /// or `"host_fallback"` after an offload failure) and returns the
-    /// child context. Spans recorded under the returned context parent to
-    /// the new node, keeping the DAG causal through retries and fallback.
-    /// `label` names the node at the call site only: profiles do not
-    /// export phase labels.
-    pub fn child(&self, sc: SpanContext, _label: &'static str) -> SpanContext {
-        if !self.is_enabled() {
-            return sc;
-        }
-        let mut st = self.inner.state.lock();
-        st.next_span += 1;
-        let id = st.next_span;
-        if let Some(q) = st.queries.get_mut(&sc.query) {
-            q.phases.push(id);
-        }
-        SpanContext { span: id, ..sc }
-    }
-
     /// Installs `sc` as the calling fiber's context (adoption from a
-    /// packet-carried header, or a phase switch within one fiber).
+    /// packet-carried header, or a query switch within one fiber).
     pub fn adopt(&self, ctx: &Ctx, sc: Option<SpanContext>) {
         self.adopt_on(ctx.pid(), sc);
     }
@@ -367,46 +333,13 @@ impl QueryProfiler {
         if !self.is_enabled() {
             return;
         }
-        let mut st = self.inner.state.lock();
-        let Some(sc) = st.current else { return };
-        Self::push_span(&mut st, sc, stage, start, end, bytes, lane);
-    }
-
-    /// Records a span against an explicit context — used when the
-    /// recording fiber acts on another query's behalf (e.g. a scheduler
-    /// recording a queue-wait span at dispatch).
-    pub fn record_for(
-        &self,
-        sc: SpanContext,
-        stage: Stage,
-        start: SimTime,
-        end: SimTime,
-        bytes: u64,
-        lane: u32,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut st = self.inner.state.lock();
-        Self::push_span(&mut st, sc, stage, start, end, bytes, lane);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push_span(
-        st: &mut ProfState,
-        sc: SpanContext,
-        stage: Stage,
-        start: SimTime,
-        end: SimTime,
-        bytes: u64,
-        lane: u32,
-    ) {
         if end <= start {
             return;
         }
+        let mut st = self.inner.state.lock();
+        let Some(sc) = st.current else { return };
         if let Some(q) = st.queries.get_mut(&sc.query) {
             q.spans.push(SpanRec {
-                parent: sc.span,
                 stage,
                 start: start.as_ps(),
                 end: end.as_ps(),
@@ -467,11 +400,11 @@ pub struct QueryProfile {
     pub bytes: [u64; Stage::ALL.len()],
     /// The critical path: winning sweep segments, merged, in time order.
     pub(crate) critical_path: Vec<CritSegment>,
-    /// Leaf spans recorded for this query.
+    /// Spans recorded for this query inside its window.
     pub spans: usize,
-    /// Spans that violated closure: outside the query window, or parented
-    /// to a span id that is neither the root nor a recorded phase node.
-    /// Zero when accounting closes (the tested invariant).
+    /// Spans that fell outside the query window (started before its
+    /// submission or ended after its completion). Zero when accounting
+    /// closes (the tested invariant).
     pub orphans: usize,
 }
 
@@ -495,19 +428,13 @@ impl QueryProfile {
 
     fn derive(id: u64, q: &QueryRec, end: u64) -> QueryProfile {
         let start = q.start;
-        let mut orphans = 0usize;
-        // Parent validity: root or a recorded phase node.
-        let mut valid = q.phases.clone();
-        valid.push(q.root);
-        valid.sort_unstable();
-        let mut clipped: Vec<SpanRec> = Vec::with_capacity(q.spans.len());
-        for s in &q.spans {
-            if s.start < start || s.end > end || valid.binary_search(&s.parent).is_err() {
-                orphans += 1;
-                continue;
-            }
-            clipped.push(*s);
-        }
+        let clipped: Vec<SpanRec> = q
+            .spans
+            .iter()
+            .filter(|s| s.start >= start && s.end <= end)
+            .copied()
+            .collect();
+        let orphans = q.spans.len() - clipped.len();
 
         // Exclusive sweep: at every elementary interval the latest-started
         // covering span wins (ties: later record order). Gaps are queue /
@@ -681,17 +608,8 @@ impl QueryProfiles {
         out
     }
 
-    /// Writes [`QueryProfiles::to_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub(crate) fn write_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
     /// Renders a human-readable per-stage latency table for each query
-    /// (what a `BISCUIT_QPROF` run prints after it).
+    /// (what a `BISCUIT_TELEMETRY` run prints after it).
     pub(crate) fn to_table(&self) -> String {
         let mut out = String::new();
         for q in &self.queries {
@@ -804,12 +722,21 @@ mod tests {
         sim.spawn("root", |ctx| {
             let qp = ctx.qprof().clone();
             let sc = qp.begin_query(ctx, 1).unwrap();
-            let shard = qp.child(sc, "shard0");
             let qp2 = qp.clone();
             ctx.spawn("worker", move |wctx| {
-                // Inherited the root context; switch to the shard phase.
-                assert_eq!(qp2.current().unwrap().query, sc.query);
-                qp2.adopt(wctx, Some(shard));
+                // Inherited the spawning fiber's context.
+                assert_eq!(qp2.current(), Some(sc));
+                // Outside any query nothing is attributed; adopting the
+                // context back attributes the next phase to the query.
+                qp2.adopt(wctx, None);
+                qp2.record(
+                    Stage::Link,
+                    wctx.now(),
+                    wctx.now() + SimDuration::from_ps(5),
+                    0,
+                    0,
+                );
+                qp2.adopt(wctx, Some(sc));
                 let t0 = wctx.now();
                 wctx.sleep(SimDuration::from_ps(50));
                 qp2.record(Stage::SsdletCompute, t0, wctx.now(), 0, 0);
@@ -829,24 +756,19 @@ mod tests {
         let sim = Simulation::new(0);
         sim.enable_qprof();
         sim.spawn("q", |ctx| {
+            ctx.sleep(SimDuration::from_ps(10));
             let qp = ctx.qprof().clone();
             let sc = qp.begin_query(ctx, 0).unwrap();
+            // Starts before the query was submitted at 10.
+            qp.record(Stage::NandRead, ps(5), ps(15), 0, 0);
             ctx.sleep(SimDuration::from_ps(10));
-            // Bad parent id.
-            qp.record_for(
-                SpanContext { span: 9999, ..sc },
-                Stage::NandRead,
-                ps(0),
-                ps(5),
-                0,
-                0,
-            );
             qp.end_query(ctx, sc);
         });
         let report = sim.run();
         let q = &report.profiles.queries()[0];
         assert_eq!(q.orphans, 1);
         assert_eq!(q.spans, 0);
+        assert_eq!(q.breakdown_ps(Stage::NandRead), 0);
         assert_eq!(q.breakdown_ps(Stage::QueueWait), 10);
     }
 

@@ -426,18 +426,6 @@ impl Trace {
     pub fn to_chrome_json(&self) -> String {
         ChromeExporter::new(self).export()
     }
-
-    /// Writes [`Trace::to_chrome_json`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error.
-    pub(crate) fn write_chrome_json(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<()> {
-        std::fs::write(path, self.to_chrome_json())
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,14 +7,13 @@
 //!
 //! Run with: `cargo run --example quickstart`
 //!
-//! Set `BISCUIT_TRACE=wordcount.json` to capture a Chrome trace of the
-//! whole dataflow — every fiber, flash operation, and port message (see
-//! `docs/TRACING.md`). Set `BISCUIT_METRICS=wordcount-metrics.json` (or
-//! `.prom` for Prometheus text) to export the aggregate counters — NAND
-//! ops per channel, link bytes, port traffic, scheduler activity (see
-//! `docs/METRICS.md`). Set `BISCUIT_QPROF=wordcount-prof.json` to export
-//! a per-stage latency breakdown of the run with its critical path (see
-//! `docs/QUERYPROF.md`).
+//! Set `BISCUIT_TELEMETRY=wordcount` to write three exports into the
+//! directory `wordcount/`: `trace.json`, a Chrome trace of the whole
+//! dataflow — every fiber, flash operation, and port message (see
+//! `docs/TRACING.md`); `metrics.json`, the aggregate counters — NAND ops
+//! per channel, link bytes, port traffic, scheduler activity (see
+//! `docs/METRICS.md`); and `qprof.json`, a per-stage latency breakdown of
+//! the run with its critical path (see `docs/QUERYPROF.md`).
 
 use std::sync::Arc;
 
@@ -47,8 +46,8 @@ fn main() {
     let sim = Simulation::new(0);
     sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
-        // The whole wordcount runs as one profiled query when BISCUIT_QPROF
-        // is set (a no-op span pair otherwise).
+        // The whole wordcount runs as one profiled query when
+        // BISCUIT_TELEMETRY is set (a no-op span pair otherwise).
         let qp = ctx.qprof().clone();
         let span = qp.begin_query(ctx, 0);
         let t0 = ctx.now();

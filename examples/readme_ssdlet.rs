@@ -6,8 +6,8 @@
 //!
 //! Run with: `cargo run --example readme_ssdlet`
 //!
-//! Set `BISCUIT_TRACE=/tmp/readme.json` to also capture a Chrome trace of
-//! the run; `BISCUIT_METRICS` and `BISCUIT_QPROF` work the same way (see
+//! Set `BISCUIT_TELEMETRY=/tmp/readme` to also capture the run's Chrome
+//! trace, metrics and query profiles in that directory (see
 //! `docs/TRACING.md`, "Switching it on").
 
 use std::sync::Arc;

@@ -5,11 +5,11 @@
 //!
 //! Run with: `cargo run --release --example tpch_offload`
 //!
-//! Set `BISCUIT_TRACE=q14.json` to capture a Chrome trace of the whole run,
-//! including the planner's offload verdicts (see `docs/TRACING.md` for an
-//! annotated walkthrough of exactly this trace). Set
-//! `BISCUIT_QPROF=q14-prof.json` to export a per-query latency breakdown
-//! with critical-path attribution (see `docs/QUERYPROF.md`).
+//! Set `BISCUIT_TELEMETRY=q14` to write into the directory `q14/` a Chrome
+//! trace of the whole run, including the planner's offload verdicts
+//! (`trace.json`; see `docs/TRACING.md` for an annotated walkthrough of
+//! exactly this trace), and a per-query latency breakdown with
+//! critical-path attribution (`qprof.json`; see `docs/QUERYPROF.md`).
 
 use std::sync::Arc;
 

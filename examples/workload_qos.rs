@@ -15,10 +15,10 @@
 //!
 //! Run with: `cargo run --release --example workload_qos`
 //!
-//! Set `BISCUIT_METRICS=qos-metrics.json` to export the scheduler's
-//! counters (`sched_shed_total{user}`, `array_queue_wait_ps{user}`,
-//! `array_sched_completed_total`, …) alongside the printed report
-//! (see `docs/METRICS.md`).
+//! Set `BISCUIT_TELEMETRY=qos` to export the scheduler's counters
+//! (`sched_shed_total{user}`, `array_queue_wait_ps{user}`,
+//! `array_sched_completed_total`, …) to `qos/metrics.json` alongside the
+//! printed report (see `docs/METRICS.md`).
 
 use biscuit::host::workload::drive_open_loop;
 use biscuit::host::{

@@ -16,12 +16,6 @@ cargo build --release
 echo "== tier 1: test suite (every crate)"
 cargo test -q
 
-# The one configuration tier 1 does not run: the one suite that takes its
-# fleet thread policy from the environment, under the single-threaded
-# reference policy.
-echo "== env-selected fleet policy (BISCUIT_PAR=0, single thread)"
-BISCUIT_PAR=0 cargo test -q --test parallel
-
 # biscuit-perf pins every workload to one CPU, where each fiber hand-off is
 # a switch between threads that cannot run side by side.
 echo "== kernel, parallel and golden suites on one CPU (taskset -c 0)"

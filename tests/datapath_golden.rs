@@ -159,7 +159,7 @@ fn check(observe: bool, plan: Option<&FaultPlan>, want: &Golden) {
         w.flush(ctx).unwrap();
         w.write_async(&payload(7, 100, ps)).unwrap();
         w.sync(ctx).unwrap();
-        let w_len = w.len().unwrap();
+        let w_len = w.len();
         fold(&w.read_at(ctx, 0, w_len).unwrap());
 
         // The Conv path: one synchronous pread, one windowed page read.

@@ -94,24 +94,6 @@ fn lookahead_window_never_changes_artifacts() {
 }
 
 #[test]
-fn env_selected_policy_matches_reference() {
-    // `ParConfig::default()` reads `BISCUIT_PAR` (unset → one thread per
-    // shard). CI runs this test both with the variable unset and with
-    // `BISCUIT_PAR=0`; whatever policy the environment picks, the
-    // artifacts must match the explicit single-threaded reference.
-    let reference = soak(ParMode::Single);
-    let report = soak_with(ParConfig::default());
-    assert_eq!(report.items, reference.0, "env policy: merged items");
-    assert_eq!(report.trace_json(), reference.1, "env policy: trace export");
-    assert_eq!(
-        report.metrics_json(),
-        reference.2,
-        "env policy: metrics export"
-    );
-    assert_eq!(report.events_processed(), reference.3);
-}
-
-#[test]
 fn exports_are_substantive_not_vacuous() {
     // Guard against a vacuous pass: the byte-equalities above would hold
     // trivially if the exports were empty shells. Check the artifacts

@@ -3,7 +3,7 @@
 //!
 //! (a) With the same seed, the byte-deterministic `QueryProfiles` export is
 //!     identical across repeated runs — and for the shard fleet, across
-//!     every `BISCUIT_PAR` thread policy.
+//!     both fleet thread policies.
 //! (b) Span accounting *closes*: every profiled query has zero orphan
 //!     spans, zero never-closed queries, and an exclusive breakdown that
 //!     sums exactly to its end-to-end latency.
@@ -246,7 +246,7 @@ fn profiles_close_through_faults_and_host_fallback() {
         (entry.check)(&plan, &metrics);
         // Accounting closes even mid-recovery: retried reads, replayed
         // link frames, and the fallback's host re-scan all land inside
-        // the query window with valid parents.
+        // the query window.
         assert_closed(&profiles, entry.name);
 
         // And the export stays replayable: same seed, same bytes.

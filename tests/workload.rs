@@ -6,10 +6,8 @@
 //! export — metrics JSON, Chrome trace, query profiles, and the
 //! scheduler's per-tenant QoS summary — is byte-identical across repeat
 //! rounds. The QoS stack runs entirely on the host DES kernel, which is
-//! independent of the `BISCUIT_PAR` thread policy by construction: the
-//! variable is read only by `ParConfig::default`, which nothing here
-//! reaches (the policy only shapes the shard fleet; see
-//! `tests/parallel.rs`).
+//! independent of the fleet's thread policy by construction (the policy
+//! only shapes the shard fleet; see `tests/parallel.rs`).
 
 use std::sync::Arc;
 
