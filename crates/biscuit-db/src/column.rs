@@ -43,6 +43,24 @@ pub(crate) trait Cells {
         )
     }
 
+    /// Column `col` as stored, where the source stores columns and has
+    /// one; `None` where it stores rows.
+    fn column(&self, _col: usize) -> Option<&Column> {
+        None
+    }
+
+    /// Cell `col` of each row of `ids`, appended to `out`; `false` — with
+    /// `out` partly written — as soon as one is missing.
+    fn gather<'s>(&'s self, col: usize, ids: &[u32], out: &mut Vec<Cell<'s>>) -> bool {
+        for &id in ids {
+            match self.cell(id as usize, col) {
+                Some(cell) => out.push(cell),
+                None => return false,
+            }
+        }
+        true
+    }
+
     /// The numeric view (`Cell::as_f64`) of cell `col` of each row of
     /// `ids`, written to `out` (as long as `ids`); `false` as soon as one
     /// is missing or is a string.
@@ -73,7 +91,7 @@ impl<R: Borrow<Row>> Cells for [R] {
 
 /// One column's cells.
 #[derive(Debug, Clone)]
-enum Column {
+pub(crate) enum Column {
     Int(Vec<i64>),
     Float(Vec<f64>),
     Date(Vec<i32>),
@@ -106,8 +124,13 @@ impl Column {
         }
     }
 
+    /// Cell `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range.
     #[inline]
-    fn get(&self, row: usize) -> Cell<'_> {
+    pub(crate) fn get(&self, row: usize) -> Cell<'_> {
         match self {
             Column::Int(v) => Cell::Int(v[row]),
             Column::Float(v) => Cell::Float(v[row]),
@@ -116,6 +139,35 @@ impl Column {
                 let start = if row == 0 { 0 } else { ends[row - 1] };
                 Cell::Str(&text[start..ends[row]])
             }
+        }
+    }
+
+    /// Appends to `out` those of `ids` whose cell `keep` holds for, in
+    /// order; `false` — with `out` partly written — as soon as `keep`
+    /// returns `None`. The variant is matched once, not per row.
+    #[inline]
+    pub(crate) fn retain(
+        &self,
+        ids: &[u32],
+        out: &mut Vec<u32>,
+        keep: impl Fn(Cell<'_>) -> Option<bool>,
+    ) -> bool {
+        match self {
+            Column::Int(v) => retain_where(ids, out, |r| keep(Cell::Int(v[r]))),
+            Column::Float(v) => retain_where(ids, out, |r| keep(Cell::Float(v[r]))),
+            Column::Date(v) => retain_where(ids, out, |r| keep(Cell::Date(v[r]))),
+            Column::Str { .. } => retain_where(ids, out, |r| keep(self.get(r))),
+        }
+    }
+
+    /// Appends the cells of rows `ids` to `out`, the variant matched once.
+    pub(crate) fn gather<'a>(&'a self, ids: &[u32], out: &mut Vec<Cell<'a>>) {
+        let rows = ids.iter().map(|&id| id as usize);
+        match self {
+            Column::Int(v) => out.extend(rows.map(|r| Cell::Int(v[r]))),
+            Column::Float(v) => out.extend(rows.map(|r| Cell::Float(v[r]))),
+            Column::Date(v) => out.extend(rows.map(|r| Cell::Date(v[r]))),
+            Column::Str { .. } => out.extend(rows.map(|r| self.get(r))),
         }
     }
 
@@ -146,6 +198,30 @@ impl Column {
             }
         }
     }
+}
+
+/// Appends to `out` those of `ids` whose row `keep` holds for, in order;
+/// `false` — with `out` partly written — as soon as `keep` returns `None`.
+/// Every id is written and the length advanced by the verdict, so a
+/// selective predicate costs no mispredicted branch.
+#[inline]
+pub(crate) fn retain_where(
+    ids: &[u32],
+    out: &mut Vec<u32>,
+    keep: impl Fn(usize) -> Option<bool>,
+) -> bool {
+    let at = out.len();
+    out.resize(at + ids.len(), 0);
+    let mut len = at;
+    for &id in ids {
+        let Some(kept) = keep(id as usize) else {
+            return false;
+        };
+        out[len] = id;
+        len += usize::from(kept);
+    }
+    out.truncate(len);
+    true
 }
 
 /// A table stored column by column (see the module docs).
@@ -244,6 +320,20 @@ impl Cells for ColumnTable {
     fn width(&self, row: usize) -> usize {
         assert!(row < self.rows, "row {row} of {}", self.rows);
         self.columns.len()
+    }
+
+    fn column(&self, col: usize) -> Option<&Column> {
+        self.columns.get(col)
+    }
+
+    fn gather<'s>(&'s self, col: usize, ids: &[u32], out: &mut Vec<Cell<'s>>) -> bool {
+        match self.columns.get(col) {
+            Some(column) => {
+                column.gather(ids, out);
+                true
+            }
+            None => false,
+        }
     }
 
     fn f64s(&self, col: usize, ids: &[u32], out: &mut [f64]) -> bool {
@@ -369,6 +459,29 @@ impl Cells for Joined {
     /// Gathers each run of rows that come from one table through that
     /// table's typed gather.
     fn f64s(&self, col: usize, ids: &[u32], out: &mut [f64]) -> bool {
+        self.runs(col, ids, |table, c, rows, at| {
+            table.f64s(c, rows, &mut out[at..at + rows.len()])
+        })
+    }
+
+    /// As [`Joined::f64s`].
+    fn gather<'s>(&'s self, col: usize, ids: &[u32], out: &mut Vec<Cell<'s>>) -> bool {
+        self.runs(col, ids, |table, c, rows, _| table.gather(c, rows, out))
+    }
+}
+
+impl Joined {
+    /// Splits rows `ids` into runs that come from one table for global
+    /// column `col`, and calls `each(table, column, rows, at)` on each in
+    /// order: `rows` are the run's row ids in `table`, `at` where the run
+    /// starts in `ids`. `false` if `col` is out of range or `each` returns
+    /// `false`.
+    fn runs<'s>(
+        &'s self,
+        col: usize,
+        ids: &[u32],
+        mut each: impl FnMut(&'s ColumnTable, usize, &[u32], usize) -> bool,
+    ) -> bool {
         let Some(&(scan, c)) = self.cols.get(col) else {
             return false;
         };
@@ -385,11 +498,10 @@ impl Cells for Joined {
                     .take_while(|r| r.table == table)
                     .map(|r| r.row),
             );
-            let end = start + rows.len();
-            if !tables[table as usize].f64s(c, &rows, &mut out[start..end]) {
+            if !each(&tables[table as usize], c, &rows, start) {
                 return false;
             }
-            start = end;
+            start += rows.len();
         }
         true
     }

@@ -1007,6 +1007,11 @@ impl Db {
             } else {
                 None
             };
+            // Its keys are hashed once per step as well.
+            let conv_keys = conv_inner
+                .as_ref()
+                .filter(|_| !edges_in.is_empty())
+                .map(|sel| exec::Inner::new(&*sel.table, &sel.ids, &edges_in));
             let mut tables: Vec<Arc<ColumnTable>> = Vec::new();
             let mut matches: Vec<(u32, RowRef)> = Vec::new();
             let (mut block, mut pairs) = (Vec::new(), Vec::new());
@@ -1032,15 +1037,15 @@ impl Db {
                 if edges_in.is_empty() {
                     exec::cross(&block, &inner.ids, &mut pairs);
                 } else {
-                    exec::hash_probe(
-                        &acc,
-                        &block,
-                        &edges_out,
-                        &*inner.table,
-                        &inner.ids,
-                        &edges_in,
-                        &mut pairs,
-                    );
+                    let ndp_keys;
+                    let keys = match &conv_keys {
+                        Some(keys) => keys,
+                        None => {
+                            ndp_keys = exec::Inner::new(&*inner.table, &inner.ids, &edges_in);
+                            &ndp_keys
+                        }
+                    };
+                    exec::hash_probe(&acc, &block, &edges_out, keys, &mut pairs);
                 }
                 if pairs.is_empty() {
                     continue;

@@ -13,16 +13,25 @@
 //!
 //! Each operator exists once, over any `Cells` source — the engine's
 //! column cache, a join's id tuples (`Joined`) or a slice of rows — and a
-//! list of row ids: a selection vector, so a scan copies nothing. The join operators, `hash_probe` and `cross`, copy
-//! nothing either: they emit (outer id, inner id) pairs, the engine extends
-//! its `Joined` ids with them, and rows are built only for query output.
-//! Expressions are lowered once per call into a `Program`. The row-slice
+//! list of row ids: a selection vector, so a scan copies nothing. The join
+//! operators, `hash_probe` and `cross`, copy nothing either: they emit
+//! (outer id, inner id) pairs, the engine extends its `Joined` ids with
+//! them, and rows are built only for query output. Expressions are lowered
+//! once per call into a `Program`; selections and aggregates run it a
+//! column at a time where the source stores columns. The row-slice
 //! functions (`filter`, `filter_ref`, `aggregate`, `hash_probe_block`) are
 //! those operators over all of the given rows; `hash_probe_block` builds
-//! merged rows from the pairs. Join and group keys are compared the way
-//! `key_of` spells them — by canonical text, so `Int 5` meets `Str "5"`
-//! — but hashed cell by cell and verified cell by cell, without a `String`
-//! per row.
+//! merged rows from the pairs.
+//!
+//! Join and group keys mean what `key_of` spells — canonical text, so
+//! `Int 5` meets `Str "5"` — and are hashed by that meaning, not by their
+//! text: a cell whose text is an `i64`'s (every `Int`, and `Str "5"` but not
+//! `"05"`) hashes as the integer, any other cell as its text, all under a
+//! keyed `RandomState` (`KeyHasher`). Candidates are verified cell by cell
+//! (`cell_eq`), without a `String` per row. A join step's host-scanned
+//! inner is hashed once (`Inner`) under the keys every block's outer index
+//! is built with; an aggregation tries the previous row's group, and while
+//! there are few groups compares with each, before it hashes.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::{Entry, HashMap, RandomState};
@@ -33,7 +42,7 @@ use crate::error::DbResult;
 use crate::expr::Expr;
 use crate::program::Program;
 use crate::spec::{AggFun, OrderKey, SelectSpec};
-use crate::value::{Cell, Row, Value};
+use crate::value::{str_eq, Cell, Row, Value};
 
 /// Canonical text key for a tuple of values (floats and dates spell the way
 /// they are stored). Fixes the base order of [`aggregate`]'s output.
@@ -77,26 +86,41 @@ impl Hasher for Prehashed {
     }
 }
 
-/// Hashes key tuples by canonical text and chains the entries that share a
-/// hash, in push order. Equal hashes are only candidates: callers verify
-/// with [`cell_eq`].
+/// Hashes key tuples by meaning: tuples whose [`key_of`] texts are equal
+/// hash equal. A cell whose text is the canonical text of an `i64` —
+/// every `Int`, and a `Str` such as `"5"` but not `"05"`, `"+5"` or
+/// `"-0"` — hashes as that integer: a `0xfe` byte, then its eight bytes.
+/// Every other cell hashes its text closed by `0xff`. Neither byte occurs
+/// in UTF-8 text, so the bytes spell the tuple injectively.
 #[derive(Default)]
-struct KeyIndex {
-    /// First and last entry of each hash's chain, by the hash itself.
-    chains: HashMap<u64, (u32, u32), BuildHasherDefault<Prehashed>>,
-    /// `next[i]`: the entry pushed with entry `i`'s hash after it, or [`NIL`].
-    next: Vec<u32>,
-    /// Keyed per index: table contents cannot aim for long chains.
+struct KeyHasher {
+    /// Keyed per join step or aggregation: table contents cannot aim for
+    /// long chains.
     keys: RandomState,
     scratch: String,
 }
 
-impl KeyIndex {
-    /// Hash of the cells' texts, each closed by a byte no UTF-8 text
-    /// contains.
+impl KeyHasher {
+    fn new(keys: RandomState) -> KeyHasher {
+        KeyHasher {
+            keys,
+            scratch: String::new(),
+        }
+    }
+
     fn hash<'c>(&mut self, cells: impl IntoIterator<Item = Cell<'c>>) -> u64 {
         let mut hasher = self.keys.build_hasher();
         for cell in cells {
+            let int = match cell {
+                Cell::Int(v) => Some(v),
+                Cell::Str(s) => canonical_int(s),
+                Cell::Float(_) | Cell::Date(_) => None,
+            };
+            if let Some(v) = int {
+                hasher.write_u8(0xfe);
+                hasher.write_i64(v);
+                continue;
+            }
             let text = match cell {
                 Cell::Str(s) => s,
                 other => {
@@ -109,6 +133,46 @@ impl KeyIndex {
             hasher.write_u8(0xff);
         }
         hasher.finish()
+    }
+}
+
+/// The `i64` whose text (`{v}`) is `s`, if there is one: an optional
+/// `-`, then digits without a leading zero, or `0` alone.
+fn canonical_int(s: &str) -> Option<i64> {
+    let digits = s.strip_prefix('-').unwrap_or(s).as_bytes();
+    match digits {
+        [b'1'..=b'9', rest @ ..] if rest.len() < 19 && rest.iter().all(u8::is_ascii_digit) => {
+            s.parse().ok()
+        }
+        [b'0'] if digits.len() == s.len() => Some(0),
+        _ => None,
+    }
+}
+
+/// Chains key-tuple entries that share a hash, in push order. Equal
+/// hashes are only candidates: callers verify with [`cell_eq`].
+#[derive(Default)]
+pub(crate) struct KeyIndex {
+    /// First and last entry of each hash's chain, by the hash itself.
+    chains: HashMap<u64, (u32, u32), BuildHasherDefault<Prehashed>>,
+    /// `next[i]`: the entry pushed with entry `i`'s hash after it, or [`NIL`].
+    next: Vec<u32>,
+    hasher: KeyHasher,
+}
+
+impl KeyIndex {
+    /// An empty index hashing under `keys`.
+    fn new(keys: RandomState) -> KeyIndex {
+        KeyIndex {
+            chains: HashMap::default(),
+            next: Vec::new(),
+            hasher: KeyHasher::new(keys),
+        }
+    }
+
+    /// The hash of a key tuple (see [`KeyHasher`]).
+    pub(crate) fn hash<'c>(&mut self, cells: impl IntoIterator<Item = Cell<'c>>) -> u64 {
+        self.hasher.hash(cells)
     }
 
     /// Appends the next entry (entries number from 0) to `hash`'s chain.
@@ -143,10 +207,10 @@ impl KeyIndex {
 /// Key-cell equality with [`key_of`]'s meaning: equal canonical text. Ints,
 /// strings and dates spell injectively, so same-variant pairs compare
 /// directly; floats (two decimals) and mixed variants compare as text.
-fn cell_eq(a: Cell<'_>, b: Cell<'_>) -> bool {
+pub(crate) fn cell_eq(a: Cell<'_>, b: Cell<'_>) -> bool {
     match (a, b) {
         (Cell::Int(x), Cell::Int(y)) => x == y,
-        (Cell::Str(x), Cell::Str(y)) => x == y,
+        (Cell::Str(x), Cell::Str(y)) => str_eq(x, y),
         (Cell::Date(x), Cell::Date(y)) => x == y,
         _ => {
             let (mut x, mut y) = (String::new(), String::new());
@@ -163,33 +227,79 @@ fn key_cell<A: Cells + ?Sized>(src: &A, row: usize, col: usize) -> Cell<'_> {
         .unwrap_or_else(|| panic!("join column {col} out of range"))
 }
 
-/// Probes rows `inner_ids` of `inner` against a hash of rows `outer_ids` of
-/// `outer` and emits each match as an (outer id, inner id) pair; nothing
-/// is copied. `outer_cols` index the outer rows and `inner_cols` the inner
-/// rows. Output order: inner rows in `inner_ids` order, each with its
-/// matching outer rows in `outer_ids` order.
+/// The hash of the key cells `cols` of each row of `ids` of `src`, in
+/// order. Each key column is gathered first, from its storage where the
+/// source stores columns.
+fn hash_keys<A: Cells + ?Sized>(
+    hasher: &mut KeyHasher,
+    src: &A,
+    ids: &[u32],
+    cols: &[usize],
+) -> Vec<u64> {
+    let keys: Vec<Vec<Cell<'_>>> = cols
+        .iter()
+        .map(|&c| {
+            let mut cells = Vec::with_capacity(ids.len());
+            assert!(
+                src.gather(c, ids, &mut cells),
+                "join column {c} out of range"
+            );
+            cells
+        })
+        .collect();
+    (0..ids.len())
+        .map(|r| hasher.hash(keys.iter().map(|cells| cells[r])))
+        .collect()
+}
+
+/// The inner side of [`hash_probe`]: rows `ids` of `src` with the hash of
+/// each one's key cells `cols`, under the keys every outer block's index
+/// is built with. A host-scanned inner selects the same rows for every
+/// block of a join step, so the engine hashes them once per step.
+pub(crate) struct Inner<'a, I: ?Sized> {
+    src: &'a I,
+    ids: &'a [u32],
+    cols: &'a [usize],
+    keys: RandomState,
+    hashes: Vec<u64>,
+}
+
+impl<'a, I: Cells + ?Sized> Inner<'a, I> {
+    pub(crate) fn new(src: &'a I, ids: &'a [u32], cols: &'a [usize]) -> Inner<'a, I> {
+        let mut hasher = KeyHasher::default();
+        let hashes = hash_keys(&mut hasher, src, ids, cols);
+        Inner {
+            src,
+            ids,
+            cols,
+            keys: hasher.keys,
+            hashes,
+        }
+    }
+}
+
+/// Probes `inner`'s rows against a hash of rows `outer_ids` of `outer` and
+/// emits each match as an (outer id, inner id) pair; nothing is copied.
+/// `outer_cols` index the outer rows. Output order: inner rows in their
+/// ids' order, each with its matching outer rows in `outer_ids` order.
 pub(crate) fn hash_probe<O: Cells + ?Sized, I: Cells + ?Sized>(
     outer: &O,
     outer_ids: &[u32],
     outer_cols: &[usize],
-    inner: &I,
-    inner_ids: &[u32],
-    inner_cols: &[usize],
+    inner: &Inner<'_, I>,
     out: &mut Vec<(u32, u32)>,
 ) {
-    let mut index = KeyIndex::default();
-    for &o in outer_ids {
-        let h = index.hash(outer_cols.iter().map(|&c| key_cell(outer, o as usize, c)));
+    let mut index = KeyIndex::new(inner.keys.clone());
+    for h in hash_keys(&mut index.hasher, outer, outer_ids, outer_cols) {
         index.push(h);
     }
-    for &i in inner_ids {
-        let h = index.hash(inner_cols.iter().map(|&c| key_cell(inner, i as usize, c)));
+    for (&i, &h) in inner.ids.iter().zip(&inner.hashes) {
         for e in index.candidates(h) {
             let o = outer_ids[e];
-            if outer_cols.iter().zip(inner_cols).all(|(&oc, &ic)| {
+            if outer_cols.iter().zip(inner.cols).all(|(&oc, &ic)| {
                 cell_eq(
                     key_cell(outer, o as usize, oc),
-                    key_cell(inner, i as usize, ic),
+                    key_cell(inner.src, i as usize, ic),
                 )
             }) {
                 out.push((o, i));
@@ -212,13 +322,12 @@ pub fn hash_probe_block<'a, 'b>(
     let outer: Vec<&Row> = outer_block.into_iter().collect();
     let inner: Vec<&Row> = inner_local.into_iter().collect();
     let mut pairs = Vec::new();
+    let inner_ids = all(inner.len());
     hash_probe(
         &outer[..],
         &all(outer.len()),
         outer_cols,
-        &inner[..],
-        &all(inner.len()),
-        inner_cols,
+        &Inner::new(&inner[..], &inner_ids, inner_cols),
         &mut pairs,
     );
     out.extend(pairs.into_iter().map(|(o, i)| {
@@ -303,41 +412,87 @@ impl AggState {
 /// Rows per batch of [`aggregate_in`]'s batched path.
 const BATCH: usize = 1024;
 
-/// Groups in first-seen order, each with its aggregate states; index entry
-/// `i` is group `i`.
-struct Groups<'s> {
-    spec: &'s SelectSpec,
-    groups: Vec<(Row, Vec<AggState>)>,
+/// Up to this many groups, [`Groups::of`] compares a key with each group
+/// rather than hashing it.
+const FEW_GROUPS: usize = 8;
+
+/// Groups in first-seen order, each with its key cells and its aggregate
+/// states; index entry `i` is group `i`. The cells borrow the source and
+/// the key expressions, which outlive the aggregation.
+struct Groups<'a> {
+    spec: &'a SelectSpec,
+    /// Group `g`'s key cells: `keys[g * k..(g + 1) * k]`, `k` group-by
+    /// expressions.
+    keys: Vec<Cell<'a>>,
+    /// Group `g`'s states: `states[g * n..(g + 1) * n]`, `n` aggregates.
+    states: Vec<AggState>,
+    len: usize,
     index: KeyIndex,
 }
 
-impl Groups<'_> {
-    /// Fresh states, one per aggregate.
-    fn states(&self) -> Vec<AggState> {
-        self.spec
-            .aggregates
-            .iter()
-            .map(|(fun, _)| AggState::new(*fun))
-            .collect()
+impl<'a> Groups<'a> {
+    fn new(spec: &'a SelectSpec) -> Groups<'a> {
+        Groups {
+            spec,
+            keys: Vec::new(),
+            states: Vec::new(),
+            len: 0,
+            index: KeyIndex::default(),
+        }
     }
 
-    /// The group whose key cells are `key`, created if new.
-    fn of<'c>(&mut self, key: impl Iterator<Item = Cell<'c>> + Clone) -> usize {
-        let h = self.index.hash(key.clone());
-        let groups = &self.groups;
-        let found = self.index.candidates(h).find(|&g| {
-            groups[g]
-                .0
-                .iter()
-                .zip(key.clone())
-                .all(|(have, want)| cell_eq(have.cell(), want))
-        });
+    /// Adds a group with fresh states, one per aggregate.
+    fn push(&mut self, key: &[Cell<'a>]) -> usize {
+        self.keys.extend_from_slice(key);
+        let fresh = self
+            .spec
+            .aggregates
+            .iter()
+            .map(|(fun, _)| AggState::new(*fun));
+        self.states.extend(fresh);
+        self.len += 1;
+        self.len - 1
+    }
+
+    /// Group `g`'s states.
+    fn states(&mut self, g: usize) -> &mut [AggState] {
+        let n = self.spec.aggregates.len();
+        &mut self.states[g * n..(g + 1) * n]
+    }
+
+    /// Whether group `g`'s key cells are `key`.
+    fn is(&self, g: usize, key: &[Cell<'_>]) -> bool {
+        let k = key.len();
+        self.keys[g * k..(g + 1) * k]
+            .iter()
+            .zip(key)
+            .all(|(&have, &want)| cell_eq(have, want))
+    }
+
+    /// The group whose key cells are `key`, created if new. `last`, the
+    /// previous row's group, is tried first: runs of rows in one group are
+    /// common. While there are at most [`FEW_GROUPS`] groups, they are
+    /// compared one by one, and a key is hashed only when its group is
+    /// new.
+    fn of(&mut self, key: &[Cell<'a>], last: Option<usize>) -> usize {
+        if let Some(g) = last.filter(|&g| self.is(g, key)) {
+            return g;
+        }
+        let few = self.len <= FEW_GROUPS;
+        if few {
+            if let Some(g) = (0..self.len).find(|&g| self.is(g, key)) {
+                return g;
+            }
+        }
+        let h = self.index.hash(key.iter().copied());
+        let found = if few {
+            None
+        } else {
+            self.index.candidates(h).find(|&g| self.is(g, key))
+        };
         found.unwrap_or_else(|| {
             self.index.push(h);
-            let states = self.states();
-            self.groups
-                .push((key.map(Cell::to_value).collect(), states));
-            self.groups.len() - 1
+            self.push(key)
         })
     }
 }
@@ -373,28 +528,20 @@ pub(crate) fn aggregate_in<A: Cells + ?Sized>(
         .aggregates
         .iter()
         .all(|(fun, _)| matches!(fun, AggFun::Sum | AggFun::Avg | AggFun::Count));
-    let mut groups = Groups {
-        spec,
-        groups: Vec::new(),
-        index: KeyIndex::default(),
-    };
-    let mut key_cells: Vec<Cell<'_>> = Vec::new();
+    let mut groups = Groups::new(spec);
+    // Per key, its cells for the batch's rows.
+    let mut key_cells: Vec<Vec<Cell<'_>>> = vec![Vec::new(); keys.len()];
     let mut gvals: Vec<Cell<'_>> = Vec::with_capacity(keys.len());
     let mut values: Vec<Vec<f64>> = vec![Vec::new(); inputs.len()];
     let mut group_of: Vec<usize> = Vec::new();
+    let mut last = None;
     for batch in ids.chunks(BATCH) {
         // The batched path: every key cell and every input value of the
         // batch, or none.
-        key_cells.clear();
         let whole = batched
-            && batch.iter().all(|&id| {
-                keys.iter().all(|k| match k.eval(src, id as usize) {
-                    Ok(cell) => {
-                        key_cells.push(cell);
-                        true
-                    }
-                    Err(_) => false,
-                })
+            && keys.iter().zip(&mut key_cells).all(|(k, cells)| {
+                cells.clear();
+                k.cells(src, batch, cells)
             })
             && inputs.iter().zip(&mut values).all(|(input, vals)| {
                 vals.resize(batch.len(), 0.0);
@@ -403,12 +550,16 @@ pub(crate) fn aggregate_in<A: Cells + ?Sized>(
         if whole {
             group_of.clear();
             for r in 0..batch.len() {
-                let key = &key_cells[r * keys.len()..(r + 1) * keys.len()];
-                group_of.push(groups.of(key.iter().copied()));
+                gvals.clear();
+                gvals.extend(key_cells.iter().map(|cells| cells[r]));
+                let g = groups.of(&gvals, last);
+                group_of.push(g);
+                last = Some(g);
             }
+            let n = inputs.len();
             for (a, vals) in values.iter().enumerate() {
                 for (&g, &x) in group_of.iter().zip(vals) {
-                    groups.groups[g].1[a].add(x);
+                    groups.states[g * n + a].add(x);
                 }
             }
             continue;
@@ -419,22 +570,24 @@ pub(crate) fn aggregate_in<A: Cells + ?Sized>(
             for k in &keys {
                 gvals.push(k.eval(src, row)?);
             }
-            let g = groups.of(gvals.iter().copied());
-            for (input, st) in inputs.iter().zip(&mut groups.groups[g].1) {
+            let g = groups.of(&gvals, last);
+            last = Some(g);
+            for (input, st) in inputs.iter().zip(groups.states(g)) {
                 st.update(input.eval(src, row)?);
             }
         }
     }
-    if groups.groups.is_empty() && spec.group_by.is_empty() {
-        let states = groups.states();
-        groups.groups.push((Vec::new(), states));
+    if groups.len == 0 && spec.group_by.is_empty() {
+        groups.push(&[]);
     }
-    let mut out: Vec<Row> = groups
-        .groups
-        .into_iter()
-        .map(|(mut row, states)| {
-            row.extend(states.iter().map(AggState::finish));
-            row
+    let (k, n) = (keys.len(), inputs.len());
+    let mut out: Vec<Row> = (0..groups.len)
+        .map(|g| {
+            let key = groups.keys[g * k..(g + 1) * k].iter().map(|c| c.to_value());
+            let states = groups.states[g * n..(g + 1) * n]
+                .iter()
+                .map(AggState::finish);
+            key.chain(states).collect()
         })
         .collect();
     // Deterministic base order before explicit ORDER BY.
@@ -508,14 +661,7 @@ pub(crate) fn select_in<A: Cells + ?Sized>(
     src: &A,
     ids: &[u32],
 ) -> DbResult<Vec<u32>> {
-    let prog = Program::new(pred);
-    let mut sel = Vec::new();
-    for &id in ids {
-        if prog.eval_bool(src, id as usize)? {
-            sel.push(id);
-        }
-    }
-    Ok(sel)
+    Program::new(pred).select(src, ids)
 }
 
 /// Applies a filter predicate to owned or borrowed rows, keeping order.
@@ -763,9 +909,7 @@ mod tests {
             &outer[..],
             &[2, 1, 0],
             &[0],
-            &inner[..],
-            &[2, 0],
-            &[0],
+            &Inner::new(&inner[..], &[2, 0], &[0]),
             &mut out,
         );
         assert_eq!(out, vec![(1, 2), (2, 0), (0, 0)]);

@@ -20,6 +20,17 @@
 //! (`tests/support/tree_walk.rs`) as the oracle every program must equal,
 //! value for value and error text for error text.
 //!
+//! A predicate also runs a batch of rows at a time ([`Program::select`]).
+//! A comparison of a column with a literal or with another column,
+//! `BETWEEN` and `IN` over a column read the column's storage directly
+//! (`i64`, `f64`, `i32` dates or string slices) where the source stores
+//! columns, through the same `Cell` rules the row path uses. `AND` refines
+//! the selection one arm at a time, each arm running only on the rows the
+//! arms before it kept — the row path's short circuit. Any other node runs
+//! row at a time. A batch in which any evaluation fails is discarded and
+//! runs again row at a time through [`Program::eval_bool`], so the error
+//! reported is the row path's, as [`Program::typed_f64s`]'s callers do.
+//!
 //! Programs run on both sides of the link. On the host, every
 //! [`crate::exec`] operator and the planner's selectivity sampler (through
 //! [`crate::exec::select_in`]) run them. On the device, the scan SSDlet
@@ -27,13 +38,14 @@
 //! aggregation SSDlet folds its batches through its inputs' programs
 //! (`offload`).
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
-use crate::column::Cells;
+use crate::column::{retain_where, Cells, Column};
 use crate::error::{DbError, DbResult};
 use crate::expr::{ArithOp, CmpOp, Expr, LikePattern};
-use crate::value::{year_of, Cell, Value};
+use crate::value::{str_eq, year_of, Cell, Value};
 
 /// A lowered [`Expr`] (see the module docs).
 pub(crate) struct Program<'e>(Node<'e>);
@@ -82,7 +94,59 @@ impl<'e> Program<'e> {
     ) -> bool {
         self.0.f64s(src, ids, out)
     }
+
+    /// The ids among `ids` of the rows on which the predicate holds
+    /// ([`Program::eval_bool`]), in order, computed a batch of rows at a
+    /// time (see the module docs). A batch whose typed evaluation meets an
+    /// error runs again row at a time, so the error reported is the row
+    /// path's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Program::eval_bool`], for the first failing row of `ids`.
+    pub(crate) fn select<A: Cells + ?Sized>(&self, src: &A, ids: &[u32]) -> DbResult<Vec<u32>> {
+        let mut sel = Vec::new();
+        for batch in ids.chunks(SELECT_BATCH) {
+            let at = sel.len();
+            if self.0.select(src, batch, &mut sel) {
+                continue;
+            }
+            sel.truncate(at);
+            for &id in batch {
+                if self.eval_bool(src, id as usize)? {
+                    sel.push(id);
+                }
+            }
+        }
+        Ok(sel)
+    }
+
+    /// [`Program::eval`] of each row of `ids`, appended to `out`; a plain
+    /// column is gathered ([`Cells::gather`]) from its storage where the
+    /// source stores columns. `false` — with `out` partly written — if a row's
+    /// evaluation fails.
+    pub(crate) fn cells<'a, A: Cells + ?Sized>(
+        &'a self,
+        src: &'a A,
+        ids: &[u32],
+        out: &mut Vec<Cell<'a>>,
+    ) -> bool {
+        if let Node::Col(c) = self.0 {
+            return src.gather(c, ids, out);
+        }
+        for &id in ids {
+            match self.eval(src, id as usize) {
+                Ok(cell) => out.push(cell),
+                Err(_) => return false,
+            }
+        }
+        true
+    }
 }
+
+/// Rows per batch of [`Program::select`]: a failing batch is the most
+/// that runs twice.
+const SELECT_BATCH: usize = 1024;
 
 /// One node of a lowered expression; each mirrors the `Expr` variant it
 /// comes from, except [`Node::ColCmp`].
@@ -127,13 +191,36 @@ fn compare(op: CmpOp, a: Cell<'_>, b: Cell<'_>) -> Eval<bool> {
     let ord = a
         .compare(b)
         .ok_or_else(|| type_error(format_args!("cannot compare {a:?} and {b:?}")))?;
-    Ok(match op {
+    Ok(holds(op, ord))
+}
+
+/// Whether `op` holds of a pair ordered `ord`.
+#[inline]
+fn holds(op: CmpOp, ord: Ordering) -> bool {
+    match op {
         CmpOp::Eq => ord.is_eq(),
         CmpOp::Ne => ord.is_ne(),
         CmpOp::Lt => ord.is_lt(),
         CmpOp::Le => ord.is_le(),
         CmpOp::Gt => ord.is_gt(),
         CmpOp::Ge => ord.is_ge(),
+    }
+}
+
+/// `x BETWEEN lo AND hi`, `None` where either bound is incomparable.
+#[inline]
+fn between(x: Cell<'_>, lo: Cell<'_>, hi: Cell<'_>) -> Option<bool> {
+    let ge = x.compare(lo)?.is_ge();
+    let le = x.compare(hi)?.is_le();
+    Some(ge && le)
+}
+
+/// `x IN (vals)`.
+#[inline]
+fn in_list(x: Cell<'_>, vals: &[Cell<'_>]) -> bool {
+    vals.iter().any(|&c| match (x, c) {
+        (Cell::Str(a), Cell::Str(b)) => str_eq(a, b),
+        _ => x.compare(c).is_some_and(Ordering::is_eq),
     })
 }
 
@@ -233,6 +320,64 @@ impl<'e> Node<'e> {
         }
     }
 
+    /// Appends to `out` those of `ids` on which [`Node::truth`] holds, in
+    /// order; `false` — with `out` partly written — if it fails on one.
+    /// A comparison, `BETWEEN` or `IN` over a stored column runs over the
+    /// column's storage; `And` runs each arm only on the rows the arms
+    /// before it kept; anything else runs row at a time.
+    fn select<A: Cells + ?Sized>(&self, src: &A, ids: &[u32], out: &mut Vec<u32>) -> bool {
+        match self {
+            Node::ColCmp(op, c, lit) => {
+                if let Some(col) = src.column(*c) {
+                    return col.retain(ids, out, |x| Some(holds(*op, x.compare(*lit)?)));
+                }
+            }
+            Node::Cmp(op, a, b) => {
+                if let (Some(a), Some(b)) = (a.stored(src), b.stored(src)) {
+                    return retain_where(ids, out, |r| {
+                        Some(holds(*op, a.get(r).compare(b.get(r))?))
+                    });
+                }
+            }
+            Node::Between(x, lo, hi) => {
+                if let Some(col) = x.stored(src) {
+                    return col.retain(ids, out, |x| between(x, *lo, *hi));
+                }
+            }
+            Node::InList(x, vals) => {
+                if let Some(col) = x.stored(src) {
+                    return col.retain(ids, out, |x| Some(in_list(x, vals)));
+                }
+            }
+            Node::And(xs) => {
+                let Some((last, init)) = xs.split_last() else {
+                    out.extend_from_slice(ids);
+                    return true;
+                };
+                let mut kept = Cow::Borrowed(ids);
+                for x in init {
+                    let mut next = Vec::with_capacity(kept.len());
+                    if !x.select(src, &kept, &mut next) {
+                        return false;
+                    }
+                    kept = Cow::Owned(next);
+                }
+                return last.select(src, &kept, out);
+            }
+            _ => {}
+        }
+        retain_where(ids, out, |r| self.truth(src, r).ok())
+    }
+
+    /// The column this node reads, where it is a plain column and the
+    /// source stores it.
+    fn stored<'a, A: Cells + ?Sized>(&self, src: &'a A) -> Option<&'a Column> {
+        match self {
+            Node::Col(c) => src.column(*c),
+            _ => None,
+        }
+    }
+
     /// [`Program::eval_bool`].
     fn truth<A: Cells + ?Sized>(&self, src: &A, row: usize) -> Eval<bool> {
         Ok(match self {
@@ -262,18 +407,9 @@ impl<'e> Node<'e> {
                 })?;
                 pat.matches(s) != *negated
             }
-            Node::InList(x, vals) => {
-                let v = x.value(src, row)?;
-                vals.iter()
-                    .any(|c| v.compare(*c).is_some_and(Ordering::is_eq))
-            }
-            Node::Between(x, lo, hi) => {
-                let v = x.value(src, row)?;
-                let incomparable = || type_error(format_args!("BETWEEN on incomparable values"));
-                let ge = v.compare(*lo).ok_or_else(incomparable)?.is_ge();
-                let le = v.compare(*hi).ok_or_else(incomparable)?.is_le();
-                ge && le
-            }
+            Node::InList(x, vals) => in_list(x.value(src, row)?, vals),
+            Node::Between(x, lo, hi) => between(x.value(src, row)?, *lo, *hi)
+                .ok_or_else(|| type_error(format_args!("BETWEEN on incomparable values")))?,
             // Values: nonzero numbers are true.
             _ => {
                 let v = self.value(src, row)?;
@@ -345,6 +481,36 @@ mod tests {
                 "{e:?}"
             );
         }
+    }
+
+    /// A failing row past the first batch: the batch reruns row at a time
+    /// and reports the row path's error; an `And` arm that never sees the
+    /// row does not fail.
+    #[test]
+    fn select_reports_the_row_paths_error_past_the_first_batch() {
+        let rows: Vec<Row> = (0..3 * SELECT_BATCH as i64)
+            .map(|i| {
+                let x = if i == 2500 { f64::NAN } else { i as f64 };
+                vec![Value::Int(i), Value::Float(x)]
+            })
+            .collect();
+        let mut table = ColumnTable::new(&[ColumnType::Int, ColumnType::Float]);
+        for r in &rows {
+            table.push_row(r).unwrap();
+        }
+        let ids: Vec<u32> = (0..rows.len() as u32).collect();
+        let nan = Expr::col_cmp(1, CmpOp::Ge, Value::Float(1.0));
+        let want = rows
+            .iter()
+            .map(|r| tree_walk::eval_bool(&nan, r))
+            .find_map(Result::err)
+            .unwrap()
+            .to_string();
+        let got = Program::new(&nan).select(&table, &ids).unwrap_err();
+        assert_eq!(got.to_string(), want);
+        let guarded = Expr::And(vec![Expr::col_cmp(0, CmpOp::Lt, Value::Int(100)), nan]);
+        let got = Program::new(&guarded).select(&table, &ids).unwrap();
+        assert_eq!(got, (1..100).collect::<Vec<u32>>());
     }
 
     #[test]

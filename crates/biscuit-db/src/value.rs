@@ -264,6 +264,20 @@ impl<'a> Cell<'a> {
     }
 }
 
+/// `a == b`, with short strings compared byte by byte without a branch
+/// per byte: the group keys, join keys and `IN` lists of TPC-H are short,
+/// and there a call to `memcmp` costs more than the comparison.
+#[inline]
+pub(crate) fn str_eq(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    a.len() == b.len()
+        && if a.len() <= 16 {
+            a.iter().zip(b).fold(0, |diff, (x, y)| diff | (x ^ y)) == 0
+        } else {
+            a == b
+        }
+}
+
 /// `v` in decimal, written into the tail of `buf` — the spelling `{v}`
 /// gives, without the formatting machinery.
 fn int_text(v: i64, buf: &mut [u8; 20]) -> &str {

@@ -149,6 +149,43 @@ fn ref_aggregate(spec: &SelectSpec, rows: &[Row]) -> Vec<Row> {
 
 // ---------- inputs ----------
 
+/// A key cell of any variant, among them strings that spell an `Int`, a
+/// `Date` or a `Float` key — and near misses that do not.
+fn key_value_strategy() -> impl Strategy<Value = Value> {
+    let min = i64::MIN.to_string();
+    let max = i64::MAX.to_string();
+    prop_oneof![
+        proptest::sample::select(vec![0, 5, -5, 42, i64::MIN, i64::MAX]).prop_map(Value::Int),
+        proptest::sample::select(vec![5.0, 0.0, -0.0, 1.001, 1.004, f64::NAN, -5.0])
+            .prop_map(Value::Float),
+        proptest::sample::select(vec![0, 9_131, -1, 2_932_896]).prop_map(Value::Date),
+        proptest::sample::select(vec![
+            "5".to_owned(),
+            "-5".to_owned(),
+            "05".to_owned(),
+            "+5".to_owned(),
+            "-0".to_owned(),
+            "0".to_owned(),
+            "42".to_owned(),
+            min.clone(),
+            max.clone(),
+            format!("{min}0"),
+            "9223372036854775808".to_owned(),
+            "1970-01-01".to_owned(),
+            "1995-01-01".to_owned(),
+            "5.00".to_owned(),
+            "1.00".to_owned(),
+            "NaN".to_owned(),
+            "-0.00".to_owned(),
+            "0.00".to_owned(),
+            "-5.00".to_owned(),
+            String::new(),
+            "a".to_owned(),
+        ])
+        .prop_map(Value::Str),
+    ]
+}
+
 /// Local row layout. Every domain is small, so keys repeat on both sides.
 const WIDTH: usize = 6;
 const C_INT: usize = 0;
@@ -307,13 +344,12 @@ proptest! {
         );
         let table = Arc::new(column_table(&TYPES, &inner));
         let mut pairs = Vec::new();
+        let inner_ids = all_ids(&inner);
         exec::hash_probe(
             &joined,
             &outer_ids,
             &outer_cols,
-            &*table,
-            &all_ids(&inner),
-            &inner_cols,
+            &exec::Inner::new(&*table, &inner_ids, &inner_cols),
             &mut pairs,
         );
         let matches: Vec<(u32, RowRef)> = pairs
@@ -361,6 +397,38 @@ proptest! {
         let table = column_table(&TYPES, &rows);
         let columnar = exec::aggregate_in(&spec, &table, &all_ids(&rows)).unwrap();
         prop_assert_eq!(spelled(&columnar), spelled(&expected));
+    }
+
+    #[test]
+    fn key_hash_follows_key_text(
+        pairs in proptest::collection::vec(
+            (key_value_strategy(), key_value_strategy(), any::<bool>()),
+            1..4,
+        ),
+    ) {
+        // Half the pairs meet a string spelling the left cell's text.
+        let (left, right): (Row, Row) = pairs
+            .into_iter()
+            .map(|(a, b, respell)| {
+                let b = if respell { Value::Str(a.to_text()) } else { b };
+                (a, b)
+            })
+            .unzip();
+        let mut index = exec::KeyIndex::default();
+        for (a, b) in left.iter().zip(&right) {
+            let same_text = exec::key_of(std::slice::from_ref(a)) == exec::key_of(std::slice::from_ref(b));
+            prop_assert_eq!(same_text, exec::cell_eq(a.cell(), b.cell()), "{:?} against {:?}", a, b);
+            if same_text {
+                prop_assert_eq!(index.hash([a.cell()]), index.hash([b.cell()]), "{:?} against {:?}", a, b);
+            }
+        }
+        if exec::key_of(&left) == exec::key_of(&right) {
+            prop_assert_eq!(
+                index.hash(left.iter().map(Value::cell)),
+                index.hash(right.iter().map(Value::cell)),
+                "{:?} against {:?}", left, right
+            );
+        }
     }
 
     #[test]
@@ -616,6 +684,44 @@ fn program_matches_tree_walker<A: Cells + ?Sized>(
     Ok(())
 }
 
+/// `Program::select` of `expr` over rows `ids` of `src` (whose row `i` is
+/// `rows[i]`) returns what the row path does: the ids of the rows the
+/// tree-walking oracle's `eval_bool` holds of, or the error of the first
+/// row it fails on.
+fn select_matches_row_path<A: Cells + ?Sized>(
+    expr: &Expr,
+    src: &A,
+    rows: &[Row],
+    ids: &[u32],
+) -> Result<(), TestCaseError> {
+    let want: DbResult<Vec<u32>> = ids
+        .iter()
+        .filter_map(|&id| match tree_walk::eval_bool(expr, &rows[id as usize]) {
+            Ok(true) => Some(Ok(id)),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
+        })
+        .collect();
+    let got = Program::new(expr).select(src, ids);
+    prop_assert_eq!(
+        outcome(got),
+        outcome(want),
+        "select of {:?} on {:?}",
+        expr,
+        ids
+    );
+    Ok(())
+}
+
+/// The ids of `rows` that `keep` picks, in order.
+fn subset(rows: &[Row], keep: &[bool]) -> Vec<u32> {
+    all_ids(rows)
+        .into_iter()
+        .zip(keep.iter().cycle())
+        .filter_map(|(id, &k)| k.then_some(id))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32_768))]
 
@@ -624,6 +730,7 @@ proptest! {
         expr in expr_strategy(),
         typed in proptest::collection::vec(typed_row_strategy(), 1..12),
         mixed in proptest::collection::vec(mixed_row_strategy(), 1..12),
+        keep in proptest::collection::vec(any::<bool>(), 1..12),
     ) {
         let table = column_table(&PROG_TYPES, &typed);
         program_matches_tree_walker(&expr, &table, &typed)?;
@@ -631,6 +738,10 @@ proptest! {
         program_matches_tree_walker(&expr, &mixed[..], &mixed)?;
         let refs: Vec<&Row> = mixed.iter().collect();
         program_matches_tree_walker(&expr, &refs[..], &mixed)?;
+        for ids in [all_ids(&typed), subset(&typed, &keep)] {
+            select_matches_row_path(&expr, &table, &typed, &ids)?;
+        }
+        select_matches_row_path(&expr, &mixed[..], &mixed, &subset(&mixed, &keep))?;
     }
 }
 

@@ -38,6 +38,10 @@ fn main() {
     let sim = Simulation::new(0);
     sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
+        // The run is one profiled query when BISCUIT_TELEMETRY is set (a
+        // no-op span pair otherwise).
+        let qp = ctx.qprof().clone();
+        let span = qp.begin_query(ctx, 0);
         let module = ssd.load_module(ctx, chase_module()).expect("load module");
         println!("{WALKS} random walks x {STEPS} hops over a {VERTICES}-vertex social graph\n");
         println!(
@@ -75,6 +79,9 @@ fn main() {
             );
         }
         println!("\npaper Table IV: >=11% gain, Conv degrades under load, Biscuit flat");
+        if let Some(sc) = span {
+            qp.end_query(ctx, sc);
+        }
     });
     let report = sim.run();
     report.assert_quiescent();

@@ -36,6 +36,10 @@ fn main() {
     sim.enable_from_env();
     let s = ssd.clone();
     sim.spawn("host", move |ctx| {
+        // The run is one profiled query when BISCUIT_TELEMETRY is set (a
+        // no-op span pair otherwise).
+        let qp = ctx.qprof().clone();
+        let span = qp.begin_query(ctx, 0);
         let module = ModuleBuilder::new("math")
             .register(
                 "idSquare",
@@ -55,6 +59,9 @@ fn main() {
         app.join(ctx);
         s.unload_module(ctx, mid).unwrap();
         println!("12^2 computed on the device at t = {}", ctx.now());
+        if let Some(sc) = span {
+            qp.end_query(ctx, sc);
+        }
     });
     let report = sim.run();
     report.assert_quiescent();

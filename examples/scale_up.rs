@@ -49,6 +49,10 @@ fn main() {
     let sim = Simulation::new(0);
     sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
+        // The run is one profiled query when BISCUIT_TELEMETRY is set (a
+        // no-op span pair otherwise).
+        let qp = ctx.qprof().clone();
+        let span = qp.begin_query(ctx, 0);
         // --- Conv: one host thread greps all shards, drive by drive ---
         // (the host CPU's Boyer-Moore is the bottleneck; extra drives
         // do not help).
@@ -87,6 +91,9 @@ fn main() {
             conv_t / bis_t
         );
         println!("the Conv path cannot exceed one host core's scan rate)");
+        if let Some(sc) = span {
+            qp.end_query(ctx, sc);
+        }
     });
     let report = sim.run();
     report.assert_quiescent();

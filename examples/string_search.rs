@@ -43,6 +43,10 @@ fn main() {
     let sim = Simulation::new(0);
     sim.enable_from_env();
     sim.spawn("host-program", move |ctx| {
+        // The run is one profiled query when BISCUIT_TELEMETRY is set (a
+        // no-op span pair otherwise).
+        let qp = ctx.qprof().clone();
+        let span = qp.begin_query(ctx, 0);
         let module = load_grep_module(ctx, &ssd).expect("load module");
         println!(
             "searching {} MiB of web log for \"{NEEDLE}\"\n",
@@ -70,6 +74,9 @@ fn main() {
             );
         }
         println!("\npaper Table V: 5.3x at idle, 8.3x at 24 background threads");
+        if let Some(sc) = span {
+            qp.end_query(ctx, sc);
+        }
     });
     let report = sim.run();
     report.assert_quiescent();
